@@ -20,4 +20,5 @@ from .montecarlo import (DegenerateSampleError, LfcSample, Procedure,
                          lfc_whp_sampler, one_sample_t_pvalue, rng_new,
                          run_simulation, sample_equicorrelated, t_sf,
                          weight_scenario)
-from .procedures import holm_stepdown, wap_stepdown, whp_stepdown
+from .procedures import (batch_stepdown, holm_stepdown, wap_stepdown,
+                         whp_stepdown)

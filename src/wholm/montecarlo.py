@@ -14,8 +14,13 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import betainc
 
-from .core import TestingProblem
-from .procedures import Procedure, holm_stepdown, wap_stepdown, whp_stepdown
+from .procedures import Procedure, batch_stepdown
+
+# Rows of least-favorable samples decided per kernel call.  The kernel's
+# (rows, m) temporaries then stay small and cache-resident, so peak memory is
+# set by the draws alone, while numpy's per-call overhead is still small
+# against the work of a block.
+SHARPNESS_BLOCK_ROWS = 1024
 
 
 class DegenerateSampleError(ValueError):
@@ -158,24 +163,24 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     from a per-replicate substream of the seed, so results do not depend on
     how replicates are partitioned across workers.  A zero-variance sample
     (probability zero in theory) is redrawn once and counted.
+
+    Replicates are drawn one at a time and decided together: one `t_sf` call
+    and one `batch_stepdown` call per procedure cover the whole cell.
     """
     m, m0 = config.m, config.m0
     m1 = m - m0
+    reps = config.reps
     mu = np.zeros(m)
     mu[m0:] = config.mu_alt
     null_mask = np.zeros(m, dtype=bool)
     null_mask[:m0] = True
-    null_set = frozenset(range(m0))
-    alt_set = frozenset(range(m0, m))
-    labels = tuple(f"H{i + 1}" for i in range(m))
 
-    children = np.random.SeedSequence(config.seed).spawn(config.reps)
-    fwer_hits = {proc: 0 for proc in Procedure}
-    power_sum = {proc: 0.0 for proc in Procedure}
+    weights = np.empty((reps, m))
+    tstats = np.empty((reps, m))
     resampled = 0
-    for child in children:
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(reps)):
         gen = np.random.default_rng(child)
-        w = weight_scenario(config.weight_scenario, null_mask, gen)
+        weights[r] = weight_scenario(config.weight_scenario, null_mask, gen)
         data = sample_equicorrelated(m, config.rho, mu, config.n, gen)
         sds = data.std(axis=0, ddof=1)
         if np.any(sds == 0.0):
@@ -184,27 +189,37 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
             sds = data.std(axis=0, ddof=1)
             if np.any(sds == 0.0):
                 raise DegenerateSampleError("zero-variance sample after resampling")
-        tstats = data.mean(axis=0) / (sds / math.sqrt(config.n))
-        pvals = t_sf(tstats, config.n - 1)
-        problem = TestingProblem(labels=labels, p=tuple(pvals),
-                                 w=tuple(w), alpha=config.alpha)
-        rejections = {
-            Procedure.HOLM: holm_stepdown(pvals, config.alpha).rejected,
-            Procedure.WHP: whp_stepdown(problem).rejected,
-            Procedure.WAP: wap_stepdown(problem).rejected,
-        }
-        assert rejections[Procedure.WAP] <= rejections[Procedure.WHP]
-        for proc, rej in rejections.items():
-            if rej & null_set:
-                fwer_hits[proc] += 1
-            if m1:
-                power_sum[proc] += len(rej & alt_set) / m1
+        tstats[r] = data.mean(axis=0) / (sds / math.sqrt(config.n))
+    pvals = t_sf(tstats, config.n - 1)
+    bad = ~((pvals >= 0.0) & (pvals <= 1.0))
+    if bad.any():
+        r, i = np.argwhere(bad)[0]
+        raise ValueError(
+            f"p-value out of [0, 1] in replicate {r}, hypothesis {i}: {pvals[r, i]}")
+
+    masks = {
+        Procedure.HOLM: batch_stepdown(Procedure.WHP, pvals, 1.0, config.alpha),
+        Procedure.WHP: batch_stepdown(Procedure.WHP, pvals, weights, config.alpha),
+        Procedure.WAP: batch_stepdown(Procedure.WAP, pvals, weights, config.alpha),
+    }
+    wap_only = masks[Procedure.WAP] & ~masks[Procedure.WHP]
+    if wap_only.any():
+        r = int(np.argmax(wap_only.any(axis=1)))
+        raise RuntimeError(
+            f"WAP rejected a hypothesis WHP kept in replicate {r}: "
+            f"{np.flatnonzero(wap_only[r]).tolist()}")
 
     records = {}
-    reps = config.reps
     for proc in Procedure:
-        fwer = fwer_hits[proc] / reps
-        power = power_sum[proc] / reps
+        mask = masks[proc]
+        fwer = int(mask[:, :m0].any(axis=1).sum()) / reps
+        # summed in replicate order as Python floats, so the result does not
+        # depend on numpy's pairwise summation
+        power_sum = 0.0
+        if m1:
+            for k in mask[:, m0:].sum(axis=1).tolist():
+                power_sum += k / m1
+        power = power_sum / reps
         records[proc] = CellRecord(
             procedure=proc,
             fwer=fwer,
@@ -324,15 +339,11 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         raise ValueError(
             "the raw-ordered procedure attains the bound only when "
             f"min(w)/max(w) >= alpha; got ratio {w.min() / w.max():.6g} < {alpha}")
-    stepdown = {Procedure.WHP: whp_stepdown, Procedure.WAP: wap_stepdown}[procedure]
-    labels = tuple(f"H{i + 1}" for i in range(m0))
-    wt = tuple(w)
     samples = _lfc_whp_batch(w, gen, reps)
     hits = 0
-    for row in samples:
-        problem = TestingProblem(labels=labels, p=tuple(row), w=wt, alpha=alpha)
-        if stepdown(problem).rejected:
-            hits += 1
+    for start in range(0, reps, SHARPNESS_BLOCK_ROWS):
+        block = samples[start:start + SHARPNESS_BLOCK_ROWS]
+        hits += int(batch_stepdown(procedure, block, w, alpha).any(axis=1).sum())
     fwer = hits / reps
     return SharpnessEstimate(procedure=procedure, fwer=fwer,
                              se=math.sqrt(fwer * (1.0 - fwer) / reps), reps=reps)

@@ -9,6 +9,7 @@ from wholm import (DegenerateSampleError, Procedure, SimulationConfig,
                    lfc_whp_sampler, one_sample_t_pvalue, rng_new,
                    run_simulation, sample_equicorrelated, t_sf,
                    weight_scenario, whp_stepdown, validate_problem)
+from wholm import montecarlo
 from wholm.montecarlo import _lfc_whp_batch
 
 
@@ -164,6 +165,74 @@ class TestRunSimulation:
                                   weight_scenario=WeightScenario.S2, seed=99)
         assert run_simulation(config) == run_simulation(config)
 
+    def test_seeded_output_golden(self):
+        # recorded with the per-replicate step-downs that preceded the batched
+        # kernel; the exact floats pin both the random streams and the
+        # replicate-order power summation
+        config = SimulationConfig(m=10, pi0=0.4, rho=0.5, n=15, mu_alt=0.7,
+                                  alpha=0.05, reps=500,
+                                  weight_scenario=WeightScenario.S2, seed=2026)
+        result = run_simulation(config)
+        expected = {Procedure.HOLM: (0.026, 0.49566666666666664),
+                    Procedure.WHP: (0.028, 0.6023333333333338),
+                    Procedure.WAP: (0.022, 0.5653333333333337)}
+        for proc, (fwer, power) in expected.items():
+            record = result.records[proc]
+            assert type(record.fwer) is float and type(record.power) is float
+            assert (record.fwer, record.power) == (fwer, power)
+        assert result.resampled == 0
+
+    def test_wap_outside_whp_raises(self, monkeypatch):
+        real = montecarlo.batch_stepdown
+
+        def broken(procedure, p, w, alpha):
+            mask = real(procedure, p, w, alpha)
+            if procedure is Procedure.WAP:
+                mask[3:] = True
+            return mask
+
+        monkeypatch.setattr(montecarlo, "batch_stepdown", broken)
+        config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.0,
+                                  alpha=0.05, reps=10,
+                                  weight_scenario=WeightScenario.S2, seed=5)
+        with pytest.raises(RuntimeError, match="replicate 3"):
+            run_simulation(config)
+
+    def test_invalid_pvalue_raises(self, monkeypatch):
+        real = montecarlo.t_sf
+
+        def nan_at(t, df):
+            out = real(t, df)
+            out[2, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(montecarlo, "t_sf", nan_at)
+        config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.7,
+                                  alpha=0.05, reps=5,
+                                  weight_scenario=WeightScenario.S2, seed=5)
+        with pytest.raises(ValueError, match="replicate 2, hypothesis 1"):
+            run_simulation(config)
+
+    def test_zero_variance_sample_redrawn_once(self, monkeypatch):
+        real = montecarlo.sample_equicorrelated
+        calls = []
+
+        def constant_first(m, rho, mu, n, gen):
+            calls.append(m)
+            data = real(m, rho, mu, n, gen)
+            return np.zeros_like(data) if len(calls) == 1 else data
+
+        monkeypatch.setattr(montecarlo, "sample_equicorrelated", constant_first)
+        config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.7,
+                                  alpha=0.05, reps=3,
+                                  weight_scenario=WeightScenario.S2, seed=5)
+        assert run_simulation(config).resampled == 1
+
+        monkeypatch.setattr(montecarlo, "sample_equicorrelated",
+                            lambda m, rho, mu, n, gen: np.zeros((n, m)))
+        with pytest.raises(DegenerateSampleError):
+            run_simulation(config)
+
 
 class TestLfcSampler:
     def test_single_null_uniform(self):
@@ -253,3 +322,19 @@ class TestSharpness:
     def test_zero_reps_rejected(self):
         with pytest.raises(ValueError, match="reps"):
             estimate_sharpness(Procedure.WHP, [1.0], 1, 0, rng_new(67))
+
+    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+    def test_seeded_output_golden(self, procedure):
+        # recorded with the per-row step-downs that preceded the batched kernel
+        estimate = estimate_sharpness(procedure, [1, 2, 3, 4], 4, 20_000,
+                                      rng_new(7))
+        assert type(estimate.fwer) is float
+        assert estimate.fwer == 0.0504
+
+    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+    def test_block_size_does_not_change_the_estimate(self, procedure,
+                                                     monkeypatch):
+        w = [1.0, 2.5, 3.0, 4.0, 6.0]
+        whole = estimate_sharpness(procedure, w, 5, 5000, rng_new(71))
+        monkeypatch.setattr(montecarlo, "SHARPNESS_BLOCK_ROWS", 7)
+        assert estimate_sharpness(procedure, w, 5, 5000, rng_new(71)) == whole

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wholm import (holm_stepdown, validate_problem, wap_stepdown, whp_stepdown,
-                   weighted_pvalues, order, OrderingKey)
+from wholm import (Procedure, batch_stepdown, holm_stepdown, validate_problem,
+                   wap_stepdown, whp_stepdown, weighted_pvalues, order,
+                   OrderingKey)
 
 random_problems = st.integers(min_value=1, max_value=10).flatmap(
     lambda m: st.tuples(
@@ -72,13 +73,36 @@ class TestHolmStepdown:
             assert holm_stepdown(p, 0.05).rejected == whp_stepdown(prob).rejected
 
 
+def _boundary_problem(p, w):
+    return validate_problem([f"H{i}" for i in range(len(p))], p, w, 0.05)
+
+
+# Exact-boundary problems where `p <= w*alpha/tail` and `p/w <= alpha/tail`
+# round to different decisions; the step-downs must use one form.
+BOUNDARY_PROBLEMS = [
+    _boundary_problem((0.0, 0.0, 0.05), (1.0, 1.0, 5.375)),
+    _boundary_problem((0.0, 0.0, 0.05), (2.0, 2.0, 10.75)),
+    _boundary_problem((0.05,), (2.6875,)),
+    _boundary_problem((0.05,), (0.16232624739365845,)),
+    _boundary_problem((0.05000000000000001,), (0.05,)),
+]
+
+
+def with_boundary_examples(test):
+    for problem in BOUNDARY_PROBLEMS:
+        test = example(problem)(test)
+    return test
+
+
 @given(random_problems)
+@with_boundary_examples
 @settings(max_examples=300)
 def test_wap_rejections_contained_in_whp(problem):
     assert wap_stepdown(problem).rejected <= whp_stepdown(problem).rejected
 
 
 @given(random_problems)
+@with_boundary_examples
 @settings(max_examples=300)
 def test_coinciding_orderings_give_identical_rejections(problem):
     raw = order(problem.p, OrderingKey.RAW).perm
@@ -119,3 +143,70 @@ def test_whp_pvalue_monotone_on_random_pairs():
         high = whp_stepdown(validate_problem(labels, p, w, 0.05)).rejected
         low = whp_stepdown(validate_problem(labels, q, w, 0.05)).rejected
         assert high <= low
+
+
+# Grid p-values put ties, exact zeros, p = 1 and alpha-sized values in
+# most rows; the weight spread covers ratios from 0.05 up to 1e6.
+GRID_P = (0.0, 0.001, 0.0125, 0.025, 0.05, 0.1, 1.0)
+GRID_W = (0.05, 1.0, 2.0, 5.375, 10.0, 1e6)
+
+
+def _kernel_corpus(gen, m, rows):
+    p = gen.uniform(size=(rows, m))
+    from_grid = gen.uniform(size=(rows, m)) < 0.6
+    p[from_grid] = gen.choice(GRID_P, size=int(from_grid.sum()))
+    w = np.exp(gen.uniform(np.log(0.05), np.log(1e6), size=(rows, m)))
+    from_grid = gen.uniform(size=(rows, m)) < 0.5
+    w[from_grid] = gen.choice(GRID_W, size=int(from_grid.sum()))
+    return p, w
+
+
+def _scalar_masks(p, w, alpha):
+    labels = [f"H{i}" for i in range(p.shape[1])]
+    masks = {proc: np.zeros(p.shape, dtype=bool) for proc in Procedure}
+    for r in range(p.shape[0]):
+        problem = validate_problem(labels, p[r], w[r], alpha)
+        for proc, result in ((Procedure.WHP, whp_stepdown(problem)),
+                             (Procedure.WAP, wap_stepdown(problem)),
+                             (Procedure.HOLM, holm_stepdown(p[r], alpha))):
+            masks[proc][r, list(result.rejected)] = True
+    return masks
+
+
+def _kernel_masks(p, w, alpha):
+    return {Procedure.WHP: batch_stepdown(Procedure.WHP, p, w, alpha),
+            Procedure.WAP: batch_stepdown(Procedure.WAP, p, w, alpha),
+            Procedure.HOLM: batch_stepdown(Procedure.WHP, p, 1.0, alpha)}
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("m", range(1, 12))
+def test_batch_stepdown_matches_scalar_stepdowns(m, alpha):
+    gen = np.random.default_rng([m, int(alpha * 100)])
+    p, w = _kernel_corpus(gen, m, 600)
+    expected = _scalar_masks(p, w, alpha)
+    for proc, mask in _kernel_masks(p, w, alpha).items():
+        mismatched = np.flatnonzero((mask != expected[proc]).any(axis=1))
+        assert mismatched.size == 0, (
+            f"{proc.value} row {mismatched[:1]}: p={p[mismatched[:1]]}, "
+            f"w={w[mismatched[:1]]}")
+
+
+def test_batch_stepdown_gives_equal_decisions_at_the_boundary():
+    # 5.375 * 0.05 / 5.375 rounds below 0.05, so a raw-scale WAP test would
+    # keep H3; in the shared form p/w <= alpha/tail both procedures reject it.
+    p = np.array([[0.0, 0.0, 0.05]])
+    w = np.array([[1.0, 1.0, 5.375]])
+    problem = validate_problem(["H1", "H2", "H3"], p[0], w[0], 0.05)
+    assert whp_stepdown(problem).rejected == {0, 1, 2}
+    assert wap_stepdown(problem).rejected == {0, 1, 2}
+    masks = _kernel_masks(p, w, 0.05)
+    assert masks[Procedure.WHP].tolist() == [[True, True, True]]
+    assert masks[Procedure.WAP].tolist() == [[True, True, True]]
+
+
+def test_batch_stepdown_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="shape"):
+        batch_stepdown(Procedure.WHP, [0.01, 0.02], 1.0, 0.05)
+    with pytest.raises(ValueError, match="WHP or WAP"):
+        batch_stepdown(Procedure.HOLM, [[0.01, 0.02]], 1.0, 0.05)
