@@ -1,8 +1,10 @@
 """Adjusted (weighted) p-values for the two step-down procedures.
 
 The adjusted value of a hypothesis is the smallest global level at which the
-procedure would reject it, so comparing adjusted values against alpha
-reproduces the step-down decisions exactly.
+procedure would reject it: the running max of (p/w)_(j) * tail_j along the
+procedure's ranking, capped at 1.  The step-downs decide with the same
+numbers (`procedures.rank_adjusted`), so a hypothesis is rejected at level
+alpha iff its adjusted value printed here is at most alpha, bit for bit.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .core import (OrderingKey, OrderingPermutation, TestingProblem, order,
-                   weighted_pvalues)
-from .procedures import Procedure
+from .core import OrderingKey, OrderingPermutation, TestingProblem
+from .procedures import Procedure, rank_adjusted
 
 
 @dataclass(frozen=True)
@@ -30,49 +31,22 @@ class AdjustedReport:
     ordering: OrderingPermutation
 
 
-def _stepdown_adjust(scaled, perm, tail_sums):
-    adjusted_by_rank = []
-    running = 0.0
-    for j in range(len(perm)):
-        running = max(running, scaled[j] * tail_sums[j])
-        adjusted_by_rank.append(min(running, 1.0))
-        running = adjusted_by_rank[-1]
-    return adjusted_by_rank
-
-
-def _tails(weights_in_rank_order):
-    tails = [0.0] * len(weights_in_rank_order)
-    acc = 0.0
-    for j in range(len(weights_in_rank_order) - 1, -1, -1):
-        acc += weights_in_rank_order[j]
-        tails[j] = acc
-    return tails
+def _report(problem: TestingProblem, key: OrderingKey,
+            procedure: Procedure) -> AdjustedReport:
+    ranked = rank_adjusted(problem, key)
+    values = [0.0] * problem.m
+    for idx, value in zip(ranked.ordering.perm, ranked.adjusted):
+        values[idx] = value
+    return AdjustedReport(values=tuple(values), procedure=procedure,
+                          ordering=ranked.ordering)
 
 
 def adjusted_whp(problem: TestingProblem) -> AdjustedReport:
     """Adjusted weighted p-values: running max of tilde_p_(j) * tail weight sum."""
-    tilde = weighted_pvalues(problem).tilde_p
-    ordering = order(tilde, OrderingKey.WEIGHTED)
-    perm = ordering.perm
-    tails = _tails([problem.w[i] for i in perm])
-    by_rank = _stepdown_adjust([tilde[i] for i in perm], perm, tails)
-    values = [0.0] * problem.m
-    for rank, idx in enumerate(perm):
-        values[idx] = by_rank[rank]
-    return AdjustedReport(values=tuple(values), procedure=Procedure.WHP,
-                          ordering=ordering)
+    return _report(problem, OrderingKey.WEIGHTED, Procedure.WHP)
 
 
 def adjusted_wap(problem: TestingProblem) -> AdjustedReport:
     """Adjusted p-values under the raw ordering: running max of
     (p_(j)/w_(j)) * tail weight sum."""
-    ordering = order(problem.p, OrderingKey.RAW)
-    perm = ordering.perm
-    tails = _tails([problem.w[i] for i in perm])
-    scaled = [problem.p[i] / problem.w[i] for i in perm]
-    by_rank = _stepdown_adjust(scaled, perm, tails)
-    values = [0.0] * problem.m
-    for rank, idx in enumerate(perm):
-        values[idx] = by_rank[rank]
-    return AdjustedReport(values=tuple(values), procedure=Procedure.WAP,
-                          ordering=ordering)
+    return _report(problem, OrderingKey.RAW, Procedure.WAP)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from .core import OrderingKey, load_problem_csv
 from .graphical import dot_stages, initial_graph, run_graphical
 from .montecarlo import (Procedure, SimulationConfig, WeightScenario,
                          estimate_sharpness, rng_new, run_simulation)
-from .procedures import wap_stepdown, whp_stepdown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,6 +45,16 @@ def _alpha_arg(text):
         raise argparse.ArgumentTypeError(f"malformed number for --alpha: {text}")
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"--alpha must lie in (0, 1): {text}")
+    return value
+
+
+def _trials_arg(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed integer for --trials: {text}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--trials must be at least 1: {text}")
     return value
 
 
@@ -91,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="FWER/power Monte Carlo study")
     p_sim.add_argument("--config", required=True,
                        help="key=value file: m, pi0, rho_list, n, mu_alt, "
-                            "alpha, reps, scenario, seed")
+                            "alpha, reps, scenario, seed; m, pi0, rho_list "
+                            "and scenario take comma lists")
     p_sim.add_argument("--output", help="output CSV (default: stdout)")
     p_sim.add_argument("--seed", type=int, help="override the config seed")
 
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp.add_argument("--seed", type=int, required=True)
 
     p_check = sub.add_parser("check", help="run the randomized property battery")
-    p_check.add_argument("--trials", type=int, default=10_000)
+    p_check.add_argument("--trials", type=_trials_arg, default=10_000)
     p_check.add_argument("--seed", type=int, required=True)
     return parser
 
@@ -118,10 +129,9 @@ def _open_output(path):
 
 def _cmd_adjust(args) -> int:
     problem = load_problem_csv(args.input, args.alpha)
-    whp_report = adjusted_whp(problem)
-    wap_report = adjusted_wap(problem)
-    whp_rej = whp_stepdown(problem).rejected
-    wap_rej = wap_stepdown(problem).rejected
+    # a hypothesis is rejected iff its adjusted value is at most alpha
+    whp_values = adjusted_whp(problem).values
+    wap_values = adjusted_wap(problem).values
     out, close = _open_output(args.output)
     try:
         writer = csv.writer(out)
@@ -132,10 +142,10 @@ def _cmd_adjust(args) -> int:
                 label,
                 _fmt(problem.p[i], args.precision),
                 _fmt(problem.w[i], args.precision),
-                _fmt_adjusted(whp_report.values[i], args.precision),
-                _fmt_adjusted(wap_report.values[i], args.precision),
-                str(i in whp_rej).lower(),
-                str(i in wap_rej).lower(),
+                _fmt_adjusted(whp_values[i], args.precision),
+                _fmt_adjusted(wap_values[i], args.precision),
+                str(whp_values[i] <= problem.alpha).lower(),
+                str(wap_values[i] <= problem.alpha).lower(),
             ])
     finally:
         if close:
@@ -181,7 +191,16 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _values(raw, key, convert):
+    values = [convert(x.strip()) for x in raw[key].split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"{key}: no values")
+    return values
+
+
 def _parse_sim_config(path, seed_override):
+    """Read a simulate config into its cells, in the order m, pi0, rho,
+    scenario."""
     raw = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -200,32 +219,32 @@ def _parse_sim_config(path, seed_override):
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(sorted(missing))}")
     try:
-        rhos = [float(x) for x in raw["rho_list"].split(",") if x.strip()]
-        base = dict(
-            m=int(raw["m"]), pi0=float(raw["pi0"]), n=int(raw["n"]),
+        grid = itertools.product(
+            _values(raw, "m", int), _values(raw, "pi0", float),
+            _values(raw, "rho_list", float),
+            _values(raw, "scenario", WeightScenario))
+        return [SimulationConfig(
+            m=m, pi0=pi0, rho=rho, n=int(raw["n"]),
             mu_alt=float(raw["mu_alt"]), alpha=float(raw["alpha"]),
-            reps=int(raw["reps"]),
-            weight_scenario=WeightScenario(raw["scenario"]),
-            seed=int(raw["seed"]))
+            reps=int(raw["reps"]), weight_scenario=scenario,
+            seed=int(raw["seed"])) for m, pi0, rho, scenario in grid]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return base, rhos
 
 
 def _cmd_simulate(args) -> int:
-    base, rhos = _parse_sim_config(args.config, args.seed)
+    configs = _parse_sim_config(args.config, args.seed)
     out, close = _open_output(args.output)
     try:
         writer = csv.writer(out)
         writer.writerow(["procedure", "m", "pi0", "rho", "scenario", "fwer",
                          "fwer_se", "power", "power_se", "reps", "seed"])
-        for rho in rhos:
-            config = SimulationConfig(rho=rho, **base)
+        for config in configs:
             result = run_simulation(config)
             for proc in (Procedure.HOLM, Procedure.WHP, Procedure.WAP):
                 rec = result.records[proc]
                 writer.writerow([
-                    proc.value, config.m, config.pi0, rho,
+                    proc.value, config.m, config.pi0, config.rho,
                     config.weight_scenario.value,
                     f"{rec.fwer:.6g}", f"{rec.fwer_se:.6g}",
                     f"{rec.power:.6g}", f"{rec.power_se:.6g}",

@@ -1,12 +1,20 @@
 """Brute-force closed testing over all intersection hypotheses.
 
-Subsets of {0..m-1} are encoded as bitmasks.  The two local tests mirror the
-step-down procedures: the raw-ordering procedure (WAP) tests only the smallest
-p-value in the intersection against its weight share of alpha, while the
-weighted-ordering procedure (WHP) rejects as soon as any member beats its own
-weight share.  Closing either local test over all subsets reproduces the
-corresponding step-down exactly; the exhaustive engine here is the oracle the
-fast procedures are checked against.
+Subsets of {0..m-1} are encoded as bitmasks.  The two local tests are the
+weighted Bonferroni tests behind the step-downs, written in the step-downs'
+one rule: with total the weight of the intersection, a member's value is
+(p/w) * total, and it counts as significant iff that value is at most alpha.
+The weighted-ordering procedure (WHP) rejects the intersection as soon as any
+member is significant; the raw-ordering procedure (WAP) tests only the member
+with the smallest raw p-value.  Closing either local test over all subsets
+reproduces the corresponding step-down; the exhaustive engine here is the
+oracle the fast procedures are checked against.
+
+Subset sums are taken in index order, while a step-down sums its tail in rank
+order.  Float addition commutes, so sums of one or two weights agree exactly;
+from three weights on the two orders can differ in the last bit, so for
+m >= 3 a p-value exactly on a boundary can be decided differently by closed
+testing and by the step-down.
 """
 
 from __future__ import annotations
@@ -66,17 +74,19 @@ def wap_local_test(problem: TestingProblem, mask: int) -> bool:
     idxs = members(mask)
     best = min(idxs, key=lambda i: (problem.p[i], i))
     total = sum(problem.w[i] for i in idxs)
-    return problem.p[best] <= problem.w[best] / total * problem.alpha
+    return problem.p[best] / problem.w[best] * total <= problem.alpha
 
 
 def whp_local_test(problem: TestingProblem, mask: int) -> bool:
     """Weighted Bonferroni test: reject iff some member beats its own weight
-    share of alpha."""
+    share of alpha, that is iff min(p/w) * total <= alpha."""
     if mask == 0:
         raise ValueError("intersection must be nonempty")
     idxs = members(mask)
     total = sum(problem.w[i] for i in idxs)
-    return any(problem.p[i] <= problem.w[i] / total * problem.alpha for i in idxs)
+    # stops at the first hit; rounding is monotone, so this decides as the
+    # minimum would
+    return any(problem.p[i] / problem.w[i] * total <= problem.alpha for i in idxs)
 
 
 def ctp(problem: TestingProblem,

@@ -9,6 +9,7 @@ immutable values.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Tuple
@@ -58,13 +59,21 @@ class RejectionSet:
     trace: Tuple[Tuple[int, int, float], ...]
 
 
+def check_weights(w: Sequence[float]) -> None:
+    """Raise ValueError naming the first weight that is not positive and
+    finite."""
+    for i, wi in enumerate(w):
+        if not (0.0 < wi < float("inf")):
+            raise ValueError(f"weight must be positive and finite at index {i}: {wi}")
+
+
 def validate_problem(labels: Sequence[str], p: Sequence[float],
                      w: Sequence[float], alpha: float) -> TestingProblem:
     """Validate raw inputs and build an immutable TestingProblem.
 
-    Raises ValueError naming the offending index for any violated constraint:
-    mismatched lengths, p outside [0, 1], nonpositive or nonfinite weights,
-    or alpha outside (0, 1).
+    Raises ValueError naming the offending index or label for any violated
+    constraint: mismatched lengths, duplicate labels, p outside [0, 1],
+    nonpositive or nonfinite weights, or alpha outside (0, 1).
     """
     labels = tuple(str(x) for x in labels)
     p = tuple(float(x) for x in p)
@@ -76,12 +85,13 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
     if len(p) != m or len(w) != m:
         raise ValueError(
             f"length mismatch: {m} labels, {len(p)} p-values, {len(w)} weights")
+    if len(set(labels)) != m:
+        label = next(x for x, n in Counter(labels).items() if n > 1)
+        raise ValueError(f"duplicate hypothesis label: {label}")
     for i, pi in enumerate(p):
         if not (0.0 <= pi <= 1.0):
             raise ValueError(f"p-value out of [0, 1] at index {i}: {pi}")
-    for i, wi in enumerate(w):
-        if not (wi > 0.0) or wi != wi or wi == float("inf"):
-            raise ValueError(f"weight must be positive and finite at index {i}: {wi}")
+    check_weights(w)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1): {alpha}")
     return TestingProblem(labels=labels, p=p, w=w, alpha=alpha)

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import betainc
 
+from .core import check_weights
 from .procedures import Procedure, batch_stepdown
 
 # Rows of least-favorable samples decided per kernel call.  The kernel's
@@ -328,9 +329,11 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     with all m0 hypotheses true.
 
     For the raw-ordered procedure the construction only attains the bound when
-    min(w) / max(w) >= alpha, so that condition is enforced.
+    min(w) / max(w) >= alpha, so that condition is enforced.  A weight that is
+    not positive and finite raises ValueError naming its index.
     """
     w = np.asarray(weights, dtype=float)
+    check_weights(w)
     if w.size != m0:
         raise ValueError(f"expected {m0} weights, got {w.size}")
     if reps < 1:

@@ -1,33 +1,36 @@
 """Step-down procedures: weighted Holm (WHP), alternative weighted Holm (WAP)
 and the conventional unweighted Holm baseline.
 
-WHP orders hypotheses by weighted p-values p_i/w_i and tests the j-th ordered
-hypothesis against alpha / (tail sum of ordered weights).  WAP orders by raw
-p-values and tests against (w_(j) / tail sum) * alpha.  Both stop at the first
-index that fails its threshold.
-
-Both procedures evaluate their threshold in one float form, `p/w <= alpha/tail`
-(the trace still reports the raw-scale threshold `w*alpha/tail`).  Writing
-WAP's test as `p <= w*alpha/tail` instead rounds differently at the boundary:
-p = 0.05, w = 5.375 alone in its tail gives `5.375*0.05/5.375` = 0.04999...96,
-so WAP kept a hypothesis that WHP rejected on the same ordering.  With one form,
-equal orderings give equal decisions and WAP's rejections stay inside WHP's.
+WHP ranks hypotheses by weighted p-values p_i/w_i, WAP by raw p-values; ties
+go to the smaller index.  Both then share one rule: a hypothesis is rejected
+iff its adjusted value is at most alpha.  `rank_adjusted` computes, by rank,
+the tail weight sums (accumulated from the last rank upward) and the adjusted
+values, the running max of (p/w)_(j) * tail_j capped at 1.  In exact
+arithmetic the step-down threshold p/w <= alpha/tail holds iff the product is
+at most alpha, so keeping the ranks whose adjusted value is at most alpha is
+the step-down.  In floating point the two forms round differently at a
+boundary; only the product is used, so the adjusted reports print the very
+numbers the decisions were made on.
 
 `whp_stepdown`, `wap_stepdown` and `holm_stepdown` decide one problem and
-record the trace.  `batch_stepdown` decides many rows at once for the Monte
-Carlo engine; it evaluates the same float expressions, so its decisions equal
+record the trace, whose thresholds are reported on the raw scale,
+w*alpha/tail.  `batch_stepdown` decides many rows at once for the Monte Carlo
+engine; it forms the same products in the same order, so its decisions equal
 the per-problem ones bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import accumulate
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import (OrderingKey, RejectionSet, TestingProblem, order,
-                   validate_problem, weighted_pvalues)
+from .core import (OrderingKey, OrderingPermutation, RejectionSet,
+                   TestingProblem, order, validate_problem, weighted_pvalues)
 
 
 class Procedure(Enum):
@@ -36,44 +39,53 @@ class Procedure(Enum):
     WAP = "wap"
 
 
-def _tail_weight_sums(weights_in_rank_order):
-    # Accumulated from the last rank upward so the summation order is fixed.
-    m = len(weights_in_rank_order)
-    tails = [0.0] * m
-    acc = 0.0
-    for j in range(m - 1, -1, -1):
-        acc += weights_in_rank_order[j]
-        tails[j] = acc
-    return tails
+@dataclass(frozen=True)
+class RankedAdjustment:
+    """One step-down pass, indexed by rank.
+
+    `tails[j]` is the weight of the hypotheses at ranks j and later;
+    `adjusted[j]` is the adjusted value of the hypothesis at rank j.
+    """
+
+    ordering: OrderingPermutation
+    tails: Tuple[float, ...]
+    adjusted: Tuple[float, ...]
+
+
+def rank_adjusted(problem: TestingProblem, key: OrderingKey) -> RankedAdjustment:
+    """Rank by weighted (WHP) or raw (WAP) p-values and adjust along the ranks."""
+    tilde = weighted_pvalues(problem).tilde_p
+    ordering = order(tilde if key is OrderingKey.WEIGHTED else problem.p, key)
+    perm = ordering.perm
+    # summed from the last rank upward, the order `batch_stepdown` uses too
+    tails = tuple(accumulate([problem.w[i] for i in reversed(perm)]))[::-1]
+    products = [tilde[i] * tail for i, tail in zip(perm, tails)]
+    # capping the running max equals capping at every step: min/max commute
+    adjusted = tuple([min(value, 1.0) for value in accumulate(products, max)])
+    return RankedAdjustment(ordering=ordering, tails=tails, adjusted=adjusted)
+
+
+def _stepdown(problem: TestingProblem, key: OrderingKey) -> RejectionSet:
+    ranked = rank_adjusted(problem, key)
+    perm, tails, alpha = ranked.ordering.perm, ranked.tails, problem.alpha
+    # adjusted values never decrease along the ranks, so the ranks at or
+    # below alpha are a prefix
+    k = bisect_right(ranked.adjusted, alpha)
+    # raw-scale thresholds, guaranteed in (0, 1)
+    trace = tuple([(j + 1, perm[j], problem.w[perm[j]] * alpha / tails[j])
+                   for j in range(k)])
+    return RejectionSet(rejected=frozenset(perm[:k]), trace=trace)
 
 
 def whp_stepdown(problem: TestingProblem) -> RejectionSet:
     """Weighted Holm: reject while the ordered weighted p-value stays at or
     below alpha divided by the remaining weight mass."""
-    tilde = weighted_pvalues(problem).tilde_p
-    perm = order(tilde, OrderingKey.WEIGHTED).perm
-    tails = _tail_weight_sums([problem.w[i] for i in perm])
-    trace = []
-    for j, idx in enumerate(perm):
-        if tilde[idx] <= problem.alpha / tails[j]:
-            # raw-scale threshold, guaranteed in (0, 1)
-            trace.append((j + 1, idx, problem.w[idx] * problem.alpha / tails[j]))
-        else:
-            break
-    return RejectionSet(rejected=frozenset(i for _, i, _ in trace), trace=tuple(trace))
+    return _stepdown(problem, OrderingKey.WEIGHTED)
 
 
 def wap_stepdown(problem: TestingProblem) -> RejectionSet:
     """Alternative weighted Holm: raw p-value ordering, weight-share thresholds."""
-    perm = order(problem.p, OrderingKey.RAW).perm
-    tails = _tail_weight_sums([problem.w[i] for i in perm])
-    trace = []
-    for j, idx in enumerate(perm):
-        if problem.p[idx] / problem.w[idx] <= problem.alpha / tails[j]:
-            trace.append((j + 1, idx, problem.w[idx] * problem.alpha / tails[j]))
-        else:
-            break
-    return RejectionSet(rejected=frozenset(i for _, i, _ in trace), trace=tuple(trace))
+    return _stepdown(problem, OrderingKey.RAW)
 
 
 def holm_stepdown(p: Sequence[float], alpha: float) -> RejectionSet:
@@ -90,8 +102,9 @@ def batch_stepdown(procedure: Procedure, p, w, alpha: float) -> np.ndarray:
     an (R, m) array or the scalar 1.0 (which gives Holm) all work.  Row r of
     the result is True exactly where `whp_stepdown` (or `wap_stepdown`)
     rejects on the problem (p[r], w[r], alpha): rows are ordered with a
-    stable sort, tail sums accumulate from the last rank upward, and the
-    comparison is the scalar code's `p/w <= alpha/tail`.  Only the shape of
+    stable sort, tail sums accumulate from the last rank upward, and a rank
+    is rejected iff it and every rank before it have (p/w) * tail <= alpha,
+    which is the scalar code's adjusted value <= alpha.  Only the shape of
     `p` is checked, not its values.
     """
     p = np.asarray(p, dtype=float)
@@ -107,8 +120,8 @@ def batch_stepdown(procedure: Procedure, p, w, alpha: float) -> np.ndarray:
         raise ValueError(f"batch_stepdown decides WHP or WAP, got {procedure}")
     w_ranked = np.take_along_axis(w, perm, axis=1)
     tails = np.cumsum(w_ranked[:, ::-1], axis=1)[:, ::-1]
-    passed = np.take_along_axis(tilde, perm, axis=1) <= alpha / tails
-    # a rank is rejected only if every rank before it passed as well
+    passed = np.take_along_axis(tilde, perm, axis=1) * tails <= alpha
+    # the running max stays at or below alpha only while every rank passes
     rejected_ranks = np.logical_and.accumulate(passed, axis=1)
     mask = np.empty_like(rejected_ranks)
     np.put_along_axis(mask, perm, rejected_ranks, axis=1)

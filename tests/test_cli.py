@@ -62,6 +62,19 @@ class TestAdjust:
         assert header == ("hypothesis,p_value,weight,adj_whp,adj_wap,"
                           "reject_whp,reject_wap")
 
+    def test_decisions_are_adjusted_values_at_most_alpha(self, tmp_path):
+        # (0.05 / w) * w rounds up to 0.05000000000000001 for this weight, so
+        # the adjusted value exceeds alpha and the hypothesis is kept
+        path = tmp_path / "boundary.csv"
+        path.write_text("hypothesis,p_value,weight\nH1,0.05,6.332856399000273\n")
+        out = tmp_path / "adjusted.csv"
+        assert main(["adjust", "--input", str(path), "--alpha", "0.05",
+                     "--output", str(out), "--precision", "full"]) == 0
+        [row] = read_csv(out)
+        for proc in ("whp", "wap"):
+            assert row[f"reject_{proc}"] == str(
+                float(row[f"adj_{proc}"]) <= 0.05).lower()
+
     def test_rerun_is_byte_identical(self, problem_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["adjust", "--input", problem_file, "--alpha", "0.05",
@@ -129,6 +142,34 @@ class TestSimulate:
             assert 0.0 <= float(r["fwer"]) <= 1.0
             assert r["seed"] == "11"
 
+    def test_comma_lists_run_every_cell_in_order(self, tmp_path):
+        grid = SIM_CONFIG.replace("m = 4", "m = 4,6").replace(
+            "rho_list = 0.0,0.5", "rho_list = 0.5").replace(
+            "scenario = S4", "scenario = S1,S4")
+        config = tmp_path / "grid.cfg"
+        config.write_text(grid)
+        out = tmp_path / "grid.csv"
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(out)]) == 0
+        rows = read_csv(out)
+        assert [(r["m"], r["scenario"], r["procedure"]) for r in rows] == [
+            (m, scenario, proc) for m in ("4", "6") for scenario in ("S1", "S4")
+            for proc in ("holm", "whp", "wap")]
+        # each cell prints what a one-value config for that cell prints
+        for k, (m, scenario) in enumerate([("4", "S1"), ("4", "S4"),
+                                           ("6", "S1"), ("6", "S4")]):
+            config.write_text(grid.replace("m = 4,6", f"m = {m}").replace(
+                "scenario = S1,S4", f"scenario = {scenario}"))
+            cell = tmp_path / "cell.csv"
+            main(["simulate", "--config", str(config), "--output", str(cell)])
+            assert read_csv(cell) == rows[3 * k:3 * k + 3]
+
+    def test_empty_list_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text(SIM_CONFIG.replace("scenario = S4", "scenario = ,"))
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "scenario: no values" in capsys.readouterr().err
+
     def test_seed_override_changes_results(self, tmp_path):
         config = tmp_path / "grid.cfg"
         config.write_text(SIM_CONFIG)
@@ -160,6 +201,12 @@ class TestSharpness:
         assert code == 2
         assert "min(w)/max(w)" in capsys.readouterr().err
 
+    def test_nonfinite_weight_is_data_error(self, capsys):
+        code = main(["sharpness", "--procedure", "whp",
+                     "--weights", "1,nan", "--reps", "100", "--seed", "5"])
+        assert code == 2
+        assert "at index 1" in capsys.readouterr().err
+
     def test_missing_seed_is_usage_error(self):
         assert main(["sharpness", "--procedure", "whp",
                      "--weights", "1,2"]) == 1
@@ -172,6 +219,13 @@ class TestCheck:
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, trials, capsys):
+        assert main(["check", "--trials", trials, "--seed", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--trials must be at least 1" in captured.err
 
 
 class TestErrorHandling:
@@ -194,6 +248,12 @@ class TestErrorHandling:
         path = tmp_path / "bad.csv"
         path.write_text("hypothesis,p_value,weight\nH1,oops,1.0\n")
         assert main(["adjust", "--input", str(path), "--alpha", "0.05"]) == 2
+
+    def test_duplicate_label_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("hypothesis,p_value,weight\nH1,0.01,1.0\nH1,0.02,1.0\n")
+        assert main(["adjust", "--input", str(path), "--alpha", "0.05"]) == 2
+        assert "duplicate hypothesis label: H1" in capsys.readouterr().err
 
     def test_no_subcommand(self):
         assert main([]) == 1

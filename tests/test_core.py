@@ -39,6 +39,11 @@ def test_validate_rejects_bad_inputs(p, w, alpha, fragment):
         validate_problem(labels, p, w, alpha)
 
 
+def test_validate_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match="duplicate hypothesis label: H2"):
+        validate_problem(["H1", "H2", "H3", "H2"], [0.1] * 4, [1.0] * 4, 0.05)
+
+
 def test_weighted_pvalues_examples():
     prob = validate_problem(["a", "b", "c"], [0.01, 0.014, 0.3], [1, 2, 3], 0.05)
     assert weighted_pvalues(prob).tilde_p == pytest.approx((0.01, 0.007, 0.1))

@@ -323,6 +323,11 @@ class TestSharpness:
         with pytest.raises(ValueError, match="reps"):
             estimate_sharpness(Procedure.WHP, [1.0], 1, 0, rng_new(67))
 
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_weight_is_named_by_index(self, bad):
+        with pytest.raises(ValueError, match="at index 2"):
+            estimate_sharpness(Procedure.WHP, [1.0, 2.0, bad], 3, 10, rng_new(67))
+
     @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
     def test_seeded_output_golden(self, procedure):
         # recorded with the per-row step-downs that preceded the batched kernel

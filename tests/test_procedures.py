@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wholm import (Procedure, batch_stepdown, holm_stepdown, validate_problem,
-                   wap_stepdown, whp_stepdown, weighted_pvalues, order,
-                   OrderingKey)
+from wholm import (Procedure, adjusted_wap, adjusted_whp, batch_stepdown, ctp,
+                   holm_stepdown, validate_problem, wap_local_test,
+                   wap_stepdown, whp_local_test, whp_stepdown,
+                   weighted_pvalues, order, OrderingKey)
 
 random_problems = st.integers(min_value=1, max_value=10).flatmap(
     lambda m: st.tuples(
@@ -210,3 +213,81 @@ def test_batch_stepdown_rejects_bad_arguments():
         batch_stepdown(Procedure.WHP, [0.01, 0.02], 1.0, 0.05)
     with pytest.raises(ValueError, match="WHP or WAP"):
         batch_stepdown(Procedure.HOLM, [[0.01, 0.02]], 1.0, 0.05)
+
+
+# One p-value per problem sits on a step-down boundary w*alpha/tail, written
+# in each of three float forms that round differently.
+BOUNDARY_FORMS = (lambda w, a, t: w * a / t,
+                  lambda w, a, t: a / t * w,
+                  lambda w, a, t: w / t * a)
+
+
+def _exact_boundary_corpus(count, seed, alpha=0.05):
+    gen = np.random.default_rng(seed)
+    problems = [validate_problem(["H1"], [0.05], [6.332856399000273], alpha)]
+    while len(problems) < count:
+        m = int(gen.integers(1, 6))
+        w = np.exp(gen.uniform(np.log(0.1), np.log(20.0), size=m))
+        p = gen.uniform(size=m)
+        p[gen.uniform(size=m) < 0.4] = 0.0
+        b = int(gen.integers(m))
+        # b's tail when it is the first nonzero p-value to be tested
+        tail = 0.0
+        for i in reversed(range(m)):
+            if p[i] > 0.0 or i == b:
+                tail += w[i]
+        for form in BOUNDARY_FORMS:
+            q = p.copy()
+            q[b] = min(form(w[b], alpha, tail), 1.0)
+            problems.append(validate_problem(
+                [f"H{i}" for i in range(m)], q, w, alpha))
+    return problems
+
+
+def _exact_adjusted(problem, key):
+    """Adjusted values of the step-down in exact rational arithmetic."""
+    tilde = [Fraction(p) / Fraction(w) for p, w in zip(problem.p, problem.w)]
+    keys = tilde if key is OrderingKey.WEIGHTED else [Fraction(p) for p in problem.p]
+    perm = sorted(range(problem.m), key=lambda i: (keys[i], i))
+    values = [None] * problem.m
+    running = Fraction(0)
+    for j, idx in enumerate(perm):
+        tail = sum(Fraction(problem.w[i]) for i in perm[j:])
+        running = min(max(running, tilde[idx] * tail), Fraction(1))
+        values[idx] = running
+    return values
+
+
+BOUNDARY_CORPUS = _exact_boundary_corpus(1500, seed=2026)
+
+
+@pytest.mark.parametrize("procedure, stepdown, adjusted, local_test", [
+    (Procedure.WHP, whp_stepdown, adjusted_whp, whp_local_test),
+    (Procedure.WAP, wap_stepdown, adjusted_wap, wap_local_test)])
+def test_adjusted_value_is_the_decision_at_exact_boundaries(
+        procedure, stepdown, adjusted, local_test):
+    for problem in BOUNDARY_CORPUS:
+        rejected = stepdown(problem).rejected
+        values = adjusted(problem).values
+        by_value = {i for i in range(problem.m) if values[i] <= problem.alpha}
+        assert by_value == rejected, (problem, values)
+        mask = batch_stepdown(procedure, [problem.p], [problem.w], problem.alpha)
+        assert set(np.flatnonzero(mask[0]).tolist()) == rejected, problem
+        if problem.m <= 2:
+            # float addition commutes, so sums of one or two weights equal
+            # the step-down tails whatever the order
+            assert ctp(problem, local_test).elementary_rejections.rejected \
+                == rejected, problem
+
+
+@pytest.mark.parametrize("key, stepdown", [(OrderingKey.WEIGHTED, whp_stepdown),
+                                           (OrderingKey.RAW, wap_stepdown)])
+def test_float_decisions_agree_with_exact_arithmetic(key, stepdown):
+    # the float adjusted value is within (m+1) ulp-sized relative errors of
+    # the exact one, so only a hypothesis that close to alpha may flip
+    for problem in BOUNDARY_CORPUS:
+        rejected = stepdown(problem).rejected
+        bound = (problem.m + 1) * Fraction(2) ** -52 * Fraction(problem.alpha)
+        for i, exact in enumerate(_exact_adjusted(problem, key)):
+            if abs(exact - Fraction(problem.alpha)) > bound:
+                assert (exact <= problem.alpha) == (i in rejected), (problem, i)
