@@ -1,26 +1,38 @@
-"""Brute-force closed testing over all intersection hypotheses.
+"""Closed testing over all intersection hypotheses, read from one subset table.
 
-Subsets of {0..m-1} are encoded as bitmasks.  The two local tests are the
-weighted Bonferroni tests behind the step-downs, written in the step-downs'
-one rule: with total the weight of the intersection, a member's value is
-(p/w) * total, and it counts as significant iff that value is at most alpha.
-The weighted-ordering procedure (WHP) rejects the intersection as soon as any
-member is significant; the raw-ordering procedure (WAP) tests only the member
-with the smallest raw p-value.  Closing either local test over all subsets
-reproduces the corresponding step-down; the exhaustive engine here is the
-oracle the fast procedures are checked against.
+Subsets of {0..m-1} are encoded as bitmasks.  One routine, `_subsets`, tabulates
+every subset a caller asks for: its weight total, its smallest weighted p-value
+min(p/w) and its member with the smallest raw p-value (ties to the smallest
+index).  Every closed-testing entry point reads that table; none walks the
+subsets in Python.
 
-Subset sums are taken in index order, while a step-down sums its tail in rank
-order.  Float addition commutes, so sums of one or two weights agree exactly;
-from three weights on the two orders can differ in the last bit, so for
-m >= 3 a p-value exactly on a boundary can be decided differently by closed
-testing and by the step-down.
+The two local tests are the weighted Bonferroni tests behind the step-downs,
+written in the step-downs' one rule: a member's value is (p/w) * total, and it
+counts as significant iff that value is at most alpha.  The weighted-ordering
+procedure (WHP) rejects the intersection iff min(p/w) * total <= alpha, that
+is iff some member is significant (rounding is monotone, so the minimum
+decides as any member would); the raw-ordering procedure (WAP) tests only the
+member with the smallest raw p-value.
+
+A local test is any callable `local_test(problem, masks)` that takes one int
+mask or an int array of masks and returns bools of the same shape.  `ctp` and
+`check_consonance` call it once, on every nonempty mask at the same time, and
+close the table: a subset is rejected by the closed procedure iff no locally
+accepted subset contains it.  Closing either built-in test reproduces the
+corresponding step-down; the exhaustive engine here is the oracle the fast
+procedures are checked against.
+
+Subset totals are summed in index order, while a step-down sums its tail in
+rank order.  Float addition commutes, so sums of one or two weights agree
+exactly; from three weights on the two orders can differ in the last bit, so
+for m >= 3 a p-value exactly on a boundary can be decided differently by
+closed testing and by the step-down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +41,10 @@ from .procedures import Procedure, wap_stepdown, whp_stepdown
 
 MAX_CTP_HYPOTHESES = 20
 MAX_MONOTONICITY_HYPOTHESES = 12
+
+
+LocalTest = Callable[[TestingProblem, Union[int, np.ndarray]],
+                     Union[bool, np.ndarray]]
 
 
 class CapacityError(ValueError):
@@ -54,94 +70,106 @@ class MonotonicityReport:
     counterexample: Optional[Tuple[int, int, int, float, float]] = None
 
 
-def members(mask: int) -> List[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+def _subsets(problem: TestingProblem, masks: Union[int, np.ndarray]):
+    """Weight total, min(p/w) and raw-p argmin of every subset in `masks`.
+
+    One pass per hypothesis over the whole mask array.  Each total is summed
+    in index order, and an absent member adds 0.0, which is exact, so it
+    equals `sum(w[i] for i in members)` bit for bit.  The argmin keeps the
+    first member with the smallest raw p-value, so ties go to the smallest
+    index.
+    """
+    masks = np.asarray(masks)
+    if masks.min() <= 0 or int(masks.max()) >> problem.m:
+        raise ValueError("intersection must be a nonempty subset of the "
+                         f"{problem.m} hypotheses")
+    p, w = problem.p, problem.w
+    total = np.zeros(masks.shape)
+    min_tilde = np.full(masks.shape, np.inf)
+    best = np.zeros(masks.shape, dtype=np.intp)
+    best_p = np.full(masks.shape, np.inf)
+    for i in range(problem.m):
+        has = np.asarray((masks >> i) & 1, dtype=bool)
+        total += np.where(has, w[i], 0.0)
+        np.minimum(min_tilde, np.where(has, p[i] / w[i], np.inf), out=min_tilde)
+        first = has & (p[i] < best_p)
+        best[first] = i
+        best_p[first] = p[i]
+    return total, min_tilde, best
 
 
-def wap_local_test(problem: TestingProblem, mask: int) -> bool:
-    """Reject the intersection iff its smallest raw p-value is at or below the
+def wap_local_test(problem: TestingProblem,
+                   mask: Union[int, np.ndarray]) -> Union[bool, np.ndarray]:
+    """Reject an intersection iff its smallest raw p-value is at or below the
     weight share of its own index (ties at the minimum go to the smallest
-    index)."""
-    if mask == 0:
-        raise ValueError("intersection must be nonempty")
-    idxs = members(mask)
-    best = min(idxs, key=lambda i: (problem.p[i], i))
-    total = sum(problem.w[i] for i in idxs)
-    return problem.p[best] / problem.w[best] * total <= problem.alpha
+    index).  `mask` is one int mask or an int array of masks; the decisions
+    have its shape."""
+    total, _, best = _subsets(problem, mask)
+    tilde = np.asarray(problem.p) / np.asarray(problem.w)
+    return tilde[best] * total <= problem.alpha
 
 
-def whp_local_test(problem: TestingProblem, mask: int) -> bool:
-    """Weighted Bonferroni test: reject iff some member beats its own weight
-    share of alpha, that is iff min(p/w) * total <= alpha."""
-    if mask == 0:
-        raise ValueError("intersection must be nonempty")
-    idxs = members(mask)
-    total = sum(problem.w[i] for i in idxs)
-    # stops at the first hit; rounding is monotone, so this decides as the
-    # minimum would
-    return any(problem.p[i] / problem.w[i] * total <= problem.alpha for i in idxs)
+def whp_local_test(problem: TestingProblem,
+                   mask: Union[int, np.ndarray]) -> Union[bool, np.ndarray]:
+    """Weighted Bonferroni test: reject an intersection iff some member beats
+    its own weight share of alpha, that is iff min(p/w) * total <= alpha.
+    `mask` is one int mask or an int array of masks; the decisions have its
+    shape."""
+    total, min_tilde, _ = _subsets(problem, mask)
+    return min_tilde * total <= problem.alpha
 
 
-def ctp(problem: TestingProblem,
-        local_test: Callable[[TestingProblem, int], bool]) -> CtpReport:
-    """Evaluate `local_test` on every nonempty subset and close.
+def _accepted(problem: TestingProblem, local_test: LocalTest) -> np.ndarray:
+    """accepted[mask] for every mask in 0..2^m-1, from one local_test call.
 
-    An elementary hypothesis is rejected iff every subset containing it is
-    locally rejected.
+    The empty set counts as accepted; it is contained only in itself, so it
+    changes no closure.
     """
     m = problem.m
     if m > MAX_CTP_HYPOTHESES:
         raise CapacityError(
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
-    full = (1 << m) - 1
-    decisions: Dict[int, bool] = {}
-    accepted_union = 0  # indices appearing in any locally accepted subset
-    for mask in range(1, full + 1):
-        dec = local_test(problem, mask)
-        decisions[mask] = dec
-        if not dec:
-            accepted_union |= mask
-    rejected = frozenset(i for i in range(m) if not (accepted_union >> i) & 1)
+    accepted = np.ones(1 << m, dtype=bool)
+    accepted[1:] = ~np.asarray(local_test(problem, np.arange(1, 1 << m)), dtype=bool)
+    return accepted
+
+
+def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
+    """Evaluate `local_test` on every nonempty subset and close.
+
+    An elementary hypothesis is rejected iff every subset containing it is
+    locally rejected, that is iff no locally accepted subset holds it.
+    """
+    accepted = _accepted(problem, local_test)
+    accepted_union = int(np.bitwise_or.reduce(np.flatnonzero(accepted)))
+    rejected = frozenset(i for i in range(problem.m)
+                         if not (accepted_union >> i) & 1)
     trace = tuple((step, i, problem.alpha)
                   for step, i in enumerate(sorted(rejected), start=1))
+    decisions = dict(zip(range(1, accepted.size), (~accepted[1:]).tolist()))
     return CtpReport(local_decisions=decisions,
                      elementary_rejections=RejectionSet(rejected=rejected, trace=trace))
 
 
 def check_consonance(problem: TestingProblem,
-                     local_test: Callable[[TestingProblem, int], bool]) -> ConsonanceReport:
+                     local_test: LocalTest) -> ConsonanceReport:
     """Check that every intersection rejected by the full CTP contains an
-    elementary hypothesis rejected by the full CTP."""
-    m = problem.m
-    if m > MAX_CTP_HYPOTHESES:
-        raise CapacityError(
-            f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
-    full = (1 << m) - 1
-    local = [False] * (full + 1)
-    for mask in range(1, full + 1):
-        local[mask] = local_test(problem, mask)
-    # ctp_rej[I]: all supersets of I (including I) rejected locally.
-    ctp_rej = [False] * (full + 1)
-    for mask in range(full, 0, -1):
-        ok = local[mask]
-        if ok:
-            for i in range(m):
-                bit = 1 << i
-                if not mask & bit and not ctp_rej[mask | bit]:
-                    ok = False
-                    break
-        ctp_rej[mask] = ok
-    elem = [ctp_rej[1 << i] for i in range(m)]
-    for mask in range(1, full + 1):
-        if ctp_rej[mask] and not any(elem[i] for i in members(mask)):
-            return ConsonanceReport(holds=False, violating_subset=mask)
+    elementary hypothesis rejected by the full CTP.
+
+    The witness is the smallest CTP-rejected mask holding no elementary
+    rejection.
+    """
+    covered = _accepted(problem, local_test)
+    # covered[I] becomes: some accepted superset of I exists.  Pass k ORs
+    # each mask with bit k set into the same mask with bit k clear.
+    for k in range(problem.m):
+        halves = covered.reshape(-1, 2, 1 << k)
+        halves[:, 0] |= halves[:, 1]
+    masks = np.arange(covered.size)
+    elementary = sum(1 << i for i in range(problem.m) if not covered[1 << i])
+    violating = np.flatnonzero(~covered & (masks & elementary == 0))
+    if violating.size:
+        return ConsonanceReport(holds=False, violating_subset=int(violating[0]))
     return ConsonanceReport(holds=True)
 
 
@@ -153,34 +181,19 @@ def _intersection_shares(problem: TestingProblem, procedure: Procedure):
     the smallest index) and zero to the rest.
     """
     m = problem.m
-    full = (1 << m) - 1
     w = np.asarray(problem.w)
-    p = problem.p
-    sums = np.zeros(full + 1)
-    minidx = np.zeros(full + 1, dtype=np.int64)
-    for mask in range(1, full + 1):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if rest:
-            sums[mask] = sums[rest] + w[low]
-            mi = minidx[rest]
-            # low is the smallest index present, so it wins ties
-            minidx[mask] = low if p[low] <= p[mi] else mi
-        else:
-            sums[mask] = w[low]
-            minidx[mask] = low
-    masks = np.arange(full + 1)
-    member = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-    shares = np.full((full + 1, m), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if procedure is Procedure.WHP:
-            shares[member] = (w[None, :] * problem.alpha / sums[:, None])[member]
-        elif procedure is Procedure.WAP:
-            shares[member] = 0.0
-            rows = masks[1:]
-            shares[rows, minidx[rows]] = w[minidx[rows]] * problem.alpha / sums[rows]
-        else:
-            raise ValueError(f"no intersection shares defined for {procedure}")
+    rows = np.arange(1, 1 << m)
+    total, _, best = _subsets(problem, rows)
+    member = ((rows[:, None] >> np.arange(m)) & 1).astype(bool)
+    shares = np.full((1 << m, m), np.inf)
+    inner = shares[1:]
+    if procedure is Procedure.WHP:
+        inner[member] = (w[None, :] * problem.alpha / total[:, None])[member]
+    elif procedure is Procedure.WAP:
+        inner[member] = 0.0
+        inner[np.arange(rows.size), best] = w[best] * problem.alpha / total
+    else:
+        raise ValueError(f"no intersection shares defined for {procedure}")
     return shares
 
 

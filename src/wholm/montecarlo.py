@@ -247,11 +247,13 @@ def lfc_whp_sampler(weights: Sequence[float], gen: np.random.Generator) -> LfcSa
     Exactly one index i (chosen with probability proportional to its weight)
     receives p_i = w_i * U with U uniform below 1 / (total weight); every
     other index is pushed above that cut.  Marginally each p-value is exactly
-    Unif(0, 1).
+    Unif(0, 1).  A weight that is not positive and finite raises ValueError
+    naming its index.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size < 1 or np.any(w <= 0):
+    if w.size < 1:
         raise ValueError("weights must be a nonempty positive sequence")
+    check_weights(w)
     total = w.sum()
     selected = int(gen.choice(w.size, p=w / total))
     p = np.empty(w.size)
@@ -287,13 +289,15 @@ def lfc_stepdown_falsifier(critical_values: Sequence[float],
     rejected); among the remaining indices at most one, chosen with
     probability w_j * tau, receives a weighted p-value below
     tau = min(critical_values[r - 1], 1 / remaining weight mass).  The raw
-    p-values of indices r..m are marginally Unif(0, 1).
+    p-values of indices r..m are marginally Unif(0, 1).  A weight that is not
+    positive and finite raises ValueError naming its index.
     """
     crit = [float(c) for c in critical_values]
     w = np.asarray(weights, dtype=float)
     m = w.size
     if len(crit) != m:
         raise ValueError("critical values and weights must have equal length")
+    check_weights(w)
     if any(b < a for a, b in zip(crit, crit[1:])):
         raise ValueError("critical values must be nondecreasing")
     if not 1 <= r <= m:

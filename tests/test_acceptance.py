@@ -104,7 +104,9 @@ def test_criterion_4_dominance(corpus):
             violations += 1
         adj_whp = adjusted_whp(problem).values
         adj_wap = adjusted_wap(problem).values
-        if any(a > b * (1.0 + 1e-12) for a, b in zip(adj_whp, adj_wap)):
+        # at most m + 1 roundings per adjusted value; see wholm.battery
+        slack = 2 * (problem.m + 2) * 2.0 ** -52
+        if any(a > b * (1.0 + slack) for a, b in zip(adj_whp, adj_wap)):
             violations += 1
     _report("criterion 4: rejection and adjusted-value dominance",
             violations == 0, f"{violations} violations")

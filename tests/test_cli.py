@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -9,6 +10,26 @@ H1,0.01,1.0
 H2,0.014,2.0
 H3,0.3,3.0
 """
+
+# Ten hypotheses drawn with numpy seed 2020 (w ~ U(0.5, 5), p ~ w/sum(w) *
+# 0.05 * U(1.05, 3)); H5, the smallest weight, then set exactly on the full
+# set's boundary w*alpha/total.  One ulp more flips decisions in both tables.
+BOUNDARY_CSV = """hypothesis,p_value,weight
+H1,0.011045343261550973,2.60738394495029
+H2,0.01049418440820099,2.8145400401543297
+H3,0.016119330592344643,4.387947266243339
+H4,0.016930059397641962,3.737240920583214
+H5,0.0031295712615286493,2.000740467962924
+H6,0.008588360438529638,4.467486273786015
+H7,0.011795525401904892,2.8339918901977725
+H8,0.009522138962270072,2.854487377611194
+H9,0.008804805344412848,3.7507491305319474
+H10,0.011650428507516377,2.5105215255096445
+"""
+
+BOUNDARY_CTP_SHA256 = {
+    "whp": "f47e4f82ee0149a1139002c8680ceb82b6b49b2b92d08c7d89b5e9ff7cac1b29",
+    "wap": "22113e9702db7804524ddbc0a8717dcce58f3f1e5c83ec90d45c310092efd051"}
 
 SIM_CONFIG = """# small smoke grid
 m = 4
@@ -104,6 +125,18 @@ class TestCtp:
         decisions = {int(r["subset_bitmask"]): r["rejected"]
                      for r in read_csv(out)}
         assert decisions[0b111] == "false"
+
+
+    @pytest.mark.parametrize("procedure", ["whp", "wap"])
+    def test_boundary_table_is_byte_identical_to_golden(self, procedure,
+                                                        tmp_path):
+        path = tmp_path / "boundary.csv"
+        path.write_text(BOUNDARY_CSV)
+        out = tmp_path / "ctp.csv"
+        assert main(["ctp", "--input", str(path), "--alpha", "0.05",
+                     "--procedure", procedure, "--output", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == BOUNDARY_CTP_SHA256[procedure]
 
 
 class TestGraph:

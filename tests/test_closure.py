@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from wholm import (Procedure, check_consonance, check_monotonicity_condition,
-                   ctp, find_pvalue_monotonicity_violation, validate_problem,
+from wholm import (ConsonanceReport, Procedure, check_consonance,
+                   check_monotonicity_condition, ctp,
+                   find_pvalue_monotonicity_violation, validate_problem,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
-from wholm.closure import (CapacityError, members, random_corpus,
-                           random_problem)
+from wholm.closure import CapacityError, random_corpus, random_problem
 
 
 def mask_of(*indices):
@@ -13,6 +13,47 @@ def mask_of(*indices):
     for i in indices:
         out |= 1 << i
     return out
+
+
+# A boundary p-value w*alpha/t, for t the index-order total of a subset
+# holding it, written in each of three float forms that round differently.
+BOUNDARY_FORMS = (lambda w, a, t: w * a / t,
+                  lambda w, a, t: a / t * w,
+                  lambda w, a, t: w / t * a)
+
+
+def _boundary_corpus(count, seed, alpha=0.05):
+    """Seeded problems with m 1..8: random rows, and rows with one p-value
+    on a subset's boundary; zero and tied p-values are common."""
+    gen = np.random.default_rng(seed)
+    problems = []
+    while len(problems) < count:
+        m = int(gen.integers(1, 9))
+        w = np.exp(gen.uniform(np.log(0.1), np.log(20.0), size=m))
+        p = gen.uniform(size=m) * gen.choice([1.0, 0.05])
+        p[gen.uniform(size=m) < 0.2] = 0.0
+        p[int(gen.integers(m))] = p[int(gen.integers(m))]
+        labels = [f"H{i}" for i in range(m)]
+        problems.append(validate_problem(labels, p, w, alpha))
+        b = int(gen.integers(m))
+        subset = int(gen.integers(1 << m)) | 1 << b
+        total = sum(w[i] for i in range(m) if subset >> i & 1)
+        for form in BOUNDARY_FORMS:
+            q = p.copy()
+            q[b] = min(form(w[b], alpha, total), 1.0)
+            problems.append(validate_problem(labels, q, w, alpha))
+    return problems
+
+
+def _per_mask(prob, mask):
+    """(WHP, WAP) local decisions on one subset, by their definition: an
+    index-order total, any member significant for WHP, and for WAP the
+    member with the smallest raw p-value, ties to the smallest index."""
+    idxs = [i for i in range(prob.m) if mask >> i & 1]
+    total = sum(prob.w[i] for i in idxs)
+    whp = any(prob.p[i] / prob.w[i] * total <= prob.alpha for i in idxs)
+    best = min(idxs, key=lambda i: (prob.p[i], i))
+    return whp, prob.p[best] / prob.w[best] * total <= prob.alpha
 
 
 class TestLocalTests:
@@ -48,13 +89,42 @@ class TestLocalTests:
             prob = random_problem(gen, int(gen.integers(2, 6)))
             total = sum(prob.w)
             for mask in range(1, (1 << prob.m)):
-                idxs = members(mask)
+                idxs = [i for i in range(prob.m) if mask >> i & 1]
                 s = sum(prob.w[i] for i in idxs)
                 for i in idxs:
                     if prob.p[i] <= prob.w[i] / s * prob.alpha:
                         for sub in range(1, mask + 1):
                             if sub & mask == sub and (sub >> i) & 1:
                                 assert whp_local_test(prob, sub)
+
+    def test_arrays_match_the_per_mask_definition(self):
+        for prob in _boundary_corpus(600, seed=41):
+            masks = np.arange(1, 1 << prob.m)
+            whp = whp_local_test(prob, masks).tolist()
+            wap = wap_local_test(prob, masks).tolist()
+            assert list(zip(whp, wap)) == [_per_mask(prob, int(k))
+                                           for k in masks], prob
+            k = int(masks[-1])
+            assert (whp_local_test(prob, k), wap_local_test(prob, k)) \
+                == _per_mask(prob, k)
+
+    def test_masks_wider_than_64_bits(self):
+        gen = np.random.default_rng(70)
+        w = gen.uniform(0.5, 5.0, size=70)
+        p = w / w.sum() * 0.05 * gen.uniform(0.0, 40.0, size=70)
+        prob = validate_problem([f"H{i}" for i in range(70)], p, w, 0.05)
+        masks = [int(gen.integers(1 << 62)) << 8 | 1 << 69 for _ in range(40)]
+        decisions = [(whp_local_test(prob, k), wap_local_test(prob, k))
+                     for k in masks]
+        assert decisions == [_per_mask(prob, k) for k in masks]
+        assert len(set(decisions)) > 1
+
+    def test_mask_outside_the_hypotheses_raises(self, divergent_problem):
+        for local_test in (whp_local_test, wap_local_test):
+            with pytest.raises(ValueError, match="3 hypotheses"):
+                local_test(divergent_problem, 0b1000)
+            with pytest.raises(ValueError, match="3 hypotheses"):
+                local_test(divergent_problem, np.array([1, 0, 7]))
 
     def test_empty_intersection_raises(self, divergent_problem):
         with pytest.raises(ValueError):
@@ -82,6 +152,17 @@ class TestCtp:
         with pytest.raises(CapacityError, match="20"):
             ctp(prob, whp_local_test)
 
+    def test_matches_both_stepdowns_at_sixteen_hypotheses(self):
+        gen = np.random.default_rng(16)
+        w = gen.uniform(0.5, 5.0, size=16)
+        p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=16)
+        prob = validate_problem([f"H{i}" for i in range(16)], p, w, 0.05)
+        whp = whp_stepdown(prob).rejected
+        wap = wap_stepdown(prob).rejected
+        assert wap and wap < whp
+        assert ctp(prob, whp_local_test).elementary_rejections.rejected == whp
+        assert ctp(prob, wap_local_test).elementary_rejections.rejected == wap
+
     def test_matches_stepdown_on_corpus(self):
         for prob in random_corpus(300, seed=17, m_max=7):
             assert (ctp(prob, whp_local_test).elementary_rejections.rejected
@@ -99,6 +180,54 @@ class TestConsonance:
     def test_single_hypothesis_vacuous(self):
         prob = validate_problem(["H1"], [0.5], [1.0], 0.05)
         assert check_consonance(prob, wap_local_test).holds
+
+    def test_witness_matches_the_superset_definition(self):
+        gen = np.random.default_rng(43)
+        for _ in range(300):
+            m = int(gen.integers(1, 6))
+            prob = validate_problem([f"H{i}" for i in range(m)], [0.5] * m,
+                                    [1.0] * m, 0.05)
+            table = gen.uniform(size=1 << m) < gen.uniform(0.5, 1.0)
+            masks = range(1, 1 << m)
+            closed = {k: all(table[j] for j in masks if j & k == k)
+                      for k in masks}
+            elementary = [i for i in range(m) if closed[1 << i]]
+            witness = next((k for k in masks if closed[k] and not any(
+                k >> i & 1 for i in elementary)), None)
+            report = check_consonance(prob, lambda problem, mask: table[mask])
+            assert report == ConsonanceReport(holds=witness is None,
+                                              violating_subset=witness)
+            assert ctp(prob, lambda problem, mask: table[mask]) \
+                .elementary_rejections.rejected == set(elementary)
+
+    # Custom local tests: written with == and & so that they take one int
+    # mask or an array of masks, as the built-in tests do.
+    def test_rejecting_only_the_full_set_is_not_consonant(self):
+        prob = validate_problem(["H1", "H2", "H3"], [0.5] * 3, [1.0] * 3, 0.05)
+        full = 0b111
+
+        def only_full(problem, masks):
+            return masks == full
+
+        report = ctp(prob, only_full)
+        assert report.local_decisions == {k: k == full for k in range(1, 8)}
+        assert report.elementary_rejections.rejected == frozenset()
+        assert check_consonance(prob, only_full) == ConsonanceReport(
+            holds=False, violating_subset=full)
+
+    def test_rejecting_every_pair_is_not_consonant(self):
+        prob = validate_problem(["H1", "H2", "H3", "H4"], [0.5] * 4,
+                                [1.0] * 4, 0.05)
+
+        def two_or_more(problem, masks):
+            return (masks & (masks - 1)) != 0
+
+        report = ctp(prob, two_or_more)
+        assert [k for k, rej in report.local_decisions.items() if not rej] \
+            == [1, 2, 4, 8]
+        assert report.elementary_rejections.rejected == frozenset()
+        assert check_consonance(prob, two_or_more) == ConsonanceReport(
+            holds=False, violating_subset=0b11)
 
 
 class TestMonotonicityCondition:

@@ -259,6 +259,13 @@ class TestLfcSampler:
             assert int((tilde <= cut).sum()) == 1
             assert tilde[sample.selected] <= cut
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_weight_is_named_by_index(self, bad):
+        with pytest.raises(ValueError, match="at index 1"):
+            lfc_whp_sampler([1.0, bad], rng_new(29))
+        with pytest.raises(ValueError, match="nonempty"):
+            lfc_whp_sampler([], rng_new(29))
+
 
 class TestFalsifier:
     def test_marginals_uniform(self):
@@ -307,6 +314,11 @@ class TestFalsifier:
             lfc_stepdown_falsifier([0.05, 0.01], [1.0, 1.0], 1, gen)
         with pytest.raises(ValueError, match="r must lie"):
             lfc_stepdown_falsifier([0.01, 0.05], [1.0, 1.0], 3, gen)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_weight_is_named_by_index(self, bad):
+        with pytest.raises(ValueError, match="at index 1"):
+            lfc_stepdown_falsifier([0.01, 0.05], [1.0, bad], 1, rng_new(53))
 
 
 class TestSharpness:
