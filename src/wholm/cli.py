@@ -38,24 +38,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _alpha_arg(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed number for --alpha: {text}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"--alpha must lie in (0, 1): {text}")
-    return value
+def _checked_arg(flag, convert, holds, requirement):
+    """argparse type for `flag`: `convert` the text, then require
+    `holds(value)`; anything else is a usage error."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed number for {flag}: {text}")
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{flag} must {requirement}: {text}")
+        return value
+    return parse
 
 
-def _trials_arg(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed integer for --trials: {text}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"--trials must be at least 1: {text}")
-    return value
+def _int_arg(flag, minimum):
+    return _checked_arg(flag, int, lambda v: v >= minimum, f"be at least {minimum}")
+
+
+_alpha_arg = _checked_arg("--alpha", float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
 
 def _fmt(value, precision):
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "alpha, reps, scenario, seed; m, pi0, rho_list "
                             "and scenario take comma lists")
     p_sim.add_argument("--output", help="output CSV (default: stdout)")
-    p_sim.add_argument("--seed", type=int, help="override the config seed")
+    p_sim.add_argument("--seed", type=_int_arg("--seed", 0), help="override the config seed")
 
     p_sharp = sub.add_parser("sharpness",
                              help="empirical FWER at the least favorable configuration")
@@ -112,12 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp.add_argument("--weights", required=True,
                          help="comma-separated positive weights")
     p_sharp.add_argument("--alpha", type=_alpha_arg, default=0.05)
-    p_sharp.add_argument("--reps", type=int, default=200_000)
-    p_sharp.add_argument("--seed", type=int, required=True)
+    p_sharp.add_argument("--reps", type=_int_arg("--reps", 1), default=200_000)
+    p_sharp.add_argument("--seed", type=_int_arg("--seed", 0), required=True)
 
     p_check = sub.add_parser("check", help="run the randomized property battery")
-    p_check.add_argument("--trials", type=_trials_arg, default=10_000)
-    p_check.add_argument("--seed", type=int, required=True)
+    p_check.add_argument("--trials", type=_int_arg("--trials", 1), default=10_000)
+    p_check.add_argument("--seed", type=_int_arg("--seed", 0), required=True)
     return parser
 
 
@@ -277,6 +278,8 @@ def _cmd_check(args) -> int:
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")
+        if not result.passed and result.witness is not None:
+            print(f"  witness: {result.witness!r}")
         all_ok &= result.passed
     print(f"{'all checks passed' if all_ok else 'CHECK FAILURES PRESENT'} "
           f"(trials={args.trials}, seed={args.seed})")

@@ -1,32 +1,44 @@
 """Closed testing over all intersection hypotheses, read from one subset table.
 
 Subsets of {0..m-1} are encoded as bitmasks.  One routine, `_subsets`, tabulates
-every subset a caller asks for: its weight total, its smallest weighted p-value
-min(p/w) and its member with the smallest raw p-value (ties to the smallest
-index).  Every closed-testing entry point reads that table; none walks the
-subsets in Python.
+every subset a caller asks for under one ranking of the hypotheses: its weight
+total and its member of smallest rank.  Every closed-testing entry point reads
+that table; none walks the subsets in Python.
 
 The two local tests are the weighted Bonferroni tests behind the step-downs,
-written in the step-downs' one rule: a member's value is (p/w) * total, and it
-counts as significant iff that value is at most alpha.  The weighted-ordering
-procedure (WHP) rejects the intersection iff min(p/w) * total <= alpha, that
-is iff some member is significant (rounding is monotone, so the minimum
-decides as any member would); the raw-ordering procedure (WAP) tests only the
-member with the smallest raw p-value.
+written in the step-downs' one rule: the first-ranked member's value is
+(p/w) * total, and the intersection is rejected iff that value is at most
+alpha.  The weighted-ordering procedure (WHP) ranks by p/w, so its first
+member holds min(p/w) and the test asks whether some member is significant;
+the raw-ordering procedure (WAP) ranks by raw p-values and tests only the
+member with the smallest raw p-value (ties to the smallest index).
 
 A local test is any callable `local_test(problem, masks)` that takes one int
 mask or an int array of masks and returns bools of the same shape.  `ctp` and
 `check_consonance` call it once, on every nonempty mask at the same time, and
 close the table: a subset is rejected by the closed procedure iff no locally
-accepted subset contains it.  Closing either built-in test reproduces the
-corresponding step-down; the exhaustive engine here is the oracle the fast
-procedures are checked against.
+accepted subset contains it.  The exhaustive engine here is the oracle the
+fast procedures are checked against.
 
-Subset totals are summed in index order, while a step-down sums its tail in
-rank order.  Float addition commutes, so sums of one or two weights agree
-exactly; from three weights on the two orders can differ in the last bit, so
-for m >= 3 a p-value exactly on a boundary can be decided differently by
-closed testing and by the step-down.
+Closing either built-in test reproduces its step-down bit for bit, also for a
+p-value exactly on a boundary, because every subset total is summed from the
+last rank upward in the procedure's own `core.order` ranking:
+
+1. Sums taken in one fixed order are monotone under inclusion.  If A is a
+   subset of B, each partial sum of A is at most that of B: both start at
+   0.0, each step adds w_i >= 0 to B and w_i or 0.0 to A, and rounded
+   addition is monotone in each argument.  So total(A) <= total(B).
+2. The tail set T_j of the hypotheses at ranks j and later is summed exactly
+   as `procedures.rank_adjusted` sums tail_j: the same weights in the same
+   order, and adding 0.0 for an absent member is exact.  So
+   total(T_j) == tail_j.
+3. Let the step-down reject ranks 0..k-1.  A subset I holding one of them has
+   its first rank r < k, so I is a subset of T_r, and its value
+   tilde_r * total(I) <= tilde_r * tail_r <= alpha by 1, 2 and the monotone
+   rounding of a product: I is rejected, and every rejected hypothesis stays
+   rejected by the closure.  T_k itself has the value tilde_k * tail_k, the
+   step-down's own product at rank k, which exceeds alpha: T_k is accepted,
+   and it holds every hypothesis the step-down keeps.
 """
 
 from __future__ import annotations
@@ -36,7 +48,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import RejectionSet, TestingProblem, validate_problem
+from .core import (OrderingKey, RejectionSet, TestingProblem, order,
+                   validate_problem, weighted_pvalues)
 from .procedures import Procedure, wap_stepdown, whp_stepdown
 
 MAX_CTP_HYPOTHESES = 20
@@ -70,32 +83,36 @@ class MonotonicityReport:
     counterexample: Optional[Tuple[int, int, int, float, float]] = None
 
 
-def _subsets(problem: TestingProblem, masks: Union[int, np.ndarray]):
-    """Weight total, min(p/w) and raw-p argmin of every subset in `masks`.
+def _subsets(problem: TestingProblem, masks: Union[int, np.ndarray],
+             key: OrderingKey):
+    """Weight total and first-ranked member of every subset in `masks`.
 
-    One pass per hypothesis over the whole mask array.  Each total is summed
-    in index order, and an absent member adds 0.0, which is exact, so it
-    equals `sum(w[i] for i in members)` bit for bit.  The argmin keeps the
-    first member with the smallest raw p-value, so ties go to the smallest
-    index.
+    Hypotheses are ranked by p/w (`OrderingKey.WEIGHTED`) or by raw p
+    (`OrderingKey.RAW`), ties to the smaller index, as the step-downs rank
+    them.  One pass per hypothesis over the whole mask array, from the last
+    rank upward: each total is summed in the order the step-down sums its
+    tails, and an absent member adds 0.0, which is exact.
     """
     masks = np.asarray(masks)
     if masks.min() <= 0 or int(masks.max()) >> problem.m:
         raise ValueError("intersection must be a nonempty subset of the "
                          f"{problem.m} hypotheses")
-    p, w = problem.p, problem.w
+    tilde = weighted_pvalues(problem).tilde_p
+    perm = order(tilde if key is OrderingKey.WEIGHTED else problem.p, key).perm
     total = np.zeros(masks.shape)
-    min_tilde = np.full(masks.shape, np.inf)
-    best = np.zeros(masks.shape, dtype=np.intp)
-    best_p = np.full(masks.shape, np.inf)
-    for i in range(problem.m):
+    first = np.zeros(masks.shape, dtype=np.intp)
+    for i in reversed(perm):
         has = np.asarray((masks >> i) & 1, dtype=bool)
-        total += np.where(has, w[i], 0.0)
-        np.minimum(min_tilde, np.where(has, p[i] / w[i], np.inf), out=min_tilde)
-        first = has & (p[i] < best_p)
-        best[first] = i
-        best_p[first] = p[i]
-    return total, min_tilde, best
+        total += np.where(has, problem.w[i], 0.0)
+        first[has] = i
+    return total, first
+
+
+def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
+                key: OrderingKey) -> Union[bool, np.ndarray]:
+    total, first = _subsets(problem, masks, key)
+    tilde = np.asarray(problem.p) / np.asarray(problem.w)
+    return tilde[first] * total <= problem.alpha
 
 
 def wap_local_test(problem: TestingProblem,
@@ -104,9 +121,7 @@ def wap_local_test(problem: TestingProblem,
     weight share of its own index (ties at the minimum go to the smallest
     index).  `mask` is one int mask or an int array of masks; the decisions
     have its shape."""
-    total, _, best = _subsets(problem, mask)
-    tilde = np.asarray(problem.p) / np.asarray(problem.w)
-    return tilde[best] * total <= problem.alpha
+    return _local_test(problem, mask, OrderingKey.RAW)
 
 
 def whp_local_test(problem: TestingProblem,
@@ -115,8 +130,7 @@ def whp_local_test(problem: TestingProblem,
     its own weight share of alpha, that is iff min(p/w) * total <= alpha.
     `mask` is one int mask or an int array of masks; the decisions have its
     shape."""
-    total, min_tilde, _ = _subsets(problem, mask)
-    return min_tilde * total <= problem.alpha
+    return _local_test(problem, mask, OrderingKey.WEIGHTED)
 
 
 def _accepted(problem: TestingProblem, local_test: LocalTest) -> np.ndarray:
@@ -183,17 +197,18 @@ def _intersection_shares(problem: TestingProblem, procedure: Procedure):
     m = problem.m
     w = np.asarray(problem.w)
     rows = np.arange(1, 1 << m)
-    total, _, best = _subsets(problem, rows)
+    if procedure not in (Procedure.WHP, Procedure.WAP):
+        raise ValueError(f"no intersection shares defined for {procedure}")
+    key = OrderingKey.WEIGHTED if procedure is Procedure.WHP else OrderingKey.RAW
+    total, first = _subsets(problem, rows, key)
     member = ((rows[:, None] >> np.arange(m)) & 1).astype(bool)
     shares = np.full((1 << m, m), np.inf)
     inner = shares[1:]
     if procedure is Procedure.WHP:
         inner[member] = (w[None, :] * problem.alpha / total[:, None])[member]
-    elif procedure is Procedure.WAP:
-        inner[member] = 0.0
-        inner[np.arange(rows.size), best] = w[best] * problem.alpha / total
     else:
-        raise ValueError(f"no intersection shares defined for {procedure}")
+        inner[member] = 0.0
+        inner[np.arange(rows.size), first] = w[first] * problem.alpha / total
     return shares
 
 

@@ -60,8 +60,10 @@ class RejectionSet:
 
 
 def check_weights(w: Sequence[float]) -> None:
-    """Raise ValueError naming the first weight that is not positive and
-    finite."""
+    """Raise ValueError if there is no weight, or naming the first weight
+    that is not positive and finite."""
+    if len(w) == 0:
+        raise ValueError("weights must be a nonempty positive sequence")
     for i, wi in enumerate(w):
         if not (0.0 < wi < float("inf")):
             raise ValueError(f"weight must be positive and finite at index {i}: {wi}")

@@ -49,17 +49,25 @@ def t_sf(t, df):
     return out
 
 
+def _column_t(data: np.ndarray) -> Optional[np.ndarray]:
+    """One-sample t statistics of the columns of `data` (one row per
+    observation), or None when some column has zero variance."""
+    sds = data.std(axis=0, ddof=1)
+    if np.any(sds == 0.0):
+        return None
+    return data.mean(axis=0) / (sds / math.sqrt(data.shape[0]))
+
+
 def one_sample_t_pvalue(column: Sequence[float]) -> float:
     """One-sided upper-tail p-value for mean = 0 against mean > 0."""
     x = np.asarray(column, dtype=float)
     n = x.size
     if n < 2:
         raise ValueError(f"need at least two observations, got {n}")
-    sd = x.std(ddof=1)
-    if sd == 0.0:
+    t = _column_t(x[:, None])
+    if t is None:
         raise DegenerateSampleError("sample has zero variance")
-    t = x.mean() / (sd / math.sqrt(n))
-    return t_sf(t, n - 1)
+    return t_sf(t[0], n - 1)
 
 
 def sample_equicorrelated(m: int, rho: float, mu: Sequence[float], n: int,
@@ -135,6 +143,8 @@ class SimulationConfig:
             raise ValueError("reps must be at least 1")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1): {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative: {self.seed}")
 
     @property
     def m0(self) -> int:
@@ -182,15 +192,13 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(reps)):
         gen = np.random.default_rng(child)
         weights[r] = weight_scenario(config.weight_scenario, null_mask, gen)
-        data = sample_equicorrelated(m, config.rho, mu, config.n, gen)
-        sds = data.std(axis=0, ddof=1)
-        if np.any(sds == 0.0):
+        t = _column_t(sample_equicorrelated(m, config.rho, mu, config.n, gen))
+        if t is None:
             resampled += 1
-            data = sample_equicorrelated(m, config.rho, mu, config.n, gen)
-            sds = data.std(axis=0, ddof=1)
-            if np.any(sds == 0.0):
+            t = _column_t(sample_equicorrelated(m, config.rho, mu, config.n, gen))
+            if t is None:
                 raise DegenerateSampleError("zero-variance sample after resampling")
-        tstats[r] = data.mean(axis=0) / (sds / math.sqrt(config.n))
+        tstats[r] = t
     pvals = t_sf(tstats, config.n - 1)
     bad = ~((pvals >= 0.0) & (pvals <= 1.0))
     if bad.any():
@@ -247,27 +255,19 @@ def lfc_whp_sampler(weights: Sequence[float], gen: np.random.Generator) -> LfcSa
     Exactly one index i (chosen with probability proportional to its weight)
     receives p_i = w_i * U with U uniform below 1 / (total weight); every
     other index is pushed above that cut.  Marginally each p-value is exactly
-    Unif(0, 1).  A weight that is not positive and finite raises ValueError
-    naming its index.
+    Unif(0, 1).  Empty weights, or a weight that is not positive and finite,
+    raise ValueError; a bad weight is named by its index.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size < 1:
-        raise ValueError("weights must be a nonempty positive sequence")
     check_weights(w)
-    total = w.sum()
-    selected = int(gen.choice(w.size, p=w / total))
-    p = np.empty(w.size)
-    u1 = gen.uniform(0.0, 1.0 / total)
-    p[selected] = w[selected] * u1
-    for j in range(w.size):
-        if j != selected:
-            p[j] = w[j] * gen.uniform(1.0 / total, 1.0 / w[j])
-    return LfcSample(p=tuple(p), selected=selected)
+    p, selected = _lfc_whp_batch(w, gen, 1)
+    return LfcSample(p=tuple(p[0].tolist()), selected=int(selected[0]))
 
 
 def _lfc_whp_batch(weights: np.ndarray, gen: np.random.Generator,
-                   size: int) -> np.ndarray:
-    """Vectorized version of lfc_whp_sampler: (size, m0) raw p-values."""
+                   size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`size` least-favorable draws at once: the (size, m0) raw p-values and
+    the index selected in each row (see `lfc_whp_sampler`)."""
     w = np.asarray(weights, dtype=float)
     m0 = w.size
     total = w.sum()
@@ -276,7 +276,7 @@ def _lfc_whp_batch(weights: np.ndarray, gen: np.random.Generator,
     u2 = gen.uniform(1.0 / total, 1.0 / w, size=(size, m0))
     p = w * u2
     p[np.arange(size), selected] = w[selected] * u1
-    return p
+    return p, selected
 
 
 def lfc_stepdown_falsifier(critical_values: Sequence[float],
@@ -333,8 +333,9 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     with all m0 hypotheses true.
 
     For the raw-ordered procedure the construction only attains the bound when
-    min(w) / max(w) >= alpha, so that condition is enforced.  A weight that is
-    not positive and finite raises ValueError naming its index.
+    min(w) / max(w) >= alpha, so that condition is enforced.  Empty weights,
+    or a weight that is not positive and finite, raise ValueError; a bad
+    weight is named by its index.
     """
     w = np.asarray(weights, dtype=float)
     check_weights(w)
@@ -346,7 +347,7 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         raise ValueError(
             "the raw-ordered procedure attains the bound only when "
             f"min(w)/max(w) >= alpha; got ratio {w.min() / w.max():.6g} < {alpha}")
-    samples = _lfc_whp_batch(w, gen, reps)
+    samples, _ = _lfc_whp_batch(w, gen, reps)
     hits = 0
     for start in range(0, reps, SHARPNESS_BLOCK_ROWS):
         block = samples[start:start + SHARPNESS_BLOCK_ROWS]

@@ -12,12 +12,11 @@ import pytest
 from scipy.integrate import quad
 
 from wholm import (OrderingKey, Procedure, SimulationConfig, WeightScenario,
-                   adjusted_wap, adjusted_whp, check_consonance,
-                   check_monotonicity_condition, ctp,
+                   adjusted_wap, adjusted_whp, check_monotonicity_condition,
                    estimate_sharpness, find_pvalue_monotonicity_violation,
                    rng_new, run_graphical, run_simulation, t_sf,
-                   validate_problem, wap_local_test, wap_stepdown,
-                   whp_local_test, whp_stepdown)
+                   validate_problem, wap_stepdown, whp_stepdown)
+from wholm.battery import check_properties
 from wholm.closure import random_corpus
 from wholm.montecarlo import _lfc_whp_batch
 
@@ -77,52 +76,42 @@ def test_criterion_2_decision_goldens():
     _report("criterion 2: decision goldens", bool(ok))
 
 
-def test_criterion_3_oracle_equivalence(corpus):
+@pytest.fixture(scope="module")
+def properties(corpus):
+    """The property runner over the whole corpus, with its wall time."""
     start = time.perf_counter()
-    mismatches = 0
-    for problem in corpus:
-        whp = whp_stepdown(problem).rejected
-        wap = wap_stepdown(problem).rejected
-        if ctp(problem, whp_local_test).elementary_rejections.rejected != whp:
-            mismatches += 1
-        if ctp(problem, wap_local_test).elementary_rejections.rejected != wap:
-            mismatches += 1
-        if run_graphical(problem, OrderingKey.WEIGHTED)[0].rejected != whp:
-            mismatches += 1
-        if run_graphical(problem, OrderingKey.RAW)[0].rejected != wap:
-            mismatches += 1
-    elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 60.0
-    _report("criterion 3: step-down == closed testing == graphical", ok,
-            f"{len(corpus)} problems, {mismatches} mismatches, {elapsed:.1f}s")
+    results = {result.name: result for result in check_properties(corpus)}
+    return results, time.perf_counter() - start
 
 
-def test_criterion_4_dominance(corpus):
-    violations = 0
-    for problem in corpus:
-        if not wap_stepdown(problem).rejected <= whp_stepdown(problem).rejected:
-            violations += 1
-        adj_whp = adjusted_whp(problem).values
-        adj_wap = adjusted_wap(problem).values
-        # at most m + 1 roundings per adjusted value; see wholm.battery
-        slack = 2 * (problem.m + 2) * 2.0 ** -52
-        if any(a > b * (1.0 + slack) for a, b in zip(adj_whp, adj_wap)):
-            violations += 1
+def _failures(properties, names):
+    results, _ = properties
+    return [f"{results[name].detail} for {name}, first {results[name].witness}"
+            for name in names if not results[name].passed]
+
+
+def test_criterion_3_oracle_equivalence(properties):
+    elapsed = properties[1]
+    failures = _failures(properties, (
+        "ctp-equivalence-whp", "ctp-equivalence-wap",
+        "graphical-equivalence-whp", "graphical-equivalence-wap"))
+    if elapsed >= 60.0:
+        failures.append(f"property runner took {elapsed:.1f}s")
+    _report("criterion 3: step-down == closed testing == graphical",
+            not failures, "; ".join(failures)
+            or f"{CORPUS_SIZE} problems, {elapsed:.1f}s")
+
+
+def test_criterion_4_dominance(properties):
+    failures = _failures(properties, ("rejection-dominance",
+                                      "adjusted-dominance"))
     _report("criterion 4: rejection and adjusted-value dominance",
-            violations == 0, f"{violations} violations")
+            not failures, "; ".join(failures))
 
 
-def test_criterion_5_structure_checks(corpus):
-    failures = []
-    for problem in corpus:
-        if not check_monotonicity_condition(problem, Procedure.WHP).holds:
-            failures.append("whp-monotonicity")
-            break
-    for problem in corpus[:2000]:
-        if not (check_consonance(problem, whp_local_test).holds
-                and check_consonance(problem, wap_local_test).holds):
-            failures.append("consonance")
-            break
+def test_criterion_5_structure_checks(properties):
+    failures = _failures(properties, ("monotonicity-whp", "consonance-whp",
+                                      "consonance-wap"))
     found = find_pvalue_monotonicity_violation(Procedure.WAP,
                                                trials=100_000, seed=CORPUS_SEED)
     if found is None:
@@ -136,7 +125,7 @@ def test_criterion_5_structure_checks(corpus):
     if find_pvalue_monotonicity_violation(Procedure.WHP, trials=20_000,
                                           seed=CORPUS_SEED) is not None:
         failures.append("whp-pvalue-monotonicity")
-    _report("criterion 5: structure checks", not failures, ", ".join(failures))
+    _report("criterion 5: structure checks", not failures, "; ".join(failures))
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -164,7 +153,7 @@ def test_criterion_6_sharpness():
     wap = estimate_sharpness(Procedure.WAP, [1.0, 2.0, 3.0], 3, 200_000,
                              rng_new(CORPUS_SEED + 1))
     w = np.array([1.0, 2.0, 3.0])
-    samples = _lfc_whp_batch(w, rng_new(CORPUS_SEED + 2), 200_000)
+    samples = _lfc_whp_batch(w, rng_new(CORPUS_SEED + 2), 200_000)[0]
     grid = np.linspace(0.01, 0.99, 100)
     deviation = max(
         float(np.max(np.abs((samples[:, col][:, None] <= grid[None, :]).mean(axis=0)

@@ -3,6 +3,8 @@ import hashlib
 
 import pytest
 
+from wholm import MonotonicityReport, battery
+from wholm.closure import random_corpus
 from wholm.cli import main
 
 PROBLEM_CSV = """hypothesis,p_value,weight
@@ -13,7 +15,10 @@ H3,0.3,3.0
 
 # Ten hypotheses drawn with numpy seed 2020 (w ~ U(0.5, 5), p ~ w/sum(w) *
 # 0.05 * U(1.05, 3)); H5, the smallest weight, then set exactly on the full
-# set's boundary w*alpha/total.  One ulp more flips decisions in both tables.
+# set's boundary w*alpha/total.  Both tables close to what the step-downs
+# decide: WHP keeps H5 (its adjusted value is 0.05000000000000001) and WAP
+# rejects it.  One ulp less makes WHP reject H5, one ulp more makes WAP keep
+# it.
 BOUNDARY_CSV = """hypothesis,p_value,weight
 H1,0.011045343261550973,2.60738394495029
 H2,0.01049418440820099,2.8145400401543297
@@ -28,7 +33,7 @@ H10,0.011650428507516377,2.5105215255096445
 """
 
 BOUNDARY_CTP_SHA256 = {
-    "whp": "f47e4f82ee0149a1139002c8680ceb82b6b49b2b92d08c7d89b5e9ff7cac1b29",
+    "whp": "29d09e6fea2e6035599d999e30b3f32a39e5b4d98a0c0addcaa4d4f8566f1571",
     "wap": "22113e9702db7804524ddbc0a8717dcce58f3f1e5c83ec90d45c310092efd051"}
 
 SIM_CONFIG = """# small smoke grid
@@ -260,6 +265,28 @@ class TestCheck:
         assert "PASS" not in captured.out
         assert "--trials must be at least 1" in captured.err
 
+    def test_failure_exits_3_and_prints_the_first_witness(self, monkeypatch,
+                                                          capsys):
+        monkeypatch.setattr(battery, "check_monotonicity_condition",
+                            lambda problem, procedure:
+                            MonotonicityReport(holds=problem.m < 3))
+        assert main(["check", "--trials", "50", "--seed", "3"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        corpus = random_corpus(50, seed=3)
+        violating = [problem for problem in corpus if problem.m >= 3]
+        [failed] = [r for r in battery.check_properties(corpus) if not r.passed]
+        assert failed.witness is violating[0]
+        k = out.index("FAIL monotonicity-whp: "
+                      f"{len(violating)} violations over 50 problems")
+        # the witness line replays to the problem, p-values and all
+        assert eval(out[k + 1].removeprefix("  witness: "),
+                    {"TestingProblem": battery.TestingProblem}) == violating[0]
+        # the WAP search passes with a witness pair, which is not printed
+        assert out[k + 2:] == [
+            "PASS pvalue-monotonicity-violation-wap: counterexample found",
+            "PASS pvalue-monotonicity-whp: no violation found",
+            "CHECK FAILURES PRESENT (trials=50, seed=3)"]
+
 
 class TestErrorHandling:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -290,3 +317,16 @@ class TestErrorHandling:
 
     def test_no_subcommand(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        "sharpness --procedure whp --weights 1,2 --reps 0 --seed 5",
+        "sharpness --procedure whp --weights 1,2 --seed -1",
+        "check --trials 10 --seed -1", "simulate --config c.cfg --seed -1"])
+    def test_integer_below_its_minimum_is_usage_error(self, argv, capsys):
+        assert main(argv.split()) == 1
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_empty_weights_is_data_error(self, capsys):
+        assert main(["sharpness", "--procedure", "wap", "--weights", ",",
+                     "--reps", "10", "--seed", "5"]) == 2
+        assert "nonempty" in capsys.readouterr().err

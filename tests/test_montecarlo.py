@@ -137,6 +137,12 @@ class TestSimulationConfig:
                              alpha=0.05, reps=0,
                              weight_scenario=WeightScenario.S2, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimulationConfig(m=5, pi0=0.4, rho=0.0, n=15, mu_alt=0.7,
+                             alpha=0.05, reps=10,
+                             weight_scenario=WeightScenario.S2, seed=-1)
+
 
 class TestRunSimulation:
     def test_small_cell_properties(self):
@@ -243,7 +249,7 @@ class TestLfcSampler:
 
     def test_marginals_uniform_on_grid(self):
         w = np.array([1.0, 2.0, 3.0])
-        samples = _lfc_whp_batch(w, rng_new(31), 200_000)
+        samples = _lfc_whp_batch(w, rng_new(31), 200_000)[0]
         grid = np.linspace(0.01, 0.99, 100)
         for col in range(3):
             ecdf = (samples[:, col][:, None] <= grid[None, :]).mean(axis=0)
