@@ -43,6 +43,14 @@ class TestStructure:
                 ranked = [report.values[i] for i in report.ordering.perm]
                 assert ranked == sorted(ranked)
 
+    def test_whp_dominates_wap(self):
+        for prob in random_corpus(400, seed=59, m_max=9):
+            whp = adjusted_whp(prob).values
+            wap = adjusted_wap(prob).values
+            # tail sums are accumulated in different orders, so allow one ulp
+            assert all(a <= b or a == pytest.approx(b, rel=1e-12)
+                       for a, b in zip(whp, wap))
+
     def test_unit_weight_collapse_to_holm(self):
         gen = np.random.default_rng(61)
         for _ in range(100):

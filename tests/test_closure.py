@@ -167,8 +167,20 @@ class TestCtp:
         assert ctp(prob, whp_local_test).elementary_rejections.rejected == whp
         assert ctp(prob, wap_local_test).elementary_rejections.rejected == wap
 
+    def test_matches_stepdown_on_corpus(self):
+        for prob in random_corpus(300, seed=17, m_max=7):
+            assert (ctp(prob, whp_local_test).elementary_rejections.rejected
+                    == whp_stepdown(prob).rejected)
+            assert (ctp(prob, wap_local_test).elementary_rejections.rejected
+                    == wap_stepdown(prob).rejected)
+
 
 class TestConsonance:
+    def test_holds_on_random_corpus_for_both_tests(self):
+        for prob in random_corpus(300, seed=23, m_max=8):
+            assert check_consonance(prob, wap_local_test).holds
+            assert check_consonance(prob, whp_local_test).holds
+
     def test_single_hypothesis_vacuous(self):
         prob = validate_problem(["H1"], [0.5], [1.0], 0.05)
         assert check_consonance(prob, wap_local_test).holds
@@ -223,6 +235,10 @@ class TestConsonance:
 
 
 class TestMonotonicityCondition:
+    def test_whp_always_holds(self):
+        for prob in random_corpus(200, seed=31, m_max=8):
+            assert check_monotonicity_condition(prob, Procedure.WHP).holds
+
     def test_single_hypothesis_vacuous(self):
         prob = validate_problem(["H1"], [0.5], [1.0], 0.05)
         assert check_monotonicity_condition(prob, Procedure.WAP).holds

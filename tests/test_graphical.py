@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wholm import (OrderingKey, initial_graph, reject_and_update,
-                   run_graphical, validate_problem)
+                   run_graphical, validate_problem, wap_stepdown, whp_stepdown)
+from wholm.closure import random_corpus
 from wholm.graphical import dot_stages, export_dot
 
 
@@ -114,6 +115,13 @@ class TestRunGraphical:
         prob = validate_problem(["a", "b"], [1.0, 1.0], [1.0, 2.0], 0.05)
         for ordering in (OrderingKey.WEIGHTED, OrderingKey.RAW):
             assert run_graphical(prob, ordering)[0].rejected == frozenset()
+
+    def test_equivalent_to_stepdowns_on_corpus(self):
+        for prob in random_corpus(500, seed=41, m_max=10):
+            assert (run_graphical(prob, OrderingKey.WEIGHTED)[0].rejected
+                    == whp_stepdown(prob).rejected)
+            assert (run_graphical(prob, OrderingKey.RAW)[0].rejected
+                    == wap_stepdown(prob).rejected)
 
 
 class TestExportDot:
