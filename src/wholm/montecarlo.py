@@ -23,6 +23,13 @@ from .procedures import Procedure, batch_stepdown
 # against the work of a block.
 SHARPNESS_BLOCK_ROWS = 1024
 
+# Replicates drawn from one spawned generator.  This constant defines the
+# random stream of `run_simulation` (block b of a cell is drawn from child b of
+# the cell's seed), so changing it changes seeded output; at 1 the stream is
+# the per-replicate one of earlier versions.  256 rows of normals stay a few
+# MB at desk sizes, while numpy's per-call overhead is spread over the block.
+SIMULATION_BLOCK_ROWS = 256
+
 
 class DegenerateSampleError(ValueError):
     pass
@@ -49,13 +56,17 @@ def t_sf(t, df):
     return out
 
 
-def _column_t(data: np.ndarray) -> Optional[np.ndarray]:
-    """One-sample t statistics of the columns of `data` (one row per
-    observation), or None when some column has zero variance."""
-    sds = data.std(axis=0, ddof=1)
-    if np.any(sds == 0.0):
-        return None
-    return data.mean(axis=0) / (sds / math.sqrt(data.shape[0]))
+def _column_t(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One-sample t statistics of `data` over its axis -2 (one observation
+    per step along it), and which leading rows hold a zero-variance column.
+
+    Data of shape (..., n, m) give (..., m) statistics and a (...) mask; the
+    statistics of a masked row are not finite.
+    """
+    sds = data.std(axis=-2, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = data.mean(axis=-2) / (sds / math.sqrt(data.shape[-2]))
+    return t, (sds == 0.0).any(axis=-1)
 
 
 def one_sample_t_pvalue(column: Sequence[float]) -> float:
@@ -64,8 +75,8 @@ def one_sample_t_pvalue(column: Sequence[float]) -> float:
     n = x.size
     if n < 2:
         raise ValueError(f"need at least two observations, got {n}")
-    t = _column_t(x[:, None])
-    if t is None:
+    t, zero = _column_t(x[:, None])
+    if zero:
         raise DegenerateSampleError("sample has zero variance")
     return t_sf(t[0], n - 1)
 
@@ -104,11 +115,15 @@ _SCENARIO_RANGES = {
 
 def weight_scenario(kind: WeightScenario, null_mask: Sequence[bool],
                     gen: np.random.Generator) -> np.ndarray:
-    """Draw one weight per hypothesis; true nulls and false nulls use the
-    scenario's respective uniform ranges."""
+    """Draw one weight per entry of `null_mask` (of any shape); true nulls and
+    false nulls use the scenario's respective uniform ranges.
+
+    Every entry is first drawn from the false-null range in row-major order,
+    then the true nulls are redrawn, in the same order, from theirs.
+    """
     null_mask = np.asarray(null_mask, dtype=bool)
     (null_lo, null_hi), (alt_lo, alt_hi) = _SCENARIO_RANGES[WeightScenario(kind)]
-    w = gen.uniform(alt_lo, alt_hi, size=null_mask.size)
+    w = gen.uniform(alt_lo, alt_hi, size=null_mask.shape)
     n_null = int(null_mask.sum())
     if n_null:
         w[null_mask] = gen.uniform(null_lo, null_hi, size=n_null)
@@ -167,38 +182,67 @@ class SimulationResult:
     resampled: int
 
 
+def _draw_block(config: SimulationConfig, rows: int,
+                gen: np.random.Generator) -> Tuple[np.ndarray, np.ndarray, int]:
+    """`rows` replicates of a cell from one generator: their (rows, m) weights,
+    their (rows, m) t statistics and how many of them were redrawn.
+
+    All weights are drawn first, then all normals; a replicate with a
+    zero-variance column is then redrawn once, in row order.
+    """
+    m, m0, n = config.m, config.m0, config.n
+    mu = np.zeros(m)
+    mu[m0:] = config.mu_alt
+    null_mask = np.zeros((rows, m), dtype=bool)
+    null_mask[:, :m0] = True
+    weights = weight_scenario(config.weight_scenario, null_mask, gen)
+    data = sample_equicorrelated(m, config.rho, mu, n * rows, gen)
+    tstats, zero = _column_t(data.reshape(rows, n, m))
+    for r in np.flatnonzero(zero):
+        t, again = _column_t(sample_equicorrelated(m, config.rho, mu, n, gen))
+        if again:
+            raise DegenerateSampleError("zero-variance sample after resampling")
+        tstats[r] = t
+    return weights, tstats, int(zero.sum())
+
+
+def _draw_cell(config: SimulationConfig) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The (reps, m) weights and t statistics of a cell, and how many
+    replicates were redrawn: block b of `SIMULATION_BLOCK_ROWS` replicates
+    (the last holds what is left) is drawn from child b of the seed."""
+    reps, block = config.reps, SIMULATION_BLOCK_ROWS
+    children = np.random.SeedSequence(config.seed).spawn(-(-reps // block))
+    weights = np.empty((reps, config.m))
+    tstats = np.empty((reps, config.m))
+    resampled = 0
+    for b, child in enumerate(children):
+        rows = slice(b * block, min((b + 1) * block, reps))
+        weights[rows], tstats[rows], redrawn = _draw_block(
+            config, rows.stop - rows.start, np.random.default_rng(child))
+        resampled += redrawn
+    return weights, tstats, resampled
+
+
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Monte Carlo estimate of FWER and average power for Holm, WHP and WAP.
 
-    Weights are redrawn every replicate.  Each replicate draws its generator
-    from a per-replicate substream of the seed, so results do not depend on
-    how replicates are partitioned across workers.  A zero-variance sample
-    (probability zero in theory) is redrawn once and counted.
+    Weights are redrawn every replicate.  Replicates are drawn in blocks of
+    `SIMULATION_BLOCK_ROWS`: block b comes from its own generator, seeded by
+    child b of `SeedSequence(config.seed)`, which draws all of the block's
+    weights and then all of its normals.  A block depends on nothing but its
+    child, so results do not depend on how the blocks are split across
+    workers.  With a block size of 1 this is the per-replicate stream of
+    earlier versions, and their seeded output is reproduced byte for byte.
+    A zero-variance sample (probability zero in theory) is redrawn once from
+    its block's generator and counted.
 
-    Replicates are drawn one at a time and decided together: one `t_sf` call
-    and one `batch_stepdown` call per procedure cover the whole cell.
+    One `t_sf` call and one `batch_stepdown` call per procedure decide the
+    whole cell.
     """
-    m, m0 = config.m, config.m0
-    m1 = m - m0
+    m0 = config.m0
+    m1 = config.m - m0
     reps = config.reps
-    mu = np.zeros(m)
-    mu[m0:] = config.mu_alt
-    null_mask = np.zeros(m, dtype=bool)
-    null_mask[:m0] = True
-
-    weights = np.empty((reps, m))
-    tstats = np.empty((reps, m))
-    resampled = 0
-    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(reps)):
-        gen = np.random.default_rng(child)
-        weights[r] = weight_scenario(config.weight_scenario, null_mask, gen)
-        t = _column_t(sample_equicorrelated(m, config.rho, mu, config.n, gen))
-        if t is None:
-            resampled += 1
-            t = _column_t(sample_equicorrelated(m, config.rho, mu, config.n, gen))
-            if t is None:
-                raise DegenerateSampleError("zero-variance sample after resampling")
-        tstats[r] = t
+    weights, tstats, resampled = _draw_cell(config)
     pvals = t_sf(tstats, config.n - 1)
     bad = ~((pvals >= 0.0) & (pvals <= 1.0))
     if bad.any():

@@ -87,13 +87,12 @@ class TestTPvalue:
             one_sample_t_pvalue([1.0])
 
     def test_null_pvalues_superuniform(self):
-        data = sample_equicorrelated(1, 0.0, [0.0], 15, rng_new(13))
+        # the library's own statistic, as run_simulation computes it
         reps = 20_000
-        gen = rng_new(13)
-        draws = gen.standard_normal((reps, 15))
-        sds = draws.std(axis=1, ddof=1)
-        tstats = draws.mean(axis=1) / (sds / math.sqrt(15))
-        pvals = t_sf(tstats, 14)
+        draws = rng_new(13).standard_normal((reps, 15, 1))
+        tstats, zero = montecarlo._column_t(draws)
+        assert not zero.any()
+        pvals = t_sf(tstats[:, 0], 14)
         for x in np.linspace(0.01, 0.99, 25):
             se = math.sqrt(x * (1 - x) / reps)
             assert (pvals <= x).mean() <= x + 3 * se
@@ -116,6 +115,25 @@ class TestWeightScenarios:
         draws = np.array([weight_scenario(WeightScenario.S2, mask, gen)[0]
                           for _ in range(10 ** 5)])
         assert abs(draws.mean() - 6.0) < 0.03
+
+    @pytest.mark.parametrize("scenario, null_range, alt_range", [
+        (WeightScenario.S1, (1.0, 2.0), (6.0, 10.0)),
+        (WeightScenario.S2, (1.0, 2.0), (2.0, 10.0)),
+        (WeightScenario.S3, (1.0, 2.0), (2.0, 6.0)),
+        (WeightScenario.S4, (1.0, 6.0), (1.0, 6.0)),
+    ])
+    def test_2d_mask_keeps_each_range(self, scenario, null_range, alt_range):
+        mask = rng_new(29).uniform(size=(300, 7)) < 0.4
+        w = weight_scenario(scenario, mask, rng_new(31))
+        assert w.shape == mask.shape
+        for entries, (lo, hi) in ((w[mask], null_range), (w[~mask], alt_range)):
+            assert np.all((entries >= lo) & (entries <= hi))
+            # both ends of the range are reached, so no other range fits
+            assert entries.min() < lo + 0.05 * (hi - lo)
+            assert entries.max() > hi - 0.05 * (hi - lo)
+        # one row of a 2-D mask draws exactly what the 1-D mask draws
+        assert np.array_equal(weight_scenario(scenario, mask[:1], rng_new(37))[0],
+                              weight_scenario(scenario, mask[0], rng_new(37)))
 
 
 class TestSimulationConfig:
@@ -171,22 +189,65 @@ class TestRunSimulation:
                                   weight_scenario=WeightScenario.S2, seed=99)
         assert run_simulation(config) == run_simulation(config)
 
-    def test_seeded_output_golden(self):
-        # recorded with the per-replicate step-downs that preceded the batched
-        # kernel; the exact floats pin both the random streams and the
-        # replicate-order power summation
+    def test_seeded_output_golden(self, monkeypatch):
+        # the exact floats pin both the random streams and the replicate-order
+        # power summation.  The block-size-1 values were recorded with the
+        # per-replicate generators that preceded block sampling, so the block
+        # engine still draws that stream as its special case.
         config = SimulationConfig(m=10, pi0=0.4, rho=0.5, n=15, mu_alt=0.7,
                                   alpha=0.05, reps=500,
                                   weight_scenario=WeightScenario.S2, seed=2026)
-        result = run_simulation(config)
-        expected = {Procedure.HOLM: (0.026, 0.49566666666666664),
-                    Procedure.WHP: (0.028, 0.6023333333333338),
-                    Procedure.WAP: (0.022, 0.5653333333333337)}
-        for proc, (fwer, power) in expected.items():
-            record = result.records[proc]
-            assert type(record.fwer) is float and type(record.power) is float
-            assert (record.fwer, record.power) == (fwer, power)
-        assert result.resampled == 0
+        by_block_rows = {
+            256: {Procedure.HOLM: (0.06, 0.46300000000000013),
+                  Procedure.WHP: (0.062, 0.5673333333333335),
+                  Procedure.WAP: (0.056, 0.533333333333333)},
+            1: {Procedure.HOLM: (0.026, 0.49566666666666664),
+                Procedure.WHP: (0.028, 0.6023333333333338),
+                Procedure.WAP: (0.022, 0.5653333333333337)},
+        }
+        assert montecarlo.SIMULATION_BLOCK_ROWS == 256
+        for block_rows, expected in by_block_rows.items():
+            monkeypatch.setattr(montecarlo, "SIMULATION_BLOCK_ROWS", block_rows)
+            result = run_simulation(config)
+            for proc, (fwer, power) in expected.items():
+                record = result.records[proc]
+                assert type(record.fwer) is float and type(record.power) is float
+                assert (record.fwer, record.power) == (fwer, power)
+            assert result.resampled == 0
+
+    def test_blocks_are_drawn_alone(self):
+        # 2 full blocks and a last one of 37 rows; each block, drawn from its
+        # own child in any order, is its rows of the whole cell
+        config = SimulationConfig(m=6, pi0=0.5, rho=0.3, n=9, mu_alt=0.7,
+                                  alpha=0.05, reps=2 * 256 + 37,
+                                  weight_scenario=WeightScenario.S3, seed=81)
+        weights, tstats, resampled = montecarlo._draw_cell(config)
+        assert resampled == 0
+        children = np.random.SeedSequence(81).spawn(3)
+        mu = np.array([0.0] * 3 + [0.7] * 3)
+        mask = np.array([True] * 3 + [False] * 3)
+        for b in (2, 0, 1):
+            rows = min(256, config.reps - 256 * b)
+            gen = np.random.default_rng(children[b])
+            w = weight_scenario(WeightScenario.S3, np.tile(mask, (rows, 1)), gen)
+            data = sample_equicorrelated(6, 0.3, mu, 9 * rows, gen)
+            t, zero = montecarlo._column_t(data.reshape(rows, 9, 6))
+            assert not zero.any()
+            block = slice(256 * b, 256 * b + rows)
+            assert np.array_equal(w, weights[block])
+            assert np.array_equal(t, tstats[block])
+
+    def test_cell_is_a_prefix_of_a_longer_cell(self):
+        def cell(reps):
+            return montecarlo._draw_cell(SimulationConfig(
+                m=5, pi0=0.4, rho=0.0, n=15, mu_alt=0.7, alpha=0.05,
+                reps=reps, weight_scenario=WeightScenario.S1, seed=7))
+
+        short_w, short_t, _ = cell(256)
+        long_w, long_t, _ = cell(512)
+        assert np.array_equal(short_w, long_w[:256])
+        assert np.array_equal(short_t, long_t[:256])
+        assert not np.array_equal(short_t, long_t[256:])
 
     def test_wap_outside_whp_raises(self, monkeypatch):
         real = montecarlo.batch_stepdown
@@ -223,16 +284,22 @@ class TestRunSimulation:
         real = montecarlo.sample_equicorrelated
         calls = []
 
-        def constant_first(m, rho, mu, n, gen):
-            calls.append(m)
+        def constant_rows_in_block_draw(m, rho, mu, n, gen):
+            # the block draw (45 rows = 3 replicates of 15) makes replicates
+            # 0 and 2 constant; the redraws that follow are real
+            calls.append(n)
             data = real(m, rho, mu, n, gen)
-            return np.zeros_like(data) if len(calls) == 1 else data
+            if len(calls) == 1:
+                data.reshape(3, 15, m)[[0, 2]] = 0.0
+            return data
 
-        monkeypatch.setattr(montecarlo, "sample_equicorrelated", constant_first)
+        monkeypatch.setattr(montecarlo, "sample_equicorrelated",
+                            constant_rows_in_block_draw)
         config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.7,
                                   alpha=0.05, reps=3,
                                   weight_scenario=WeightScenario.S2, seed=5)
-        assert run_simulation(config).resampled == 1
+        assert run_simulation(config).resampled == 2
+        assert calls == [45, 15, 15]
 
         monkeypatch.setattr(montecarlo, "sample_equicorrelated",
                             lambda m, rho, mu, n, gen: np.zeros((n, m)))
