@@ -1,17 +1,24 @@
-"""Per-layer timings of the Monte Carlo layer, per replicate.
+"""Per-layer timings of the Monte Carlo and closed-testing layers.
 
-    python3 bench/layers.py --label after --out BENCH_8.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_8.json
+    python3 bench/layers.py --label after --out BENCH_9.json
+    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_9.json
 
-Times `run_simulation` at m = 10 and 20 (n = 15, reps = 100 and 2,000) and
-`estimate_sharpness` for WHP and WAP at m = 10 (reps = 20,000) with
-`perf_counter`, one call at a time in this process.  Each size gets one
-untimed warm-up call and then `REPEATS` timed calls, each with its own seed;
-the record gives the median and the interquartile range of the time per
-replicate in microseconds.  `wholm` is imported from `--src` (this
-checkout's `src/` by default).  The record is stored under `--label` in the
-JSON file `--out`; records under other labels are kept, so a before/after
-pair is two runs into one file.
+Times, with `perf_counter`, one call at a time in this process:
+
+- `run_simulation` at m = 10 and 20 (n = 15, reps = 100 and 2,000) and
+  `estimate_sharpness` for WHP and WAP at m = 10 (reps = 20,000), per
+  replicate;
+- `battery.check_properties` on `random_corpus(2000, m_max=8)`, per problem;
+- `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
+  and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call.
+
+Each size gets one untimed warm-up call and then `REPEATS` timed calls, each
+on its own seed; inputs are built before the clock starts.  The record gives
+the median and the interquartile range of the time per unit in
+microseconds.  `wholm` is imported from `--src` (this checkout's `src/` by
+default).  The record is stored under `--label` in the JSON file `--out`;
+records under other labels are kept, so a before/after pair is two runs
+into one file.
 """
 
 from __future__ import annotations
@@ -30,17 +37,22 @@ from time import perf_counter
 REPEATS = 21
 SIMULATION_SIZES = [(m, reps) for m in (10, 20) for reps in (100, 2000)]
 SHARPNESS_M, SHARPNESS_REPS = 10, 20_000
+CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
+CLOSURE_SIZES = (8, 14, 16)
+MONOTONICITY_M = 12
 
 
-def time_per_replicate(call, reps):
-    """Median and (q1, q3) of `call(seed)`'s wall time over REPEATS seeds,
-    in microseconds per replicate."""
-    call(0)
+def time_per_unit(make, units):
+    """Median and (q1, q3) of the wall time of `make(seed)()` over REPEATS
+    seeds, in microseconds per unit; `make(seed)` builds the input untimed
+    and returns the call to time."""
+    make(0)()
     times = []
     for seed in range(1, REPEATS + 1):
+        call = make(seed)
         start = perf_counter()
-        call(seed)
-        times.append((perf_counter() - start) / reps * 1e6)
+        call()
+        times.append((perf_counter() - start) / units * 1e6)
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1,
             "samples": len(times)}
@@ -48,27 +60,63 @@ def time_per_replicate(call, reps):
 
 def measure(wholm):
     import numpy as np
+    from wholm.battery import check_properties
+    from wholm.closure import random_corpus
 
     rows = []
     for m, reps in SIMULATION_SIZES:
         def simulate(seed, m=m, reps=reps):
-            wholm.run_simulation(wholm.SimulationConfig(
+            config = wholm.SimulationConfig(
                 m=m, pi0=0.5, rho=0.5, n=15, mu_alt=0.7, alpha=0.05, reps=reps,
-                weight_scenario=wholm.WeightScenario.S2, seed=seed))
+                weight_scenario=wholm.WeightScenario.S2, seed=seed)
+            return lambda: wholm.run_simulation(config)
 
-        rows.append({"layer": "montecarlo.run_simulation",
+        rows.append({"layer": "montecarlo.run_simulation", "per": "replicate",
                      "size": {"m": m, "n": 15, "reps": reps},
-                     **time_per_replicate(simulate, reps)})
+                     **time_per_unit(simulate, reps)})
     weights = np.linspace(1.0, 2.0, SHARPNESS_M)
     for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
         def sharpness(seed, procedure=procedure):
-            wholm.estimate_sharpness(procedure, weights, SHARPNESS_M,
-                                     SHARPNESS_REPS, np.random.default_rng(seed))
+            return lambda: wholm.estimate_sharpness(
+                procedure, weights, SHARPNESS_M, SHARPNESS_REPS,
+                np.random.default_rng(seed))
 
         rows.append({"layer": "montecarlo.estimate_sharpness",
+                     "per": "replicate",
                      "size": {"procedure": procedure.value, "m": SHARPNESS_M,
                               "reps": SHARPNESS_REPS},
-                     **time_per_replicate(sharpness, SHARPNESS_REPS)})
+                     **time_per_unit(sharpness, SHARPNESS_REPS)})
+
+    def corpus(seed):
+        problems = random_corpus(CORPUS_SIZE, seed=seed, m_max=CORPUS_M_MAX)
+        return lambda: check_properties(problems)
+
+    rows.append({"layer": "battery.check_properties", "per": "problem",
+                 "size": {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX},
+                 **time_per_unit(corpus, CORPUS_SIZE)})
+
+    def problem(seed, m):
+        # p-values at the scale of the critical values, so some are rejected
+        gen = np.random.default_rng(seed)
+        w = gen.uniform(0.5, 5.0, size=m)
+        p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
+        return wholm.validate_problem([f"H{i}" for i in range(m)], p, w, 0.05)
+
+    for m in CLOSURE_SIZES:
+        for layer, run in (
+                ("closure.ctp", lambda P: wholm.ctp(P, wholm.whp_local_test)),
+                ("closure.check_consonance",
+                 lambda P: wholm.check_consonance(P, wholm.wap_local_test))):
+            rows.append({"layer": layer, "per": "call", "size": {"m": m},
+                         **time_per_unit(lambda seed, m=m, run=run: (
+                             lambda P=problem(seed, m): run(P)), 1)})
+    rows.append({"layer": "closure.check_monotonicity_condition",
+                 "per": "call",
+                 "size": {"procedure": "whp", "m": MONOTONICITY_M},
+                 **time_per_unit(lambda seed: (
+                     lambda P=problem(seed, MONOTONICITY_M):
+                     wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)),
+                     1)})
     return rows
 
 
@@ -126,8 +174,9 @@ def main(argv=None):
     table[args.label] = record
     args.out.write_text(json.dumps(table, indent=2) + "\n")
     for row in record["results"]:
-        print(f"{row['layer']:32} {json.dumps(row['size']):50} "
-              f"{row['median_us']:9.2f} us/rep  (IQR {row['iqr_us']:.2f})")
+        print(f"{row['layer']:36} {json.dumps(row['size']):50} "
+              f"{row['median_us']:11.2f} us/{row['per']}  "
+              f"(IQR {row['iqr_us']:.2f})")
     return 0
 
 

@@ -7,20 +7,38 @@ procedures are consonant, and WHP meets the monotonicity condition.
 `check_properties` checks every claim on every problem of a corpus and names
 the first violating problem of each.  `run_check_battery` adds the two
 randomized p-value monotonicity searches.
+
+The corpus is evaluated in stacks: its problems are grouped by m, and each
+group is cut into stacks of at most `PROPERTY_STACK_ROWS` problems.  The
+closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
+`monotonicity-whp`) read one subset table per ranking per stack, built and
+closed for all of the stack's problems at once, and give the same answers
+as `ctp`, `check_consonance` and `check_monotonicity_condition`, which are
+one-row calls of the same code.  The references they are compared with, the
+step-downs, and the graph and adjusted-value claims run per problem.
+Counts and witnesses are reported in corpus order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, List, Sequence
 
 from .adjust import adjusted_wap, adjusted_whp
-from .closure import (check_consonance, check_monotonicity_condition, ctp,
-                      find_pvalue_monotonicity_violation, random_corpus,
-                      wap_local_test, whp_local_test)
+from .closure import (ProblemStack, accepted_table, close, closed_rejections,
+                      consonance_witness, find_pvalue_monotonicity_violation,
+                      monotonicity_counterexamples, random_corpus,
+                      subset_table)
 from .core import OrderingKey, TestingProblem
 from .graphical import run_graphical
 from .procedures import Procedure, wap_stepdown, whp_stepdown
+
+# Problems evaluated together.  A stack's largest array is its (rows, 2^m, m)
+# table of monotonicity shares: 1 MB at 64 rows and m = 8, where a whole
+# m = 8 group of a 2,000-problem corpus raised peak RSS by 14 MB.  The
+# stacks do not change any result, only how many problems share a numpy call.
+PROPERTY_STACK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -47,42 +65,79 @@ def _adjusted_dominance(problem, whp, wap):
                zip(adjusted_whp(problem).values, adjusted_wap(problem).values))
 
 
-# (name, holds(problem, WHP rejections, WAP rejections)).  The lambdas look
-# the library functions up when they run, so a rebound name is the one used.
+class _Stack:
+    """Problems of one size with their step-down rejections, and the subset
+    table and closed rows of each ranking (`OrderingKey.WEIGHTED` for WHP,
+    `OrderingKey.RAW` for WAP), built once for all of them."""
+
+    def __init__(self, problems: Sequence[TestingProblem]):
+        self.problems = problems
+        self.rejected = {
+            OrderingKey.WEIGHTED: [whp_stepdown(p).rejected for p in problems],
+            OrderingKey.RAW: [wap_stepdown(p).rejected for p in problems]}
+        self.arrays = ProblemStack.of(problems)
+        self.m = self.arrays.m
+        self.tables = {key: subset_table(self.arrays, key) for key in OrderingKey}
+        self.covered = {key: close(accepted_table(self.arrays, table))
+                        for key, table in self.tables.items()}
+
+
+def _each(holds):
+    """A per-problem claim, holds(problem, WHP rejections, WAP rejections),
+    over a stack."""
+    return lambda stack: list(map(holds, stack.problems,
+                                  stack.rejected[OrderingKey.WEIGHTED],
+                                  stack.rejected[OrderingKey.RAW]))
+
+
+def _ctp_equivalence(key):
+    return lambda stack: [closed_rejections(covered, stack.m) == rejected
+                          for covered, rejected in
+                          zip(stack.covered[key], stack.rejected[key])]
+
+
+def _consonance(key):
+    return lambda stack: [consonance_witness(covered, stack.m) is None
+                          for covered in stack.covered[key]]
+
+
+# (name, holds(stack) -> one bool per problem of the stack).  The lambdas
+# look the library functions up when they run, so a rebound name is the one
+# used.
 PROPERTIES = (
-    ("ctp-equivalence-whp", lambda problem, whp, wap:
-        ctp(problem, whp_local_test).elementary_rejections.rejected == whp),
-    ("ctp-equivalence-wap", lambda problem, whp, wap:
-        ctp(problem, wap_local_test).elementary_rejections.rejected == wap),
-    ("graphical-equivalence-whp", lambda problem, whp, wap:
-        run_graphical(problem, OrderingKey.WEIGHTED)[0].rejected == whp),
-    ("graphical-equivalence-wap", lambda problem, whp, wap:
-        run_graphical(problem, OrderingKey.RAW)[0].rejected == wap),
-    ("rejection-dominance", lambda problem, whp, wap: wap <= whp),
-    ("adjusted-dominance", _adjusted_dominance),
-    ("consonance-whp", lambda problem, whp, wap:
-        check_consonance(problem, whp_local_test).holds),
-    ("consonance-wap", lambda problem, whp, wap:
-        check_consonance(problem, wap_local_test).holds),
-    ("monotonicity-whp", lambda problem, whp, wap:
-        check_monotonicity_condition(problem, Procedure.WHP).holds),
+    ("ctp-equivalence-whp", _ctp_equivalence(OrderingKey.WEIGHTED)),
+    ("ctp-equivalence-wap", _ctp_equivalence(OrderingKey.RAW)),
+    ("graphical-equivalence-whp", _each(lambda problem, whp, wap:
+        run_graphical(problem, OrderingKey.WEIGHTED)[0].rejected == whp)),
+    ("graphical-equivalence-wap", _each(lambda problem, whp, wap:
+        run_graphical(problem, OrderingKey.RAW)[0].rejected == wap)),
+    ("rejection-dominance", _each(lambda problem, whp, wap: wap <= whp)),
+    ("adjusted-dominance", _each(_adjusted_dominance)),
+    ("consonance-whp", _consonance(OrderingKey.WEIGHTED)),
+    ("consonance-wap", _consonance(OrderingKey.RAW)),
+    ("monotonicity-whp", lambda stack: [
+        found is None for found in monotonicity_counterexamples(
+            stack.arrays, Procedure.WHP, stack.tables[OrderingKey.WEIGHTED])]),
 )
 
 
 def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
     """One result per entry of `PROPERTIES`, in table order, each with its
-    violation count and its first violating problem as the witness.  The
-    step-downs run once per problem."""
+    violation count and its first violating problem in corpus order as the
+    witness.  The step-downs run once per problem."""
+    groups = defaultdict(list)
+    for index, problem in enumerate(problems):
+        groups[problem.m].append(index)
     violating = [[] for _ in PROPERTIES]
-    for problem in problems:
-        whp = whp_stepdown(problem).rejected
-        wap = wap_stepdown(problem).rejected
-        for found, (_, holds) in zip(violating, PROPERTIES):
-            if not holds(problem, whp, wap):
-                found.append(problem)
+    for indices in groups.values():
+        for start in range(0, len(indices), PROPERTY_STACK_ROWS):
+            rows = indices[start:start + PROPERTY_STACK_ROWS]
+            stack = _Stack([problems[i] for i in rows])
+            for found, (_, holds) in zip(violating, PROPERTIES):
+                found.extend(i for i, ok in zip(rows, holds(stack)) if not ok)
     return [CheckResult(name, not found,
                         f"{len(found)} violations over {len(problems)} problems",
-                        found[0] if found else None)
+                        problems[min(found)] if found else None)
             for (name, _), found in zip(PROPERTIES, violating)]
 
 

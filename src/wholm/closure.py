@@ -2,8 +2,19 @@
 
 Subsets of {0..m-1} are encoded as bitmasks.  One routine, `_subsets`, tabulates
 every subset a caller asks for under one ranking of the hypotheses: its weight
-total and its member of smallest rank.  Every closed-testing entry point reads
-that table; none walks the subsets in Python.
+total and its member of smallest rank.  It works on a `ProblemStack`, any
+number of problems of one size m held as (P, m) arrays, and gives (P, K)
+tables, one row per problem in that row's own ranking.  Every closed-testing
+entry point reads that table; none walks the subsets in Python.  `ctp`,
+`check_consonance`, `check_monotonicity_condition` and the two local tests are
+one-row calls of the stacked code, and `battery.check_properties` calls it on
+stacks of many problems; the answers are the same either way.
+
+A (P, 2^m) accepted table is closed row by row with the superset OR: each row
+is packed into the bits of one int, and pass k ORs every mask holding
+hypothesis k into the same mask without it, so bit I ends up set iff some
+locally accepted subset contains I.  Hypothesis i is rejected by the closed
+procedure iff bit {i} is clear.
 
 The two local tests are the weighted Bonferroni tests behind the step-downs,
 written in the step-downs' one rule: the first-ranked member's value is
@@ -16,9 +27,9 @@ member with the smallest raw p-value (ties to the smallest index).
 A local test is any callable `local_test(problem, masks)` that takes one int
 mask or an int array of masks and returns bools of the same shape.  `ctp` and
 `check_consonance` call it once, on every nonempty mask at the same time, and
-close the table: a subset is rejected by the closed procedure iff no locally
-accepted subset contains it.  The exhaustive engine here is the oracle the
-fast procedures are checked against.
+close the one-row table: a subset is rejected by the closed procedure iff no
+locally accepted subset contains it.  The exhaustive engine here is the oracle
+the fast procedures are checked against.
 
 Closing either built-in test reproduces its step-down bit for bit, also for a
 p-value exactly on a boundary, because every subset total is summed from the
@@ -44,12 +55,13 @@ last rank upward in the procedure's own `core.order` ranking:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from typing import (Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
-from .core import (OrderingKey, RejectionSet, TestingProblem, order,
-                   validate_problem, weighted_pvalues)
+from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
 from .procedures import Procedure, wap_stepdown, whp_stepdown
 
 MAX_CTP_HYPOTHESES = 20
@@ -83,36 +95,114 @@ class MonotonicityReport:
     counterexample: Optional[Tuple[int, int, int, float, float]] = None
 
 
-def _subsets(problem: TestingProblem, masks: Union[int, np.ndarray],
-             key: OrderingKey):
-    """Weight total and first-ranked member of every subset in `masks`.
+class ProblemStack(NamedTuple):
+    """Problems of one size m as arrays, one problem per row: (P, m)
+    p-values and weights, and (P,) alphas."""
 
-    Hypotheses are ranked by p/w (`OrderingKey.WEIGHTED`) or by raw p
-    (`OrderingKey.RAW`), ties to the smaller index, as the step-downs rank
-    them.  One pass per hypothesis over the whole mask array, from the last
-    rank upward: each total is summed in the order the step-down sums its
-    tails, and an absent member adds 0.0, which is exact.
+    p: np.ndarray
+    w: np.ndarray
+    alpha: np.ndarray
+
+    @classmethod
+    def of(cls, problems: Sequence[TestingProblem]) -> "ProblemStack":
+        if len({problem.m for problem in problems}) != 1:
+            raise ValueError("a stack holds one or more problems of one size")
+        return cls(np.array([problem.p for problem in problems]),
+                   np.array([problem.w for problem in problems]),
+                   np.array([problem.alpha for problem in problems]))
+
+    @property
+    def m(self) -> int:
+        return self.p.shape[1]
+
+
+def _subsets(stack: ProblemStack, masks: np.ndarray, key: OrderingKey):
+    """Weight totals and first-ranked members of the subsets in `masks` (a
+    1-D int array shared by every row of `stack`), as two (P, K) arrays.
+
+    Each row ranks its hypotheses by p/w (`OrderingKey.WEIGHTED`) or by raw p
+    (`OrderingKey.RAW`), ties to the smaller index, as `core.order` and the
+    step-downs rank them, and sums every total from its last rank upward,
+    starting at 0.0: the order in which its step-down sums its tails.  Two
+    ways give the same sums.  When the masks are many against the 2^m
+    subsets, all 2^m totals are built by doubling (`_all_subsets`) and the
+    masks are read from them; otherwise one pass per rank, from the last
+    upward, adds its weight to the masks that hold its member.
     """
-    masks = np.asarray(masks)
-    if masks.min() <= 0 or int(masks.max()) >> problem.m:
-        raise ValueError("intersection must be a nonempty subset of the "
-                         f"{problem.m} hypotheses")
-    tilde = weighted_pvalues(problem).tilde_p
-    perm = order(tilde if key is OrderingKey.WEIGHTED else problem.p, key).perm
-    total = np.zeros(masks.shape)
-    first = np.zeros(masks.shape, dtype=np.intp)
-    for i in reversed(perm):
-        has = np.asarray((masks >> i) & 1, dtype=bool)
-        total += np.where(has, problem.w[i], 0.0)
-        first[has] = i
+    p, w, _ = stack
+    rows = np.arange(p.shape[0])[:, None]
+    perm = np.argsort(p / w if key is OrderingKey.WEIGHTED else p, axis=1,
+                      kind="stable")
+    ranked_w = w[rows, perm]
+    if masks.size * stack.m >= 1 << stack.m:
+        total, first, code = _all_subsets(perm, ranked_w)
+        code = code[:, masks]
+        return total[rows, code], first[rows, code]
+    # each row's members in rank order as one-bit masks (Python ints for
+    # masks wider than 64 bits)
+    bits = np.ones(perm.shape, dtype=masks.dtype) << perm
+    total = np.zeros((p.shape[0], masks.size))
+    first = np.zeros((p.shape[0], masks.size), dtype=np.intp)
+    has = np.empty(total.shape, dtype=bool)
+    for r in range(stack.m - 1, -1, -1):
+        np.not_equal(masks & bits[:, r:r + 1], 0, out=has)
+        np.add(total, ranked_w[:, r:r + 1], out=total, where=has)
+        np.copyto(first, perm[:, r:r + 1], where=has)
     return total, first
+
+
+def _all_subsets(perm: np.ndarray, ranked_w: np.ndarray):
+    """Totals of all 2^m subsets of each row and first-ranked members of the
+    nonempty ones, by rank-space code, and the code of each index mask.
+
+    In a code, bit m-1-r stands for the member at rank r, so the highest bit
+    is the first-ranked member and the lower bits hold later ranks.  Codes
+    in [2^q, 2^(q+1)) are those below 2^q plus the member at rank m-1-q, so
+    their totals are the lower totals plus that weight: each total adds its
+    members from the last rank upward, starting at 0.0 for the empty set.
+    `first[:, c]` is the first-ranked member of code c (for the empty code
+    0, the last-ranked member, which no caller reads).
+    """
+    count, m = perm.shape
+    code_bit = np.empty_like(perm)
+    code_bit[np.arange(count)[:, None], perm] = 1 << np.arange(m - 1, -1, -1)
+    # Step q adds the weight at rank m-1-q to the totals of codes below 2^q,
+    # and hypothesis q's code bit to the codes of index masks below 2^q (the
+    # masks in [2^q, 2^(q+1)) hold q).  Codes are below 2^m and so exact in
+    # float64; both tables take one add per step.
+    steps = np.empty((m, 2, count, 1))
+    steps[:, 0, :, 0] = ranked_w[:, ::-1].T
+    steps[:, 1, :, 0] = code_bit.T
+    table = np.zeros((2, count, 1 << m))
+    for q, step in enumerate(steps):
+        np.add(table[:, :, :1 << q], step, table[:, :, 1 << q:2 << q])
+    total, code = table[0], table[1].astype(np.intp)
+    counts = 1 << np.arange(m)
+    counts[0] = 2
+    first = np.repeat(perm[:, ::-1], counts, axis=1)
+    return total, first, code
+
+
+def _rejects(stack: ProblemStack, total: np.ndarray,
+             first: np.ndarray) -> np.ndarray:
+    """Both local tests' rule: the first-ranked member's (p/w) * total is at
+    most alpha."""
+    tilde = stack.p / stack.w
+    rows = np.arange(first.shape[0])[:, None]
+    return tilde[rows, first] * total <= stack.alpha[:, None]
 
 
 def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
                 key: OrderingKey) -> Union[bool, np.ndarray]:
-    total, first = _subsets(problem, masks, key)
-    tilde = np.asarray(problem.p) / np.asarray(problem.w)
-    return tilde[first] * total <= problem.alpha
+    masks = np.asarray(masks)
+    if masks.size == 0:
+        return np.zeros(masks.shape, dtype=bool)
+    if masks.min() <= 0 or int(masks.max()) >> problem.m:
+        raise ValueError("intersection must be a nonempty subset of the "
+                         f"{problem.m} hypotheses")
+    stack = ProblemStack.of([problem])
+    rejected = _rejects(stack, *_subsets(stack, masks.reshape(-1), key))
+    return rejected.reshape(masks.shape)[()]
 
 
 def wap_local_test(problem: TestingProblem,
@@ -133,19 +223,88 @@ def whp_local_test(problem: TestingProblem,
     return _local_test(problem, mask, OrderingKey.WEIGHTED)
 
 
-def _accepted(problem: TestingProblem, local_test: LocalTest) -> np.ndarray:
-    """accepted[mask] for every mask in 0..2^m-1, from one local_test call.
-
-    The empty set counts as accepted; it is contained only in itself, so it
-    changes no closure.
-    """
-    m = problem.m
+def _check_ctp_size(m: int) -> None:
     if m > MAX_CTP_HYPOTHESES:
         raise CapacityError(
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
-    accepted = np.ones(1 << m, dtype=bool)
-    accepted[1:] = ~np.asarray(local_test(problem, np.arange(1, 1 << m)), dtype=bool)
+
+
+def subset_table(stack: ProblemStack, key: OrderingKey):
+    """`_subsets` of every nonempty mask under one ranking: column I - 1 of
+    the (P, 2^m - 1) totals and first-ranked members holds mask I."""
+    _check_ctp_size(stack.m)
+    return _subsets(stack, np.arange(1, 1 << stack.m), key)
+
+
+def _accepted_rows(rejected: np.ndarray) -> np.ndarray:
+    """accepted[r, I] for every mask I in 0..2^m-1, from the local decisions
+    of the nonempty masks.  The empty set counts as accepted; it is contained
+    only in itself, so it changes no closure."""
+    accepted = np.ones((rejected.shape[0], rejected.shape[1] + 1), dtype=bool)
+    np.logical_not(rejected, out=accepted[:, 1:])
     return accepted
+
+
+def accepted_table(stack: ProblemStack, table) -> np.ndarray:
+    """The (P, 2^m) accepted table of the built-in local test whose ranking
+    `table` (from `subset_table`) was built under."""
+    return _accepted_rows(_rejects(stack, *table))
+
+
+def _accepted(problem: TestingProblem, local_test: LocalTest) -> np.ndarray:
+    """The one-row accepted table of `local_test`, from one call on every
+    nonempty mask."""
+    _check_ctp_size(problem.m)
+    rejected = local_test(problem, np.arange(1, 1 << problem.m))
+    return _accepted_rows(np.asarray(rejected, dtype=bool)[None, :])
+
+
+@lru_cache(maxsize=None)
+def _bit_clear(m: int) -> Tuple[int, ...]:
+    """For each k < m, the masks in 0..2^m-1 with bit k clear, as an int
+    whose bit I stands for mask I: runs of 2^k ones and 2^k zeros.  Closed
+    testing caps m at `MAX_CTP_HYPOTHESES`, so the cache holds at most one
+    entry per m up to the cap, about 5 MB if every size is used."""
+    clear = []
+    for k in range(m):
+        bits, width = (1 << (1 << k)) - 1, 2 << k
+        while width < 1 << m:
+            bits |= bits << width
+            width *= 2
+        clear.append(bits)
+    return tuple(clear)
+
+
+def close(accepted: np.ndarray) -> List[int]:
+    """Close each row of a (P, 2^m) accepted table: an int per row whose bit
+    I is set iff the row has a locally accepted superset of mask I.
+
+    A row is packed into the bits of one int; pass k ORs each mask with bit
+    k set into the same mask with bit k clear.
+    """
+    clear = _bit_clear(accepted.shape[1].bit_length() - 1)
+    covered = []
+    for row in np.packbits(accepted, axis=1, bitorder="little"):
+        bits = int.from_bytes(row.tobytes(), "little")
+        for k, kept in enumerate(clear):
+            bits |= (bits >> (1 << k)) & kept
+        covered.append(bits)
+    return covered
+
+
+def closed_rejections(covered: int, m: int) -> frozenset:
+    """The elementary rejections of one closed row: hypothesis i is rejected
+    iff no locally accepted subset holds it, iff {i} is not covered."""
+    return frozenset(i for i in range(m) if not covered >> (1 << i) & 1)
+
+
+def consonance_witness(covered: int, m: int) -> Optional[int]:
+    """The smallest CTP-rejected mask of one closed row that holds no
+    elementary rejection, or None where the row is consonant."""
+    violating = ~covered & (1 << (1 << m)) - 1
+    for i in closed_rejections(covered, m):
+        violating &= _bit_clear(m)[i]
+    return (violating & -violating).bit_length() - 1 if violating else None
 
 
 def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
@@ -155,12 +314,10 @@ def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
     locally rejected, that is iff no locally accepted subset holds it.
     """
     accepted = _accepted(problem, local_test)
-    accepted_union = int(np.bitwise_or.reduce(np.flatnonzero(accepted)))
-    rejected = frozenset(i for i in range(problem.m)
-                         if not (accepted_union >> i) & 1)
+    decisions = dict(enumerate((~accepted[0, 1:]).tolist(), start=1))
+    rejected = closed_rejections(*close(accepted), problem.m)
     trace = tuple((step, i, problem.alpha)
                   for step, i in enumerate(sorted(rejected), start=1))
-    decisions = dict(zip(range(1, accepted.size), (~accepted[1:]).tolist()))
     return CtpReport(local_decisions=decisions,
                      elementary_rejections=RejectionSet(rejected=rejected, trace=trace))
 
@@ -173,78 +330,94 @@ def check_consonance(problem: TestingProblem,
     The witness is the smallest CTP-rejected mask holding no elementary
     rejection.
     """
-    covered = _accepted(problem, local_test)
-    # covered[I] becomes: some accepted superset of I exists.  Pass k ORs
-    # each mask with bit k set into the same mask with bit k clear.
-    for k in range(problem.m):
-        halves = covered.reshape(-1, 2, 1 << k)
-        halves[:, 0] |= halves[:, 1]
-    masks = np.arange(covered.size)
-    elementary = sum(1 << i for i in range(problem.m) if not covered[1 << i])
-    violating = np.flatnonzero(~covered & (masks & elementary == 0))
-    if violating.size:
-        return ConsonanceReport(holds=False, violating_subset=int(violating[0]))
-    return ConsonanceReport(holds=True)
+    witness = consonance_witness(*close(_accepted(problem, local_test)),
+                                 problem.m)
+    return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
-def _intersection_shares(problem: TestingProblem, procedure: Procedure):
-    """alpha_i(I) for every subset I, as a (2^m, m) array with +inf outside I.
+def _check_monotonicity_size(m: int) -> None:
+    if m > MAX_MONOTONICITY_HYPOTHESES:
+        raise CapacityError(
+            f"monotonicity enumeration is capped at {MAX_MONOTONICITY_HYPOTHESES}"
+            f" hypotheses, got {m}")
+
+
+def ranking(procedure: Procedure) -> OrderingKey:
+    """The ranking of WHP (p/w) or WAP (raw p)."""
+    if procedure is Procedure.WHP:
+        return OrderingKey.WEIGHTED
+    if procedure is Procedure.WAP:
+        return OrderingKey.RAW
+    raise ValueError(f"no intersection shares defined for {procedure}")
+
+
+def _intersection_shares(stack: ProblemStack, procedure: Procedure,
+                         table) -> np.ndarray:
+    """alpha_i(I) for every subset I of every row, as a (P, 2^m, m) array
+    with +inf outside I; `table` is the `subset_table` under the procedure's
+    ranking.
 
     WHP gives every member its weight share of alpha.  WAP assigns the whole
     intersection budget to the member with the smallest raw p-value (ties to
     the smallest index) and zero to the rest.
     """
-    m = problem.m
-    w = np.asarray(problem.w)
-    rows = np.arange(1, 1 << m)
-    if procedure not in (Procedure.WHP, Procedure.WAP):
-        raise ValueError(f"no intersection shares defined for {procedure}")
-    key = OrderingKey.WEIGHTED if procedure is Procedure.WHP else OrderingKey.RAW
-    total, first = _subsets(problem, rows, key)
-    member = ((rows[:, None] >> np.arange(m)) & 1).astype(bool)
-    shares = np.full((1 << m, m), np.inf)
-    inner = shares[1:]
+    w, alpha, m = stack.w, stack.alpha, stack.m
+    total, first = table
+    masks = np.arange(1, 1 << m)
+    member = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
+    shares = np.full((w.shape[0], 1 << m, m), np.inf)
+    inner = shares[:, 1:]
     if procedure is Procedure.WHP:
-        inner[member] = (w[None, :] * problem.alpha / total[:, None])[member]
+        np.copyto(inner, w[:, None, :] * alpha[:, None, None]
+                  / total[:, :, None], where=member)
     else:
-        inner[member] = 0.0
-        inner[np.arange(rows.size), first] = w[first] * problem.alpha / total
+        np.copyto(inner, 0.0, where=member)
+        budget = np.take_along_axis(w, first, axis=1) * alpha[:, None] / total
+        np.put_along_axis(inner, first[:, :, None], budget[:, :, None], axis=2)
     return shares
 
 
-def check_monotonicity_condition(problem: TestingProblem,
-                                 procedure: Procedure) -> MonotonicityReport:
-    """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I.
+def monotonicity_counterexamples(stack: ProblemStack, procedure: Procedure,
+                                 table) -> List[Optional[Tuple]]:
+    """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
+    J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
+    where the condition holds.  `table` is the `subset_table` under the
+    procedure's ranking (see `ranking`).
 
     Only single-element removals are compared: any nested pair J subset of I
     is connected by a chain of such removals, so the reduced check is
     equivalent and a single-removal violation is already a valid witness.
+    Removals of hypothesis 0 are searched first, then of hypothesis 1, and
+    so on; within one, the smallest I and then the smallest i.  Shares
+    outside J are +inf, so only members of J can compare lower.
     """
-    m = problem.m
-    if m > MAX_MONOTONICITY_HYPOTHESES:
-        raise CapacityError(
-            f"monotonicity enumeration is capped at {MAX_MONOTONICITY_HYPOTHESES}"
-            f" hypotheses, got {m}")
-    if m == 1:
-        return MonotonicityReport(holds=True)
-    shares = _intersection_shares(problem, procedure)
-    full = (1 << m) - 1
-    masks = np.arange(full + 1)
+    m = stack.m
+    _check_monotonicity_size(m)
+    shares = _intersection_shares(stack, procedure, table)
+    found: List[Optional[Tuple]] = [None] * shares.shape[0]
     for j in range(m):
-        bit = 1 << j
-        big = masks[(masks & bit).astype(bool) & (masks != bit)]
-        small = big ^ bit
-        viol = shares[big] > shares[small]
-        if viol.any():
-            row, col = np.argwhere(viol)[0]
-            big_mask = int(big[row])
-            small_mask = int(small[row])
-            return MonotonicityReport(
-                holds=False,
-                counterexample=(big_mask, small_mask, int(col),
-                                float(shares[big_mask, col]),
-                                float(shares[small_mask, col])))
-    return MonotonicityReport(holds=True)
+        # [:, a, 1, b] is I = a * 2^(j+1) + 2^j + b and [:, a, 0, b] is I - 2^j
+        halves = shares.reshape(len(found), -1, 2, 1 << j, m)
+        viol = (halves[:, :, 1] > halves[:, :, 0]).reshape(len(found), -1)
+        for r in np.flatnonzero(viol.any(axis=1)).tolist():
+            if found[r] is None:
+                pair, col = divmod(int(viol[r].argmax()), m)
+                small = (pair >> j << (j + 1)) | (pair & ((1 << j) - 1))
+                found[r] = (small | 1 << j, small, col,
+                            float(shares[r, small | 1 << j, col]),
+                            float(shares[r, small, col]))
+    return found
+
+
+def check_monotonicity_condition(problem: TestingProblem,
+                                 procedure: Procedure) -> MonotonicityReport:
+    """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
+    (see `monotonicity_counterexamples`)."""
+    _check_monotonicity_size(problem.m)
+    stack = ProblemStack.of([problem])
+    [found] = monotonicity_counterexamples(
+        stack, procedure, subset_table(stack, ranking(procedure)))
+    return MonotonicityReport(holds=found is None, counterexample=found)
 
 
 def random_problem(gen: np.random.Generator, m: int, alpha: float = 0.05,

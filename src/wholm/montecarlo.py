@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import betainc
@@ -206,21 +206,16 @@ def _draw_block(config: SimulationConfig, rows: int,
     return weights, tstats, int(zero.sum())
 
 
-def _draw_cell(config: SimulationConfig) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The (reps, m) weights and t statistics of a cell, and how many
-    replicates were redrawn: block b of `SIMULATION_BLOCK_ROWS` replicates
-    (the last holds what is left) is drawn from child b of the seed."""
+def _draw_blocks(config: SimulationConfig) -> Iterator[
+        Tuple[np.ndarray, np.ndarray, int]]:
+    """The blocks of a cell in replicate order, each as `_draw_block` draws
+    it: block b of `SIMULATION_BLOCK_ROWS` replicates (the last holds what is
+    left) is drawn from child b of the seed."""
     reps, block = config.reps, SIMULATION_BLOCK_ROWS
     children = np.random.SeedSequence(config.seed).spawn(-(-reps // block))
-    weights = np.empty((reps, config.m))
-    tstats = np.empty((reps, config.m))
-    resampled = 0
     for b, child in enumerate(children):
-        rows = slice(b * block, min((b + 1) * block, reps))
-        weights[rows], tstats[rows], redrawn = _draw_block(
-            config, rows.stop - rows.start, np.random.default_rng(child))
-        resampled += redrawn
-    return weights, tstats, resampled
+        yield _draw_block(config, min(block, reps - b * block),
+                          np.random.default_rng(child))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
@@ -236,43 +231,54 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     A zero-variance sample (probability zero in theory) is redrawn once from
     its block's generator and counted.
 
-    One `t_sf` call and one `batch_stepdown` call per procedure decide the
-    whole cell.
+    Each block is decided as it is drawn, by one `t_sf` call and one
+    `batch_stepdown` call per procedure, and only the FWER counts and the
+    power sums are carried to the next, so memory does not grow with
+    `reps`.  The power terms are summed in replicate order as Python floats.
+    Errors name the replicate by its index in the cell.
     """
     m0 = config.m0
     m1 = config.m - m0
     reps = config.reps
-    weights, tstats, resampled = _draw_cell(config)
-    pvals = t_sf(tstats, config.n - 1)
-    bad = ~((pvals >= 0.0) & (pvals <= 1.0))
-    if bad.any():
-        r, i = np.argwhere(bad)[0]
-        raise ValueError(
-            f"p-value out of [0, 1] in replicate {r}, hypothesis {i}: {pvals[r, i]}")
-
-    masks = {
-        Procedure.HOLM: batch_stepdown(Procedure.WHP, pvals, 1.0, config.alpha),
-        Procedure.WHP: batch_stepdown(Procedure.WHP, pvals, weights, config.alpha),
-        Procedure.WAP: batch_stepdown(Procedure.WAP, pvals, weights, config.alpha),
-    }
-    wap_only = masks[Procedure.WAP] & ~masks[Procedure.WHP]
-    if wap_only.any():
-        r = int(np.argmax(wap_only.any(axis=1)))
-        raise RuntimeError(
-            f"WAP rejected a hypothesis WHP kept in replicate {r}: "
-            f"{np.flatnonzero(wap_only[r]).tolist()}")
+    familywise = dict.fromkeys(Procedure, 0)
+    # summed in replicate order as Python floats, so the result does not
+    # depend on numpy's pairwise summation or on the block size
+    power_sums = dict.fromkeys(Procedure, 0.0)
+    resampled = 0
+    offset = 0
+    for weights, tstats, redrawn in _draw_blocks(config):
+        resampled += redrawn
+        pvals = t_sf(tstats, config.n - 1)
+        bad = ~((pvals >= 0.0) & (pvals <= 1.0))
+        if bad.any():
+            r, i = np.argwhere(bad)[0]
+            raise ValueError(
+                f"p-value out of [0, 1] in replicate {offset + r}, "
+                f"hypothesis {i}: {pvals[r, i]}")
+        masks = {
+            Procedure.HOLM: batch_stepdown(Procedure.WHP, pvals, 1.0, config.alpha),
+            Procedure.WHP: batch_stepdown(Procedure.WHP, pvals, weights, config.alpha),
+            Procedure.WAP: batch_stepdown(Procedure.WAP, pvals, weights, config.alpha),
+        }
+        wap_only = masks[Procedure.WAP] & ~masks[Procedure.WHP]
+        if wap_only.any():
+            r = int(np.argmax(wap_only.any(axis=1)))
+            raise RuntimeError(
+                f"WAP rejected a hypothesis WHP kept in replicate {offset + r}: "
+                f"{np.flatnonzero(wap_only[r]).tolist()}")
+        for proc, mask in masks.items():
+            familywise[proc] += int(mask[:, :m0].any(axis=1).sum())
+            power_sum = power_sums[proc]
+            if m1:
+                for k in mask[:, m0:].sum(axis=1).tolist():
+                    power_sum += k / m1
+            power_sums[proc] = power_sum
+        offset += len(pvals)
 
     records = {}
     for proc in Procedure:
-        mask = masks[proc]
-        fwer = int(mask[:, :m0].any(axis=1).sum()) / reps
-        # summed in replicate order as Python floats, so the result does not
-        # depend on numpy's pairwise summation
-        power_sum = 0.0
-        if m1:
-            for k in mask[:, m0:].sum(axis=1).tolist():
-                power_sum += k / m1
-        power = power_sum / reps
+        fwer = familywise[proc] / reps
+        power = power_sums[proc] / reps
         records[proc] = CellRecord(
             procedure=proc,
             fwer=fwer,

@@ -118,11 +118,10 @@ def batch_stepdown(procedure: Procedure, p, w, alpha: float) -> np.ndarray:
         perm = np.argsort(p, axis=1, kind="stable")
     else:
         raise ValueError(f"batch_stepdown decides WHP or WAP, got {procedure}")
-    w_ranked = np.take_along_axis(w, perm, axis=1)
-    tails = np.cumsum(w_ranked[:, ::-1], axis=1)[:, ::-1]
-    passed = np.take_along_axis(tilde, perm, axis=1) * tails <= alpha
+    rows = np.arange(p.shape[0])[:, None]
+    tails = np.cumsum(w[rows, perm][:, ::-1], axis=1)[:, ::-1]
+    passed = tilde[rows, perm] * tails <= alpha
     # the running max stays at or below alpha only while every rank passes
-    rejected_ranks = np.logical_and.accumulate(passed, axis=1)
-    mask = np.empty_like(rejected_ranks)
-    np.put_along_axis(mask, perm, rejected_ranks, axis=1)
+    mask = np.empty_like(passed)
+    mask[rows, perm] = np.logical_and.accumulate(passed, axis=1)
     return mask

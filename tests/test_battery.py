@@ -1,3 +1,4 @@
+from wholm import battery
 from wholm.battery import PROPERTIES, check_properties
 from wholm.closure import random_corpus
 
@@ -9,3 +10,23 @@ def test_every_property_holds_up_to_ten_hypotheses():
             for r in check_properties(corpus)] == [
         (name, True, "0 violations over 500 problems", None)
         for name, _ in PROPERTIES]
+
+
+def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
+    # Each size group spans two stacks.  The first violating problem has
+    # m = 5 and comes before every m = 2 problem, so a runner that visited
+    # its groups in order of size would name another.
+    corpus = random_corpus(600, seed=5, m_max=8)
+    violating = [i for i, problem in enumerate(corpus) if problem.m in (2, 5)]
+    assert corpus[violating[0]].m == 5
+    assert sum(problem.m == 5 for problem in corpus) > battery.PROPERTY_STACK_ROWS
+    monkeypatch.setattr(battery, "consonance_witness",
+                        lambda covered, m: 1 if m in (2, 5) else None)
+    results = {r.name: r for r in check_properties(corpus)}
+    for name in ("consonance-whp", "consonance-wap"):
+        assert not results[name].passed
+        assert results[name].detail == (
+            f"{len(violating)} violations over 600 problems")
+        assert results[name].witness is corpus[violating[0]]
+    assert [name for name, r in results.items() if not r.passed] == [
+        "consonance-whp", "consonance-wap"]

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from wholm import MonotonicityReport, battery
+from wholm import battery
 from wholm.closure import random_corpus
 from wholm.cli import main
 
@@ -267,9 +267,12 @@ class TestCheck:
 
     def test_failure_exits_3_and_prints_the_first_witness(self, monkeypatch,
                                                           capsys):
-        monkeypatch.setattr(battery, "check_monotonicity_condition",
-                            lambda problem, procedure:
-                            MonotonicityReport(holds=problem.m < 3))
+        # the stacked monotonicity property: one counterexample (or None)
+        # per problem of a stack of same-size problems
+        monkeypatch.setattr(battery, "monotonicity_counterexamples",
+                            lambda stack, procedure, table:
+                            [None if stack.m < 3 else (3, 1, 0, 1.0, 0.5)]
+                            * len(stack.p))
         assert main(["check", "--trials", "50", "--seed", "3"]) == 3
         out = capsys.readouterr().out.splitlines()
         corpus = random_corpus(50, seed=3)

@@ -1,11 +1,17 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from test_procedures import BOUNDARY_CORPUS
 from wholm import (ConsonanceReport, Procedure, check_consonance,
                    check_monotonicity_condition, ctp,
                    find_pvalue_monotonicity_violation, validate_problem,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
-from wholm.closure import CapacityError, random_corpus, random_problem
+from wholm.closure import (CapacityError, ProblemStack, accepted_table, close,
+                           closed_rejections, consonance_witness,
+                           monotonicity_counterexamples, random_corpus,
+                           random_problem, ranking, subset_table)
 
 
 def mask_of(*indices):
@@ -136,6 +142,14 @@ class TestLocalTests:
         with pytest.raises(ValueError):
             whp_local_test(divergent_problem, 0)
 
+    def test_empty_mask_array_gives_empty_decisions(self, divergent_problem):
+        for local_test in (whp_local_test, wap_local_test):
+            for masks in (np.array([], dtype=np.int64),
+                          np.zeros((2, 0), dtype=np.int64)):
+                decisions = local_test(divergent_problem, masks)
+                assert decisions.dtype == bool
+                assert decisions.shape == masks.shape
+
 
 class TestCtp:
     def test_divergent_example(self, divergent_problem):
@@ -259,6 +273,100 @@ class TestMonotonicityCondition:
                                 [1.0] * 13, 0.05)
         with pytest.raises(CapacityError, match="12"):
             check_monotonicity_condition(prob, Procedure.WHP)
+
+
+def _tied_corpus(count, seed):
+    """Seeded problems with m 1..10, tied and zero p-values, tied weights and
+    alphas mixed within each size."""
+    gen = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        m = int(gen.integers(1, 11))
+        p = gen.choice([0.0, 0.004, 0.01, 0.02, 0.05, gen.uniform()], size=m)
+        w = gen.choice([0.5, 1.0, 2.0, gen.uniform(0.1, 10.0)], size=m)
+        alpha = float(gen.choice([0.01, 0.05, 0.1]))
+        problems.append(validate_problem([f"H{i}" for i in range(m)], p, w,
+                                         alpha))
+    return problems
+
+
+def _stacked(problems):
+    """Per problem: the WHP and WAP closed rejections, consonance witnesses
+    and monotonicity counterexamples, each problem in one stack with every
+    other problem of its size."""
+    groups = defaultdict(list)
+    for index, problem in enumerate(problems):
+        groups[problem.m].append(index)
+    out = [[] for _ in problems]
+    for indices in groups.values():
+        stack = ProblemStack.of([problems[i] for i in indices])
+        for procedure in (Procedure.WHP, Procedure.WAP):
+            table = subset_table(stack, ranking(procedure))
+            covered = close(accepted_table(stack, table))
+            found = monotonicity_counterexamples(stack, procedure, table)
+            for row, index in enumerate(indices):
+                out[index] += [closed_rejections(covered[row], stack.m),
+                               consonance_witness(covered[row], stack.m),
+                               found[row]]
+    return out
+
+
+def _one_by_one(problem):
+    out = []
+    for procedure, test in ((Procedure.WHP, whp_local_test),
+                            (Procedure.WAP, wap_local_test)):
+        out += [ctp(problem, test).elementary_rejections.rejected,
+                check_consonance(problem, test).violating_subset,
+                check_monotonicity_condition(problem, procedure).counterexample]
+    return out
+
+
+class TestStacks:
+    @pytest.mark.parametrize("corpus", [
+        BOUNDARY_CORPUS, _tied_corpus(800, seed=61),
+        random_corpus(300, seed=62, m_max=10)],
+        ids=["exact-boundary", "ties-and-zeros", "random"])
+    def test_stacks_equal_the_one_problem_functions(self, corpus):
+        for problem, row in zip(corpus, _stacked(corpus)):
+            assert row == _one_by_one(problem), problem
+            assert row[0] == whp_stepdown(problem).rejected, problem
+            assert row[3] == wap_stepdown(problem).rejected, problem
+
+    def test_mixed_alphas_in_one_stack(self):
+        corpus = _tied_corpus(400, seed=63)
+        sizes = defaultdict(set)
+        for problem in corpus:
+            sizes[problem.m].add(problem.alpha)
+        assert all(len(alphas) == 3 for alphas in sizes.values())
+        assert _stacked(corpus) == [_one_by_one(problem) for problem in corpus]
+
+    def test_counterexample_is_the_first_in_search_order(self):
+        # totals drawn at random break monotonicity often; the stacked search
+        # must name each row's first single-removal violation, in the order
+        # removed hypothesis, then I, then i
+        gen = np.random.default_rng(64)
+        m, rows = 4, 40
+        stack = ProblemStack(gen.uniform(size=(rows, m)),
+                             gen.uniform(0.5, 2.0, size=(rows, m)),
+                             np.full(rows, 0.05))
+        total = gen.uniform(0.5, 8.0, size=(rows, (1 << m) - 1))
+        first = np.zeros(total.shape, dtype=np.intp)
+        found = monotonicity_counterexamples(stack, Procedure.WHP,
+                                             (total, first))
+        for r in range(rows):
+            def share(mask, i):
+                if not mask >> i & 1:
+                    return np.inf
+                return stack.w[r, i] * 0.05 / total[r, mask - 1]
+            expected = next(((big, big ^ 1 << j, i, share(big, i),
+                              share(big ^ 1 << j, i))
+                             for j in range(m) for big in range(1 << m)
+                             if big >> j & 1 and big != 1 << j
+                             for i in range(m)
+                             if share(big, i) > share(big ^ 1 << j, i)),
+                            None)
+            assert found[r] == expected
+        assert sum(f is not None for f in found) > rows // 2
 
 
 class TestPvalueMonotonicitySearch:

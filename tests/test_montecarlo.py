@@ -13,6 +13,14 @@ from wholm import montecarlo
 from wholm.montecarlo import _lfc_whp_batch
 
 
+def _draw_cell(config):
+    """The whole cell's weights and t statistics, and the redraw count."""
+    blocks = list(montecarlo._draw_blocks(config))
+    return (np.concatenate([w for w, _, _ in blocks]),
+            np.concatenate([t for _, t, _ in blocks]),
+            sum(redrawn for _, _, redrawn in blocks))
+
+
 def t_density(x, df):
     c = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
     return c * (1.0 + x * x / df) ** (-(df + 1) / 2)
@@ -221,7 +229,7 @@ class TestRunSimulation:
         config = SimulationConfig(m=6, pi0=0.5, rho=0.3, n=9, mu_alt=0.7,
                                   alpha=0.05, reps=2 * 256 + 37,
                                   weight_scenario=WeightScenario.S3, seed=81)
-        weights, tstats, resampled = montecarlo._draw_cell(config)
+        weights, tstats, resampled = _draw_cell(config)
         assert resampled == 0
         children = np.random.SeedSequence(81).spawn(3)
         mu = np.array([0.0] * 3 + [0.7] * 3)
@@ -239,7 +247,7 @@ class TestRunSimulation:
 
     def test_cell_is_a_prefix_of_a_longer_cell(self):
         def cell(reps):
-            return montecarlo._draw_cell(SimulationConfig(
+            return _draw_cell(SimulationConfig(
                 m=5, pi0=0.4, rho=0.0, n=15, mu_alt=0.7, alpha=0.05,
                 reps=reps, weight_scenario=WeightScenario.S1, seed=7))
 
@@ -279,6 +287,56 @@ class TestRunSimulation:
                                   weight_scenario=WeightScenario.S2, seed=5)
         with pytest.raises(ValueError, match="replicate 2, hypothesis 1"):
             run_simulation(config)
+
+    # 2 full blocks and a last one of 37 rows
+    BLOCKED = SimulationConfig(m=6, pi0=0.5, rho=0.3, n=9, mu_alt=0.7,
+                               alpha=0.05, reps=2 * 256 + 37,
+                               weight_scenario=WeightScenario.S3, seed=81)
+
+    def test_no_call_sees_more_than_a_block(self, monkeypatch):
+        rows = {"t_sf": [], "batch_stepdown": []}
+
+        def spy(name, real):
+            def call(*args):
+                rows[name].append(len(args[1] if name == "batch_stepdown"
+                                      else args[0]))
+                return real(*args)
+            return call
+
+        for name in rows:
+            monkeypatch.setattr(montecarlo, name,
+                                spy(name, getattr(montecarlo, name)))
+        run_simulation(self.BLOCKED)
+        assert rows == {"t_sf": [256, 256, 37],
+                        "batch_stepdown": [256] * 3 + [256] * 3 + [37] * 3}
+
+    def test_errors_name_the_replicate_in_the_cell(self, monkeypatch):
+        # a bad replicate in row 5 of block 2 is replicate 2 * 256 + 5
+        real_sf, real_stepdown = montecarlo.t_sf, montecarlo.batch_stepdown
+        blocks = []
+
+        def bad_pvalue_in_block_2(t, df):
+            out = real_sf(t, df)
+            blocks.append(len(out))
+            if len(blocks) == 3:
+                out[5, 1] = 1.5
+            return out
+
+        monkeypatch.setattr(montecarlo, "t_sf", bad_pvalue_in_block_2)
+        with pytest.raises(ValueError, match="replicate 517, hypothesis 1: 1.5"):
+            run_simulation(self.BLOCKED)
+
+        def wap_beyond_whp_in_block_2(procedure, p, w, alpha):
+            mask = real_stepdown(procedure, p, w, alpha)
+            if procedure is Procedure.WAP and len(p) == 37:
+                mask[5:] = True
+            return mask
+
+        monkeypatch.setattr(montecarlo, "t_sf", real_sf)
+        monkeypatch.setattr(montecarlo, "batch_stepdown",
+                            wap_beyond_whp_in_block_2)
+        with pytest.raises(RuntimeError, match="replicate 517: "):
+            run_simulation(self.BLOCKED)
 
     def test_zero_variance_sample_redrawn_once(self, monkeypatch):
         real = montecarlo.sample_equicorrelated
