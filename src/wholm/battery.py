@@ -11,10 +11,10 @@ randomized p-value monotonicity searches.
 The corpus is evaluated in stacks: its problems are grouped by m, and each
 group is cut into stacks of at most `PROPERTY_STACK_ROWS` problems.  The
 closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
-`monotonicity-whp`) read one subset table per ranking per stack, built and
-closed for all of the stack's problems at once, and give the same answers
-as `ctp`, `check_consonance` and `check_monotonicity_condition`, which are
-one-row calls of the same code.  The references they are compared with, the
+`monotonicity-whp`) read one `closure.ClosedStack` per procedure per stack,
+built from one subset table and closed for all of the stack's problems at
+once, and give the same answers as `ctp`, `check_consonance` and
+`check_monotonicity_condition`, which are one-row calls of the same code.  The references they are compared with, the
 step-downs, and the graph and adjusted-value claims run per problem.
 Counts and witnesses are reported in corpus order.
 """
@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from typing import Any, List, Sequence
 
 from .adjust import adjusted_wap, adjusted_whp
-from .closure import (ProblemStack, accepted_table, close, closed_rejections,
-                      consonance_witness, find_pvalue_monotonicity_violation,
-                      monotonicity_counterexamples, random_corpus,
-                      subset_table)
+from .closure import (ClosedStack, find_pvalue_monotonicity_violation,
+                      random_corpus)
 from .core import OrderingKey, TestingProblem
 from .graphical import run_graphical
 from .procedures import Procedure, wap_stepdown, whp_stepdown
@@ -66,58 +64,54 @@ def _adjusted_dominance(problem, whp, wap):
 
 
 class _Stack:
-    """Problems of one size with their step-down rejections, and the subset
-    table and closed rows of each ranking (`OrderingKey.WEIGHTED` for WHP,
-    `OrderingKey.RAW` for WAP), built once for all of them."""
+    """Problems of one size with their step-down rejections and their
+    `ClosedStack` under each procedure."""
 
     def __init__(self, problems: Sequence[TestingProblem]):
         self.problems = problems
         self.rejected = {
-            OrderingKey.WEIGHTED: [whp_stepdown(p).rejected for p in problems],
-            OrderingKey.RAW: [wap_stepdown(p).rejected for p in problems]}
-        self.arrays = ProblemStack.of(problems)
-        self.m = self.arrays.m
-        self.tables = {key: subset_table(self.arrays, key) for key in OrderingKey}
-        self.covered = {key: close(accepted_table(self.arrays, table))
-                        for key, table in self.tables.items()}
+            Procedure.WHP: [whp_stepdown(p).rejected for p in problems],
+            Procedure.WAP: [wap_stepdown(p).rejected for p in problems]}
+        self.closed = {procedure: ClosedStack(problems, procedure)
+                       for procedure in self.rejected}
 
 
 def _each(holds):
     """A per-problem claim, holds(problem, WHP rejections, WAP rejections),
     over a stack."""
     return lambda stack: list(map(holds, stack.problems,
-                                  stack.rejected[OrderingKey.WEIGHTED],
-                                  stack.rejected[OrderingKey.RAW]))
+                                  stack.rejected[Procedure.WHP],
+                                  stack.rejected[Procedure.WAP]))
 
 
-def _ctp_equivalence(key):
-    return lambda stack: [closed_rejections(covered, stack.m) == rejected
-                          for covered, rejected in
-                          zip(stack.covered[key], stack.rejected[key])]
+def _ctp_equivalence(procedure):
+    return lambda stack: [closed == rejected for closed, rejected in
+                          zip(stack.closed[procedure].rejections,
+                              stack.rejected[procedure])]
 
 
-def _consonance(key):
-    return lambda stack: [consonance_witness(covered, stack.m) is None
-                          for covered in stack.covered[key]]
+def _consonance(procedure):
+    return lambda stack: [witness is None for witness in
+                          stack.closed[procedure].consonance_witnesses]
 
 
 # (name, holds(stack) -> one bool per problem of the stack).  The lambdas
 # look the library functions up when they run, so a rebound name is the one
 # used.
 PROPERTIES = (
-    ("ctp-equivalence-whp", _ctp_equivalence(OrderingKey.WEIGHTED)),
-    ("ctp-equivalence-wap", _ctp_equivalence(OrderingKey.RAW)),
+    ("ctp-equivalence-whp", _ctp_equivalence(Procedure.WHP)),
+    ("ctp-equivalence-wap", _ctp_equivalence(Procedure.WAP)),
     ("graphical-equivalence-whp", _each(lambda problem, whp, wap:
         run_graphical(problem, OrderingKey.WEIGHTED)[0].rejected == whp)),
     ("graphical-equivalence-wap", _each(lambda problem, whp, wap:
         run_graphical(problem, OrderingKey.RAW)[0].rejected == wap)),
     ("rejection-dominance", _each(lambda problem, whp, wap: wap <= whp)),
     ("adjusted-dominance", _each(_adjusted_dominance)),
-    ("consonance-whp", _consonance(OrderingKey.WEIGHTED)),
-    ("consonance-wap", _consonance(OrderingKey.RAW)),
+    ("consonance-whp", _consonance(Procedure.WHP)),
+    ("consonance-wap", _consonance(Procedure.WAP)),
     ("monotonicity-whp", lambda stack: [
-        found is None for found in monotonicity_counterexamples(
-            stack.arrays, Procedure.WHP, stack.tables[OrderingKey.WEIGHTED])]),
+        found is None for found in
+        stack.closed[Procedure.WHP].monotonicity_counterexamples]),
 )
 
 

@@ -2,13 +2,15 @@
 
 Subsets of {0..m-1} are encoded as bitmasks.  One routine, `_subsets`, tabulates
 every subset a caller asks for under one ranking of the hypotheses: its weight
-total and its member of smallest rank.  It works on a `ProblemStack`, any
-number of problems of one size m held as (P, m) arrays, and gives (P, K)
-tables, one row per problem in that row's own ranking.  Every closed-testing
-entry point reads that table; none walks the subsets in Python.  `ctp`,
-`check_consonance`, `check_monotonicity_condition` and the two local tests are
-one-row calls of the stacked code, and `battery.check_properties` calls it on
-stacks of many problems; the answers are the same either way.
+total and its member of smallest rank.  It works on a stack of problems of one
+size m held as (P, m) arrays and gives (P, K) tables, one row per problem in
+that row's own ranking.  Every closed-testing entry point reads that table;
+none walks the subsets in Python.  `ClosedStack` closes a stack of problems
+under the local test of WHP or WAP and gives, per problem, the closed
+rejections, the consonance witness and the monotonicity counterexample;
+`battery.check_properties` uses it on stacks of many problems.  `ctp`,
+`check_consonance`, `check_monotonicity_condition` and the two local tests
+are one-row calls of the same code, and the answers are the same either way.
 
 A (P, 2^m) accepted table is closed row by row with the superset OR: each row
 is packed into the bits of one int, and pass k ORs every mask holding
@@ -55,7 +57,7 @@ last rank upward in the procedure's own `core.order` ranking:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import (Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -66,6 +68,9 @@ from .procedures import Procedure, wap_stepdown, whp_stepdown
 
 MAX_CTP_HYPOTHESES = 20
 MAX_MONOTONICITY_HYPOTHESES = 12
+# Cells of a (P, m, chunk) temporary of the rank-by-rank subset sums: about
+# 17 MB of membership, products and running sums at 2^20.
+_RANK_PASS_CELLS = 1 << 20
 
 
 LocalTest = Callable[[TestingProblem, Union[int, np.ndarray]],
@@ -95,7 +100,7 @@ class MonotonicityReport:
     counterexample: Optional[Tuple[int, int, int, float, float]] = None
 
 
-class ProblemStack(NamedTuple):
+class _Stack(NamedTuple):
     """Problems of one size m as arrays, one problem per row: (P, m)
     p-values and weights, and (P,) alphas."""
 
@@ -104,9 +109,7 @@ class ProblemStack(NamedTuple):
     alpha: np.ndarray
 
     @classmethod
-    def of(cls, problems: Sequence[TestingProblem]) -> "ProblemStack":
-        if len({problem.m for problem in problems}) != 1:
-            raise ValueError("a stack holds one or more problems of one size")
+    def of(cls, problems: Sequence[TestingProblem]) -> "_Stack":
         return cls(np.array([problem.p for problem in problems]),
                    np.array([problem.w for problem in problems]),
                    np.array([problem.alpha for problem in problems]))
@@ -116,7 +119,7 @@ class ProblemStack(NamedTuple):
         return self.p.shape[1]
 
 
-def _subsets(stack: ProblemStack, masks: np.ndarray, key: OrderingKey):
+def _subsets(stack: _Stack, masks: np.ndarray, key: OrderingKey):
     """Weight totals and first-ranked members of the subsets in `masks` (a
     1-D int array shared by every row of `stack`), as two (P, K) arrays.
 
@@ -125,29 +128,47 @@ def _subsets(stack: ProblemStack, masks: np.ndarray, key: OrderingKey):
     step-downs rank them, and sums every total from its last rank upward,
     starting at 0.0: the order in which its step-down sums its tails.  Two
     ways give the same sums.  When the masks are many against the 2^m
-    subsets, all 2^m totals are built by doubling (`_all_subsets`) and the
-    masks are read from them; otherwise one pass per rank, from the last
-    upward, adds its weight to the masks that hold its member.
+    subsets (and m is within `MAX_CTP_HYPOTHESES`), all 2^m totals are built
+    by doubling (`_all_subsets`), about 2^m adds per row, and the masks are
+    read from them.  Otherwise each mask adds the weights of its members
+    rank by rank (`_ranked_sums`), about K * m adds per row, the only way
+    for masks wider than 64 bits.
     """
     p, w, _ = stack
-    rows = np.arange(p.shape[0])[:, None]
+    m = stack.m
     perm = np.argsort(p / w if key is OrderingKey.WEIGHTED else p, axis=1,
                       kind="stable")
+    rows = np.arange(p.shape[0])[:, None]
     ranked_w = w[rows, perm]
-    if masks.size * stack.m >= 1 << stack.m:
-        total, first, code = _all_subsets(perm, ranked_w)
-        code = code[:, masks]
-        return total[rows, code], first[rows, code]
-    # each row's members in rank order as one-bit masks (Python ints for
-    # masks wider than 64 bits)
-    bits = np.ones(perm.shape, dtype=masks.dtype) << perm
-    total = np.zeros((p.shape[0], masks.size))
-    first = np.zeros((p.shape[0], masks.size), dtype=np.intp)
-    has = np.empty(total.shape, dtype=bool)
-    for r in range(stack.m - 1, -1, -1):
-        np.not_equal(masks & bits[:, r:r + 1], 0, out=has)
-        np.add(total, ranked_w[:, r:r + 1], out=total, where=has)
-        np.copyto(first, perm[:, r:r + 1], where=has)
+    if m > MAX_CTP_HYPOTHESES or masks.size * m < 1 << m:
+        return _ranked_sums(perm, ranked_w, masks)
+    total, first, code = _all_subsets(perm, ranked_w)
+    code = code[:, masks]
+    return total[rows, code], first[rows, code]
+
+
+def _ranked_sums(perm: np.ndarray, ranked_w: np.ndarray, masks: np.ndarray):
+    """`_subsets` one rank at a time: the running sums of each mask's
+    weights from the last rank upward (a rank the mask lacks adds 0.0), and
+    its member of smallest rank.  The masks are taken in chunks, so that the
+    (P, m, chunk) temporaries stay within `_RANK_PASS_CELLS` cells."""
+    count = perm.shape[0]
+    rows = np.arange(count)[:, None]
+    # one-bit masks of each row's members from the last rank upward (Python
+    # ints for masks wider than 64 bits)
+    bits = (np.ones(perm.shape, dtype=masks.dtype) << perm[:, ::-1])[:, :, None]
+    weights = ranked_w[:, ::-1, None]
+    total = np.empty((count, masks.size))
+    first = np.empty((count, masks.size), dtype=np.intp)
+    step = max(1, _RANK_PASS_CELLS // perm.size)
+    for start in range(0, masks.size, step):
+        # has[row, j, k]: mask k holds the row's member at rank m-1-j; True
+        # times a weight is the weight and False times it is 0.0
+        has = masks[start:start + step] & bits != 0
+        total[:, start:start + step] = np.add.accumulate(has * weights,
+                                                         axis=1)[:, -1]
+        first[:, start:start + step] = perm[rows,
+                                            np.argmax(has[:, ::-1], axis=1)]
     return total, first
 
 
@@ -183,13 +204,11 @@ def _all_subsets(perm: np.ndarray, ranked_w: np.ndarray):
     return total, first, code
 
 
-def _rejects(stack: ProblemStack, total: np.ndarray,
-             first: np.ndarray) -> np.ndarray:
+def _rejects(stack: _Stack, total: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Both local tests' rule: the first-ranked member's (p/w) * total is at
     most alpha."""
-    tilde = stack.p / stack.w
     rows = np.arange(first.shape[0])[:, None]
-    return tilde[rows, first] * total <= stack.alpha[:, None]
+    return (stack.p / stack.w)[rows, first] * total <= stack.alpha[:, None]
 
 
 def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
@@ -200,7 +219,7 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
     if masks.min() <= 0 or int(masks.max()) >> problem.m:
         raise ValueError("intersection must be a nonempty subset of the "
                          f"{problem.m} hypotheses")
-    stack = ProblemStack.of([problem])
+    stack = _Stack.of([problem])
     rejected = _rejects(stack, *_subsets(stack, masks.reshape(-1), key))
     return rejected.reshape(masks.shape)[()]
 
@@ -229,7 +248,7 @@ def _check_ctp_size(m: int) -> None:
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
 
 
-def subset_table(stack: ProblemStack, key: OrderingKey):
+def _subset_table(stack: _Stack, key: OrderingKey):
     """`_subsets` of every nonempty mask under one ranking: column I - 1 of
     the (P, 2^m - 1) totals and first-ranked members holds mask I."""
     _check_ctp_size(stack.m)
@@ -243,12 +262,6 @@ def _accepted_rows(rejected: np.ndarray) -> np.ndarray:
     accepted = np.ones((rejected.shape[0], rejected.shape[1] + 1), dtype=bool)
     np.logical_not(rejected, out=accepted[:, 1:])
     return accepted
-
-
-def accepted_table(stack: ProblemStack, table) -> np.ndarray:
-    """The (P, 2^m) accepted table of the built-in local test whose ranking
-    `table` (from `subset_table`) was built under."""
-    return _accepted_rows(_rejects(stack, *table))
 
 
 def _accepted(problem: TestingProblem, local_test: LocalTest) -> np.ndarray:
@@ -275,7 +288,7 @@ def _bit_clear(m: int) -> Tuple[int, ...]:
     return tuple(clear)
 
 
-def close(accepted: np.ndarray) -> List[int]:
+def _close(accepted: np.ndarray) -> List[int]:
     """Close each row of a (P, 2^m) accepted table: an int per row whose bit
     I is set iff the row has a locally accepted superset of mask I.
 
@@ -292,17 +305,17 @@ def close(accepted: np.ndarray) -> List[int]:
     return covered
 
 
-def closed_rejections(covered: int, m: int) -> frozenset:
+def _closed_rejections(covered: int, m: int) -> frozenset:
     """The elementary rejections of one closed row: hypothesis i is rejected
     iff no locally accepted subset holds it, iff {i} is not covered."""
     return frozenset(i for i in range(m) if not covered >> (1 << i) & 1)
 
 
-def consonance_witness(covered: int, m: int) -> Optional[int]:
+def _consonance_witness(covered: int, m: int) -> Optional[int]:
     """The smallest CTP-rejected mask of one closed row that holds no
     elementary rejection, or None where the row is consonant."""
     violating = ~covered & (1 << (1 << m)) - 1
-    for i in closed_rejections(covered, m):
+    for i in _closed_rejections(covered, m):
         violating &= _bit_clear(m)[i]
     return (violating & -violating).bit_length() - 1 if violating else None
 
@@ -315,7 +328,7 @@ def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
     """
     accepted = _accepted(problem, local_test)
     decisions = dict(enumerate((~accepted[0, 1:]).tolist(), start=1))
-    rejected = closed_rejections(*close(accepted), problem.m)
+    rejected = _closed_rejections(*_close(accepted), problem.m)
     trace = tuple((step, i, problem.alpha)
                   for step, i in enumerate(sorted(rejected), start=1))
     return CtpReport(local_decisions=decisions,
@@ -330,8 +343,8 @@ def check_consonance(problem: TestingProblem,
     The witness is the smallest CTP-rejected mask holding no elementary
     rejection.
     """
-    witness = consonance_witness(*close(_accepted(problem, local_test)),
-                                 problem.m)
+    witness = _consonance_witness(*_close(_accepted(problem, local_test)),
+                                  problem.m)
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
@@ -342,7 +355,7 @@ def _check_monotonicity_size(m: int) -> None:
             f" hypotheses, got {m}")
 
 
-def ranking(procedure: Procedure) -> OrderingKey:
+def _ranking(procedure: Procedure) -> OrderingKey:
     """The ranking of WHP (p/w) or WAP (raw p)."""
     if procedure is Procedure.WHP:
         return OrderingKey.WEIGHTED
@@ -351,11 +364,11 @@ def ranking(procedure: Procedure) -> OrderingKey:
     raise ValueError(f"no intersection shares defined for {procedure}")
 
 
-def _intersection_shares(stack: ProblemStack, procedure: Procedure,
+def _intersection_shares(stack: _Stack, procedure: Procedure,
                          table) -> np.ndarray:
     """alpha_i(I) for every subset I of every row, as a (P, 2^m, m) array
-    with +inf outside I; `table` is the `subset_table` under the procedure's
-    ranking.
+    with +inf outside I; `table` is the `_subset_table` under the
+    procedure's ranking.
 
     WHP gives every member its weight share of alpha.  WAP assigns the whole
     intersection budget to the member with the smallest raw p-value (ties to
@@ -377,12 +390,12 @@ def _intersection_shares(stack: ProblemStack, procedure: Procedure,
     return shares
 
 
-def monotonicity_counterexamples(stack: ProblemStack, procedure: Procedure,
-                                 table) -> List[Optional[Tuple]]:
+def _counterexamples(stack: _Stack, procedure: Procedure,
+                     table) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
     J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
-    where the condition holds.  `table` is the `subset_table` under the
-    procedure's ranking (see `ranking`).
+    where the condition holds.  `table` is the `_subset_table` under the
+    procedure's ranking.
 
     Only single-element removals are compared: any nested pair J subset of I
     is connected by a chain of such removals, so the reduced check is
@@ -412,12 +425,46 @@ def monotonicity_counterexamples(stack: ProblemStack, procedure: Procedure,
 def check_monotonicity_condition(problem: TestingProblem,
                                  procedure: Procedure) -> MonotonicityReport:
     """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
-    (see `monotonicity_counterexamples`)."""
+    (see `_counterexamples`)."""
     _check_monotonicity_size(problem.m)
-    stack = ProblemStack.of([problem])
-    [found] = monotonicity_counterexamples(
-        stack, procedure, subset_table(stack, ranking(procedure)))
+    stack = _Stack.of([problem])
+    [found] = _counterexamples(stack, procedure,
+                               _subset_table(stack, _ranking(procedure)))
     return MonotonicityReport(holds=found is None, counterexample=found)
+
+
+class ClosedStack:
+    """Closed testing of problems of one size under the local test of WHP
+    (`whp_local_test`) or of WAP (`wap_local_test`), for all of them at once
+    from one subset table.  Each attribute holds one entry per problem, in
+    the order given, equal to what the one-problem function returns for it:
+
+    - `rejections`: the closed elementary rejections, as
+      `ctp(problem, local_test).elementary_rejections.rejected`;
+    - `consonance_witnesses`: the smallest CTP-rejected mask holding no
+      elementary rejection, or None, as
+      `check_consonance(problem, local_test).violating_subset`;
+    - `monotonicity_counterexamples`: as
+      `check_monotonicity_condition(problem, procedure).counterexample`,
+      worked out when first read.
+    """
+
+    def __init__(self, problems: Sequence[TestingProblem],
+                 procedure: Procedure):
+        if len({problem.m for problem in problems}) != 1:
+            raise ValueError("a stack holds one or more problems of one size")
+        self.procedure = procedure
+        self.m = problems[0].m
+        self._stack = _Stack.of(problems)
+        self._table = _subset_table(self._stack, _ranking(procedure))
+        covered = _close(_accepted_rows(_rejects(self._stack, *self._table)))
+        self.rejections = [_closed_rejections(row, self.m) for row in covered]
+        self.consonance_witnesses = [_consonance_witness(row, self.m)
+                                     for row in covered]
+
+    @cached_property
+    def monotonicity_counterexamples(self) -> List[Optional[Tuple]]:
+        return _counterexamples(self._stack, self.procedure, self._table)
 
 
 def random_problem(gen: np.random.Generator, m: int, alpha: float = 0.05,

@@ -1,6 +1,6 @@
 from wholm import battery
 from wholm.battery import PROPERTIES, check_properties
-from wholm.closure import random_corpus
+from wholm.closure import ClosedStack, random_corpus
 
 
 def test_every_property_holds_up_to_ten_hypotheses():
@@ -20,8 +20,13 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     violating = [i for i, problem in enumerate(corpus) if problem.m in (2, 5)]
     assert corpus[violating[0]].m == 5
     assert sum(problem.m == 5 for problem in corpus) > battery.PROPERTY_STACK_ROWS
-    monkeypatch.setattr(battery, "consonance_witness",
-                        lambda covered, m: 1 if m in (2, 5) else None)
+    class Failing(ClosedStack):
+        def __init__(self, problems, procedure):
+            super().__init__(problems, procedure)
+            if self.m in (2, 5):
+                self.consonance_witnesses = [1] * len(problems)
+
+    monkeypatch.setattr(battery, "ClosedStack", Failing)
     results = {r.name: r for r in check_properties(corpus)}
     for name in ("consonance-whp", "consonance-wap"):
         assert not results[name].passed

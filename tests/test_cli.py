@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from wholm import battery
-from wholm.closure import random_corpus
+from wholm.closure import ClosedStack, random_corpus
 from wholm.cli import main
 
 PROBLEM_CSV = """hypothesis,p_value,weight
@@ -269,10 +269,13 @@ class TestCheck:
                                                           capsys):
         # the stacked monotonicity property: one counterexample (or None)
         # per problem of a stack of same-size problems
-        monkeypatch.setattr(battery, "monotonicity_counterexamples",
-                            lambda stack, procedure, table:
-                            [None if stack.m < 3 else (3, 1, 0, 1.0, 0.5)]
-                            * len(stack.p))
+        class Failing(ClosedStack):
+            @property
+            def monotonicity_counterexamples(self):
+                return ([None if self.m < 3 else (3, 1, 0, 1.0, 0.5)]
+                        * len(self.rejections))
+
+        monkeypatch.setattr(battery, "ClosedStack", Failing)
         assert main(["check", "--trials", "50", "--seed", "3"]) == 3
         out = capsys.readouterr().out.splitlines()
         corpus = random_corpus(50, seed=3)

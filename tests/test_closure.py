@@ -8,10 +8,9 @@ from wholm import (ConsonanceReport, Procedure, check_consonance,
                    check_monotonicity_condition, ctp,
                    find_pvalue_monotonicity_violation, validate_problem,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
-from wholm.closure import (CapacityError, ProblemStack, accepted_table, close,
-                           closed_rejections, consonance_witness,
-                           monotonicity_counterexamples, random_corpus,
-                           random_problem, ranking, subset_table)
+from wholm import closure
+from wholm.closure import (CapacityError, ClosedStack, random_corpus,
+                           random_problem)
 
 
 def mask_of(*indices):
@@ -127,6 +126,27 @@ class TestLocalTests:
         decisions = [(whp_local_test(prob, k), wap_local_test(prob, k))
                      for k in masks]
         assert decisions == [_per_mask(prob, k) for k in masks]
+        assert len(set(decisions)) > 1
+
+    def test_many_masks_above_the_ctp_cap_take_the_per_rank_pass(
+            self, monkeypatch):
+        # K * m >= 2^m, which would tabulate all 2^m subsets at m <= 20; at
+        # m = 21 the decisions come from one pass per rank instead
+        def no_table(*args):
+            raise AssertionError("all 2^m subsets tabulated")
+        monkeypatch.setattr(closure, "_all_subsets", no_table)
+        # and in chunks of 1,000 masks
+        monkeypatch.setattr(closure, "_RANK_PASS_CELLS", 21 * 1000)
+        gen = np.random.default_rng(21)
+        prob = random_problem(gen, 21)
+        prob = validate_problem(prob.labels, np.array(prob.p) * 0.05, prob.w,
+                                prob.alpha)
+        masks = gen.integers(1, 1 << 21, size=100_000)
+        assert masks.size * 21 >= 1 << 21
+        whp, wap = whp_local_test(prob, masks), wap_local_test(prob, masks)
+        sample = gen.choice(masks.size, size=40, replace=False)
+        decisions = [(whp[k], wap[k]) for k in sample]
+        assert decisions == [_per_mask(prob, int(masks[k])) for k in sample]
         assert len(set(decisions)) > 1
 
     def test_mask_outside_the_hypotheses_raises(self, divergent_problem):
@@ -299,15 +319,12 @@ def _stacked(problems):
         groups[problem.m].append(index)
     out = [[] for _ in problems]
     for indices in groups.values():
-        stack = ProblemStack.of([problems[i] for i in indices])
         for procedure in (Procedure.WHP, Procedure.WAP):
-            table = subset_table(stack, ranking(procedure))
-            covered = close(accepted_table(stack, table))
-            found = monotonicity_counterexamples(stack, procedure, table)
-            for row, index in enumerate(indices):
-                out[index] += [closed_rejections(covered[row], stack.m),
-                               consonance_witness(covered[row], stack.m),
-                               found[row]]
+            closed = ClosedStack([problems[i] for i in indices], procedure)
+            for index, *row in zip(indices, closed.rejections,
+                                   closed.consonance_witnesses,
+                                   closed.monotonicity_counterexamples):
+                out[index] += row
     return out
 
 
@@ -332,6 +349,11 @@ class TestStacks:
             assert row[0] == whp_stepdown(problem).rejected, problem
             assert row[3] == wap_stepdown(problem).rejected, problem
 
+    def test_a_stack_holds_one_size(self):
+        corpus = random_corpus(50, seed=65)
+        with pytest.raises(ValueError, match="one size"):
+            ClosedStack(corpus, Procedure.WHP)
+
     def test_mixed_alphas_in_one_stack(self):
         corpus = _tied_corpus(400, seed=63)
         sizes = defaultdict(set)
@@ -346,13 +368,12 @@ class TestStacks:
         # removed hypothesis, then I, then i
         gen = np.random.default_rng(64)
         m, rows = 4, 40
-        stack = ProblemStack(gen.uniform(size=(rows, m)),
-                             gen.uniform(0.5, 2.0, size=(rows, m)),
-                             np.full(rows, 0.05))
+        stack = closure._Stack(gen.uniform(size=(rows, m)),
+                               gen.uniform(0.5, 2.0, size=(rows, m)),
+                               np.full(rows, 0.05))
         total = gen.uniform(0.5, 8.0, size=(rows, (1 << m) - 1))
         first = np.zeros(total.shape, dtype=np.intp)
-        found = monotonicity_counterexamples(stack, Procedure.WHP,
-                                             (total, first))
+        found = closure._counterexamples(stack, Procedure.WHP, (total, first))
         for r in range(rows):
             def share(mask, i):
                 if not mask >> i & 1:
