@@ -12,11 +12,11 @@ rejections, the consonance witness and the monotonicity counterexample;
 `check_consonance`, `check_monotonicity_condition` and the two local tests
 are one-row calls of the same code, and the answers are the same either way.
 
-A (P, 2^m) accepted table is closed row by row with the superset OR: each row
-is packed into the bits of one int, and pass k ORs every mask holding
-hypothesis k into the same mask without it, so bit I ends up set iff some
-locally accepted subset contains I.  Hypothesis i is rejected by the closed
-procedure iff bit {i} is clear.
+The local decisions of a stack, a (P, 2^m - 1) table, are closed row by row
+with the superset OR: the accepted masks of a row are packed into the bits of
+one int, and pass k ORs every mask holding hypothesis k into the same mask
+without it, so bit I ends up set iff some locally accepted subset contains I.
+Hypothesis i is rejected by the closed procedure iff bit {i} is clear.
 
 The two local tests are the weighted Bonferroni tests behind the step-downs,
 written in the step-downs' one rule: the first-ranked member's value is
@@ -190,14 +190,13 @@ def _all_subsets(perm: np.ndarray, ranked_w: np.ndarray):
     # Step q adds the weight at rank m-1-q to the totals of codes below 2^q,
     # and hypothesis q's code bit to the codes of index masks below 2^q (the
     # masks in [2^q, 2^(q+1)) hold q).  Codes are below 2^m and so exact in
-    # float64; both tables take one add per step.
-    steps = np.empty((m, 2, count, 1))
-    steps[:, 0, :, 0] = ranked_w[:, ::-1].T
-    steps[:, 1, :, 0] = code_bit.T
-    table = np.zeros((2, count, 1 << m))
+    # float64; the totals (rows below `count`) and the codes (rows from
+    # `count`) take one add per step together.
+    steps = np.concatenate([ranked_w[:, ::-1], code_bit]).T[:, :, None]
+    table = np.zeros((2 * count, 1 << m))
     for q, step in enumerate(steps):
-        np.add(table[:, :, :1 << q], step, table[:, :, 1 << q:2 << q])
-    total, code = table[0], table[1].astype(np.intp)
+        np.add(table[:, :1 << q], step, out=table[:, 1 << q:2 << q])
+    total, code = table[:count], table[count:].astype(np.intp)
     counts = 1 << np.arange(m)
     counts[0] = 2
     first = np.repeat(perm[:, ::-1], counts, axis=1)
@@ -255,21 +254,13 @@ def _subset_table(stack: _Stack, key: OrderingKey):
     return _subsets(stack, np.arange(1, 1 << stack.m), key)
 
 
-def _accepted_rows(rejected: np.ndarray) -> np.ndarray:
-    """accepted[r, I] for every mask I in 0..2^m-1, from the local decisions
-    of the nonempty masks.  The empty set counts as accepted; it is contained
-    only in itself, so it changes no closure."""
-    accepted = np.ones((rejected.shape[0], rejected.shape[1] + 1), dtype=bool)
-    np.logical_not(rejected, out=accepted[:, 1:])
-    return accepted
-
-
-def _accepted(problem: TestingProblem, local_test: LocalTest) -> np.ndarray:
-    """The one-row accepted table of `local_test`, from one call on every
-    nonempty mask."""
+def _local_rejections(problem: TestingProblem,
+                      local_test: LocalTest) -> np.ndarray:
+    """The one-row table of `local_test`'s decisions on every nonempty mask,
+    from one call: column I - 1 holds mask I."""
     _check_ctp_size(problem.m)
     rejected = local_test(problem, np.arange(1, 1 << problem.m))
-    return _accepted_rows(np.asarray(rejected, dtype=bool)[None, :])
+    return np.asarray(rejected, dtype=bool)[None, :]
 
 
 @lru_cache(maxsize=None)
@@ -288,17 +279,22 @@ def _bit_clear(m: int) -> Tuple[int, ...]:
     return tuple(clear)
 
 
-def _close(accepted: np.ndarray) -> List[int]:
-    """Close each row of a (P, 2^m) accepted table: an int per row whose bit
-    I is set iff the row has a locally accepted superset of mask I.
+def _close(rejected: np.ndarray) -> List[int]:
+    """Close each row of a (P, 2^m - 1) table of local rejections of the
+    nonempty masks: an int per row whose bit I is set iff the row has a
+    locally accepted superset of mask I.
 
-    A row is packed into the bits of one int; pass k ORs each mask with bit
-    k set into the same mask with bit k clear.
+    A row's accepted masks are packed into the bits of one int, with the
+    empty mask counted as accepted (it is contained only in itself, so it
+    changes no closure); pass k ORs each mask with bit k set into the same
+    mask with bit k clear.
     """
-    clear = _bit_clear(accepted.shape[1].bit_length() - 1)
+    m = rejected.shape[1].bit_length()
+    clear = _bit_clear(m)
+    every = (1 << (1 << m)) - 1
     covered = []
-    for row in np.packbits(accepted, axis=1, bitorder="little"):
-        bits = int.from_bytes(row.tobytes(), "little")
+    for row in np.packbits(rejected, axis=1, bitorder="little"):
+        bits = (~int.from_bytes(row.tobytes(), "little") << 1 | 1) & every
         for k, kept in enumerate(clear):
             bits |= (bits >> (1 << k)) & kept
         covered.append(bits)
@@ -326,9 +322,9 @@ def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
     An elementary hypothesis is rejected iff every subset containing it is
     locally rejected, that is iff no locally accepted subset holds it.
     """
-    accepted = _accepted(problem, local_test)
-    decisions = dict(enumerate((~accepted[0, 1:]).tolist(), start=1))
-    rejected = _closed_rejections(*_close(accepted), problem.m)
+    local = _local_rejections(problem, local_test)
+    decisions = dict(enumerate(local[0].tolist(), start=1))
+    rejected = _closed_rejections(*_close(local), problem.m)
     trace = tuple((step, i, problem.alpha)
                   for step, i in enumerate(sorted(rejected), start=1))
     return CtpReport(local_decisions=decisions,
@@ -343,8 +339,8 @@ def check_consonance(problem: TestingProblem,
     The witness is the smallest CTP-rejected mask holding no elementary
     rejection.
     """
-    witness = _consonance_witness(*_close(_accepted(problem, local_test)),
-                                  problem.m)
+    witness = _consonance_witness(
+        *_close(_local_rejections(problem, local_test)), problem.m)
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
@@ -457,7 +453,7 @@ class ClosedStack:
         self.m = problems[0].m
         self._stack = _Stack.of(problems)
         self._table = _subset_table(self._stack, _ranking(procedure))
-        covered = _close(_accepted_rows(_rejects(self._stack, *self._table)))
+        covered = _close(_rejects(self._stack, *self._table))
         self.rejections = [_closed_rejections(row, self.m) for row in covered]
         self.consonance_witnesses = [_consonance_witness(row, self.m)
                                      for row in covered]
