@@ -131,7 +131,7 @@ class TestLocalTests:
     def test_many_masks_above_the_ctp_cap_take_the_per_rank_pass(
             self, monkeypatch):
         # K * m >= 2^m, which would tabulate all 2^m subsets at m <= 20; at
-        # m = 21 the decisions come from one pass per rank instead
+        # m = 21 the decisions come from the rank-by-rank sums instead
         def no_table(*args):
             raise AssertionError("all 2^m subsets tabulated")
         monkeypatch.setattr(closure, "_all_subsets", no_table)
