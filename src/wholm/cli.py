@@ -172,9 +172,7 @@ def _cmd_ctp(args) -> int:
 
 def _cmd_graph(args) -> int:
     problem = load_problem_csv(args.input, args.alpha)
-    ordering = (OrderingKey.WEIGHTED if args.ordering == "weighted"
-                else OrderingKey.RAW)
-    rejections, trace = run_graphical(problem, ordering)
+    rejections, trace = run_graphical(problem, OrderingKey(args.ordering))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     stages = dot_stages(trace, initial_graph(problem.w, problem.alpha),
@@ -264,7 +262,7 @@ def _cmd_sharpness(args) -> int:
         print(f"error: malformed number in --weights: {args.weights}",
               file=sys.stderr)
         return EXIT_USAGE
-    procedure = Procedure.WHP if args.procedure == "whp" else Procedure.WAP
+    procedure = Procedure(args.procedure)
     estimate = estimate_sharpness(procedure, weights, len(weights), args.reps,
                                   rng_new(args.seed), alpha=args.alpha)
     print(f"procedure={procedure.value} fwer={estimate.fwer:.6g} "

@@ -17,10 +17,12 @@ from scipy.special import betainc
 from .core import check_weights
 from .procedures import Procedure, batch_stepdown
 
-# Rows of least-favorable samples decided per kernel call.  The kernel's
-# (rows, m) temporaries then stay small and cache-resident, so peak memory is
-# set by the draws alone, while numpy's per-call overhead is still small
-# against the work of a block.
+# Rows of least-favorable samples drawn and decided together.  This constant
+# defines the random stream of `estimate_sharpness` (its blocks are drawn one
+# after another from its generator), so changing it changes seeded output; at
+# `reps` or more it is the single draw of earlier versions.  A block's draws
+# and the kernel's (rows, m) temporaries stay small, so memory does not grow
+# with `reps`, while numpy's per-call overhead is still small against a block.
 SHARPNESS_BLOCK_ROWS = 1024
 
 # Replicates drawn from one spawned generator.  This constant defines the
@@ -300,7 +302,8 @@ class LfcSample:
 
 def lfc_whp_sampler(weights: Sequence[float], gen: np.random.Generator) -> LfcSample:
     """One draw from the joint distribution that pushes the step-down FWER to
-    its bound with all hypotheses true.
+    its bound with all hypotheses true: the least-favorable law of
+    `lfc_stepdown_falsifier` at r = 1 with tau = 1 / (total weight).
 
     Exactly one index i (chosen with probability proportional to its weight)
     receives p_i = w_i * U with U uniform below 1 / (total weight); every
@@ -310,23 +313,38 @@ def lfc_whp_sampler(weights: Sequence[float], gen: np.random.Generator) -> LfcSa
     """
     w = np.asarray(weights, dtype=float)
     check_weights(w)
-    p, selected = _lfc_whp_batch(w, gen, 1)
-    return LfcSample(p=tuple(p[0].tolist()), selected=int(selected[0]))
+    return _lfc_row(w, 1.0 / w.sum(), 0, gen)
 
 
-def _lfc_whp_batch(weights: np.ndarray, gen: np.random.Generator,
-                   size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """`size` least-favorable draws at once: the (size, m0) raw p-values and
-    the index selected in each row (see `lfc_whp_sampler`)."""
-    w = np.asarray(weights, dtype=float)
-    m0 = w.size
-    total = w.sum()
-    selected = gen.choice(m0, size=size, p=w / total)
-    u1 = gen.uniform(0.0, 1.0 / total, size=size)
-    u2 = gen.uniform(1.0 / total, 1.0 / w, size=(size, m0))
-    p = w * u2
-    p[np.arange(size), selected] = w[selected] * u1
+def _lfc_batch(w: np.ndarray, tau: float, gen: np.random.Generator,
+               size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`size` draws of the least-favorable law with cut `tau` (at most
+    1 / sum(w)): the (size, m) raw p-values and the index selected in each
+    row, m where none is.
+
+    Index i is selected with probability w_i * tau, and none with the rest,
+    1 - tau * sum(w).  The selected index gets p / w ~ U(0, tau) and every
+    other index p / w ~ U(tau, 1 / w_i), so each p-value is marginally
+    Unif(0, 1).  The selections are drawn first, then the small values, then
+    the (size, m) large ones.
+    """
+    m = w.size
+    selected = gen.choice(m + 1, size=size,
+                          p=np.append(w * tau, 1.0 - tau * w.sum()))
+    small = gen.uniform(0.0, tau, size=size)
+    p = w * gen.uniform(tau, 1.0 / w, size=(size, m))
+    rows = np.flatnonzero(selected < m)
+    p[rows, selected[rows]] = w[selected[rows]] * small[rows]
     return p, selected
+
+
+def _lfc_row(w: np.ndarray, tau: float, lead: int,
+             gen: np.random.Generator) -> LfcSample:
+    """One `_lfc_batch` draw on w[lead:] behind `lead` exact zeros."""
+    p, selected = _lfc_batch(w[lead:], tau, gen, 1)
+    i = int(selected[0])
+    return LfcSample(p=(0.0,) * lead + tuple(p[0].tolist()),
+                     selected=None if i == w.size - lead else lead + i)
 
 
 def lfc_stepdown_falsifier(critical_values: Sequence[float],
@@ -340,7 +358,8 @@ def lfc_stepdown_falsifier(critical_values: Sequence[float],
     probability w_j * tau, receives a weighted p-value below
     tau = min(critical_values[r - 1], 1 / remaining weight mass).  The raw
     p-values of indices r..m are marginally Unif(0, 1).  A weight that is not
-    positive and finite raises ValueError naming its index.
+    positive and finite, or a critical value that is NaN or negative, raises
+    ValueError naming its index.
     """
     crit = [float(c) for c in critical_values]
     w = np.asarray(weights, dtype=float)
@@ -348,24 +367,14 @@ def lfc_stepdown_falsifier(critical_values: Sequence[float],
     if len(crit) != m:
         raise ValueError("critical values and weights must have equal length")
     check_weights(w)
+    for i, c in enumerate(crit):
+        if not c >= 0.0:
+            raise ValueError(f"critical value must be non-negative at index {i}: {c}")
     if any(b < a for a, b in zip(crit, crit[1:])):
         raise ValueError("critical values must be nondecreasing")
     if not 1 <= r <= m:
         raise ValueError(f"r must lie in 1..{m}, got {r}")
-    tail = w[r - 1:]
-    l = tail.sum()
-    tau = min(crit[r - 1], 1.0 / l)
-    probs = np.append(tail * tau, 1.0 - l * tau)
-    choice = int(gen.choice(tail.size + 1, p=probs))
-    selected = None if choice == tail.size else (r - 1 + choice)
-    p = np.zeros(m)
-    for i in range(r - 1, m):
-        if i == selected:
-            tilde = gen.uniform(0.0, tau)
-        else:
-            tilde = gen.uniform(tau, 1.0 / w[i])
-        p[i] = w[i] * tilde
-    return LfcSample(p=tuple(p), selected=selected)
+    return _lfc_row(w, min(crit[r - 1], 1.0 / w[r - 1:].sum()), r - 1, gen)
 
 
 @dataclass(frozen=True)
@@ -384,8 +393,13 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
 
     For the raw-ordered procedure the construction only attains the bound when
     min(w) / max(w) >= alpha, so that condition is enforced.  Empty weights,
-    or a weight that is not positive and finite, raise ValueError; a bad
-    weight is named by its index.
+    a weight that is not positive and finite, or alpha outside (0, 1) raise
+    ValueError; a bad weight is named by its index.
+
+    The samples are drawn from `gen` in blocks of `SHARPNESS_BLOCK_ROWS` rows
+    (the last holds what is left), and each block is decided by one
+    `batch_stepdown` call before the next is drawn, so memory does not grow
+    with `reps`.
     """
     w = np.asarray(weights, dtype=float)
     check_weights(w)
@@ -393,14 +407,16 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         raise ValueError(f"expected {m0} weights, got {w.size}")
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1): {alpha}")
     if procedure is Procedure.WAP and w.min() / w.max() < alpha:
         raise ValueError(
             "the raw-ordered procedure attains the bound only when "
             f"min(w)/max(w) >= alpha; got ratio {w.min() / w.max():.6g} < {alpha}")
-    samples, _ = _lfc_whp_batch(w, gen, reps)
+    tau = 1.0 / w.sum()
     hits = 0
     for start in range(0, reps, SHARPNESS_BLOCK_ROWS):
-        block = samples[start:start + SHARPNESS_BLOCK_ROWS]
+        block, _ = _lfc_batch(w, tau, gen, min(SHARPNESS_BLOCK_ROWS, reps - start))
         hits += int(batch_stepdown(procedure, block, w, alpha).any(axis=1).sum())
     fwer = hits / reps
     return SharpnessEstimate(procedure=procedure, fwer=fwer,

@@ -18,7 +18,7 @@ from wholm import (OrderingKey, Procedure, SimulationConfig, WeightScenario,
                    validate_problem, wap_stepdown, whp_stepdown)
 from wholm.battery import check_properties
 from wholm.closure import random_corpus
-from wholm.montecarlo import _lfc_whp_batch
+from wholm.montecarlo import _lfc_batch
 
 CORPUS_SIZE = 10_000
 CORPUS_SEED = 20240915
@@ -153,7 +153,8 @@ def test_criterion_6_sharpness():
     wap = estimate_sharpness(Procedure.WAP, [1.0, 2.0, 3.0], 3, 200_000,
                              rng_new(CORPUS_SEED + 1))
     w = np.array([1.0, 2.0, 3.0])
-    samples = _lfc_whp_batch(w, rng_new(CORPUS_SEED + 2), 200_000)[0]
+    samples = _lfc_batch(w, 1.0 / w.sum(), rng_new(CORPUS_SEED + 2),
+                         200_000)[0]
     grid = np.linspace(0.01, 0.99, 100)
     deviation = max(
         float(np.max(np.abs((samples[:, col][:, None] <= grid[None, :]).mean(axis=0)

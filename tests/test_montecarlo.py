@@ -10,7 +10,7 @@ from wholm import (DegenerateSampleError, Procedure, SimulationConfig,
                    run_simulation, sample_equicorrelated, t_sf,
                    weight_scenario, whp_stepdown, validate_problem)
 from wholm import montecarlo
-from wholm.montecarlo import _lfc_whp_batch
+from wholm.montecarlo import _lfc_batch
 
 
 def _draw_cell(config):
@@ -374,7 +374,7 @@ class TestLfcSampler:
 
     def test_marginals_uniform_on_grid(self):
         w = np.array([1.0, 2.0, 3.0])
-        samples = _lfc_whp_batch(w, rng_new(31), 200_000)[0]
+        samples = _lfc_batch(w, 1.0 / w.sum(), rng_new(31), 200_000)[0]
         grid = np.linspace(0.01, 0.99, 100)
         for col in range(3):
             ecdf = (samples[:, col][:, None] <= grid[None, :]).mean(axis=0)
@@ -451,6 +451,36 @@ class TestFalsifier:
         with pytest.raises(ValueError, match="at index 1"):
             lfc_stepdown_falsifier([0.01, 0.05], [1.0, bad], 1, rng_new(53))
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.01])
+    def test_bad_critical_value_is_named_by_index(self, bad):
+        with pytest.raises(ValueError, match="critical value .* at index 1"):
+            lfc_stepdown_falsifier([0.0, bad, 0.05], [1.0, 1.0, 1.0], 1,
+                                   rng_new(53))
+
+    def test_later_step_puts_exact_zeros_in_front(self):
+        # r = 3: the first two hypotheses are false nulls already rejected
+        w = np.array([2.0, 1.5, 1.0, 2.0])
+        alpha = 0.05
+        crit = [alpha / w[r:].sum() for r in range(4)]
+        tau = min(crit[2], 1.0 / w[2:].sum())
+        gen = rng_new(73)
+        draws = [lfc_stepdown_falsifier(crit, w, 3, gen) for _ in range(50_000)]
+        assert all(type(x) is float for d in draws for x in d.p)
+        samples = np.array([d.p for d in draws])
+        assert np.all(samples[:, :2] == 0.0)
+        selected = [d.selected for d in draws]
+        assert set(selected) == {None, 2, 3}
+        for d in draws:
+            tilde = np.asarray(d.p[2:]) / w[2:]
+            if d.selected is None:
+                assert tilde.min() >= tau
+            else:
+                assert tilde[d.selected - 2] <= tau
+        grid = np.linspace(0.01, 0.99, 100)
+        for col in (2, 3):
+            ecdf = (samples[:, col][:, None] <= grid[None, :]).mean(axis=0)
+            assert np.max(np.abs(ecdf - grid)) <= 0.015
+
 
 class TestSharpness:
     def test_whp_attains_alpha(self):
@@ -471,18 +501,45 @@ class TestSharpness:
         with pytest.raises(ValueError, match="at index 2"):
             estimate_sharpness(Procedure.WHP, [1.0, 2.0, bad], 3, 10, rng_new(67))
 
-    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
-    def test_seeded_output_golden(self, procedure):
-        # recorded with the per-row step-downs that preceded the batched kernel
-        estimate = estimate_sharpness(procedure, [1, 2, 3, 4], 4, 20_000,
-                                      rng_new(7))
-        assert type(estimate.fwer) is float
-        assert estimate.fwer == 0.0504
+    @pytest.mark.parametrize("alpha", [1.5, float("nan"), 0.0, 1.0])
+    def test_alpha_outside_unit_interval_rejected_before_drawing(self, alpha):
+        gen = rng_new(67)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\)"):
+            estimate_sharpness(Procedure.WHP, [1.0, 2.0], 2, 10, gen, alpha=alpha)
+        assert gen.bit_generator.state == state
 
     @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
-    def test_block_size_does_not_change_the_estimate(self, procedure,
-                                                     monkeypatch):
-        w = [1.0, 2.5, 3.0, 4.0, 6.0]
-        whole = estimate_sharpness(procedure, w, 5, 5000, rng_new(71))
-        monkeypatch.setattr(montecarlo, "SHARPNESS_BLOCK_ROWS", 7)
-        assert estimate_sharpness(procedure, w, 5, 5000, rng_new(71)) == whole
+    def test_seeded_output_golden(self, procedure, monkeypatch):
+        # the block size sets the stream.  A block of at least `reps` rows is
+        # the single draw of earlier versions, whose 0.0504 was recorded with
+        # the per-row step-downs that preceded the batched kernel.
+        by_block_rows = {1024: 0.04875, 20_000: 0.0504, 10 ** 6: 0.0504}
+        assert montecarlo.SHARPNESS_BLOCK_ROWS == 1024
+        for block_rows, fwer in by_block_rows.items():
+            monkeypatch.setattr(montecarlo, "SHARPNESS_BLOCK_ROWS", block_rows)
+            estimate = estimate_sharpness(procedure, [1, 2, 3, 4], 4, 20_000,
+                                          rng_new(7))
+            assert type(estimate.fwer) is float
+            assert estimate.fwer == fwer
+
+    def test_each_block_is_decided_before_the_next_is_drawn(self, monkeypatch):
+        # 2 full blocks and a last one of 37 rows
+        calls = []
+
+        def spy(name, real):
+            def call(*args):
+                out = real(*args)
+                calls.append((name, len(out[0] if name == "draw" else args[1])))
+                return out
+            return call
+
+        monkeypatch.setattr(montecarlo, "_lfc_batch",
+                            spy("draw", montecarlo._lfc_batch))
+        monkeypatch.setattr(montecarlo, "batch_stepdown",
+                            spy("decide", montecarlo.batch_stepdown))
+        estimate_sharpness(Procedure.WAP, [1.0, 2.5, 3.0], 3, 2 * 1024 + 37,
+                           rng_new(71))
+        assert calls == [("draw", 1024), ("decide", 1024),
+                         ("draw", 1024), ("decide", 1024),
+                         ("draw", 37), ("decide", 37)]
