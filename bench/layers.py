@@ -1,14 +1,18 @@
-"""Per-layer timings of the Monte Carlo and closed-testing layers.
+"""Per-layer timings of the decision, Monte Carlo and closed-testing layers.
 
-    python3 bench/layers.py --label after --out BENCH_9.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_9.json
+    python3 bench/layers.py --label after --out BENCH_11.json
+    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_11.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
 - `run_simulation` at m = 10 and 20 (n = 15, reps = 100 and 2,000) and
   `estimate_sharpness` for WHP and WAP at m = 10 (reps = 20,000), per
   replicate;
-- `battery.check_properties` on `random_corpus(2000, m_max=8)`, per problem;
+- `battery.check_properties` on `random_corpus(2000, m_max=8)`, per problem,
+  and `battery.run_check_battery(2000)`, per call;
+- `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
+  trials, per call;
+- `whp_stepdown` and `adjusted_whp` at m = 10 and 1000, per call;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
   and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call.
 
@@ -38,6 +42,8 @@ REPEATS = 21
 SIMULATION_SIZES = [(m, reps) for m in (10, 20) for reps in (100, 2000)]
 SHARPNESS_M, SHARPNESS_REPS = 10, 20_000
 CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
+SEARCH_TRIALS = 2000
+KERNEL_SIZES = (10, 1000)
 CLOSURE_SIZES = (8, 14, 16)
 MONOTONICITY_M = 12
 
@@ -60,7 +66,7 @@ def time_per_unit(make, units):
 
 def measure(wholm):
     import numpy as np
-    from wholm.battery import check_properties
+    from wholm.battery import check_properties, run_check_battery
     from wholm.closure import random_corpus
 
     rows = []
@@ -94,6 +100,18 @@ def measure(wholm):
     rows.append({"layer": "battery.check_properties", "per": "problem",
                  "size": {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX},
                  **time_per_unit(corpus, CORPUS_SIZE)})
+    rows.append({"layer": "battery.run_check_battery", "per": "call",
+                 "size": {"trials": CORPUS_SIZE},
+                 **time_per_unit(lambda seed: (
+                     lambda: run_check_battery(CORPUS_SIZE, seed)), 1)})
+    for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
+        rows.append({"layer": "closure.find_pvalue_monotonicity_violation",
+                     "per": "call",
+                     "size": {"procedure": procedure.value,
+                              "trials": SEARCH_TRIALS},
+                     **time_per_unit(lambda seed, procedure=procedure: (
+                         lambda: wholm.find_pvalue_monotonicity_violation(
+                             procedure, SEARCH_TRIALS, seed)), 1)})
 
     def problem(seed, m):
         # p-values at the scale of the critical values, so some are rejected
@@ -102,6 +120,12 @@ def measure(wholm):
         p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
         return wholm.validate_problem([f"H{i}" for i in range(m)], p, w, 0.05)
 
+    for m in KERNEL_SIZES:
+        for layer, run in (("procedures.whp_stepdown", wholm.whp_stepdown),
+                           ("adjust.adjusted_whp", wholm.adjusted_whp)):
+            rows.append({"layer": layer, "per": "call", "size": {"m": m},
+                         **time_per_unit(lambda seed, m=m, run=run: (
+                             lambda P=problem(seed, m): run(P)), 1)})
     for m in CLOSURE_SIZES:
         for layer, run in (
                 ("closure.ctp", lambda P: wholm.ctp(P, wholm.whp_local_test)),

@@ -14,9 +14,10 @@ closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
 `monotonicity-whp`) read one `closure.ClosedStack` per procedure per stack,
 built from one subset table and closed for all of the stack's problems at
 once, and give the same answers as `ctp`, `check_consonance` and
-`check_monotonicity_condition`, which are one-row calls of the same code.  The references they are compared with, the
-step-downs, and the graph and adjusted-value claims run per problem.
-Counts and witnesses are reported in corpus order.
+`check_monotonicity_condition`, which are one-row calls of the same code.
+Their references, the step-down rejections, and the adjusted values come from
+one call of the step-downs' kernel `procedures.adjust_rows` per ranking per
+stack; only the graph runs per problem.  Witnesses are in corpus order.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, List, Sequence
 
-from .adjust import adjusted_wap, adjusted_whp
+import numpy as np
+
 from .closure import (ClosedStack, find_pvalue_monotonicity_violation,
                       random_corpus)
 from .core import OrderingKey, TestingProblem
 from .graphical import run_graphical
-from .procedures import Procedure, wap_stepdown, whp_stepdown
+from .procedures import Procedure, adjust_rows, ranking
 
 # Problems evaluated together.  A stack's largest array is its (rows, 2^m, m)
 # table of monotonicity shares: 1 MB at 64 rows and m = 8, where a whole
@@ -50,7 +52,7 @@ class CheckResult:
     witness: Any = None
 
 
-def _adjusted_dominance(problem, whp, wap):
+def _adjusted_dominance(stack):
     # Exactly, WHP's adjusted values never exceed WAP's.  In floats each
     # value is a running max of (p/w) * tail capped at 1, with one rounding
     # for p/w, at most m - 1 for the tail and one for the product: at most
@@ -58,22 +60,29 @@ def _adjusted_dominance(problem, whp, wap):
     # (m + 1) * 2^-53 relative of its exact value, and their ratio within
     # (m + 1) * 2^-52 to first order.  2 (m + 2) * 2^-52 covers the
     # second-order terms with room to spare; at m = 10 it is 5.3e-15.
-    slack = 2 * (problem.m + 2) * 2.0 ** -52
-    return all(a <= b * (1.0 + slack) for a, b in
-               zip(adjusted_whp(problem).values, adjusted_wap(problem).values))
+    slack = 2 * (stack.problems[0].m + 2) * 2.0 ** -52
+    whp, wap = stack.adjusted[Procedure.WHP], stack.adjusted[Procedure.WAP]
+    return (whp <= wap * (1.0 + slack)).all(axis=1).tolist()
 
 
 class _Stack:
-    """Problems of one size with their step-down rejections and their
-    `ClosedStack` under each procedure."""
+    """Problems of one size with, under each procedure, their step-down
+    rejections, (P, m) adjusted values and `ClosedStack`."""
 
     def __init__(self, problems: Sequence[TestingProblem]):
         self.problems = problems
-        self.rejected = {
-            Procedure.WHP: [whp_stepdown(p).rejected for p in problems],
-            Procedure.WAP: [wap_stepdown(p).rejected for p in problems]}
-        self.closed = {procedure: ClosedStack(problems, procedure)
-                       for procedure in self.rejected}
+        p, w = (np.array([getattr(problem, name) for problem in problems])
+                for name in "pw")
+        alpha = np.array([[problem.alpha] for problem in problems])
+        self.rejected, self.adjusted, self.closed = {}, {}, {}
+        for procedure in (Procedure.WHP, Procedure.WAP):
+            perm, _, adjusted, rejected = adjust_rows(p, w, alpha,
+                                                      ranking(procedure))
+            self.rejected[procedure] = [frozenset(row[keep].tolist())
+                                        for row, keep in zip(perm, rejected)]
+            self.adjusted[procedure] = np.take_along_axis(
+                adjusted, perm.argsort(axis=1), axis=1)
+            self.closed[procedure] = ClosedStack(problems, procedure)
 
 
 def _each(holds):
@@ -106,7 +115,7 @@ PROPERTIES = (
     ("graphical-equivalence-wap", _each(lambda problem, whp, wap:
         run_graphical(problem, OrderingKey.RAW)[0].rejected == wap)),
     ("rejection-dominance", _each(lambda problem, whp, wap: wap <= whp)),
-    ("adjusted-dominance", _each(_adjusted_dominance)),
+    ("adjusted-dominance", _adjusted_dominance),
     ("consonance-whp", _consonance(Procedure.WHP)),
     ("consonance-wap", _consonance(Procedure.WAP)),
     ("monotonicity-whp", lambda stack: [
@@ -118,7 +127,9 @@ PROPERTIES = (
 def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
     """One result per entry of `PROPERTIES`, in table order, each with its
     violation count and its first violating problem in corpus order as the
-    witness.  The step-downs run once per problem."""
+    witness.  Raises ValueError for an empty corpus."""
+    if not problems:
+        raise ValueError("no problems to check")
     groups = defaultdict(list)
     for index, problem in enumerate(problems):
         groups[problem.m].append(index)
@@ -136,6 +147,9 @@ def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
 
 
 def run_check_battery(trials: int, seed: int) -> List[CheckResult]:
+    """`check_properties` on `trials` random problems, then both searches."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1: {trials}")
     results = check_properties(random_corpus(trials, seed=seed, m_max=8))
     wap_violation = find_pvalue_monotonicity_violation(Procedure.WAP,
                                                        trials=trials, seed=seed)

@@ -131,8 +131,7 @@ def _open_output(path):
 def _cmd_adjust(args) -> int:
     problem = load_problem_csv(args.input, args.alpha)
     # a hypothesis is rejected iff its adjusted value is at most alpha
-    whp_values = adjusted_whp(problem).values
-    wap_values = adjusted_wap(problem).values
+    whp, wap = adjusted_whp(problem), adjusted_wap(problem)
     out, close = _open_output(args.output)
     try:
         writer = csv.writer(out)
@@ -143,10 +142,10 @@ def _cmd_adjust(args) -> int:
                 label,
                 _fmt(problem.p[i], args.precision),
                 _fmt(problem.w[i], args.precision),
-                _fmt_adjusted(whp_values[i], args.precision),
-                _fmt_adjusted(wap_values[i], args.precision),
-                str(whp_values[i] <= problem.alpha).lower(),
-                str(wap_values[i] <= problem.alpha).lower(),
+                _fmt_adjusted(whp.values[i], args.precision),
+                _fmt_adjusted(wap.values[i], args.precision),
+                str(i in whp.rejected).lower(),
+                str(i in wap.rejected).lower(),
             ])
     finally:
         if close:

@@ -42,9 +42,9 @@ last rank upward in the procedure's own `core.order` ranking:
    0.0, each step adds w_i >= 0 to B and w_i or 0.0 to A, and rounded
    addition is monotone in each argument.  So total(A) <= total(B).
 2. The tail set T_j of the hypotheses at ranks j and later is summed exactly
-   as `procedures.rank_adjusted` sums tail_j: the same weights in the same
-   order, and adding 0.0 for an absent member is exact.  So
-   total(T_j) == tail_j.
+   as the step-downs' kernel `procedures.adjust_rows` sums tail_j: the same
+   weights in the same order, and adding 0.0 for an absent member is exact.
+   So total(T_j) == tail_j.
 3. Let the step-down reject ranks 0..k-1.  A subset I holding one of them has
    its first rank r < k, so I is a subset of T_r, and its value
    tilde_r * total(I) <= tilde_r * tail_r <= alpha by 1, 2 and the monotone
@@ -64,10 +64,12 @@ from typing import (Callable, Dict, List, NamedTuple, Optional,
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
-from .procedures import Procedure, wap_stepdown, whp_stepdown
+from .procedures import Procedure, batch_stepdown, ranking
 
 MAX_CTP_HYPOTHESES = 20
 MAX_MONOTONICITY_HYPOTHESES = 12
+# Trials in the first chunk of the p-value monotonicity search.
+SEARCH_FIRST_CHUNK = 16
 # Cells of a (P, m, chunk) temporary of the rank-by-rank subset sums: about
 # 17 MB of membership, products and running sums at 2^20.
 _RANK_PASS_CELLS = 1 << 20
@@ -351,15 +353,6 @@ def _check_monotonicity_size(m: int) -> None:
             f" hypotheses, got {m}")
 
 
-def _ranking(procedure: Procedure) -> OrderingKey:
-    """The ranking of WHP (p/w) or WAP (raw p)."""
-    if procedure is Procedure.WHP:
-        return OrderingKey.WEIGHTED
-    if procedure is Procedure.WAP:
-        return OrderingKey.RAW
-    raise ValueError(f"no intersection shares defined for {procedure}")
-
-
 def _intersection_shares(stack: _Stack, procedure: Procedure,
                          table) -> np.ndarray:
     """alpha_i(I) for every subset I of every row, as a (P, 2^m, m) array
@@ -425,7 +418,7 @@ def check_monotonicity_condition(problem: TestingProblem,
     _check_monotonicity_size(problem.m)
     stack = _Stack.of([problem])
     [found] = _counterexamples(stack, procedure,
-                               _subset_table(stack, _ranking(procedure)))
+                               _subset_table(stack, ranking(procedure)))
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
@@ -452,7 +445,7 @@ class ClosedStack:
         self.procedure = procedure
         self.m = problems[0].m
         self._stack = _Stack.of(problems)
-        self._table = _subset_table(self._stack, _ranking(procedure))
+        self._table = _subset_table(self._stack, ranking(procedure))
         covered = _close(_rejects(self._stack, *self._table))
         self.rejections = [_closed_rejections(row, self.m) for row in covered]
         self.consonance_witnesses = [_consonance_witness(row, self.m)
@@ -479,28 +472,47 @@ def random_corpus(count: int, seed: int, m_max: int = 8,
             for _ in range(count)]
 
 
+def _search_trial(gen: np.random.Generator):
+    """One trial's p-values p, q <= p with one lowered, and weights w."""
+    m = int(gen.integers(3, 6))
+    w = gen.uniform(1.0, 10.0, size=m)
+    # p-values drawn at the scale of the critical thresholds; anything far
+    # above them never rejects and wastes the trial
+    p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
+    # lowering a single coordinate is what reorders the raw p-values and
+    # can shrink the early thresholds out from under the others
+    q = np.array(p)
+    q[int(gen.integers(m))] *= gen.uniform()
+    return p, q, w
+
+
 def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
                                        seed: int):
     """Randomized search for a pair q <= p (componentwise) where lowering the
     p-values loses rejections.
 
     Returns (problem, lowered_problem) for the first violation, or None.
+    Trials are drawn one by one and decided in chunks that double from
+    `SEARCH_FIRST_CHUNK`, so an early witness costs only a small chunk.
     """
-    stepdown = {Procedure.WHP: whp_stepdown, Procedure.WAP: wap_stepdown}[procedure]
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1: {trials}")
     gen = np.random.default_rng(seed)
-    for _ in range(trials):
-        m = int(gen.integers(3, 6))
-        w = gen.uniform(1.0, 10.0, size=m)
-        # p-values drawn at the scale of the critical thresholds; anything far
-        # above them never rejects and wastes the trial
-        p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
-        labels = [f"H{i + 1}" for i in range(m)]
-        problem = validate_problem(labels, p, w, 0.05)
-        # lowering a single coordinate is what reorders the raw p-values and
-        # can shrink the early thresholds out from under the others
-        q = np.array(p)
-        q[int(gen.integers(m))] *= gen.uniform()
-        lowered = validate_problem(labels, q, w, 0.05)
-        if len(stepdown(lowered).rejected) < len(stepdown(problem).rejected):
-            return problem, lowered
+    done, chunk = 0, SEARCH_FIRST_CHUNK
+    while done < trials:
+        drawn = [_search_trial(gen) for _ in range(min(chunk, trials - done))]
+        # one `batch_stepdown` call over the p and q rows of each size
+        lost = np.zeros(len(drawn), dtype=bool)
+        for m in {p.size for p, _, _ in drawn}:
+            rows = [t for t, (p, _, _) in enumerate(drawn) if p.size == m]
+            p, q, w = (np.array([drawn[t][k] for t in rows]) for k in range(3))
+            counts = batch_stepdown(procedure, np.concatenate([p, q]),
+                                    np.concatenate([w, w]), 0.05).sum(axis=1)
+            lost[rows] = counts[len(rows):] < counts[:len(rows)]
+        if lost.any():
+            p, q, w = drawn[int(lost.argmax())]
+            labels = [f"H{i + 1}" for i in range(p.size)]
+            return (validate_problem(labels, p, w, 0.05),
+                    validate_problem(labels, q, w, 0.05))
+        done, chunk = done + len(drawn), 2 * chunk
     return None

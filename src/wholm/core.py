@@ -69,6 +69,19 @@ def check_weights(w: Sequence[float]) -> None:
             raise ValueError(f"weight must be positive and finite at index {i}: {wi}")
 
 
+def check_pvalues(p: Sequence[float]) -> None:
+    """Raise ValueError naming the first p-value outside [0, 1]."""
+    for i, pi in enumerate(p):
+        if not (0.0 <= pi <= 1.0):
+            raise ValueError(f"p-value out of [0, 1] at index {i}: {pi}")
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha lies in (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1): {alpha}")
+
+
 def validate_problem(labels: Sequence[str], p: Sequence[float],
                      w: Sequence[float], alpha: float) -> TestingProblem:
     """Validate raw inputs and build an immutable TestingProblem.
@@ -90,12 +103,9 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
     if len(set(labels)) != m:
         label = next(x for x, n in Counter(labels).items() if n > 1)
         raise ValueError(f"duplicate hypothesis label: {label}")
-    for i, pi in enumerate(p):
-        if not (0.0 <= pi <= 1.0):
-            raise ValueError(f"p-value out of [0, 1] at index {i}: {pi}")
+    check_pvalues(p)
     check_weights(w)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1): {alpha}")
+    check_alpha(alpha)
     return TestingProblem(labels=labels, p=p, w=w, alpha=alpha)
 
 

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import betainc
 
-from .core import check_weights
+from .core import check_alpha, check_weights
 from .procedures import Procedure, batch_stepdown
 
 # Rows of least-favorable samples drawn and decided together.  This constant
@@ -158,8 +158,7 @@ class SimulationConfig:
             raise ValueError("n must be at least 2")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1): {self.alpha}")
+        check_alpha(self.alpha)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative: {self.seed}")
 
@@ -407,8 +406,7 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         raise ValueError(f"expected {m0} weights, got {w.size}")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1): {alpha}")
+    check_alpha(alpha)
     if procedure is Procedure.WAP and w.min() / w.max() < alpha:
         raise ValueError(
             "the raw-ordered procedure attains the bound only when "

@@ -1,5 +1,7 @@
+import pytest
+
 from wholm import battery
-from wholm.battery import PROPERTIES, check_properties
+from wholm.battery import PROPERTIES, check_properties, run_check_battery
 from wholm.closure import ClosedStack, random_corpus
 
 
@@ -35,3 +37,11 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
         assert results[name].witness is corpus[violating[0]]
     assert [name for name, r in results.items() if not r.passed] == [
         "consonance-whp", "consonance-wap"]
+
+
+def test_nothing_passes_vacuously():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_check_battery(trials, 1)
+    with pytest.raises(ValueError, match="no problems"):
+        check_properties([])

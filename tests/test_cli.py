@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from test_procedures import BOUNDARY_CORPUS
 from wholm import battery
 from wholm.closure import ClosedStack, random_corpus
 from wholm.cli import main
@@ -35,6 +36,17 @@ H10,0.011650428507516377,2.5105215255096445
 BOUNDARY_CTP_SHA256 = {
     "whp": "29d09e6fea2e6035599d999e30b3f32a39e5b4d98a0c0addcaa4d4f8566f1571",
     "wap": "22113e9702db7804524ddbc0a8717dcce58f3f1e5c83ec90d45c310092efd051"}
+
+# `adjust --precision full` stdout over the first 300 problems of
+# `test_procedures.BOUNDARY_CORPUS`, one CSV each, concatenated
+BOUNDARY_ADJUST_SHA256 = (
+    "427c50d199ccf46c4e0f875bba9ea862f129aa4eaa520fd16df24bf0a7ef3f45")
+
+# `check --trials 2000 --seed S` stdout
+CHECK_SHA256 = {
+    1: "6ec5851ed258b1ef7311fac48aa05f6cd32111bd9e4469d71008d81347a8fbfe",
+    2: "78218c2e2cc2a861390108ee28ef761f2f38f7d7b2abf1d35c5a7a0dc3539c6d",
+    3: "db76108761c0451963f4efea6577f777de49aacbc58ee06447143afc8ee03f9a"}
 
 SIM_CONFIG = """# small smoke grid
 m = 4
@@ -108,6 +120,19 @@ class TestAdjust:
         main(["adjust", "--input", problem_file, "--alpha", "0.05",
               "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_boundary_corpus_is_byte_identical_to_golden(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "problem.csv"
+        digest = hashlib.sha256()
+        for problem in BOUNDARY_CORPUS[:300]:
+            path.write_text("hypothesis,p_value,weight\n" + "".join(
+                f"{label},{p!r},{w!r}\n"
+                for label, p, w in zip(problem.labels, problem.p, problem.w)))
+            assert main(["adjust", "--input", str(path), "--alpha", "0.05",
+                         "--precision", "full"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == BOUNDARY_ADJUST_SHA256
 
 
 class TestCtp:
@@ -257,6 +282,12 @@ class TestCheck:
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seed", sorted(CHECK_SHA256))
+    def test_stdout_is_byte_identical_to_golden(self, seed, capsys):
+        assert main(["check", "--trials", "2000", "--seed", str(seed)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == CHECK_SHA256[seed]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_usage_error(self, trials, capsys):

@@ -1,4 +1,5 @@
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -404,6 +405,43 @@ class TestPvalueMonotonicitySearch:
         assert find_pvalue_monotonicity_violation(Procedure.WHP,
                                                   trials=10_000, seed=7) is None
 
-    def test_zero_trials(self):
-        assert find_pvalue_monotonicity_violation(Procedure.WAP,
-                                                  trials=0, seed=7) is None
+    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+    def test_trials_below_one_raise(self, procedure, trials):
+        # a search over no trials would report WHP's claim as passed
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            find_pvalue_monotonicity_violation(procedure, trials=trials, seed=7)
+
+    # WAP's witnesses for seeds 1-20 lie at trials 3 to 361, so a budget of
+    # 100 cuts some searches short inside a chunk; WHP has none to find.
+    @pytest.mark.parametrize("first_chunk", [None, 1, 7])
+    @pytest.mark.parametrize("procedure, trials", [
+        (Procedure.WAP, 2000), (Procedure.WAP, 100), (Procedure.WHP, 300)])
+    def test_chunks_return_the_per_trial_witness(self, monkeypatch, procedure,
+                                                 trials, first_chunk):
+        if first_chunk is not None:
+            monkeypatch.setattr(closure, "SEARCH_FIRST_CHUNK", first_chunk)
+        for seed in range(1, 21):
+            assert find_pvalue_monotonicity_violation(
+                procedure, trials=trials, seed=seed) == _per_trial_search(
+                    procedure, trials, seed), seed
+
+
+@lru_cache(maxsize=None)
+def _per_trial_search(procedure, trials, seed):
+    """The p-value monotonicity search one trial at a time, drawing in the
+    same order: the reference for the chunked search."""
+    stepdown = {Procedure.WHP: whp_stepdown, Procedure.WAP: wap_stepdown}[procedure]
+    gen = np.random.default_rng(seed)
+    for _ in range(trials):
+        m = int(gen.integers(3, 6))
+        w = gen.uniform(1.0, 10.0, size=m)
+        p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
+        labels = [f"H{i + 1}" for i in range(m)]
+        problem = validate_problem(labels, p, w, 0.05)
+        q = np.array(p)
+        q[int(gen.integers(m))] *= gen.uniform()
+        lowered = validate_problem(labels, q, w, 0.05)
+        if len(stepdown(lowered).rejected) < len(stepdown(problem).rejected):
+            return problem, lowered
+    return None

@@ -1,4 +1,6 @@
+from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from wholm import (Procedure, adjusted_wap, adjusted_whp, batch_stepdown, ctp,
                    holm_stepdown, validate_problem, wap_local_test,
                    wap_stepdown, whp_local_test, whp_stepdown,
                    weighted_pvalues, order, OrderingKey)
+from wholm.closure import random_corpus
+from wholm.procedures import adjust_rows
 
 random_problems = st.integers(min_value=1, max_value=10).flatmap(
     lambda m: st.tuples(
@@ -213,6 +217,37 @@ def test_batch_stepdown_rejects_bad_arguments():
         batch_stepdown(Procedure.WHP, [0.01, 0.02], 1.0, 0.05)
     with pytest.raises(ValueError, match="WHP or WAP"):
         batch_stepdown(Procedure.HOLM, [[0.01, 0.02]], 1.0, 0.05)
+    # alpha >= 1 would let the adjusted values' cap at 1 reject everything
+    for alpha in (0.0, -0.05, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            batch_stepdown(Procedure.WHP, [[0.5, 0.9]], 1.0, alpha)
+    p = [[0.01, 0.02, 0.03], [0.01, 0.02, 0.03]]
+    for bad in (float("nan"), -0.1, 1.5, float("inf")):
+        rows = [list(row) for row in p]
+        rows[1][2] = bad
+        with pytest.raises(ValueError, match=(
+                rf"p-value out of \[0, 1\] at row 1, column 2: {bad}")):
+            batch_stepdown(Procedure.WAP, rows, 1.0, 0.05)
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=(
+                rf"weight must be positive and finite at row 0, column 1: {bad}")):
+            batch_stepdown(Procedure.WHP, p, [1.0, bad, 2.0], 0.05)
+        with pytest.raises(ValueError, match="row 1, column 0"):
+            batch_stepdown(Procedure.WHP, p, [[1.0] * 3, [bad, 1.0, 1.0]], 0.05)
+
+
+def test_holm_stepdown_keeps_the_problem_checks():
+    with pytest.raises(ValueError, match="at least one hypothesis is required"):
+        holm_stepdown([], 0.05)
+    with pytest.raises(ValueError,
+                       match=r"p-value out of \[0, 1\] at index 1: 1.2"):
+        holm_stepdown([0.01, 1.2], 0.05)
+    with pytest.raises(ValueError, match="at index 0: nan"):
+        holm_stepdown([float("nan")], 0.05)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\): 1.0"):
+        holm_stepdown([0.01], 1.0)
+    with pytest.raises(ValueError, match="could not convert"):
+        holm_stepdown(["x"], 0.05)
 
 
 # One p-value per problem sits on a step-down boundary w*alpha/tail, written
@@ -288,3 +323,49 @@ def test_float_decisions_agree_with_exact_arithmetic(key, stepdown):
         for i, exact in enumerate(_exact_adjusted(problem, key)):
             if abs(exact - Fraction(problem.alpha)) > bound:
                 assert (exact <= problem.alpha) == (i in rejected), (problem, i)
+
+
+def _python_rank_adjusted(problem, key):
+    """The adjusted-value pass in plain Python over tuples, as the step-downs
+    ran it before the numpy kernel: the reference the kernel is held to.
+    Ranks sort by (key, index), tails accumulate from the last rank upward,
+    and the running max is capped at 1."""
+    tilde = [p / w for p, w in zip(problem.p, problem.w)]
+    keys = tilde if key is OrderingKey.WEIGHTED else list(problem.p)
+    perm = sorted(range(problem.m), key=lambda i: (keys[i], i))
+    tails = tuple(accumulate([problem.w[i] for i in reversed(perm)]))[::-1]
+    products = [tilde[i] * tail for i, tail in zip(perm, tails)]
+    adjusted = tuple([min(value, 1.0) for value in accumulate(products, max)])
+    return tuple(perm), tails, adjusted
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("key, adjusted_report", [
+    (OrderingKey.WEIGHTED, adjusted_whp), (OrderingKey.RAW, adjusted_wap)])
+def test_kernel_equals_the_python_adjustment_bit_for_bit(key, adjusted_report):
+    groups = defaultdict(list)
+    for problem in BOUNDARY_CORPUS + random_corpus(3000, seed=11, m_max=40):
+        groups[problem.m].append(problem)
+    for problems in groups.values():
+        rows = adjust_rows(np.array([problem.p for problem in problems]),
+                           np.array([problem.w for problem in problems]),
+                           np.array([[problem.alpha] for problem in problems]),
+                           key)
+        for r, problem in enumerate(problems):
+            perm, tails, adjusted = _python_rank_adjusted(problem, key)
+            one = adjust_rows([problem.p], [problem.w], problem.alpha, key)
+            for got in (one, [part[r:r + 1] for part in rows]):
+                assert tuple(got[0][0].tolist()) == perm
+                assert _bits(got[1][0]) == _bits(tails)
+                assert _bits(got[2][0]) == _bits(adjusted), problem
+                assert got[3][0].tolist() == [
+                    value <= problem.alpha for value in adjusted]
+            report = adjusted_report(problem)
+            assert report.ordering.perm == perm
+            assert report.rejected == {i for i, value in zip(perm, adjusted)
+                                       if value <= problem.alpha}
+            assert _bits(report.values) == _bits(
+                [adjusted[perm.index(i)] for i in range(problem.m)])
