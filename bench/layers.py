@@ -1,7 +1,7 @@
-"""Per-layer timings of the decision, Monte Carlo and closed-testing layers.
+"""Per-layer timings of the decision, Monte Carlo, closed-testing and CLI layers.
 
-    python3 bench/layers.py --label after --out BENCH_11.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_11.json
+    python3 bench/layers.py --label after --out BENCH_12.json
+    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_12.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
@@ -14,7 +14,11 @@ Times, with `perf_counter`, one call at a time in this process:
   trials, per call;
 - `whp_stepdown` and `adjusted_whp` at m = 10 and 1000, per call;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
-  and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call.
+  and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call;
+- the CLI, per call: `cli.build_parser` on its own, and in-process
+  `cli.main` runs of `adjust` at m = 5 and 1000 and `ctp --procedure whp` at
+  m = 10 (stdout captured) and of `graph --ordering weighted` at m = 30
+  (into a fresh output directory), each on a problem CSV written untimed.
 
 Each size gets one untimed warm-up call and then `REPEATS` timed calls, each
 on its own seed; inputs are built before the clock starts.  The record gives
@@ -28,13 +32,16 @@ into one file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -46,6 +53,10 @@ SEARCH_TRIALS = 2000
 KERNEL_SIZES = (10, 1000)
 CLOSURE_SIZES = (8, 14, 16)
 MONOTONICITY_M = 12
+# (subcommand, m, extra flags) of the timed in-process CLI calls
+CLI_CALLS = (("adjust", 5, ()), ("adjust", 1000, ()),
+             ("ctp", 10, ("--procedure", "whp")),
+             ("graph", 30, ("--ordering", "weighted")))
 
 
 def time_per_unit(make, units):
@@ -66,6 +77,7 @@ def time_per_unit(make, units):
 
 def measure(wholm):
     import numpy as np
+    from wholm import cli
     from wholm.battery import check_properties, run_check_battery
     from wholm.closure import random_corpus
 
@@ -141,6 +153,31 @@ def measure(wholm):
                      lambda P=problem(seed, MONOTONICITY_M):
                      wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)),
                      1)})
+
+    rows.append({"layer": "cli.build_parser", "per": "call", "size": {},
+                 **time_per_unit(lambda seed: cli.build_parser, 1)})
+    with tempfile.TemporaryDirectory() as tmp:
+        def cli_call(seed, command, m, flags):
+            P = problem(seed, m)
+            path = Path(tmp) / f"{command}_{m}_{seed}.csv"
+            path.write_text("hypothesis,p_value,weight\n" + "".join(
+                f"{label},{p!r},{w!r}\n" for label, p, w in zip(P.labels, P.p, P.w)))
+            argv = [command, "--input", str(path), "--alpha", "0.05", *flags]
+            if command == "graph":
+                argv += ["--output-dir", str(Path(tmp) / f"graph_{m}_{seed}")]
+
+            def call():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                if code != 0:
+                    raise RuntimeError(f"exit code {code}: {argv}")
+            return call
+
+        for command, m, flags in CLI_CALLS:
+            rows.append({"layer": f"cli.{command}", "per": "call",
+                         "size": {"m": m, "flags": " ".join(flags)},
+                         **time_per_unit(lambda seed, c=command, m=m, f=flags:
+                                         cli_call(seed, c, m, f), 1)})
     return rows
 
 

@@ -4,6 +4,11 @@ Subcommands: `adjust`, `ctp`, `graph`, `simulate`, `sharpness`, `check`.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 property failure.
 All randomized subcommands require an explicit seed so published results can
 be replayed byte for byte.
+
+Every numeric flag and `--weights` is converted by its argparse type, so a
+malformed or out-of-range value is a usage error that the parser reports.  Every table (`adjust`,
+`ctp`, `simulate` and `graph`'s `rejections.csv`) is written through
+`_table`, and every number in it is formatted by `_fmt`.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ import argparse
 import csv
 import itertools
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .adjust import adjusted_wap, adjusted_whp
@@ -38,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _checked_arg(flag, convert, holds, requirement):
+def _checked_arg(flag, convert, holds=lambda value: True, requirement=""):
     """argparse type for `flag`: `convert` the text, then require
     `holds(value)`; anything else is a usage error."""
     def parse(text):
@@ -57,18 +61,26 @@ def _int_arg(flag, minimum):
 
 
 _alpha_arg = _checked_arg("--alpha", float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+# no weight at all (`--weights ,`) is the data error of `estimate_sharpness`
+_weights_arg = _checked_arg(
+    "--weights", lambda text: [float(x) for x in text.split(",") if x.strip()])
 
 
-def _fmt(value, precision):
-    if precision == "full":
-        return repr(float(value))
-    return f"{float(value):.6g}"
+def _fmt(value, precision="table", table=".6g"):
+    """`value` as its round-tripping `repr` at `full` precision, else in the
+    `table` format."""
+    return repr(float(value)) if precision == "full" else format(float(value), table)
 
 
-def _fmt_adjusted(value, precision):
-    if precision == "full":
-        return repr(float(value))
-    return f"{float(value):.4f}"
+@contextmanager
+def _table(path, header):
+    """A csv writer for one table, with `header` written: into the file at
+    `path`, or onto stdout when `path` is None."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="", encoding="utf-8")) as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        yield writer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,80 +88,66 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Weighted Holm procedures toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = "output CSV (default: stdout)"
+    precision = {"choices": ("table", "full"), "default": "table"}
+    seed = _int_arg("--seed", 0)
 
-    p_adjust = sub.add_parser("adjust", help="adjusted (weighted) p-values")
-    p_adjust.add_argument("--input", required=True, help="problem CSV")
-    p_adjust.add_argument("--alpha", required=True, type=_alpha_arg)
-    p_adjust.add_argument("--output", help="output CSV (default: stdout)")
-    p_adjust.add_argument("--precision", choices=("table", "full"),
-                          default="table")
+    def problem_command(name, help):
+        command = sub.add_parser(name, help=help)
+        command.add_argument("--input", required=True, help="problem CSV")
+        command.add_argument("--alpha", required=True, type=_alpha_arg)
+        return command
 
-    p_ctp = sub.add_parser("ctp", help="full closed-testing decision table")
-    p_ctp.add_argument("--input", required=True, help="problem CSV")
-    p_ctp.add_argument("--alpha", required=True, type=_alpha_arg)
+    p_adjust = problem_command("adjust", "adjusted (weighted) p-values")
+    p_adjust.add_argument("--output", help=output)
+    p_adjust.add_argument("--precision", **precision)
+
+    p_ctp = problem_command("ctp", "full closed-testing decision table")
     p_ctp.add_argument("--procedure", required=True, choices=("whp", "wap"))
-    p_ctp.add_argument("--output", help="output CSV (default: stdout)")
+    p_ctp.add_argument("--output", help=output)
 
-    p_graph = sub.add_parser("graph", help="run the graphical procedure")
-    p_graph.add_argument("--input", required=True, help="problem CSV")
-    p_graph.add_argument("--alpha", required=True, type=_alpha_arg)
+    p_graph = problem_command("graph", "run the graphical procedure")
     p_graph.add_argument("--ordering", required=True,
                          choices=("weighted", "raw"))
     p_graph.add_argument("--output-dir", required=True)
-    p_graph.add_argument("--precision", choices=("table", "full"),
-                         default="table")
+    p_graph.add_argument("--precision", **precision)
 
     p_sim = sub.add_parser("simulate", help="FWER/power Monte Carlo study")
     p_sim.add_argument("--config", required=True,
                        help="key=value file: m, pi0, rho_list, n, mu_alt, "
                             "alpha, reps, scenario, seed; m, pi0, rho_list "
                             "and scenario take comma lists")
-    p_sim.add_argument("--output", help="output CSV (default: stdout)")
-    p_sim.add_argument("--seed", type=_int_arg("--seed", 0), help="override the config seed")
+    p_sim.add_argument("--output", help=output)
+    p_sim.add_argument("--seed", type=seed, help="override the config seed")
 
     p_sharp = sub.add_parser("sharpness",
                              help="empirical FWER at the least favorable configuration")
     p_sharp.add_argument("--procedure", required=True, choices=("whp", "wap"))
-    p_sharp.add_argument("--weights", required=True,
+    p_sharp.add_argument("--weights", required=True, type=_weights_arg,
                          help="comma-separated positive weights")
     p_sharp.add_argument("--alpha", type=_alpha_arg, default=0.05)
     p_sharp.add_argument("--reps", type=_int_arg("--reps", 1), default=200_000)
-    p_sharp.add_argument("--seed", type=_int_arg("--seed", 0), required=True)
+    p_sharp.add_argument("--seed", type=seed, required=True)
 
     p_check = sub.add_parser("check", help="run the randomized property battery")
     p_check.add_argument("--trials", type=_int_arg("--trials", 1), default=10_000)
-    p_check.add_argument("--seed", type=_int_arg("--seed", 0), required=True)
+    p_check.add_argument("--seed", type=seed, required=True)
     return parser
-
-
-def _open_output(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
 
 
 def _cmd_adjust(args) -> int:
     problem = load_problem_csv(args.input, args.alpha)
     # a hypothesis is rejected iff its adjusted value is at most alpha
     whp, wap = adjusted_whp(problem), adjusted_wap(problem)
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["hypothesis", "p_value", "weight", "adj_whp",
-                         "adj_wap", "reject_whp", "reject_wap"])
+    with _table(args.output, ["hypothesis", "p_value", "weight", "adj_whp",
+                              "adj_wap", "reject_whp", "reject_wap"]) as writer:
         for i, label in enumerate(problem.labels):
             writer.writerow([
-                label,
-                _fmt(problem.p[i], args.precision),
+                label, _fmt(problem.p[i], args.precision),
                 _fmt(problem.w[i], args.precision),
-                _fmt_adjusted(whp.values[i], args.precision),
-                _fmt_adjusted(wap.values[i], args.precision),
-                str(i in whp.rejected).lower(),
-                str(i in wap.rejected).lower(),
-            ])
-    finally:
-        if close:
-            out.close()
+                _fmt(whp.values[i], args.precision, ".4f"),
+                _fmt(wap.values[i], args.precision, ".4f"),
+                str(i in whp.rejected).lower(), str(i in wap.rejected).lower()])
     return EXIT_OK
 
 
@@ -157,15 +155,10 @@ def _cmd_ctp(args) -> int:
     problem = load_problem_csv(args.input, args.alpha)
     local = whp_local_test if args.procedure == "whp" else wap_local_test
     report = ctp(problem, local)
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["subset_bitmask", "rejected"])
-        for mask in sorted(report.local_decisions):
-            writer.writerow([mask, str(report.local_decisions[mask]).lower()])
-    finally:
-        if close:
-            out.close()
+    with _table(args.output, ["subset_bitmask", "rejected"]) as writer:
+        # in increasing mask order, the order `ctp` gives them in
+        writer.writerows([mask, str(rejected).lower()]
+                         for mask, rejected in report.local_decisions.items())
     return EXIT_OK
 
 
@@ -178,9 +171,8 @@ def _cmd_graph(args) -> int:
                         labels=problem.labels)
     for k, text in enumerate(stages):
         (outdir / f"stage_{k}.dot").write_text(text + "\n", encoding="utf-8")
-    with open(outdir / "rejections.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "hypothesis", "threshold"])
+    with _table(outdir / "rejections.csv",
+                ["step", "hypothesis", "threshold"]) as writer:
         for step, idx, threshold in rejections.trace:
             writer.writerow([step, problem.labels[idx],
                              _fmt(threshold, args.precision)])
@@ -232,52 +224,38 @@ def _parse_sim_config(path, seed_override):
 
 def _cmd_simulate(args) -> int:
     configs = _parse_sim_config(args.config, args.seed)
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["procedure", "m", "pi0", "rho", "scenario", "fwer",
-                         "fwer_se", "power", "power_se", "reps", "seed"])
+    with _table(args.output, ["procedure", "m", "pi0", "rho", "scenario",
+                              "fwer", "fwer_se", "power", "power_se", "reps",
+                              "seed"]) as writer:
         for config in configs:
             result = run_simulation(config)
             for proc in (Procedure.HOLM, Procedure.WHP, Procedure.WAP):
                 rec = result.records[proc]
                 writer.writerow([
                     proc.value, config.m, config.pi0, config.rho,
-                    config.weight_scenario.value,
-                    f"{rec.fwer:.6g}", f"{rec.fwer_se:.6g}",
-                    f"{rec.power:.6g}", f"{rec.power_se:.6g}",
-                    config.reps, config.seed,
-                ])
-    finally:
-        if close:
-            out.close()
+                    config.weight_scenario.value, _fmt(rec.fwer),
+                    _fmt(rec.fwer_se), _fmt(rec.power), _fmt(rec.power_se),
+                    config.reps, config.seed])
     return EXIT_OK
 
 
 def _cmd_sharpness(args) -> int:
-    try:
-        weights = [float(x) for x in args.weights.split(",") if x.strip()]
-    except ValueError:
-        print(f"error: malformed number in --weights: {args.weights}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    procedure = Procedure(args.procedure)
+    procedure, weights = Procedure(args.procedure), args.weights
     estimate = estimate_sharpness(procedure, weights, len(weights), args.reps,
                                   rng_new(args.seed), alpha=args.alpha)
-    print(f"procedure={procedure.value} fwer={estimate.fwer:.6g} "
-          f"se={estimate.se:.6g} reps={estimate.reps} seed={args.seed}")
+    print(f"procedure={procedure.value} fwer={_fmt(estimate.fwer)} "
+          f"se={_fmt(estimate.se)} reps={estimate.reps} seed={args.seed}")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     results = run_check_battery(args.trials, args.seed)
-    all_ok = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")
         if not result.passed and result.witness is not None:
             print(f"  witness: {result.witness!r}")
-        all_ok &= result.passed
+    all_ok = all(result.passed for result in results)
     print(f"{'all checks passed' if all_ok else 'CHECK FAILURES PRESENT'} "
           f"(trials={args.trials}, seed={args.seed})")
     return EXIT_OK if all_ok else EXIT_PROPERTY

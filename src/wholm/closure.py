@@ -35,15 +35,16 @@ the fast procedures are checked against.
 
 Closing either built-in test reproduces its step-down bit for bit, also for a
 p-value exactly on a boundary, because every subset total is summed from the
-last rank upward in the procedure's own `core.order` ranking:
+last rank upward in the procedure's own ranking, `procedures.rank_rows`:
 
 1. Sums taken in one fixed order are monotone under inclusion.  If A is a
    subset of B, each partial sum of A is at most that of B: both start at
    0.0, each step adds w_i >= 0 to B and w_i or 0.0 to A, and rounded
    addition is monotone in each argument.  So total(A) <= total(B).
 2. The tail set T_j of the hypotheses at ranks j and later is summed exactly
-   as the step-downs' kernel `procedures.adjust_rows` sums tail_j: the same
-   weights in the same order, and adding 0.0 for an absent member is exact.
+   as `procedures.adjust_rows` sums tail_j: both rank with `rank_rows`, so
+   the same weights are added in the same order, and adding 0.0 for an
+   absent member is exact.
    So total(T_j) == tail_j.
 3. Let the step-down reject ranks 0..k-1.  A subset I holding one of them has
    its first rank r < k, so I is a subset of T_r, and its value
@@ -64,7 +65,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional,
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
-from .procedures import Procedure, batch_stepdown, ranking
+from .procedures import Procedure, batch_stepdown, rank_rows, ranking
 
 MAX_CTP_HYPOTHESES = 20
 MAX_MONOTONICITY_HYPOTHESES = 12
@@ -85,6 +86,9 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class CtpReport:
+    """`local_decisions` maps every nonempty mask to its local test's
+    decision, in increasing mask order."""
+
     local_decisions: Dict[int, bool]
     elementary_rejections: RejectionSet
 
@@ -126,8 +130,8 @@ def _subsets(stack: _Stack, masks: np.ndarray, key: OrderingKey):
     1-D int array shared by every row of `stack`), as two (P, K) arrays.
 
     Each row ranks its hypotheses by p/w (`OrderingKey.WEIGHTED`) or by raw p
-    (`OrderingKey.RAW`), ties to the smaller index, as `core.order` and the
-    step-downs rank them, and sums every total from its last rank upward,
+    (`OrderingKey.RAW`), ties to the smaller index, with the step-downs'
+    `procedures.rank_rows`, and sums every total from its last rank upward,
     starting at 0.0: the order in which its step-down sums its tails.  Two
     ways give the same sums.  When the masks are many against the 2^m
     subsets (and m is within `MAX_CTP_HYPOTHESES`), all 2^m totals are built
@@ -138,8 +142,7 @@ def _subsets(stack: _Stack, masks: np.ndarray, key: OrderingKey):
     """
     p, w, _ = stack
     m = stack.m
-    perm = np.argsort(p / w if key is OrderingKey.WEIGHTED else p, axis=1,
-                      kind="stable")
+    perm = rank_rows(p, p / w, key)
     rows = np.arange(p.shape[0])[:, None]
     ranked_w = w[rows, perm]
     if m > MAX_CTP_HYPOTHESES or masks.size * m < 1 << m:
@@ -346,13 +349,6 @@ def check_consonance(problem: TestingProblem,
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
-def _check_monotonicity_size(m: int) -> None:
-    if m > MAX_MONOTONICITY_HYPOTHESES:
-        raise CapacityError(
-            f"monotonicity enumeration is capped at {MAX_MONOTONICITY_HYPOTHESES}"
-            f" hypotheses, got {m}")
-
-
 def _intersection_shares(stack: _Stack, procedure: Procedure,
                          table) -> np.ndarray:
     """alpha_i(I) for every subset I of every row, as a (P, 2^m, m) array
@@ -380,11 +376,12 @@ def _intersection_shares(stack: _Stack, procedure: Procedure,
 
 
 def _counterexamples(stack: _Stack, procedure: Procedure,
-                     table) -> List[Optional[Tuple]]:
+                     table=None) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
     J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
     where the condition holds.  `table` is the `_subset_table` under the
-    procedure's ranking.
+    procedure's ranking, built here when not given, after the size cap
+    `MAX_MONOTONICITY_HYPOTHESES` is checked.
 
     Only single-element removals are compared: any nested pair J subset of I
     is connected by a chain of such removals, so the reduced check is
@@ -394,7 +391,12 @@ def _counterexamples(stack: _Stack, procedure: Procedure,
     outside J are +inf, so only members of J can compare lower.
     """
     m = stack.m
-    _check_monotonicity_size(m)
+    if m > MAX_MONOTONICITY_HYPOTHESES:
+        raise CapacityError(
+            f"monotonicity enumeration is capped at {MAX_MONOTONICITY_HYPOTHESES}"
+            f" hypotheses, got {m}")
+    if table is None:
+        table = _subset_table(stack, ranking(procedure))
     shares = _intersection_shares(stack, procedure, table)
     found: List[Optional[Tuple]] = [None] * shares.shape[0]
     for j in range(m):
@@ -415,10 +417,7 @@ def check_monotonicity_condition(problem: TestingProblem,
                                  procedure: Procedure) -> MonotonicityReport:
     """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
     (see `_counterexamples`)."""
-    _check_monotonicity_size(problem.m)
-    stack = _Stack.of([problem])
-    [found] = _counterexamples(stack, procedure,
-                               _subset_table(stack, ranking(procedure)))
+    [found] = _counterexamples(_Stack.of([problem]), procedure)
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
@@ -456,11 +455,11 @@ class ClosedStack:
         return _counterexamples(self._stack, self.procedure, self._table)
 
 
-def random_problem(gen: np.random.Generator, m: int, alpha: float = 0.05,
-                   weight_low: float = 0.5, weight_high: float = 5.0) -> TestingProblem:
+def random_problem(gen: np.random.Generator, m: int,
+                   alpha: float = 0.05) -> TestingProblem:
     """One corpus problem: p i.i.d. U(0,1), weights i.i.d. U(0.5, 5)."""
     p = gen.uniform(0.0, 1.0, size=m)
-    w = gen.uniform(weight_low, weight_high, size=m)
+    w = gen.uniform(0.5, 5.0, size=m)
     return validate_problem([f"H{i + 1}" for i in range(m)], p, w, alpha)
 
 

@@ -88,10 +88,14 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
 
     Raises ValueError naming the offending index or label for any violated
     constraint: mismatched lengths, duplicate labels, p outside [0, 1],
-    nonpositive or nonfinite weights, or alpha outside (0, 1).
+    nonpositive or nonfinite weights, or alpha outside (0, 1).  A p-value of
+    -0 is taken as 0.
     """
     labels = tuple(str(x) for x in labels)
-    p = tuple(float(x) for x in p)
+    p = tuple(map(float, p))
+    if 0.0 in p:
+        # -0.0 + 0.0 is 0.0, and adding 0.0 leaves every other float as it is
+        p = tuple([x + 0.0 for x in p])
     w = tuple(float(x) for x in w)
     alpha = float(alpha)
     m = len(labels)

@@ -10,10 +10,11 @@ differently at a boundary, and only the product is used, so the adjusted
 reports print the very numbers the decisions were made on.
 
 `adjust_rows` is the one kernel that ranks, sums the tails and compares with
-alpha, over (R, m) rows.  The adjusted reports and `whp_stepdown`,
-`wap_stepdown` and `holm_stepdown` are one-row calls of it, the step-downs
-with a trace of raw-scale thresholds w*alpha/tail; `batch_stepdown` decides
-many rows at once for the Monte Carlo engine and the witness searches.
+alpha, over (R, m) rows; its ranking, `rank_rows`, is also the one closed
+testing uses.  The adjusted reports and `whp_stepdown`, `wap_stepdown` and
+`holm_stepdown` are one-row calls of it, the step-downs with a trace of
+raw-scale thresholds w*alpha/tail; `batch_stepdown` decides many rows at
+once for the Monte Carlo engine and the witness searches.
 """
 
 from __future__ import annotations
@@ -42,18 +43,25 @@ def ranking(procedure: Procedure) -> OrderingKey:
     raise ValueError(f"a ranking is defined for WHP or WAP, got {procedure}")
 
 
+def rank_rows(p: np.ndarray, tilde: np.ndarray, key: OrderingKey) -> np.ndarray:
+    """The index at each rank of each row of `p` (R, m): a stable argsort of
+    the weighted p-values `tilde` = p/w (WEIGHTED) or of p (RAW), so ties go
+    to the smaller index, as in `core.order`."""
+    return np.argsort(tilde if key is OrderingKey.WEIGHTED else p, axis=1,
+                      kind="stable")
+
+
 def adjust_rows(p, w, alpha, key: OrderingKey):
-    """Rank each row of `p` (R, m) by p/w (WEIGHTED) or p (RAW), stably, and
-    return four (R, m) arrays by rank: the index at each rank, the tail
-    weights (summed from the last rank upward), the adjusted values and the
-    rejections, adjusted value <= alpha, a prefix of each row.  `w` and
-    `alpha` (a scalar or an (R, 1) column) broadcast against `p`, which is
-    taken as valid."""
+    """Rank each row of `p` (R, m) by p/w (WEIGHTED) or p (RAW) with
+    `rank_rows`, and return four (R, m) arrays by rank: the index at each
+    rank, the tail weights (summed from the last rank upward), the adjusted
+    values and the rejections, adjusted value <= alpha, a prefix of each
+    row.  `w` and `alpha` (a scalar or an (R, 1) column) broadcast against
+    `p`, which is taken as valid."""
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
     w = w if w.shape == p.shape else np.broadcast_to(w, p.shape)
     tilde = p / w
-    perm = np.argsort(tilde if key is OrderingKey.WEIGHTED else p, axis=1,
-                      kind="stable")
+    perm = rank_rows(p, tilde, key)
     rows = np.arange(p.shape[0])[:, None]
     tails = np.cumsum(w[rows, perm][:, ::-1], axis=1)[:, ::-1]
     # capping the running max equals capping at every step: min/max commute

@@ -60,6 +60,35 @@ scenario = S4
 seed = 11
 """
 
+# `simulate --config` stdout on SIM_CONFIG
+SIMULATE_SHA256 = (
+    "1823aa9781fd8715dba7f0143188840f47248a529c8fd8aa6072251298625ca6")
+
+# `graph` over PROBLEM_CSV and BOUNDARY_CSV: every file it writes (name, a
+# NUL byte, then the bytes, in name order) followed by its stdout line with
+# the output directory written as OUTDIR
+GRAPH_SHA256 = {
+    ("problem", "weighted", "table"):
+        "66b5b72478b492d625767f5aeaf333e0afcf8de89ceeca31e2e05b4aa2cbe669",
+    ("problem", "weighted", "full"):
+        "116a3c54e9645025ec787f947fe03fcfa84fb79c5e81e055468a5ca05d5c66b2",
+    ("problem", "raw", "table"):
+        "4a9e8b6b46b7a66d517df6e63a671dfdfbb5f3f0479a0d4ee938e61f0ad8f3d0",
+    ("problem", "raw", "full"):
+        "4a9e8b6b46b7a66d517df6e63a671dfdfbb5f3f0479a0d4ee938e61f0ad8f3d0",
+    ("boundary", "weighted", "table"):
+        "5e9e1311af30b330b8dc8084c3bb0f03721d6436c9636d3c76a031ab4dd7c5fc",
+    ("boundary", "weighted", "full"):
+        "2b804b70754948ddb548aff6ab2280dcb590895922e026db9c595b873f503b3c",
+    ("boundary", "raw", "table"):
+        "5e9e1311af30b330b8dc8084c3bb0f03721d6436c9636d3c76a031ab4dd7c5fc",
+    ("boundary", "raw", "full"):
+        "2b804b70754948ddb548aff6ab2280dcb590895922e026db9c595b873f503b3c"}
+
+# the `sharpness --procedure whp --weights 1,2,3 --reps 2000 --seed 5` line
+SHARPNESS_SHA256 = (
+    "494841120e1eba200c7c94b4d8c5ec095bd12ff932fb302c2c240780d431452c")
+
 
 @pytest.fixture
 def problem_file(tmp_path):
@@ -112,6 +141,20 @@ class TestAdjust:
         for proc in ("whp", "wap"):
             assert row[f"reject_{proc}"] == str(
                 float(row[f"adj_{proc}"]) <= 0.05).lower()
+
+    @pytest.mark.parametrize("precision, zero, adjusted", [
+        ("table", "0", "0.0000"), ("full", "0.0", "0.0")])
+    def test_negative_zero_pvalue_prints_as_zero(self, precision, zero,
+                                                 adjusted, tmp_path, capsys):
+        path = tmp_path / "zeros.csv"
+        path.write_text("hypothesis,p_value,weight\n"
+                        "A,-0.0,1.0\nB,0.0,2.0\nC,0.5,1.0\n")
+        assert main(["adjust", "--input", str(path), "--alpha", "0.05",
+                     "--precision", precision]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        for row in rows[:2]:
+            assert (row["p_value"], row["adj_whp"], row["adj_wap"]) == (
+                zero, adjusted, adjusted)
 
     def test_rerun_is_byte_identical(self, problem_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -187,6 +230,24 @@ class TestGraph:
               "--ordering", "raw", "--output-dir", str(outdir)])
         assert read_csv(outdir / "rejections.csv") == []
 
+    @pytest.mark.parametrize("name", ["problem", "boundary"])
+    @pytest.mark.parametrize("ordering", ["weighted", "raw"])
+    @pytest.mark.parametrize("precision", ["table", "full"])
+    def test_files_and_stdout_are_byte_identical_to_golden(
+            self, name, ordering, precision, tmp_path, capsys):
+        path = tmp_path / f"{name}.csv"
+        path.write_text({"problem": PROBLEM_CSV, "boundary": BOUNDARY_CSV}[name])
+        outdir = tmp_path / "stages"
+        assert main(["graph", "--input", str(path), "--alpha", "0.05",
+                     "--ordering", ordering, "--output-dir", str(outdir),
+                     "--precision", precision]) == 0
+        digest = hashlib.sha256()
+        for f in sorted(outdir.iterdir()):
+            digest.update(f.name.encode() + b"\0" + f.read_bytes())
+        out = capsys.readouterr().out
+        digest.update(out.replace(str(outdir), "OUTDIR").encode())
+        assert digest.hexdigest() == GRAPH_SHA256[name, ordering, precision]
+
 
 class TestSimulate:
     def test_grid_output(self, tmp_path):
@@ -248,6 +309,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config)]) == 2
         assert "missing keys" in capsys.readouterr().err
 
+    def test_stdout_is_byte_identical_to_golden(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text(SIM_CONFIG)
+        assert main(["simulate", "--config", str(config)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == SIMULATE_SHA256
+
 
 class TestSharpness:
     def test_whp_line(self, capsys):
@@ -257,6 +325,12 @@ class TestSharpness:
         line = capsys.readouterr().out
         assert line.startswith("procedure=whp fwer=")
         assert "seed=5" in line
+
+    def test_whp_line_is_byte_identical_to_golden(self, capsys):
+        assert main(["sharpness", "--procedure", "whp", "--weights", "1,2,3",
+                     "--reps", "2000", "--seed", "5"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == SHARPNESS_SHA256
 
     def test_wap_ratio_violation_is_data_error(self, capsys):
         code = main(["sharpness", "--procedure", "wap",
@@ -362,6 +436,13 @@ class TestErrorHandling:
     def test_integer_below_its_minimum_is_usage_error(self, argv, capsys):
         assert main(argv.split()) == 1
         assert "must be at least" in capsys.readouterr().err
+
+    def test_malformed_weights_is_usage_error(self, capsys):
+        assert main(["sharpness", "--procedure", "whp", "--weights", "1,x",
+                     "--reps", "10", "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--weights" in captured.err
 
     def test_empty_weights_is_data_error(self, capsys):
         assert main(["sharpness", "--procedure", "wap", "--weights", ",",

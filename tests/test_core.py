@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +39,13 @@ def test_validate_rejects_bad_inputs(p, w, alpha, fragment):
     labels = [f"H{i}" for i in range(len(p))]
     with pytest.raises(ValueError, match=fragment):
         validate_problem(labels, p, w, alpha)
+
+
+def test_validate_reads_negative_zero_pvalue_as_zero():
+    prob = validate_problem(["A", "B", "C"], [-0.0, 0.0, 0.5],
+                            [1.0, 2.0, 1.0], 0.05)
+    assert prob.p == (0.0, 0.0, 0.5)
+    assert math.copysign(1.0, prob.p[0]) == 1.0
 
 
 def test_validate_rejects_duplicate_labels():
