@@ -1,7 +1,7 @@
 """Per-layer timings of the decision, Monte Carlo, closed-testing and CLI layers.
 
-    python3 bench/layers.py --label after --out BENCH_12.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_12.json
+    python3 bench/layers.py --label after --out BENCH_13.json
+    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_13.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
@@ -12,9 +12,13 @@ Times, with `perf_counter`, one call at a time in this process:
   and `battery.run_check_battery(2000)`, per call;
 - `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
   trials, per call;
-- `whp_stepdown` and `adjusted_whp` at m = 10 and 1000, per call;
+- `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
+  `adjusted_whp` at m = 10 and 1000, and `run_graphical` (weighted ordering)
+  at m = 100, per call;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
   and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call;
+- `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
+  on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
   `cli.main` runs of `adjust` at m = 5 and 1000 and `ctp --procedure whp` at
   m = 10 (stdout captured) and of `graph --ordering weighted` at m = 30
@@ -50,9 +54,13 @@ SIMULATION_SIZES = [(m, reps) for m in (10, 20) for reps in (100, 2000)]
 SHARPNESS_M, SHARPNESS_REPS = 10, 20_000
 CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
 SEARCH_TRIALS = 2000
+VALIDATE_M = 1000
 KERNEL_SIZES = (10, 1000)
+GRAPHICAL_M = 100
 CLOSURE_SIZES = (8, 14, 16)
 MONOTONICITY_M = 12
+# (m, number of masks) of the direct local-test calls
+LOCAL_TEST_CALLS = ((16, 1), (16, 1000), (21, 100_000))
 # (subcommand, m, extra flags) of the timed in-process CLI calls
 CLI_CALLS = (("adjust", 5, ()), ("adjust", 1000, ()),
              ("ctp", 10, ("--procedure", "whp")),
@@ -132,12 +140,24 @@ def measure(wholm):
         p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
         return wholm.validate_problem([f"H{i}" for i in range(m)], p, w, 0.05)
 
+    def validate(seed):
+        P = problem(seed, VALIDATE_M)
+        args = list(P.labels), list(P.p), list(P.w), P.alpha
+        return lambda: wholm.validate_problem(*args)
+
+    rows.append({"layer": "core.validate_problem", "per": "call",
+                 "size": {"m": VALIDATE_M}, **time_per_unit(validate, 1)})
     for m in KERNEL_SIZES:
         for layer, run in (("procedures.whp_stepdown", wholm.whp_stepdown),
                            ("adjust.adjusted_whp", wholm.adjusted_whp)):
             rows.append({"layer": layer, "per": "call", "size": {"m": m},
                          **time_per_unit(lambda seed, m=m, run=run: (
                              lambda P=problem(seed, m): run(P)), 1)})
+    rows.append({"layer": "graphical.run_graphical", "per": "call",
+                 "size": {"ordering": "weighted", "m": GRAPHICAL_M},
+                 **time_per_unit(lambda seed: (
+                     lambda P=problem(seed, GRAPHICAL_M): wholm.run_graphical(
+                         P, wholm.OrderingKey.WEIGHTED)), 1)})
     for m in CLOSURE_SIZES:
         for layer, run in (
                 ("closure.ctp", lambda P: wholm.ctp(P, wholm.whp_local_test)),
@@ -153,6 +173,17 @@ def measure(wholm):
                      lambda P=problem(seed, MONOTONICITY_M):
                      wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)),
                      1)})
+
+    def local_test(seed, m, count):
+        P = problem(seed, m)
+        masks = np.random.default_rng(seed).integers(1, 1 << m, size=count)
+        return lambda: wholm.whp_local_test(P, masks)
+
+    for m, count in LOCAL_TEST_CALLS:
+        rows.append({"layer": "closure.whp_local_test", "per": "call",
+                     "size": {"m": m, "masks": count},
+                     **time_per_unit(lambda seed, m=m, count=count:
+                                     local_test(seed, m, count), 1)})
 
     rows.append({"layer": "cli.build_parser", "per": "call", "size": {},
                  **time_per_unit(lambda seed: cli.build_parser, 1)})

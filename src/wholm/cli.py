@@ -275,12 +275,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        path = getattr(args, "input", None) or getattr(args, "config", None)
+        if path is not None and not Path(path).exists():
+            parser.error(f"no such file: {path}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    input_path = getattr(args, "input", None) or getattr(args, "config", None)
-    if input_path is not None and not Path(input_path).exists():
-        print(f"error: no such file: {input_path}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -1,16 +1,18 @@
 """Closed testing over all intersection hypotheses, read from one subset table.
 
-Subsets of {0..m-1} are encoded as bitmasks.  One routine, `_subsets`, tabulates
-every subset a caller asks for under one ranking of the hypotheses: its weight
-total and its member of smallest rank.  It works on a stack of problems of one
-size m held as (P, m) arrays and gives (P, K) tables, one row per problem in
-that row's own ranking.  Every closed-testing entry point reads that table;
-none walks the subsets in Python.  `ClosedStack` closes a stack of problems
-under the local test of WHP or WAP and gives, per problem, the closed
-rejections, the consonance witness and the monotonicity counterexample;
+Subsets of {0..m-1} are encoded as bitmasks.  One table, `_subset_table`,
+holds the weight total and the first-ranked member of every nonempty subset
+of each problem in a stack of one size m, held as (P, m) arrays, each row in
+its own ranking.  Every closed-testing entry point reads that table; none
+walks the subsets in Python.  `ClosedStack` closes a stack of problems under
+the local test of WHP or WAP and gives, per problem, the closed rejections,
+the consonance witness and the monotonicity counterexample;
 `battery.check_properties` uses it on stacks of many problems.  `ctp`,
 `check_consonance`, `check_monotonicity_condition` and the two local tests
 are one-row calls of the same code, and the answers are the same either way.
+A local test asked about too few masks to pay for the table (or for m above
+`MAX_CTP_HYPOTHESES`) decides each one as the first step of the step-down
+run on that intersection alone, `procedures.adjust_rows`, with the same sums.
 
 The local decisions of a stack, a (P, 2^m - 1) table, are closed row by row
 with the superset OR: the accepted masks of a row are packed into the bits of
@@ -65,15 +67,13 @@ from typing import (Callable, Dict, List, NamedTuple, Optional,
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
-from .procedures import Procedure, batch_stepdown, rank_rows, ranking
+from .procedures import (Procedure, adjust_rows, batch_stepdown,
+                         rank_rows, ranking)
 
 MAX_CTP_HYPOTHESES = 20
 MAX_MONOTONICITY_HYPOTHESES = 12
 # Trials in the first chunk of the p-value monotonicity search.
 SEARCH_FIRST_CHUNK = 16
-# Cells of a (P, m, chunk) temporary of the rank-by-rank subset sums: about
-# 17 MB of membership, products and running sums at 2^20.
-_RANK_PASS_CELLS = 1 << 20
 
 
 LocalTest = Callable[[TestingProblem, Union[int, np.ndarray]],
@@ -125,58 +125,6 @@ class _Stack(NamedTuple):
         return self.p.shape[1]
 
 
-def _subsets(stack: _Stack, masks: np.ndarray, key: OrderingKey):
-    """Weight totals and first-ranked members of the subsets in `masks` (a
-    1-D int array shared by every row of `stack`), as two (P, K) arrays.
-
-    Each row ranks its hypotheses by p/w (`OrderingKey.WEIGHTED`) or by raw p
-    (`OrderingKey.RAW`), ties to the smaller index, with the step-downs'
-    `procedures.rank_rows`, and sums every total from its last rank upward,
-    starting at 0.0: the order in which its step-down sums its tails.  Two
-    ways give the same sums.  When the masks are many against the 2^m
-    subsets (and m is within `MAX_CTP_HYPOTHESES`), all 2^m totals are built
-    by doubling (`_all_subsets`), about 2^m adds per row, and the masks are
-    read from them.  Otherwise each mask adds the weights of its members
-    rank by rank (`_ranked_sums`), about K * m adds per row, the only way
-    for masks wider than 64 bits.
-    """
-    p, w, _ = stack
-    m = stack.m
-    perm = rank_rows(p, p / w, key)
-    rows = np.arange(p.shape[0])[:, None]
-    ranked_w = w[rows, perm]
-    if m > MAX_CTP_HYPOTHESES or masks.size * m < 1 << m:
-        return _ranked_sums(perm, ranked_w, masks)
-    total, first, code = _all_subsets(perm, ranked_w)
-    code = code[:, masks]
-    return total[rows, code], first[rows, code]
-
-
-def _ranked_sums(perm: np.ndarray, ranked_w: np.ndarray, masks: np.ndarray):
-    """`_subsets` one rank at a time: the running sums of each mask's
-    weights from the last rank upward (a rank the mask lacks adds 0.0), and
-    its member of smallest rank.  The masks are taken in chunks, so that the
-    (P, m, chunk) temporaries stay within `_RANK_PASS_CELLS` cells."""
-    count = perm.shape[0]
-    rows = np.arange(count)[:, None]
-    # one-bit masks of each row's members from the last rank upward (Python
-    # ints for masks wider than 64 bits)
-    bits = (np.ones(perm.shape, dtype=masks.dtype) << perm[:, ::-1])[:, :, None]
-    weights = ranked_w[:, ::-1, None]
-    total = np.empty((count, masks.size))
-    first = np.empty((count, masks.size), dtype=np.intp)
-    step = max(1, _RANK_PASS_CELLS // perm.size)
-    for start in range(0, masks.size, step):
-        # has[row, j, k]: mask k holds the row's member at rank m-1-j; True
-        # times a weight is the weight and False times it is 0.0
-        has = masks[start:start + step] & bits != 0
-        total[:, start:start + step] = np.add.accumulate(has * weights,
-                                                         axis=1)[:, -1]
-        first[:, start:start + step] = perm[rows,
-                                            np.argmax(has[:, ::-1], axis=1)]
-    return total, first
-
-
 def _all_subsets(perm: np.ndarray, ranked_w: np.ndarray):
     """Totals of all 2^m subsets of each row and first-ranked members of the
     nonempty ones, by rank-space code, and the code of each index mask.
@@ -208,6 +156,27 @@ def _all_subsets(perm: np.ndarray, ranked_w: np.ndarray):
     return total, first, code
 
 
+def _check_ctp_size(m: int) -> None:
+    if m > MAX_CTP_HYPOTHESES:
+        raise CapacityError(
+            f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
+
+
+def _subset_table(stack: _Stack, key: OrderingKey):
+    """Weight totals and first-ranked members of every nonempty subset, as
+    two (P, 2^m - 1) arrays whose column I - 1 holds mask I.  Each row is
+    ranked under `key` by the step-downs' `procedures.rank_rows`, and
+    `_all_subsets` sums each total from its last rank upward, starting at
+    0.0: the order in which the row's step-down sums its tails."""
+    _check_ctp_size(stack.m)
+    p, w, _ = stack
+    perm = rank_rows(p, p / w, key)
+    rows = np.arange(p.shape[0])[:, None]
+    total, first, code = _all_subsets(perm, w[rows, perm])
+    code = code[:, 1:]
+    return total[rows, code], first[rows, code]
+
+
 def _rejects(stack: _Stack, total: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Both local tests' rule: the first-ranked member's (p/w) * total is at
     most alpha."""
@@ -217,14 +186,33 @@ def _rejects(stack: _Stack, total: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
                 key: OrderingKey) -> Union[bool, np.ndarray]:
+    """K masks with K * m >= 2^m (m within `MAX_CTP_HYPOTHESES`) are read
+    from the `_subset_table`.  Otherwise the masks of each size k are
+    stacked as (K_k, k) rows of their members in index order and decided by
+    the first step of `procedures.adjust_rows`: its stable ranking orders
+    the members as the full ranking does, its tail adds the same weights in
+    the same order, and its adjusted value, capped at 1, is at most
+    alpha < 1 iff the product is."""
     masks = np.asarray(masks)
     if masks.size == 0:
         return np.zeros(masks.shape, dtype=bool)
-    if masks.min() <= 0 or int(masks.max()) >> problem.m:
+    m = problem.m
+    if masks.min() <= 0 or int(masks.max()) >> m:
         raise ValueError("intersection must be a nonempty subset of the "
-                         f"{problem.m} hypotheses")
-    stack = _Stack.of([problem])
-    rejected = _rejects(stack, *_subsets(stack, masks.reshape(-1), key))
+                         f"{m} hypotheses")
+    flat, stack = masks.reshape(-1), _Stack.of([problem])
+    if flat.size * m >= 1 << m and m <= MAX_CTP_HYPOTHESES:
+        rejected = _rejects(stack, *_subset_table(stack, key))[0, flat - 1]
+    else:
+        # (Python ints for masks wider than 64 bits)
+        member = ((flat[:, None] >> np.arange(m)) & 1).astype(bool)
+        size = member.sum(axis=1)
+        rejected = np.empty(flat.size, dtype=bool)
+        for k in np.unique(size).tolist():
+            group = np.flatnonzero(size == k)
+            index = np.nonzero(member[group])[1].reshape(-1, k)
+            rejected[group] = adjust_rows(stack.p[0, index], stack.w[0, index],
+                                          problem.alpha, key)[3][:, 0]
     return rejected.reshape(masks.shape)[()]
 
 
@@ -244,19 +232,6 @@ def whp_local_test(problem: TestingProblem,
     `mask` is one int mask or an int array of masks; the decisions have its
     shape."""
     return _local_test(problem, mask, OrderingKey.WEIGHTED)
-
-
-def _check_ctp_size(m: int) -> None:
-    if m > MAX_CTP_HYPOTHESES:
-        raise CapacityError(
-            f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
-
-
-def _subset_table(stack: _Stack, key: OrderingKey):
-    """`_subsets` of every nonempty mask under one ranking: column I - 1 of
-    the (P, 2^m - 1) totals and first-ranked members holds mask I."""
-    _check_ctp_size(stack.m)
-    return _subsets(stack, np.arange(1, 1 << stack.m), key)
 
 
 def _local_rejections(problem: TestingProblem,
@@ -312,11 +287,13 @@ def _closed_rejections(covered: int, m: int) -> frozenset:
     return frozenset(i for i in range(m) if not covered >> (1 << i) & 1)
 
 
-def _consonance_witness(covered: int, m: int) -> Optional[int]:
-    """The smallest CTP-rejected mask of one closed row that holds no
-    elementary rejection, or None where the row is consonant."""
+def _consonance_witness(covered: int, m: int,
+                        rejected: frozenset) -> Optional[int]:
+    """The smallest CTP-rejected mask of one closed row that holds none of
+    its elementary rejections `rejected`, or None where the row is
+    consonant."""
     violating = ~covered & (1 << (1 << m)) - 1
-    for i in _closed_rejections(covered, m):
+    for i in rejected:
         violating &= _bit_clear(m)[i]
     return (violating & -violating).bit_length() - 1 if violating else None
 
@@ -344,8 +321,9 @@ def check_consonance(problem: TestingProblem,
     The witness is the smallest CTP-rejected mask holding no elementary
     rejection.
     """
-    witness = _consonance_witness(
-        *_close(_local_rejections(problem, local_test)), problem.m)
+    [covered] = _close(_local_rejections(problem, local_test))
+    witness = _consonance_witness(covered, problem.m,
+                                  _closed_rejections(covered, problem.m))
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
@@ -447,8 +425,9 @@ class ClosedStack:
         self._table = _subset_table(self._stack, ranking(procedure))
         covered = _close(_rejects(self._stack, *self._table))
         self.rejections = [_closed_rejections(row, self.m) for row in covered]
-        self.consonance_witnesses = [_consonance_witness(row, self.m)
-                                     for row in covered]
+        self.consonance_witnesses = [
+            _consonance_witness(row, self.m, rejected)
+            for row, rejected in zip(covered, self.rejections)]
 
     @cached_property
     def monotonicity_counterexamples(self) -> List[Optional[Tuple]]:

@@ -146,11 +146,12 @@ def load_problem_csv(path, alpha: float) -> TestingProblem:
             raise ValueError(
                 f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
         for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            row = [c.strip() for c in row]
+            if not any(row):
                 continue
             if len(row) != 3:
                 raise ValueError(f"{path}: row {rownum}: expected 3 columns, got {len(row)}")
-            label, p_str, w_str = (c.strip() for c in row)
+            label, p_str, w_str = row
             try:
                 ps.append(float(p_str))
                 ws.append(float(w_str))

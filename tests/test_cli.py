@@ -401,10 +401,16 @@ class TestCheck:
 
 class TestErrorHandling:
     def test_missing_input_file(self, tmp_path, capsys):
-        code = main(["adjust", "--input", str(tmp_path / "nope.csv"),
-                     "--alpha", "0.05"])
-        assert code == 1
-        assert "no such file" in capsys.readouterr().err
+        # a usage error like any other: the usage line, then the error
+        for argv in (["adjust", "--input", str(tmp_path / "nope.csv"),
+                      "--alpha", "0.05"],
+                     ["simulate", "--config", str(tmp_path / "nope.cfg")]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            usage, error = captured.err.splitlines()[-2:]
+            assert usage.startswith("usage: wholm ")
+            assert error == f"error: no such file: {argv[2]}"
 
     def test_alpha_out_of_range(self, problem_file):
         assert main(["adjust", "--input", problem_file,

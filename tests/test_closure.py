@@ -108,15 +108,22 @@ class TestLocalTests:
                                 assert whp_local_test(prob, sub)
 
     def test_arrays_match_the_per_mask_definition(self):
+        # all masks at once are read from the subset table; one mask at a
+        # time and a few masks of mixed sizes (K * m < 2^m from m = 5 on)
+        # are decided by the step-down kernel
+        gen = np.random.default_rng(42)
         for prob in _boundary_corpus(600, seed=41):
             masks = np.arange(1, 1 << prob.m)
+            expected = [_per_mask(prob, int(k)) for k in masks]
             whp = whp_local_test(prob, masks).tolist()
             wap = wap_local_test(prob, masks).tolist()
-            assert list(zip(whp, wap)) == [_per_mask(prob, int(k))
-                                           for k in masks], prob
-            k = int(masks[-1])
-            assert (whp_local_test(prob, k), wap_local_test(prob, k)) \
-                == _per_mask(prob, k)
+            assert list(zip(whp, wap)) == expected, prob
+            assert [(whp_local_test(prob, int(k)), wap_local_test(prob, int(k)))
+                    for k in masks] == expected, prob
+            some = gen.choice(masks, size=min(masks.size, 6), replace=False)
+            whp = whp_local_test(prob, some).tolist()
+            wap = wap_local_test(prob, some).tolist()
+            assert list(zip(whp, wap)) == [expected[k - 1] for k in some], prob
 
     def test_masks_wider_than_64_bits(self):
         gen = np.random.default_rng(70)
@@ -129,15 +136,13 @@ class TestLocalTests:
         assert decisions == [_per_mask(prob, k) for k in masks]
         assert len(set(decisions)) > 1
 
-    def test_many_masks_above_the_ctp_cap_take_the_per_rank_pass(
+    def test_many_masks_above_the_ctp_cap_take_the_stepdown_kernel(
             self, monkeypatch):
         # K * m >= 2^m, which would tabulate all 2^m subsets at m <= 20; at
-        # m = 21 the decisions come from the rank-by-rank sums instead
+        # m = 21 the decisions come from the step-down kernel instead
         def no_table(*args):
             raise AssertionError("all 2^m subsets tabulated")
         monkeypatch.setattr(closure, "_all_subsets", no_table)
-        # and in chunks of 1,000 masks
-        monkeypatch.setattr(closure, "_RANK_PASS_CELLS", 21 * 1000)
         gen = np.random.default_rng(21)
         prob = random_problem(gen, 21)
         prob = validate_problem(prob.labels, np.array(prob.p) * 0.05, prob.w,

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wholm import (OrderingKey, order, validate_problem, weighted_pvalues)
+from wholm.core import load_problem_csv
 
 problem_lists = st.integers(min_value=1, max_value=12).flatmap(
     lambda m: st.tuples(
@@ -51,6 +52,29 @@ def test_validate_reads_negative_zero_pvalue_as_zero():
 def test_validate_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate hypothesis label: H2"):
         validate_problem(["H1", "H2", "H3", "H2"], [0.1] * 4, [1.0] * 4, 0.05)
+
+
+def test_csv_skips_blank_rows_and_strips_padded_cells(tmp_path):
+    path = tmp_path / "padded.csv"
+    path.write_text(" hypothesis , p_value,weight \n"
+                    "\n"
+                    " H1 , 0.01 ,2.5\n"
+                    "   \n"
+                    " , ,\t\n"
+                    ",,\n"
+                    "H2,\t0.5,  1\n")
+    prob = load_problem_csv(path, 0.05)
+    assert prob == validate_problem(["H1", "H2"], [0.01, 0.5], [2.5, 1.0], 0.05)
+
+
+@pytest.mark.parametrize("row, count", [("H2,0.02", 2), ("H2,0.02,1.0,", 4),
+                                        (" ,0.02, , ", 4)])
+def test_csv_row_of_wrong_width_names_its_row(tmp_path, row, count):
+    path = tmp_path / "wide.csv"
+    path.write_text(f"hypothesis,p_value,weight\nH1,0.01,1.0\n\n{row}\n")
+    with pytest.raises(ValueError,
+                       match=f"row 4: expected 3 columns, got {count}$"):
+        load_problem_csv(path, 0.05)
 
 
 def test_weighted_pvalues_examples():
