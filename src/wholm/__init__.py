@@ -10,8 +10,7 @@ from .closure import (CapacityError, ConsonanceReport, CtpReport,
                       find_pvalue_monotonicity_violation, wap_local_test,
                       whp_local_test)
 from .core import (OrderingKey, OrderingPermutation, RejectionSet,
-                   TestingProblem, WeightedPValues, load_problem_csv, order,
-                   validate_problem, weighted_pvalues)
+                   TestingProblem, load_problem_csv, validate_problem)
 from .graphical import (GraphTrace, TransitionGraph, export_dot, initial_graph,
                         reject_and_update, run_graphical)
 from .montecarlo import (DegenerateSampleError, LfcSample, Procedure,

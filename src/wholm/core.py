@@ -12,7 +12,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 class OrderingKey(Enum):
@@ -32,11 +32,6 @@ class TestingProblem:
     @property
     def m(self) -> int:
         return len(self.p)
-
-
-@dataclass(frozen=True)
-class WeightedPValues:
-    tilde_p: Tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -111,22 +106,6 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
     check_weights(w)
     check_alpha(alpha)
     return TestingProblem(labels=labels, p=p, w=w, alpha=alpha)
-
-
-def weighted_pvalues(problem: TestingProblem) -> WeightedPValues:
-    """Componentwise p_i / w_i."""
-    return WeightedPValues(tilde_p=tuple(pi / wi for pi, wi in zip(problem.p, problem.w)))
-
-
-def order(values: Sequence[float], key: OrderingKey) -> OrderingPermutation:
-    """Stable ascending sort permutation over `values`.
-
-    Ties are broken by smallest original index, which makes every downstream
-    procedure deterministic.
-    """
-    vals = [float(v) for v in values]
-    perm = tuple(sorted(range(len(vals)), key=lambda i: (vals[i], i)))
-    return OrderingPermutation(perm=perm, key=key)
 
 
 def load_problem_csv(path, alpha: float) -> TestingProblem:

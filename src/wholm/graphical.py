@@ -1,19 +1,32 @@
 """Graphical formulation: local levels on nodes, transition coefficients on
 edges, and the rejection/update loop shared by both ordering rules.
 
-The update is implemented for any valid (G, alpha) pair; starting from the
-weight-derived initial graph it stays in closed form (local level w_l * alpha
-over the active weight mass, coefficients proportional to target weights),
-which the tests use as an independent oracle.
+A graph over m hypotheses is an (m,) vector of local levels and an (m, m)
+matrix of transition coefficients, both exactly 0 at rejected nodes, with
+`g` 0 on its diagonal.  Rejecting node j is the update of Bretz et al.
+(2009): alpha_l += alpha_j * g_jl and g_lk <- (g_lk + g_lj * g_jk) /
+(1 - g_lj * g_jl) over the remaining nodes.  The update holds for any valid
+(G, alpha) pair; from the weight-derived initial graph it stays in closed
+form (local level w_l * alpha over the active weight mass, coefficients
+proportional to target weights), which the tests use as an independent
+oracle.
+
+WHP and WAP share that initial graph and differ only in which node is tested
+next: the next in `procedures.rank_rows`'s ranking by p/w or by p.  The
+rejections are always a prefix of that ranking, so `run_graphical` walks it
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
-from .core import OrderingKey, RejectionSet, TestingProblem, weighted_pvalues
+import numpy as np
+
+from .core import OrderingKey, RejectionSet, TestingProblem
+from .procedures import rank_rows
 
 
 class GraphInvariantError(RuntimeError):
@@ -22,15 +35,17 @@ class GraphInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransitionGraph:
+    """`local_alpha` (m,) and `g` (m, m) are exactly 0 outside `active`, and
+    `g` is 0 on its diagonal."""
+
     active: FrozenSet[int]
-    local_alpha: Dict[int, float]
-    g: Dict[Tuple[int, int], float]
+    local_alpha: np.ndarray
+    g: np.ndarray
 
 
 @dataclass(frozen=True)
 class GraphStep:
     rejected_index: int
-    before: TransitionGraph
     after: TransitionGraph
 
 
@@ -41,16 +56,15 @@ class GraphTrace:
 
 def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
     """Weight-proportional initial allocation with row-stochastic coefficients."""
-    m = len(w)
     total = sum(w)
-    local = {i: w[i] * alpha / total for i in range(m)}
-    g = {}
-    for i in range(m):
-        off = total - w[i]
-        for j in range(m):
-            if i != j:
-                g[(i, j)] = w[j] / off if off > 0 else 0.0
-    return TransitionGraph(active=frozenset(range(m)), local_alpha=local, g=g)
+    w = np.asarray(w, dtype=float)
+    m = len(w)
+    off = total - w
+    g = np.divide(w, off[:, None], out=np.zeros((m, m)),
+                  where=(off > 0.0)[:, None])
+    np.fill_diagonal(g, 0.0)
+    return TransitionGraph(active=frozenset(range(m)),
+                           local_alpha=w * alpha / total, g=g)
 
 
 def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
@@ -58,50 +72,46 @@ def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
     if j not in graph.active:
         raise ValueError(f"node {j} is not active")
     remaining = graph.active - {j}
-    alpha_j = graph.local_alpha[j]
-    local = {l: graph.local_alpha[l] + alpha_j * graph.g.get((j, l), 0.0)
-             for l in remaining}
-    g = {}
-    for l in remaining:
-        g_lj = graph.g.get((l, j), 0.0)
-        g_jl = graph.g.get((j, l), 0.0)
-        denom = 1.0 - g_lj * g_jl
-        for k in remaining:
-            if k == l:
-                continue
-            if denom <= 0.0:
-                raise GraphInvariantError(
-                    f"degenerate update: g[{l},{j}] * g[{j},{l}] = 1")
-            g[(l, k)] = (graph.g.get((l, k), 0.0) + g_lj * graph.g.get((j, k), 0.0)) / denom
+    g = graph.g
+    local = graph.local_alpha + graph.local_alpha[j] * g[j]
+    local[j] = 0.0
+    keep = np.zeros(len(local), dtype=bool)
+    keep[list(remaining)] = True
+    g_to_j, g_from_j = g[:, j], g[j]
+    denom = 1.0 - g_to_j * g_from_j
+    if len(remaining) > 1 and (keep & (denom <= 0.0)).any():
+        l = int(np.argmax(keep & (denom <= 0.0)))
+        raise GraphInvariantError(
+            f"degenerate update: g[{l},{j}] * g[{j},{l}] = 1")
+    edges = keep[:, None] & keep
+    np.fill_diagonal(edges, False)
+    g = np.divide(g + g_to_j[:, None] * g_from_j, denom[:, None],
+                  out=np.zeros_like(g), where=edges)
     return TransitionGraph(active=remaining, local_alpha=local, g=g)
 
 
 def run_graphical(problem: TestingProblem,
                   ordering: OrderingKey) -> Tuple[RejectionSet, GraphTrace]:
-    """Repeatedly test the active hypothesis with the smallest key value.
+    """Test the hypotheses in `rank_rows`'s order until the first failure.
 
     WEIGHTED ordering reproduces WHP, RAW ordering reproduces WAP.  A
     hypothesis is rejected iff its raw p-value is at or below its current
-    local level; the loop stops at the first failure.
+    local level.
     """
-    keys = (weighted_pvalues(problem).tilde_p if ordering is OrderingKey.WEIGHTED
-            else problem.p)
+    p = np.array([problem.p])
+    perm = rank_rows(p, p / np.array([problem.w]), ordering)[0].tolist()
     graph = initial_graph(problem.w, problem.alpha)
     steps = []
     trace = []
-    step_no = 0
-    while graph.active:
-        j = min(graph.active, key=lambda i: (keys[i], i))
-        threshold = graph.local_alpha[j]
+    for j in perm:
+        threshold = float(graph.local_alpha[j])
         if problem.p[j] > threshold:
             break
-        step_no += 1
-        updated = reject_and_update(graph, j)
-        steps.append(GraphStep(rejected_index=j, before=graph, after=updated))
-        trace.append((step_no, j, threshold))
-        graph = updated
-    rejected = frozenset(i for _, i, _ in trace)
-    return (RejectionSet(rejected=rejected, trace=tuple(trace)),
+        graph = reject_and_update(graph, j)
+        steps.append(GraphStep(rejected_index=j, after=graph))
+        trace.append((len(trace) + 1, j, threshold))
+    return (RejectionSet(rejected=frozenset(perm[:len(trace)]),
+                         trace=tuple(trace)),
             GraphTrace(steps=tuple(steps)))
 
 
@@ -115,17 +125,21 @@ def _coefficient_label(value: float) -> str:
 
 
 def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels) -> str:
+    local, g = graph.local_alpha.tolist(), graph.g.tolist()
     lines = [f"digraph {name} {{"]
     for i in all_nodes:
         if i in graph.active:
             lines.append(
                 f'  "{labels[i]}" [label="{labels[i]}\\n'
-                f'alpha={graph.local_alpha[i]:.4f}"];')
+                f'alpha={local[i]:.4f}"];')
         else:
             lines.append(f'  "{labels[i]}" [label="{labels[i]}", rejected=true];')
-    for (i, j), value in sorted(graph.g.items()):
-        lines.append(f'  "{labels[i]}" -> "{labels[j]}" '
-                     f'[label="{_coefficient_label(value)}"];')
+    active = sorted(graph.active)
+    for i in active:
+        for j in active:
+            if i != j:
+                lines.append(f'  "{labels[i]}" -> "{labels[j]}" '
+                             f'[label="{_coefficient_label(g[i][j])}"];')
     lines.append("}")
     return "\n".join(lines)
 

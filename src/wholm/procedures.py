@@ -46,7 +46,8 @@ def ranking(procedure: Procedure) -> OrderingKey:
 def rank_rows(p: np.ndarray, tilde: np.ndarray, key: OrderingKey) -> np.ndarray:
     """The index at each rank of each row of `p` (R, m): a stable argsort of
     the weighted p-values `tilde` = p/w (WEIGHTED) or of p (RAW), so ties go
-    to the smaller index, as in `core.order`."""
+    to the smaller index.  This is the one ranking of the step-downs, closed
+    testing and the graphical run."""
     return np.argsort(tilde if key is OrderingKey.WEIGHTED else p, axis=1,
                       kind="stable")
 

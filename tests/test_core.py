@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wholm import (OrderingKey, order, validate_problem, weighted_pvalues)
+from wholm import OrderingKey, validate_problem
 from wholm.core import load_problem_csv
+from wholm.procedures import adjust_rows, rank_rows
 
 problem_lists = st.integers(min_value=1, max_value=12).flatmap(
     lambda m: st.tuples(
@@ -77,40 +79,53 @@ def test_csv_row_of_wrong_width_names_its_row(tmp_path, row, count):
         load_problem_csv(path, 0.05)
 
 
+def ranking(problem, key):
+    """The index at each rank of `problem` under `key`, as the step-down
+    kernel ranks it (by p/w for WEIGHTED)."""
+    perm = adjust_rows([problem.p], [problem.w], problem.alpha, key)[0]
+    return tuple(perm[0].tolist())
+
+
 def test_weighted_pvalues_examples():
+    # weighted p-values 0.01, 0.007, 0.1
     prob = validate_problem(["a", "b", "c"], [0.01, 0.014, 0.3], [1, 2, 3], 0.05)
-    assert weighted_pvalues(prob).tilde_p == pytest.approx((0.01, 0.007, 0.1))
+    assert ranking(prob, OrderingKey.WEIGHTED) == (1, 0, 2)
+    assert ranking(prob, OrderingKey.RAW) == (0, 1, 2)
+    # weighted p-values 0.01, 0.015, 0.03
     prob = validate_problem(["a", "b", "c"], [0.01, 0.03, 0.09], [1, 2, 3], 0.05)
-    assert weighted_pvalues(prob).tilde_p == pytest.approx((0.01, 0.015, 0.03))
+    assert ranking(prob, OrderingKey.WEIGHTED) == (0, 1, 2)
 
 
 def test_weighted_pvalues_unit_weights_identity():
-    prob = validate_problem(["a", "b"], [0.2, 0.7], [1.0, 1.0], 0.05)
-    assert weighted_pvalues(prob).tilde_p == prob.p
+    prob = validate_problem(["a", "b"], [0.7, 0.2], [1.0, 1.0], 0.05)
+    weighted = adjust_rows([prob.p], [prob.w], 0.05, OrderingKey.WEIGHTED)
+    raw = adjust_rows([prob.p], [prob.w], 0.05, OrderingKey.RAW)
+    for a, b in zip(weighted, raw):
+        assert np.array_equal(a, b)
+    assert ranking(prob, OrderingKey.WEIGHTED) == (1, 0)
 
 
-def test_order_examples():
-    assert order((0.01, 0.007, 0.1), OrderingKey.WEIGHTED).perm == (1, 0, 2)
-    assert order((0.3, 0.3, 0.1), OrderingKey.RAW).perm == (2, 0, 1)
-    assert order((0.1, 0.2, 0.3), OrderingKey.RAW).perm == (0, 1, 2)
+def test_rank_rows_examples():
+    # ties go to the smaller index
+    weighted = np.array([[0.01, 0.007, 0.1]])
+    assert rank_rows(weighted, weighted, OrderingKey.WEIGHTED)[0].tolist() == [1, 0, 2]
+    assert rank_rows(np.array([[0.3, 0.3, 0.1]]), None,
+                     OrderingKey.RAW)[0].tolist() == [2, 0, 1]
+    assert rank_rows(np.array([[0.1, 0.2, 0.3]]), None,
+                     OrderingKey.RAW)[0].tolist() == [0, 1, 2]
+    # each row is ranked on its own
+    rows = np.array([[0.3, 0.3, 0.1], [0.2, 0.1, 0.2]])
+    assert rank_rows(rows, None, OrderingKey.RAW).tolist() == [[2, 0, 1],
+                                                               [1, 0, 2]]
 
 
 @given(problem_lists)
-def test_order_is_bijection_and_sorted(data):
+def test_rank_rows_is_bijection_and_sorted(data):
     p, _ = data
-    perm = order(p, OrderingKey.RAW).perm
+    perm = rank_rows(np.array([p]), None, OrderingKey.RAW)[0].tolist()
     assert sorted(perm) == list(range(len(p)))
     keyed = [(p[i], i) for i in perm]
     assert keyed == sorted(keyed)
-
-
-@given(problem_lists)
-def test_weighted_pvalues_roundtrip(data):
-    p, w = data
-    prob = validate_problem([str(i) for i in range(len(p))], p, w, 0.05)
-    tilde = weighted_pvalues(prob).tilde_p
-    for ti, wi, pi in zip(tilde, prob.w, prob.p):
-        assert ti * wi == pytest.approx(pi, rel=1e-15, abs=1e-300)
 
 
 @given(problem_lists)
@@ -121,6 +136,4 @@ def test_equal_weights_give_same_ordering(data):
     # index tie-break relative to the raw ordering
     prob = validate_problem([str(i) for i in range(len(p))], p,
                             [2.0] * len(p), 0.05)
-    raw = order(prob.p, OrderingKey.RAW).perm
-    weighted = order(weighted_pvalues(prob).tilde_p, OrderingKey.WEIGHTED).perm
-    assert raw == weighted
+    assert ranking(prob, OrderingKey.RAW) == ranking(prob, OrderingKey.WEIGHTED)

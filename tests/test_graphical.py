@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from wholm import (OrderingKey, initial_graph, reject_and_update,
-                   run_graphical, validate_problem, wap_stepdown, whp_stepdown)
+from wholm import (OrderingKey, TransitionGraph, initial_graph,
+                   reject_and_update, run_graphical, validate_problem,
+                   wap_stepdown, whp_stepdown)
 from wholm.closure import random_corpus
-from wholm.graphical import dot_stages, export_dot
+from wholm.graphical import GraphInvariantError, dot_stages, export_dot
 
 
 def closed_form(w, alpha, active):
@@ -36,18 +37,20 @@ class TestInitialGraph:
         graph = initial_graph([2.0, 2.0, 2.0], 0.05)
         for i in range(3):
             assert graph.local_alpha[i] == pytest.approx(0.05 / 3)
-        assert all(v == pytest.approx(0.5) for v in graph.g.values())
+        off_diagonal = ~np.eye(3, dtype=bool)
+        assert all(v == pytest.approx(0.5) for v in graph.g[off_diagonal])
+        assert not graph.g[~off_diagonal].any()
 
     def test_single_node(self):
         graph = initial_graph([4.0], 0.05)
-        assert graph.local_alpha == {0: 0.05}
-        assert graph.g == {}
+        assert graph.local_alpha.tolist() == [0.05]
+        assert graph.g.tolist() == [[0.0]]
 
     def test_row_sums_and_total_level(self):
         gen = np.random.default_rng(2)
         w = gen.uniform(0.5, 5.0, size=6)
         graph = initial_graph(w, 0.05)
-        assert sum(graph.local_alpha.values()) == pytest.approx(0.05)
+        assert sum(graph.local_alpha) == pytest.approx(0.05)
         for l in range(6):
             assert sum(graph.g[(l, k)] for k in range(6) if k != l) == pytest.approx(1.0)
 
@@ -93,11 +96,47 @@ class TestRejectAndUpdate:
                     assert graph.local_alpha[i] == pytest.approx(local[i], rel=2e-15)
                 for key, val in g.items():
                     assert graph.g[key] == pytest.approx(val, rel=2e-15)
-                assert sum(graph.local_alpha.values()) == pytest.approx(0.05)
+                assert sum(graph.local_alpha) == pytest.approx(0.05)
                 if len(active) >= 2:
                     for l in active:
                         row = sum(graph.g[(l, k)] for k in active if k != l)
                         assert row == pytest.approx(1.0)
+
+    def test_inactive_entries_are_exact_zeros_along_random_removals(self):
+        gen = np.random.default_rng(17)
+        for _ in range(50):
+            m = int(gen.integers(1, 8))
+            graph = initial_graph(gen.uniform(0.5, 5.0, size=m), 0.05)
+            for j in gen.permutation(m):
+                # no division by zero, not even at the last two-node update
+                with np.errstate(all="raise"):
+                    graph = reject_and_update(graph, int(j))
+                inactive = np.ones(m, dtype=bool)
+                inactive[list(graph.active)] = False
+                assert np.isfinite(graph.local_alpha).all()
+                assert np.isfinite(graph.g).all()
+                assert (graph.local_alpha[inactive] == 0.0).all()
+                assert (graph.g[inactive] == 0.0).all()
+                assert (graph.g[:, inactive] == 0.0).all()
+                assert (np.diag(graph.g) == 0.0).all()
+            assert not graph.active and not graph.local_alpha.any()
+
+    def test_degenerate_update_raises_graph_invariant_error(self):
+        # g[1, 0] * g[0, 1] = 1: rejecting node 0 leaves nothing to divide by
+        # on node 1 while node 2 is still active
+        graph = TransitionGraph(
+            active=frozenset({0, 1, 2}),
+            local_alpha=np.array([0.02, 0.02, 0.01]),
+            g=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))
+        with pytest.raises(GraphInvariantError, match=r"g\[1,0\] \* g\[0,1\]"):
+            reject_and_update(graph, 0)
+        # with two nodes active the last update has no edge left to rewire
+        two = TransitionGraph(active=frozenset({0, 1}),
+                              local_alpha=np.array([0.025, 0.025]),
+                              g=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        last = reject_and_update(two, 0)
+        assert last.local_alpha.tolist() == [0.0, 0.05]
+        assert last.g.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 class TestRunGraphical:

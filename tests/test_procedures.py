@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from wholm import (Procedure, adjusted_wap, adjusted_whp, batch_stepdown, ctp,
                    holm_stepdown, validate_problem, wap_local_test,
-                   wap_stepdown, whp_local_test, whp_stepdown,
-                   weighted_pvalues, order, OrderingKey)
+                   wap_stepdown, whp_local_test, whp_stepdown, OrderingKey)
 from wholm.closure import random_corpus
-from wholm.procedures import adjust_rows
+from wholm.procedures import adjust_rows, rank_rows
 
 random_problems = st.integers(min_value=1, max_value=10).flatmap(
     lambda m: st.tuples(
@@ -112,9 +111,10 @@ def test_wap_rejections_contained_in_whp(problem):
 @with_boundary_examples
 @settings(max_examples=300)
 def test_coinciding_orderings_give_identical_rejections(problem):
-    raw = order(problem.p, OrderingKey.RAW).perm
-    weighted = order(weighted_pvalues(problem).tilde_p, OrderingKey.WEIGHTED).perm
-    if raw == weighted:
+    p = np.array([problem.p])
+    raw = rank_rows(p, None, OrderingKey.RAW)
+    weighted = rank_rows(p, p / np.array([problem.w]), OrderingKey.WEIGHTED)
+    if np.array_equal(raw, weighted):
         assert whp_stepdown(problem).rejected == wap_stepdown(problem).rejected
 
 
