@@ -59,7 +59,10 @@ def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
     total = sum(w)
     w = np.asarray(w, dtype=float)
     m = len(w)
-    off = total - w
+    # each row's other weights, summed directly: total - w_i cancels when
+    # w_i holds nearly all the weight
+    off = (np.concatenate(([0.0], np.cumsum(w[:-1])))
+           + np.concatenate((np.cumsum(w[:0:-1])[::-1], [0.0])))
     g = np.divide(w, off[:, None], out=np.zeros((m, m)),
                   where=(off > 0.0)[:, None])
     np.fill_diagonal(g, 0.0)

@@ -155,6 +155,18 @@ class TestRunGraphical:
         for ordering in (OrderingKey.WEIGHTED, OrderingKey.RAW):
             assert run_graphical(prob, ordering)[0].rejected == frozenset()
 
+    @pytest.mark.parametrize("w1, p1, rejected", [
+        (1e-17, 0.04, {0, 1}), (3e-16, 0.06, {0}), (1e-15, 0.048, {0, 1})])
+    def test_extreme_weight_ratio_matches_stepdowns(self, w1, p1, rejected):
+        # H1 holds nearly all the weight, so total - w_0 would cancel and
+        # send H1's level along a coefficient of 0, 1.35 or 0.90, not 1
+        prob = validate_problem(["H1", "H2"], [0.0, p1], [1.0, w1], 0.05)
+        assert initial_graph(prob.w, 0.05).g.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert whp_stepdown(prob).rejected == rejected
+        assert wap_stepdown(prob).rejected == rejected
+        for ordering in (OrderingKey.WEIGHTED, OrderingKey.RAW):
+            assert run_graphical(prob, ordering)[0].rejected == rejected
+
     def test_equivalent_to_stepdowns_on_corpus(self):
         for prob in random_corpus(500, seed=41, m_max=10):
             assert (run_graphical(prob, OrderingKey.WEIGHTED)[0].rejected
