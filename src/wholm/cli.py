@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import sys
 from contextlib import contextmanager, nullcontext
@@ -133,6 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--trials", type=_int_arg("--trials", 1), default=10_000)
     p_check.add_argument("--seed", type=seed, required=True)
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on first use and reused by every `main` call:
+    a parse keeps no state in the parser."""
+    return build_parser()
 
 
 def _cmd_adjust(args) -> int:
@@ -272,7 +280,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         path = getattr(args, "input", None) or getattr(args, "config", None)

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from test_procedures import BOUNDARY_CORPUS
-from wholm import battery
+from wholm import __version__, battery
 from wholm.closure import ClosedStack, random_corpus
 from wholm.cli import main
 
@@ -454,3 +454,25 @@ class TestErrorHandling:
         assert main(["sharpness", "--procedure", "wap", "--weights", ",",
                      "--reps", "10", "--seed", "5"]) == 2
         assert "nonempty" in capsys.readouterr().err
+
+    def test_repeated_calls_share_one_parser(self, problem_file, capsys):
+        # main builds its parser once; a usage error or another subcommand's
+        # flags in between must leave the next call's output unchanged
+        adjust = ["adjust", "--input", problem_file, "--alpha", "0.05"]
+        full = adjust + ["--precision", "full"]
+        calls = [adjust, adjust[:-1], full, ["check", "--trials", "0",
+                                             "--seed", "1"],
+                 adjust, ["adjust", "--input", problem_file, "--alpha", "x"],
+                 full, ["--version"], adjust]
+        outputs = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        first_adjust, first_full = outputs[0], outputs[2]
+        assert first_adjust[0] == 0 and first_adjust[1] != first_full[1]
+        assert outputs[4] == outputs[8] == first_adjust
+        assert outputs[6] == first_full
+        for k in (1, 3, 5):
+            assert outputs[k][0] == 1 and outputs[k][2].startswith("usage: wholm")
+        assert outputs[7][:2] == (0, f"{__version__}\n")
