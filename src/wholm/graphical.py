@@ -61,35 +61,42 @@ def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
     m = len(w)
     # each row's other weights, summed directly: total - w_i cancels when
     # w_i holds nearly all the weight
-    off = (np.concatenate(([0.0], np.cumsum(w[:-1])))
-           + np.concatenate((np.cumsum(w[:0:-1])[::-1], [0.0])))
-    g = np.divide(w, off[:, None], out=np.zeros((m, m)),
-                  where=(off > 0.0)[:, None])
-    np.fill_diagonal(g, 0.0)
+    before, after = np.zeros(m), np.zeros(m)
+    np.add.accumulate(w[:-1], out=before[1:])
+    np.add.accumulate(w[:0:-1], out=after[-2::-1])
+    # one node has no edge; with two or more every row has weight to share
+    g = w / (before + after)[:, None] if m > 1 else np.zeros((1, 1))
+    g.flat[::m + 1] = 0.0
     return TransitionGraph(active=frozenset(range(m)),
                            local_alpha=w * alpha / total, g=g)
 
 
 def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
-    """Remove node j, redistributing its level along g_j. and rewiring edges."""
+    """Remove node j, redistributing its level along g_j. and rewiring edges.
+
+    The rewired g_lk is computed for every pair and then cleared in row j,
+    column j and on the diagonal; it is already exactly 0 for a rejected l
+    or k, because their coefficients are."""
     if j not in graph.active:
         raise ValueError(f"node {j} is not active")
     remaining = graph.active - {j}
     g = graph.g
     local = graph.local_alpha + graph.local_alpha[j] * g[j]
     local[j] = 0.0
-    keep = np.zeros(len(local), dtype=bool)
-    keep[list(remaining)] = True
+    if len(remaining) < 2:
+        return TransitionGraph(active=remaining, local_alpha=local,
+                               g=np.zeros_like(g))
     g_to_j, g_from_j = g[:, j], g[j]
+    # 1 at j and at rejected nodes, whose coefficients are 0
     denom = 1.0 - g_to_j * g_from_j
-    if len(remaining) > 1 and (keep & (denom <= 0.0)).any():
-        l = int(np.argmax(keep & (denom <= 0.0)))
+    if denom.min() <= 0.0:
+        l = int(np.argmin(denom))
         raise GraphInvariantError(
             f"degenerate update: g[{l},{j}] * g[{j},{l}] = 1")
-    edges = keep[:, None] & keep
-    np.fill_diagonal(edges, False)
-    g = np.divide(g + g_to_j[:, None] * g_from_j, denom[:, None],
-                  out=np.zeros_like(g), where=edges)
+    g = (g + np.multiply.outer(g_to_j, g_from_j)) / denom[:, None]
+    g[j] = 0.0
+    g[:, j] = 0.0
+    g.flat[::len(g) + 1] = 0.0
     return TransitionGraph(active=remaining, local_alpha=local, g=g)
 
 
