@@ -1,7 +1,7 @@
 """Per-layer timings of the decision, Monte Carlo, closed-testing and CLI layers.
 
-    python3 bench/layers.py --label after --out BENCH_13.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_13.json
+    python3 bench/layers.py --label after --out BENCH_14.json
+    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_14.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
@@ -14,7 +14,7 @@ Times, with `perf_counter`, one call at a time in this process:
   trials, per call;
 - `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
   `adjusted_whp` at m = 10 and 1000, and `run_graphical` (weighted ordering)
-  at m = 100, per call;
+  at m = 5 and 8 (the property battery's sizes) and 100, per call;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
   and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call;
 - `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
@@ -56,7 +56,7 @@ CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
 SEARCH_TRIALS = 2000
 VALIDATE_M = 1000
 KERNEL_SIZES = (10, 1000)
-GRAPHICAL_M = 100
+GRAPHICAL_SIZES = (5, 8, 100)
 CLOSURE_SIZES = (8, 14, 16)
 MONOTONICITY_M = 12
 # (m, number of masks) of the direct local-test calls
@@ -153,11 +153,12 @@ def measure(wholm):
             rows.append({"layer": layer, "per": "call", "size": {"m": m},
                          **time_per_unit(lambda seed, m=m, run=run: (
                              lambda P=problem(seed, m): run(P)), 1)})
-    rows.append({"layer": "graphical.run_graphical", "per": "call",
-                 "size": {"ordering": "weighted", "m": GRAPHICAL_M},
-                 **time_per_unit(lambda seed: (
-                     lambda P=problem(seed, GRAPHICAL_M): wholm.run_graphical(
-                         P, wholm.OrderingKey.WEIGHTED)), 1)})
+    for m in GRAPHICAL_SIZES:
+        rows.append({"layer": "graphical.run_graphical", "per": "call",
+                     "size": {"ordering": "weighted", "m": m},
+                     **time_per_unit(lambda seed, m=m: (
+                         lambda P=problem(seed, m): wholm.run_graphical(
+                             P, wholm.OrderingKey.WEIGHTED)), 1)})
     for m in CLOSURE_SIZES:
         for layer, run in (
                 ("closure.ctp", lambda P: wholm.ctp(P, wholm.whp_local_test)),

@@ -136,11 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """`build_parser()`, built on first use and reused by every `main` call:
-    a parse keeps no state in the parser."""
-    return build_parser()
+# built on first use and reused by every `main` call: a parse leaves the
+# parser as it was
+_parser = functools.cache(build_parser)
 
 
 def _cmd_adjust(args) -> int:

@@ -1,20 +1,11 @@
-"""Graphical formulation: local levels on nodes, transition coefficients on
-edges, and the rejection/update loop shared by both ordering rules.
-
-A graph over m hypotheses is an (m,) vector of local levels and an (m, m)
-matrix of transition coefficients, both exactly 0 at rejected nodes, with
-`g` 0 on its diagonal.  Rejecting node j is the update of Bretz et al.
-(2009): alpha_l += alpha_j * g_jl and g_lk <- (g_lk + g_lj * g_jk) /
-(1 - g_lj * g_jl) over the remaining nodes.  The update holds for any valid
-(G, alpha) pair; from the weight-derived initial graph it stays in closed
-form (local level w_l * alpha over the active weight mass, coefficients
-proportional to target weights), which the tests use as an independent
-oracle.
-
-WHP and WAP share that initial graph and differ only in which node is tested
-next: the next in `procedures.rank_rows`'s ranking by p/w or by p.  The
-rejections are always a prefix of that ranking, so `run_graphical` walks it
-once.
+"""Graphical formulation: an (m,) vector of local levels and an (m, m)
+matrix of transition coefficients `g`, both exactly 0 at rejected nodes, `g`
+0 on its diagonal.  Rejecting node j is the update of Bretz et al. (2009):
+alpha_l += alpha_j * g_jl and g_lk <- (g_lk + g_lj * g_jk) / (1 - g_lj * g_jl).
+WHP and WAP share the weight-derived initial graph, from which the update
+stays in closed form (the tests' independent oracle), and each tests the
+next hypothesis in `procedures.rank_rows`'s ranking, by p/w or by p.  The
+rejections are a prefix of that ranking, so `run_graphical` walks it once.
 """
 
 from __future__ import annotations
@@ -35,9 +26,6 @@ class GraphInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """`local_alpha` (m,) and `g` (m, m) are exactly 0 outside `active`, and
-    `g` is 0 on its diagonal."""
-
     active: FrozenSet[int]
     local_alpha: np.ndarray
     g: np.ndarray
@@ -61,11 +49,11 @@ def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
     m = len(w)
     # each row's other weights, summed directly: total - w_i cancels when
     # w_i holds nearly all the weight
-    before, after = np.zeros(m), np.zeros(m)
-    np.add.accumulate(w[:-1], out=before[1:])
-    np.add.accumulate(w[:0:-1], out=after[-2::-1])
+    left, right = np.zeros(m), np.zeros(m)
+    np.add.accumulate(w[:-1], out=left[1:])
+    np.add.accumulate(w[:0:-1], out=right[-2::-1])
     # one node has no edge; with two or more every row has weight to share
-    g = w / (before + after)[:, None] if m > 1 else np.zeros((1, 1))
+    g = w / (left + right)[:, None] if m > 1 else np.zeros((1, 1))
     g.flat[::m + 1] = 0.0
     return TransitionGraph(active=frozenset(range(m)),
                            local_alpha=w * alpha / total, g=g)
@@ -73,10 +61,8 @@ def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
 
 def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
     """Remove node j, redistributing its level along g_j. and rewiring edges.
-
-    The rewired g_lk is computed for every pair and then cleared in row j,
-    column j and on the diagonal; it is already exactly 0 for a rejected l
-    or k, because their coefficients are."""
+    A rejected node's coefficients are 0, so only row j, column j and the
+    diagonal of the rewired matrix need clearing."""
     if j not in graph.active:
         raise ValueError(f"node {j} is not active")
     remaining = graph.active - {j}
@@ -87,7 +73,6 @@ def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
         return TransitionGraph(active=remaining, local_alpha=local,
                                g=np.zeros_like(g))
     g_to_j, g_from_j = g[:, j], g[j]
-    # 1 at j and at rejected nodes, whose coefficients are 0
     denom = 1.0 - g_to_j * g_from_j
     if denom.min() <= 0.0:
         l = int(np.argmin(denom))
