@@ -1,7 +1,7 @@
 """Per-layer timings of the decision, Monte Carlo, closed-testing and CLI layers.
 
-    python3 bench/layers.py --label after --out BENCH_14.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_14.json
+    python3 bench/layers.py --label after --out BENCH_15.json
+    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_15.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
@@ -15,6 +15,8 @@ Times, with `perf_counter`, one call at a time in this process:
 - `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
   `adjusted_whp` at m = 10 and 1000, and `run_graphical` (weighted ordering)
   at m = 5 and 8 (the property battery's sizes) and 100, per call;
+- `graphical.dot_stages` of a weighted-ordering run at m = 30, per call,
+  which is `cli.graph`'s DOT text without its file writes;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
   and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call;
 - `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
@@ -57,6 +59,7 @@ SEARCH_TRIALS = 2000
 VALIDATE_M = 1000
 KERNEL_SIZES = (10, 1000)
 GRAPHICAL_SIZES = (5, 8, 100)
+DOT_STAGES_M = 30
 CLOSURE_SIZES = (8, 14, 16)
 MONOTONICITY_M = 12
 # (m, number of masks) of the direct local-test calls
@@ -88,6 +91,7 @@ def measure(wholm):
     from wholm import cli
     from wholm.battery import check_properties, run_check_battery
     from wholm.closure import random_corpus
+    from wholm.graphical import dot_stages
 
     rows = []
     for m, reps in SIMULATION_SIZES:
@@ -159,6 +163,16 @@ def measure(wholm):
                      **time_per_unit(lambda seed, m=m: (
                          lambda P=problem(seed, m): wholm.run_graphical(
                              P, wholm.OrderingKey.WEIGHTED)), 1)})
+
+    def stages(seed):
+        P = problem(seed, DOT_STAGES_M)
+        _, trace = wholm.run_graphical(P, wholm.OrderingKey.WEIGHTED)
+        initial = wholm.initial_graph(P.w, P.alpha)
+        return lambda: dot_stages(trace, initial, labels=P.labels)
+
+    rows.append({"layer": "graphical.dot_stages", "per": "call",
+                 "size": {"ordering": "weighted", "m": DOT_STAGES_M},
+                 **time_per_unit(stages, 1)})
     for m in CLOSURE_SIZES:
         for layer, run in (
                 ("closure.ctp", lambda P: wholm.ctp(P, wholm.whp_local_test)),

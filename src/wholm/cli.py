@@ -26,7 +26,8 @@ from .adjust import adjusted_wap, adjusted_whp
 from .battery import run_check_battery
 from .closure import ctp, wap_local_test, whp_local_test
 from .core import OrderingKey, load_problem_csv
-from .graphical import dot_stages, initial_graph, run_graphical
+from .graphical import (GraphInvariantError, dot_stages, initial_graph,
+                        run_graphical)
 from .montecarlo import (Procedure, SimulationConfig, WeightScenario,
                          estimate_sharpness, rng_new, run_simulation)
 
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, GraphInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

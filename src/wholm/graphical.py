@@ -110,8 +110,13 @@ def run_graphical(problem: TestingProblem,
             GraphTrace(steps=tuple(steps)))
 
 
+_MAX_DENOMINATOR = 10 ** 6
+# below it a float's denominator can pass 2**62, so `_coefficient_label` takes it
+_KERNEL_LOW = 2.0 ** -10
+
+
 def _coefficient_label(value: float) -> str:
-    frac = Fraction(value).limit_denominator(10 ** 6)
+    frac = Fraction(value).limit_denominator(_MAX_DENOMINATOR)
     if abs(float(frac) - value) < 1e-12:
         if frac.denominator == 1:
             return str(frac.numerator)
@@ -119,8 +124,72 @@ def _coefficient_label(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels) -> str:
-    local, g = graph.local_alpha.tolist(), graph.g.tolist()
+def _limit_denominator(n, d):
+    """`Fraction(n, d).limit_denominator(_MAX_DENOMINATOR)` for int64 arrays
+    of reduced n/d in [0, 1) with d > _MAX_DENOMINATOR, as (numerator,
+    denominator) arrays.  The continued fraction takes one masked step per
+    term; a lane leaves at its first convergent past the limit, as in
+    CPython.  A partial quotient is clamped to limit + 1 before it
+    multiplies q1: the lane still leaves there, and every product stays
+    below 2 * limit**2."""
+    limit = _MAX_DENOMINATOR
+    p0, q0 = np.zeros_like(n), np.ones_like(n)
+    p1, q1 = np.ones_like(n), np.zeros_like(n)
+    denominator, steps = d, np.ones(len(n), dtype=bool)
+    while True:
+        a = np.minimum(n // d, limit + 1)
+        q2 = q0 + a * q1
+        steps &= q2 <= limit
+        if not steps.any():
+            break
+        p0, q0, p1, q1 = (np.where(steps, p1, p0), np.where(steps, q1, q0),
+                          np.where(steps, p0 + a * p1, p1),
+                          np.where(steps, q2, q1))
+        n, d = np.where(steps, d, n), np.where(steps, n - a * d, d)
+    k = (limit - q0) // q1
+    bound = q0 + k * q1
+    # p1/q1 unless it is farther than the other candidate: CPython's test
+    # 2*d*bound <= denominator, in integers
+    nearer = d <= denominator // (2 * bound)
+    return np.where(nearer, p1, p0 + k * p1), np.where(nearer, q1, bound)
+
+
+def _coefficient_labels(values) -> list:
+    """`_coefficient_label` of each value, computed at once in int64 for
+    values in [2**-10, 1) and one by one for the rest.  Each float there is
+    n / 2**s with s <= 62; a reduced denominator within the limit is its own
+    fraction, any other goes through `_limit_denominator`."""
+    labels = [None] * len(values)
+    kernel = (values >= _KERNEL_LOW) & (values < 1.0)
+    for i in np.flatnonzero(~kernel).tolist():
+        labels[i] = _coefficient_label(float(values[i]))
+    v = values[kernel]
+    mantissa, exponent = np.frexp(v)
+    n = (mantissa * 2.0 ** 53).astype(np.int64)
+    low_bit = n & -n
+    num = n // low_bit
+    den = np.left_shift(1, 53 - exponent.astype(np.int64)) // low_bit
+    cf = den > _MAX_DENOMINATOR
+    num[cf], den[cf] = _limit_denominator(num[cf], den[cf])
+    # int64 / int64 rounds as Python's int / int below 2**53
+    close = np.abs(num / den - v) < 1e-12
+    for i, ok, p, q, value in zip(np.flatnonzero(kernel).tolist(), close.tolist(),
+                                  num.tolist(), den.tolist(), v.tolist()):
+        labels[i] = ((str(p) if q == 1 else f"{p}/{q}") if ok
+                     else f"{value:.6f}")
+    return labels
+
+
+def _off_diagonal(graph: TransitionGraph) -> np.ndarray:
+    """The active coefficients g_ij, i != j, in the order `_stage_dot`
+    prints them: by row, then by column, over the sorted active nodes."""
+    active = sorted(graph.active)
+    return graph.g[np.ix_(active, active)][~np.eye(len(active), dtype=bool)]
+
+
+def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels,
+               edge_labels) -> str:
+    local = graph.local_alpha.tolist()
     lines = [f"digraph {name} {{"]
     for i in all_nodes:
         if i in graph.active:
@@ -130,11 +199,11 @@ def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels) -> str:
         else:
             lines.append(f'  "{labels[i]}" [label="{labels[i]}", rejected=true];')
     active = sorted(graph.active)
-    for i in active:
-        for j in active:
-            if i != j:
-                lines.append(f'  "{labels[i]}" -> "{labels[j]}" '
-                             f'[label="{_coefficient_label(g[i][j])}"];')
+    edges = ((i, j) for i in active for j in active if i != j)
+    # zip asks `edges` first, so it takes exactly this stage's labels off
+    # the iterator shared by all stages
+    lines.extend(f'  "{labels[i]}" -> "{labels[j]}" [label="{text}"];'
+                 for (i, j), text in zip(edges, edge_labels))
     lines.append("}")
     return "\n".join(lines)
 
@@ -142,16 +211,18 @@ def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels) -> str:
 def dot_stages(trace: GraphTrace, initial: TransitionGraph,
                labels: Optional[Sequence[str]] = None):
     """One DOT digraph per stage: the initial graph, then each post-rejection
-    snapshot."""
+    snapshot.  The edge labels of all stages come from one
+    `_coefficient_labels` call."""
     all_nodes = sorted(initial.active)
     if labels is None:
         labels = {i: f"H{i + 1}" for i in all_nodes}
     else:
         labels = {i: labels[i] for i in all_nodes}
-    stages = [_stage_dot("stage_0", initial, all_nodes, labels)]
-    for k, step in enumerate(trace.steps, start=1):
-        stages.append(_stage_dot(f"stage_{k}", step.after, all_nodes, labels))
-    return stages
+    graphs = [initial] + [step.after for step in trace.steps]
+    edge_labels = iter(_coefficient_labels(
+        np.concatenate([_off_diagonal(graph) for graph in graphs])))
+    return [_stage_dot(f"stage_{k}", graph, all_nodes, labels, edge_labels)
+            for k, graph in enumerate(graphs)]
 
 
 def export_dot(trace: GraphTrace, initial: TransitionGraph,

@@ -224,6 +224,21 @@ class TestGraph:
         assert [r["hypothesis"] for r in rows] == ["H2", "H1"]
         assert "rejected: ['H1', 'H2']" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ordering", ["weighted", "raw"])
+    def test_degenerate_update_is_data_error(self, ordering, tmp_path, capsys):
+        # g01 = g10 = 1.0 in float, so rejecting H1 leaves H2 nothing to
+        # divide by while H3 is still active
+        path = tmp_path / "degenerate.csv"
+        path.write_text("hypothesis,p_value,weight\n"
+                        "H1,0,1\nH2,0,1\nH3,0,1e-17\n")
+        outdir = tmp_path / "stages"
+        assert main(["graph", "--input", str(path), "--alpha", "0.05",
+                     "--ordering", ordering, "--output-dir", str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: degenerate update: g[1,0] * g[0,1] = 1\n"
+        assert captured.out == ""
+        assert not outdir.exists()
+
     def test_raw_ordering_no_rejections(self, problem_file, tmp_path):
         outdir = tmp_path / "stages"
         main(["graph", "--input", problem_file, "--alpha", "0.05",

@@ -1,3 +1,6 @@
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,20 @@ from wholm import (OrderingKey, TransitionGraph, initial_graph,
                    reject_and_update, run_graphical, validate_problem,
                    wap_stepdown, whp_stepdown)
 from wholm.closure import random_corpus
-from wholm.graphical import GraphInvariantError, dot_stages, export_dot
+from wholm.graphical import (GraphInvariantError, _coefficient_labels,
+                             dot_stages, export_dot)
+
+# `export_dot` of `_dot_problem(name)`, labelled H1..Hm, under each ordering;
+# computed with one `Fraction.limit_denominator` call per coefficient
+DOT_SHA256 = {
+    ("m30", "weighted"):
+        "7856da2def86f340d54c27ba28c6d4606dcdf2ecf33480745834ed99eee36cf6",
+    ("m30", "raw"):
+        "00a4e18fa320356d5d55e5c03e582e02dee77de034da9de945be6172710ca88e",
+    ("equal8", "weighted"):
+        "c270c386a10ce30477f1811247b910d3eafa20126a78167c5fd1013e908b5962",
+    ("equal8", "raw"):
+        "c270c386a10ce30477f1811247b910d3eafa20126a78167c5fd1013e908b5962"}
 
 
 def closed_form(w, alpha, active):
@@ -198,3 +214,81 @@ class TestExportDot:
         assert '"H2" [label="H2", rejected=true]' in stages[1]
         # after both rejections only H3 keeps a level
         assert 'alpha=0.0500' in stages[2]
+
+
+def _dot_problem(name):
+    """m = 30 with w ~ U(0.5, 5) and p-values below the critical values
+    (numpy seed 2030), or m = 8 with equal weights; every hypothesis of
+    either is rejected, under either ordering."""
+    if name == "equal8":
+        p, w = [0.001 * (i + 1) for i in range(8)], [1.0] * 8
+    else:
+        gen = np.random.default_rng(2030)
+        w = gen.uniform(0.5, 5.0, size=30)
+        p = (w / w.sum() * 0.05 * gen.uniform(0.0, 1.5, size=30)).tolist()
+        w = w.tolist()
+    return validate_problem([f"H{i + 1}" for i in range(len(w))], p, w, 0.05)
+
+
+@pytest.mark.parametrize("name", ["m30", "equal8"])
+@pytest.mark.parametrize("ordering", ["weighted", "raw"])
+def test_larger_dot_outputs_are_byte_identical_to_golden(name, ordering):
+    prob = _dot_problem(name)
+    rejections, trace = run_graphical(prob, OrderingKey(ordering))
+    assert len(rejections.rejected) == len(prob.w)
+    text = export_dot(trace, initial_graph(prob.w, prob.alpha),
+                      labels=prob.labels)
+    if name == "equal8":
+        # every coefficient is 1/k, so no label falls back to six decimals
+        assert "." not in "".join(line.split("label=")[1] for line in
+                                  text.splitlines() if "->" in line)
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_SHA256[name, ordering]
+
+
+def _fraction_label(value):
+    """The label of `value` from `Fraction.limit_denominator` itself."""
+    frac = Fraction(value).limit_denominator(10 ** 6)
+    if abs(frac.numerator / frac.denominator - value) < 1e-12:
+        return (str(frac.numerator) if frac.denominator == 1
+                else f"{frac.numerator}/{frac.denominator}")
+    return f"{value:.6f}"
+
+
+def _farey_midpoints(gen, count, limit=10 ** 6):
+    """The float nearest the midpoint of a random a/b and its successor c/e
+    among the fractions with denominator <= limit (cb - ae = 1), and the
+    floats on either side: limit_denominator's two candidates are then a/b
+    and c/e, at almost equal distances."""
+    values = []
+    for _ in range(count):
+        b = int(gen.integers(2, limit + 1))
+        a = int(gen.integers(1, b))
+        while np.gcd(a, b) != 1:
+            a = int(gen.integers(1, b))
+        e = (-pow(a, -1, b)) % b
+        e += b * ((limit - e) // b)
+        mid = float((Fraction(a, b) + Fraction((1 + a * e) // b, e)) / 2)
+        values += [np.nextafter(mid, 0.0), mid, np.nextafter(mid, 1.0)]
+    return values
+
+
+def test_coefficient_labels_equal_limit_denominator():
+    gen = np.random.default_rng(15)
+    q = gen.integers(1, 2 * 10 ** 6 + 1, size=20_000)
+    near_k = gen.integers(0, 10 ** 6 + 1, size=10_000) / 10 ** 6
+    low = 2.0 ** -10
+    values = np.concatenate([
+        gen.uniform(0.0, 1.0, 30_000),
+        # a third of these lie below 2**-10, outside the int64 kernel
+        gen.uniform(0.0, 1.0, 20_000) ** 6,
+        gen.integers(0, 2 ** 19, 5_000) / 2 ** 19,
+        gen.integers(0, 2 ** 21, 5_000) / 2 ** 21,
+        np.floor(gen.uniform(0.0, 1.0, q.size) * (q + 1)) / q,
+        near_k + gen.uniform(-2e-12, 2e-12, near_k.size),
+        1 / 3 + gen.uniform(-2e-12, 2e-12, 5_000),
+        _farey_midpoints(gen, 5_000),
+        [0.0, 1.0, low, np.nextafter(low, 0.0)]])
+    assert values.size > 100_000
+    expected = [_fraction_label(v) for v in values.tolist()]
+    assert _coefficient_labels(values) == expected
+    assert sum("/" in label for label in expected) > values.size // 3
