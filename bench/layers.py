@@ -1,7 +1,7 @@
 """Per-layer timings of the decision, Monte Carlo, closed-testing and CLI layers.
 
-    python3 bench/layers.py --label after --out BENCH_15.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_15.json
+    python3 bench/layers.py --label after --out BENCH_16.json
+    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_16.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
@@ -9,12 +9,18 @@ Times, with `perf_counter`, one call at a time in this process:
   `estimate_sharpness` for WHP and WAP at m = 10 (reps = 20,000), per
   replicate;
 - `battery.check_properties` on `random_corpus(2000, m_max=8)`, per problem,
+  its two `graphical-equivalence-*` properties on their own over the same
+  stacks (built untimed, as `check_properties` builds them), per problem,
   and `battery.run_check_battery(2000)`, per call;
 - `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
   trials, per call;
 - `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
   `adjusted_whp` at m = 10 and 1000, and `run_graphical` (weighted ordering)
   at m = 5 and 8 (the property battery's sizes) and 100, per call;
+- `run_graphical` at the `oracle-check` workload's sizes m = 20 to 60, in
+  both orderings, per call, on its kind of problem: one-sided z-test
+  p-values with a share of signals (mean z = 8) cycled by seed through 0,
+  1/4, 1/2, 3/4 and 1, and U(0.5, 5) weights;
 - `graphical.dot_stages` of a weighted-ordering run at m = 30, per call,
   which is `cli.graph`'s DOT text without its file writes;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
@@ -22,7 +28,8 @@ Times, with `perf_counter`, one call at a time in this process:
 - `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
   on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
-  `cli.main` runs of `adjust` at m = 5 and 1000 and `ctp --procedure whp` at
+  `cli.main` runs of `adjust` at m = 5, 1000 and 10,000 (at both
+  precisions at 10,000) and `ctp --procedure whp` at
   m = 10 (stdout captured) and of `graph --ordering weighted` at m = 30
   (into a fresh output directory), each on a problem CSV written untimed.
 
@@ -42,6 +49,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -59,13 +67,16 @@ SEARCH_TRIALS = 2000
 VALIDATE_M = 1000
 KERNEL_SIZES = (10, 1000)
 GRAPHICAL_SIZES = (5, 8, 100)
+Z_GRAPHICAL_SIZES = (20, 30, 40, 50, 60)
+SIGNAL_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DOT_STAGES_M = 30
 CLOSURE_SIZES = (8, 14, 16)
 MONOTONICITY_M = 12
 # (m, number of masks) of the direct local-test calls
 LOCAL_TEST_CALLS = ((16, 1), (16, 1000), (21, 100_000))
 # (subcommand, m, extra flags) of the timed in-process CLI calls
-CLI_CALLS = (("adjust", 5, ()), ("adjust", 1000, ()),
+CLI_CALLS = (("adjust", 5, ()), ("adjust", 1000, ()), ("adjust", 10_000, ()),
+             ("adjust", 10_000, ("--precision", "full")),
              ("ctp", 10, ("--procedure", "whp")),
              ("graph", 30, ("--ordering", "weighted")))
 
@@ -88,7 +99,7 @@ def time_per_unit(make, units):
 
 def measure(wholm):
     import numpy as np
-    from wholm import cli
+    from wholm import battery, cli
     from wholm.battery import check_properties, run_check_battery
     from wholm.closure import random_corpus
     from wholm.graphical import dot_stages
@@ -124,6 +135,22 @@ def measure(wholm):
     rows.append({"layer": "battery.check_properties", "per": "problem",
                  "size": {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX},
                  **time_per_unit(corpus, CORPUS_SIZE)})
+
+    def graph_properties(seed):
+        problems = random_corpus(CORPUS_SIZE, seed=seed, m_max=CORPUS_M_MAX)
+        rows, stacks = battery.PROPERTY_STACK_ROWS, []
+        for m in sorted({problem.m for problem in problems}):
+            group = [problem for problem in problems if problem.m == m]
+            stacks += [battery._Stack(group[start:start + rows])
+                       for start in range(0, len(group), rows)]
+        holds = [holds for name, holds in battery.PROPERTIES
+                 if name.startswith("graphical-equivalence-")]
+        return lambda: [check(stack) for stack in stacks for check in holds]
+
+    rows.append({"layer": "battery.graph_properties", "per": "problem",
+                 "size": {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX,
+                          "stack_rows": battery.PROPERTY_STACK_ROWS},
+                 **time_per_unit(graph_properties, CORPUS_SIZE)})
     rows.append({"layer": "battery.run_check_battery", "per": "call",
                  "size": {"trials": CORPUS_SIZE},
                  **time_per_unit(lambda seed: (
@@ -163,6 +190,26 @@ def measure(wholm):
                      **time_per_unit(lambda seed, m=m: (
                          lambda P=problem(seed, m): wholm.run_graphical(
                              P, wholm.OrderingKey.WEIGHTED)), 1)})
+
+    def z_problem(seed, m):
+        gen = np.random.default_rng(seed)
+        z = gen.standard_normal(m)
+        share = SIGNAL_SHARES[seed % len(SIGNAL_SHARES)]
+        z[gen.permutation(m)[:round(share * m)]] += 8.0
+        p = [0.5 * math.erfc(x / math.sqrt(2.0)) for x in z]
+        w = gen.uniform(0.5, 5.0, size=m)
+        return wholm.validate_problem([f"H{i}" for i in range(m)], p, w, 0.05)
+
+    def both_orderings(seed, m):
+        P = z_problem(seed, m)
+        return lambda: [wholm.run_graphical(P, ordering)
+                        for ordering in wholm.OrderingKey]
+
+    for m in Z_GRAPHICAL_SIZES:
+        rows.append({"layer": "graphical.run_graphical", "per": "call",
+                     "size": {"ordering": "both", "m": m, "p": "z-test"},
+                     **time_per_unit(lambda seed, m=m: both_orderings(seed, m),
+                                     2)})
 
     def stages(seed):
         P = problem(seed, DOT_STAGES_M)

@@ -9,15 +9,19 @@ the first violating problem of each.  `run_check_battery` adds the two
 randomized p-value monotonicity searches.
 
 The corpus is evaluated in stacks: its problems are grouped by m, and each
-group is cut into stacks of at most `PROPERTY_STACK_ROWS` problems.  The
+group is cut into stacks of at most `PROPERTY_STACK_ROWS` problems, turned
+into one `procedures.ProblemStack` of arrays that every oracle reads.  The
 closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
 `monotonicity-whp`) read one `closure.ClosedStack` per procedure per stack,
 built from one subset table and closed for all of the stack's problems at
 once, and give the same answers as `ctp`, `check_consonance` and
 `check_monotonicity_condition`, which are one-row calls of the same code.
-Their references, the step-down rejections, and the adjusted values come from
-one call of the step-downs' kernel `procedures.adjust_rows` per ranking per
-stack; only the graph runs per problem.  Witnesses are in corpus order.
+The graph claims (`graphical-equivalence-*`) read one walk of the stack per
+ordering, `graphical.graph_rejections`, whose one-row call is
+`run_graphical`.  Their references, the step-down rejections, and the
+adjusted values come from one call of the step-downs' kernel
+`procedures.adjust_rows` per ranking per stack.  Witnesses are in corpus
+order.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import numpy as np
 
 from .closure import (ClosedStack, find_pvalue_monotonicity_violation,
                       random_corpus)
-from .core import OrderingKey, TestingProblem
-from .graphical import run_graphical
-from .procedures import Procedure, adjust_rows, ranking
+from .core import TestingProblem
+from .graphical import GraphInvariantError, graph_rejections
+from .procedures import Procedure, ProblemStack, adjust_rows, ranking
 
 # Problems evaluated together.  A stack's largest array is its (rows, 2^m, m)
 # table of monotonicity shares: 1 MB at 64 rows and m = 8, where a whole
@@ -66,37 +70,34 @@ def _adjusted_dominance(stack):
 
 
 class _Stack:
-    """Problems of one size with, under each procedure, their step-down
-    rejections, (P, m) adjusted values and `ClosedStack`."""
+    """Problems of one size, their `ProblemStack` `arrays` and, under each
+    procedure, their step-down rejections, (P, m) adjusted values and
+    `ClosedStack`."""
 
     def __init__(self, problems: Sequence[TestingProblem]):
         self.problems = problems
-        p, w = (np.array([getattr(problem, name) for problem in problems])
-                for name in "pw")
-        alpha = np.array([[problem.alpha] for problem in problems])
+        self.arrays = p, w, alpha = ProblemStack.of(problems)
         self.rejected, self.adjusted, self.closed = {}, {}, {}
         for procedure in (Procedure.WHP, Procedure.WAP):
-            perm, _, adjusted, rejected = adjust_rows(p, w, alpha,
+            perm, _, adjusted, rejected = adjust_rows(p, w, alpha[:, None],
                                                       ranking(procedure))
             self.rejected[procedure] = [frozenset(row[keep].tolist())
                                         for row, keep in zip(perm, rejected)]
             self.adjusted[procedure] = np.take_along_axis(
                 adjusted, perm.argsort(axis=1), axis=1)
-            self.closed[procedure] = ClosedStack(problems, procedure)
-
-
-def _each(holds):
-    """A per-problem claim, holds(problem, WHP rejections, WAP rejections),
-    over a stack."""
-    return lambda stack: list(map(holds, stack.problems,
-                                  stack.rejected[Procedure.WHP],
-                                  stack.rejected[Procedure.WAP]))
+            self.closed[procedure] = ClosedStack(self.arrays, procedure)
 
 
 def _ctp_equivalence(procedure):
     return lambda stack: [closed == rejected for closed, rejected in
                           zip(stack.closed[procedure].rejections,
                               stack.rejected[procedure])]
+
+
+def _graphical_equivalence(procedure):
+    return lambda stack: [graph == rejected for graph, rejected in zip(
+        graph_rejections(stack.arrays, ranking(procedure)),
+        stack.rejected[procedure])]
 
 
 def _consonance(procedure):
@@ -110,11 +111,11 @@ def _consonance(procedure):
 PROPERTIES = (
     ("ctp-equivalence-whp", _ctp_equivalence(Procedure.WHP)),
     ("ctp-equivalence-wap", _ctp_equivalence(Procedure.WAP)),
-    ("graphical-equivalence-whp", _each(lambda problem, whp, wap:
-        run_graphical(problem, OrderingKey.WEIGHTED)[0].rejected == whp)),
-    ("graphical-equivalence-wap", _each(lambda problem, whp, wap:
-        run_graphical(problem, OrderingKey.RAW)[0].rejected == wap)),
-    ("rejection-dominance", _each(lambda problem, whp, wap: wap <= whp)),
+    ("graphical-equivalence-whp", _graphical_equivalence(Procedure.WHP)),
+    ("graphical-equivalence-wap", _graphical_equivalence(Procedure.WAP)),
+    ("rejection-dominance", lambda stack: [
+        wap <= whp for whp, wap in zip(stack.rejected[Procedure.WHP],
+                                       stack.rejected[Procedure.WAP])]),
     ("adjusted-dominance", _adjusted_dominance),
     ("consonance-whp", _consonance(Procedure.WHP)),
     ("consonance-wap", _consonance(Procedure.WAP)),
@@ -127,7 +128,9 @@ PROPERTIES = (
 def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
     """One result per entry of `PROPERTIES`, in table order, each with its
     violation count and its first violating problem in corpus order as the
-    witness.  Raises ValueError for an empty corpus."""
+    witness.  Raises ValueError for an empty corpus, and
+    `GraphInvariantError` naming the problem's index in the corpus for a
+    degenerate graph update."""
     if not problems:
         raise ValueError("no problems to check")
     groups = defaultdict(list)
@@ -138,8 +141,13 @@ def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
         for start in range(0, len(indices), PROPERTY_STACK_ROWS):
             rows = indices[start:start + PROPERTY_STACK_ROWS]
             stack = _Stack([problems[i] for i in rows])
-            for found, (_, holds) in zip(violating, PROPERTIES):
-                found.extend(i for i, ok in zip(rows, holds(stack)) if not ok)
+            try:
+                for found, (_, holds) in zip(violating, PROPERTIES):
+                    found.extend(i for i, ok in zip(rows, holds(stack))
+                                 if not ok)
+            except GraphInvariantError as exc:
+                raise GraphInvariantError(f"problem {rows[exc.row]}: {exc}",
+                                          rows[exc.row]) from None
     return [CheckResult(name, not found,
                         f"{len(found)} violations over {len(problems)} problems",
                         problems[min(found)] if found else None)

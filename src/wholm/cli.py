@@ -8,7 +8,8 @@ be replayed byte for byte.
 Every numeric flag and `--weights` is converted by its argparse type, so a
 malformed or out-of-range value is a usage error that the parser reports.  Every table (`adjust`,
 `ctp`, `simulate` and `graph`'s `rejections.csv`) is written through
-`_table`, and every number in it is formatted by `_fmt`.
+`_table`, and every number in it is formatted by `_fmt_column`, a column
+at a time for `adjust`.
 """
 
 from __future__ import annotations
@@ -68,10 +69,27 @@ _weights_arg = _checked_arg(
     "--weights", lambda text: [float(x) for x in text.split(",") if x.strip()])
 
 
+def _fmt_column(values, precision="table", table=".6g"):
+    """Each of the floats `values` as its round-tripping `repr` at `full`
+    precision, else in the `table` format."""
+    if precision == "full":
+        return map(repr, values)
+    return map(format, values, itertools.repeat(table))
+
+
 def _fmt(value, precision="table", table=".6g"):
-    """`value` as its round-tripping `repr` at `full` precision, else in the
-    `table` format."""
-    return repr(float(value)) if precision == "full" else format(float(value), table)
+    """`_fmt_column` of one number."""
+    [text] = _fmt_column([float(value)], precision, table)
+    return text
+
+
+def _flags(rejected, m):
+    """A column of m flags: "true" at the indices in `rejected`, else
+    "false"."""
+    flags = ["false"] * m
+    for i in rejected:
+        flags[i] = "true"
+    return flags
 
 
 @contextmanager
@@ -148,13 +166,12 @@ def _cmd_adjust(args) -> int:
     whp, wap = adjusted_whp(problem), adjusted_wap(problem)
     with _table(args.output, ["hypothesis", "p_value", "weight", "adj_whp",
                               "adj_wap", "reject_whp", "reject_wap"]) as writer:
-        for i, label in enumerate(problem.labels):
-            writer.writerow([
-                label, _fmt(problem.p[i], args.precision),
-                _fmt(problem.w[i], args.precision),
-                _fmt(whp.values[i], args.precision, ".4f"),
-                _fmt(wap.values[i], args.precision, ".4f"),
-                str(i in whp.rejected).lower(), str(i in wap.rejected).lower()])
+        writer.writerows(zip(
+            problem.labels, _fmt_column(problem.p, args.precision),
+            _fmt_column(problem.w, args.precision),
+            _fmt_column(whp.values, args.precision, ".4f"),
+            _fmt_column(wap.values, args.precision, ".4f"),
+            _flags(whp.rejected, problem.m), _flags(wap.rejected, problem.m)))
     return EXIT_OK
 
 

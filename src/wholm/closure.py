@@ -61,14 +61,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import (Callable, Dict, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
-from .procedures import (Procedure, adjust_rows, batch_stepdown,
-                         rank_rows, ranking)
+from .procedures import (Procedure, ProblemStack, adjust_rows,
+                         batch_stepdown, rank_rows, ranking)
 
 MAX_CTP_HYPOTHESES = 20
 MAX_MONOTONICITY_HYPOTHESES = 12
@@ -104,25 +103,6 @@ class MonotonicityReport:
     holds: bool
     # (I, J, i, alpha_i(I), alpha_i(J)) with J a proper subset of I
     counterexample: Optional[Tuple[int, int, int, float, float]] = None
-
-
-class _Stack(NamedTuple):
-    """Problems of one size m as arrays, one problem per row: (P, m)
-    p-values and weights, and (P,) alphas."""
-
-    p: np.ndarray
-    w: np.ndarray
-    alpha: np.ndarray
-
-    @classmethod
-    def of(cls, problems: Sequence[TestingProblem]) -> "_Stack":
-        return cls(np.array([problem.p for problem in problems]),
-                   np.array([problem.w for problem in problems]),
-                   np.array([problem.alpha for problem in problems]))
-
-    @property
-    def m(self) -> int:
-        return self.p.shape[1]
 
 
 def _all_subsets(perm: np.ndarray, ranked_w: np.ndarray):
@@ -162,7 +142,7 @@ def _check_ctp_size(m: int) -> None:
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
 
 
-def _subset_table(stack: _Stack, key: OrderingKey):
+def _subset_table(stack: ProblemStack, key: OrderingKey):
     """Weight totals and first-ranked members of every nonempty subset, as
     two (P, 2^m - 1) arrays whose column I - 1 holds mask I.  Each row is
     ranked under `key` by the step-downs' `procedures.rank_rows`, and
@@ -177,7 +157,8 @@ def _subset_table(stack: _Stack, key: OrderingKey):
     return total[rows, code], first[rows, code]
 
 
-def _rejects(stack: _Stack, total: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _rejects(stack: ProblemStack, total: np.ndarray,
+             first: np.ndarray) -> np.ndarray:
     """Both local tests' rule: the first-ranked member's (p/w) * total is at
     most alpha."""
     rows = np.arange(first.shape[0])[:, None]
@@ -200,7 +181,7 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
     if masks.min() <= 0 or int(masks.max()) >> m:
         raise ValueError("intersection must be a nonempty subset of the "
                          f"{m} hypotheses")
-    flat, stack = masks.reshape(-1), _Stack.of([problem])
+    flat, stack = masks.reshape(-1), ProblemStack.of([problem])
     if flat.size * m >= 1 << m and m <= MAX_CTP_HYPOTHESES:
         rejected = _rejects(stack, *_subset_table(stack, key))[0, flat - 1]
     else:
@@ -327,7 +308,7 @@ def check_consonance(problem: TestingProblem,
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
-def _intersection_shares(stack: _Stack, procedure: Procedure,
+def _intersection_shares(stack: ProblemStack, procedure: Procedure,
                          table) -> np.ndarray:
     """alpha_i(I) for every subset I of every row, as a (P, 2^m, m) array
     with +inf outside I; `table` is the `_subset_table` under the
@@ -353,7 +334,7 @@ def _intersection_shares(stack: _Stack, procedure: Procedure,
     return shares
 
 
-def _counterexamples(stack: _Stack, procedure: Procedure,
+def _counterexamples(stack: ProblemStack, procedure: Procedure,
                      table=None) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
     J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
@@ -395,15 +376,17 @@ def check_monotonicity_condition(problem: TestingProblem,
                                  procedure: Procedure) -> MonotonicityReport:
     """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
     (see `_counterexamples`)."""
-    [found] = _counterexamples(_Stack.of([problem]), procedure)
+    [found] = _counterexamples(ProblemStack.of([problem]), procedure)
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
 class ClosedStack:
     """Closed testing of problems of one size under the local test of WHP
     (`whp_local_test`) or of WAP (`wap_local_test`), for all of them at once
-    from one subset table.  Each attribute holds one entry per problem, in
-    the order given, equal to what the one-problem function returns for it:
+    from one subset table.  `problems` is a sequence of problems or their
+    `procedures.ProblemStack`.  Each attribute holds one entry per problem,
+    in the order given, equal to what the one-problem function returns for
+    it:
 
     - `rejections`: the closed elementary rejections, as
       `ctp(problem, local_test).elementary_rejections.rejected`;
@@ -415,13 +398,13 @@ class ClosedStack:
       worked out when first read.
     """
 
-    def __init__(self, problems: Sequence[TestingProblem],
+    def __init__(self,
+                 problems: Union[Sequence[TestingProblem], ProblemStack],
                  procedure: Procedure):
-        if len({problem.m for problem in problems}) != 1:
-            raise ValueError("a stack holds one or more problems of one size")
         self.procedure = procedure
-        self.m = problems[0].m
-        self._stack = _Stack.of(problems)
+        self._stack = (problems if isinstance(problems, ProblemStack)
+                       else ProblemStack.of(problems))
+        self.m = self._stack.m
         self._table = _subset_table(self._stack, ranking(procedure))
         covered = _close(_rejects(self._stack, *self._table))
         self.rejections = [_closed_rejections(row, self.m) for row in covered]

@@ -4,24 +4,38 @@ matrix of transition coefficients `g`, both exactly 0 at rejected nodes, `g`
 alpha_l += alpha_j * g_jl and g_lk <- (g_lk + g_lj * g_jk) / (1 - g_lj * g_jl).
 WHP and WAP share the weight-derived initial graph, from which the update
 stays in closed form (the tests' independent oracle), and each tests the
-next hypothesis in `procedures.rank_rows`'s ranking, by p/w or by p.  The
-rejections are a prefix of that ranking, so `run_graphical` walks it once.
+next hypothesis in `procedures.rank_rows`'s ranking, by p/w or by p.
+
+The rejections are a prefix of that ranking, so `_walk` runs the graphs of a
+stack of same-size problems along it at once, each permuted into rank
+order: step k tests rank k of every row still rejecting and updates only
+the trailing block of ranks k+1.. left active, with `reject_and_update`'s
+elementwise expressions.  `run_graphical` is a one-row walk that keeps its
+steps' rank-order blocks and puts them back in hypothesis order, all at
+once, only when a `GraphStep.after` is read.  `graph_rejections` gives the
+battery the rejections of a whole stack from one walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem
-from .procedures import rank_rows
+from .procedures import ProblemStack, rank_rows
 
 
 class GraphInvariantError(RuntimeError):
-    pass
+    """An update would divide by 1 - g_lj * g_jl <= 0.  `row` is the row of
+    the walked stack whose update it is (0 for `run_graphical`)."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -31,10 +45,40 @@ class TransitionGraph:
     g: np.ndarray
 
 
+class _Snapshots:
+    """The graphs after the steps of a one-row walk, kept as `_walk` yields
+    them, (1, n + 1, n) blocks in rank order, and put back in hypothesis
+    order together when the first is read."""
+
+    def __init__(self, ranking: np.ndarray):
+        self.ranking, self.blocks = ranking, []
+
+    @cached_property
+    def graphs(self) -> List[TransitionGraph]:
+        m = len(self.ranking)
+        # each step's coefficients, then its levels as row m, in rank order
+        ranked = np.zeros((len(self.blocks), m + 1, m))
+        for k, [block] in enumerate(self.blocks):
+            ranked[k, k + 1:, k + 1:] = block
+        rank = np.argsort(self.ranking)
+        g, local = ranked[:, rank[:, None], rank], ranked[:, m, rank]
+        return [TransitionGraph(active=frozenset(self.ranking[k + 1:].tolist()),
+                                local_alpha=local[k], g=g[k])
+                for k in range(len(self.blocks))]
+
+
 @dataclass(frozen=True)
 class GraphStep:
+    """One rejection of `run_graphical`; `after`, the graph after it, is put
+    back in hypothesis order when first read."""
+
     rejected_index: int
-    after: TransitionGraph
+    _snapshot: Tuple[_Snapshots, int] = field(repr=False)
+
+    @property
+    def after(self) -> TransitionGraph:
+        snapshots, k = self._snapshot
+        return snapshots.graphs[k]
 
 
 @dataclass(frozen=True)
@@ -85,6 +129,85 @@ def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
     return TransitionGraph(active=remaining, local_alpha=local, g=g)
 
 
+def _walk(p, w, alpha, key: OrderingKey):
+    """The graphs of a stack of (P, m) p-values and weights, walked along
+    `rank_rows`'s ranking under `key`; `alpha` (a scalar or a (P, 1) column)
+    broadcasts against them.
+
+    Returns the (P, m) ranking and an iterator with one item per step k
+    that some row rejects at: the stack rows rejecting rank k, the levels
+    rank k was tested at, and the rows' graphs after the rejection over the
+    n = m - k - 1 ranks still active, as an (L, n + 1, n) array: the
+    coefficients, then the levels as a last row.  The levels update as a
+    coefficient row does, without the division.  The initial graphs are
+    `initial_graph`'s, summed in the same order; rows that stop are
+    dropped.  A degenerate update raises `GraphInvariantError` naming the
+    stack row and, in hypothesis indices, the node `reject_and_update`
+    names.
+    """
+    p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
+    count, m = p.shape
+    perm = rank_rows(p, p / w, key)
+    total = np.array([[sum(row)] for row in w.tolist()])
+    left, right = np.zeros((2, count, m))
+    np.add.accumulate(w[:, :-1], axis=1, out=left[:, 1:])
+    np.add.accumulate(w[:, :0:-1], axis=1, out=right[:, -2::-1])
+    flat = perm + np.arange(0, count * m, m)[:, None]
+    w, others, p = w.take(flat), np.add(left, right).take(flat), p.take(flat)
+    graph = np.zeros((count, m + 1, m))
+    if m > 1:
+        # the diagonal is left as it falls: no update reads it, and each
+        # clears the one it writes
+        np.divide(w[:, None, :], others[:, :, None], out=graph[:, :m])
+    np.multiply(w, alpha, out=graph[:, m])
+    graph[:, m] /= total
+    return perm, _steps(p, graph, perm)
+
+
+def _steps(p, graph, perm):
+    live = np.arange(len(p))
+    m = p.shape[1]
+    for k in range(m):
+        threshold = graph[:, -1, 0]
+        passed = p[:, k] <= threshold
+        kept = np.count_nonzero(passed)
+        if kept < len(live):
+            if not kept:
+                return
+            live, threshold, p, graph = (
+                a[passed] for a in (live, threshold, p, graph))
+        # row and column 0 are the rejected node's
+        n = m - k - 1
+        update = graph[:, 1:, :1] * graph[:, :1, 1:]
+        if n < 2:
+            graph = np.add(graph[:, 1:, 1:], update, out=update)
+            graph[:, :n] = 0.0
+        else:
+            # the diagonal of the coefficients' update, as an (L, n, 1)
+            # view, holds each g_lj * g_jl
+            diagonal = update.reshape(kept, -1)[:, :n * (n + 1):n + 1, None]
+            denom = 1.0 - diagonal
+            if not denom.min() > 0.0:
+                _degenerate(denom[:, :, 0], perm[live, k:], live)
+            graph = np.add(graph[:, 1:, 1:], update, out=update)
+            graph[:, :n] /= denom
+            diagonal.fill(0.0)
+        yield live, threshold, graph
+
+
+def _degenerate(denom, ranks, live):
+    """Raise for the first row of `denom` (L, n) with a denominator <= 0,
+    naming the node of its smallest denominator, the first in hypothesis
+    order.  `ranks` (L, n + 1) holds each row's rejected node and then its
+    active ones, and `live` each row's place in the stack.  A NaN min is no
+    failure, as in `reject_and_update`."""
+    low = denom.min(axis=1)
+    for r in np.flatnonzero(low <= 0.0).tolist():
+        j, l = ranks[r, 0], ranks[r, 1:][denom[r] == low[r]].min()
+        raise GraphInvariantError(
+            f"degenerate update: g[{l},{j}] * g[{j},{l}] = 1", int(live[r]))
+
+
 def run_graphical(problem: TestingProblem,
                   ordering: OrderingKey) -> Tuple[RejectionSet, GraphTrace]:
     """Test the hypotheses in `rank_rows`'s order until the first failure.
@@ -93,21 +216,28 @@ def run_graphical(problem: TestingProblem,
     hypothesis is rejected iff its raw p-value is at or below its current
     local level.
     """
-    p = np.array([problem.p])
-    perm = rank_rows(p, p / np.array([problem.w]), ordering)[0].tolist()
-    graph = initial_graph(problem.w, problem.alpha)
-    steps = []
-    trace = []
-    for j in perm:
-        threshold = float(graph.local_alpha[j])
-        if problem.p[j] > threshold:
-            break
-        graph = reject_and_update(graph, j)
-        steps.append(GraphStep(rejected_index=j, after=graph))
-        trace.append((len(trace) + 1, j, threshold))
-    return (RejectionSet(rejected=frozenset(perm[:len(trace)]),
+    perm, walk = _walk([problem.p], [problem.w], problem.alpha, ordering)
+    snapshots, trace, steps = _Snapshots(perm[0]), [], []
+    for (_, threshold, graph), j in zip(walk, perm[0].tolist()):
+        snapshots.blocks.append(graph)
+        trace.append((len(trace) + 1, j, threshold.item()))
+        steps.append(GraphStep(j, (snapshots, len(steps))))
+    return (RejectionSet(rejected=frozenset(step.rejected_index
+                                            for step in steps),
                          trace=tuple(trace)),
             GraphTrace(steps=tuple(steps)))
+
+
+def graph_rejections(stack: ProblemStack,
+                     ordering: OrderingKey) -> List[FrozenSet[int]]:
+    """`run_graphical(problem, ordering)`'s rejections for every problem of
+    a stack, from one walk."""
+    p, w, alpha = stack
+    perm, steps = _walk(p, w, alpha[:, None], ordering)
+    count = np.zeros(len(perm), dtype=np.intp)
+    for live, *_ in steps:
+        count[live] += 1
+    return [frozenset(row[:c]) for row, c in zip(perm.tolist(), count.tolist())]
 
 
 _MAX_DENOMINATOR = 10 ** 6
@@ -198,12 +328,12 @@ def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels,
                 f'alpha={local[i]:.4f}"];')
         else:
             lines.append(f'  "{labels[i]}" [label="{labels[i]}", rejected=true];')
-    active = sorted(graph.active)
-    edges = ((i, j) for i in active for j in active if i != j)
-    # zip asks `edges` first, so it takes exactly this stage's labels off
-    # the iterator shared by all stages
-    lines.extend(f'  "{labels[i]}" -> "{labels[j]}" [label="{text}"];'
-                 for (i, j), text in zip(edges, edge_labels))
+    names = [labels[i] for i in sorted(graph.active)]
+    for a, head in enumerate(names):
+        # zip asks the targets first, so it takes exactly this node's labels
+        # off the iterator shared by all stages
+        lines.extend(f'  "{head}" -> "{tail}" [label="{text}"];' for tail, text
+                     in zip(names[:a] + names[a + 1:], edge_labels))
     lines.append("}")
     return "\n".join(lines)
 

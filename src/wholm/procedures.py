@@ -11,16 +11,18 @@ reports print the very numbers the decisions were made on.
 
 `adjust_rows` is the one kernel that ranks, sums the tails and compares with
 alpha, over (R, m) rows; its ranking, `rank_rows`, is also the one closed
-testing uses.  The adjusted reports and `whp_stepdown`, `wap_stepdown` and
-`holm_stepdown` are one-row calls of it, the step-downs with a trace of
-raw-scale thresholds w*alpha/tail; `batch_stepdown` decides many rows at
-once for the Monte Carlo engine and the witness searches.
+testing and the graph use.  The adjusted reports and `whp_stepdown`,
+`wap_stepdown` and `holm_stepdown` are one-row calls of it, the step-downs
+with a trace of raw-scale thresholds w*alpha/tail; `batch_stepdown` decides
+many rows at once for the Monte Carlo engine and the witness searches.
+`ProblemStack` holds same-size problems as the arrays that every stacked
+kernel reads.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +52,28 @@ def rank_rows(p: np.ndarray, tilde: np.ndarray, key: OrderingKey) -> np.ndarray:
     testing and the graphical run."""
     return np.argsort(tilde if key is OrderingKey.WEIGHTED else p, axis=1,
                       kind="stable")
+
+
+class ProblemStack(NamedTuple):
+    """Problems of one size m as arrays, one problem per row: (P, m)
+    p-values and weights, and (P,) alphas.  `adjust_rows`,
+    `closure.ClosedStack` and the graph's walk all read it."""
+
+    p: np.ndarray
+    w: np.ndarray
+    alpha: np.ndarray
+
+    @classmethod
+    def of(cls, problems: Sequence[TestingProblem]) -> "ProblemStack":
+        if len({problem.m for problem in problems}) != 1:
+            raise ValueError("a stack holds one or more problems of one size")
+        return cls(np.array([problem.p for problem in problems]),
+                   np.array([problem.w for problem in problems]),
+                   np.array([problem.alpha for problem in problems]))
+
+    @property
+    def m(self) -> int:
+        return self.p.shape[1]
 
 
 def adjust_rows(p, w, alpha, key: OrderingKey):

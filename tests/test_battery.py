@@ -26,7 +26,7 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
         def __init__(self, problems, procedure):
             super().__init__(problems, procedure)
             if self.m in (2, 5):
-                self.consonance_witnesses = [1] * len(problems)
+                self.consonance_witnesses = [1] * len(self.rejections)
 
     monkeypatch.setattr(battery, "ClosedStack", Failing)
     results = {r.name: r for r in check_properties(corpus)}
@@ -37,6 +37,30 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
         assert results[name].witness is corpus[violating[0]]
     assert [name for name, r in results.items() if not r.passed] == [
         "consonance-whp", "consonance-wap"]
+
+
+def test_graph_witness_is_the_first_violation_in_corpus_order(monkeypatch):
+    # the same corpus, with the stacked graph kernel failing instead
+    corpus = random_corpus(600, seed=5, m_max=8)
+    violating = [i for i, problem in enumerate(corpus) if problem.m in (2, 5)]
+    assert corpus[violating[0]].m == 5
+    walk = battery.graph_rejections
+
+    def failing(stack, ordering):
+        rejected = walk(stack, ordering)
+        if stack.m in (2, 5):
+            return [frozenset({-1})] * len(rejected)
+        return rejected
+
+    monkeypatch.setattr(battery, "graph_rejections", failing)
+    results = {r.name: r for r in check_properties(corpus)}
+    for name in ("graphical-equivalence-whp", "graphical-equivalence-wap"):
+        assert not results[name].passed
+        assert results[name].detail == (
+            f"{len(violating)} violations over 600 problems")
+        assert results[name].witness is corpus[violating[0]]
+    assert [name for name, r in results.items() if not r.passed] == [
+        "graphical-equivalence-whp", "graphical-equivalence-wap"]
 
 
 def test_nothing_passes_vacuously():

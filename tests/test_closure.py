@@ -12,6 +12,7 @@ from wholm import (ConsonanceReport, Procedure, check_consonance,
 from wholm import closure
 from wholm.closure import (CapacityError, ClosedStack, random_corpus,
                            random_problem)
+from wholm.procedures import ProblemStack
 
 
 def mask_of(*indices):
@@ -374,9 +375,9 @@ class TestStacks:
         # removed hypothesis, then I, then i
         gen = np.random.default_rng(64)
         m, rows = 4, 40
-        stack = closure._Stack(gen.uniform(size=(rows, m)),
-                               gen.uniform(0.5, 2.0, size=(rows, m)),
-                               np.full(rows, 0.05))
+        stack = ProblemStack(gen.uniform(size=(rows, m)),
+                             gen.uniform(0.5, 2.0, size=(rows, m)),
+                             np.full(rows, 0.05))
         total = gen.uniform(0.5, 8.0, size=(rows, (1 << m) - 1))
         first = np.zeros(total.shape, dtype=np.intp)
         found = closure._counterexamples(stack, Procedure.WHP, (total, first))

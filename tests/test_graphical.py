@@ -1,15 +1,22 @@
 import hashlib
+from collections import defaultdict
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from test_closure import _boundary_corpus
+from test_procedures import BOUNDARY_CORPUS
 from wholm import (OrderingKey, TransitionGraph, initial_graph,
                    reject_and_update, run_graphical, validate_problem,
                    wap_stepdown, whp_stepdown)
+from wholm.battery import PROPERTY_STACK_ROWS, check_properties
 from wholm.closure import random_corpus
 from wholm.graphical import (GraphInvariantError, _coefficient_labels,
-                             dot_stages, export_dot)
+                             _degenerate, _walk, dot_stages, export_dot,
+                             graph_rejections)
+from wholm.procedures import ProblemStack, rank_rows
 
 # `export_dot` of `_dot_problem(name)`, labelled H1..Hm, under each ordering;
 # computed with one `Fraction.limit_denominator` call per coefficient
@@ -189,6 +196,142 @@ class TestRunGraphical:
                     == whp_stepdown(prob).rejected)
             assert (run_graphical(prob, OrderingKey.RAW)[0].rejected
                     == wap_stepdown(prob).rejected)
+
+
+def _snapshot(graph):
+    return graph.active, graph.local_alpha.tobytes(), graph.g.tobytes()
+
+
+def _reference_run(problem, ordering):
+    """The graph walked node by node with `initial_graph` and
+    `reject_and_update` along `rank_rows`'s ranking: the rejected index and
+    the threshold (as `float.hex`) of each step and the graph after it, or
+    the text of the `GraphInvariantError` the walk raises."""
+    p = np.array([problem.p])
+    order = rank_rows(p, p / np.array([problem.w]), ordering)[0].tolist()
+    graph = initial_graph(problem.w, problem.alpha)
+    trace, snapshots = [], []
+    for j in order:
+        threshold = float(graph.local_alpha[j])
+        if problem.p[j] > threshold:
+            break
+        try:
+            graph = reject_and_update(graph, j)
+        except GraphInvariantError as exc:
+            return str(exc)
+        trace.append((j, threshold.hex()))
+        snapshots.append(_snapshot(graph))
+    return trace, snapshots
+
+
+def _one_row_run(problem, ordering):
+    """`run_graphical`'s run in `_reference_run`'s form."""
+    try:
+        rejections, trace = run_graphical(problem, ordering)
+    except GraphInvariantError as exc:
+        return str(exc)
+    steps = [(j, threshold.hex()) for _, j, threshold in rejections.trace]
+    assert [step for step, _, _ in rejections.trace] == list(
+        range(1, len(steps) + 1))
+    assert rejections.rejected == {j for j, _ in steps}
+    assert [step.rejected_index for step in trace.steps] == [j for j, _ in steps]
+    return steps, [_snapshot(step.after) for step in trace.steps]
+
+
+def _stacked_runs(problems, ordering):
+    """Per problem, the steps of one `_walk` over its stack, with the
+    problems stacked as the battery stacks them: the rejected index and the
+    threshold (as `float.hex`) of each step and the rank-order graph after
+    it, and the stack's `graph_rejections`."""
+    groups = defaultdict(list)
+    for index, problem in enumerate(problems):
+        groups[problem.m].append(index)
+    runs = [None] * len(problems)
+    for indices in groups.values():
+        for start in range(0, len(indices), PROPERTY_STACK_ROWS):
+            rows = indices[start:start + PROPERTY_STACK_ROWS]
+            stack = ProblemStack.of([problems[i] for i in rows])
+            perm, steps = _walk(stack.p, stack.w, stack.alpha[:, None],
+                                ordering)
+            out = [([], [], perm[r]) for r in range(len(rows))]
+            for k, (live, thresholds, graphs) in enumerate(steps):
+                for r, threshold, graph in zip(live.tolist(),
+                                               thresholds.tolist(), graphs):
+                    out[r][0].append((int(perm[r, k]), threshold.hex()))
+                    out[r][1].append(graph)
+            for index, run, rejected in zip(
+                    rows, out, graph_rejections(stack, ordering)):
+                runs[index] = run + (rejected,)
+    return runs
+
+
+# Rows around w = (1, 1, 1e-17), where rejecting a heavy node can leave
+# g_lj * g_jl = 1 in floats, in every hypothesis order
+_DEGENERATE = [validate_problem(["H1", "H2", "H3"], [p[i] for i in order],
+                                [(1.0, 1.0, 1e-17)[i] for i in order], 0.05)
+               for p in ((0.0, 0.0, 0.0), (0.0, 1e-12, 2e-12))
+               for order in permutations(range(3))]
+
+
+@pytest.mark.parametrize("corpus", [
+    random_corpus(3000, seed=7, m_max=12), BOUNDARY_CORPUS,
+    _boundary_corpus(1200, seed=41)], ids=["random", "exact-boundary",
+                                           "boundary"])
+@pytest.mark.parametrize("ordering", list(OrderingKey))
+def test_walk_equals_the_node_by_node_reference(corpus, ordering):
+    # every threshold, level and coefficient bit for bit, in one-row runs
+    # and in the battery's stacks
+    references = [_reference_run(problem, ordering) for problem in corpus]
+    assert not any(isinstance(reference, str) for reference in references)
+    for problem, reference in zip(corpus + _DEGENERATE, references + [
+            _reference_run(problem, ordering) for problem in _DEGENERATE]):
+        assert _one_row_run(problem, ordering) == reference, problem
+    for problem, reference, (steps, graphs, ranks, rejected) in zip(
+            corpus, references, _stacked_runs(corpus, ordering)):
+        trace, snapshots = reference
+        assert steps == trace, problem
+        assert rejected == {j for j, _ in trace}, problem
+        for k, (graph, (_, local_alpha, g)) in enumerate(zip(graphs,
+                                                            snapshots)):
+            active = ranks[k + 1:]
+            full = np.frombuffer(g).reshape(problem.m, problem.m)
+            assert (graph[:-1].tobytes()
+                    == full[np.ix_(active, active)].tobytes()), problem
+            assert (graph[-1].tobytes()
+                    == np.frombuffer(local_alpha)[active].tobytes()), problem
+    assert sum(isinstance(_reference_run(problem, ordering), str)
+               for problem in _DEGENERATE) >= 2
+
+
+def test_degenerate_update_names_the_first_node_in_hypothesis_order():
+    # `np.argmin`'s tie-break in `reject_and_update`: among equal smallest
+    # denominators, the first node in hypothesis order, here 1 at rank 2
+    denom = np.array([[0.5, 0.25, 0.5], [0.5, 0.0, -0.0]])
+    ranks = np.array([[4, 3, 1, 2], [4, 3, 2, 1]])
+    with pytest.raises(GraphInvariantError) as info:
+        _degenerate(denom, ranks, np.array([5, 7]))
+    assert str(info.value) == "degenerate update: g[1,4] * g[4,1] = 1"
+    assert info.value.row == 7
+
+
+def test_degenerate_update_in_a_stack_names_its_row():
+    found = validate_problem(["H1", "H2", "H3"], [0.0, 0.0, 0.0],
+                             [1.0, 1.0, 1e-17], 0.05)
+    corpus = random_corpus(60, seed=3)
+    ordinary = [problem for problem in corpus if problem.m == 3]
+    assert len(ordinary) > 4
+    stack = ProblemStack.of(ordinary[:3] + [found] + ordinary[3:])
+    for ordering in OrderingKey:
+        with pytest.raises(GraphInvariantError) as info:
+            graph_rejections(stack, ordering)
+        assert str(info.value) == "degenerate update: g[1,0] * g[0,1] = 1"
+        assert info.value.row == 3
+    corpus.insert(17, found)
+    with pytest.raises(GraphInvariantError) as info:
+        check_properties(corpus)
+    assert str(info.value) == (
+        "problem 17: degenerate update: g[1,0] * g[0,1] = 1")
+    assert info.value.row == 17
 
 
 class TestExportDot:
