@@ -2,6 +2,7 @@
 
     python3 bench/layers.py --label after --out BENCH_16.json
     python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_16.json
+    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_17.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
@@ -38,8 +39,16 @@ on its own seed; inputs are built before the clock starts.  The record gives
 the median and the interquartile range of the time per unit in
 microseconds.  `wholm` is imported from `--src` (this checkout's `src/` by
 default).  The record is stored under `--label` in the JSON file `--out`;
-records under other labels are kept, so a before/after pair is two runs
-into one file.
+records under other labels are kept.
+
+Records taken one after another drift by more than most changes they are
+meant to show, so a before/after comparison is best made with `--against`:
+both packages are loaded into this one process (as `wholm_src` and
+`wholm_against`), and on every seed the two sides' calls on the same input
+are timed back to back, the `--src` side first on odd seeds and second on
+even ones.  Each row then gives both sides' medians and quartiles, the
+median of the per-seed ratios src / against and on how many of the
+`REPEATS` seeds the `--src` side was faster.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -81,10 +91,17 @@ CLI_CALLS = (("adjust", 5, ()), ("adjust", 1000, ()), ("adjust", 10_000, ()),
              ("graph", 30, ("--ordering", "weighted")))
 
 
+def summary(times):
+    """Median and (q1, q3) of per-unit times in microseconds."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1,
+            "samples": len(times)}
+
+
 def time_per_unit(make, units):
-    """Median and (q1, q3) of the wall time of `make(seed)()` over REPEATS
-    seeds, in microseconds per unit; `make(seed)` builds the input untimed
-    and returns the call to time."""
+    """The `summary` of the wall time of `make(seed)()` over REPEATS seeds,
+    per unit; `make(seed)` builds the input untimed and returns the call to
+    time."""
     make(0)()
     times = []
     for seed in range(1, REPEATS + 1):
@@ -92,19 +109,46 @@ def time_per_unit(make, units):
         start = perf_counter()
         call()
         times.append((perf_counter() - start) / units * 1e6)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1,
-            "samples": len(times)}
+    return summary(times)
 
 
-def measure(wholm):
+def time_pair(makes, units):
+    """`time_per_unit` of the two sides `makes` = (src, against) at once:
+    on every seed both sides' calls are timed, the src side first on odd
+    seeds and second on even ones.  Gives each side's `summary`, the median
+    of the per-seed ratios src / against and on how many seeds src was
+    faster."""
+    for make in makes:
+        make(0)()
+    times = ([], [])
+    for seed in range(1, REPEATS + 1):
+        for side in ((0, 1) if seed % 2 else (1, 0)):
+            call = makes[side](seed)
+            start = perf_counter()
+            call()
+            times[side].append((perf_counter() - start) / units * 1e6)
+    return {"src": summary(times[0]), "against": summary(times[1]),
+            "ratio_median": statistics.median(
+                a / b for a, b in zip(*times)),
+            "src_wins": sum(a < b for a, b in zip(*times)),
+            "pairs": REPEATS}
+
+
+def cases(wholm, tmp):
+    """The timed calls, as (row, make, units): `row` names the layer, the
+    unit and the size, `make(seed)` builds the input untimed and returns the
+    call to time, and the call covers `units` units.  `wholm` is the package
+    to time and `tmp` a directory for the CLI's input files."""
     import numpy as np
-    from wholm import battery, cli
-    from wholm.battery import check_properties, run_check_battery
-    from wholm.closure import random_corpus
-    from wholm.graphical import dot_stages
+    battery, cli = (importlib.import_module(f"{wholm.__name__}.{name}")
+                    for name in ("battery", "cli"))
+    random_corpus = wholm.closure.random_corpus
 
     rows = []
+
+    def add(layer, per, size, make, units=1):
+        rows.append(({"layer": layer, "per": per, "size": size}, make, units))
+
     for m, reps in SIMULATION_SIZES:
         def simulate(seed, m=m, reps=reps):
             config = wholm.SimulationConfig(
@@ -112,9 +156,8 @@ def measure(wholm):
                 weight_scenario=wholm.WeightScenario.S2, seed=seed)
             return lambda: wholm.run_simulation(config)
 
-        rows.append({"layer": "montecarlo.run_simulation", "per": "replicate",
-                     "size": {"m": m, "n": 15, "reps": reps},
-                     **time_per_unit(simulate, reps)})
+        add("montecarlo.run_simulation", "replicate",
+            {"m": m, "n": 15, "reps": reps}, simulate, reps)
     weights = np.linspace(1.0, 2.0, SHARPNESS_M)
     for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
         def sharpness(seed, procedure=procedure):
@@ -122,19 +165,16 @@ def measure(wholm):
                 procedure, weights, SHARPNESS_M, SHARPNESS_REPS,
                 np.random.default_rng(seed))
 
-        rows.append({"layer": "montecarlo.estimate_sharpness",
-                     "per": "replicate",
-                     "size": {"procedure": procedure.value, "m": SHARPNESS_M,
-                              "reps": SHARPNESS_REPS},
-                     **time_per_unit(sharpness, SHARPNESS_REPS)})
+        add("montecarlo.estimate_sharpness", "replicate",
+            {"procedure": procedure.value, "m": SHARPNESS_M,
+             "reps": SHARPNESS_REPS}, sharpness, SHARPNESS_REPS)
 
     def corpus(seed):
         problems = random_corpus(CORPUS_SIZE, seed=seed, m_max=CORPUS_M_MAX)
-        return lambda: check_properties(problems)
+        return lambda: battery.check_properties(problems)
 
-    rows.append({"layer": "battery.check_properties", "per": "problem",
-                 "size": {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX},
-                 **time_per_unit(corpus, CORPUS_SIZE)})
+    add("battery.check_properties", "problem",
+        {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX}, corpus, CORPUS_SIZE)
 
     def graph_properties(seed):
         problems = random_corpus(CORPUS_SIZE, seed=seed, m_max=CORPUS_M_MAX)
@@ -147,22 +187,18 @@ def measure(wholm):
                  if name.startswith("graphical-equivalence-")]
         return lambda: [check(stack) for stack in stacks for check in holds]
 
-    rows.append({"layer": "battery.graph_properties", "per": "problem",
-                 "size": {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX,
-                          "stack_rows": battery.PROPERTY_STACK_ROWS},
-                 **time_per_unit(graph_properties, CORPUS_SIZE)})
-    rows.append({"layer": "battery.run_check_battery", "per": "call",
-                 "size": {"trials": CORPUS_SIZE},
-                 **time_per_unit(lambda seed: (
-                     lambda: run_check_battery(CORPUS_SIZE, seed)), 1)})
+    add("battery.graph_properties", "problem",
+        {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX,
+         "stack_rows": battery.PROPERTY_STACK_ROWS},
+        graph_properties, CORPUS_SIZE)
+    add("battery.run_check_battery", "call", {"trials": CORPUS_SIZE},
+        lambda seed: lambda: battery.run_check_battery(CORPUS_SIZE, seed))
     for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
-        rows.append({"layer": "closure.find_pvalue_monotonicity_violation",
-                     "per": "call",
-                     "size": {"procedure": procedure.value,
-                              "trials": SEARCH_TRIALS},
-                     **time_per_unit(lambda seed, procedure=procedure: (
-                         lambda: wholm.find_pvalue_monotonicity_violation(
-                             procedure, SEARCH_TRIALS, seed)), 1)})
+        add("closure.find_pvalue_monotonicity_violation", "call",
+            {"procedure": procedure.value, "trials": SEARCH_TRIALS},
+            lambda seed, procedure=procedure: (
+                lambda: wholm.find_pvalue_monotonicity_violation(
+                    procedure, SEARCH_TRIALS, seed)))
 
     def problem(seed, m):
         # p-values at the scale of the critical values, so some are rejected
@@ -176,20 +212,17 @@ def measure(wholm):
         args = list(P.labels), list(P.p), list(P.w), P.alpha
         return lambda: wholm.validate_problem(*args)
 
-    rows.append({"layer": "core.validate_problem", "per": "call",
-                 "size": {"m": VALIDATE_M}, **time_per_unit(validate, 1)})
+    add("core.validate_problem", "call", {"m": VALIDATE_M}, validate)
     for m in KERNEL_SIZES:
         for layer, run in (("procedures.whp_stepdown", wholm.whp_stepdown),
                            ("adjust.adjusted_whp", wholm.adjusted_whp)):
-            rows.append({"layer": layer, "per": "call", "size": {"m": m},
-                         **time_per_unit(lambda seed, m=m, run=run: (
-                             lambda P=problem(seed, m): run(P)), 1)})
+            add(layer, "call", {"m": m}, lambda seed, m=m, run=run: (
+                lambda P=problem(seed, m): run(P)))
     for m in GRAPHICAL_SIZES:
-        rows.append({"layer": "graphical.run_graphical", "per": "call",
-                     "size": {"ordering": "weighted", "m": m},
-                     **time_per_unit(lambda seed, m=m: (
-                         lambda P=problem(seed, m): wholm.run_graphical(
-                             P, wholm.OrderingKey.WEIGHTED)), 1)})
+        add("graphical.run_graphical", "call",
+            {"ordering": "weighted", "m": m}, lambda seed, m=m: (
+                lambda P=problem(seed, m): wholm.run_graphical(
+                    P, wholm.OrderingKey.WEIGHTED)))
 
     def z_problem(seed, m):
         gen = np.random.default_rng(seed)
@@ -206,35 +239,30 @@ def measure(wholm):
                         for ordering in wholm.OrderingKey]
 
     for m in Z_GRAPHICAL_SIZES:
-        rows.append({"layer": "graphical.run_graphical", "per": "call",
-                     "size": {"ordering": "both", "m": m, "p": "z-test"},
-                     **time_per_unit(lambda seed, m=m: both_orderings(seed, m),
-                                     2)})
+        add("graphical.run_graphical", "call",
+            {"ordering": "both", "m": m, "p": "z-test"},
+            lambda seed, m=m: both_orderings(seed, m), 2)
 
     def stages(seed):
         P = problem(seed, DOT_STAGES_M)
         _, trace = wholm.run_graphical(P, wholm.OrderingKey.WEIGHTED)
         initial = wholm.initial_graph(P.w, P.alpha)
-        return lambda: dot_stages(trace, initial, labels=P.labels)
+        return lambda: wholm.graphical.dot_stages(trace, initial,
+                                                  labels=P.labels)
 
-    rows.append({"layer": "graphical.dot_stages", "per": "call",
-                 "size": {"ordering": "weighted", "m": DOT_STAGES_M},
-                 **time_per_unit(stages, 1)})
+    add("graphical.dot_stages", "call",
+        {"ordering": "weighted", "m": DOT_STAGES_M}, stages)
     for m in CLOSURE_SIZES:
         for layer, run in (
                 ("closure.ctp", lambda P: wholm.ctp(P, wholm.whp_local_test)),
                 ("closure.check_consonance",
                  lambda P: wholm.check_consonance(P, wholm.wap_local_test))):
-            rows.append({"layer": layer, "per": "call", "size": {"m": m},
-                         **time_per_unit(lambda seed, m=m, run=run: (
-                             lambda P=problem(seed, m): run(P)), 1)})
-    rows.append({"layer": "closure.check_monotonicity_condition",
-                 "per": "call",
-                 "size": {"procedure": "whp", "m": MONOTONICITY_M},
-                 **time_per_unit(lambda seed: (
-                     lambda P=problem(seed, MONOTONICITY_M):
-                     wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)),
-                     1)})
+            add(layer, "call", {"m": m}, lambda seed, m=m, run=run: (
+                lambda P=problem(seed, m): run(P)))
+    add("closure.check_monotonicity_condition", "call",
+        {"procedure": "whp", "m": MONOTONICITY_M}, lambda seed: (
+            lambda P=problem(seed, MONOTONICITY_M):
+            wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)))
 
     def local_test(seed, m, count):
         P = problem(seed, m)
@@ -242,35 +270,31 @@ def measure(wholm):
         return lambda: wholm.whp_local_test(P, masks)
 
     for m, count in LOCAL_TEST_CALLS:
-        rows.append({"layer": "closure.whp_local_test", "per": "call",
-                     "size": {"m": m, "masks": count},
-                     **time_per_unit(lambda seed, m=m, count=count:
-                                     local_test(seed, m, count), 1)})
+        add("closure.whp_local_test", "call", {"m": m, "masks": count},
+            lambda seed, m=m, count=count: local_test(seed, m, count))
 
-    rows.append({"layer": "cli.build_parser", "per": "call", "size": {},
-                 **time_per_unit(lambda seed: cli.build_parser, 1)})
-    with tempfile.TemporaryDirectory() as tmp:
-        def cli_call(seed, command, m, flags):
-            P = problem(seed, m)
-            path = Path(tmp) / f"{command}_{m}_{seed}.csv"
-            path.write_text("hypothesis,p_value,weight\n" + "".join(
-                f"{label},{p!r},{w!r}\n" for label, p, w in zip(P.labels, P.p, P.w)))
-            argv = [command, "--input", str(path), "--alpha", "0.05", *flags]
-            if command == "graph":
-                argv += ["--output-dir", str(Path(tmp) / f"graph_{m}_{seed}")]
+    add("cli.build_parser", "call", {}, lambda seed: cli.build_parser)
 
-            def call():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv)
-                if code != 0:
-                    raise RuntimeError(f"exit code {code}: {argv}")
-            return call
+    def cli_call(seed, command, m, flags):
+        P = problem(seed, m)
+        path = Path(tmp) / f"{wholm.__name__}_{command}_{m}_{seed}.csv"
+        path.write_text("hypothesis,p_value,weight\n" + "".join(
+            f"{label},{p!r},{w!r}\n" for label, p, w in zip(P.labels, P.p, P.w)))
+        argv = [command, "--input", str(path), "--alpha", "0.05", *flags]
+        if command == "graph":
+            argv += ["--output-dir",
+                     str(Path(tmp) / f"{wholm.__name__}_graph_{m}_{seed}")]
 
-        for command, m, flags in CLI_CALLS:
-            rows.append({"layer": f"cli.{command}", "per": "call",
-                         "size": {"m": m, "flags": " ".join(flags)},
-                         **time_per_unit(lambda seed, c=command, m=m, f=flags:
-                                         cli_call(seed, c, m, f), 1)})
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise RuntimeError(f"exit code {code}: {argv}")
+        return call
+
+    for command, m, flags in CLI_CALLS:
+        add(f"cli.{command}", "call", {"m": m, "flags": " ".join(flags)},
+            lambda seed, c=command, m=m, f=flags: cli_call(seed, c, m, f))
     return rows
 
 
@@ -308,29 +332,58 @@ def provenance(src):
     }
 
 
+def load(src, name):
+    """Import the wholm package under `src` as the module `name`, its
+    submodules as `name.core` and so on, so that two checkouts can be loaded
+    side by side."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "wholm" / "__init__.py",
+        submodule_search_locations=[str(src / "wholm")])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def main(argv=None):
     root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=root / "src",
                         help="directory holding the wholm package to time")
+    parser.add_argument("--against", type=Path,
+                        help="a second checkout's src directory, timed in the "
+                             "same process, alternating with --src")
     parser.add_argument("--label", required=True,
                         help="key of this record in the output file")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "wholm" / "__init__.py").is_file():
-        parser.error(f"no wholm package under {src}")
-    sys.path.insert(0, str(src))
-    import wholm
-
-    record = {**provenance(src), "results": measure(wholm)}
+    srcs = [path.resolve() for path in (args.src, args.against) if path]
+    for src in srcs:
+        if not (src / "wholm" / "__init__.py").is_file():
+            parser.error(f"no wholm package under {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.against is None:
+            record = {**provenance(srcs[0]), "results": [
+                {**row, **time_per_unit(make, units)}
+                for row, make, units in cases(load(srcs[0], "wholm"), tmp)]}
+        else:
+            sides = [cases(load(src, f"wholm_{side}"), tmp)
+                     for src, side in zip(srcs, ("src", "against"))]
+            record = {"src": provenance(srcs[0]),
+                      "against": provenance(srcs[1]), "results": [
+                          {**row, **time_pair((make, other), units)}
+                          for (row, make, units), (_, other, _) in zip(*sides)]}
     table = json.loads(args.out.read_text()) if args.out.exists() else {}
     table[args.label] = record
     args.out.write_text(json.dumps(table, indent=2) + "\n")
     for row in record["results"]:
-        print(f"{row['layer']:36} {json.dumps(row['size']):50} "
-              f"{row['median_us']:11.2f} us/{row['per']}  "
-              f"(IQR {row['iqr_us']:.2f})")
+        times = (f"{row['median_us']:11.2f} us/{row['per']}  "
+                 f"(IQR {row['iqr_us']:.2f})" if args.against is None else
+                 f"{row['src']['median_us']:11.2f} vs "
+                 f"{row['against']['median_us']:11.2f} us/{row['per']}  "
+                 f"ratio {row['ratio_median']:.3f}, src faster "
+                 f"{row['src_wins']}/{row['pairs']}")
+        print(f"{row['layer']:36} {json.dumps(row['size']):50} {times}")
     return 0
 
 

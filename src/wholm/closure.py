@@ -66,8 +66,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
-from .procedures import (Procedure, ProblemStack, adjust_rows,
-                         batch_stepdown, rank_rows, ranking)
+from .procedures import (Procedure, ProblemStack, adjust_rows, rank_rows,
+                         ranking)
 
 MAX_CTP_HYPOTHESES = 20
 MAX_MONOTONICITY_HYPOTHESES = 12
@@ -454,21 +454,33 @@ def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
 
     Returns (problem, lowered_problem) for the first violation, or None.
     Trials are drawn one by one and decided in chunks that double from
-    `SEARCH_FIRST_CHUNK`, so an early witness costs only a small chunk.
+    `SEARCH_FIRST_CHUNK`, so an early witness costs only a small chunk.  A
+    chunk's p-values are checked before it is decided: one outside [0, 1]
+    raises ValueError naming its trial and hypothesis.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
+    key = ranking(procedure)
     gen = np.random.default_rng(seed)
     done, chunk = 0, SEARCH_FIRST_CHUNK
     while done < trials:
         drawn = [_search_trial(gen) for _ in range(min(chunk, trials - done))]
-        # one `batch_stepdown` call over the p and q rows of each size
+        # one `adjust_rows` call over the p and q rows of each size; only
+        # the number of rejections per row is compared, so it is counted by
+        # rank
         lost = np.zeros(len(drawn), dtype=bool)
         for m in {p.size for p, _, _ in drawn}:
             rows = [t for t, (p, _, _) in enumerate(drawn) if p.size == m]
             p, q, w = (np.array([drawn[t][k] for t in rows]) for k in range(3))
-            counts = batch_stepdown(procedure, np.concatenate([p, q]),
-                                    np.concatenate([w, w]), 0.05).sum(axis=1)
+            pq = np.concatenate([p, q])
+            bad = ~((pq >= 0.0) & (pq <= 1.0))
+            if bad.any():
+                r, i = np.argwhere(bad)[0]
+                raise ValueError(f"p-value out of [0, 1] in trial "
+                                 f"{done + rows[r % len(rows)]}, "
+                                 f"hypothesis {i}: {pq[r, i]}")
+            counts = adjust_rows(pq, np.concatenate([w, w]), 0.05,
+                                 key)[3].sum(axis=1)
             lost[rows] = counts[len(rows):] < counts[:len(rows)]
         if lost.any():
             p, q, w = drawn[int(lost.argmax())]

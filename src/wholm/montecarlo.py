@@ -12,10 +12,10 @@ from enum import Enum
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import stdtr
 
-from .core import check_alpha, check_weights
-from .procedures import Procedure, batch_stepdown
+from .core import OrderingKey, check_alpha, check_weights
+from .procedures import Procedure, adjust_rows, ranking
 
 # Rows of least-favorable samples drawn and decided together.  This constant
 # defines the random stream of `estimate_sharpness` (its blocks are drawn one
@@ -45,14 +45,19 @@ def rng_new(seed: int) -> np.random.Generator:
 def t_sf(t, df):
     """Upper-tail probability of the Student-t distribution.
 
-    Evaluated through the regularized incomplete beta function, which is
-    accurate to well below 1e-12 in absolute terms.  Accepts arrays.
+    Evaluated as the distribution function at -t (`scipy.special.stdtr`),
+    and at df = 1, the Cauchy law, as the closed form atan2(1, t) / pi,
+    since `stdtr` is up to 1e-9 off near t = 0 there alone.  Both are
+    accurate to well below 1e-12 in absolute terms at every t, including
+    near 0, where they give exactly 0.5.  (The incomplete-beta form
+    0.5 * I_x(df/2, 1/2) at x = df / (df + t^2) is not, because x rounds
+    towards 1.)  Accepts arrays.
     """
-    t = np.asarray(t, dtype=float)
-    df = np.asarray(df, dtype=float)
-    x = df / (df + t * t)
-    half_tail = 0.5 * betainc(df / 2.0, 0.5, x)
-    out = np.where(t >= 0, half_tail, 1.0 - half_tail)
+    t, df = np.asarray(t, dtype=float), np.asarray(df, dtype=float)
+    out = stdtr(df, -t)
+    cauchy = df == 1.0
+    if cauchy.any():
+        out = np.where(cauchy, np.arctan2(1.0, t) / np.pi, out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -63,11 +68,21 @@ def _column_t(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     per step along it), and which leading rows hold a zero-variance column.
 
     Data of shape (..., n, m) give (..., m) statistics and a (...) mask; the
-    statistics of a masked row are not finite.
+    statistics of a masked row are not finite.  The sum over axis -2 is
+    taken once, and the mean and the ddof=1 standard deviation follow from
+    it by the operations numpy's own `mean` and `std` apply, so the bits
+    are theirs.
     """
-    sds = data.std(axis=-2, ddof=1)
+    n = data.shape[-2]
+    mean = data.sum(axis=-2, keepdims=True)
+    mean /= n
+    squares = data - mean
+    squares *= squares
+    sds = squares.sum(axis=-2)
+    sds /= n - 1
+    np.sqrt(sds, out=sds)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = data.mean(axis=-2) / (sds / math.sqrt(data.shape[-2]))
+        t = mean[..., 0, :] / (sds / math.sqrt(n))
     return t, (sds == 0.0).any(axis=-1)
 
 
@@ -94,7 +109,12 @@ def sample_equicorrelated(m: int, rho: float, mu: Sequence[float], n: int,
         raise ValueError(f"rho must lie in [0, 1): {rho}")
     z0 = gen.standard_normal((n, 1))
     z = gen.standard_normal((n, m))
-    return math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * z + np.asarray(mu)
+    # in place, in the order sqrt(rho) * z0 + sqrt(1 - rho) * z + mu; float
+    # addition commutes, so the bits are that expression's
+    z *= math.sqrt(1.0 - rho)
+    z += math.sqrt(rho) * z0
+    z += np.asarray(mu)
+    return z
 
 
 class WeightScenario(Enum):
@@ -219,6 +239,34 @@ def _draw_blocks(config: SimulationConfig) -> Iterator[
                           np.random.default_rng(child))
 
 
+def _check_block(values: np.ndarray, ok: np.ndarray, what: str,
+                 offset: int) -> None:
+    """Raise ValueError naming the first entry of a block's (rows, m)
+    `values` where `ok` fails, by replicate (`offset` plus its row) and
+    hypothesis."""
+    if not ok.all():
+        r, i = np.argwhere(~ok)[0]
+        raise ValueError(f"{what} in replicate {offset + r}, "
+                         f"hypothesis {i}: {values[r, i]}")
+
+
+def _check_wap_within_whp(whp, wap, offset: int) -> None:
+    """Raise RuntimeError naming the first replicate of a block, and the
+    indices, where WAP rejects a hypothesis WHP keeps; `whp` and `wap` are
+    the block's `adjust_rows` results.  Only WHP's rejections are scattered
+    back to index order, and read at WAP's ranks."""
+    (whp_perm, _, _, whp_rejected), (wap_perm, _, _, wap_rejected) = whp, wap
+    rows = np.arange(len(whp_perm))[:, None]
+    whp_mask = np.empty_like(whp_rejected)
+    whp_mask[rows, whp_perm] = whp_rejected
+    wap_only = wap_rejected & ~whp_mask[rows, wap_perm]
+    if wap_only.any():
+        r = int(np.argmax(wap_only.any(axis=1)))
+        raise RuntimeError(
+            f"WAP rejected a hypothesis WHP kept in replicate {offset + r}: "
+            f"{sorted(wap_perm[r][wap_only[r]].tolist())}")
+
+
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Monte Carlo estimate of FWER and average power for Holm, WHP and WAP.
 
@@ -233,10 +281,15 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     its block's generator and counted.
 
     Each block is decided as it is drawn, by one `t_sf` call and one
-    `batch_stepdown` call per procedure, and only the FWER counts and the
-    power sums are carried to the next, so memory does not grow with
-    `reps`.  The power terms are summed in replicate order as Python floats.
-    Errors name the replicate by its index in the cell.
+    `procedures.adjust_rows` call per procedure, and only the FWER counts
+    and the power sums are carried to the next, so memory does not grow
+    with `reps`.  The counts are taken by rank: the true nulls are the first
+    m0 hypotheses, so a rank holds one where its index is below m0.  The
+    power terms are summed in replicate order as Python floats.  Each block
+    is checked once before it is decided: a p-value outside [0, 1] (NaN
+    included) or a weight that is not positive and finite raises
+    ValueError, and a replicate where WAP rejects a hypothesis WHP keeps
+    raises RuntimeError; all name the replicate by its index in the cell.
     """
     m0 = config.m0
     m1 = config.m - m0
@@ -250,28 +303,27 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     for weights, tstats, redrawn in _draw_blocks(config):
         resampled += redrawn
         pvals = t_sf(tstats, config.n - 1)
-        bad = ~((pvals >= 0.0) & (pvals <= 1.0))
-        if bad.any():
-            r, i = np.argwhere(bad)[0]
-            raise ValueError(
-                f"p-value out of [0, 1] in replicate {offset + r}, "
-                f"hypothesis {i}: {pvals[r, i]}")
-        masks = {
-            Procedure.HOLM: batch_stepdown(Procedure.WHP, pvals, 1.0, config.alpha),
-            Procedure.WHP: batch_stepdown(Procedure.WHP, pvals, weights, config.alpha),
-            Procedure.WAP: batch_stepdown(Procedure.WAP, pvals, weights, config.alpha),
+        _check_block(pvals, (pvals >= 0.0) & (pvals <= 1.0),
+                     "p-value out of [0, 1]", offset)
+        _check_block(weights, (weights > 0.0) & (weights < np.inf),
+                     "weight must be positive and finite", offset)
+        decided = {
+            Procedure.HOLM: adjust_rows(pvals, 1.0, config.alpha,
+                                        OrderingKey.WEIGHTED),
+            Procedure.WHP: adjust_rows(pvals, weights, config.alpha,
+                                       OrderingKey.WEIGHTED),
+            Procedure.WAP: adjust_rows(pvals, weights, config.alpha,
+                                       OrderingKey.RAW),
         }
-        wap_only = masks[Procedure.WAP] & ~masks[Procedure.WHP]
-        if wap_only.any():
-            r = int(np.argmax(wap_only.any(axis=1)))
-            raise RuntimeError(
-                f"WAP rejected a hypothesis WHP kept in replicate {offset + r}: "
-                f"{np.flatnonzero(wap_only[r]).tolist()}")
-        for proc, mask in masks.items():
-            familywise[proc] += int(mask[:, :m0].any(axis=1).sum())
+        _check_wap_within_whp(decided[Procedure.WHP], decided[Procedure.WAP],
+                              offset)
+        for proc, (perm, _, _, rejected) in decided.items():
+            # the true nulls are hypotheses 0..m0-1, so by rank where perm < m0
+            null = perm < m0
+            familywise[proc] += int((rejected & null).any(axis=1).sum())
             power_sum = power_sums[proc]
             if m1:
-                for k in mask[:, m0:].sum(axis=1).tolist():
+                for k in (rejected & ~null).sum(axis=1).tolist():
                     power_sum += k / m1
             power_sums[proc] = power_sum
         offset += len(pvals)
@@ -397,8 +449,12 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
 
     The samples are drawn from `gen` in blocks of `SHARPNESS_BLOCK_ROWS` rows
     (the last holds what is left), and each block is decided by one
-    `batch_stepdown` call before the next is drawn, so memory does not grow
-    with `reps`.
+    `procedures.adjust_rows` call before the next is drawn, so memory does
+    not grow with `reps`.  A block's p-values are checked once, before it
+    is decided: one outside [0, 1] (NaN included) raises ValueError naming
+    its replicate and hypothesis.  A replicate counts when its first-ranked
+    hypothesis is rejected, since the rejections are a prefix of the
+    ranking.
     """
     w = np.asarray(weights, dtype=float)
     check_weights(w)
@@ -411,11 +467,14 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         raise ValueError(
             "the raw-ordered procedure attains the bound only when "
             f"min(w)/max(w) >= alpha; got ratio {w.min() / w.max():.6g} < {alpha}")
+    key = ranking(procedure)
     tau = 1.0 / w.sum()
     hits = 0
     for start in range(0, reps, SHARPNESS_BLOCK_ROWS):
         block, _ = _lfc_batch(w, tau, gen, min(SHARPNESS_BLOCK_ROWS, reps - start))
-        hits += int(batch_stepdown(procedure, block, w, alpha).any(axis=1).sum())
+        _check_block(block, (block >= 0.0) & (block <= 1.0),
+                     "p-value out of [0, 1]", start)
+        hits += int(np.count_nonzero(adjust_rows(block, w, alpha, key)[3][:, 0]))
     fwer = hits / reps
     return SharpnessEstimate(procedure=procedure, fwer=fwer,
                              se=math.sqrt(fwer * (1.0 - fwer) / reps), reps=reps)

@@ -13,8 +13,10 @@ reports print the very numbers the decisions were made on.
 alpha, over (R, m) rows; its ranking, `rank_rows`, is also the one closed
 testing and the graph use.  The adjusted reports and `whp_stepdown`,
 `wap_stepdown` and `holm_stepdown` are one-row calls of it, the step-downs
-with a trace of raw-scale thresholds w*alpha/tail; `batch_stepdown` decides
-many rows at once for the Monte Carlo engine and the witness searches.
+with a trace of raw-scale thresholds w*alpha/tail; `batch_stepdown` is the
+validated public array form, rejection masks in index order.  The Monte
+Carlo engine and the witness searches check their own input once and call
+`adjust_rows` directly, counting by rank.
 `ProblemStack` holds same-size problems as the arrays that every stacked
 kernel reads.
 """
@@ -136,6 +138,9 @@ def batch_stepdown(procedure: Procedure, p, w, alpha: float) -> np.ndarray:
     rejects on the problem (p[r], w[r], alpha).  Raises ValueError for alpha
     outside (0, 1), and naming the first row and column of a p-value outside
     [0, 1] (NaN included) or of a weight that is not positive and finite.
+    This is the checked public form of `adjust_rows`; library code that
+    checks its input itself calls `adjust_rows` and reads the rejections
+    by rank.
     """
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
     if p.ndim != 2:

@@ -432,6 +432,22 @@ class TestPvalueMonotonicitySearch:
                 procedure, trials=trials, seed=seed) == _per_trial_search(
                     procedure, trials, seed), seed
 
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_pvalue_outside_unit_interval_names_its_trial(self, monkeypatch,
+                                                          bad):
+        real, trials = closure._search_trial, []
+
+        def bad_pvalue_in_trial_2(gen):
+            p, q, w = real(gen)
+            trials.append(p.size)
+            if len(trials) == 3:
+                p[1] = q[1] = bad
+            return p, q, w
+
+        monkeypatch.setattr(closure, "_search_trial", bad_pvalue_in_trial_2)
+        with pytest.raises(ValueError, match=f"trial 2, hypothesis 1: {bad}"):
+            find_pvalue_monotonicity_violation(Procedure.WHP, trials=50, seed=7)
+
 
 @lru_cache(maxsize=None)
 def _per_trial_search(procedure, trials, seed):

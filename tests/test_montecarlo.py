@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wholm import (DegenerateSampleError, Procedure, SimulationConfig,
-                   WeightScenario, estimate_sharpness, lfc_stepdown_falsifier,
+from wholm import (DegenerateSampleError, OrderingKey, Procedure,
+                   SimulationConfig, WeightScenario, batch_stepdown,
+                   estimate_sharpness, lfc_stepdown_falsifier,
                    lfc_whp_sampler, one_sample_t_pvalue, rng_new,
                    run_simulation, sample_equicorrelated, t_sf,
                    weight_scenario, whp_stepdown, validate_problem)
@@ -69,6 +70,21 @@ class TestEquicorrelated:
         with pytest.raises(ValueError, match="rho"):
             sample_equicorrelated(2, 1.0, [0.0, 0.0], 10, rng_new(4))
 
+    def test_equals_the_one_factor_expression_bit_for_bit(self):
+        # the in-place construction against the expression it replaced
+        for m in range(1, 21):
+            for n in range(2, 31):
+                for rho in (0.0, 0.5):
+                    mu = [0.0] * (m // 2) + [0.7] * (m - m // 2)
+                    seed = 1000 * m + 10 * n + int(2 * rho)
+                    gen = rng_new(seed)
+                    z0 = gen.standard_normal((n, 1))
+                    z = gen.standard_normal((n, m))
+                    expected = (math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * z
+                                + np.asarray(mu))
+                    data = sample_equicorrelated(m, rho, mu, n, rng_new(seed))
+                    assert data.tobytes() == expected.tobytes(), (m, n, rho)
+
 
 class TestTPvalue:
     def test_zero_statistic_gives_half(self):
@@ -85,6 +101,33 @@ class TestTPvalue:
             t = float(gen.normal(scale=2.5))
             assert t_sf(t, df) == pytest.approx(t_sf_by_quadrature(t, df),
                                                 abs=1e-9)
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 14, 39])
+    def test_small_statistics_follow_the_series(self, df):
+        # sf(t) = 1/2 - t f(0) + O(t^3); at |t| <= 1e-5 the cubic term is
+        # below 2e-16, so the tolerance is set by float spacing near 1/2
+        assert t_sf(0.0, df) == 0.5
+        for t in (1e-12, -3e-9, 8.1e-6, -8.1e-6, 1e-5, -1e-5):
+            assert t_sf(t, df) == pytest.approx(0.5 - t * t_density(0.0, df),
+                                                abs=1e-15)
+
+    def test_column_t_equals_numpy_mean_and_std_bit_for_bit(self):
+        # the one-sum statistics against the numpy expressions they replaced
+        for m in range(1, 21):
+            for n in range(2, 31):
+                for rho in (0.0, 0.5):
+                    gen = rng_new(1000 * m + 10 * n + int(2 * rho))
+                    data = sample_equicorrelated(m, rho, [0.0] * m, 4 * n,
+                                                 gen).reshape(4, n, m)
+                    data[1, :, 0] = 0.1         # a constant column
+                    data[2] = 3.0               # a constant replicate
+                    sds = data.std(axis=-2, ddof=1)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        expected = data.mean(axis=-2) / (sds / math.sqrt(n))
+                    t, zero = montecarlo._column_t(data)
+                    assert t.tobytes() == expected.tobytes(), (m, n, rho)
+                    assert np.array_equal(zero, (sds == 0.0).any(axis=-1))
+                    assert zero[2] and not zero[3]
 
     def test_constant_sample_raises(self):
         with pytest.raises(DegenerateSampleError):
@@ -258,19 +301,36 @@ class TestRunSimulation:
         assert not np.array_equal(short_t, long_t[256:])
 
     def test_wap_outside_whp_raises(self, monkeypatch):
-        real = montecarlo.batch_stepdown
+        real = montecarlo.adjust_rows
 
-        def broken(procedure, p, w, alpha):
-            mask = real(procedure, p, w, alpha)
-            if procedure is Procedure.WAP:
-                mask[3:] = True
-            return mask
+        def broken(p, w, alpha, key):
+            perm, tails, adjusted, rejected = real(p, w, alpha, key)
+            if key is OrderingKey.RAW:
+                rejected[3:] = True
+            return perm, tails, adjusted, rejected
 
-        monkeypatch.setattr(montecarlo, "batch_stepdown", broken)
+        monkeypatch.setattr(montecarlo, "adjust_rows", broken)
         config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.0,
                                   alpha=0.05, reps=10,
                                   weight_scenario=WeightScenario.S2, seed=5)
         with pytest.raises(RuntimeError, match="replicate 3"):
+            run_simulation(config)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_invalid_weight_names_the_replicate(self, monkeypatch, bad):
+        real = montecarlo.weight_scenario
+
+        def bad_at(kind, null_mask, gen):
+            w = real(kind, null_mask, gen)
+            w[4, 2] = bad
+            return w
+
+        monkeypatch.setattr(montecarlo, "weight_scenario", bad_at)
+        config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.7,
+                                  alpha=0.05, reps=5,
+                                  weight_scenario=WeightScenario.S2, seed=5)
+        with pytest.raises(ValueError, match="weight must be positive and "
+                           f"finite in replicate 4, hypothesis 2: {bad}"):
             run_simulation(config)
 
     def test_invalid_pvalue_raises(self, monkeypatch):
@@ -294,12 +354,11 @@ class TestRunSimulation:
                                weight_scenario=WeightScenario.S3, seed=81)
 
     def test_no_call_sees_more_than_a_block(self, monkeypatch):
-        rows = {"t_sf": [], "batch_stepdown": []}
+        rows = {"t_sf": [], "adjust_rows": []}
 
         def spy(name, real):
             def call(*args):
-                rows[name].append(len(args[1] if name == "batch_stepdown"
-                                      else args[0]))
+                rows[name].append(len(args[0]))
                 return real(*args)
             return call
 
@@ -308,11 +367,11 @@ class TestRunSimulation:
                                 spy(name, getattr(montecarlo, name)))
         run_simulation(self.BLOCKED)
         assert rows == {"t_sf": [256, 256, 37],
-                        "batch_stepdown": [256] * 3 + [256] * 3 + [37] * 3}
+                        "adjust_rows": [256] * 3 + [256] * 3 + [37] * 3}
 
     def test_errors_name_the_replicate_in_the_cell(self, monkeypatch):
         # a bad replicate in row 5 of block 2 is replicate 2 * 256 + 5
-        real_sf, real_stepdown = montecarlo.t_sf, montecarlo.batch_stepdown
+        real_sf, real_decide = montecarlo.t_sf, montecarlo.adjust_rows
         blocks = []
 
         def bad_pvalue_in_block_2(t, df):
@@ -326,17 +385,30 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="replicate 517, hypothesis 1: 1.5"):
             run_simulation(self.BLOCKED)
 
-        def wap_beyond_whp_in_block_2(procedure, p, w, alpha):
-            mask = real_stepdown(procedure, p, w, alpha)
-            if procedure is Procedure.WAP and len(p) == 37:
-                mask[5:] = True
-            return mask
+        def wap_beyond_whp_in_block_2(p, w, alpha, key):
+            perm, tails, adjusted, rejected = real_decide(p, w, alpha, key)
+            if key is OrderingKey.RAW and len(p) == 37:
+                rejected[5:] = True
+            return perm, tails, adjusted, rejected
 
         monkeypatch.setattr(montecarlo, "t_sf", real_sf)
-        monkeypatch.setattr(montecarlo, "batch_stepdown",
+        monkeypatch.setattr(montecarlo, "adjust_rows",
                             wap_beyond_whp_in_block_2)
         with pytest.raises(RuntimeError, match="replicate 517: "):
             run_simulation(self.BLOCKED)
+
+    @pytest.mark.parametrize("m, pi0", [(5, 0.4), (10, 0.8), (20, 0.5)])
+    def test_rank_counts_equal_the_index_masks(self, m, pi0):
+        # the rank-space counts against `batch_stepdown`'s index-order masks
+        # on the same seeded blocks, counted as the masks were
+        for rho, scenario, seed in ((0.0, WeightScenario.S1, 3),
+                                    (0.5, WeightScenario.S2, 4),
+                                    (0.5, WeightScenario.S3, 5),
+                                    (0.0, WeightScenario.S4, 6)):
+            config = SimulationConfig(m=m, pi0=pi0, rho=rho, n=15, mu_alt=0.7,
+                                      alpha=0.05, reps=300,
+                                      weight_scenario=scenario, seed=seed)
+            assert run_simulation(config).records == _records_by_masks(config)
 
     def test_zero_variance_sample_redrawn_once(self, monkeypatch):
         real = montecarlo.sample_equicorrelated
@@ -363,6 +435,35 @@ class TestRunSimulation:
                             lambda m, rho, mu, n, gen: np.zeros((n, m)))
         with pytest.raises(DegenerateSampleError):
             run_simulation(config)
+
+
+def _records_by_masks(config):
+    """A cell's records decided by `batch_stepdown`'s masks in index order,
+    the reference for `run_simulation`'s counts by rank."""
+    m0, m1 = config.m0, config.m - config.m0
+    familywise = dict.fromkeys(Procedure, 0)
+    power_sums = dict.fromkeys(Procedure, 0.0)
+    for weights, tstats, _ in montecarlo._draw_blocks(config):
+        pvals = t_sf(tstats, config.n - 1)
+        masks = {
+            Procedure.HOLM: batch_stepdown(Procedure.WHP, pvals, 1.0, config.alpha),
+            Procedure.WHP: batch_stepdown(Procedure.WHP, pvals, weights, config.alpha),
+            Procedure.WAP: batch_stepdown(Procedure.WAP, pvals, weights, config.alpha),
+        }
+        assert not (masks[Procedure.WAP] & ~masks[Procedure.WHP]).any()
+        for proc, mask in masks.items():
+            familywise[proc] += int(mask[:, :m0].any(axis=1).sum())
+            for k in mask[:, m0:].sum(axis=1).tolist():
+                power_sums[proc] += k / m1
+    records = {}
+    for proc in Procedure:
+        fwer = familywise[proc] / config.reps
+        power = power_sums[proc] / config.reps
+        records[proc] = montecarlo.CellRecord(
+            procedure=proc, fwer=fwer,
+            fwer_se=math.sqrt(fwer * (1.0 - fwer) / config.reps),
+            power=power, power_se=math.sqrt(power * (1.0 - power) / config.reps))
+    return records
 
 
 class TestLfcSampler:
@@ -523,6 +624,49 @@ class TestSharpness:
             assert type(estimate.fwer) is float
             assert estimate.fwer == fwer
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.5])
+    def test_invalid_pvalue_names_the_replicate(self, monkeypatch, bad):
+        real = montecarlo._lfc_batch
+        blocks = []
+
+        def bad_in_block_1(w, tau, gen, size):
+            p, selected = real(w, tau, gen, size)
+            blocks.append(size)
+            if len(blocks) == 2:
+                p[5, 1] = bad
+            return p, selected
+
+        monkeypatch.setattr(montecarlo, "_lfc_batch", bad_in_block_1)
+        with pytest.raises(ValueError, match="p-value out of \\[0, 1\\] in "
+                           f"replicate 1029, hypothesis 1: {bad}"):
+            estimate_sharpness(Procedure.WHP, [1.0, 2.0, 3.0], 3, 3000,
+                               rng_new(71))
+
+    def test_holm_has_no_sharpness_ranking(self):
+        gen = rng_new(67)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="WHP or WAP"):
+            estimate_sharpness(Procedure.HOLM, [1.0, 2.0], 2, 10, gen)
+        assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+    def test_first_rank_counts_equal_the_index_masks(self, procedure):
+        # a replicate counts when its first rank is rejected; the reference
+        # is `batch_stepdown`'s mask with any rejection, on the same stream
+        for seed, weights in enumerate(([1.0, 2.0, 3.0], [1.0] * 7,
+                                        np.linspace(1.0, 9.0, 10), [4.0])):
+            m0 = len(weights)
+            estimate = estimate_sharpness(procedure, weights, m0, 2500,
+                                          rng_new(seed))
+            gen, hits = rng_new(seed), 0
+            w = np.asarray(weights, dtype=float)
+            for start in range(0, 2500, montecarlo.SHARPNESS_BLOCK_ROWS):
+                rows = min(montecarlo.SHARPNESS_BLOCK_ROWS, 2500 - start)
+                block, _ = _lfc_batch(w, 1.0 / w.sum(), gen, rows)
+                hits += int(batch_stepdown(procedure, block, w,
+                                           0.05).any(axis=1).sum())
+            assert estimate.fwer == hits / 2500
+
     def test_each_block_is_decided_before_the_next_is_drawn(self, monkeypatch):
         # 2 full blocks and a last one of 37 rows
         calls = []
@@ -530,14 +674,14 @@ class TestSharpness:
         def spy(name, real):
             def call(*args):
                 out = real(*args)
-                calls.append((name, len(out[0] if name == "draw" else args[1])))
+                calls.append((name, len(out[0] if name == "draw" else args[0])))
                 return out
             return call
 
         monkeypatch.setattr(montecarlo, "_lfc_batch",
                             spy("draw", montecarlo._lfc_batch))
-        monkeypatch.setattr(montecarlo, "batch_stepdown",
-                            spy("decide", montecarlo.batch_stepdown))
+        monkeypatch.setattr(montecarlo, "adjust_rows",
+                            spy("decide", montecarlo.adjust_rows))
         estimate_sharpness(Procedure.WAP, [1.0, 2.5, 3.0], 3, 2 * 1024 + 37,
                            rng_new(71))
         assert calls == [("draw", 1024), ("decide", 1024),
