@@ -2,17 +2,18 @@
 
     python3 bench/layers.py --label after --out BENCH_16.json
     python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_16.json
-    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_17.json
+    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_18.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
 - `run_simulation` at m = 10 and 20 (n = 15, reps = 100 and 2,000) and
   `estimate_sharpness` for WHP and WAP at m = 10 (reps = 20,000), per
   replicate;
-- `battery.check_properties` on `random_corpus(2000, m_max=8)`, per problem,
-  its two `graphical-equivalence-*` properties on their own over the same
-  stacks (built untimed, as `check_properties` builds them), per problem,
-  and `battery.run_check_battery(2000)`, per call;
+- `closure.random_corpus(2000, m_max=8)`, per call;
+- `battery.check_properties` on such a corpus, per problem, its two
+  `graphical-equivalence-*` properties on their own over the same stacks
+  (built untimed, as `check_properties` builds them), per problem, and
+  `battery.run_check_battery(2000)`, per call;
 - `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
   trials, per call;
 - `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
@@ -32,7 +33,8 @@ Times, with `perf_counter`, one call at a time in this process:
   `cli.main` runs of `adjust` at m = 5, 1000 and 10,000 (at both
   precisions at 10,000) and `ctp --procedure whp` at
   m = 10 (stdout captured) and of `graph --ordering weighted` at m = 30
-  (into a fresh output directory), each on a problem CSV written untimed.
+  (into a fresh output directory), each on a problem CSV written untimed,
+  and of `check --trials 2000` (stdout captured).
 
 Each size gets one untimed warm-up call and then `REPEATS` timed calls, each
 on its own seed; inputs are built before the clock starts.  The record gives
@@ -48,13 +50,18 @@ both packages are loaded into this one process (as `wholm_src` and
 are timed back to back, the `--src` side first on odd seeds and second on
 even ones.  Each row then gives both sides' medians and quartiles, the
 median of the per-seed ratios src / against and on how many of the
-`REPEATS` seeds the `--src` side was faster.
+`REPEATS` seeds the `--src` side was faster.  The corpora of
+`check_properties` and its graph properties are drawn once per seed, by
+the `--src` side's `random_corpus`, and each side times its own
+`TestingProblem`s of the same values, so the pair compares code, not
+seeded streams.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -134,15 +141,31 @@ def time_pair(makes, units):
             "pairs": REPEATS}
 
 
-def cases(wholm, tmp):
+def corpus_values(wholm):
+    """`values(seed)`: the (labels, p, w, alpha) of each problem of
+    `wholm`'s `random_corpus(CORPUS_SIZE, seed, m_max=CORPUS_M_MAX)`, drawn
+    once per seed."""
+    @functools.lru_cache(maxsize=None)
+    def values(seed):
+        return [(P.labels, P.p, P.w, P.alpha) for P in
+                wholm.closure.random_corpus(CORPUS_SIZE, seed=seed,
+                                            m_max=CORPUS_M_MAX)]
+    return values
+
+
+def cases(wholm, tmp, values):
     """The timed calls, as (row, make, units): `row` names the layer, the
     unit and the size, `make(seed)` builds the input untimed and returns the
     call to time, and the call covers `units` units.  `wholm` is the package
-    to time and `tmp` a directory for the CLI's input files."""
+    to time, `tmp` a directory for the CLI's input files and `values` the
+    `corpus_values` of the corpora the property runner is timed on."""
     import numpy as np
     battery, cli = (importlib.import_module(f"{wholm.__name__}.{name}")
                     for name in ("battery", "cli"))
     random_corpus = wholm.closure.random_corpus
+
+    def corpus(seed):
+        return [wholm.TestingProblem(*fields) for fields in values(seed)]
 
     rows = []
 
@@ -169,15 +192,20 @@ def cases(wholm, tmp):
             {"procedure": procedure.value, "m": SHARPNESS_M,
              "reps": SHARPNESS_REPS}, sharpness, SHARPNESS_REPS)
 
-    def corpus(seed):
-        problems = random_corpus(CORPUS_SIZE, seed=seed, m_max=CORPUS_M_MAX)
+    add("closure.random_corpus", "call",
+        {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX}, lambda seed: (
+            lambda: random_corpus(CORPUS_SIZE, seed=seed, m_max=CORPUS_M_MAX)))
+
+    def check_properties(seed):
+        problems = corpus(seed)
         return lambda: battery.check_properties(problems)
 
     add("battery.check_properties", "problem",
-        {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX}, corpus, CORPUS_SIZE)
+        {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX}, check_properties,
+        CORPUS_SIZE)
 
     def graph_properties(seed):
-        problems = random_corpus(CORPUS_SIZE, seed=seed, m_max=CORPUS_M_MAX)
+        problems = corpus(seed)
         rows, stacks = battery.PROPERTY_STACK_ROWS, []
         for m in sorted({problem.m for problem in problems}):
             group = [problem for problem in problems if problem.m == m]
@@ -275,6 +303,14 @@ def cases(wholm, tmp):
 
     add("cli.build_parser", "call", {}, lambda seed: cli.build_parser)
 
+    def run_cli(argv):
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise RuntimeError(f"exit code {code}: {argv}")
+        return call
+
     def cli_call(seed, command, m, flags):
         P = problem(seed, m)
         path = Path(tmp) / f"{wholm.__name__}_{command}_{m}_{seed}.csv"
@@ -284,17 +320,13 @@ def cases(wholm, tmp):
         if command == "graph":
             argv += ["--output-dir",
                      str(Path(tmp) / f"{wholm.__name__}_graph_{m}_{seed}")]
-
-        def call():
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-            if code != 0:
-                raise RuntimeError(f"exit code {code}: {argv}")
-        return call
+        return run_cli(argv)
 
     for command, m, flags in CLI_CALLS:
         add(f"cli.{command}", "call", {"m": m, "flags": " ".join(flags)},
             lambda seed, c=command, m=m, f=flags: cli_call(seed, c, m, f))
+    add("cli.check", "call", {"trials": CORPUS_SIZE}, lambda seed: run_cli(
+        ["check", "--trials", str(CORPUS_SIZE), "--seed", str(seed)]))
     return rows
 
 
@@ -363,12 +395,15 @@ def main(argv=None):
             parser.error(f"no wholm package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         if args.against is None:
+            wholm = load(srcs[0], "wholm")
             record = {**provenance(srcs[0]), "results": [
-                {**row, **time_per_unit(make, units)}
-                for row, make, units in cases(load(srcs[0], "wholm"), tmp)]}
+                {**row, **time_per_unit(make, units)} for row, make, units
+                in cases(wholm, tmp, corpus_values(wholm))]}
         else:
-            sides = [cases(load(src, f"wholm_{side}"), tmp)
-                     for src, side in zip(srcs, ("src", "against"))]
+            packages = [load(src, f"wholm_{side}")
+                        for src, side in zip(srcs, ("src", "against"))]
+            values = corpus_values(packages[0])
+            sides = [cases(wholm, tmp, values) for wholm in packages]
             record = {"src": provenance(srcs[0]),
                       "against": provenance(srcs[1]), "results": [
                           {**row, **time_pair((make, other), units)}

@@ -5,8 +5,10 @@ every problem: closed testing and the graph reproduce WHP and WAP, WAP
 rejects a subset of what WHP rejects (decisions and adjusted values), both
 procedures are consonant, and WHP meets the monotonicity condition.
 `check_properties` checks every claim on every problem of a corpus and names
-the first violating problem of each.  `run_check_battery` adds the two
-randomized p-value monotonicity searches.
+the first violating problem of each.  `run_check_battery` runs it on a
+seeded `closure.random_corpus`, drawn as three arrays, and adds the two
+randomized p-value monotonicity searches, each of which draws all its
+trials before it decides any.
 
 The corpus is evaluated in stacks: its problems are grouped by m, and each
 group is cut into stacks of at most `PROPERTY_STACK_ROWS` problems, turned
@@ -155,7 +157,8 @@ def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
 
 
 def run_check_battery(trials: int, seed: int) -> List[CheckResult]:
-    """`check_properties` on `trials` random problems, then both searches."""
+    """`check_properties` on `random_corpus(trials, seed, m_max=8)`, then
+    both searches, each over `trials` trials drawn from `seed`."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
     results = check_properties(random_corpus(trials, seed=seed, m_max=8))

@@ -65,7 +65,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
+from .core import (OrderingKey, RejectionSet, TestingProblem, check_alpha,
+                   validate_problem)
 from .procedures import (Procedure, ProblemStack, adjust_rows, rank_rows,
                          ranking)
 
@@ -417,34 +418,59 @@ class ClosedStack:
         return _counterexamples(self._stack, self.procedure, self._table)
 
 
-def random_problem(gen: np.random.Generator, m: int,
-                   alpha: float = 0.05) -> TestingProblem:
-    """One corpus problem: p i.i.d. U(0,1), weights i.i.d. U(0.5, 5)."""
-    p = gen.uniform(0.0, 1.0, size=m)
-    w = gen.uniform(0.5, 5.0, size=m)
-    return validate_problem([f"H{i + 1}" for i in range(m)], p, w, alpha)
-
-
 def random_corpus(count: int, seed: int, m_max: int = 8,
                   alpha: float = 0.05) -> List[TestingProblem]:
-    """Seeded corpus of random problems with m uniform on {1..m_max}."""
+    """Seeded corpus of random problems: m uniform on {1..m_max}, p i.i.d.
+    U(0, 1) and weights i.i.d. U(0.5, 5).
+
+    All sizes are drawn first, then all p-values, then all weights, each in
+    one generator call, so `random_corpus(n, seed)[:k]` is not
+    `random_corpus(k, seed)`.  The arrays are checked once as
+    `validate_problem` checks each problem, and every problem equals
+    `validate_problem` on its labels, p, w and alpha.
+    """
+    alpha = float(alpha)
+    check_alpha(alpha)
     gen = np.random.default_rng(seed)
-    return [random_problem(gen, int(gen.integers(1, m_max + 1)), alpha=alpha)
-            for _ in range(count)]
+    sizes = gen.integers(1, m_max + 1, size=count)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    p = gen.uniform(0.0, 1.0, size=int(sizes.sum()))
+    w = gen.uniform(0.5, 5.0, size=p.size)
+    ok = (p >= 0.0) & (p <= 1.0) & (w > 0.0) & (w < np.inf)
+    if not ok.all():
+        # validate_problem raises, naming the first bad value of its problem
+        k = int(np.searchsorted(ends, ok.argmin(), side="right"))
+        rows = slice(starts[k], ends[k])
+        validate_problem(_labels(sizes[k]), p[rows], w[rows], alpha)
+    labels = {m: _labels(m) for m in set(sizes.tolist())}
+    p, w = p.tolist(), w.tolist()
+    return [TestingProblem(labels[m], tuple(p[a:b]), tuple(w[a:b]), alpha)
+            for m, a, b in zip(sizes.tolist(), starts.tolist(), ends.tolist())]
 
 
-def _search_trial(gen: np.random.Generator):
-    """One trial's p-values p, q <= p with one lowered, and weights w."""
-    m = int(gen.integers(3, 6))
-    w = gen.uniform(1.0, 10.0, size=m)
+def _labels(m: int) -> Tuple[str, ...]:
+    return tuple(f"H{i + 1}" for i in range(m))
+
+
+def _search_trials(gen: np.random.Generator, trials: int):
+    """Every trial of the p-value monotonicity search, drawn at once: the
+    sizes m, uniform on {3, 4, 5}, and (trials, 5) arrays of p-values p,
+    lowered p-values q <= p and weights w, whose first m columns hold a
+    row's trial and whose other columns are 0."""
+    sizes = gen.integers(3, 6, size=trials)
+    w = gen.uniform(1.0, 10.0, size=(trials, 5))
+    factor = gen.uniform(0.0, 3.0, size=(trials, 5))
+    w[np.arange(5) >= sizes[:, None]] = 0.0
     # p-values drawn at the scale of the critical thresholds; anything far
     # above them never rejects and wastes the trial
-    p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
+    p = w / w.sum(axis=1, keepdims=True) * 0.05 * factor
     # lowering a single coordinate is what reorders the raw p-values and
     # can shrink the early thresholds out from under the others
-    q = np.array(p)
-    q[int(gen.integers(m))] *= gen.uniform()
-    return p, q, w
+    lowered = gen.integers(0, sizes)
+    q = p.copy()
+    q[np.arange(trials), lowered] *= gen.uniform(size=trials)
+    return sizes, p, q, w
 
 
 def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
@@ -452,40 +478,41 @@ def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
     """Randomized search for a pair q <= p (componentwise) where lowering the
     p-values loses rejections.
 
-    Returns (problem, lowered_problem) for the first violation, or None.
-    Trials are drawn one by one and decided in chunks that double from
-    `SEARCH_FIRST_CHUNK`, so an early witness costs only a small chunk.  A
-    chunk's p-values are checked before it is decided: one outside [0, 1]
-    raises ValueError naming its trial and hypothesis.
+    Returns (problem, lowered_problem) for the first violating trial, or
+    None.  All trials are drawn before any is decided (`_search_trials`),
+    and their p-values are checked at once: one outside [0, 1] raises
+    ValueError naming its trial and hypothesis.  They are then decided in
+    chunks that double from `SEARCH_FIRST_CHUNK`, so an early witness costs
+    only a small chunk, and the witness does not depend on the chunks.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
     key = ranking(procedure)
-    gen = np.random.default_rng(seed)
-    done, chunk = 0, SEARCH_FIRST_CHUNK
-    while done < trials:
-        drawn = [_search_trial(gen) for _ in range(min(chunk, trials - done))]
+    sizes, p, q, w = _search_trials(np.random.default_rng(seed), trials)
+    pq = np.stack([p, q], axis=1)
+    bad = np.argwhere(~((pq >= 0.0) & (pq <= 1.0)))
+    if bad.size:
+        t, side, i = bad[0]
+        raise ValueError(f"p-value out of [0, 1] in trial {t}, "
+                         f"hypothesis {i}: {pq[t, side, i]}")
+    lost = np.zeros(trials, dtype=bool)
+    start, chunk = 0, SEARCH_FIRST_CHUNK
+    while start < trials:
+        stop = min(start + chunk, trials)
         # one `adjust_rows` call over the p and q rows of each size; only
         # the number of rejections per row is compared, so it is counted by
         # rank
-        lost = np.zeros(len(drawn), dtype=bool)
-        for m in {p.size for p, _, _ in drawn}:
-            rows = [t for t, (p, _, _) in enumerate(drawn) if p.size == m]
-            p, q, w = (np.array([drawn[t][k] for t in rows]) for k in range(3))
-            pq = np.concatenate([p, q])
-            bad = ~((pq >= 0.0) & (pq <= 1.0))
-            if bad.any():
-                r, i = np.argwhere(bad)[0]
-                raise ValueError(f"p-value out of [0, 1] in trial "
-                                 f"{done + rows[r % len(rows)]}, "
-                                 f"hypothesis {i}: {pq[r, i]}")
-            counts = adjust_rows(pq, np.concatenate([w, w]), 0.05,
+        for m in np.unique(sizes[start:stop]).tolist():
+            rows = start + np.flatnonzero(sizes[start:stop] == m)
+            counts = adjust_rows(np.concatenate([p[rows, :m], q[rows, :m]]),
+                                 np.concatenate([w[rows, :m]] * 2), 0.05,
                                  key)[3].sum(axis=1)
-            lost[rows] = counts[len(rows):] < counts[:len(rows)]
+            lost[rows] = counts[rows.size:] < counts[:rows.size]
         if lost.any():
-            p, q, w = drawn[int(lost.argmax())]
-            labels = [f"H{i + 1}" for i in range(p.size)]
-            return (validate_problem(labels, p, w, 0.05),
-                    validate_problem(labels, q, w, 0.05))
-        done, chunk = done + len(drawn), 2 * chunk
+            t = int(lost.argmax())
+            m = sizes[t]
+            labels = _labels(m)
+            return (validate_problem(labels, p[t, :m], w[t, :m], 0.05),
+                    validate_problem(labels, q[t, :m], w[t, :m], 0.05))
+        start, chunk = stop, 2 * chunk
     return None

@@ -10,9 +10,15 @@ from wholm import (ConsonanceReport, Procedure, check_consonance,
                    find_pvalue_monotonicity_violation, validate_problem,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
 from wholm import closure
-from wholm.closure import (CapacityError, ClosedStack, random_corpus,
-                           random_problem)
+from wholm.closure import CapacityError, ClosedStack, random_corpus
 from wholm.procedures import ProblemStack
+
+
+def random_problem(gen, m, alpha=0.05):
+    """One random problem: p i.i.d. U(0,1), weights i.i.d. U(0.5, 5)."""
+    p = gen.uniform(0.0, 1.0, size=m)
+    w = gen.uniform(0.5, 5.0, size=m)
+    return validate_problem([f"H{i + 1}" for i in range(m)], p, w, alpha)
 
 
 def mask_of(*indices):
@@ -397,6 +403,71 @@ class TestStacks:
         assert sum(f is not None for f in found) > rows // 2
 
 
+class _PoisonedGenerator:
+    """A generator `gen` whose `uniform` call number `call` (0 for the
+    p-values, 1 for the weights) returns `value` at flat index `index`."""
+
+    def __init__(self, gen, call, index, value):
+        self.gen = gen
+        self.calls, self.call, self.index, self.value = 0, call, index, value
+
+    def integers(self, *args, **kwargs):
+        return self.gen.integers(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        out = self.gen.uniform(*args, **kwargs)
+        if self.calls == self.call:
+            out[self.index] = self.value
+        self.calls += 1
+        return out
+
+
+class TestRandomCorpus:
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    @pytest.mark.parametrize("m_max", [1, 8, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_problems_equal_validate_problem(self, seed, m_max, alpha):
+        corpus = random_corpus(300, seed=seed, m_max=m_max, alpha=alpha)
+        assert len(corpus) == 300
+        assert {problem.m for problem in corpus} == set(range(1, m_max + 1))
+        for problem in corpus:
+            assert problem == validate_problem(
+                [f"H{i + 1}" for i in range(problem.m)], problem.p, problem.w,
+                alpha)
+            assert all(0.0 <= x < 1.0 for x in problem.p)
+            assert all(0.5 <= x < 5.0 for x in problem.w)
+
+    def test_empty_corpus(self):
+        assert random_corpus(0, seed=1) == []
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, float("nan")])
+    def test_bad_alpha_raises(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            random_corpus(10, seed=1, alpha=alpha)
+
+    @pytest.mark.parametrize("m_max", [0, -3])
+    def test_bad_m_max_raises(self, m_max):
+        with pytest.raises(ValueError):
+            random_corpus(10, seed=1, m_max=m_max)
+
+    @pytest.mark.parametrize("call, value, message", [
+        (0, 1.5, "p-value out of [0, 1] at index {i}: 1.5"),
+        (0, float("nan"), "p-value out of [0, 1] at index {i}: nan"),
+        (1, 0.0, "weight must be positive and finite at index {i}: 0.0"),
+        (1, float("inf"), "weight must be positive and finite at index {i}: inf")])
+    def test_bad_draw_names_its_value_in_its_problem(self, monkeypatch, call,
+                                                     value, message):
+        clean, real = random_corpus(40, seed=9), np.random.default_rng
+        start = sum(problem.m for problem in clean[:18])
+        # the first and the last value of problem 18 (m = 7)
+        for i in (0, clean[18].m - 1):
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+                _PoisonedGenerator(real(seed), call, start + i, value)))
+            with pytest.raises(ValueError) as raised:
+                random_corpus(40, seed=9)
+            assert str(raised.value) == message.format(i=i)
+
+
 class TestPvalueMonotonicitySearch:
     def test_wap_counterexample_found(self):
         found = find_pvalue_monotonicity_violation(Procedure.WAP,
@@ -418,8 +489,9 @@ class TestPvalueMonotonicitySearch:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             find_pvalue_monotonicity_violation(procedure, trials=trials, seed=7)
 
-    # WAP's witnesses for seeds 1-20 lie at trials 3 to 361, so a budget of
-    # 100 cuts some searches short inside a chunk; WHP has none to find.
+    # WAP's witnesses for seeds 1-20 lie at trials 0 to 393 of 2,000; a
+    # budget of 100 draws other trials and finds none on 5 of those seeds,
+    # and it cuts some searches short inside a chunk.  WHP has none to find.
     @pytest.mark.parametrize("first_chunk", [None, 1, 7])
     @pytest.mark.parametrize("procedure, trials", [
         (Procedure.WAP, 2000), (Procedure.WAP, 100), (Procedure.WHP, 300)])
@@ -435,35 +507,43 @@ class TestPvalueMonotonicitySearch:
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
     def test_pvalue_outside_unit_interval_names_its_trial(self, monkeypatch,
                                                           bad):
-        real, trials = closure._search_trial, []
+        real = closure._search_trials
 
-        def bad_pvalue_in_trial_2(gen):
-            p, q, w = real(gen)
-            trials.append(p.size)
-            if len(trials) == 3:
-                p[1] = q[1] = bad
-            return p, q, w
+        def bad_pvalue_in_trial_2(gen, trials):
+            sizes, p, q, w = real(gen, trials)
+            p[2, 1] = q[2, 1] = bad
+            return sizes, p, q, w
 
-        monkeypatch.setattr(closure, "_search_trial", bad_pvalue_in_trial_2)
+        monkeypatch.setattr(closure, "_search_trials", bad_pvalue_in_trial_2)
         with pytest.raises(ValueError, match=f"trial 2, hypothesis 1: {bad}"):
             find_pvalue_monotonicity_violation(Procedure.WHP, trials=50, seed=7)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_trials_follow_the_search_law(self, seed):
+        sizes, p, q, w = closure._search_trials(np.random.default_rng(seed),
+                                                500)
+        assert sizes.min() >= 3 and sizes.max() <= 5
+        assert set(sizes.tolist()) == {3, 4, 5}
+        inside = np.arange(5) < sizes[:, None]
+        assert ((w >= 1.0) & (w < 10.0))[inside].all()
+        assert (w[~inside] == 0.0).all() and (p[~inside] == 0.0).all()
+        # p-values at most three times each hypothesis's share of alpha
+        share = 0.05 * w / w.sum(axis=1, keepdims=True)
+        assert (p < 3.0 * share)[inside].all()
+        assert ((p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= p)).all()
+        assert ((q < p).sum(axis=1) == 1).all()
 
 
 @lru_cache(maxsize=None)
 def _per_trial_search(procedure, trials, seed):
-    """The p-value monotonicity search one trial at a time, drawing in the
-    same order: the reference for the chunked search."""
+    """The p-value monotonicity search deciding the same drawn trials one at
+    a time with the step-downs: the reference for the chunked search."""
     stepdown = {Procedure.WHP: whp_stepdown, Procedure.WAP: wap_stepdown}[procedure]
-    gen = np.random.default_rng(seed)
-    for _ in range(trials):
-        m = int(gen.integers(3, 6))
-        w = gen.uniform(1.0, 10.0, size=m)
-        p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
+    sizes, p, q, w = closure._search_trials(np.random.default_rng(seed), trials)
+    for m, p_t, q_t, w_t in zip(sizes.tolist(), p, q, w):
         labels = [f"H{i + 1}" for i in range(m)]
-        problem = validate_problem(labels, p, w, 0.05)
-        q = np.array(p)
-        q[int(gen.integers(m))] *= gen.uniform()
-        lowered = validate_problem(labels, q, w, 0.05)
+        problem = validate_problem(labels, p_t[:m], w_t[:m], 0.05)
+        lowered = validate_problem(labels, q_t[:m], w_t[:m], 0.05)
         if len(stepdown(lowered).rejected) < len(stepdown(problem).rejected):
             return problem, lowered
     return None
