@@ -2,7 +2,7 @@
 
     python3 bench/layers.py --label after --out BENCH_16.json
     python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_16.json
-    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_18.json
+    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_19.json
 
 Times, with `perf_counter`, one call at a time in this process:
 
@@ -26,7 +26,8 @@ Times, with `perf_counter`, one call at a time in this process:
 - `graphical.dot_stages` of a weighted-ordering run at m = 30, per call,
   which is `cli.graph`'s DOT text without its file writes;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
-  and 16, and `check_monotonicity_condition` (WHP) at m = 12, per call;
+  and 16, and `check_monotonicity_condition` (WHP) at m = 12, 16 and 20, per
+  call;
 - `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
   on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
@@ -34,7 +35,9 @@ Times, with `perf_counter`, one call at a time in this process:
   precisions at 10,000) and `ctp --procedure whp` at
   m = 10 (stdout captured) and of `graph --ordering weighted` at m = 30
   (into a fresh output directory), each on a problem CSV written untimed,
-  and of `check --trials 2000` (stdout captured).
+  and of `check --trials 2000`, `simulate` on one cell (m = 10, n = 15,
+  reps = 2,000, from a config file written untimed) and `sharpness
+  --procedure whp` at m = 10 (reps = 20,000), stdout captured.
 
 Each size gets one untimed warm-up call and then `REPEATS` timed calls, each
 on its own seed; inputs are built before the clock starts.  The record gives
@@ -79,6 +82,8 @@ from time import perf_counter
 REPEATS = 21
 SIMULATION_SIZES = [(m, reps) for m in (10, 20) for reps in (100, 2000)]
 SHARPNESS_M, SHARPNESS_REPS = 10, 20_000
+# one `simulate` cell through the CLI
+CLI_SIMULATE_M, CLI_SIMULATE_REPS = 10, 2000
 CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
 SEARCH_TRIALS = 2000
 VALIDATE_M = 1000
@@ -88,7 +93,7 @@ Z_GRAPHICAL_SIZES = (20, 30, 40, 50, 60)
 SIGNAL_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DOT_STAGES_M = 30
 CLOSURE_SIZES = (8, 14, 16)
-MONOTONICITY_M = 12
+MONOTONICITY_SIZES = (12, 16, 20)
 # (m, number of masks) of the direct local-test calls
 LOCAL_TEST_CALLS = ((16, 1), (16, 1000), (21, 100_000))
 # (subcommand, m, extra flags) of the timed in-process CLI calls
@@ -287,10 +292,11 @@ def cases(wholm, tmp, values):
                  lambda P: wholm.check_consonance(P, wholm.wap_local_test))):
             add(layer, "call", {"m": m}, lambda seed, m=m, run=run: (
                 lambda P=problem(seed, m): run(P)))
-    add("closure.check_monotonicity_condition", "call",
-        {"procedure": "whp", "m": MONOTONICITY_M}, lambda seed: (
-            lambda P=problem(seed, MONOTONICITY_M):
-            wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)))
+    for m in MONOTONICITY_SIZES:
+        add("closure.check_monotonicity_condition", "call",
+            {"procedure": "whp", "m": m}, lambda seed, m=m: (
+                lambda P=problem(seed, m):
+                wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)))
 
     def local_test(seed, m, count):
         P = problem(seed, m)
@@ -327,6 +333,20 @@ def cases(wholm, tmp, values):
             lambda seed, c=command, m=m, f=flags: cli_call(seed, c, m, f))
     add("cli.check", "call", {"trials": CORPUS_SIZE}, lambda seed: run_cli(
         ["check", "--trials", str(CORPUS_SIZE), "--seed", str(seed)]))
+    config = Path(tmp) / f"{wholm.__name__}_simulate.cfg"
+    config.write_text(f"m = {CLI_SIMULATE_M}\npi0 = 0.5\nrho_list = 0.5\n"
+                      f"n = 15\nmu_alt = 0.7\nalpha = 0.05\n"
+                      f"reps = {CLI_SIMULATE_REPS}\nscenario = S2\nseed = 0\n")
+    add("cli.simulate", "call",
+        {"m": CLI_SIMULATE_M, "n": 15, "reps": CLI_SIMULATE_REPS},
+        lambda seed: run_cli(["simulate", "--config", str(config),
+                              "--seed", str(seed)]))
+    add("cli.sharpness", "call",
+        {"procedure": "whp", "m": SHARPNESS_M, "reps": SHARPNESS_REPS},
+        lambda seed: run_cli([
+            "sharpness", "--procedure", "whp", "--weights",
+            ",".join(map(repr, weights.tolist())),
+            "--reps", str(SHARPNESS_REPS), "--seed", str(seed)]))
     return rows
 
 

@@ -40,10 +40,11 @@ from .core import TestingProblem
 from .graphical import GraphInvariantError, graph_rejections
 from .procedures import Procedure, ProblemStack, adjust_rows, ranking
 
-# Problems evaluated together.  A stack's largest array is its (rows, 2^m, m)
-# table of monotonicity shares: 1 MB at 64 rows and m = 8, where a whole
-# m = 8 group of a 2,000-problem corpus raised peak RSS by 14 MB.  The
-# stacks do not change any result, only how many problems share a numpy call.
+# Problems evaluated together.  A stack's largest array is the (2 * rows, 2^m)
+# table of `closure._all_subsets`: 256 KB at 64 rows and m = 8.  With one
+# stack per size, `run_check_battery` peaked at 63.4 MB RSS at 2,000 trials
+# (57.8 MB at 64 rows) and at 92.5 MB at 10,000 (63.4 MB).  The stacks do
+# not change any result, only how many problems share a numpy call.
 PROPERTY_STACK_ROWS = 64
 
 

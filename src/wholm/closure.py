@@ -10,6 +10,10 @@ the consonance witness and the monotonicity counterexample;
 `battery.check_properties` uses it on stacks of many problems.  `ctp`,
 `check_consonance`, `check_monotonicity_condition` and the two local tests
 are one-row calls of the same code, and the answers are the same either way.
+All but the local tests are capped at `MAX_CTP_HYPOTHESES`, where the table
+is built.  The monotonicity condition reads only the table's totals, which
+by step 1 below never grow on the removal of a hypothesis (see
+`_counterexamples`).
 A local test asked about too few masks to pay for the table (or for m above
 `MAX_CTP_HYPOTHESES`) decides each one as the first step of the step-down
 run on that intersection alone, `procedures.adjust_rows`, with the same sums.
@@ -71,7 +75,6 @@ from .procedures import (Procedure, ProblemStack, adjust_rows, rank_rows,
                          ranking)
 
 MAX_CTP_HYPOTHESES = 20
-MAX_MONOTONICITY_HYPOTHESES = 12
 # Trials in the first chunk of the p-value monotonicity search.
 SEARCH_FIRST_CHUNK = 16
 
@@ -309,67 +312,59 @@ def check_consonance(problem: TestingProblem,
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
-def _intersection_shares(stack: ProblemStack, procedure: Procedure,
-                         table) -> np.ndarray:
-    """alpha_i(I) for every subset I of every row, as a (P, 2^m, m) array
-    with +inf outside I; `table` is the `_subset_table` under the
-    procedure's ranking.
-
-    WHP gives every member its weight share of alpha.  WAP assigns the whole
-    intersection budget to the member with the smallest raw p-value (ties to
-    the smallest index) and zero to the rest.
-    """
-    w, alpha, m = stack.w, stack.alpha, stack.m
-    total, first = table
-    masks = np.arange(1, 1 << m)
-    member = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
-    shares = np.full((w.shape[0], 1 << m, m), np.inf)
-    inner = shares[:, 1:]
-    if procedure is Procedure.WHP:
-        np.copyto(inner, w[:, None, :] * alpha[:, None, None]
-                  / total[:, :, None], where=member)
-    else:
-        np.copyto(inner, 0.0, where=member)
-        budget = np.take_along_axis(w, first, axis=1) * alpha[:, None] / total
-        np.put_along_axis(inner, first[:, :, None], budget[:, :, None], axis=2)
-    return shares
-
-
 def _counterexamples(stack: ProblemStack, procedure: Procedure,
                      table=None) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
     J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
     where the condition holds.  `table` is the `_subset_table` under the
-    procedure's ranking, built here when not given, after the size cap
-    `MAX_MONOTONICITY_HYPOTHESES` is checked.
+    procedure's ranking, built here (within its size cap) when not given.
 
+    WHP gives every member of I its weight share w_i * alpha / total(I).
+    WAP gives that share to the first-ranked member, the one with the
+    smallest raw p-value (ties to the smallest index), and 0.0 to the rest.
     Only single-element removals are compared: any nested pair J subset of I
     is connected by a chain of such removals, so the reduced check is
     equivalent and a single-removal violation is already a valid witness.
     Removals of hypothesis 0 are searched first, then of hypothesis 1, and
-    so on; within one, the smallest I and then the smallest i.  Shares
-    outside J are +inf, so only members of J can compare lower.
+    so on; within one, the smallest I and then the smallest i.
+
+    A share of i can rise from J = I - {j} to I only where total(I) <
+    total(J), since rounded division by a positive total is monotone; under
+    WAP, i must also be first in I, and so first in J.  Shares are worked
+    out only at such pairs, of which the library's own tables have none
+    (step 1 of the module docstring).
     """
-    m = stack.m
-    if m > MAX_MONOTONICITY_HYPOTHESES:
-        raise CapacityError(
-            f"monotonicity enumeration is capped at {MAX_MONOTONICITY_HYPOTHESES}"
-            f" hypotheses, got {m}")
     if table is None:
         table = _subset_table(stack, ranking(procedure))
-    shares = _intersection_shares(stack, procedure, table)
-    found: List[Optional[Tuple]] = [None] * shares.shape[0]
+    total, first = table
+    count, m = total.shape[0], stack.m
+    # column I holds mask I, with the empty set's total 0.0 in column 0
+    total = np.concatenate([np.zeros((count, 1)), total], axis=1)
+    hypotheses = np.arange(m)
+
+    def shares(rows, masks):
+        # alpha_i(mask) of each row, with +inf outside the mask
+        share = stack.w[rows] * stack.alpha[rows, None] / total[rows, masks, None]
+        if procedure is Procedure.WAP:
+            share[hypotheses != first[rows, masks - 1, None]] = 0.0
+        return np.where((masks[:, None] >> hypotheses) & 1 == 1, share, np.inf)
+
+    found: List[Optional[Tuple]] = [None] * count
     for j in range(m):
         # [:, a, 1, b] is I = a * 2^(j+1) + 2^j + b and [:, a, 0, b] is I - 2^j
-        halves = shares.reshape(len(found), -1, 2, 1 << j, m)
-        viol = (halves[:, :, 1] > halves[:, :, 0]).reshape(len(found), -1)
-        for r in np.flatnonzero(viol.any(axis=1)).tolist():
+        halves = total.reshape(count, -1, 2, 1 << j)
+        below = halves[:, :, 1] < halves[:, :, 0]
+        if not below.any():
+            continue
+        rows, a, b = np.nonzero(below)
+        small = a << (j + 1) | b
+        big_share, small_share = shares(rows, small | 1 << j), shares(rows, small)
+        viol = big_share > small_share
+        for k in np.flatnonzero(viol.any(axis=1)).tolist():
+            r, i = int(rows[k]), int(viol[k].argmax())
             if found[r] is None:
-                pair, col = divmod(int(viol[r].argmax()), m)
-                small = (pair >> j << (j + 1)) | (pair & ((1 << j) - 1))
-                found[r] = (small | 1 << j, small, col,
-                            float(shares[r, small | 1 << j, col]),
-                            float(shares[r, small, col]))
+                found[r] = (int(small[k]) | 1 << j, int(small[k]), i,
+                            float(big_share[k, i]), float(small_share[k, i]))
     return found
 
 
@@ -396,7 +391,7 @@ class ClosedStack:
       `check_consonance(problem, local_test).violating_subset`;
     - `monotonicity_counterexamples`: as
       `check_monotonicity_condition(problem, procedure).counterexample`,
-      worked out when first read.
+      worked out from the same subset table when first read.
     """
 
     def __init__(self,

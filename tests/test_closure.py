@@ -11,7 +11,7 @@ from wholm import (ConsonanceReport, Procedure, check_consonance,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
 from wholm import closure
 from wholm.closure import CapacityError, ClosedStack, random_corpus
-from wholm.procedures import ProblemStack
+from wholm.procedures import ProblemStack, ranking
 
 
 def random_problem(gen, m, alpha=0.05):
@@ -302,9 +302,13 @@ class TestMonotonicityCondition:
             assert check_monotonicity_condition(prob, Procedure.WAP).holds
 
     def test_capacity_cap(self):
+        # the check reads the subset table, so it shares closed testing's cap
         prob = validate_problem([f"H{i}" for i in range(13)], [0.5] * 13,
                                 [1.0] * 13, 0.05)
-        with pytest.raises(CapacityError, match="12"):
+        assert check_monotonicity_condition(prob, Procedure.WHP).holds
+        prob = validate_problem([f"H{i}" for i in range(21)], [0.5] * 21,
+                                [1.0] * 21, 0.05)
+        with pytest.raises(CapacityError, match="20"):
             check_monotonicity_condition(prob, Procedure.WHP)
 
 
@@ -375,22 +379,32 @@ class TestStacks:
         assert all(len(alphas) == 3 for alphas in sizes.values())
         assert _stacked(corpus) == [_one_by_one(problem) for problem in corpus]
 
-    def test_counterexample_is_the_first_in_search_order(self):
-        # totals drawn at random break monotonicity often; the stacked search
-        # must name each row's first single-removal violation, in the order
-        # removed hypothesis, then I, then i
+    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+    def test_counterexample_is_the_first_in_search_order(self, procedure):
+        # perturbed totals break monotonicity often; the stacked search must
+        # name each row's first single-removal violation, in the order
+        # removed hypothesis, then I, then i.  WHP reads random totals; WAP
+        # keeps the real first-ranked members and scales a fifth of the
+        # real totals down
         gen = np.random.default_rng(64)
         m, rows = 4, 40
         stack = ProblemStack(gen.uniform(size=(rows, m)),
                              gen.uniform(0.5, 2.0, size=(rows, m)),
                              np.full(rows, 0.05))
-        total = gen.uniform(0.5, 8.0, size=(rows, (1 << m) - 1))
-        first = np.zeros(total.shape, dtype=np.intp)
-        found = closure._counterexamples(stack, Procedure.WHP, (total, first))
+        if procedure is Procedure.WHP:
+            total = gen.uniform(0.5, 8.0, size=(rows, (1 << m) - 1))
+            first = np.zeros(total.shape, dtype=np.intp)
+        else:
+            total, first = closure._subset_table(stack, ranking(procedure))
+            scaled = gen.uniform(size=total.shape) < 0.2
+            total[scaled] *= gen.uniform(0.3, 1.0, size=int(scaled.sum()))
+        found = closure._counterexamples(stack, procedure, (total, first))
         for r in range(rows):
             def share(mask, i):
                 if not mask >> i & 1:
                     return np.inf
+                if procedure is Procedure.WAP and first[r, mask - 1] != i:
+                    return 0.0
                 return stack.w[r, i] * 0.05 / total[r, mask - 1]
             expected = next(((big, big ^ 1 << j, i, share(big, i),
                               share(big ^ 1 << j, i))
