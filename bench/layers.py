@@ -16,7 +16,8 @@ Times, with `perf_counter`, one call at a time in this process:
   `battery.run_check_battery(2000)`, per call;
 - `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
   trials, per call;
-- `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
+- `core.load_problem_csv` of a problem CSV (written untimed) at m = 10,000,
+  `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
   `adjusted_whp` at m = 10 and 1000, and `run_graphical` (weighted ordering)
   at m = 5 and 8 (the property battery's sizes) and 100, per call;
 - `run_graphical` at the `oracle-check` workload's sizes m = 20 to 60, in
@@ -87,6 +88,7 @@ CLI_SIMULATE_M, CLI_SIMULATE_REPS = 10, 2000
 CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
 SEARCH_TRIALS = 2000
 VALIDATE_M = 1000
+LOAD_M = 10_000
 KERNEL_SIZES = (10, 1000)
 GRAPHICAL_SIZES = (5, 8, 100)
 Z_GRAPHICAL_SIZES = (20, 30, 40, 50, 60)
@@ -240,6 +242,18 @@ def cases(wholm, tmp, values):
         p = w / w.sum() * 0.05 * gen.uniform(0.0, 3.0, size=m)
         return wholm.validate_problem([f"H{i}" for i in range(m)], p, w, 0.05)
 
+    def problem_file(seed, m, name):
+        """`problem(seed, m)` written as a problem CSV, and its path."""
+        P = problem(seed, m)
+        path = Path(tmp) / f"{wholm.__name__}_{name}_{m}_{seed}.csv"
+        path.write_text("hypothesis,p_value,weight\n" + "".join(
+            f"{label},{p!r},{w!r}\n" for label, p, w in zip(P.labels, P.p, P.w)))
+        return path
+
+    add("core.load_problem_csv", "call", {"m": LOAD_M}, lambda seed: (
+        lambda path=problem_file(seed, LOAD_M, "load"):
+        wholm.core.load_problem_csv(path, 0.05)))
+
     def validate(seed):
         P = problem(seed, VALIDATE_M)
         args = list(P.labels), list(P.p), list(P.w), P.alpha
@@ -318,10 +332,7 @@ def cases(wholm, tmp, values):
         return call
 
     def cli_call(seed, command, m, flags):
-        P = problem(seed, m)
-        path = Path(tmp) / f"{wholm.__name__}_{command}_{m}_{seed}.csv"
-        path.write_text("hypothesis,p_value,weight\n" + "".join(
-            f"{label},{p!r},{w!r}\n" for label, p, w in zip(P.labels, P.p, P.w)))
+        path = problem_file(seed, m, command)
         argv = [command, "--input", str(path), "--alpha", "0.05", *flags]
         if command == "graph":
             argv += ["--output-dir",

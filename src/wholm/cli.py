@@ -6,16 +6,18 @@ All randomized subcommands require an explicit seed so published results can
 be replayed byte for byte.
 
 Every numeric flag and `--weights` is converted by its argparse type, so a
-malformed or out-of-range value is a usage error that the parser reports.  Every table (`adjust`,
-`ctp`, `simulate` and `graph`'s `rejections.csv`) is written through
-`_table`, and every number in it is formatted by `_fmt_column`, a column
-at a time for `adjust`.
+malformed or out-of-range value is a usage error that the parser reports.
+
+Every table (`adjust`, `ctp`, `simulate` and `graph`'s `rejections.csv`) is
+written through `_table`, which takes whole columns of text and writes them
+as the bytes `csv.writer` would, a block of rows in one string.  Every
+number in a table is formatted by `_fmt_column`, which maps a whole column
+of floats to text in one pass.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import sys
@@ -74,7 +76,7 @@ def _fmt_column(values, precision="table", table=".6g"):
     precision, else in the `table` format."""
     if precision == "full":
         return map(repr, values)
-    return map(format, values, itertools.repeat(table))
+    return map(f"{{:{table}}}".format, values)
 
 
 def _fmt(value, precision="table", table=".6g"):
@@ -92,15 +94,57 @@ def _flags(rejected, m):
     return flags
 
 
+# rows a table writes in one string: all of `ctp`'s at m = 12, while a
+# larger table's memory stays that of one block (`adjust` at m = 100,000
+# peaked at 138 MB with blocks of 65,536 rows and 105 MB with these)
+TABLE_BLOCK_ROWS = 4096
+
+
+def _csv_field(text):
+    """`text` as `csv.writer` writes a field: wrapped in double quotes, with
+    the ones inside doubled, if it holds a comma, a double quote, CR or
+    LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_lines(rows):
+    """The nonempty list `rows`, tuples of texts of one length, as CSV lines
+    ending in CRLF, in one string."""
+    text = "\r\n".join([*map(",".join, rows), ""])
+    # every comma, double quote, CR or LF beyond the separators and the line
+    # ends is inside a field, which then has to be quoted
+    n = len(rows)
+    if ('"' in text or text.count(",") != n * (len(rows[0]) - 1)
+            or text.count("\r") != n or text.count("\n") != n):
+        text = "\r\n".join(
+            [*(",".join(map(_csv_field, row)) for row in rows), ""])
+    return text
+
+
 @contextmanager
 def _table(path, header):
-    """A csv writer for one table, with `header` written: into the file at
-    `path`, or onto stdout when `path` is None."""
+    """Write one CSV table, bytes as `csv.writer` writes them, into the file
+    at `path`, or onto stdout when `path` is None: `header` now, then the
+    rows of the text columns given to the `write` it yields, in one string
+    per `TABLE_BLOCK_ROWS` rows."""
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", newline="", encoding="utf-8")) as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        yield writer
+        def write(columns):
+            rows = zip(*columns)
+            while block := list(itertools.islice(rows, TABLE_BLOCK_ROWS)):
+                try:
+                    out.write(_csv_lines(block))
+                except UnicodeEncodeError:
+                    # on a stdout that cannot encode a label, the lines before
+                    # it go out and the error places it in its own line, as
+                    # `csv.writer`'s writes of one line each did
+                    for row in block:
+                        out.write(_csv_lines([row]))
+
+        out.write(_csv_lines([tuple(header)]))
+        yield write
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,13 +209,13 @@ def _cmd_adjust(args) -> int:
     # a hypothesis is rejected iff its adjusted value is at most alpha
     whp, wap = adjusted_whp(problem), adjusted_wap(problem)
     with _table(args.output, ["hypothesis", "p_value", "weight", "adj_whp",
-                              "adj_wap", "reject_whp", "reject_wap"]) as writer:
-        writer.writerows(zip(
-            problem.labels, _fmt_column(problem.p, args.precision),
-            _fmt_column(problem.w, args.precision),
-            _fmt_column(whp.values, args.precision, ".4f"),
-            _fmt_column(wap.values, args.precision, ".4f"),
-            _flags(whp.rejected, problem.m), _flags(wap.rejected, problem.m)))
+                              "adj_wap", "reject_whp", "reject_wap"]) as write:
+        write([problem.labels, _fmt_column(problem.p, args.precision),
+               _fmt_column(problem.w, args.precision),
+               _fmt_column(whp.values, args.precision, ".4f"),
+               _fmt_column(wap.values, args.precision, ".4f"),
+               _flags(whp.rejected, problem.m),
+               _flags(wap.rejected, problem.m)])
     return EXIT_OK
 
 
@@ -179,10 +223,11 @@ def _cmd_ctp(args) -> int:
     problem = load_problem_csv(args.input, args.alpha)
     local = whp_local_test if args.procedure == "whp" else wap_local_test
     report = ctp(problem, local)
-    with _table(args.output, ["subset_bitmask", "rejected"]) as writer:
+    decisions = report.local_decisions
+    with _table(args.output, ["subset_bitmask", "rejected"]) as write:
         # in increasing mask order, the order `ctp` gives them in
-        writer.writerows([mask, str(rejected).lower()]
-                         for mask, rejected in report.local_decisions.items())
+        write([map(str, decisions), ("true" if rejected else "false"
+                                      for rejected in decisions.values())])
     return EXIT_OK
 
 
@@ -195,11 +240,13 @@ def _cmd_graph(args) -> int:
                         labels=problem.labels)
     for k, text in enumerate(stages):
         (outdir / f"stage_{k}.dot").write_text(text + "\n", encoding="utf-8")
+    trace = rejections.trace
     with _table(outdir / "rejections.csv",
-                ["step", "hypothesis", "threshold"]) as writer:
-        for step, idx, threshold in rejections.trace:
-            writer.writerow([step, problem.labels[idx],
-                             _fmt(threshold, args.precision)])
+                ["step", "hypothesis", "threshold"]) as write:
+        write([[str(step) for step, _, _ in trace],
+               [problem.labels[idx] for _, idx, _ in trace],
+               _fmt_column([threshold for _, _, threshold in trace],
+                           args.precision)])
     print(f"{len(stages)} stages written to {outdir}; "
           f"rejected: {sorted(problem.labels[i] for i in rejections.rejected)}")
     return EXIT_OK
@@ -250,16 +297,18 @@ def _cmd_simulate(args) -> int:
     configs = _parse_sim_config(args.config, args.seed)
     with _table(args.output, ["procedure", "m", "pi0", "rho", "scenario",
                               "fwer", "fwer_se", "power", "power_se", "reps",
-                              "seed"]) as writer:
+                              "seed"]) as write:
         for config in configs:
             result = run_simulation(config)
+            rows = []
             for proc in (Procedure.HOLM, Procedure.WHP, Procedure.WAP):
                 rec = result.records[proc]
-                writer.writerow([
-                    proc.value, config.m, config.pi0, config.rho,
-                    config.weight_scenario.value, _fmt(rec.fwer),
-                    _fmt(rec.fwer_se), _fmt(rec.power), _fmt(rec.power_se),
-                    config.reps, config.seed])
+                rows.append([
+                    proc.value, str(config.m), str(config.pi0),
+                    str(config.rho), config.weight_scenario.value,
+                    _fmt(rec.fwer), _fmt(rec.fwer_se), _fmt(rec.power),
+                    _fmt(rec.power_se), str(config.reps), str(config.seed)])
+            write(zip(*rows))
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ immutable values.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -59,16 +60,23 @@ def check_weights(w: Sequence[float]) -> None:
     that is not positive and finite."""
     if len(w) == 0:
         raise ValueError("weights must be a nonempty positive sequence")
-    for i, wi in enumerate(w):
-        if not (0.0 < wi < float("inf")):
-            raise ValueError(f"weight must be positive and finite at index {i}: {wi}")
+    # min and max decide every value but NaN, which makes the sum NaN; the
+    # values are walked only to name the first bad one
+    if not (min(w) > 0.0 and max(w) < math.inf and not math.isnan(sum(w))):
+        for i, wi in enumerate(w):
+            if not (0.0 < wi < math.inf):
+                raise ValueError(
+                    f"weight must be positive and finite at index {i}: {wi}")
 
 
 def check_pvalues(p: Sequence[float]) -> None:
     """Raise ValueError naming the first p-value outside [0, 1]."""
-    for i, pi in enumerate(p):
-        if not (0.0 <= pi <= 1.0):
-            raise ValueError(f"p-value out of [0, 1] at index {i}: {pi}")
+    # as in `check_weights`
+    if len(p) and not (min(p) >= 0.0 and max(p) <= 1.0
+                       and not math.isnan(sum(p))):
+        for i, pi in enumerate(p):
+            if not (0.0 <= pi <= 1.0):
+                raise ValueError(f"p-value out of [0, 1] at index {i}: {pi}")
 
 
 def check_alpha(alpha: float) -> None:
@@ -86,12 +94,12 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
     nonpositive or nonfinite weights, or alpha outside (0, 1).  A p-value of
     -0 is taken as 0.
     """
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(map(str, labels))
     p = tuple(map(float, p))
     if 0.0 in p:
         # -0.0 + 0.0 is 0.0, and adding 0.0 leaves every other float as it is
         p = tuple([x + 0.0 for x in p])
-    w = tuple(float(x) for x in w)
+    w = tuple(map(float, w))
     alpha = float(alpha)
     m = len(labels)
     if m == 0:
@@ -111,10 +119,12 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
 def load_problem_csv(path, alpha: float) -> TestingProblem:
     """Read a `hypothesis,p_value,weight` CSV into a validated problem.
 
-    Row order is preserved as hypothesis order.
+    Row order is preserved as hypothesis order, and cells are stripped of
+    whitespace.  A UTF-8 byte order mark before the header is ignored.  Rows
+    that are empty once stripped are skipped; any other row must have three
+    cells and two numbers, or the first row that does not is named.
     """
-    labels, ps, ws = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -124,19 +134,53 @@ def load_problem_csv(path, alpha: float) -> TestingProblem:
         if [h.strip() for h in header] != expected:
             raise ValueError(
                 f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
-        for rownum, row in enumerate(reader, start=2):
-            row = [c.strip() for c in row]
-            if not any(row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: row {rownum}: expected 3 columns, got {len(row)}")
-            label, p_str, w_str = row
-            try:
-                ps.append(float(p_str))
-                ws.append(float(w_str))
-            except ValueError:
-                raise ValueError(f"{path}: row {rownum}: malformed number") from None
-            labels.append(label)
-    if not labels:
-        raise ValueError(f"{path}: no data rows")
-    return validate_problem(labels, ps, ws, alpha)
+        # as tuples of strings, the rows leave the garbage collector's view
+        # at its first pass instead of being traversed by every later one
+        rows = []
+        try:
+            rows.extend(map(tuple, reader))
+        except csv.Error:
+            # a bad row before the one the reader fails on is named first
+            _read_rows(path, rows)
+            raise
+    columns = _read_columns(rows)
+    if columns is None:
+        columns = _read_rows(path, rows)
+        if not columns[0]:
+            raise ValueError(f"{path}: no data rows")
+    return validate_problem(*columns, alpha)
+
+
+def _read_columns(rows):
+    """The labels, p-values and weights of the data `rows`, read a whole
+    column at a time, or None if a row is not three cells or a number cell
+    is one `float` refuses.  `float` ignores the whitespace around a number
+    itself, except U+001C to U+001F, which `_read_rows` strips."""
+    if set(map(len, rows)) != {3}:
+        return None
+    labels, ps, ws = zip(*rows)
+    try:
+        return map(str.strip, labels), tuple(map(float, ps)), tuple(map(float, ws))
+    except ValueError:
+        return None
+
+
+def _read_rows(path, rows):
+    """The labels, p-values and weights of the data `rows`, read one row at
+    a time: blank rows are skipped, and the first row of another width or
+    with a malformed number is named by its row number in the file."""
+    labels, ps, ws = [], [], []
+    for rownum, row in enumerate(rows, start=2):
+        row = [c.strip() for c in row]
+        if not any(row):
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path}: row {rownum}: expected 3 columns, got {len(row)}")
+        label, p_str, w_str = row
+        try:
+            ps.append(float(p_str))
+            ws.append(float(w_str))
+        except ValueError:
+            raise ValueError(f"{path}: row {rownum}: malformed number") from None
+        labels.append(label)
+    return labels, ps, ws

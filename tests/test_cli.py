@@ -1,12 +1,16 @@
 import csv
 import hashlib
+import io
+import sys
 
 import pytest
 
 from test_procedures import BOUNDARY_CORPUS
-from wholm import __version__, battery
-from wholm.closure import ClosedStack, random_corpus
+from wholm import __version__, adjusted_wap, adjusted_whp, battery, cli
+from wholm.closure import (ClosedStack, ctp, random_corpus, wap_local_test,
+                           whp_local_test)
 from wholm.cli import main
+from wholm.core import load_problem_csv
 
 PROBLEM_CSV = """hypothesis,p_value,weight
 H1,0.01,1.0
@@ -97,6 +101,31 @@ def problem_file(tmp_path):
     return str(path)
 
 
+# labels that `csv.writer` quotes (a comma, a double quote, CR, LF and all
+# of them), one it writes bare although it holds quotes' neighbours, and an
+# empty one
+AWKWARD_LABELS = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", 'x,"\r\n"y',
+                  "Ünïcødé µ-test", '""', "", "H ' ; \t"]
+
+
+@pytest.fixture
+def awkward_file(tmp_path):
+    path = tmp_path / "awkward.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["hypothesis", "p_value", "weight"])
+        for k, label in enumerate(AWKWARD_LABELS):
+            writer.writerow([label, repr(0.004 * (k + 1) ** 2), repr(1.0 + k)])
+    return path
+
+
+def csv_writer_text(rows):
+    """The rows as `csv.writer` writes them."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -178,6 +207,60 @@ class TestAdjust:
         assert digest.hexdigest() == BOUNDARY_ADJUST_SHA256
 
 
+    @pytest.mark.parametrize("block_rows", [cli.TABLE_BLOCK_ROWS, 2])
+    @pytest.mark.parametrize("precision", ["table", "full"])
+    def test_awkward_labels_are_written_as_csv_writer_writes(
+            self, awkward_file, precision, block_rows, tmp_path, capsys,
+            monkeypatch):
+        # blocks of 2 rows put quoted and bare labels in separate writes
+        monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block_rows)
+        problem = load_problem_csv(awkward_file, 0.05)
+        assert problem.labels == tuple(label.strip()
+                                       for label in AWKWARD_LABELS)
+        whp, wap = adjusted_whp(problem), adjusted_wap(problem)
+
+        def text(values, table):
+            return [repr(x) if precision == "full" else format(x, table)
+                    for x in values]
+
+        expected = csv_writer_text([
+            ["hypothesis", "p_value", "weight", "adj_whp", "adj_wap",
+             "reject_whp", "reject_wap"], *zip(
+                problem.labels, text(problem.p, ".6g"),
+                text(problem.w, ".6g"), text(whp.values, ".4f"),
+                text(wap.values, ".4f"),
+                [str(i in whp.rejected).lower() for i in range(problem.m)],
+                [str(i in wap.rejected).lower() for i in range(problem.m)])])
+        argv = ["adjust", "--input", str(awkward_file), "--alpha", "0.05",
+                "--precision", precision]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "adjusted.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+        # and the rows read back as the hypotheses they came from
+        assert [row["hypothesis"] for row in read_csv(out)] == list(
+            problem.labels)
+
+
+    def test_stdout_that_cannot_encode_a_label_is_written_up_to_it(
+            self, awkward_file, monkeypatch, capsys):
+        argv = ["adjust", "--input", str(awkward_file), "--alpha", "0.05"]
+        assert main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out,
+                                           newline="")))
+        expected = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        with pytest.raises(UnicodeEncodeError) as error:
+            csv.writer(expected).writerows(rows)
+        expected.flush()
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 2
+        stdout.flush()
+        assert stdout.buffer.getvalue() == expected.buffer.getvalue()
+        assert capsys.readouterr().err == f"error: {error.value}\n"
+
+
 class TestCtp:
     def test_whp_table(self, problem_file, tmp_path):
         out = tmp_path / "ctp.csv"
@@ -199,6 +282,25 @@ class TestCtp:
                      for r in read_csv(out)}
         assert decisions[0b111] == "false"
 
+
+    @pytest.mark.parametrize("block_rows", [cli.TABLE_BLOCK_ROWS, 100])
+    @pytest.mark.parametrize("procedure", ["whp", "wap"])
+    def test_table_is_written_as_csv_writer_writes(self, procedure, block_rows,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        # 1,023 rows, in one write or in 11
+        monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", block_rows)
+        path = tmp_path / "boundary.csv"
+        path.write_text(BOUNDARY_CSV)
+        local = whp_local_test if procedure == "whp" else wap_local_test
+        report = ctp(load_problem_csv(path, 0.05), local)
+        expected = csv_writer_text(
+            [["subset_bitmask", "rejected"],
+             *([mask, str(rejected).lower()]
+               for mask, rejected in report.local_decisions.items())])
+        assert main(["ctp", "--input", str(path), "--alpha", "0.05",
+                     "--procedure", procedure]) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("procedure", ["whp", "wap"])
     def test_boundary_table_is_byte_identical_to_golden(self, procedure,

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -77,6 +79,153 @@ def test_csv_row_of_wrong_width_names_its_row(tmp_path, row, count):
     with pytest.raises(ValueError,
                        match=f"row 4: expected 3 columns, got {count}$"):
         load_problem_csv(path, 0.05)
+
+
+def test_csv_ignores_a_utf8_byte_order_mark(tmp_path):
+    # as a spreadsheet's "CSV UTF-8" export writes it
+    path = tmp_path / "bom.csv"
+    path.write_bytes("hypothesis,p_value,weight\r\nH1,0.01,1\r\nÄ2,0.5,2\r\n"
+                     .encode("utf-8-sig"))
+    assert load_problem_csv(path, 0.05) == validate_problem(
+        ["H1", "Ä2"], [0.01, 0.5], [1.0, 2.0], 0.05)
+
+
+def _row_by_row_load(path, alpha):
+    """The loader as it read files one row at a time, kept as the
+    reference for `load_problem_csv` (which also accepts a byte order
+    mark, absent from the corpus below)."""
+    labels, ps, ws = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        expected = ["hypothesis", "p_value", "weight"]
+        if [h.strip() for h in header] != expected:
+            raise ValueError(
+                f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
+        for rownum, row in enumerate(reader, start=2):
+            row = [c.strip() for c in row]
+            if not any(row):
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}: row {rownum}: expected 3 columns, got {len(row)}")
+            label, p_str, w_str = row
+            try:
+                ps.append(float(p_str))
+                ws.append(float(w_str))
+            except ValueError:
+                raise ValueError(f"{path}: row {rownum}: malformed number") from None
+            labels.append(label)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    return validate_problem(labels, ps, ws, alpha)
+
+
+# the kinds of file in the loader corpus, and what loading one gives: a
+# problem (None), or an error whose message holds the text given
+LOADER_KINDS = {
+    "valid": None, "padded": None, "quoted-labels": None, "signed-zero": None,
+    # `str.strip` removes U+001C around a number, `float` does not
+    "padded-x1c": None, "blank-rows": None,
+    "short": "expected 3 columns, got 2", "long": "expected 3 columns, got 4",
+    "malformed": "malformed number",
+    "short-then-malformed": "expected 3 columns",
+    "malformed-then-short": "malformed number",
+    "nan": "p-value out of [0, 1]", "negative": "p-value out of [0, 1]",
+    "out-of-range": "p-value out of [0, 1]",
+    "bad-weight": "weight must be positive and finite",
+    "duplicate": "duplicate hypothesis label", "only-blank-rows": "no data rows",
+    # more than the csv module's field size limit (131,072 characters)
+    "huge-field": "field larger than field limit",
+    "malformed-then-huge-field": "malformed number"}
+
+
+def _loader_file(gen, m, kind):
+    """The text of one seeded problem CSV with `m` hypotheses, of `kind`."""
+    rows = [[f"H{i}", repr(p), repr(w)] for i, (p, w) in enumerate(zip(
+        gen.uniform(0.0, 1.0, m).tolist(), gen.uniform(0.5, 5.0, m).tolist()))]
+    # two rows, i before j, for the kinds with two defects
+    i, j = sorted(gen.choice(m, size=2, replace=False).tolist())
+    header = ["hypothesis", "p_value", "weight"]
+
+    def pad(cells, pads):
+        for row in cells:
+            for c in range(3):
+                if gen.random() < 0.3:
+                    padding = pads[gen.integers(len(pads))]
+                    row[c] = padding + row[c] + padding[::-1]
+
+    if kind == "padded":
+        pad(rows + [header], [" ", "\t", " \t", "\u00a0 "])
+    elif kind == "padded-x1c":
+        pad(rows, [" ", "\x1c", "\t\x1f"])
+    elif kind == "quoted-labels":
+        for row in rows[::2]:
+            row[0] = f'{row[0]}, "x"\r\ny'
+    elif kind == "signed-zero":
+        rows[i][1] = "-0.0"
+    elif kind in ("short", "short-then-malformed"):
+        rows[i] = rows[i][:2]
+    elif kind == "long":
+        rows[i].append("" if gen.random() < 0.5 else "x")
+    elif kind in ("malformed", "malformed-then-short",
+                  "malformed-then-huge-field"):
+        rows[i][1 + int(gen.integers(2))] = ["oops", "0.1.2", "", "1_0x"][
+            int(gen.integers(4))]
+    elif kind == "nan":
+        rows[i][1] = "nan"
+    elif kind == "negative":
+        rows[i][1] = "-0.25"
+    elif kind == "out-of-range":
+        rows[i][1] = "1.5"
+    elif kind == "bad-weight":
+        rows[i][2] = ["inf", "0", "-1e-300", "nan"][int(gen.integers(4))]
+    elif kind == "duplicate":
+        rows[j][0] = rows[i][0]
+    elif kind == "only-blank-rows":
+        rows = []
+    if kind == "short-then-malformed":
+        rows[j][2] = "oops"
+    if kind == "malformed-then-short":
+        rows[j] = rows[j][:1]
+    if kind in ("huge-field", "malformed-then-huge-field"):
+        rows.insert(j, ["H" * 131_073, "0.5", "1"])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=["\n", "\r\n"][int(gen.integers(2))])
+    writer.writerow(header)
+    writer.writerows(rows)
+    lines = out.getvalue().splitlines(keepends=True)
+    if kind in ("blank-rows", "only-blank-rows"):
+        blanks = ["\n", "   \n", "\t\r\n", " , ,\t\n", ",,\n", "\x1c\n"]
+        for _ in range(3):
+            at = 1 + int(gen.integers(len(lines)))
+            lines.insert(at, blanks[int(gen.integers(len(blanks)))])
+        lines += ["\n", "\n"]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("m, files_per_kind", [(3, 12), (2000, 2)])
+def test_csv_loader_matches_the_row_by_row_reference(tmp_path, m,
+                                                     files_per_kind):
+    gen = np.random.default_rng(m)
+    path = tmp_path / "problem.csv"
+    for kind, outcome in LOADER_KINDS.items():
+        for _ in range(files_per_kind):
+            path.write_text(_loader_file(gen, m, kind), encoding="utf-8",
+                            newline="")
+            results = []
+            for load in (load_problem_csv, _row_by_row_load):
+                try:
+                    results.append(repr(load(path, 0.05)))
+                except (ValueError, csv.Error) as exc:
+                    results.append(f"{type(exc).__name__}: {exc}")
+            assert results[0] == results[1], kind
+            if outcome is None:
+                assert results[0].startswith("TestingProblem("), kind
+            else:
+                assert outcome in results[0], kind
 
 
 def ranking(problem, key):
