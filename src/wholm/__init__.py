@@ -11,13 +11,11 @@ from .closure import (CapacityError, ConsonanceReport, CtpReport,
                       whp_local_test)
 from .core import (OrderingKey, OrderingPermutation, RejectionSet,
                    TestingProblem, load_problem_csv, validate_problem)
-from .graphical import (GraphTrace, TransitionGraph, export_dot, initial_graph,
+from .graphical import (GraphTrace, TransitionGraph, initial_graph,
                         reject_and_update, run_graphical)
 from .montecarlo import (DegenerateSampleError, LfcSample, Procedure,
                          SimulationConfig, SimulationResult, WeightScenario,
-                         estimate_sharpness, lfc_stepdown_falsifier,
-                         lfc_whp_sampler, one_sample_t_pvalue, rng_new,
+                         estimate_sharpness, lfc_stepdown_falsifier, rng_new,
                          run_simulation, sample_equicorrelated, t_sf,
                          weight_scenario)
-from .procedures import (batch_stepdown, holm_stepdown, wap_stepdown,
-                         whp_stepdown)
+from .procedures import holm_stepdown, wap_stepdown, whp_stepdown

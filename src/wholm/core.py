@@ -122,7 +122,8 @@ def load_problem_csv(path, alpha: float) -> TestingProblem:
     Row order is preserved as hypothesis order, and cells are stripped of
     whitespace.  A UTF-8 byte order mark before the header is ignored.  Rows
     that are empty once stripped are skipped; any other row must have three
-    cells and two numbers, or the first row that does not is named.
+    cells and two numbers, or the first row that does not is named, as is a
+    row the csv module cannot read (a field over its size limit).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -139,10 +140,10 @@ def load_problem_csv(path, alpha: float) -> TestingProblem:
         rows = []
         try:
             rows.extend(map(tuple, reader))
-        except csv.Error:
+        except csv.Error as exc:
             # a bad row before the one the reader fails on is named first
             _read_rows(path, rows)
-            raise
+            raise ValueError(f"{path}: row {len(rows) + 2}: {exc}") from None
     columns = _read_columns(rows)
     if columns is None:
         columns = _read_rows(path, rows)

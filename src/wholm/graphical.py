@@ -87,20 +87,37 @@ class GraphTrace:
 
 
 def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
-    """Weight-proportional initial allocation with row-stochastic coefficients."""
-    total = sum(w)
-    w = np.asarray(w, dtype=float)
+    """Weight-proportional initial allocation with row-stochastic
+    coefficients: `_initial_graphs` of one row in index order, with the
+    diagonal cleared."""
     m = len(w)
-    # each row's other weights, summed directly: total - w_i cancels when
-    # w_i holds nearly all the weight
-    left, right = np.zeros(m), np.zeros(m)
-    np.add.accumulate(w[:-1], out=left[1:])
-    np.add.accumulate(w[:0:-1], out=right[-2::-1])
-    # one node has no edge; with two or more every row has weight to share
-    g = w / (left + right)[:, None] if m > 1 else np.zeros((1, 1))
-    g.flat[::m + 1] = 0.0
-    return TransitionGraph(active=frozenset(range(m)),
-                           local_alpha=w * alpha / total, g=g)
+    graph = _initial_graphs(np.array([w], dtype=float), alpha,
+                            np.arange(m)[None])[0]
+    graph.flat[:m * m:m + 1] = 0.0
+    return TransitionGraph(active=frozenset(range(m)), local_alpha=graph[m],
+                           g=graph[:m])
+
+
+def _initial_graphs(w, alpha, flat):
+    """The initial graphs of (P, m) weights, in the rank order `flat` (the
+    flat index into `w` at each rank), as (P, m + 1, m): g_ij = w_j over
+    the other weights, then the levels w_i * alpha / total as a last row;
+    `alpha` is a scalar or a (P, 1) column.  The other weights are summed
+    from both ends towards i, since total - w_i cancels when w_i holds
+    nearly all the weight.  The diagonal is left as it falls: no update
+    reads it, and each clears the one it writes."""
+    count, m = w.shape
+    total = np.array([[sum(row)] for row in w.tolist()])
+    left, right = np.zeros((2, count, m))
+    np.add.accumulate(w[:, :-1], axis=1, out=left[:, 1:])
+    np.add.accumulate(w[:, :0:-1], axis=1, out=right[:, -2::-1])
+    w, others = w.take(flat), np.add(left, right).take(flat)
+    graph = np.zeros((count, m + 1, m))
+    if m > 1:
+        np.divide(w[:, None, :], others[:, :, None], out=graph[:, :m])
+    np.multiply(w, alpha, out=graph[:, m])
+    graph[:, m] /= total
+    return graph
 
 
 def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
@@ -140,28 +157,15 @@ def _walk(p, w, alpha, key: OrderingKey):
     n = m - k - 1 ranks still active, as an (L, n + 1, n) array: the
     coefficients, then the levels as a last row.  The levels update as a
     coefficient row does, without the division.  The initial graphs are
-    `initial_graph`'s, summed in the same order; rows that stop are
+    `_initial_graphs`', as `initial_graph`'s are; rows that stop are
     dropped.  A degenerate update raises `GraphInvariantError` naming the
     stack row and, in hypothesis indices, the node `reject_and_update`
     names.
     """
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
-    count, m = p.shape
     perm = rank_rows(p, p / w, key)
-    total = np.array([[sum(row)] for row in w.tolist()])
-    left, right = np.zeros((2, count, m))
-    np.add.accumulate(w[:, :-1], axis=1, out=left[:, 1:])
-    np.add.accumulate(w[:, :0:-1], axis=1, out=right[:, -2::-1])
-    flat = perm + np.arange(0, count * m, m)[:, None]
-    w, others, p = w.take(flat), np.add(left, right).take(flat), p.take(flat)
-    graph = np.zeros((count, m + 1, m))
-    if m > 1:
-        # the diagonal is left as it falls: no update reads it, and each
-        # clears the one it writes
-        np.divide(w[:, None, :], others[:, :, None], out=graph[:, :m])
-    np.multiply(w, alpha, out=graph[:, m])
-    graph[:, m] /= total
-    return perm, _steps(p, graph, perm)
+    flat = perm + np.arange(0, p.size, p.shape[1])[:, None]
+    return perm, _steps(p.take(flat), _initial_graphs(w, alpha, flat), perm)
 
 
 def _steps(p, graph, perm):
@@ -354,7 +358,3 @@ def dot_stages(trace: GraphTrace, initial: TransitionGraph,
     return [_stage_dot(f"stage_{k}", graph, all_nodes, labels, edge_labels)
             for k, graph in enumerate(graphs)]
 
-
-def export_dot(trace: GraphTrace, initial: TransitionGraph,
-               labels: Optional[Sequence[str]] = None) -> str:
-    return "\n\n".join(dot_stages(trace, initial, labels)) + "\n"

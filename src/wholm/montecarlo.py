@@ -1,6 +1,6 @@
 """Seeded simulation machinery: equicorrelated normal data, one-sided t-test
 p-values, the four weight scenarios, FWER/average-power estimation, and the
-least-favorable-configuration samplers used to verify that the error bound
+least-favorable-configuration sampler used to verify that the error bound
 alpha is actually attained.
 """
 
@@ -84,18 +84,6 @@ def _column_t(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         t = mean[..., 0, :] / (sds / math.sqrt(n))
     return t, (sds == 0.0).any(axis=-1)
-
-
-def one_sample_t_pvalue(column: Sequence[float]) -> float:
-    """One-sided upper-tail p-value for mean = 0 against mean > 0."""
-    x = np.asarray(column, dtype=float)
-    n = x.size
-    if n < 2:
-        raise ValueError(f"need at least two observations, got {n}")
-    t, zero = _column_t(x[:, None])
-    if zero:
-        raise DegenerateSampleError("sample has zero variance")
-    return t_sf(t[0], n - 1)
 
 
 def sample_equicorrelated(m: int, rho: float, mu: Sequence[float], n: int,
@@ -351,22 +339,6 @@ class LfcSample:
     selected: Optional[int]
 
 
-def lfc_whp_sampler(weights: Sequence[float], gen: np.random.Generator) -> LfcSample:
-    """One draw from the joint distribution that pushes the step-down FWER to
-    its bound with all hypotheses true: the least-favorable law of
-    `lfc_stepdown_falsifier` at r = 1 with tau = 1 / (total weight).
-
-    Exactly one index i (chosen with probability proportional to its weight)
-    receives p_i = w_i * U with U uniform below 1 / (total weight); every
-    other index is pushed above that cut.  Marginally each p-value is exactly
-    Unif(0, 1).  Empty weights, or a weight that is not positive and finite,
-    raise ValueError; a bad weight is named by its index.
-    """
-    w = np.asarray(weights, dtype=float)
-    check_weights(w)
-    return _lfc_row(w, 1.0 / w.sum(), 0, gen)
-
-
 def _lfc_batch(w: np.ndarray, tau: float, gen: np.random.Generator,
                size: int) -> Tuple[np.ndarray, np.ndarray]:
     """`size` draws of the least-favorable law with cut `tau` (at most
@@ -389,15 +361,6 @@ def _lfc_batch(w: np.ndarray, tau: float, gen: np.random.Generator,
     return p, selected
 
 
-def _lfc_row(w: np.ndarray, tau: float, lead: int,
-             gen: np.random.Generator) -> LfcSample:
-    """One `_lfc_batch` draw on w[lead:] behind `lead` exact zeros."""
-    p, selected = _lfc_batch(w[lead:], tau, gen, 1)
-    i = int(selected[0])
-    return LfcSample(p=(0.0,) * lead + tuple(p[0].tolist()),
-                     selected=None if i == w.size - lead else lead + i)
-
-
 def lfc_stepdown_falsifier(critical_values: Sequence[float],
                            weights: Sequence[float], r: int,
                            gen: np.random.Generator) -> LfcSample:
@@ -408,9 +371,11 @@ def lfc_stepdown_falsifier(critical_values: Sequence[float],
     rejected); among the remaining indices at most one, chosen with
     probability w_j * tau, receives a weighted p-value below
     tau = min(critical_values[r - 1], 1 / remaining weight mass).  The raw
-    p-values of indices r..m are marginally Unif(0, 1).  A weight that is not
-    positive and finite, or a critical value that is NaN or negative, raises
-    ValueError naming its index.
+    p-values of indices r..m are marginally Unif(0, 1).  The draw is one
+    `_lfc_batch` row; at r = 1 with critical values of at least 1 / sum(w)
+    it is the one-row form of `estimate_sharpness`'s law.  A weight that is
+    not positive and finite, or a critical value that is NaN or negative,
+    raises ValueError naming its index.
     """
     crit = [float(c) for c in critical_values]
     w = np.asarray(weights, dtype=float)
@@ -425,7 +390,12 @@ def lfc_stepdown_falsifier(critical_values: Sequence[float],
         raise ValueError("critical values must be nondecreasing")
     if not 1 <= r <= m:
         raise ValueError(f"r must lie in 1..{m}, got {r}")
-    return _lfc_row(w, min(crit[r - 1], 1.0 / w[r - 1:].sum()), r - 1, gen)
+    lead = r - 1
+    p, selected = _lfc_batch(w[lead:], min(crit[lead], 1.0 / w[lead:].sum()),
+                             gen, 1)
+    i = int(selected[0])
+    return LfcSample(p=(0.0,) * lead + tuple(p[0].tolist()),
+                     selected=None if i == m - lead else lead + i)
 
 
 @dataclass(frozen=True)

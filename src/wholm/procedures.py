@@ -13,10 +13,9 @@ reports print the very numbers the decisions were made on.
 alpha, over (R, m) rows; its ranking, `rank_rows`, is also the one closed
 testing and the graph use.  The adjusted reports and `whp_stepdown`,
 `wap_stepdown` and `holm_stepdown` are one-row calls of it, the step-downs
-with a trace of raw-scale thresholds w*alpha/tail; `batch_stepdown` is the
-validated public array form, rejection masks in index order.  The Monte
-Carlo engine and the witness searches check their own input once and call
-`adjust_rows` directly, counting by rank.
+with a trace of raw-scale thresholds w*alpha/tail.  The Monte Carlo engine
+and the witness searches check their own input once and call `adjust_rows`
+directly, counting by rank.
 `ProblemStack` holds same-size problems as the arrays that every stacked
 kernel reads.
 """
@@ -127,34 +126,3 @@ def holm_stepdown(p: Sequence[float], alpha: float) -> RejectionSet:
     check_pvalues(p)
     check_alpha(float(alpha))
     return _stepdown(p, (1.0,) * len(p), float(alpha), OrderingKey.WEIGHTED)
-
-
-def batch_stepdown(procedure: Procedure, p, w, alpha: float) -> np.ndarray:
-    """Rejection masks of WHP or WAP over rows of p-values.
-
-    `p` has shape (R, m); `w` is broadcast against it, so one weight vector,
-    an (R, m) array or the scalar 1.0 (which gives Holm) all work.  Row r of
-    the result is True exactly where `whp_stepdown` (or `wap_stepdown`)
-    rejects on the problem (p[r], w[r], alpha).  Raises ValueError for alpha
-    outside (0, 1), and naming the first row and column of a p-value outside
-    [0, 1] (NaN included) or of a weight that is not positive and finite.
-    This is the checked public form of `adjust_rows`; library code that
-    checks its input itself calls `adjust_rows` and reads the rejections
-    by rank.
-    """
-    p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"p must have shape (R, m), got {p.shape}")
-    key = ranking(procedure)
-    check_alpha(alpha)
-    for values, ok, what in ((p, (p >= 0.0) & (p <= 1.0), "p-value out of [0, 1]"),
-                             (w, (w > 0.0) & (w < np.inf),
-                              "weight must be positive and finite")):
-        if not ok.all():
-            values, ok = (np.broadcast_to(a, p.shape) for a in (values, ok))
-            r, c = np.argwhere(~ok)[0]
-            raise ValueError(f"{what} at row {r}, column {c}: {values[r, c]}")
-    perm, _, _, rejected = adjust_rows(p, w, alpha, key)
-    mask = np.empty_like(rejected)
-    mask[np.arange(p.shape[0])[:, None], perm] = rejected
-    return mask

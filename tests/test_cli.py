@@ -543,6 +543,19 @@ class TestErrorHandling:
         path.write_text("hypothesis,p_value,weight\nH1,oops,1.0\n")
         assert main(["adjust", "--input", str(path), "--alpha", "0.05"]) == 2
 
+    def test_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        # the csv module refuses a field over 131,072 characters
+        path = tmp_path / "huge.csv"
+        path.write_text("hypothesis,p_value,weight\nH1,0.01,1.0\n"
+                        + "H" * 131_073 + ",0.02,1.0\n")
+        for argv in (["adjust"], ["ctp", "--procedure", "whp"],
+                     ["graph", "--ordering", "weighted",
+                      "--output-dir", str(tmp_path / "out")]):
+            assert main(argv + ["--input", str(path), "--alpha", "0.05"]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: {path}: row 3: field larger than field "
+                           "limit (131072)\n")
+
     def test_duplicate_label_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("hypothesis,p_value,weight\nH1,0.01,1.0\nH1,0.02,1.0\n")

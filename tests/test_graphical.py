@@ -1,7 +1,9 @@
 import hashlib
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import add
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from wholm import (OrderingKey, TransitionGraph, initial_graph,
 from wholm.battery import PROPERTY_STACK_ROWS, check_properties
 from wholm.closure import random_corpus
 from wholm.graphical import (GraphInvariantError, _coefficient_labels,
-                             _degenerate, _walk, dot_stages, export_dot,
+                             _degenerate, _initial_graphs, _walk, dot_stages,
                              graph_rejections)
 from wholm.procedures import ProblemStack, rank_rows
 
-# `export_dot` of `_dot_problem(name)`, labelled H1..Hm, under each ordering;
-# computed with one `Fraction.limit_denominator` call per coefficient
+# `dot_stages` of `_dot_problem(name)`, labelled H1..Hm, under each ordering,
+# joined by blank lines with a final line end; computed with one
+# `Fraction.limit_denominator` call per coefficient
 DOT_SHA256 = {
     ("m30", "weighted"):
         "7856da2def86f340d54c27ba28c6d4606dcdf2ecf33480745834ed99eee36cf6",
@@ -43,7 +46,42 @@ def closed_form(w, alpha, active):
     return local, g
 
 
+def _initial_closed_form(w, alpha):
+    """The initial levels and coefficients in Python floats: w_i * alpha /
+    total, and g_ij = w_j over the other weights, added one at a time from
+    each end towards i."""
+    m, total = len(w), sum(w)
+    others = [reduce(add, w[:i], 0.0) + reduce(add, w[:i:-1], 0.0)
+              for i in range(m)]
+    return ([wi * alpha / total for wi in w],
+            [[0.0 if i == j else w[j] / others[i] for j in range(m)]
+             for i in range(m)])
+
+
 class TestInitialGraph:
+    def test_equals_the_closed_form_and_the_walks_first_graph(self):
+        gen = np.random.default_rng(2021)
+        corpus = [(1.0, 1e-17), (1e-17, 1.0), (1e300, 1e-300, 3.0), (4.0,)]
+        for m in range(1, 30):
+            corpus += [tuple(np.exp(gen.normal(0.0, 3.0, m)).tolist())
+                       for _ in range(10)]
+        for w in corpus:
+            alpha = float(gen.uniform(0.001, 0.5))
+            graph = initial_graph(w, alpha)
+            local, g = _initial_closed_form(w, alpha)
+            assert graph.active == set(range(len(w)))
+            assert graph.local_alpha.tolist() == local, w
+            assert graph.g.tolist() == g, w
+            # the walk's first graph, in a ranking of its own, gathered back
+            # to index order; the walk leaves its diagonal as it falls
+            order = gen.permutation(len(w))
+            ranked = _initial_graphs(np.array([w]), alpha, order[None])[0]
+            back = np.argsort(order)
+            assert ranked[-1, back].tolist() == local, w
+            walked = ranked[:-1][np.ix_(back, back)]
+            np.fill_diagonal(walked, 0.0)
+            assert walked.tolist() == g, w
+
     def test_unequal_weight_values(self):
         graph = initial_graph([1.0, 2.0, 3.0], 0.05)
         assert graph.local_alpha[0] == pytest.approx(0.05 / 6)
@@ -337,8 +375,9 @@ def test_degenerate_update_in_a_stack_names_its_row():
 class TestExportDot:
     def test_initial_fraction_labels(self, divergent_problem):
         _, trace = run_graphical(divergent_problem, OrderingKey.RAW)
-        text = export_dot(trace, initial_graph(divergent_problem.w, 0.05),
-                          labels=divergent_problem.labels)
+        text = "\n\n".join(dot_stages(
+            trace, initial_graph(divergent_problem.w, 0.05),
+            labels=divergent_problem.labels))
         assert '"H1" -> "H2" [label="2/5"]' in text
         assert 'alpha=0.0083' in text
 
@@ -379,8 +418,8 @@ def test_larger_dot_outputs_are_byte_identical_to_golden(name, ordering):
     prob = _dot_problem(name)
     rejections, trace = run_graphical(prob, OrderingKey(ordering))
     assert len(rejections.rejected) == len(prob.w)
-    text = export_dot(trace, initial_graph(prob.w, prob.alpha),
-                      labels=prob.labels)
+    text = "\n\n".join(dot_stages(trace, initial_graph(prob.w, prob.alpha),
+                                  labels=prob.labels)) + "\n"
     if name == "equal8":
         # every coefficient is 1/k, so no label falls back to six decimals
         assert "." not in "".join(line.split("label=")[1] for line in

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from test_procedures import index_masks
 from wholm import (DegenerateSampleError, OrderingKey, Procedure,
-                   SimulationConfig, WeightScenario, batch_stepdown,
-                   estimate_sharpness, lfc_stepdown_falsifier,
-                   lfc_whp_sampler, one_sample_t_pvalue, rng_new,
-                   run_simulation, sample_equicorrelated, t_sf,
-                   weight_scenario, whp_stepdown, validate_problem)
+                   SimulationConfig, WeightScenario, estimate_sharpness,
+                   lfc_stepdown_falsifier, rng_new, run_simulation,
+                   sample_equicorrelated, t_sf, weight_scenario, whp_stepdown,
+                   validate_problem)
 from wholm import montecarlo
 from wholm.montecarlo import _lfc_batch
+from wholm.procedures import ranking
 
 
 def _draw_cell(config):
@@ -87,9 +88,6 @@ class TestEquicorrelated:
 
 
 class TestTPvalue:
-    def test_zero_statistic_gives_half(self):
-        assert one_sample_t_pvalue([-1.0, 1.0]) == 0.5
-
     def test_t14_percentile(self):
         # 1.7613 is the 95th percentile of t with 14 degrees of freedom
         assert t_sf(1.7613, 14) == pytest.approx(0.05, abs=1e-4)
@@ -128,14 +126,6 @@ class TestTPvalue:
                     assert t.tobytes() == expected.tobytes(), (m, n, rho)
                     assert np.array_equal(zero, (sds == 0.0).any(axis=-1))
                     assert zero[2] and not zero[3]
-
-    def test_constant_sample_raises(self):
-        with pytest.raises(DegenerateSampleError):
-            one_sample_t_pvalue([3.0, 3.0, 3.0])
-
-    def test_too_short_sample(self):
-        with pytest.raises(ValueError, match="two observations"):
-            one_sample_t_pvalue([1.0])
 
     def test_null_pvalues_superuniform(self):
         # the library's own statistic, as run_simulation computes it
@@ -204,6 +194,13 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="reps"):
             SimulationConfig(m=5, pi0=0.4, rho=0.0, n=15, mu_alt=0.7,
                              alpha=0.05, reps=0,
+                             weight_scenario=WeightScenario.S2, seed=1)
+
+    def test_one_observation_per_sample_rejected(self):
+        # a t statistic needs two observations
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            SimulationConfig(m=5, pi0=0.4, rho=0.0, n=1, mu_alt=0.7,
+                             alpha=0.05, reps=10,
                              weight_scenario=WeightScenario.S2, seed=1)
 
     def test_negative_seed_rejected(self):
@@ -399,7 +396,7 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("m, pi0", [(5, 0.4), (10, 0.8), (20, 0.5)])
     def test_rank_counts_equal_the_index_masks(self, m, pi0):
-        # the rank-space counts against `batch_stepdown`'s index-order masks
+        # the rank-space counts against the index-order masks
         # on the same seeded blocks, counted as the masks were
         for rho, scenario, seed in ((0.0, WeightScenario.S1, 3),
                                     (0.5, WeightScenario.S2, 4),
@@ -438,7 +435,7 @@ class TestRunSimulation:
 
 
 def _records_by_masks(config):
-    """A cell's records decided by `batch_stepdown`'s masks in index order,
+    """A cell's records decided by `adjust_rows`'s masks in index order,
     the reference for `run_simulation`'s counts by rank."""
     m0, m1 = config.m0, config.m - config.m0
     familywise = dict.fromkeys(Procedure, 0)
@@ -446,9 +443,12 @@ def _records_by_masks(config):
     for weights, tstats, _ in montecarlo._draw_blocks(config):
         pvals = t_sf(tstats, config.n - 1)
         masks = {
-            Procedure.HOLM: batch_stepdown(Procedure.WHP, pvals, 1.0, config.alpha),
-            Procedure.WHP: batch_stepdown(Procedure.WHP, pvals, weights, config.alpha),
-            Procedure.WAP: batch_stepdown(Procedure.WAP, pvals, weights, config.alpha),
+            Procedure.HOLM: index_masks(pvals, 1.0, config.alpha,
+                                        OrderingKey.WEIGHTED),
+            Procedure.WHP: index_masks(pvals, weights, config.alpha,
+                                       OrderingKey.WEIGHTED),
+            Procedure.WAP: index_masks(pvals, weights, config.alpha,
+                                       OrderingKey.RAW),
         }
         assert not (masks[Procedure.WAP] & ~masks[Procedure.WHP]).any()
         for proc, mask in masks.items():
@@ -467,9 +467,28 @@ def _records_by_masks(config):
 
 
 class TestLfcSampler:
+    """The least-favorable law of `estimate_sharpness`, one draw at a time:
+    `lfc_stepdown_falsifier` at r = 1 with critical values of at least
+    1 / sum(w)."""
+
+    def test_is_one_row_of_the_block_sampler(self):
+        for seed, w in enumerate(([3.0], [1.0, 2.0, 3.0], [0.1] * 5,
+                                  np.linspace(1.0, 9.0, 10).tolist())):
+            w = np.array(w)
+            gen, block_gen = rng_new(seed), rng_new(seed)
+            for _ in range(200):
+                sample = lfc_stepdown_falsifier([1.0 / w.sum()] * w.size, w,
+                                                1, gen)
+                p, selected = _lfc_batch(w, 1.0 / w.sum(), block_gen, 1)
+                assert sample.p == tuple(p[0].tolist())
+                assert sample.selected == (None if selected[0] == w.size
+                                           else selected[0])
+            assert gen.bit_generator.state == block_gen.bit_generator.state
+
     def test_single_null_uniform(self):
         gen = rng_new(29)
-        draws = np.array([lfc_whp_sampler([3.0], gen).p[0] for _ in range(5000)])
+        draws = np.array([lfc_stepdown_falsifier([1.0], [3.0], 1, gen).p[0]
+                          for _ in range(5000)])
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         assert abs(draws.mean() - 0.5) < 0.03
 
@@ -486,7 +505,7 @@ class TestLfcSampler:
         gen = rng_new(37)
         cut = 1.0 / w.sum()
         for _ in range(500):
-            sample = lfc_whp_sampler(w, gen)
+            sample = lfc_stepdown_falsifier([1.0] * 3, w, 1, gen)
             tilde = np.asarray(sample.p) / w
             assert int((tilde <= cut).sum()) == 1
             assert tilde[sample.selected] <= cut
@@ -494,9 +513,9 @@ class TestLfcSampler:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 1"):
-            lfc_whp_sampler([1.0, bad], rng_new(29))
+            lfc_stepdown_falsifier([1.0, 1.0], [1.0, bad], 1, rng_new(29))
         with pytest.raises(ValueError, match="nonempty"):
-            lfc_whp_sampler([], rng_new(29))
+            lfc_stepdown_falsifier([], [], 1, rng_new(29))
 
 
 class TestFalsifier:
@@ -652,7 +671,7 @@ class TestSharpness:
     @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
     def test_first_rank_counts_equal_the_index_masks(self, procedure):
         # a replicate counts when its first rank is rejected; the reference
-        # is `batch_stepdown`'s mask with any rejection, on the same stream
+        # is the index-order mask with any rejection, on the same stream
         for seed, weights in enumerate(([1.0, 2.0, 3.0], [1.0] * 7,
                                         np.linspace(1.0, 9.0, 10), [4.0])):
             m0 = len(weights)
@@ -663,8 +682,8 @@ class TestSharpness:
             for start in range(0, 2500, montecarlo.SHARPNESS_BLOCK_ROWS):
                 rows = min(montecarlo.SHARPNESS_BLOCK_ROWS, 2500 - start)
                 block, _ = _lfc_batch(w, 1.0 / w.sum(), gen, rows)
-                hits += int(batch_stepdown(procedure, block, w,
-                                           0.05).any(axis=1).sum())
+                hits += int(index_masks(block, w, 0.05, ranking(procedure))
+                            .any(axis=1).sum())
             assert estimate.fwer == hits / 2500
 
     def test_each_block_is_decided_before_the_next_is_drawn(self, monkeypatch):

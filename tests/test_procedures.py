@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wholm import (Procedure, adjusted_wap, adjusted_whp, batch_stepdown, ctp,
-                   holm_stepdown, validate_problem, wap_local_test,
+from wholm import (Procedure, adjusted_wap, adjusted_whp, ctp, holm_stepdown, validate_problem, wap_local_test,
                    wap_stepdown, whp_local_test, whp_stepdown, OrderingKey)
 from wholm.closure import random_corpus
-from wholm.procedures import adjust_rows, rank_rows
+from wholm.procedures import adjust_rows, rank_rows, ranking
 
 random_problems = st.integers(min_value=1, max_value=10).flatmap(
     lambda m: st.tuples(
@@ -180,15 +179,21 @@ def _scalar_masks(p, w, alpha):
     return masks
 
 
+def index_masks(p, w, alpha, key):
+    """`adjust_rows`'s rejections by rank, scattered to index order."""
+    perm, _, _, rejected = adjust_rows(p, w, alpha, key)
+    return np.take_along_axis(rejected, np.argsort(perm, axis=1), axis=1)
+
+
 def _kernel_masks(p, w, alpha):
-    return {Procedure.WHP: batch_stepdown(Procedure.WHP, p, w, alpha),
-            Procedure.WAP: batch_stepdown(Procedure.WAP, p, w, alpha),
-            Procedure.HOLM: batch_stepdown(Procedure.WHP, p, 1.0, alpha)}
+    return {Procedure.WHP: index_masks(p, w, alpha, OrderingKey.WEIGHTED),
+            Procedure.WAP: index_masks(p, w, alpha, OrderingKey.RAW),
+            Procedure.HOLM: index_masks(p, 1.0, alpha, OrderingKey.WEIGHTED)}
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
 @pytest.mark.parametrize("m", range(1, 12))
-def test_batch_stepdown_matches_scalar_stepdowns(m, alpha):
+def test_kernel_masks_match_scalar_stepdowns(m, alpha):
     gen = np.random.default_rng([m, int(alpha * 100)])
     p, w = _kernel_corpus(gen, m, 600)
     expected = _scalar_masks(p, w, alpha)
@@ -199,7 +204,7 @@ def test_batch_stepdown_matches_scalar_stepdowns(m, alpha):
             f"w={w[mismatched[:1]]}")
 
 
-def test_batch_stepdown_gives_equal_decisions_at_the_boundary():
+def test_kernel_masks_give_equal_decisions_at_the_boundary():
     # 5.375 * 0.05 / 5.375 rounds below 0.05, so a raw-scale WAP test would
     # keep H3; in the shared form p/w <= alpha/tail both procedures reject it.
     p = np.array([[0.0, 0.0, 0.05]])
@@ -210,30 +215,6 @@ def test_batch_stepdown_gives_equal_decisions_at_the_boundary():
     masks = _kernel_masks(p, w, 0.05)
     assert masks[Procedure.WHP].tolist() == [[True, True, True]]
     assert masks[Procedure.WAP].tolist() == [[True, True, True]]
-
-
-def test_batch_stepdown_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="shape"):
-        batch_stepdown(Procedure.WHP, [0.01, 0.02], 1.0, 0.05)
-    with pytest.raises(ValueError, match="WHP or WAP"):
-        batch_stepdown(Procedure.HOLM, [[0.01, 0.02]], 1.0, 0.05)
-    # alpha >= 1 would let the adjusted values' cap at 1 reject everything
-    for alpha in (0.0, -0.05, 1.0, 1.5, float("nan")):
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            batch_stepdown(Procedure.WHP, [[0.5, 0.9]], 1.0, alpha)
-    p = [[0.01, 0.02, 0.03], [0.01, 0.02, 0.03]]
-    for bad in (float("nan"), -0.1, 1.5, float("inf")):
-        rows = [list(row) for row in p]
-        rows[1][2] = bad
-        with pytest.raises(ValueError, match=(
-                rf"p-value out of \[0, 1\] at row 1, column 2: {bad}")):
-            batch_stepdown(Procedure.WAP, rows, 1.0, 0.05)
-    for bad in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match=(
-                rf"weight must be positive and finite at row 0, column 1: {bad}")):
-            batch_stepdown(Procedure.WHP, p, [1.0, bad, 2.0], 0.05)
-        with pytest.raises(ValueError, match="row 1, column 0"):
-            batch_stepdown(Procedure.WHP, p, [[1.0] * 3, [bad, 1.0, 1.0]], 0.05)
 
 
 def test_holm_stepdown_keeps_the_problem_checks():
@@ -306,7 +287,8 @@ def test_adjusted_value_is_the_decision_at_exact_boundaries(
         values = adjusted(problem).values
         by_value = {i for i in range(problem.m) if values[i] <= problem.alpha}
         assert by_value == rejected, (problem, values)
-        mask = batch_stepdown(procedure, [problem.p], [problem.w], problem.alpha)
+        mask = index_masks([problem.p], [problem.w], problem.alpha,
+                           ranking(procedure))
         assert set(np.flatnonzero(mask[0]).tolist()) == rejected, problem
         assert ctp(problem, local_test).elementary_rejections.rejected \
             == rejected, problem
