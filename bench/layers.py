@@ -38,7 +38,12 @@ Times, with `perf_counter`, one call at a time in this process:
   (into a fresh output directory), each on a problem CSV written untimed,
   and of `check --trials 2000`, `simulate` on one cell (m = 10, n = 15,
   reps = 2,000, from a config file written untimed) and `sharpness
-  --procedure whp` at m = 10 (reps = 20,000), stdout captured.
+  --procedure whp` at m = 10 (reps = 20,000), stdout captured;
+- start-up, per launch of a fresh interpreter with `PYTHONPATH` set to the
+  side's `src` (the rest of the environment inherited): `python -c "import
+  wholm.cli"`, and `python -m wholm.cli adjust` at m = 5, stdout captured.
+  The in-process rows cannot show import costs, since both sides of
+  `--against` share one `sys.modules`.
 
 Each size gets one untimed warm-up call and then `REPEATS` timed calls, each
 on its own seed; inputs are built before the clock starts.  The record gives
@@ -98,6 +103,8 @@ CLOSURE_SIZES = (8, 14, 16)
 MONOTONICITY_SIZES = (12, 16, 20)
 # (m, number of masks) of the direct local-test calls
 LOCAL_TEST_CALLS = ((16, 1), (16, 1000), (21, 100_000))
+# m of the timed `python -m wholm.cli adjust` launch
+LAUNCH_ADJUST_M = 5
 # (subcommand, m, extra flags) of the timed in-process CLI calls
 CLI_CALLS = (("adjust", 5, ()), ("adjust", 1000, ()), ("adjust", 10_000, ()),
              ("adjust", 10_000, ("--precision", "full")),
@@ -358,6 +365,21 @@ def cases(wholm, tmp, values):
             "sharpness", "--procedure", "whp", "--weights",
             ",".join(map(repr, weights.tolist())),
             "--reps", str(SHARPNESS_REPS), "--seed", str(seed)]))
+
+    src = Path(wholm.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def launch(*args):
+        return lambda: subprocess.run([sys.executable, *args], cwd=tmp,
+                                      env=env, stdout=subprocess.PIPE,
+                                      check=True)
+
+    add("startup.import", "launch", {"module": "wholm.cli"},
+        lambda seed: launch("-c", "import wholm.cli"))
+    add("startup.cli.adjust", "launch", {"m": LAUNCH_ADJUST_M},
+        lambda seed: launch(
+            "-m", "wholm.cli", "adjust", "--alpha", "0.05", "--input",
+            str(problem_file(seed, LAUNCH_ADJUST_M, "launch"))))
     return rows
 
 

@@ -12,7 +12,6 @@ from enum import Enum
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import stdtr
 
 from .core import OrderingKey, check_alpha, check_weights
 from .procedures import Procedure, adjust_rows, ranking
@@ -45,14 +44,17 @@ def rng_new(seed: int) -> np.random.Generator:
 def t_sf(t, df):
     """Upper-tail probability of the Student-t distribution.
 
-    Evaluated as the distribution function at -t (`scipy.special.stdtr`),
-    and at df = 1, the Cauchy law, as the closed form atan2(1, t) / pi,
-    since `stdtr` is up to 1e-9 off near t = 0 there alone.  Both are
-    accurate to well below 1e-12 in absolute terms at every t, including
-    near 0, where they give exactly 0.5.  (The incomplete-beta form
-    0.5 * I_x(df/2, 1/2) at x = df / (df + t^2) is not, because x rounds
-    towards 1.)  Accepts arrays.
+    Evaluated as the distribution function at -t (`scipy.special.stdtr`,
+    imported on the first call, so that importing wholm and every command
+    but `simulate` never load scipy), and at df = 1, the Cauchy law, as the
+    closed form atan2(1, t) / pi, since `stdtr` is up to 1e-9 off near
+    t = 0 there alone.  Both are accurate to well below 1e-12 in absolute
+    terms at every t, including near 0, where they give exactly 0.5.  (The
+    incomplete-beta form 0.5 * I_x(df/2, 1/2) at x = df / (df + t^2) is
+    not, because x rounds towards 1.)  Accepts arrays.
     """
+    from scipy.special import stdtr
+
     t, df = np.asarray(t, dtype=float), np.asarray(df, dtype=float)
     out = stdtr(df, -t)
     cauchy = df == 1.0

@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import io
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from test_procedures import BOUNDARY_CORPUS
+import wholm
 from wholm import __version__, adjusted_wap, adjusted_whp, battery, cli
 from wholm.closure import (ClosedStack, ctp, random_corpus, wap_local_test,
                            whp_local_test)
@@ -606,3 +611,48 @@ class TestErrorHandling:
         for k in (1, 3, 5):
             assert outputs[k][0] == 1 and outputs[k][2].startswith("usage: wholm")
         assert outputs[7][:2] == (0, f"{__version__}\n")
+
+
+# Run in a fresh interpreter by `TestStartup`: after importing wholm and after
+# each command, whether `scipy.special` is loaded, with the command's exit
+# code, as one JSON list.
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+problem, config, outdir = sys.argv[1:]
+steps = []
+import wholm, wholm.cli
+steps.append(["import", 0, "scipy.special" in sys.modules])
+problem_flags = ["--input", problem, "--alpha", "0.05"]
+for argv in (["adjust", *problem_flags],
+             ["ctp", "--procedure", "whp", *problem_flags],
+             ["graph", "--ordering", "weighted", "--output-dir", outdir,
+              *problem_flags],
+             ["sharpness", "--procedure", "whp", "--weights", "1,2,3",
+              "--reps", "500", "--seed", "5"],
+             ["check", "--trials", "2000", "--seed", "7"],
+             ["simulate", "--config", config]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = wholm.cli.main(argv)
+    steps.append([argv[0], code, "scipy.special" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+class TestStartup:
+    def test_only_simulate_loads_scipy(self, problem_file, tmp_path):
+        # scipy serves only the Monte Carlo t tail; a fresh interpreter
+        # running the wholm imported here loads it first in `simulate`
+        config = tmp_path / "cell.cfg"
+        config.write_text(SIM_CONFIG.replace("rho_list = 0.0,0.5",
+                                             "rho_list = 0.5"))
+        src = Path(wholm.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, problem_file, str(config),
+             str(tmp_path / "graph")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            ["import", 0, False], ["adjust", 0, False], ["ctp", 0, False],
+            ["graph", 0, False], ["sharpness", 0, False], ["check", 0, False],
+            ["simulate", 0, True]]

@@ -109,6 +109,23 @@ class TestTPvalue:
             assert t_sf(t, df) == pytest.approx(0.5 - t * t_density(0.0, df),
                                                 abs=1e-15)
 
+    def test_is_stdtr_and_the_cauchy_closed_form_bit_for_bit(self):
+        # t_sf imports stdtr on its first call; the values stay scipy's
+        from scipy.special import stdtr
+        t = np.concatenate([
+            [0.0, -0.0, 1e-8, -1e-8, 40.0, -40.0, np.inf, -np.inf],
+            rng_new(23).standard_normal(200) * 4.0])
+        for df in (2, 14, 50):
+            assert t_sf(t, df).tobytes() == stdtr(df, -t).tobytes(), df
+            for x in t[:12]:
+                assert t_sf(x, df) == float(stdtr(df, -x)), (x, df)
+        cauchy = np.arctan2(1.0, t) / np.pi
+        assert t_sf(t, 1).tobytes() == cauchy.tobytes()
+        # per element, a df array picks the closed form at df = 1 only
+        df = np.array([1, 2, 14, 50])[:, None]
+        expected = np.where(df == 1, cauchy, stdtr(df, -t))
+        assert t_sf(t, df).tobytes() == expected.tobytes()
+
     def test_column_t_equals_numpy_mean_and_std_bit_for_bit(self):
         # the one-sum statistics against the numpy expressions they replaced
         for m in range(1, 21):
