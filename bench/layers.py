@@ -24,6 +24,9 @@ Times, with `perf_counter`, one call at a time in this process:
   both orderings, per call, on its kind of problem: one-sided z-test
   p-values with a share of signals (mean z = 8) cycled by seed through 0,
   1/4, 1/2, 3/4 and 1, and U(0.5, 5) weights;
+- `run_graphical` (weighted ordering) and then a read of every step's
+  `after`, at m = 30 and 60 on that kind of problem with every hypothesis
+  a signal, per call: the graphs `dot_stages` and `cli.graph` read;
 - `graphical.dot_stages` of a weighted-ordering run at m = 30, per call,
   which is `cli.graph`'s DOT text without its file writes;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
@@ -97,6 +100,8 @@ LOAD_M = 10_000
 KERNEL_SIZES = (10, 1000)
 GRAPHICAL_SIZES = (5, 8, 100)
 Z_GRAPHICAL_SIZES = (20, 30, 40, 50, 60)
+# m of the `run_graphical` calls that read every step's graph
+STEP_GRAPH_SIZES = (30, 60)
 SIGNAL_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DOT_STAGES_M = 30
 CLOSURE_SIZES = (8, 14, 16)
@@ -278,10 +283,11 @@ def cases(wholm, tmp, values):
                 lambda P=problem(seed, m): wholm.run_graphical(
                     P, wholm.OrderingKey.WEIGHTED)))
 
-    def z_problem(seed, m):
+    def z_problem(seed, m, share=None):
         gen = np.random.default_rng(seed)
         z = gen.standard_normal(m)
-        share = SIGNAL_SHARES[seed % len(SIGNAL_SHARES)]
+        if share is None:
+            share = SIGNAL_SHARES[seed % len(SIGNAL_SHARES)]
         z[gen.permutation(m)[:round(share * m)]] += 8.0
         p = [0.5 * math.erfc(x / math.sqrt(2.0)) for x in z]
         w = gen.uniform(0.5, 5.0, size=m)
@@ -296,6 +302,19 @@ def cases(wholm, tmp, values):
         add("graphical.run_graphical", "call",
             {"ordering": "both", "m": m, "p": "z-test"},
             lambda seed, m=m: both_orderings(seed, m), 2)
+
+    def step_graphs(seed, m):
+        P = z_problem(seed, m, share=1.0)
+
+        def call():
+            _, trace = wholm.run_graphical(P, wholm.OrderingKey.WEIGHTED)
+            return [step.after for step in trace.steps]
+        return call
+
+    for m in STEP_GRAPH_SIZES:
+        add("graphical.run_graphical+after", "call",
+            {"ordering": "weighted", "m": m, "p": "z-test", "signals": 1.0},
+            lambda seed, m=m: step_graphs(seed, m))
 
     def stages(seed):
         P = problem(seed, DOT_STAGES_M)

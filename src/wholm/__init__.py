@@ -9,8 +9,8 @@ from .closure import (CapacityError, ConsonanceReport, CtpReport,
                       check_monotonicity_condition, ctp,
                       find_pvalue_monotonicity_violation, wap_local_test,
                       whp_local_test)
-from .core import (OrderingKey, OrderingPermutation, RejectionSet,
-                   TestingProblem, load_problem_csv, validate_problem)
+from .core import (OrderingKey, RejectionSet, TestingProblem,
+                   load_problem_csv, validate_problem)
 from .graphical import (GraphTrace, TransitionGraph, initial_graph,
                         reject_and_update, run_graphical)
 from .montecarlo import (DegenerateSampleError, LfcSample, Procedure,

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import OrderingPermutation, TestingProblem
+from .core import TestingProblem
 from .procedures import Procedure, adjust_rows, ranking
 
 
@@ -23,28 +23,23 @@ from .procedures import Procedure, adjust_rows, ranking
 class AdjustedReport:
     """Adjusted values indexed by original hypothesis position.
 
-    `ordering` is the rank -> original-index permutation the recursion ran
-    along; values are nondecreasing along it.  Every value is capped at 1 at
-    each recursion step, not only at the first one, so the report always stays
-    inside [0, 1].  This never changes a rejection decision since alpha < 1.
+    The values are nondecreasing along the procedure's ranking,
+    `procedures.rank_rows`.  Every value is capped at 1 at each recursion
+    step, not only at the first one, so the report always stays inside
+    [0, 1].  This never changes a rejection decision since alpha < 1.
     `rejected` holds the indices whose value is at most alpha.
     """
 
     values: Tuple[float, ...]
-    procedure: Procedure
-    ordering: OrderingPermutation
     rejected: frozenset
 
 
 def _report(problem: TestingProblem, procedure: Procedure) -> AdjustedReport:
-    key = ranking(procedure)
     perm, _, adjusted, rejected = adjust_rows([problem.p], [problem.w],
-                                              problem.alpha, key)
+                                              problem.alpha, ranking(procedure))
     values = np.empty(problem.m)
     values[perm[0]] = adjusted[0]
-    return AdjustedReport(values=tuple(values.tolist()), procedure=procedure,
-                          ordering=OrderingPermutation(tuple(perm[0].tolist()),
-                                                       key),
+    return AdjustedReport(values=tuple(values.tolist()),
                           rejected=frozenset(perm[0][rejected[0]].tolist()))
 
 

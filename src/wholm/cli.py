@@ -79,12 +79,6 @@ def _fmt_column(values, precision="table", table=".6g"):
     return map(f"{{:{table}}}".format, values)
 
 
-def _fmt(value, precision="table", table=".6g"):
-    """`_fmt_column` of one number."""
-    [text] = _fmt_column([float(value)], precision, table)
-    return text
-
-
 def _flags(rejected, m):
     """A column of m flags: "true" at the indices in `rejected`, else
     "false"."""
@@ -306,8 +300,9 @@ def _cmd_simulate(args) -> int:
                 rows.append([
                     proc.value, str(config.m), str(config.pi0),
                     str(config.rho), config.weight_scenario.value,
-                    _fmt(rec.fwer), _fmt(rec.fwer_se), _fmt(rec.power),
-                    _fmt(rec.power_se), str(config.reps), str(config.seed)])
+                    *_fmt_column([rec.fwer, rec.fwer_se, rec.power,
+                                  rec.power_se]),
+                    str(config.reps), str(config.seed)])
             write(zip(*rows))
     return EXIT_OK
 
@@ -316,8 +311,9 @@ def _cmd_sharpness(args) -> int:
     procedure, weights = Procedure(args.procedure), args.weights
     estimate = estimate_sharpness(procedure, weights, len(weights), args.reps,
                                   rng_new(args.seed), alpha=args.alpha)
-    print(f"procedure={procedure.value} fwer={_fmt(estimate.fwer)} "
-          f"se={_fmt(estimate.se)} reps={estimate.reps} seed={args.seed}")
+    fwer, se = _fmt_column([estimate.fwer, estimate.se])
+    print(f"procedure={procedure.value} fwer={fwer} se={se} "
+          f"reps={estimate.reps} seed={args.seed}")
     return EXIT_OK
 
 

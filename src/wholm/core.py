@@ -9,6 +9,7 @@ immutable values.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Sequence, Tuple
 
 
 class OrderingKey(Enum):
-    """Which scale an ordering permutation was computed on."""
+    """Which scale a ranking is computed on: p/w or raw p."""
 
     RAW = "raw"
     WEIGHTED = "weighted"
@@ -36,14 +37,6 @@ class TestingProblem:
 
 
 @dataclass(frozen=True)
-class OrderingPermutation:
-    """Maps rank -> original index; equal keys keep increasing index order."""
-
-    perm: Tuple[int, ...]
-    key: OrderingKey
-
-
-@dataclass(frozen=True)
 class RejectionSet:
     """Rejected indices plus the ordered (step, index, threshold) trace.
 
@@ -56,17 +49,22 @@ class RejectionSet:
 
 
 def check_weights(w: Sequence[float]) -> None:
-    """Raise ValueError if there is no weight, or naming the first weight
-    that is not positive and finite."""
+    """Raise ValueError if there is no weight, naming the first weight that
+    is not positive and finite, or else the weight at which their total
+    overflows."""
     if len(w) == 0:
         raise ValueError("weights must be a nonempty positive sequence")
-    # min and max decide every value but NaN, which makes the sum NaN; the
-    # values are walked only to name the first bad one
-    if not (min(w) > 0.0 and max(w) < math.inf and not math.isnan(sum(w))):
+    # min and max decide every value but NaN, which makes the sum NaN, and
+    # the sum decides an overflowing total; the values are walked only to
+    # name the first bad one
+    if not (min(w) > 0.0 and max(w) < math.inf and sum(w) < math.inf):
         for i, wi in enumerate(w):
             if not (0.0 < wi < math.inf):
                 raise ValueError(
                     f"weight must be positive and finite at index {i}: {wi}")
+        i = next(i for i, total in enumerate(itertools.accumulate(w))
+                 if total == math.inf)
+        raise ValueError(f"weight total overflows at index {i}: {w[i]}")
 
 
 def check_pvalues(p: Sequence[float]) -> None:
@@ -91,8 +89,8 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
 
     Raises ValueError naming the offending index or label for any violated
     constraint: mismatched lengths, duplicate labels, p outside [0, 1],
-    nonpositive or nonfinite weights, or alpha outside (0, 1).  A p-value of
-    -0 is taken as 0.
+    nonpositive or nonfinite weights, a weight total or a p/w that
+    overflows, or alpha outside (0, 1).  A p-value of -0 is taken as 0.
     """
     labels = tuple(map(str, labels))
     p = tuple(map(float, p))
@@ -113,6 +111,12 @@ def validate_problem(labels: Sequence[str], p: Sequence[float],
     check_pvalues(p)
     check_weights(w)
     check_alpha(alpha)
+    # no p/w exceeds 1 / min(w), as p <= 1, so only then can one overflow
+    if 1.0 / min(w) == math.inf:
+        for i, (pi, wi) in enumerate(zip(p, w)):
+            if pi / wi == math.inf:
+                raise ValueError(f"p-value over weight overflows at index {i}: "
+                                 f"{pi} / {wi}")
     return TestingProblem(labels=labels, p=p, w=w, alpha=alpha)
 
 

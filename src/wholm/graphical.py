@@ -10,17 +10,16 @@ The rejections are a prefix of that ranking, so `_walk` runs the graphs of a
 stack of same-size problems along it at once, each permuted into rank
 order: step k tests rank k of every row still rejecting and updates only
 the trailing block of ranks k+1.. left active, with `reject_and_update`'s
-elementwise expressions.  `run_graphical` is a one-row walk that keeps its
-steps' rank-order blocks and puts them back in hypothesis order, all at
-once, only when a `GraphStep.after` is read.  `graph_rejections` gives the
-battery the rejections of a whole stack from one walk.
+elementwise expressions.  `run_graphical` is a one-row walk; each of its
+steps keeps its own rank-order block, put back in hypothesis order only
+when its `GraphStep.after` is read.  `graph_rejections` gives the battery
+the rejections of a whole stack from one walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,40 +44,27 @@ class TransitionGraph:
     g: np.ndarray
 
 
-class _Snapshots:
-    """The graphs after the steps of a one-row walk, kept as `_walk` yields
-    them, (1, n + 1, n) blocks in rank order, and put back in hypothesis
-    order together when the first is read."""
-
-    def __init__(self, ranking: np.ndarray):
-        self.ranking, self.blocks = ranking, []
-
-    @cached_property
-    def graphs(self) -> List[TransitionGraph]:
-        m = len(self.ranking)
-        # each step's coefficients, then its levels as row m, in rank order
-        ranked = np.zeros((len(self.blocks), m + 1, m))
-        for k, [block] in enumerate(self.blocks):
-            ranked[k, k + 1:, k + 1:] = block
-        rank = np.argsort(self.ranking)
-        g, local = ranked[:, rank[:, None], rank], ranked[:, m, rank]
-        return [TransitionGraph(active=frozenset(self.ranking[k + 1:].tolist()),
-                                local_alpha=local[k], g=g[k])
-                for k in range(len(self.blocks))]
-
-
 @dataclass(frozen=True)
 class GraphStep:
-    """One rejection of `run_graphical`; `after`, the graph after it, is put
-    back in hypothesis order when first read."""
+    """One rejection of `run_graphical`.  It keeps the run's ranking and the
+    graph after it as `_walk` yields it, a (1, n + 1, n) block in rank order
+    over the n ranks still active; `after` scatters that block into fresh
+    hypothesis-order arrays each time it is read."""
 
     rejected_index: int
-    _snapshot: Tuple[_Snapshots, int] = field(repr=False)
+    _ranking: np.ndarray = field(repr=False, compare=False)
+    _block: np.ndarray = field(repr=False, compare=False)
 
     @property
     def after(self) -> TransitionGraph:
-        snapshots, k = self._snapshot
-        return snapshots.graphs[k]
+        [block] = self._block
+        m, n = len(self._ranking), block.shape[1]
+        active = self._ranking[m - n:]
+        g, local = np.zeros((m, m)), np.zeros(m)
+        g[active[:, None], active] = block[:n]
+        local[active] = block[n]
+        return TransitionGraph(active=frozenset(active.tolist()),
+                               local_alpha=local, g=g)
 
 
 @dataclass(frozen=True)
@@ -220,12 +206,11 @@ def run_graphical(problem: TestingProblem,
     hypothesis is rejected iff its raw p-value is at or below its current
     local level.
     """
-    perm, walk = _walk([problem.p], [problem.w], problem.alpha, ordering)
-    snapshots, trace, steps = _Snapshots(perm[0]), [], []
-    for (_, threshold, graph), j in zip(walk, perm[0].tolist()):
-        snapshots.blocks.append(graph)
+    [ranking], walk = _walk([problem.p], [problem.w], problem.alpha, ordering)
+    trace, steps = [], []
+    for (_, threshold, graph), j in zip(walk, ranking.tolist()):
         trace.append((len(trace) + 1, j, threshold.item()))
-        steps.append(GraphStep(j, (snapshots, len(steps))))
+        steps.append(GraphStep(j, ranking, graph))
     return (RejectionSet(rejected=frozenset(step.rejected_index
                                             for step in steps),
                          trace=tuple(trace)),

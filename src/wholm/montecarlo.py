@@ -179,7 +179,6 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class CellRecord:
-    procedure: Procedure
     fwer: float
     fwer_se: float
     power: float
@@ -323,7 +322,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         fwer = familywise[proc] / reps
         power = power_sums[proc] / reps
         records[proc] = CellRecord(
-            procedure=proc,
             fwer=fwer,
             fwer_se=math.sqrt(fwer * (1.0 - fwer) / reps),
             power=power,
@@ -384,7 +382,7 @@ def lfc_stepdown_falsifier(critical_values: Sequence[float],
     m = w.size
     if len(crit) != m:
         raise ValueError("critical values and weights must have equal length")
-    check_weights(w)
+    check_weights(w.tolist())
     for i, c in enumerate(crit):
         if not c >= 0.0:
             raise ValueError(f"critical value must be non-negative at index {i}: {c}")
@@ -402,7 +400,6 @@ def lfc_stepdown_falsifier(critical_values: Sequence[float],
 
 @dataclass(frozen=True)
 class SharpnessEstimate:
-    procedure: Procedure
     fwer: float
     se: float
     reps: int
@@ -416,8 +413,9 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
 
     For the raw-ordered procedure the construction only attains the bound when
     min(w) / max(w) >= alpha, so that condition is enforced.  Empty weights,
-    a weight that is not positive and finite, or alpha outside (0, 1) raise
-    ValueError; a bad weight is named by its index.
+    a weight that is not positive and finite, weights whose total overflows,
+    or alpha outside (0, 1) raise ValueError; a bad weight is named by its
+    index.
 
     The samples are drawn from `gen` in blocks of `SHARPNESS_BLOCK_ROWS` rows
     (the last holds what is left), and each block is decided by one
@@ -429,7 +427,7 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     ranking.
     """
     w = np.asarray(weights, dtype=float)
-    check_weights(w)
+    check_weights(w.tolist())
     if w.size != m0:
         raise ValueError(f"expected {m0} weights, got {w.size}")
     if reps < 1:
@@ -448,5 +446,5 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
                      "p-value out of [0, 1]", start)
         hits += int(np.count_nonzero(adjust_rows(block, w, alpha, key)[3][:, 0]))
     fwer = hits / reps
-    return SharpnessEstimate(procedure=procedure, fwer=fwer,
-                             se=math.sqrt(fwer * (1.0 - fwer) / reps), reps=reps)
+    return SharpnessEstimate(fwer=fwer, se=math.sqrt(fwer * (1.0 - fwer) / reps),
+                             reps=reps)

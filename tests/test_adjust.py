@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from wholm import (adjusted_wap, adjusted_whp, holm_stepdown, validate_problem,
-                   wap_stepdown, whp_stepdown)
+from wholm import (OrderingKey, adjusted_wap, adjusted_whp, holm_stepdown,
+                   validate_problem, wap_stepdown, whp_stepdown)
 from wholm.closure import random_corpus
+from wholm.procedures import rank_rows
 
 ALPHA_GRID = (0.001, 0.01, 0.025, 0.05, 0.1, 0.5)
 
@@ -39,8 +40,10 @@ class TestStructure:
 
     def test_nondecreasing_along_ordering(self):
         for prob in random_corpus(200, seed=53, m_max=9):
-            for report in (adjusted_whp(prob), adjusted_wap(prob)):
-                ranked = [report.values[i] for i in report.ordering.perm]
+            p, w = np.array([prob.p]), np.array([prob.w])
+            for report, key in ((adjusted_whp(prob), OrderingKey.WEIGHTED),
+                                (adjusted_wap(prob), OrderingKey.RAW)):
+                ranked = [report.values[i] for i in rank_rows(p, p / w, key)[0]]
                 assert ranked == sorted(ranked)
 
     def test_whp_dominates_wap(self):

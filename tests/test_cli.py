@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from test_core import OVERFLOWING_WEIGHTS
 from test_procedures import BOUNDARY_CORPUS
 import wholm
 from wholm import __version__, adjusted_wap, adjusted_whp, battery, cli
@@ -264,6 +265,24 @@ class TestAdjust:
         stdout.flush()
         assert stdout.buffer.getvalue() == expected.buffer.getvalue()
         assert capsys.readouterr().err == f"error: {error.value}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w, message", OVERFLOWING_WEIGHTS)
+@pytest.mark.parametrize("command", [["adjust"], ["ctp", "--procedure", "whp"],
+                                     ["graph", "--ordering", "weighted"]])
+def test_overflowing_weights_are_a_data_error(command, w, message, tmp_path,
+                                              capsys):
+    path = tmp_path / "overflow.csv"
+    path.write_text(f"hypothesis,p_value,weight\nH1,0.01,{w[0]!r}\n"
+                    f"H2,0.02,{w[1]!r}\n")
+    outdir = tmp_path / "stages"
+    argv = [command[0], "--input", str(path), "--alpha", "0.05", *command[1:]]
+    if command[0] == "graph":
+        argv += ["--output-dir", str(outdir)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not outdir.exists()
 
 
 class TestCtp:

@@ -46,6 +46,30 @@ def test_validate_rejects_bad_inputs(p, w, alpha, fragment):
         validate_problem(labels, p, w, alpha)
 
 
+# p = (0.01, 0.02) under these weights was accepted and decided wrongly:
+# the overflowing total made every formulation reject nothing, and H1's
+# overflowing p/w made the step-downs reject H2 alone and the graph both
+OVERFLOWING_WEIGHTS = [
+    ((1e308, 1e308), "weight total overflows at index 1: 1e+308"),
+    ((1e-320, 1.0), "p-value over weight overflows at index 0: 0.01 / 1e-320"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w, message", OVERFLOWING_WEIGHTS)
+def test_validate_refuses_an_overflowing_weight_total_or_ratio(w, message):
+    with pytest.raises(ValueError) as info:
+        validate_problem(["H1", "H2"], [0.01, 0.02], w, 0.05)
+    assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_accepts_a_subnormal_weight_whose_ratio_is_finite():
+    # 1 / min(w) overflows, but no p_i / w_i does
+    prob = validate_problem(["H1", "H2"], [1.0, 0.0], [1.0, 1e-320], 0.05)
+    assert prob.w == (1.0, 1e-320)
+
+
 def test_validate_reads_negative_zero_pvalue_as_zero():
     prob = validate_problem(["A", "B", "C"], [-0.0, 0.0, 0.5],
                             [1.0, 2.0, 1.0], 0.05)

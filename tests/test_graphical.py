@@ -397,6 +397,21 @@ class TestExportDot:
         # after both rejections only H3 keeps a level
         assert 'alpha=0.0500' in stages[2]
 
+    def test_writing_into_a_step_graph_changes_no_later_read(
+            self, divergent_problem):
+        _, trace = run_graphical(divergent_problem, OrderingKey.WEIGHTED)
+        initial = initial_graph(divergent_problem.w, 0.05)
+        stages = dot_stages(trace, initial)
+        before = [(step.after.g.copy(), step.after.local_alpha.copy())
+                  for step in trace.steps]
+        written = trace.steps[0].after
+        written.g[:] = 0.25
+        written.local_alpha[:] = 0.5
+        for step, (g, local) in zip(trace.steps, before):
+            assert step.after.g.tobytes() == g.tobytes()
+            assert step.after.local_alpha.tobytes() == local.tobytes()
+        assert dot_stages(trace, initial) == stages
+
 
 def _dot_problem(name):
     """m = 30 with w ~ U(0.5, 5) and p-values below the critical values

@@ -477,7 +477,7 @@ def _records_by_masks(config):
         fwer = familywise[proc] / config.reps
         power = power_sums[proc] / config.reps
         records[proc] = montecarlo.CellRecord(
-            procedure=proc, fwer=fwer,
+            fwer=fwer,
             fwer_se=math.sqrt(fwer * (1.0 - fwer) / config.reps),
             power=power, power_se=math.sqrt(power * (1.0 - power) / config.reps))
     return records
@@ -637,6 +637,12 @@ class TestSharpness:
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 2"):
             estimate_sharpness(Procedure.WHP, [1.0, 2.0, bad], 3, 10, rng_new(67))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weight_total_is_named_by_index(self):
+        with pytest.raises(ValueError, match="total overflows at index 2"):
+            estimate_sharpness(Procedure.WHP, [1.0, 1e308, 1e308], 3, 10,
+                               rng_new(67))
 
     @pytest.mark.parametrize("alpha", [1.5, float("nan"), 0.0, 1.0])
     def test_alpha_outside_unit_interval_rejected_before_drawing(self, alpha):

@@ -346,7 +346,6 @@ def test_kernel_equals_the_python_adjustment_bit_for_bit(key, adjusted_report):
                 assert got[3][0].tolist() == [
                     value <= problem.alpha for value in adjusted]
             report = adjusted_report(problem)
-            assert report.ordering.perm == perm
             assert report.rejected == {i for i, value in zip(perm, adjusted)
                                        if value <= problem.alpha}
             assert _bits(report.values) == _bits(
