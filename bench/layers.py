@@ -1,10 +1,12 @@
 """Per-layer timings of the decision, Monte Carlo, closed-testing and CLI layers.
 
-    python3 bench/layers.py --label after --out BENCH_16.json
-    python3 bench/layers.py --src OTHER_CHECKOUT/src --label before --out BENCH_16.json
-    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_19.json
+    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_24.json
+    python3 bench/layers.py --against src --label a-a --out A_A.json
 
-Times, with `perf_counter`, one call at a time in this process:
+Times two checkouts' packages, `--src` (this checkout's `src/` by default)
+against `--against`, in pairs in this one process; the second line is an
+A/A run of this checkout against itself.  The calls timed, with
+`perf_counter`, one at a time:
 
 - `run_simulation` at m = 10 and 20 (n = 15, reps = 100 and 2,000) and
   `estimate_sharpness` for WHP and WAP at m = 10 (reps = 20,000), per
@@ -17,8 +19,9 @@ Times, with `perf_counter`, one call at a time in this process:
 - `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
   trials, per call;
 - `core.load_problem_csv` of a problem CSV (written untimed) at m = 10,000,
-  `validate_problem` (from lists) at m = 1000, `whp_stepdown` and
-  `adjusted_whp` at m = 10 and 1000, and `run_graphical` (weighted ordering)
+  `validate_problem` (from lists) at m = 1000, `whp_stepdown`,
+  `holm_stepdown` (of a problem's p-values and alpha) and `adjusted_whp` at
+  m = 10 and 1000, and `run_graphical` (weighted ordering)
   at m = 5 and 8 (the property battery's sizes) and 100, per call;
 - `run_graphical` at the `oracle-check` workload's sizes m = 20 to 60, in
   both orderings, per call, on its kind of problem: one-sided z-test
@@ -48,25 +51,20 @@ Times, with `perf_counter`, one call at a time in this process:
   The in-process rows cannot show import costs, since both sides of
   `--against` share one `sys.modules`.
 
-Each size gets one untimed warm-up call and then `REPEATS` timed calls, each
-on its own seed; inputs are built before the clock starts.  The record gives
-the median and the interquartile range of the time per unit in
-microseconds.  `wholm` is imported from `--src` (this checkout's `src/` by
-default).  The record is stored under `--label` in the JSON file `--out`;
-records under other labels are kept.
-
-Records taken one after another drift by more than most changes they are
-meant to show, so a before/after comparison is best made with `--against`:
-both packages are loaded into this one process (as `wholm_src` and
-`wholm_against`), and on every seed the two sides' calls on the same input
-are timed back to back, the `--src` side first on odd seeds and second on
-even ones.  Each row then gives both sides' medians and quartiles, the
-median of the per-seed ratios src / against and on how many of the
-`REPEATS` seeds the `--src` side was faster.  The corpora of
+Each size gets one untimed warm-up call per side and then `REPEATS` seeds;
+inputs are built before the clock starts.  Records taken one after another
+drift by more than most changes they are meant to show, so both packages
+are loaded into this one process (as `wholm_src` and `wholm_against`), and
+on every seed the two sides' calls on the same input are timed back to
+back, the `--src` side first on odd seeds and second on even ones.  Each
+row gives both sides' medians and quartiles of the time per unit in
+microseconds, the median of the per-seed ratios src / against and on how
+many of the `REPEATS` seeds the `--src` side was faster.  The corpora of
 `check_properties` and its graph properties are drawn once per seed, by
 the `--src` side's `random_corpus`, and each side times its own
 `TestingProblem`s of the same values, so the pair compares code, not
-seeded streams.
+seeded streams.  The record is stored under `--label` in the JSON file
+`--out`; records under other labels are kept.
 """
 
 from __future__ import annotations
@@ -124,26 +122,13 @@ def summary(times):
             "samples": len(times)}
 
 
-def time_per_unit(make, units):
-    """The `summary` of the wall time of `make(seed)()` over REPEATS seeds,
-    per unit; `make(seed)` builds the input untimed and returns the call to
-    time."""
-    make(0)()
-    times = []
-    for seed in range(1, REPEATS + 1):
-        call = make(seed)
-        start = perf_counter()
-        call()
-        times.append((perf_counter() - start) / units * 1e6)
-    return summary(times)
-
-
 def time_pair(makes, units):
-    """`time_per_unit` of the two sides `makes` = (src, against) at once:
-    on every seed both sides' calls are timed, the src side first on odd
-    seeds and second on even ones.  Gives each side's `summary`, the median
-    of the per-seed ratios src / against and on how many seeds src was
-    faster."""
+    """Both sides' `summary` of the wall time of `make(seed)()` per unit,
+    for `makes` = (src, against), over REPEATS seeds: `make(seed)` builds
+    the input untimed and returns the call to time.  On every seed both
+    sides' calls are timed, the src side first on odd seeds and second on
+    even ones.  Also gives the median of the per-seed ratios src / against
+    and on how many seeds src was faster."""
     for make in makes:
         make(0)()
     times = ([], [])
@@ -273,8 +258,11 @@ def cases(wholm, tmp, values):
 
     add("core.validate_problem", "call", {"m": VALIDATE_M}, validate)
     for m in KERNEL_SIZES:
-        for layer, run in (("procedures.whp_stepdown", wholm.whp_stepdown),
-                           ("adjust.adjusted_whp", wholm.adjusted_whp)):
+        for layer, run in (
+                ("procedures.whp_stepdown", wholm.whp_stepdown),
+                ("procedures.holm_stepdown",
+                 lambda P: wholm.holm_stepdown(P.p, P.alpha)),
+                ("adjust.adjusted_whp", wholm.adjusted_whp)):
             add(layer, "call", {"m": m}, lambda seed, m=m, run=run: (
                 lambda P=problem(seed, m): run(P)))
     for m in GRAPHICAL_SIZES:
@@ -454,43 +442,35 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=root / "src",
                         help="directory holding the wholm package to time")
-    parser.add_argument("--against", type=Path,
+    parser.add_argument("--against", type=Path, required=True,
                         help="a second checkout's src directory, timed in the "
                              "same process, alternating with --src")
     parser.add_argument("--label", required=True,
                         help="key of this record in the output file")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    srcs = [path.resolve() for path in (args.src, args.against) if path]
+    srcs = [args.src.resolve(), args.against.resolve()]
     for src in srcs:
         if not (src / "wholm" / "__init__.py").is_file():
             parser.error(f"no wholm package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        if args.against is None:
-            wholm = load(srcs[0], "wholm")
-            record = {**provenance(srcs[0]), "results": [
-                {**row, **time_per_unit(make, units)} for row, make, units
-                in cases(wholm, tmp, corpus_values(wholm))]}
-        else:
-            packages = [load(src, f"wholm_{side}")
-                        for src, side in zip(srcs, ("src", "against"))]
-            values = corpus_values(packages[0])
-            sides = [cases(wholm, tmp, values) for wholm in packages]
-            record = {"src": provenance(srcs[0]),
-                      "against": provenance(srcs[1]), "results": [
-                          {**row, **time_pair((make, other), units)}
-                          for (row, make, units), (_, other, _) in zip(*sides)]}
+        packages = [load(src, f"wholm_{side}")
+                    for src, side in zip(srcs, ("src", "against"))]
+        values = corpus_values(packages[0])
+        sides = [cases(wholm, tmp, values) for wholm in packages]
+        record = {"src": provenance(srcs[0]),
+                  "against": provenance(srcs[1]), "results": [
+                      {**row, **time_pair((make, other), units)}
+                      for (row, make, units), (_, other, _) in zip(*sides)]}
     table = json.loads(args.out.read_text()) if args.out.exists() else {}
     table[args.label] = record
     args.out.write_text(json.dumps(table, indent=2) + "\n")
     for row in record["results"]:
-        times = (f"{row['median_us']:11.2f} us/{row['per']}  "
-                 f"(IQR {row['iqr_us']:.2f})" if args.against is None else
-                 f"{row['src']['median_us']:11.2f} vs "
-                 f"{row['against']['median_us']:11.2f} us/{row['per']}  "
-                 f"ratio {row['ratio_median']:.3f}, src faster "
-                 f"{row['src_wins']}/{row['pairs']}")
-        print(f"{row['layer']:36} {json.dumps(row['size']):50} {times}")
+        print(f"{row['layer']:36} {json.dumps(row['size']):50} "
+              f"{row['src']['median_us']:11.2f} vs "
+              f"{row['against']['median_us']:11.2f} us/{row['per']}  "
+              f"ratio {row['ratio_median']:.3f}, src faster "
+              f"{row['src_wins']}/{row['pairs']}")
     return 0
 
 

@@ -80,14 +80,15 @@ class _Stack:
     def __init__(self, problems: Sequence[TestingProblem]):
         self.problems = problems
         self.arrays = p, w, alpha = ProblemStack.of(problems)
+        rows = np.arange(len(p))[:, None]
         self.rejected, self.adjusted, self.closed = {}, {}, {}
         for procedure in (Procedure.WHP, Procedure.WAP):
             perm, _, adjusted, rejected = adjust_rows(p, w, alpha[:, None],
                                                       ranking(procedure))
             self.rejected[procedure] = [frozenset(row[keep].tolist())
                                         for row, keep in zip(perm, rejected)]
-            self.adjusted[procedure] = np.take_along_axis(
-                adjusted, perm.argsort(axis=1), axis=1)
+            self.adjusted[procedure] = values = np.empty_like(adjusted)
+            values[rows, perm] = adjusted
             self.closed[procedure] = ClosedStack(self.arrays, procedure)
 
 

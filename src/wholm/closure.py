@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -313,11 +313,11 @@ def check_consonance(problem: TestingProblem,
 
 
 def _counterexamples(stack: ProblemStack, procedure: Procedure,
-                     table=None) -> List[Optional[Tuple]]:
+                     table) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
     J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
     where the condition holds.  `table` is the `_subset_table` under the
-    procedure's ranking, built here (within its size cap) when not given.
+    procedure's ranking.
 
     WHP gives every member of I its weight share w_i * alpha / total(I).
     WAP gives that share to the first-ranked member, the one with the
@@ -334,8 +334,6 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
     out only at such pairs, of which the library's own tables have none
     (step 1 of the module docstring).
     """
-    if table is None:
-        table = _subset_table(stack, ranking(procedure))
     total, first = table
     count, m = total.shape[0], stack.m
     # column I holds mask I, with the empty set's total 0.0 in column 0
@@ -372,17 +370,19 @@ def check_monotonicity_condition(problem: TestingProblem,
                                  procedure: Procedure) -> MonotonicityReport:
     """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
     (see `_counterexamples`)."""
-    [found] = _counterexamples(ProblemStack.of([problem]), procedure)
+    stack = ProblemStack.of([problem])
+    [found] = _counterexamples(stack, procedure,
+                               _subset_table(stack, ranking(procedure)))
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
 class ClosedStack:
     """Closed testing of problems of one size under the local test of WHP
     (`whp_local_test`) or of WAP (`wap_local_test`), for all of them at once
-    from one subset table.  `problems` is a sequence of problems or their
-    `procedures.ProblemStack`.  Each attribute holds one entry per problem,
-    in the order given, equal to what the one-problem function returns for
-    it:
+    from one subset table.  `stack` is their `procedures.ProblemStack`, as
+    `ProblemStack.of(problems)` builds it.  Each attribute holds one entry
+    per problem, in stack order, equal to what the one-problem function
+    returns for it:
 
     - `rejections`: the closed elementary rejections, as
       `ctp(problem, local_test).elementary_rejections.rejected`;
@@ -394,15 +394,11 @@ class ClosedStack:
       worked out from the same subset table when first read.
     """
 
-    def __init__(self,
-                 problems: Union[Sequence[TestingProblem], ProblemStack],
-                 procedure: Procedure):
+    def __init__(self, stack: ProblemStack, procedure: Procedure):
         self.procedure = procedure
-        self._stack = (problems if isinstance(problems, ProblemStack)
-                       else ProblemStack.of(problems))
-        self.m = self._stack.m
-        self._table = _subset_table(self._stack, ranking(procedure))
-        covered = _close(_rejects(self._stack, *self._table))
+        self._stack, self.m = stack, stack.m
+        self._table = _subset_table(stack, ranking(procedure))
+        covered = _close(_rejects(stack, *self._table))
         self.rejections = [_closed_rejections(row, self.m) for row in covered]
         self.consonance_witnesses = [
             _consonance_witness(row, self.m, rejected)

@@ -4,7 +4,9 @@ matrix of transition coefficients `g`, both exactly 0 at rejected nodes, `g`
 alpha_l += alpha_j * g_jl and g_lk <- (g_lk + g_lj * g_jk) / (1 - g_lj * g_jl).
 WHP and WAP share the weight-derived initial graph, from which the update
 stays in closed form (the tests' independent oracle), and each tests the
-next hypothesis in `procedures.rank_rows`'s ranking, by p/w or by p.
+next hypothesis in `procedures.rank_rows`'s ranking, by p/w or by p.  The
+initial graphs of a stack are built in one place, `_initial_graphs`, with a
+0 diagonal; `initial_graph` is its one-row call in hypothesis order.
 
 The rejections are a prefix of that ranking, so `_walk` runs the graphs of a
 stack of same-size problems along it at once, each permuted into rank
@@ -74,12 +76,10 @@ class GraphTrace:
 
 def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
     """Weight-proportional initial allocation with row-stochastic
-    coefficients: `_initial_graphs` of one row in index order, with the
-    diagonal cleared."""
+    coefficients: `_initial_graphs` of one row in index order."""
     m = len(w)
     graph = _initial_graphs(np.array([w], dtype=float), alpha,
                             np.arange(m)[None])[0]
-    graph.flat[:m * m:m + 1] = 0.0
     return TransitionGraph(active=frozenset(range(m)), local_alpha=graph[m],
                            g=graph[:m])
 
@@ -90,17 +90,21 @@ def _initial_graphs(w, alpha, flat):
     the other weights, then the levels w_i * alpha / total as a last row;
     `alpha` is a scalar or a (P, 1) column.  The other weights are summed
     from both ends towards i, since total - w_i cancels when w_i holds
-    nearly all the weight.  The diagonal is left as it falls: no update
-    reads it, and each clears the one it writes."""
+    nearly all the weight; the total is the left sum run on to the last
+    weight, the sequential sum in index order.  The diagonal is 0: it is
+    cleared before the division, so w_i over the other weights is never
+    formed (it overflows when they are subnormal)."""
     count, m = w.shape
-    total = np.array([[sum(row)] for row in w.tolist()])
     left, right = np.zeros((2, count, m))
     np.add.accumulate(w[:, :-1], axis=1, out=left[:, 1:])
     np.add.accumulate(w[:, :0:-1], axis=1, out=right[:, -2::-1])
+    total = left[:, -1:] + w[:, -1:]
     w, others = w.take(flat), np.add(left, right).take(flat)
-    graph = np.zeros((count, m + 1, m))
+    graph = np.empty((count, m + 1, m))
+    graph[:, :m] = w[:, None, :]
+    graph.reshape(count, -1)[:, :m * m:m + 1] = 0.0
     if m > 1:
-        np.divide(w[:, None, :], others[:, :, None], out=graph[:, :m])
+        graph[:, :m] /= others[:, :, None]
     np.multiply(w, alpha, out=graph[:, m])
     graph[:, m] /= total
     return graph

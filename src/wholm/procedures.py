@@ -27,8 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (OrderingKey, RejectionSet, TestingProblem, check_alpha,
-                   check_pvalues)
+from .core import OrderingKey, RejectionSet, TestingProblem, validate_problem
 
 
 class Procedure(Enum):
@@ -120,9 +119,6 @@ def wap_stepdown(problem: TestingProblem) -> RejectionSet:
 def holm_stepdown(p: Sequence[float], alpha: float) -> RejectionSet:
     """Classic Holm procedure: thresholds alpha / (m - j + 1).  Raises
     ValueError as `core.validate_problem` does for the same p and alpha."""
-    p = tuple(float(x) for x in p)
-    if not p:
-        raise ValueError("at least one hypothesis is required")
-    check_pvalues(p)
-    check_alpha(float(alpha))
-    return _stepdown(p, (1.0,) * len(p), float(alpha), OrderingKey.WEIGHTED)
+    m = len(p)
+    problem = validate_problem(range(m), p, [1.0] * m, alpha)
+    return _stepdown(problem.p, problem.w, problem.alpha, OrderingKey.WEIGHTED)

@@ -23,8 +23,8 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     assert corpus[violating[0]].m == 5
     assert sum(problem.m == 5 for problem in corpus) > battery.PROPERTY_STACK_ROWS
     class Failing(ClosedStack):
-        def __init__(self, problems, procedure):
-            super().__init__(problems, procedure)
+        def __init__(self, stack, procedure):
+            super().__init__(stack, procedure)
             if self.m in (2, 5):
                 self.consonance_witnesses = [1] * len(self.rejections)
 

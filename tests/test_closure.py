@@ -4,7 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from test_procedures import BOUNDARY_CORPUS
+from test_procedures import BOUNDARY_CORPUS, BOUNDARY_FORMS
 from wholm import (ConsonanceReport, Procedure, check_consonance,
                    check_monotonicity_condition, ctp,
                    find_pvalue_monotonicity_violation, validate_problem,
@@ -28,16 +28,11 @@ def mask_of(*indices):
     return out
 
 
-# A boundary p-value w*alpha/t, for t the index-order total of a subset
-# holding it, written in each of three float forms that round differently.
-BOUNDARY_FORMS = (lambda w, a, t: w * a / t,
-                  lambda w, a, t: a / t * w,
-                  lambda w, a, t: w / t * a)
-
-
 def _boundary_corpus(count, seed, alpha=0.05):
     """Seeded problems with m 1..8: random rows, and rows with one p-value
-    on a subset's boundary; zero and tied p-values are common."""
+    on a subset's boundary w*alpha/t, for t the index-order total of a
+    subset holding it, in each of the `BOUNDARY_FORMS`; zero and tied
+    p-values are common."""
     gen = np.random.default_rng(seed)
     problems = []
     while len(problems) < count:
@@ -337,7 +332,8 @@ def _stacked(problems):
     out = [[] for _ in problems]
     for indices in groups.values():
         for procedure in (Procedure.WHP, Procedure.WAP):
-            closed = ClosedStack([problems[i] for i in indices], procedure)
+            closed = ClosedStack(
+                ProblemStack.of([problems[i] for i in indices]), procedure)
             for index, *row in zip(indices, closed.rejections,
                                    closed.consonance_witnesses,
                                    closed.monotonicity_counterexamples):
@@ -369,7 +365,7 @@ class TestStacks:
     def test_a_stack_holds_one_size(self):
         corpus = random_corpus(50, seed=65)
         with pytest.raises(ValueError, match="one size"):
-            ClosedStack(corpus, Procedure.WHP)
+            ClosedStack(ProblemStack.of(corpus), Procedure.WHP)
 
     def test_mixed_alphas_in_one_stack(self):
         corpus = _tied_corpus(400, seed=63)

@@ -14,6 +14,7 @@ from wholm import (OrderingKey, TransitionGraph, initial_graph,
                    reject_and_update, run_graphical, validate_problem,
                    wap_stepdown, whp_stepdown)
 from wholm.battery import PROPERTY_STACK_ROWS, check_properties
+from wholm.cli import main
 from wholm.closure import random_corpus
 from wholm.graphical import (GraphInvariantError, _coefficient_labels,
                              _degenerate, _initial_graphs, _walk, dot_stages,
@@ -73,14 +74,12 @@ class TestInitialGraph:
             assert graph.local_alpha.tolist() == local, w
             assert graph.g.tolist() == g, w
             # the walk's first graph, in a ranking of its own, gathered back
-            # to index order; the walk leaves its diagonal as it falls
+            # to index order
             order = gen.permutation(len(w))
             ranked = _initial_graphs(np.array([w]), alpha, order[None])[0]
             back = np.argsort(order)
             assert ranked[-1, back].tolist() == local, w
-            walked = ranked[:-1][np.ix_(back, back)]
-            np.fill_diagonal(walked, 0.0)
-            assert walked.tolist() == g, w
+            assert ranked[:-1][np.ix_(back, back)].tolist() == g, w
 
     def test_unequal_weight_values(self):
         graph = initial_graph([1.0, 2.0, 3.0], 0.05)
@@ -114,6 +113,60 @@ class TestInitialGraph:
         assert sum(graph.local_alpha) == pytest.approx(0.05)
         for l in range(6):
             assert sum(graph.g[(l, k)] for k in range(6) if k != l) == pytest.approx(1.0)
+
+
+def _summed_and_divided(w, alpha, flat):
+    """`_initial_graphs` as it was before its total came from its left
+    sums: each row's total by Python's `sum`, and every entry divided, the
+    diagonal too."""
+    count, m = w.shape
+    total = np.array([[sum(row)] for row in w.tolist()])
+    left, right = np.zeros((2, count, m))
+    np.add.accumulate(w[:, :-1], axis=1, out=left[:, 1:])
+    np.add.accumulate(w[:, :0:-1], axis=1, out=right[:, -2::-1])
+    w, others = w.take(flat), np.add(left, right).take(flat)
+    graph = np.zeros((count, m + 1, m))
+    if m > 1:
+        np.divide(w[:, None, :], others[:, :, None], out=graph[:, :m])
+    np.multiply(w, alpha, out=graph[:, m])
+    graph[:, m] /= total
+    return graph
+
+
+def test_initial_graphs_equal_the_summed_and_divided_form():
+    gen = np.random.default_rng(2024)
+    for _ in range(400):
+        count, m = int(gen.integers(1, 65)), int(gen.integers(1, 40))
+        w = np.exp(gen.normal(0.0, 2.0, size=(count, m)))
+        alpha = gen.uniform(0.001, 0.5, size=(count, 1))
+        perm = np.argsort(gen.uniform(size=(count, m)), axis=1)
+        flat = perm + np.arange(0, count * m, m)[:, None]
+        graph = _initial_graphs(w, alpha, flat)
+        reference = _summed_and_divided(w, alpha, flat)
+        diagonal = np.eye(m, dtype=bool)
+        assert graph[:, m].tobytes() == reference[:, m].tobytes()
+        assert (graph[:, :m][:, ~diagonal].tobytes()
+                == reference[:, :m][:, ~diagonal].tobytes())
+        assert not graph[:, :m][:, diagonal].any()
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_weight_builds_its_graphs_without_a_warning(tmp_path,
+                                                              capsys):
+    # w_0 over the other weight overflows, on the diagonal only
+    prob = validate_problem(["H1", "H2"], [0.0, 0.02], [1e-320, 1.0], 0.05)
+    graph = initial_graph(prob.w, prob.alpha)
+    assert graph.g.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    for ordering in (OrderingKey.WEIGHTED, OrderingKey.RAW):
+        assert run_graphical(prob, ordering)[0].rejected == {0, 1}
+    path = tmp_path / "subnormal.csv"
+    path.write_text("hypothesis,p_value,weight\nH1,0,1e-320\nH2,0.02,1\n")
+    assert main(["graph", "--input", str(path), "--alpha", "0.05",
+                 "--ordering", "weighted",
+                 "--output-dir", str(tmp_path / "stages")]) == 0
+    captured = capsys.readouterr()
+    assert "rejected: ['H1', 'H2']" in captured.out
+    assert captured.err == ""
 
 
 class TestRejectAndUpdate:

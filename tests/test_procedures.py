@@ -231,8 +231,9 @@ def test_holm_stepdown_keeps_the_problem_checks():
         holm_stepdown(["x"], 0.05)
 
 
-# One p-value per problem sits on a step-down boundary w*alpha/tail, written
-# in each of three float forms that round differently.
+# A boundary p-value w*alpha/t, for t a step-down's tail or a subset's
+# total, written in each of three float forms that round differently.  In
+# `_exact_boundary_corpus` one p-value per problem sits on such a boundary.
 BOUNDARY_FORMS = (lambda w, a, t: w * a / t,
                   lambda w, a, t: a / t * w,
                   lambda w, a, t: w / t * a)
