@@ -1,6 +1,6 @@
 """Per-layer timings of the decision, Monte Carlo, closed-testing and CLI layers.
 
-    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_24.json
+    python3 bench/layers.py --against OTHER_CHECKOUT/src --label pairs --out BENCH_25.json
     python3 bench/layers.py --against src --label a-a --out A_A.json
 
 Times two checkouts' packages, `--src` (this checkout's `src/` by default)
@@ -33,8 +33,12 @@ A/A run of this checkout against itself.  The calls timed, with
 - `graphical.dot_stages` of a weighted-ordering run at m = 30, per call,
   which is `cli.graph`'s DOT text without its file writes;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
-  and 16, and `check_monotonicity_condition` (WHP) at m = 12, 16 and 20, per
-  call;
+  and 16, both with each local test at m = 10 and 12 (`oracle-check`'s
+  median ops), and `check_monotonicity_condition` (WHP) at m = 12, 16 and
+  20, per call;
+- `closure.ClosedStack` for WHP and for WAP on a stack of
+  `battery.PROPERTY_STACK_ROWS` (64) problems at m = 8, per call, with the
+  `ProblemStack` built untimed;
 - `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
   on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
@@ -103,6 +107,9 @@ STEP_GRAPH_SIZES = (30, 60)
 SIGNAL_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DOT_STAGES_M = 30
 CLOSURE_SIZES = (8, 14, 16)
+# m of the one-row `ctp` and `check_consonance` calls under both local tests
+BOTH_TESTS_SIZES = (10, 12)
+CLOSED_STACK_M = 8
 MONOTONICITY_SIZES = (12, 16, 20)
 # (m, number of masks) of the direct local-test calls
 LOCAL_TEST_CALLS = ((16, 1), (16, 1000), (21, 100_000))
@@ -320,6 +327,23 @@ def cases(wholm, tmp, values):
                  lambda P: wholm.check_consonance(P, wholm.wap_local_test))):
             add(layer, "call", {"m": m}, lambda seed, m=m, run=run: (
                 lambda P=problem(seed, m): run(P)))
+    for m in BOTH_TESTS_SIZES:
+        for test in ("whp_local_test", "wap_local_test"):
+            for layer in ("ctp", "check_consonance"):
+                add(f"closure.{layer}", "call", {"m": m, "test": test},
+                    lambda seed, m=m, run=getattr(wholm, layer),
+                    test=getattr(wholm, test): (
+                        lambda P=problem(seed, m): run(P, test)))
+    for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
+        def closed_stack(seed, procedure=procedure):
+            rows = battery.PROPERTY_STACK_ROWS
+            stack = wholm.procedures.ProblemStack.of([
+                problem(seed * rows + r, CLOSED_STACK_M) for r in range(rows)])
+            return lambda: wholm.closure.ClosedStack(stack, procedure)
+
+        add("closure.ClosedStack", "call",
+            {"procedure": procedure.value, "m": CLOSED_STACK_M,
+             "rows": battery.PROPERTY_STACK_ROWS}, closed_stack)
     for m in MONOTONICITY_SIZES:
         add("closure.check_monotonicity_condition", "call",
             {"procedure": "whp", "m": m}, lambda seed, m=m: (

@@ -22,8 +22,9 @@ The graph claims (`graphical-equivalence-*`) read one walk of the stack per
 ordering, `graphical.graph_rejections`, whose one-row call is
 `run_graphical`.  Their references, the step-down rejections, and the
 adjusted values come from one call of the step-downs' kernel
-`procedures.adjust_rows` per ranking per stack.  Witnesses are in corpus
-order.
+`procedures.adjust_rows` per ranking per stack.  Rejections are (P, m) bool
+arrays in hypothesis order, so each rejection claim is one numpy
+comparison per stack.  Witnesses are in corpus order.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ def _adjusted_dominance(stack):
     # second-order terms with room to spare; at m = 10 it is 5.3e-15.
     slack = 2 * (stack.problems[0].m + 2) * 2.0 ** -52
     whp, wap = stack.adjusted[Procedure.WHP], stack.adjusted[Procedure.WAP]
-    return (whp <= wap * (1.0 + slack)).all(axis=1).tolist()
+    return (whp <= wap * (1.0 + slack)).all(axis=1)
 
 
 class _Stack:
     """Problems of one size, their `ProblemStack` `arrays` and, under each
-    procedure, their step-down rejections, (P, m) adjusted values and
-    `ClosedStack`."""
+    procedure, their step-down rejections and adjusted values, both (P, m)
+    in hypothesis order, and their `ClosedStack`."""
 
     def __init__(self, problems: Sequence[TestingProblem]):
         self.problems = problems
@@ -85,23 +86,20 @@ class _Stack:
         for procedure in (Procedure.WHP, Procedure.WAP):
             perm, _, adjusted, rejected = adjust_rows(p, w, alpha[:, None],
                                                       ranking(procedure))
-            self.rejected[procedure] = [frozenset(row[keep].tolist())
-                                        for row, keep in zip(perm, rejected)]
+            self.rejected[procedure] = decided = np.empty_like(rejected)
             self.adjusted[procedure] = values = np.empty_like(adjusted)
-            values[rows, perm] = adjusted
+            decided[rows, perm], values[rows, perm] = rejected, adjusted
             self.closed[procedure] = ClosedStack(self.arrays, procedure)
 
 
 def _ctp_equivalence(procedure):
-    return lambda stack: [closed == rejected for closed, rejected in
-                          zip(stack.closed[procedure].rejections,
-                              stack.rejected[procedure])]
+    return lambda stack: (stack.closed[procedure].rejections
+                          == stack.rejected[procedure]).all(axis=1)
 
 
 def _graphical_equivalence(procedure):
-    return lambda stack: [graph == rejected for graph, rejected in zip(
-        graph_rejections(stack.arrays, ranking(procedure)),
-        stack.rejected[procedure])]
+    return lambda stack: (graph_rejections(stack.arrays, ranking(procedure))
+                          == stack.rejected[procedure]).all(axis=1)
 
 
 def _consonance(procedure):
@@ -109,17 +107,17 @@ def _consonance(procedure):
                           stack.closed[procedure].consonance_witnesses]
 
 
-# (name, holds(stack) -> one bool per problem of the stack).  The lambdas
-# look the library functions up when they run, so a rebound name is the one
-# used.
+# (name, holds(stack) -> one bool per problem of the stack, as a list or a
+# (P,) array).  The lambdas look the library functions up when they run, so
+# a rebound name is the one used.
 PROPERTIES = (
     ("ctp-equivalence-whp", _ctp_equivalence(Procedure.WHP)),
     ("ctp-equivalence-wap", _ctp_equivalence(Procedure.WAP)),
     ("graphical-equivalence-whp", _graphical_equivalence(Procedure.WHP)),
     ("graphical-equivalence-wap", _graphical_equivalence(Procedure.WAP)),
-    ("rejection-dominance", lambda stack: [
-        wap <= whp for whp, wap in zip(stack.rejected[Procedure.WHP],
-                                       stack.rejected[Procedure.WAP])]),
+    ("rejection-dominance", lambda stack: (
+        stack.rejected[Procedure.WAP]
+        <= stack.rejected[Procedure.WHP]).all(axis=1)),
     ("adjusted-dominance", _adjusted_dominance),
     ("consonance-whp", _consonance(Procedure.WHP)),
     ("consonance-wap", _consonance(Procedure.WAP)),
@@ -147,8 +145,8 @@ def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
             stack = _Stack([problems[i] for i in rows])
             try:
                 for found, (_, holds) in zip(violating, PROPERTIES):
-                    found.extend(i for i, ok in zip(rows, holds(stack))
-                                 if not ok)
+                    found.extend(rows[k] for k in np.flatnonzero(
+                        np.logical_not(holds(stack))).tolist())
             except GraphInvariantError as exc:
                 raise GraphInvariantError(f"problem {rows[exc.row]}: {exc}",
                                           rows[exc.row]) from None

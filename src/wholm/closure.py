@@ -1,28 +1,39 @@
 """Closed testing over all intersection hypotheses, read from one subset table.
 
-Subsets of {0..m-1} are encoded as bitmasks.  One table, `_subset_table`,
-holds the weight total and the first-ranked member of every nonempty subset
-of each problem in a stack of one size m, held as (P, m) arrays, each row in
-its own ranking.  Every closed-testing entry point reads that table; none
-walks the subsets in Python.  `ClosedStack` closes a stack of problems under
-the local test of WHP or WAP and gives, per problem, the closed rejections,
-the consonance witness and the monotonicity counterexample;
+Subsets of {0..m-1} are encoded as bitmasks, the index masks.  One table,
+`_all_subsets`, holds the weight total of every subset of each problem in a
+stack of one size m, each row in its own ranking and indexed by rank-space
+code (bit m-1-r for the member at rank r), with the code of each index
+mask.  Every closed-testing entry point reads that table; none walks the
+subsets in Python.  `ClosedStack` closes a stack of problems under the local
+test of WHP or WAP and gives, per problem, the closed rejections, the
+consonance witness and the monotonicity counterexample;
 `battery.check_properties` uses it on stacks of many problems.  `ctp`,
 `check_consonance`, `check_monotonicity_condition` and the two local tests
 are one-row calls of the same code, and the answers are the same either way.
 All but the local tests are capped at `MAX_CTP_HYPOTHESES`, where the table
 is built.  The monotonicity condition reads only the table's totals, which
 by step 1 below never grow on the removal of a hypothesis (see
-`_counterexamples`).
+`_counterexamples`), gathered into index-mask order (`_mask_totals`).
 A local test asked about too few masks to pay for the table (or for m above
 `MAX_CTP_HYPOTHESES`) decides each one as the first step of the step-down
 run on that intersection alone, `procedures.adjust_rows`, with the same sums.
 
-The local decisions of a stack, a (P, 2^m - 1) table, are closed row by row
-with the superset OR: the accepted masks of a row are packed into the bits of
-one int, and pass k ORs every mask holding hypothesis k into the same mask
-without it, so bit I ends up set iff some locally accepted subset contains I.
-Hypothesis i is rejected by the closed procedure iff bit {i} is clear.
+`_decide` makes the local decisions of a stack in code space, where the
+first-ranked member of code c is its highest bit, so that no value is
+gathered.  Closing under supersets commutes with permuting the bits of the
+subsets, so `ClosedStack` closes that (P, 2^m) table as it is, and reads
+each hypothesis's singleton and the witnesses back through the codes; the
+one-row calls close their local test's table in index-mask order.  `_close`
+packs the accepted subsets of a whole table into one int, row r from bit
+r * stride with stride = max(2^m, 8) (whole bytes, so that the table packs
+row by row), and pass k ORs every subset holding element k into the same
+subset without it, within its row, so bit c of a row ends up set iff some
+locally accepted subset contains c.  Hypothesis i is rejected by the closed
+procedure iff its singleton's bit is clear.  The closed-rejected subsets
+are closed under supersets, so a row is consonant iff the set of all its
+hypotheses that are not rejected is covered: one bit per row, and only a
+row where it is clear is searched for its witness (`_witnesses`).
 
 The two local tests are the weighted Bonferroni tests behind the step-downs,
 written in the step-downs' one rule: the first-ranked member's value is
@@ -109,35 +120,60 @@ class MonotonicityReport:
     counterexample: Optional[Tuple[int, int, int, float, float]] = None
 
 
-def _all_subsets(perm: np.ndarray, ranked_w: np.ndarray):
-    """Totals of all 2^m subsets of each row and first-ranked members of the
-    nonempty ones, by rank-space code, and the code of each index mask.
+@lru_cache(maxsize=None)
+def _layout(m: int):
+    """Read-only constants of the subset tables at m hypotheses: the
+    singletons 1 << k, k < m; the number of codes whose first-ranked member
+    is at each rank from the last, 2 (codes 0 and 1) and then 2^k
+    (`_decide`); and, for each k, the subsets with bit k clear as the
+    bytes of one row of `_close`'s packed table, runs of 2^k set and 2^k
+    clear bits, little-endian, over the row's max(2^m, 8) bits.  Closed
+    testing caps m at `MAX_CTP_HYPOTHESES`, so the cache holds at most one
+    entry per m up to the cap, about 5 MB if every size is used."""
+    bit = 1 << np.arange(m)
+    counts = bit.copy()
+    counts[0] = 2
+    bit.flags.writeable = counts.flags.writeable = False
+    row = np.arange(max(1 << m, 8))
+    return bit, counts, tuple(
+        np.packbits(row >> k & 1 == 0, bitorder="little").tobytes()
+        for k in range(m))
+
+
+def _all_subsets(stack: ProblemStack, key: OrderingKey):
+    """Each row of the stack ranked under `key` by the step-downs'
+    `procedures.rank_rows`, and the totals of all 2^m subsets of each row by
+    rank-space code, with the code of each index mask: the ranking, the
+    weighted p-values p/w by rank, the totals and the codes, the last three
+    as (P, m), (P, 2^m) and (P, 2^m) arrays.  The codes are exact floats,
+    the rows of the one table they are summed in with the totals, and are
+    cast to indices only where they are read.
 
     In a code, bit m-1-r stands for the member at rank r, so the highest bit
     is the first-ranked member and the lower bits hold later ranks.  Codes
     in [2^q, 2^(q+1)) are those below 2^q plus the member at rank m-1-q, so
     their totals are the lower totals plus that weight: each total adds its
-    members from the last rank upward, starting at 0.0 for the empty set.
-    `first[:, c]` is the first-ranked member of code c (for the empty code
-    0, the last-ranked member, which no caller reads).
+    members from the last rank upward, starting at 0.0 for the empty set,
+    the order in which the row's step-down sums its tails.
     """
+    _check_ctp_size(stack.m)
+    p, w, _ = stack
+    tilde = p / w
+    perm = rank_rows(p, tilde, key)
     count, m = perm.shape
+    rows = np.arange(count)[:, None]
     code_bit = np.empty_like(perm)
-    code_bit[np.arange(count)[:, None], perm] = 1 << np.arange(m - 1, -1, -1)
+    code_bit[rows, perm] = _layout(m)[0][::-1]
     # Step q adds the weight at rank m-1-q to the totals of codes below 2^q,
     # and hypothesis q's code bit to the codes of index masks below 2^q (the
     # masks in [2^q, 2^(q+1)) hold q).  Codes are below 2^m and so exact in
     # float64; the totals (rows below `count`) and the codes (rows from
     # `count`) take one add per step together.
-    steps = np.concatenate([ranked_w[:, ::-1], code_bit]).T[:, :, None]
+    steps = np.concatenate([w[rows, perm][:, ::-1], code_bit]).T[:, :, None]
     table = np.zeros((2 * count, 1 << m))
     for q, step in enumerate(steps):
         np.add(table[:, :1 << q], step, out=table[:, 1 << q:2 << q])
-    total, code = table[:count], table[count:].astype(np.intp)
-    counts = 1 << np.arange(m)
-    counts[0] = 2
-    first = np.repeat(perm[:, ::-1], counts, axis=1)
-    return total, first, code
+    return perm, tilde[rows, perm], table[:count], table[count:]
 
 
 def _check_ctp_size(m: int) -> None:
@@ -146,38 +182,35 @@ def _check_ctp_size(m: int) -> None:
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
 
 
-def _subset_table(stack: ProblemStack, key: OrderingKey):
-    """Weight totals and first-ranked members of every nonempty subset, as
-    two (P, 2^m - 1) arrays whose column I - 1 holds mask I.  Each row is
-    ranked under `key` by the step-downs' `procedures.rank_rows`, and
-    `_all_subsets` sums each total from its last rank upward, starting at
-    0.0: the order in which the row's step-down sums its tails."""
-    _check_ctp_size(stack.m)
-    p, w, _ = stack
-    perm = rank_rows(p, p / w, key)
-    rows = np.arange(p.shape[0])[:, None]
-    total, first, code = _all_subsets(perm, w[rows, perm])
-    code = code[:, 1:]
-    return total[rows, code], first[rows, code]
+def _mask_totals(total: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """`_all_subsets`' totals of every nonempty index mask, gathered from
+    code order into a (P, 2^m - 1) array whose column I - 1 holds mask I."""
+    rows = np.arange(len(total))[:, None]
+    return total[rows, code[:, 1:].astype(np.intp)]
 
 
-def _rejects(stack: ProblemStack, total: np.ndarray,
-             first: np.ndarray) -> np.ndarray:
-    """Both local tests' rule: the first-ranked member's (p/w) * total is at
-    most alpha."""
-    rows = np.arange(first.shape[0])[:, None]
-    return (stack.p / stack.w)[rows, first] * total <= stack.alpha[:, None]
+def _decide(stack: ProblemStack, key: OrderingKey):
+    """Both local tests' rule on every subset of every row, in code space:
+    the first-ranked member's (p/w) * total is at most alpha.  Returns the
+    stack's `_all_subsets` and the (P, 2^m) decisions by code."""
+    subsets = _, tilde, total, _ = _all_subsets(stack, key)
+    # each code's first-ranked member is its highest bit: codes 0 and 1
+    # take the last rank's p/w (code 0, the empty set, is never read), and
+    # the 2^k codes in [2^k, 2^(k+1)) that of rank m-1-k
+    first = np.repeat(tilde[:, ::-1], _layout(stack.m)[1], axis=1)
+    return subsets, first * total <= stack.alpha[:, None]
 
 
 def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
                 key: OrderingKey) -> Union[bool, np.ndarray]:
     """K masks with K * m >= 2^m (m within `MAX_CTP_HYPOTHESES`) are read
-    from the `_subset_table`.  Otherwise the masks of each size k are
-    stacked as (K_k, k) rows of their members in index order and decided by
-    the first step of `procedures.adjust_rows`: its stable ranking orders
-    the members as the full ranking does, its tail adds the same weights in
-    the same order, and its adjusted value, capped at 1, is at most
-    alpha < 1 iff the product is."""
+    from `_decide`'s decisions on all subsets, gathered from code space.
+    Otherwise the masks of each size k are stacked as (K_k, k) rows of
+    their members in index order and decided by the first step of
+    `procedures.adjust_rows`: its stable ranking orders the members as the
+    full ranking does, its tail adds the same weights in the same order,
+    and its adjusted value, capped at 1, is at most alpha < 1 iff the
+    product is."""
     masks = np.asarray(masks)
     if masks.size == 0:
         return np.zeros(masks.shape, dtype=bool)
@@ -187,7 +220,8 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
                          f"{m} hypotheses")
     flat, stack = masks.reshape(-1), ProblemStack.of([problem])
     if flat.size * m >= 1 << m and m <= MAX_CTP_HYPOTHESES:
-        rejected = _rejects(stack, *_subset_table(stack, key))[0, flat - 1]
+        (*_, code), rejected = _decide(stack, key)
+        rejected = rejected[0, code[0, flat].astype(np.intp)]
     else:
         # (Python ints for masks wider than 64 bits)
         member = ((flat[:, None] >> np.arange(m)) & 1).astype(bool)
@@ -222,65 +256,70 @@ def whp_local_test(problem: TestingProblem,
 def _local_rejections(problem: TestingProblem,
                       local_test: LocalTest) -> np.ndarray:
     """The one-row table of `local_test`'s decisions on every nonempty mask,
-    from one call: column I - 1 holds mask I."""
+    from one call: column I holds mask I, and column 0, the empty set, is
+    False."""
     _check_ctp_size(problem.m)
-    rejected = local_test(problem, np.arange(1, 1 << problem.m))
-    return np.asarray(rejected, dtype=bool)[None, :]
+    rejected = np.zeros((1, 1 << problem.m), dtype=bool)
+    rejected[0, 1:] = local_test(problem, np.arange(1, 1 << problem.m))
+    return rejected
 
 
-@lru_cache(maxsize=None)
-def _bit_clear(m: int) -> Tuple[int, ...]:
-    """For each k < m, the masks in 0..2^m-1 with bit k clear, as an int
-    whose bit I stands for mask I: runs of 2^k ones and 2^k zeros.  Closed
-    testing caps m at `MAX_CTP_HYPOTHESES`, so the cache holds at most one
-    entry per m up to the cap, about 5 MB if every size is used."""
-    clear = []
-    for k in range(m):
-        bits, width = (1 << (1 << k)) - 1, 2 << k
-        while width < 1 << m:
-            bits |= bits << width
-            width *= 2
-        clear.append(bits)
-    return tuple(clear)
+def _close(rejected: np.ndarray) -> np.ndarray:
+    """Close a (P, 2^m) table of local rejections whose column c holds
+    subset c, under one bit encoding of the subsets: the (P, 2^m) table
+    whose column c is True iff the row has a locally accepted superset of
+    subset c.  Column 0, the empty set, is counted as accepted whatever it
+    holds (it is contained only in itself, so it changes no closure).
 
-
-def _close(rejected: np.ndarray) -> List[int]:
-    """Close each row of a (P, 2^m - 1) table of local rejections of the
-    nonempty masks: an int per row whose bit I is set iff the row has a
-    locally accepted superset of mask I.
-
-    A row's accepted masks are packed into the bits of one int, with the
-    empty mask counted as accepted (it is contained only in itself, so it
-    changes no closure); pass k ORs each mask with bit k set into the same
-    mask with bit k clear.
+    The accepted subsets of the whole stack are packed into one int, row r
+    from bit r * stride with stride = max(2^m, 8), whole bytes; pass k ORs
+    each subset with bit k set into the same subset with bit k clear, with
+    `_layout`'s row of subsets with bit k clear repeated for every row, so
+    no bit moves into another row.
     """
-    m = rejected.shape[1].bit_length()
-    clear = _bit_clear(m)
-    every = (1 << (1 << m)) - 1
-    covered = []
-    for row in np.packbits(rejected, axis=1, bitorder="little"):
-        bits = (~int.from_bytes(row.tobytes(), "little") << 1 | 1) & every
-        for k, kept in enumerate(clear):
-            bits |= (bits >> (1 << k)) & kept
-        covered.append(bits)
-    return covered
+    packed = np.packbits(rejected, axis=1, bitorder="little")
+    count, width = packed.shape
+    empty = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+    bits = (int.from_bytes(packed.tobytes(), "little")
+            ^ (1 << 8 * packed.size) - 1 | empty)
+    for k, kept in enumerate(_layout(rejected.shape[1].bit_length() - 1)[2]):
+        bits |= (bits >> (1 << k)) & int.from_bytes(kept * count, "little")
+    covered = np.frombuffer(bits.to_bytes(packed.size, "little"),
+                            dtype=np.uint8).reshape(packed.shape)
+    return np.unpackbits(covered, axis=1, count=rejected.shape[1],
+                         bitorder="little").view(bool)
 
 
-def _closed_rejections(covered: int, m: int) -> frozenset:
-    """The elementary rejections of one closed row: hypothesis i is rejected
-    iff no locally accepted subset holds it, iff {i} is not covered."""
-    return frozenset(i for i in range(m) if not covered >> (1 << i) & 1)
+def _witnesses(covered: np.ndarray, kept: np.ndarray,
+               code: Optional[np.ndarray]) -> List[Optional[int]]:
+    """Each row's consonance witness, from `_close`'s table `covered` and
+    its singletons `kept`, `covered[:, 1 << k]` for k < m (True where the
+    hypothesis of bit k is not rejected): the smallest CTP-rejected index
+    mask holding none of the row's elementary rejections, or None.
+    `code[r, I]` is the column of row r's index mask I; with `code` None,
+    column I holds mask I.  The CTP-rejected subsets are closed under
+    supersets (an accepted superset of a superset of I is one of I), so
+    only a row whose hypotheses that are not rejected form a CTP-rejected
+    set has a witness, and only such a row is searched.
+    """
+    count, size = covered.shape
+    held = kept @ _layout(kept.shape[1])[0]
+    lone = covered[np.arange(count), held]
+    witnesses: List[Optional[int]] = [None] * count
+    if lone.all():
+        return witnesses
+    for r in np.flatnonzero(~lone).tolist():
+        found = ~covered[r] & (np.arange(size) & ~held[r] == 0)
+        if code is not None:
+            found = found[code[r].astype(np.intp)]
+        witnesses[r] = int(found.argmax())
+    return witnesses
 
 
-def _consonance_witness(covered: int, m: int,
-                        rejected: frozenset) -> Optional[int]:
-    """The smallest CTP-rejected mask of one closed row that holds none of
-    its elementary rejections `rejected`, or None where the row is
-    consonant."""
-    violating = ~covered & (1 << (1 << m)) - 1
-    for i in rejected:
-        violating &= _bit_clear(m)[i]
-    return (violating & -violating).bit_length() - 1 if violating else None
+def _singletons(covered: np.ndarray) -> np.ndarray:
+    """Column k of `_close`'s table `covered` for each k < m, subset 1 << k,
+    as (P, m) bools: True iff that subset is covered."""
+    return covered[:, _layout(covered.shape[1].bit_length() - 1)[0]]
 
 
 def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
@@ -290,12 +329,14 @@ def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
     locally rejected, that is iff no locally accepted subset holds it.
     """
     local = _local_rejections(problem, local_test)
-    decisions = dict(enumerate(local[0].tolist(), start=1))
-    rejected = _closed_rejections(*_close(local), problem.m)
+    decisions = dict(enumerate(local[0, 1:].tolist(), start=1))
+    [kept] = _singletons(_close(local)).tolist()
+    rejected = [i for i, k in enumerate(kept) if not k]
     trace = tuple((step, i, problem.alpha)
-                  for step, i in enumerate(sorted(rejected), start=1))
+                  for step, i in enumerate(rejected, start=1))
     return CtpReport(local_decisions=decisions,
-                     elementary_rejections=RejectionSet(rejected=rejected, trace=trace))
+                     elementary_rejections=RejectionSet(
+                         rejected=frozenset(rejected), trace=trace))
 
 
 def check_consonance(problem: TestingProblem,
@@ -306,17 +347,18 @@ def check_consonance(problem: TestingProblem,
     The witness is the smallest CTP-rejected mask holding no elementary
     rejection.
     """
-    [covered] = _close(_local_rejections(problem, local_test))
-    witness = _consonance_witness(covered, problem.m,
-                                  _closed_rejections(covered, problem.m))
+    covered = _close(_local_rejections(problem, local_test))
+    [witness] = _witnesses(covered, _singletons(covered), None)
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
 def _counterexamples(stack: ProblemStack, procedure: Procedure,
-                     table) -> List[Optional[Tuple]]:
+                     total: np.ndarray,
+                     perm: np.ndarray) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
     J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
-    where the condition holds.  `table` is the `_subset_table` under the
+    where the condition holds.  `total` holds the weight totals of the
+    nonempty masks (`_mask_totals`, column I - 1 for mask I) and `perm` the
     procedure's ranking.
 
     WHP gives every member of I its weight share w_i * alpha / total(I).
@@ -334,18 +376,21 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
     out only at such pairs, of which the library's own tables have none
     (step 1 of the module docstring).
     """
-    total, first = table
     count, m = total.shape[0], stack.m
     # column I holds mask I, with the empty set's total 0.0 in column 0
     total = np.concatenate([np.zeros((count, 1)), total], axis=1)
     hypotheses = np.arange(m)
+    rank = np.argsort(perm, axis=1)
 
     def shares(rows, masks):
         # alpha_i(mask) of each row, with +inf outside the mask
+        member = (masks[:, None] >> hypotheses) & 1 == 1
         share = stack.w[rows] * stack.alpha[rows, None] / total[rows, masks, None]
         if procedure is Procedure.WAP:
-            share[hypotheses != first[rows, masks - 1, None]] = 0.0
-        return np.where((masks[:, None] >> hypotheses) & 1 == 1, share, np.inf)
+            # the first-ranked member holds the smallest rank
+            first = np.where(member, rank[rows], m).argmin(axis=1)
+            share[hypotheses != first[:, None]] = 0.0
+        return np.where(member, share, np.inf)
 
     found: List[Optional[Tuple]] = [None] * count
     for j in range(m):
@@ -371,8 +416,9 @@ def check_monotonicity_condition(problem: TestingProblem,
     """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
     (see `_counterexamples`)."""
     stack = ProblemStack.of([problem])
-    [found] = _counterexamples(stack, procedure,
-                               _subset_table(stack, ranking(procedure)))
+    perm, _, total, code = _all_subsets(stack, ranking(procedure))
+    [found] = _counterexamples(stack, procedure, _mask_totals(total, code),
+                               perm)
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
@@ -384,29 +430,38 @@ class ClosedStack:
     per problem, in stack order, equal to what the one-problem function
     returns for it:
 
-    - `rejections`: the closed elementary rejections, as
+    - `rejections`: a (P, m) bool array whose row holds the closed
+      elementary rejections in hypothesis order, the indices of
       `ctp(problem, local_test).elementary_rejections.rejected`;
     - `consonance_witnesses`: the smallest CTP-rejected mask holding no
       elementary rejection, or None, as
       `check_consonance(problem, local_test).violating_subset`;
     - `monotonicity_counterexamples`: as
       `check_monotonicity_condition(problem, procedure).counterexample`,
-      worked out from the same subset table when first read.
+      worked out from the same subset totals when first read.
+
+    The decisions are made and closed in code space (`_decide`, `_close`),
+    and only the singletons and the witnesses are read back through each
+    row's codes.
     """
 
     def __init__(self, stack: ProblemStack, procedure: Procedure):
         self.procedure = procedure
         self._stack, self.m = stack, stack.m
-        self._table = _subset_table(stack, ranking(procedure))
-        covered = _close(_rejects(stack, *self._table))
-        self.rejections = [_closed_rejections(row, self.m) for row in covered]
-        self.consonance_witnesses = [
-            _consonance_witness(row, self.m, rejected)
-            for row, rejected in zip(covered, self.rejections)]
+        self._subsets, rejected = _decide(stack, ranking(procedure))
+        perm, *_, code = self._subsets
+        covered = _close(rejected)
+        kept = _singletons(covered)
+        self.consonance_witnesses = _witnesses(covered, kept, code)
+        # bit k of a code stands for rank m-1-k
+        self.rejections = np.empty_like(kept)
+        np.put_along_axis(self.rejections, perm[:, ::-1], ~kept, axis=1)
 
     @cached_property
     def monotonicity_counterexamples(self) -> List[Optional[Tuple]]:
-        return _counterexamples(self._stack, self.procedure, self._table)
+        perm, _, total, code = self._subsets
+        return _counterexamples(self._stack, self.procedure,
+                                _mask_totals(total, code), perm)
 
 
 def random_corpus(count: int, seed: int, m_max: int = 8,

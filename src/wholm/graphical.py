@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -221,16 +221,18 @@ def run_graphical(problem: TestingProblem,
             GraphTrace(steps=tuple(steps)))
 
 
-def graph_rejections(stack: ProblemStack,
-                     ordering: OrderingKey) -> List[FrozenSet[int]]:
+def graph_rejections(stack: ProblemStack, ordering: OrderingKey) -> np.ndarray:
     """`run_graphical(problem, ordering)`'s rejections for every problem of
-    a stack, from one walk."""
+    a stack, from one walk, as a (P, m) bool array in hypothesis order."""
     p, w, alpha = stack
     perm, steps = _walk(p, w, alpha[:, None], ordering)
     count = np.zeros(len(perm), dtype=np.intp)
     for live, *_ in steps:
         count[live] += 1
-    return [frozenset(row[:c]) for row, c in zip(perm.tolist(), count.tolist())]
+    rejected = np.empty(perm.shape, dtype=bool)
+    np.put_along_axis(rejected, perm, np.arange(stack.m) < count[:, None],
+                      axis=1)
+    return rejected
 
 
 _MAX_DENOMINATOR = 10 ** 6

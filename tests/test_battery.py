@@ -49,7 +49,7 @@ def test_graph_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     def failing(stack, ordering):
         rejected = walk(stack, ordering)
         if stack.m in (2, 5):
-            return [frozenset({-1})] * len(rejected)
+            return ~rejected
         return rejected
 
     monkeypatch.setattr(battery, "graph_rejections", failing)

@@ -11,6 +11,7 @@ from wholm import (ConsonanceReport, Procedure, check_consonance,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
 from wholm import closure
 from wholm.closure import CapacityError, ClosedStack, random_corpus
+from wholm.core import OrderingKey
 from wholm.procedures import ProblemStack, ranking
 
 
@@ -323,9 +324,10 @@ def _tied_corpus(count, seed):
 
 
 def _stacked(problems):
-    """Per problem: the WHP and WAP closed rejections, consonance witnesses
-    and monotonicity counterexamples, each problem in one stack with every
-    other problem of its size."""
+    """Per problem: the WHP and WAP closed rejections (as the set of the
+    indices a row of `rejections` holds), consonance witnesses and
+    monotonicity counterexamples, each problem in one stack with every other
+    problem of its size."""
     groups = defaultdict(list)
     for index, problem in enumerate(problems):
         groups[problem.m].append(index)
@@ -334,10 +336,13 @@ def _stacked(problems):
         for procedure in (Procedure.WHP, Procedure.WAP):
             closed = ClosedStack(
                 ProblemStack.of([problems[i] for i in indices]), procedure)
-            for index, *row in zip(indices, closed.rejections,
-                                   closed.consonance_witnesses,
-                                   closed.monotonicity_counterexamples):
-                out[index] += row
+            assert closed.rejections.dtype == bool
+            assert closed.rejections.shape == (len(indices), closed.m)
+            for index, rejected, *row in zip(
+                    indices, closed.rejections, closed.consonance_witnesses,
+                    closed.monotonicity_counterexamples):
+                out[index] += [frozenset(np.flatnonzero(rejected).tolist()),
+                               *row]
     return out
 
 
@@ -380,26 +385,29 @@ class TestStacks:
         # perturbed totals break monotonicity often; the stacked search must
         # name each row's first single-removal violation, in the order
         # removed hypothesis, then I, then i.  WHP reads random totals; WAP
-        # keeps the real first-ranked members and scales a fifth of the
-        # real totals down
+        # keeps the real ranking, whose first member in a mask is the one
+        # it shares alpha with, and scales a fifth of the real totals down
         gen = np.random.default_rng(64)
         m, rows = 4, 40
         stack = ProblemStack(gen.uniform(size=(rows, m)),
                              gen.uniform(0.5, 2.0, size=(rows, m)),
                              np.full(rows, 0.05))
+        perm, _, total, code = closure._all_subsets(stack, ranking(procedure))
         if procedure is Procedure.WHP:
             total = gen.uniform(0.5, 8.0, size=(rows, (1 << m) - 1))
-            first = np.zeros(total.shape, dtype=np.intp)
         else:
-            total, first = closure._subset_table(stack, ranking(procedure))
+            total = closure._mask_totals(total, code)
             scaled = gen.uniform(size=total.shape) < 0.2
             total[scaled] *= gen.uniform(0.3, 1.0, size=int(scaled.sum()))
-        found = closure._counterexamples(stack, procedure, (total, first))
+        found = closure._counterexamples(stack, procedure, total, perm)
         for r in range(rows):
+            rank = perm[r].tolist()
+
             def share(mask, i):
                 if not mask >> i & 1:
                     return np.inf
-                if procedure is Procedure.WAP and first[r, mask - 1] != i:
+                if procedure is Procedure.WAP and i != next(
+                        j for j in rank if mask >> j & 1):
                     return 0.0
                 return stack.w[r, i] * 0.05 / total[r, mask - 1]
             expected = next(((big, big ^ 1 << j, i, share(big, i),
@@ -411,6 +419,95 @@ class TestStacks:
                             None)
             assert found[r] == expected
         assert sum(f is not None for f in found) > rows // 2
+
+
+def _mask_order_rejects(stack, key):
+    """The local rule in index-mask order, the reference for `_decide`: the
+    total of every nonempty mask gathered from `_all_subsets`' codes, its
+    first-ranked member (the member of smallest rank) and that member's p/w
+    gathered by index, times the total, at most alpha."""
+    perm, _, total, code = closure._all_subsets(stack, key)
+    m = stack.m
+    rows = np.arange(len(perm))[:, None]
+    total = total[rows, code[:, 1:].astype(np.intp)]
+    member = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1) == 1
+    rank = np.argsort(perm, axis=1)
+    first = np.where(member, rank[:, None, :], m).argmin(axis=2)
+    return (stack.p / stack.w)[rows, first] * total <= stack.alpha[:, None]
+
+
+def _brute_closure(accepted, code):
+    """(covered, rejections, witnesses) of (P, 2^m) accepted tables whose
+    column code[r, I] holds row r's index mask I, by definition: I is
+    covered iff some accepted J contains it (the empty set counted as
+    accepted), hypothesis i is rejected iff {i} is not covered, and the
+    witness is the smallest uncovered mask holding no rejected hypothesis."""
+    count, size = accepted.shape
+    m = size.bit_length() - 1
+    masks = np.arange(size)
+    superset = (masks[:, None] & masks) == masks  # [J, I]: J contains I
+    by_mask = np.take_along_axis(accepted, code, axis=1)
+    by_mask[:, 0] = True
+    covered = (by_mask.astype(float) @ superset) > 0
+    rejected = ~covered[:, 1 << np.arange(m)]
+    witnesses = []
+    for row, rej in zip(covered, rejected):
+        held = (masks[:, None] >> np.arange(m) & 1).astype(bool)
+        ok = ~row & ~(held & rej).any(axis=1)
+        witnesses.append(int(np.argmax(ok)) if ok.any() else None)
+    return covered, rejected, witnesses
+
+
+class TestCodeSpace:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_packed_closure_equals_the_superset_scan(self, m):
+        # random tables, rows mostly rejecting so that many violate
+        # consonance, each in its own random bit order (a rank-space code)
+        gen = np.random.default_rng(100 + m)
+        witnesses = 0
+        for count in (1, 2, 7, 64, 70):
+            size = 1 << m
+            rejected = gen.uniform(size=(count, size)) < gen.uniform(
+                0.5, 1.0, size=(count, 1))
+            code = np.zeros((count, size), dtype=np.intp)
+            for r in range(count):
+                bits = 1 << gen.permutation(m)
+                code[r] = ((np.arange(size)[:, None] >> np.arange(m) & 1)
+                           * bits).sum(axis=1)
+            covered = closure._close(rejected)
+            assert covered.dtype == bool and covered.shape == (count, size)
+            expected, rejections, found = _brute_closure(~rejected, code)
+            assert (np.take_along_axis(covered, code, axis=1)
+                    == expected).all()
+            kept = closure._singletons(covered)
+            assert (kept == covered[:, 1 << np.arange(m)]).all()
+            assert (np.take_along_axis(covered, code[:, 1 << np.arange(m)],
+                                       axis=1) == ~rejections).all()
+            assert closure._witnesses(covered, kept, code) == found
+            # in index-mask order, the table read as it is
+            direct = closure._close(np.take_along_axis(rejected, code, axis=1))
+            assert (direct == expected).all()
+            assert closure._witnesses(direct, closure._singletons(direct),
+                                      None) == found
+            witnesses += sum(w is not None for w in found)
+        if m > 1:
+            assert witnesses > 0
+
+    @pytest.mark.parametrize("corpus", [BOUNDARY_CORPUS, _tied_corpus(800, seed=61)],
+                             ids=["exact-boundary", "ties-and-zeros"])
+    @pytest.mark.parametrize("key", list(OrderingKey))
+    def test_decide_equals_the_mask_order_rule(self, corpus, key):
+        groups = defaultdict(list)
+        for problem in corpus:
+            groups[problem.m].append(problem)
+        for problems in groups.values():
+            stack = ProblemStack.of(problems)
+            (perm, _, total, code), rejected = closure._decide(stack, key)
+            assert rejected.shape == total.shape == (len(problems),
+                                                     1 << stack.m)
+            assert (np.take_along_axis(rejected, code[:, 1:].astype(np.intp),
+                                       axis=1)
+                    == _mask_order_rejects(stack, key)).all()
 
 
 class _PoisonedGenerator:

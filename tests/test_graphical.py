@@ -333,7 +333,8 @@ def _stacked_runs(problems, ordering):
     """Per problem, the steps of one `_walk` over its stack, with the
     problems stacked as the battery stacks them: the rejected index and the
     threshold (as `float.hex`) of each step and the rank-order graph after
-    it, and the stack's `graph_rejections`."""
+    it, and the stack's `graph_rejections` (as the set of the indices its
+    row holds)."""
     groups = defaultdict(list)
     for index, problem in enumerate(problems):
         groups[problem.m].append(index)
@@ -350,9 +351,10 @@ def _stacked_runs(problems, ordering):
                                                thresholds.tolist(), graphs):
                     out[r][0].append((int(perm[r, k]), threshold.hex()))
                     out[r][1].append(graph)
-            for index, run, rejected in zip(
-                    rows, out, graph_rejections(stack, ordering)):
-                runs[index] = run + (rejected,)
+            rejected = graph_rejections(stack, ordering)
+            assert rejected.dtype == bool and rejected.shape == perm.shape
+            for index, run, row in zip(rows, out, rejected):
+                runs[index] = run + (frozenset(np.flatnonzero(row).tolist()),)
     return runs
 
 
