@@ -9,8 +9,8 @@ A/A run of this checkout against itself.  The calls timed, with
 `perf_counter`, one at a time:
 
 - `run_simulation` at m = 10 and 20 (n = 15, reps = 100 and 2,000) and
-  `estimate_sharpness` for WHP and WAP at m = 10 (reps = 20,000), per
-  replicate;
+  `estimate_sharpness` for WHP and WAP at m = 10 and 3 (reps = 20,000),
+  per replicate, with weights evenly spaced over [1, 2];
 - `closure.random_corpus(2000, m_max=8)`, per call;
 - `battery.check_properties` on such a corpus, per problem, its two
   `graphical-equivalence-*` properties on their own over the same stacks
@@ -93,6 +93,8 @@ from time import perf_counter
 REPEATS = 21
 SIMULATION_SIZES = [(m, reps) for m in (10, 20) for reps in (100, 2000)]
 SHARPNESS_M, SHARPNESS_REPS = 10, 20_000
+# m of the `estimate_sharpness` rows; at 3 its per-row read-out weighs most
+SHARPNESS_SIZES = (SHARPNESS_M, 3)
 # one `simulate` cell through the CLI
 CLI_SIMULATE_M, CLI_SIMULATE_REPS = 10, 2000
 CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
@@ -192,16 +194,17 @@ def cases(wholm, tmp, values):
 
         add("montecarlo.run_simulation", "replicate",
             {"m": m, "n": 15, "reps": reps}, simulate, reps)
-    weights = np.linspace(1.0, 2.0, SHARPNESS_M)
-    for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
-        def sharpness(seed, procedure=procedure):
-            return lambda: wholm.estimate_sharpness(
-                procedure, weights, SHARPNESS_M, SHARPNESS_REPS,
-                np.random.default_rng(seed))
+    for m in SHARPNESS_SIZES:
+        for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
+            def sharpness(seed, procedure=procedure, m=m):
+                weights = np.linspace(1.0, 2.0, m)
+                return lambda: wholm.estimate_sharpness(
+                    procedure, weights, m, SHARPNESS_REPS,
+                    np.random.default_rng(seed))
 
-        add("montecarlo.estimate_sharpness", "replicate",
-            {"procedure": procedure.value, "m": SHARPNESS_M,
-             "reps": SHARPNESS_REPS}, sharpness, SHARPNESS_REPS)
+            add("montecarlo.estimate_sharpness", "replicate",
+                {"procedure": procedure.value, "m": m,
+                 "reps": SHARPNESS_REPS}, sharpness, SHARPNESS_REPS)
 
     add("closure.random_corpus", "call",
         {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX}, lambda seed: (
@@ -394,7 +397,7 @@ def cases(wholm, tmp, values):
         {"procedure": "whp", "m": SHARPNESS_M, "reps": SHARPNESS_REPS},
         lambda seed: run_cli([
             "sharpness", "--procedure", "whp", "--weights",
-            ",".join(map(repr, weights.tolist())),
+            ",".join(map(repr, np.linspace(1.0, 2.0, SHARPNESS_M).tolist())),
             "--reps", str(SHARPNESS_REPS), "--seed", str(seed)]))
 
     src = Path(wholm.__file__).parent.parent

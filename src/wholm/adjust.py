@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from .core import TestingProblem
 from .procedures import Procedure, adjust_rows, ranking
 
@@ -35,12 +33,11 @@ class AdjustedReport:
 
 
 def _report(problem: TestingProblem, procedure: Procedure) -> AdjustedReport:
-    perm, _, adjusted, rejected = adjust_rows([problem.p], [problem.w],
-                                              problem.alpha, ranking(procedure))
-    values = np.empty(problem.m)
-    values[perm[0]] = adjusted[0]
-    return AdjustedReport(values=tuple(values.tolist()),
-                          rejected=frozenset(perm[0][rejected[0]].tolist()))
+    *_, adjusted, rejected = adjust_rows([problem.p], [problem.w],
+                                         problem.alpha, ranking(procedure))
+    return AdjustedReport(
+        values=tuple(adjusted[0].tolist()),
+        rejected=frozenset(rejected[0].nonzero()[0].tolist()))
 
 
 def adjusted_whp(problem: TestingProblem) -> AdjustedReport:

@@ -82,8 +82,8 @@ import numpy as np
 
 from .core import (OrderingKey, RejectionSet, TestingProblem, check_alpha,
                    validate_problem)
-from .procedures import (Procedure, ProblemStack, adjust_rows, rank_rows,
-                         ranking)
+from .procedures import (Procedure, ProblemStack, adjust_rows, rank_index,
+                         rank_rows, ranking)
 
 MAX_CTP_HYPOTHESES = 20
 # Trials in the first chunk of the p-value monotonicity search.
@@ -161,19 +161,19 @@ def _all_subsets(stack: ProblemStack, key: OrderingKey):
     tilde = p / w
     perm = rank_rows(p, tilde, key)
     count, m = perm.shape
-    rows = np.arange(count)[:, None]
+    flat = rank_index(perm)
     code_bit = np.empty_like(perm)
-    code_bit[rows, perm] = _layout(m)[0][::-1]
+    code_bit.put(flat, _layout(m)[0][::-1])
     # Step q adds the weight at rank m-1-q to the totals of codes below 2^q,
     # and hypothesis q's code bit to the codes of index masks below 2^q (the
     # masks in [2^q, 2^(q+1)) hold q).  Codes are below 2^m and so exact in
     # float64; the totals (rows below `count`) and the codes (rows from
     # `count`) take one add per step together.
-    steps = np.concatenate([w[rows, perm][:, ::-1], code_bit]).T[:, :, None]
+    steps = np.concatenate([w.take(flat)[:, ::-1], code_bit]).T[:, :, None]
     table = np.zeros((2 * count, 1 << m))
     for q, step in enumerate(steps):
         np.add(table[:, :1 << q], step, out=table[:, 1 << q:2 << q])
-    return perm, tilde[rows, perm], table[:count], table[count:]
+    return perm, tilde.take(flat), table[:count], table[count:]
 
 
 def _check_ctp_size(m: int) -> None:
@@ -210,7 +210,7 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
     `procedures.adjust_rows`: its stable ranking orders the members as the
     full ranking does, its tail adds the same weights in the same order,
     and its adjusted value, capped at 1, is at most alpha < 1 iff the
-    product is."""
+    product is.  Rejections are a prefix: the first rejects iff any does."""
     masks = np.asarray(masks)
     if masks.size == 0:
         return np.zeros(masks.shape, dtype=bool)
@@ -231,7 +231,7 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
             group = np.flatnonzero(size == k)
             index = np.nonzero(member[group])[1].reshape(-1, k)
             rejected[group] = adjust_rows(stack.p[0, index], stack.w[0, index],
-                                          problem.alpha, key)[3][:, 0]
+                                          problem.alpha, key)[3].any(axis=1)
     return rejected.reshape(masks.shape)[()]
 
 
@@ -441,8 +441,8 @@ class ClosedStack:
       worked out from the same subset totals when first read.
 
     The decisions are made and closed in code space (`_decide`, `_close`),
-    and only the singletons and the witnesses are read back through each
-    row's codes.
+    and only the singletons, put in hypothesis order by `rank_index`, and
+    the witnesses, through each row's codes, are read back.
     """
 
     def __init__(self, stack: ProblemStack, procedure: Procedure):
@@ -453,9 +453,9 @@ class ClosedStack:
         covered = _close(rejected)
         kept = _singletons(covered)
         self.consonance_witnesses = _witnesses(covered, kept, code)
-        # bit k of a code stands for rank m-1-k
+        # bit k of a code stands for rank m-1-k: reversed, kept is by rank
         self.rejections = np.empty_like(kept)
-        np.put_along_axis(self.rejections, perm[:, ::-1], ~kept, axis=1)
+        self.rejections.put(rank_index(perm), ~kept[:, ::-1])
 
     @cached_property
     def monotonicity_counterexamples(self) -> List[Optional[Tuple]]:
@@ -522,7 +522,8 @@ def _search_trials(gen: np.random.Generator, trials: int):
 def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
                                        seed: int):
     """Randomized search for a pair q <= p (componentwise) where lowering the
-    p-values loses rejections.
+    p-values loses a rejection: some hypothesis rejected at p is kept at q,
+    whatever else is rejected at q.
 
     Returns (problem, lowered_problem) for the first violating trial, or
     None.  All trials are drawn before any is decided (`_search_trials`),
@@ -545,15 +546,13 @@ def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
     start, chunk = 0, SEARCH_FIRST_CHUNK
     while start < trials:
         stop = min(start + chunk, trials)
-        # one `adjust_rows` call over the p and q rows of each size; only
-        # the number of rejections per row is compared, so it is counted by
-        # rank
+        # one `adjust_rows` call over the p and q rows of each size, whose
+        # rejections in hypothesis order are compared as sets
         for m in np.unique(sizes[start:stop]).tolist():
             rows = start + np.flatnonzero(sizes[start:stop] == m)
-            counts = adjust_rows(np.concatenate([p[rows, :m], q[rows, :m]]),
-                                 np.concatenate([w[rows, :m]] * 2), 0.05,
-                                 key)[3].sum(axis=1)
-            lost[rows] = counts[rows.size:] < counts[:rows.size]
+            sets = adjust_rows(np.concatenate([p[rows, :m], q[rows, :m]]),
+                               np.concatenate([w[rows, :m]] * 2), 0.05, key)[3]
+            lost[rows] = (sets[:rows.size] & ~sets[rows.size:]).any(axis=1)
         if lost.any():
             t = int(lost.argmax())
             m = sizes[t]

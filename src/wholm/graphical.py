@@ -27,7 +27,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem
-from .procedures import ProblemStack, rank_rows
+from .procedures import ProblemStack, rank_index, rank_rows
 
 
 class GraphInvariantError(RuntimeError):
@@ -154,7 +154,7 @@ def _walk(p, w, alpha, key: OrderingKey):
     """
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
     perm = rank_rows(p, p / w, key)
-    flat = perm + np.arange(0, p.size, p.shape[1])[:, None]
+    flat = rank_index(perm)
     return perm, _steps(p.take(flat), _initial_graphs(w, alpha, flat), perm)
 
 
@@ -230,8 +230,7 @@ def graph_rejections(stack: ProblemStack, ordering: OrderingKey) -> np.ndarray:
     for live, *_ in steps:
         count[live] += 1
     rejected = np.empty(perm.shape, dtype=bool)
-    np.put_along_axis(rejected, perm, np.arange(stack.m) < count[:, None],
-                      axis=1)
+    rejected.put(rank_index(perm), np.arange(stack.m) < count[:, None])
     return rejected
 
 

@@ -241,19 +241,15 @@ def _check_block(values: np.ndarray, ok: np.ndarray, what: str,
 
 def _check_wap_within_whp(whp, wap, offset: int) -> None:
     """Raise RuntimeError naming the first replicate of a block, and the
-    indices, where WAP rejects a hypothesis WHP keeps; `whp` and `wap` are
-    the block's `adjust_rows` results.  Only WHP's rejections are scattered
-    back to index order, and read at WAP's ranks."""
-    (whp_perm, _, _, whp_rejected), (wap_perm, _, _, wap_rejected) = whp, wap
-    rows = np.arange(len(whp_perm))[:, None]
-    whp_mask = np.empty_like(whp_rejected)
-    whp_mask[rows, whp_perm] = whp_rejected
-    wap_only = wap_rejected & ~whp_mask[rows, wap_perm]
+    indices in increasing order, where WAP rejects a hypothesis WHP keeps;
+    `whp` and `wap` are the block's (rows, m) rejections from `adjust_rows`,
+    in hypothesis order."""
+    wap_only = wap & ~whp
     if wap_only.any():
         r = int(np.argmax(wap_only.any(axis=1)))
         raise RuntimeError(
             f"WAP rejected a hypothesis WHP kept in replicate {offset + r}: "
-            f"{sorted(wap_perm[r][wap_only[r]].tolist())}")
+            f"{np.flatnonzero(wap_only[r]).tolist()}")
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
@@ -272,9 +268,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     Each block is decided as it is drawn, by one `t_sf` call and one
     `procedures.adjust_rows` call per procedure, and only the FWER counts
     and the power sums are carried to the next, so memory does not grow
-    with `reps`.  The counts are taken by rank: the true nulls are the first
-    m0 hypotheses, so a rank holds one where its index is below m0.  The
-    power terms are summed in replicate order as Python floats.  Each block
+    with `reps`.  The rejections come in hypothesis order, where the true
+    nulls are the first m0 columns and the false nulls the rest.  The power
+    terms are summed in replicate order as Python floats.  Each block
     is checked once before it is decided: a p-value outside [0, 1] (NaN
     included) or a weight that is not positive and finite raises
     ValueError, and a replicate where WAP rejects a hypothesis WHP keeps
@@ -296,23 +292,21 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
                      "p-value out of [0, 1]", offset)
         _check_block(weights, (weights > 0.0) & (weights < np.inf),
                      "weight must be positive and finite", offset)
-        decided = {
+        rejected = {
             Procedure.HOLM: adjust_rows(pvals, 1.0, config.alpha,
-                                        OrderingKey.WEIGHTED),
+                                        OrderingKey.WEIGHTED)[3],
             Procedure.WHP: adjust_rows(pvals, weights, config.alpha,
-                                       OrderingKey.WEIGHTED),
+                                       OrderingKey.WEIGHTED)[3],
             Procedure.WAP: adjust_rows(pvals, weights, config.alpha,
-                                       OrderingKey.RAW),
+                                       OrderingKey.RAW)[3],
         }
-        _check_wap_within_whp(decided[Procedure.WHP], decided[Procedure.WAP],
+        _check_wap_within_whp(rejected[Procedure.WHP], rejected[Procedure.WAP],
                               offset)
-        for proc, (perm, _, _, rejected) in decided.items():
-            # the true nulls are hypotheses 0..m0-1, so by rank where perm < m0
-            null = perm < m0
-            familywise[proc] += int((rejected & null).any(axis=1).sum())
+        for proc, mask in rejected.items():
+            familywise[proc] += int(mask[:, :m0].any(axis=1).sum())
             power_sum = power_sums[proc]
             if m1:
-                for k in (rejected & ~null).sum(axis=1).tolist():
+                for k in mask[:, m0:].sum(axis=1).tolist():
                     power_sum += k / m1
             power_sums[proc] = power_sum
         offset += len(pvals)
@@ -423,8 +417,8 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     not grow with `reps`.  A block's p-values are checked once, before it
     is decided: one outside [0, 1] (NaN included) raises ValueError naming
     its replicate and hypothesis.  A replicate counts when its first-ranked
-    hypothesis is rejected, since the rejections are a prefix of the
-    ranking.
+    hypothesis is rejected, one read per row, since the rejections are a
+    prefix of the ranking.
     """
     w = np.asarray(weights, dtype=float)
     check_weights(w.tolist())
@@ -444,7 +438,9 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         block, _ = _lfc_batch(w, tau, gen, min(SHARPNESS_BLOCK_ROWS, reps - start))
         _check_block(block, (block >= 0.0) & (block <= 1.0),
                      "p-value out of [0, 1]", start)
-        hits += int(np.count_nonzero(adjust_rows(block, w, alpha, key)[3][:, 0]))
+        perm, _, _, rejected = adjust_rows(block, w, alpha, key)
+        hits += int(np.count_nonzero(rejected[np.arange(len(block)),
+                                              perm[:, 0]]))
     fwer = hits / reps
     return SharpnessEstimate(fwer=fwer, se=math.sqrt(fwer * (1.0 - fwer) / reps),
                              reps=reps)

@@ -15,7 +15,8 @@ testing and the graph use.  The adjusted reports and `whp_stepdown`,
 `wap_stepdown` and `holm_stepdown` are one-row calls of it, the step-downs
 with a trace of raw-scale thresholds w*alpha/tail.  The Monte Carlo engine
 and the witness searches check their own input once and call `adjust_rows`
-directly, counting by rank.
+directly.  Decisions pass between modules in hypothesis order, moved there
+from rank order by one flat index, `rank_index`.
 `ProblemStack` holds same-size problems as the arrays that every stacked
 kernel reads.
 """
@@ -76,29 +77,37 @@ class ProblemStack(NamedTuple):
         return self.p.shape[1]
 
 
+def rank_index(perm: np.ndarray) -> np.ndarray:
+    """The flat index into (R, m) arrays in hypothesis order of each rank of
+    the ranking `perm`: `take` reads by rank, `put` writes back."""
+    return perm + np.arange(0, perm.size, perm.shape[1])[:, None]
+
+
 def adjust_rows(p, w, alpha, key: OrderingKey):
     """Rank each row of `p` (R, m) by p/w (WEIGHTED) or p (RAW) with
-    `rank_rows`, and return four (R, m) arrays by rank: the index at each
-    rank, the tail weights (summed from the last rank upward), the adjusted
-    values and the rejections, adjusted value <= alpha, a prefix of each
-    row.  `w` and `alpha` (a scalar or an (R, 1) column) broadcast against
-    `p`, which is taken as valid."""
+    `rank_rows`, and return four (R, m) arrays: by rank, the index at each
+    rank and the tail weights (summed from the last rank upward); in
+    hypothesis order, the adjusted values and the rejections, adjusted value
+    <= alpha, which are a prefix of each row's ranking.  `w` and `alpha` (a
+    scalar or an (R, 1) column) broadcast against `p`, which is taken as
+    valid."""
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
     w = w if w.shape == p.shape else np.broadcast_to(w, p.shape)
     tilde = p / w
     perm = rank_rows(p, tilde, key)
-    rows = np.arange(p.shape[0])[:, None]
-    tails = np.cumsum(w[rows, perm][:, ::-1], axis=1)[:, ::-1]
+    flat = rank_index(perm)
+    tails = np.cumsum(w.take(flat)[:, ::-1], axis=1)[:, ::-1]
     # capping the running max equals capping at every step: min/max commute
-    adjusted = np.minimum(np.maximum.accumulate(tilde[rows, perm] * tails,
-                                                axis=1), 1.0)
+    adjusted = np.empty_like(tilde)
+    adjusted.put(flat, np.minimum(np.maximum.accumulate(
+        tilde.take(flat) * tails, axis=1), 1.0))
     return perm, tails, adjusted, adjusted <= alpha
 
 
 def _stepdown(p: Sequence[float], w: Sequence[float], alpha: float,
               key: OrderingKey) -> RejectionSet:
     perm, tails, _, rejected = adjust_rows([p], [w], alpha, key)
-    ranks = perm[0][rejected[0]].tolist()
+    ranks = perm[0][:np.count_nonzero(rejected)].tolist()
     # raw-scale thresholds, guaranteed in (0, 1)
     trace = tuple([(j + 1, i, w[i] * alpha / tail) for j, (i, tail)
                    in enumerate(zip(ranks, tails[0].tolist()))])

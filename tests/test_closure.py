@@ -589,6 +589,24 @@ class TestPvalueMonotonicitySearch:
         assert find_pvalue_monotonicity_violation(Procedure.WHP,
                                                   trials=10_000, seed=7) is None
 
+    def test_a_swapped_rejection_is_a_witness(self, monkeypatch):
+        # lowering H1 and H3 makes WAP reject {H3} where it rejected {H4}:
+        # as many rejections, but H4 is lost.  WHP rejects {H4} at p and
+        # all four at q.
+        p = [0.016673, 0.033692, 0.016612, 0.014865, 0.0]
+        q = [0.008372, 0.033692, 0.004519, 0.014865, 0.0]
+        w = [2.36, 4.401, 2.229, 9.13, 0.0]
+        monkeypatch.setattr(closure, "_search_trials", lambda gen, trials: (
+            np.array([4]), np.array([p]), np.array([q]), np.array([w])))
+        problem, lowered = find_pvalue_monotonicity_violation(
+            Procedure.WAP, trials=1, seed=7)
+        assert (problem.p, lowered.p, problem.w) == (
+            tuple(p[:4]), tuple(q[:4]), tuple(w[:4]))
+        assert wap_stepdown(problem).rejected == {3}
+        assert wap_stepdown(lowered).rejected == {2}
+        assert find_pvalue_monotonicity_violation(Procedure.WHP, trials=1,
+                                                  seed=7) is None
+
     @pytest.mark.parametrize("trials", [0, -5])
     @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
     def test_trials_below_one_raise(self, procedure, trials):
@@ -644,13 +662,14 @@ class TestPvalueMonotonicitySearch:
 @lru_cache(maxsize=None)
 def _per_trial_search(procedure, trials, seed):
     """The p-value monotonicity search deciding the same drawn trials one at
-    a time with the step-downs: the reference for the chunked search."""
+    a time with the step-downs, comparing their rejection sets: the
+    reference for the chunked search."""
     stepdown = {Procedure.WHP: whp_stepdown, Procedure.WAP: wap_stepdown}[procedure]
     sizes, p, q, w = closure._search_trials(np.random.default_rng(seed), trials)
     for m, p_t, q_t, w_t in zip(sizes.tolist(), p, q, w):
         labels = [f"H{i + 1}" for i in range(m)]
         problem = validate_problem(labels, p_t[:m], w_t[:m], 0.05)
         lowered = validate_problem(labels, q_t[:m], w_t[:m], 0.05)
-        if len(stepdown(lowered).rejected) < len(stepdown(problem).rejected):
+        if not stepdown(problem).rejected <= stepdown(lowered).rejected:
             return problem, lowered
     return None

@@ -7,9 +7,10 @@ from scipy.integrate import quad
 from test_procedures import index_masks
 from wholm import (DegenerateSampleError, OrderingKey, Procedure,
                    SimulationConfig, WeightScenario, estimate_sharpness,
-                   lfc_stepdown_falsifier, rng_new, run_simulation,
-                   sample_equicorrelated, t_sf, weight_scenario, whp_stepdown,
-                   validate_problem)
+                   holm_stepdown, lfc_stepdown_falsifier, rng_new,
+                   run_simulation, sample_equicorrelated, t_sf,
+                   validate_problem, wap_stepdown, weight_scenario,
+                   whp_stepdown)
 from wholm import montecarlo
 from wholm.montecarlo import _lfc_batch
 from wholm.procedures import ranking
@@ -412,9 +413,9 @@ class TestRunSimulation:
             run_simulation(self.BLOCKED)
 
     @pytest.mark.parametrize("m, pi0", [(5, 0.4), (10, 0.8), (20, 0.5)])
-    def test_rank_counts_equal_the_index_masks(self, m, pi0):
-        # the rank-space counts against the index-order masks
-        # on the same seeded blocks, counted as the masks were
+    def test_counts_equal_the_one_row_stepdowns(self, m, pi0):
+        # the block counts against the step-downs run one replicate at a
+        # time on the same seeded blocks
         for rho, scenario, seed in ((0.0, WeightScenario.S1, 3),
                                     (0.5, WeightScenario.S2, 4),
                                     (0.5, WeightScenario.S3, 5),
@@ -422,7 +423,8 @@ class TestRunSimulation:
             config = SimulationConfig(m=m, pi0=pi0, rho=rho, n=15, mu_alt=0.7,
                                       alpha=0.05, reps=300,
                                       weight_scenario=scenario, seed=seed)
-            assert run_simulation(config).records == _records_by_masks(config)
+            assert (run_simulation(config).records
+                    == _records_by_stepdowns(config))
 
     def test_zero_variance_sample_redrawn_once(self, monkeypatch):
         real = montecarlo.sample_equicorrelated
@@ -451,27 +453,25 @@ class TestRunSimulation:
             run_simulation(config)
 
 
-def _records_by_masks(config):
-    """A cell's records decided by `adjust_rows`'s masks in index order,
-    the reference for `run_simulation`'s counts by rank."""
+def _records_by_stepdowns(config):
+    """A cell's records decided replicate by replicate by the one-row
+    `whp_stepdown`, `wap_stepdown` and `holm_stepdown` of its p-values and
+    weights: the reference for `run_simulation`'s block counts."""
     m0, m1 = config.m0, config.m - config.m0
+    labels = [f"H{i + 1}" for i in range(config.m)]
     familywise = dict.fromkeys(Procedure, 0)
     power_sums = dict.fromkeys(Procedure, 0.0)
     for weights, tstats, _ in montecarlo._draw_blocks(config):
         pvals = t_sf(tstats, config.n - 1)
-        masks = {
-            Procedure.HOLM: index_masks(pvals, 1.0, config.alpha,
-                                        OrderingKey.WEIGHTED),
-            Procedure.WHP: index_masks(pvals, weights, config.alpha,
-                                       OrderingKey.WEIGHTED),
-            Procedure.WAP: index_masks(pvals, weights, config.alpha,
-                                       OrderingKey.RAW),
-        }
-        assert not (masks[Procedure.WAP] & ~masks[Procedure.WHP]).any()
-        for proc, mask in masks.items():
-            familywise[proc] += int(mask[:, :m0].any(axis=1).sum())
-            for k in mask[:, m0:].sum(axis=1).tolist():
-                power_sums[proc] += k / m1
+        for p, w in zip(pvals.tolist(), weights.tolist()):
+            problem = validate_problem(labels, p, w, config.alpha)
+            sets = {Procedure.HOLM: holm_stepdown(p, config.alpha).rejected,
+                    Procedure.WHP: whp_stepdown(problem).rejected,
+                    Procedure.WAP: wap_stepdown(problem).rejected}
+            assert sets[Procedure.WAP] <= sets[Procedure.WHP]
+            for proc, rejected in sets.items():
+                familywise[proc] += any(i < m0 for i in rejected)
+                power_sums[proc] += sum(i >= m0 for i in rejected) / m1
     records = {}
     for proc in Procedure:
         fwer = familywise[proc] / config.reps

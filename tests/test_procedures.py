@@ -180,9 +180,8 @@ def _scalar_masks(p, w, alpha):
 
 
 def index_masks(p, w, alpha, key):
-    """`adjust_rows`'s rejections by rank, scattered to index order."""
-    perm, _, _, rejected = adjust_rows(p, w, alpha, key)
-    return np.take_along_axis(rejected, np.argsort(perm, axis=1), axis=1)
+    """`adjust_rows`'s rejections, in index order."""
+    return adjust_rows(p, w, alpha, key)[3]
 
 
 def _kernel_masks(p, w, alpha):
@@ -339,15 +338,16 @@ def test_kernel_equals_the_python_adjustment_bit_for_bit(key, adjusted_report):
                            key)
         for r, problem in enumerate(problems):
             perm, tails, adjusted = _python_rank_adjusted(problem, key)
+            # the adjusted values gathered from rank to index order
+            by_index = [adjusted[perm.index(i)] for i in range(problem.m)]
             one = adjust_rows([problem.p], [problem.w], problem.alpha, key)
             for got in (one, [part[r:r + 1] for part in rows]):
                 assert tuple(got[0][0].tolist()) == perm
                 assert _bits(got[1][0]) == _bits(tails)
-                assert _bits(got[2][0]) == _bits(adjusted), problem
+                assert _bits(got[2][0]) == _bits(by_index), problem
                 assert got[3][0].tolist() == [
-                    value <= problem.alpha for value in adjusted]
+                    value <= problem.alpha for value in by_index]
             report = adjusted_report(problem)
-            assert report.rejected == {i for i, value in zip(perm, adjusted)
+            assert report.rejected == {i for i, value in enumerate(by_index)
                                        if value <= problem.alpha}
-            assert _bits(report.values) == _bits(
-                [adjusted[perm.index(i)] for i in range(problem.m)])
+            assert _bits(report.values) == _bits(by_index)
