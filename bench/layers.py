@@ -14,7 +14,9 @@ A/A run of this checkout against itself.  The calls timed, with
 - `closure.random_corpus(2000, m_max=8)`, per call;
 - `battery.check_properties` on such a corpus, per problem, its two
   `graphical-equivalence-*` properties on their own over the same stacks
-  (built untimed, as `check_properties` builds them), per problem, and
+  (built untimed, as each side's `check_properties` builds them: in stacks
+  of `PROPERTY_STACK_ROWS` problems, or of `PROPERTY_STACK_CELLS >> m` in
+  the layout that replaced it), per problem, and
   `battery.run_check_battery(2000)`, per call;
 - `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
   trials, per call;
@@ -36,8 +38,8 @@ A/A run of this checkout against itself.  The calls timed, with
   and 16, both with each local test at m = 10 and 12 (`oracle-check`'s
   median ops), and `check_monotonicity_condition` (WHP) at m = 12, 16 and
   20, per call;
-- `closure.ClosedStack` for WHP and for WAP on a stack of
-  `battery.PROPERTY_STACK_ROWS` (64) problems at m = 8, per call, with the
+- `closure.ClosedStack` for WHP and for WAP on a stack of 64 problems at
+  m = 8, the battery's stack at that size, per call, with the
   `ProblemStack` built untimed;
 - `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
   on 100,000 at m = 21, per call;
@@ -111,7 +113,7 @@ DOT_STAGES_M = 30
 CLOSURE_SIZES = (8, 14, 16)
 # m of the one-row `ctp` and `check_consonance` calls under both local tests
 BOTH_TESTS_SIZES = (10, 12)
-CLOSED_STACK_M = 8
+CLOSED_STACK_M, CLOSED_STACK_ROWS = 8, 64
 MONOTONICITY_SIZES = (12, 16, 20)
 # (m, number of masks) of the direct local-test calls
 LOCAL_TEST_CALLS = ((16, 1), (16, 1000), (21, 100_000))
@@ -218,20 +220,31 @@ def cases(wholm, tmp, values):
         {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX}, check_properties,
         CORPUS_SIZE)
 
-    def graph_properties(seed):
-        problems = corpus(seed)
+    # the stacks of `check_properties`: before the cell budget, lists of
+    # problems cut into `PROPERTY_STACK_ROWS`; since, `battery._stacks`
+    by_rows = hasattr(battery, "PROPERTY_STACK_ROWS")
+
+    def battery_stacks(problems):
+        if not by_rows:
+            return [battery._Stack(arrays) for _, arrays in
+                    battery._stacks(battery._flatten(problems))]
         rows, stacks = battery.PROPERTY_STACK_ROWS, []
         for m in sorted({problem.m for problem in problems}):
             group = [problem for problem in problems if problem.m == m]
             stacks += [battery._Stack(group[start:start + rows])
                        for start in range(0, len(group), rows)]
+        return stacks
+
+    def graph_properties(seed):
+        built = battery_stacks(corpus(seed))
         holds = [holds for name, holds in battery.PROPERTIES
                  if name.startswith("graphical-equivalence-")]
-        return lambda: [check(stack) for stack in stacks for check in holds]
+        return lambda: [check(stack) for stack in built for check in holds]
 
     add("battery.graph_properties", "problem",
         {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX,
-         "stack_rows": battery.PROPERTY_STACK_ROWS},
+         **({"stack_rows": battery.PROPERTY_STACK_ROWS} if by_rows else
+            {"stack_cells": battery.PROPERTY_STACK_CELLS})},
         graph_properties, CORPUS_SIZE)
     add("battery.run_check_battery", "call", {"trials": CORPUS_SIZE},
         lambda seed: lambda: battery.run_check_battery(CORPUS_SIZE, seed))
@@ -339,14 +352,14 @@ def cases(wholm, tmp, values):
                         lambda P=problem(seed, m): run(P, test)))
     for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
         def closed_stack(seed, procedure=procedure):
-            rows = battery.PROPERTY_STACK_ROWS
+            rows = CLOSED_STACK_ROWS
             stack = wholm.procedures.ProblemStack.of([
                 problem(seed * rows + r, CLOSED_STACK_M) for r in range(rows)])
             return lambda: wholm.closure.ClosedStack(stack, procedure)
 
         add("closure.ClosedStack", "call",
             {"procedure": procedure.value, "m": CLOSED_STACK_M,
-             "rows": battery.PROPERTY_STACK_ROWS}, closed_stack)
+             "rows": CLOSED_STACK_ROWS}, closed_stack)
     for m in MONOTONICITY_SIZES:
         add("closure.check_monotonicity_condition", "call",
             {"procedure": "whp", "m": m}, lambda seed, m=m: (

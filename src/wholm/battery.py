@@ -5,14 +5,19 @@ every problem: closed testing and the graph reproduce WHP and WAP, WAP
 rejects a subset of what WHP rejects (decisions and adjusted values), both
 procedures are consonant, and WHP meets the monotonicity condition.
 `check_properties` checks every claim on every problem of a corpus and names
-the first violating problem of each.  `run_check_battery` runs it on a
-seeded `closure.random_corpus`, drawn as three arrays, and adds the two
-randomized p-value monotonicity searches, each of which draws all its
-trials before it decides any.
+the first violating problem of each.  `run_check_battery` runs the same
+checks on a seeded `closure.random_corpus`, read as the arrays it is drawn
+as, and adds the two randomized p-value monotonicity searches, each of
+which draws all its trials before it decides any.
 
-The corpus is evaluated in stacks: its problems are grouped by m, and each
-group is cut into stacks of at most `PROPERTY_STACK_ROWS` problems, turned
-into one `procedures.ProblemStack` of arrays that every oracle reads.  The
+The corpus is evaluated in stacks, as arrays: `check_properties` flattens
+its problems into one array of sizes, one of start offsets, the flat
+p-values and weights and one alpha per problem, and `run_check_battery`
+checks `closure._draw_corpus`'s arrays as they are drawn, building a
+`TestingProblem` only for a witness.  One helper, `_stacks`, groups the
+problems by m and cuts each group into stacks of at most
+`PROPERTY_STACK_CELLS >> m` problems, gathered into one
+`procedures.ProblemStack` of arrays that every oracle reads.  The
 closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
 `monotonicity-whp`) read one `closure.ClosedStack` per procedure per stack,
 built from one subset table and closed for all of the stack's problems at
@@ -30,24 +35,30 @@ is one numpy comparison per stack.  Witnesses are in corpus order.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, List, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .closure import (ClosedStack, find_pvalue_monotonicity_violation,
-                      random_corpus)
+from .closure import (ClosedStack, _draw_corpus, _labels,
+                      find_pvalue_monotonicity_violation)
 from .core import TestingProblem
 from .graphical import GraphInvariantError, graph_rejections
 from .procedures import Procedure, ProblemStack, adjust_rows, ranking
 
-# Problems evaluated together.  A stack's largest array is the (2 * rows, 2^m)
-# table of `closure._all_subsets`: 256 KB at 64 rows and m = 8.  With one
-# stack per size, `run_check_battery` peaked at 63.4 MB RSS at 2,000 trials
-# (57.8 MB at 64 rows) and at 92.5 MB at 10,000 (63.4 MB).  The stacks do
-# not change any result, only how many problems share a numpy call.
-PROPERTY_STACK_ROWS = 64
+# Problems evaluated together, counted in cells: a stack of problems with m
+# hypotheses holds at most PROPERTY_STACK_CELLS >> m of them, and at least
+# one.  A stack's largest array is the (2 * rows, 2^m) table of
+# `closure._all_subsets`, so up to m = 14 it stays within 2 * 2^14 floats,
+# 256 KB: 64 rows at m = 8, and at 2,000 problems about one stack per size
+# at m <= 6.  The stacks do not change any result, only how many problems
+# share a numpy call.
+PROPERTY_STACK_CELLS = 64 << 8
+
+# A corpus as flat arrays: the (N,) sizes and start offsets, the p-values
+# and weights of all problems one after another, and the (N,) alphas.
+_Corpus = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -75,18 +86,18 @@ def _adjusted_dominance(stack):
 
 
 class _Stack:
-    """The `ProblemStack` `arrays` of problems of one size and, under each
+    """A `ProblemStack` `arrays` of problems of one size and, under each
     procedure, their step-down rejections and adjusted values, both (P, m)
     in hypothesis order as `adjust_rows` returns them, and their
     `ClosedStack`."""
 
-    def __init__(self, problems: Sequence[TestingProblem]):
-        self.arrays = p, w, alpha = ProblemStack.of(problems)
+    def __init__(self, arrays: ProblemStack):
+        self.arrays = p, w, alpha = arrays
         self.rejected, self.adjusted, self.closed = {}, {}, {}
         for procedure in (Procedure.WHP, Procedure.WAP):
             *_, self.adjusted[procedure], self.rejected[procedure] = (
                 adjust_rows(p, w, alpha[:, None], ranking(procedure)))
-            self.closed[procedure] = ClosedStack(self.arrays, procedure)
+            self.closed[procedure] = ClosedStack(arrays, procedure)
 
 
 def _ctp_equivalence(procedure):
@@ -124,6 +135,56 @@ PROPERTIES = (
 )
 
 
+def _flatten(problems: Sequence[TestingProblem]) -> _Corpus:
+    """`problems` as a `_Corpus`."""
+    sizes = np.array([problem.m for problem in problems])
+    count = int(sizes.sum())
+    p = np.fromiter(chain.from_iterable(problem.p for problem in problems),
+                    float, count)
+    w = np.fromiter(chain.from_iterable(problem.w for problem in problems),
+                    float, count)
+    return (sizes, np.cumsum(sizes) - sizes, p, w,
+            np.array([problem.alpha for problem in problems]))
+
+
+def _stacks(corpus: _Corpus) -> Iterator[Tuple[np.ndarray, ProblemStack]]:
+    """The stacks of `corpus`, each as the corpus indices of its problems
+    and their `ProblemStack`.  The problems are grouped by m, the groups in
+    the order of their first problems, and each group is cut in corpus
+    order into stacks of `PROPERTY_STACK_CELLS >> m` problems, at least
+    one."""
+    sizes, starts, p, w, alpha = corpus
+    _, first = np.unique(sizes, return_index=True)
+    for m in sizes[np.sort(first)].tolist():
+        group = np.flatnonzero(sizes == m)
+        rows = max(PROPERTY_STACK_CELLS >> m, 1)
+        for start in range(0, group.size, rows):
+            index = group[start:start + rows]
+            cells = starts[index, None] + np.arange(m)
+            yield index, ProblemStack(p[cells], w[cells], alpha[index])
+
+
+def _check(corpus: _Corpus,
+           problem: Callable[[int], TestingProblem]) -> List[CheckResult]:
+    """`check_properties` on a nonempty `corpus`, whose problem k is
+    `problem(k)`, called for the witnesses only."""
+    violating = [[] for _ in PROPERTIES]
+    for rows, arrays in _stacks(corpus):
+        stack = _Stack(arrays)
+        try:
+            for found, (_, holds) in zip(violating, PROPERTIES):
+                found.extend(rows[np.logical_not(holds(stack))].tolist())
+        except GraphInvariantError as exc:
+            index = int(rows[exc.row])
+            raise GraphInvariantError(f"problem {index}: {exc}",
+                                      index) from None
+    count = len(corpus[0])
+    return [CheckResult(name, not found,
+                        f"{len(found)} violations over {count} problems",
+                        problem(min(found)) if found else None)
+            for (name, _), found in zip(PROPERTIES, violating)]
+
+
 def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
     """One result per entry of `PROPERTIES`, in table order, each with its
     violation count and its first violating problem in corpus order as the
@@ -132,25 +193,7 @@ def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
     degenerate graph update."""
     if not problems:
         raise ValueError("no problems to check")
-    groups = defaultdict(list)
-    for index, problem in enumerate(problems):
-        groups[problem.m].append(index)
-    violating = [[] for _ in PROPERTIES]
-    for indices in groups.values():
-        for start in range(0, len(indices), PROPERTY_STACK_ROWS):
-            rows = indices[start:start + PROPERTY_STACK_ROWS]
-            stack = _Stack([problems[i] for i in rows])
-            try:
-                for found, (_, holds) in zip(violating, PROPERTIES):
-                    found.extend(rows[k] for k in np.flatnonzero(
-                        np.logical_not(holds(stack))).tolist())
-            except GraphInvariantError as exc:
-                raise GraphInvariantError(f"problem {rows[exc.row]}: {exc}",
-                                          rows[exc.row]) from None
-    return [CheckResult(name, not found,
-                        f"{len(found)} violations over {len(problems)} problems",
-                        problems[min(found)] if found else None)
-            for (name, _), found in zip(PROPERTIES, violating)]
+    return _check(_flatten(problems), problems.__getitem__)
 
 
 def run_check_battery(trials: int, seed: int) -> List[CheckResult]:
@@ -159,7 +202,16 @@ def run_check_battery(trials: int, seed: int) -> List[CheckResult]:
     when it finds a witness, WHP's when it finds none."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
-    results = check_properties(random_corpus(trials, seed=seed, m_max=8))
+    alpha = 0.05
+    sizes, starts, p, w = _draw_corpus(trials, seed, 8, alpha)
+
+    def problem(k):
+        # as `random_corpus` cuts it
+        m, a = int(sizes[k]), int(starts[k])
+        return TestingProblem(_labels(m), tuple(p[a:a + m].tolist()),
+                              tuple(w[a:a + m].tolist()), alpha)
+
+    results = _check((sizes, starts, p, w, np.full(trials, alpha)), problem)
     for name, procedure, expected, found, none in (
             ("pvalue-monotonicity-violation-wap", Procedure.WAP, True,
              "counterexample found", f"no counterexample in {trials} trials"),

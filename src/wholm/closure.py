@@ -464,18 +464,15 @@ class ClosedStack:
                                 _mask_totals(total, code), perm)
 
 
-def random_corpus(count: int, seed: int, m_max: int = 8,
-                  alpha: float = 0.05) -> List[TestingProblem]:
-    """Seeded corpus of random problems: m uniform on {1..m_max}, p i.i.d.
-    U(0, 1) and weights i.i.d. U(0.5, 5).
+def _draw_corpus(count: int, seed: int, m_max: int, alpha: float):
+    """`random_corpus`'s draw as arrays: the (count,) sizes, the start of
+    each problem's values in the flat p-values and weights, and those two.
 
     All sizes are drawn first, then all p-values, then all weights, each in
-    one generator call, so `random_corpus(n, seed)[:k]` is not
-    `random_corpus(k, seed)`.  The arrays are checked once as
-    `validate_problem` checks each problem, and every problem equals
-    `validate_problem` on its labels, p, w and alpha.
+    one generator call.  The arrays are checked once as `validate_problem`
+    checks each problem: a bad value raises its ValueError, naming the
+    value's index in its problem.
     """
-    alpha = float(alpha)
     check_alpha(alpha)
     gen = np.random.default_rng(seed)
     sizes = gen.integers(1, m_max + 1, size=count)
@@ -489,10 +486,27 @@ def random_corpus(count: int, seed: int, m_max: int = 8,
         k = int(np.searchsorted(ends, ok.argmin(), side="right"))
         rows = slice(starts[k], ends[k])
         validate_problem(_labels(sizes[k]), p[rows], w[rows], alpha)
+    return sizes, starts, p, w
+
+
+def random_corpus(count: int, seed: int, m_max: int = 8,
+                  alpha: float = 0.05) -> List[TestingProblem]:
+    """Seeded corpus of random problems: m uniform on {1..m_max}, p i.i.d.
+    U(0, 1) and weights i.i.d. U(0.5, 5), cut from one `_draw_corpus`.
+
+    All sizes are drawn first, then all p-values, then all weights, so
+    `random_corpus(n, seed)[:k]` is not `random_corpus(k, seed)`.  Every
+    problem equals `validate_problem` on its labels, p, w and alpha.
+    `battery.run_check_battery` reads the same draw as arrays and builds a
+    problem only for a witness.
+    """
+    alpha = float(alpha)
+    sizes, starts, p, w = _draw_corpus(count, seed, m_max, alpha)
     labels = {m: _labels(m) for m in set(sizes.tolist())}
     p, w = p.tolist(), w.tolist()
     return [TestingProblem(labels[m], tuple(p[a:b]), tuple(w[a:b]), alpha)
-            for m, a, b in zip(sizes.tolist(), starts.tolist(), ends.tolist())]
+            for m, a, b in zip(sizes.tolist(), starts.tolist(),
+                               (starts + sizes).tolist())]
 
 
 def _labels(m: int) -> Tuple[str, ...]:

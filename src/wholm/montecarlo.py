@@ -162,6 +162,9 @@ class SimulationConfig:
         m0 = self.m * self.pi0
         if abs(m0 - round(m0)) > 1e-9:
             raise ValueError(f"m * pi0 must be an integer, got {m0}")
+        if not 0 < self.m0 < self.m:
+            raise ValueError("m * pi0 must leave at least one true and one "
+                             f"false null: m0 = {self.m0} of m = {self.m}")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must lie in [0, 1): {self.rho}")
         if self.n < 2:
@@ -305,9 +308,8 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         for proc, mask in rejected.items():
             familywise[proc] += int(mask[:, :m0].any(axis=1).sum())
             power_sum = power_sums[proc]
-            if m1:
-                for k in mask[:, m0:].sum(axis=1).tolist():
-                    power_sum += k / m1
+            for k in mask[:, m0:].sum(axis=1).tolist():
+                power_sum += k / m1
             power_sums[proc] = power_sum
         offset += len(pvals)
 

@@ -1,8 +1,44 @@
+from collections import Counter
+
 import pytest
 
-from wholm import battery
+from wholm import Procedure, battery
 from wholm.battery import PROPERTIES, check_properties, run_check_battery
-from wholm.closure import ClosedStack, random_corpus
+from wholm.closure import (ClosedStack, find_pvalue_monotonicity_violation,
+                           random_corpus)
+
+
+def _stack_counts(corpus):
+    """The number of the battery's stacks of each size m."""
+    return Counter(stack.m for _, stack in
+                   battery._stacks(battery._flatten(corpus)))
+
+
+def _ordered_corpus():
+    # The groups of sizes 7 and 8 each span two stacks or more.  The first
+    # problem of either size has m = 8 and comes before every m = 7 problem,
+    # so a runner that visited its groups in order of size would name
+    # another as the first violation of both.
+    corpus = random_corpus(1000, seed=7, m_max=8)
+    stacks = _stack_counts(corpus)
+    assert stacks[7] >= 2 and stacks[8] >= 2
+    violating = [i for i, problem in enumerate(corpus) if problem.m in (7, 8)]
+    assert corpus[violating[0]].m == 8
+    return corpus, violating
+
+
+class _LowFirstPValue(ClosedStack):
+    """Consonance fails, by its witnesses, on every problem whose first
+    p-value is below 0.2: problems of every size, in every stack."""
+
+    def __init__(self, stack, procedure):
+        super().__init__(stack, procedure)
+        self.consonance_witnesses = [1 if p < 0.2 else None
+                                     for p in stack.p[:, 0].tolist()]
+
+
+def _fields(results):
+    return [(r.name, r.passed, r.detail, repr(r.witness)) for r in results]
 
 
 def test_every_property_holds_up_to_ten_hypotheses():
@@ -15,17 +51,12 @@ def test_every_property_holds_up_to_ten_hypotheses():
 
 
 def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
-    # Each size group spans two stacks.  The first violating problem has
-    # m = 5 and comes before every m = 2 problem, so a runner that visited
-    # its groups in order of size would name another.
-    corpus = random_corpus(600, seed=5, m_max=8)
-    violating = [i for i, problem in enumerate(corpus) if problem.m in (2, 5)]
-    assert corpus[violating[0]].m == 5
-    assert sum(problem.m == 5 for problem in corpus) > battery.PROPERTY_STACK_ROWS
+    corpus, violating = _ordered_corpus()
+
     class Failing(ClosedStack):
         def __init__(self, stack, procedure):
             super().__init__(stack, procedure)
-            if self.m in (2, 5):
+            if self.m in (7, 8):
                 self.consonance_witnesses = [1] * len(self.rejections)
 
     monkeypatch.setattr(battery, "ClosedStack", Failing)
@@ -33,7 +64,7 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     for name in ("consonance-whp", "consonance-wap"):
         assert not results[name].passed
         assert results[name].detail == (
-            f"{len(violating)} violations over 600 problems")
+            f"{len(violating)} violations over 1000 problems")
         assert results[name].witness is corpus[violating[0]]
     assert [name for name, r in results.items() if not r.passed] == [
         "consonance-whp", "consonance-wap"]
@@ -41,14 +72,12 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
 
 def test_graph_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     # the same corpus, with the stacked graph kernel failing instead
-    corpus = random_corpus(600, seed=5, m_max=8)
-    violating = [i for i, problem in enumerate(corpus) if problem.m in (2, 5)]
-    assert corpus[violating[0]].m == 5
+    corpus, violating = _ordered_corpus()
     walk = battery.graph_rejections
 
     def failing(stack, ordering):
         rejected = walk(stack, ordering)
-        if stack.m in (2, 5):
+        if stack.m in (7, 8):
             return ~rejected
         return rejected
 
@@ -57,10 +86,46 @@ def test_graph_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     for name in ("graphical-equivalence-whp", "graphical-equivalence-wap"):
         assert not results[name].passed
         assert results[name].detail == (
-            f"{len(violating)} violations over 600 problems")
+            f"{len(violating)} violations over 1000 problems")
         assert results[name].witness is corpus[violating[0]]
     assert [name for name, r in results.items() if not r.passed] == [
         "graphical-equivalence-whp", "graphical-equivalence-wap"]
+
+
+@pytest.mark.parametrize("trials, seed", [
+    (1, 0), (1, 5), (7, 5), (7, 11), (2000, 0), (2000, 5)])
+def test_battery_checks_the_corpus_then_runs_both_searches(monkeypatch,
+                                                           trials, seed):
+    # the battery's arrays give what the problems of `random_corpus` give,
+    # with witnesses (built from the arrays) that equal its problems
+    monkeypatch.setattr(battery, "ClosedStack", _LowFirstPValue)
+    corpus = random_corpus(trials, seed=seed, m_max=8)
+    expected = _fields(check_properties(corpus))
+    searches = [find_pvalue_monotonicity_violation(procedure, trials, seed)
+                for procedure in (Procedure.WAP, Procedure.WHP)]
+    results = _fields(run_check_battery(trials, seed))
+    assert results[:len(PROPERTIES)] == expected
+    assert [(name, witness) for name, _, _, witness in
+            results[len(PROPERTIES):]] == [
+        ("pvalue-monotonicity-violation-wap", repr(searches[0])),
+        ("pvalue-monotonicity-whp", repr(searches[1]))]
+    if trials == 2000:
+        assert sum(not passed for _, passed, _, _ in expected) == 2
+
+
+@pytest.mark.parametrize("cells, stacks", [
+    (1, lambda corpus: len(corpus)),
+    (1 << 40, lambda corpus: len({problem.m for problem in corpus}))])
+def test_results_do_not_depend_on_the_stacks(monkeypatch, cells, stacks):
+    # one problem per stack, and one stack per size
+    monkeypatch.setattr(battery, "ClosedStack", _LowFirstPValue)
+    corpus = random_corpus(400, seed=13, m_max=9)
+    expected = _fields(check_properties(corpus))
+    assert (len({problem.m for problem in corpus})
+            < sum(_stack_counts(corpus).values()) < len(corpus))
+    monkeypatch.setattr(battery, "PROPERTY_STACK_CELLS", cells)
+    assert sum(_stack_counts(corpus).values()) == stacks(corpus)
+    assert _fields(check_properties(corpus)) == expected
 
 
 def test_nothing_passes_vacuously():

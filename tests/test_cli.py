@@ -435,6 +435,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config)]) == 2
         assert "scenario: no values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, pi0, m0", [(1, "1e-10", 0),
+                                            (1, "0.9999999999", 1)])
+    def test_no_true_or_no_false_null_is_data_error(self, tmp_path, capsys,
+                                                    m, pi0, m0):
+        config = tmp_path / "grid.cfg"
+        config.write_text(SIM_CONFIG.replace("m = 4", f"m = {m}").replace(
+            "pi0 = 0.5", f"pi0 = {pi0}"))
+        assert main(["simulate", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"at least one true and one false null: m0 = {m0} of m = {m}"
+                in captured.err)
+
     def test_seed_override_changes_results(self, tmp_path):
         config = tmp_path / "grid.cfg"
         config.write_text(SIM_CONFIG)

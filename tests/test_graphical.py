@@ -1,5 +1,4 @@
 import hashlib
-from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -13,7 +12,7 @@ from test_procedures import BOUNDARY_CORPUS
 from wholm import (OrderingKey, TransitionGraph, initial_graph,
                    reject_and_update, run_graphical, validate_problem,
                    wap_stepdown, whp_stepdown)
-from wholm.battery import PROPERTY_STACK_ROWS, check_properties
+from wholm.battery import _flatten, _stacks, check_properties
 from wholm.cli import main
 from wholm.closure import random_corpus
 from wholm.graphical import (GraphInvariantError, _coefficient_labels,
@@ -335,26 +334,19 @@ def _stacked_runs(problems, ordering):
     threshold (as `float.hex`) of each step and the rank-order graph after
     it, and the stack's `graph_rejections` (as the set of the indices its
     row holds)."""
-    groups = defaultdict(list)
-    for index, problem in enumerate(problems):
-        groups[problem.m].append(index)
     runs = [None] * len(problems)
-    for indices in groups.values():
-        for start in range(0, len(indices), PROPERTY_STACK_ROWS):
-            rows = indices[start:start + PROPERTY_STACK_ROWS]
-            stack = ProblemStack.of([problems[i] for i in rows])
-            perm, steps = _walk(stack.p, stack.w, stack.alpha[:, None],
-                                ordering)
-            out = [([], [], perm[r]) for r in range(len(rows))]
-            for k, (live, thresholds, graphs) in enumerate(steps):
-                for r, threshold, graph in zip(live.tolist(),
-                                               thresholds.tolist(), graphs):
-                    out[r][0].append((int(perm[r, k]), threshold.hex()))
-                    out[r][1].append(graph)
-            rejected = graph_rejections(stack, ordering)
-            assert rejected.dtype == bool and rejected.shape == perm.shape
-            for index, run, row in zip(rows, out, rejected):
-                runs[index] = run + (frozenset(np.flatnonzero(row).tolist()),)
+    for rows, stack in _stacks(_flatten(problems)):
+        perm, steps = _walk(stack.p, stack.w, stack.alpha[:, None], ordering)
+        out = [([], [], perm[r]) for r in range(len(rows))]
+        for k, (live, thresholds, graphs) in enumerate(steps):
+            for r, threshold, graph in zip(live.tolist(), thresholds.tolist(),
+                                           graphs):
+                out[r][0].append((int(perm[r, k]), threshold.hex()))
+                out[r][1].append(graph)
+        rejected = graph_rejections(stack, ordering)
+        assert rejected.dtype == bool and rejected.shape == perm.shape
+        for index, run, row in zip(rows.tolist(), out, rejected):
+            runs[index] = run + (frozenset(np.flatnonzero(row).tolist()),)
     return runs
 
 

@@ -208,6 +208,18 @@ class TestSimulationConfig:
                              alpha=0.05, reps=10,
                              weight_scenario=WeightScenario.S2, seed=1)
 
+    @pytest.mark.parametrize("m, pi0, m0", [
+        (1, 1e-10, 0), (1, 1.0 - 1e-10, 1), (3, 1e-12, 0),
+        (3, 1.0 - 1e-12, 3)])
+    def test_every_or_no_hypothesis_null_refused(self, m, pi0, m0):
+        # m * pi0 is within 1e-9 of an integer, but it leaves no false null
+        # (no power to estimate) or no true null (no familywise error)
+        message = f"one true and one false null: m0 = {m0} of m = {m}"
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(m=m, pi0=pi0, rho=0.0, n=15, mu_alt=0.7,
+                             alpha=0.05, reps=10,
+                             weight_scenario=WeightScenario.S2, seed=1)
+
     def test_reps_required(self):
         with pytest.raises(ValueError, match="reps"):
             SimulationConfig(m=5, pi0=0.4, rho=0.0, n=15, mu_alt=0.7,
