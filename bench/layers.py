@@ -14,10 +14,8 @@ A/A run of this checkout against itself.  The calls timed, with
 - `closure.random_corpus(2000, m_max=8)`, per call;
 - `battery.check_properties` on such a corpus, per problem, its two
   `graphical-equivalence-*` properties on their own over the same stacks
-  (built untimed, as each side's `check_properties` builds them: in stacks
-  of `PROPERTY_STACK_ROWS` problems, or of `PROPERTY_STACK_CELLS >> m` in
-  the layout that replaced it), per problem, and
-  `battery.run_check_battery(2000)`, per call;
+  (built untimed, as `check_properties` builds them, by `battery._stacks`),
+  per problem, and `battery.run_check_battery(2000)`, per call;
 - `closure.find_pvalue_monotonicity_violation` for WHP and WAP at 2,000
   trials, per call;
 - `core.load_problem_csv` of a problem CSV (written untimed) at m = 10,000,
@@ -220,31 +218,16 @@ def cases(wholm, tmp, values):
         {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX}, check_properties,
         CORPUS_SIZE)
 
-    # the stacks of `check_properties`: before the cell budget, lists of
-    # problems cut into `PROPERTY_STACK_ROWS`; since, `battery._stacks`
-    by_rows = hasattr(battery, "PROPERTY_STACK_ROWS")
-
-    def battery_stacks(problems):
-        if not by_rows:
-            return [battery._Stack(arrays) for _, arrays in
-                    battery._stacks(battery._flatten(problems))]
-        rows, stacks = battery.PROPERTY_STACK_ROWS, []
-        for m in sorted({problem.m for problem in problems}):
-            group = [problem for problem in problems if problem.m == m]
-            stacks += [battery._Stack(group[start:start + rows])
-                       for start in range(0, len(group), rows)]
-        return stacks
-
     def graph_properties(seed):
-        built = battery_stacks(corpus(seed))
+        built = [battery._Stack(arrays) for _, arrays in
+                 battery._stacks(battery._flatten(corpus(seed)))]
         holds = [holds for name, holds in battery.PROPERTIES
                  if name.startswith("graphical-equivalence-")]
         return lambda: [check(stack) for stack in built for check in holds]
 
     add("battery.graph_properties", "problem",
         {"problems": CORPUS_SIZE, "m_max": CORPUS_M_MAX,
-         **({"stack_rows": battery.PROPERTY_STACK_ROWS} if by_rows else
-            {"stack_cells": battery.PROPERTY_STACK_CELLS})},
+         "stack_cells": battery.PROPERTY_STACK_CELLS},
         graph_properties, CORPUS_SIZE)
     add("battery.run_check_battery", "call", {"trials": CORPUS_SIZE},
         lambda seed: lambda: battery.run_check_battery(CORPUS_SIZE, seed))

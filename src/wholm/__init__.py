@@ -13,9 +13,8 @@ from .core import (OrderingKey, RejectionSet, TestingProblem,
                    load_problem_csv, validate_problem)
 from .graphical import (GraphTrace, TransitionGraph, initial_graph,
                         reject_and_update, run_graphical)
-from .montecarlo import (DegenerateSampleError, LfcSample, Procedure,
-                         SimulationConfig, SimulationResult, WeightScenario,
-                         estimate_sharpness, lfc_stepdown_falsifier, rng_new,
-                         run_simulation, sample_equicorrelated, t_sf,
-                         weight_scenario)
-from .procedures import holm_stepdown, wap_stepdown, whp_stepdown
+from .montecarlo import (DegenerateSampleError, LfcSample, SimulationConfig,
+                         SimulationResult, WeightScenario, estimate_sharpness,
+                         lfc_stepdown_falsifier, rng_new, run_simulation,
+                         sample_equicorrelated, t_sf, weight_scenario)
+from .procedures import Procedure, holm_stepdown, wap_stepdown, whp_stepdown

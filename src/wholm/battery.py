@@ -13,8 +13,9 @@ which draws all its trials before it decides any.
 The corpus is evaluated in stacks, as arrays: `check_properties` flattens
 its problems into one array of sizes, one of start offsets, the flat
 p-values and weights and one alpha per problem, and `run_check_battery`
-checks `closure._draw_corpus`'s arrays as they are drawn, building a
-`TestingProblem` only for a witness.  One helper, `_stacks`, groups the
+checks `closure._draw_corpus`'s arrays as they are drawn, cutting a
+`TestingProblem` only for a witness, with the `closure._cut` that cuts
+every problem of `random_corpus`.  One helper, `_stacks`, groups the
 problems by m and cuts each group into stacks of at most
 `PROPERTY_STACK_CELLS >> m` problems, gathered into one
 `procedures.ProblemStack` of arrays that every oracle reads.  The
@@ -41,7 +42,7 @@ from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .closure import (ClosedStack, _draw_corpus, _labels,
+from .closure import (ClosedStack, _cut, _draw_corpus,
                       find_pvalue_monotonicity_violation)
 from .core import TestingProblem
 from .graphical import GraphInvariantError, graph_rejections
@@ -199,19 +200,15 @@ def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
 def run_check_battery(trials: int, seed: int) -> List[CheckResult]:
     """`check_properties` on `random_corpus(trials, seed, m_max=8)`, then
     both searches, each over `trials` trials drawn from `seed`: WAP's passes
-    when it finds a witness, WHP's when it finds none."""
+    when it finds a witness, WHP's when it finds none.  The corpus is
+    checked as the arrays `closure._draw_corpus` draws, and a witness is
+    cut from them by `closure._cut`, as `random_corpus` cuts it."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
     alpha = 0.05
-    sizes, starts, p, w = _draw_corpus(trials, seed, 8, alpha)
-
-    def problem(k):
-        # as `random_corpus` cuts it
-        m, a = int(sizes[k]), int(starts[k])
-        return TestingProblem(_labels(m), tuple(p[a:a + m].tolist()),
-                              tuple(w[a:a + m].tolist()), alpha)
-
-    results = _check((sizes, starts, p, w, np.full(trials, alpha)), problem)
+    draw = _draw_corpus(trials, seed, 8, alpha)
+    results = _check((*draw, np.full(trials, alpha)),
+                     lambda k: _cut(draw, alpha, [k])[0])
     for name, procedure, expected, found, none in (
             ("pvalue-monotonicity-violation-wap", Procedure.WAP, True,
              "counterexample found", f"no counterexample in {trials} trials"),

@@ -31,8 +31,9 @@ from .closure import ctp, wap_local_test, whp_local_test
 from .core import OrderingKey, load_problem_csv
 from .graphical import (GraphInvariantError, dot_stages, initial_graph,
                         run_graphical)
-from .montecarlo import (Procedure, SimulationConfig, WeightScenario,
-                         estimate_sharpness, rng_new, run_simulation)
+from .montecarlo import (SimulationConfig, WeightScenario, estimate_sharpness,
+                         rng_new, run_simulation)
+from .procedures import Procedure
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -80,8 +80,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import (OrderingKey, RejectionSet, TestingProblem, check_alpha,
-                   validate_problem)
+from .core import (OrderingKey, RejectionSet, TestingProblem, _check_block,
+                   _labels, check_alpha, validate_problem)
 from .procedures import (Procedure, ProblemStack, adjust_rows, rank_index,
                          rank_rows, ranking)
 
@@ -210,7 +210,8 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
     `procedures.adjust_rows`: its stable ranking orders the members as the
     full ranking does, its tail adds the same weights in the same order,
     and its adjusted value, capped at 1, is at most alpha < 1 iff the
-    product is.  Rejections are a prefix: the first rejects iff any does."""
+    product is.  Rejections are a prefix of the ranking, so a mask is
+    rejected iff its first-ranked member is."""
     masks = np.asarray(masks)
     if masks.size == 0:
         return np.zeros(masks.shape, dtype=bool)
@@ -230,8 +231,9 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
         for k in np.unique(size).tolist():
             group = np.flatnonzero(size == k)
             index = np.nonzero(member[group])[1].reshape(-1, k)
-            rejected[group] = adjust_rows(stack.p[0, index], stack.w[0, index],
-                                          problem.alpha, key)[3].any(axis=1)
+            perm, *_, hits = adjust_rows(stack.p[0, index], stack.w[0, index],
+                                         problem.alpha, key)
+            rejected[group] = hits[np.arange(group.size), perm[:, 0]]
     return rejected.reshape(masks.shape)[()]
 
 
@@ -492,25 +494,31 @@ def _draw_corpus(count: int, seed: int, m_max: int, alpha: float):
 def random_corpus(count: int, seed: int, m_max: int = 8,
                   alpha: float = 0.05) -> List[TestingProblem]:
     """Seeded corpus of random problems: m uniform on {1..m_max}, p i.i.d.
-    U(0, 1) and weights i.i.d. U(0.5, 5), cut from one `_draw_corpus`.
+    U(0, 1) and weights i.i.d. U(0.5, 5), all cut by `_cut` from one
+    `_draw_corpus`.
 
     All sizes are drawn first, then all p-values, then all weights, so
     `random_corpus(n, seed)[:k]` is not `random_corpus(k, seed)`.  Every
     problem equals `validate_problem` on its labels, p, w and alpha.
-    `battery.run_check_battery` reads the same draw as arrays and builds a
+    `battery.run_check_battery` reads the same draw as arrays and cuts a
     problem only for a witness.
     """
     alpha = float(alpha)
-    sizes, starts, p, w = _draw_corpus(count, seed, m_max, alpha)
+    return _cut(_draw_corpus(count, seed, m_max, alpha), alpha, slice(None))
+
+
+def _cut(draw, alpha: float, index) -> List[TestingProblem]:
+    """The problems `index` (a slice or a sequence of ints) of a
+    `_draw_corpus` draw, in that order: problem k holds the sizes[k] values
+    of p and w from starts[k], labelled by `_labels`, at `alpha`.  The
+    arrays are converted to Python floats once, whatever their number of
+    problems."""
+    sizes, starts, p, w = draw
     labels = {m: _labels(m) for m in set(sizes.tolist())}
     p, w = p.tolist(), w.tolist()
-    return [TestingProblem(labels[m], tuple(p[a:b]), tuple(w[a:b]), alpha)
-            for m, a, b in zip(sizes.tolist(), starts.tolist(),
-                               (starts + sizes).tolist())]
-
-
-def _labels(m: int) -> Tuple[str, ...]:
-    return tuple(f"H{i + 1}" for i in range(m))
+    return [TestingProblem(labels[m], tuple(p[a:a + m]), tuple(w[a:a + m]),
+                           alpha)
+            for m, a in zip(sizes[index].tolist(), starts[index].tolist())]
 
 
 def _search_trials(gen: np.random.Generator, trials: int):
@@ -541,8 +549,9 @@ def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
 
     Returns (problem, lowered_problem) for the first violating trial, or
     None.  All trials are drawn before any is decided (`_search_trials`),
-    and their p-values are checked at once: one outside [0, 1] raises
-    ValueError naming its trial and hypothesis.  They are then decided in
+    and their p-values are checked at once by `core._check_block`, all p
+    and then all q: one outside [0, 1] raises ValueError naming its trial
+    and hypothesis, the first trial with one.  They are then decided in
     chunks that double from `SEARCH_FIRST_CHUNK`, so an early witness costs
     only a small chunk, and the witness does not depend on the chunks.
     """
@@ -550,12 +559,11 @@ def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
         raise ValueError(f"trials must be at least 1: {trials}")
     key = ranking(procedure)
     sizes, p, q, w = _search_trials(np.random.default_rng(seed), trials)
-    pq = np.stack([p, q], axis=1)
-    bad = np.argwhere(~((pq >= 0.0) & (pq <= 1.0)))
-    if bad.size:
-        t, side, i = bad[0]
-        raise ValueError(f"p-value out of [0, 1] in trial {t}, "
-                         f"hypothesis {i}: {pq[t, side, i]}")
+    # q = p * u with u in [0, 1) at one entry per trial, so a trial with a
+    # bad q has a bad p: checking p first names the first bad trial
+    for values in (p, q):
+        _check_block(values, (values >= 0.0) & (values <= 1.0),
+                     "p-value out of [0, 1]", "trial")
     lost = np.zeros(trials, dtype=bool)
     start, chunk = 0, SEARCH_FIRST_CHUNK
     while start < trials:

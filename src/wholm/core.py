@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
+import numpy as np
+
 
 class OrderingKey(Enum):
     """Which scale a ranking is computed on: p/w or raw p."""
@@ -34,6 +36,11 @@ class TestingProblem:
     @property
     def m(self) -> int:
         return len(self.p)
+
+
+def _labels(m: int) -> Tuple[str, ...]:
+    """The default labels of m hypotheses, "H1" to "Hm"."""
+    return tuple(f"H{i + 1}" for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,19 @@ def check_pvalues(p: Sequence[float]) -> None:
         for i, pi in enumerate(p):
             if not (0.0 <= pi <= 1.0):
                 raise ValueError(f"p-value out of [0, 1] at index {i}: {pi}")
+
+
+def _check_block(values: np.ndarray, ok: np.ndarray, what: str, unit: str,
+                 offset: int = 0) -> None:
+    """Raise ValueError naming the first entry, in row-major order, of a
+    (rows, m) block `values` where the bools `ok` fail: `what`, then the
+    `unit` (a replicate or a trial) numbered `offset` plus its row, and the
+    hypothesis, as in "p-value out of [0, 1] in trial 2, hypothesis 1: nan".
+    """
+    if not ok.all():
+        r, i = np.argwhere(~ok)[0]
+        raise ValueError(f"{what} in {unit} {offset + r}, "
+                         f"hypothesis {i}: {values[r, i]}")
 
 
 def check_alpha(alpha: float) -> None:

@@ -26,7 +26,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import OrderingKey, RejectionSet, TestingProblem
+from .core import OrderingKey, RejectionSet, TestingProblem, _labels
 from .procedures import ProblemStack, rank_index, rank_rows
 
 
@@ -335,13 +335,13 @@ def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels,
 def dot_stages(trace: GraphTrace, initial: TransitionGraph,
                labels: Optional[Sequence[str]] = None):
     """One DOT digraph per stage: the initial graph, then each post-rejection
-    snapshot.  The edge labels of all stages come from one
+    snapshot.  Node i is named `labels[i]`, by default `core._labels`'
+    "H1" to "Hm".  The edge labels of all stages come from one
     `_coefficient_labels` call."""
     all_nodes = sorted(initial.active)
     if labels is None:
-        labels = {i: f"H{i + 1}" for i in all_nodes}
-    else:
-        labels = {i: labels[i] for i in all_nodes}
+        labels = _labels(len(initial.local_alpha))
+    labels = {i: labels[i] for i in all_nodes}
     graphs = [initial] + [step.after for step in trace.steps]
     edge_labels = iter(_coefficient_labels(
         np.concatenate([_off_diagonal(graph) for graph in graphs])))

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import OrderingKey, check_alpha, check_weights
+from .core import OrderingKey, _check_block, check_alpha, check_weights
 from .procedures import Procedure, adjust_rows, ranking
 
 # Rows of least-favorable samples drawn and decided together.  This constant
@@ -231,17 +231,6 @@ def _draw_blocks(config: SimulationConfig) -> Iterator[
                           np.random.default_rng(child))
 
 
-def _check_block(values: np.ndarray, ok: np.ndarray, what: str,
-                 offset: int) -> None:
-    """Raise ValueError naming the first entry of a block's (rows, m)
-    `values` where `ok` fails, by replicate (`offset` plus its row) and
-    hypothesis."""
-    if not ok.all():
-        r, i = np.argwhere(~ok)[0]
-        raise ValueError(f"{what} in replicate {offset + r}, "
-                         f"hypothesis {i}: {values[r, i]}")
-
-
 def _check_wap_within_whp(whp, wap, offset: int) -> None:
     """Raise RuntimeError naming the first replicate of a block, and the
     indices in increasing order, where WAP rejects a hypothesis WHP keeps;
@@ -273,11 +262,12 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     and the power sums are carried to the next, so memory does not grow
     with `reps`.  The rejections come in hypothesis order, where the true
     nulls are the first m0 columns and the false nulls the rest.  The power
-    terms are summed in replicate order as Python floats.  Each block
-    is checked once before it is decided: a p-value outside [0, 1] (NaN
-    included) or a weight that is not positive and finite raises
-    ValueError, and a replicate where WAP rejects a hypothesis WHP keeps
-    raises RuntimeError; all name the replicate by its index in the cell.
+    terms are summed in replicate order as Python floats.  Each block is
+    checked once before it is decided, by `core._check_block`: a p-value
+    outside [0, 1] (NaN included) or a weight that is not positive and
+    finite raises ValueError, and a replicate where WAP rejects a
+    hypothesis WHP keeps raises RuntimeError; all name the replicate by its
+    index in the cell.
     """
     m0 = config.m0
     m1 = config.m - m0
@@ -292,9 +282,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         resampled += redrawn
         pvals = t_sf(tstats, config.n - 1)
         _check_block(pvals, (pvals >= 0.0) & (pvals <= 1.0),
-                     "p-value out of [0, 1]", offset)
+                     "p-value out of [0, 1]", "replicate", offset)
         _check_block(weights, (weights > 0.0) & (weights < np.inf),
-                     "weight must be positive and finite", offset)
+                     "weight must be positive and finite", "replicate", offset)
         rejected = {
             Procedure.HOLM: adjust_rows(pvals, 1.0, config.alpha,
                                         OrderingKey.WEIGHTED)[3],
@@ -416,11 +406,11 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     The samples are drawn from `gen` in blocks of `SHARPNESS_BLOCK_ROWS` rows
     (the last holds what is left), and each block is decided by one
     `procedures.adjust_rows` call before the next is drawn, so memory does
-    not grow with `reps`.  A block's p-values are checked once, before it
-    is decided: one outside [0, 1] (NaN included) raises ValueError naming
-    its replicate and hypothesis.  A replicate counts when its first-ranked
-    hypothesis is rejected, one read per row, since the rejections are a
-    prefix of the ranking.
+    not grow with `reps`.  A block's p-values are checked once, by
+    `core._check_block`, before it is decided: one outside [0, 1] (NaN
+    included) raises ValueError naming its replicate and hypothesis.  A
+    replicate counts when its first-ranked hypothesis is rejected, one read
+    per row, since the rejections are a prefix of the ranking.
     """
     w = np.asarray(weights, dtype=float)
     check_weights(w.tolist())
@@ -439,7 +429,7 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     for start in range(0, reps, SHARPNESS_BLOCK_ROWS):
         block, _ = _lfc_batch(w, tau, gen, min(SHARPNESS_BLOCK_ROWS, reps - start))
         _check_block(block, (block >= 0.0) & (block <= 1.0),
-                     "p-value out of [0, 1]", start)
+                     "p-value out of [0, 1]", "replicate", start)
         perm, _, _, rejected = adjust_rows(block, w, alpha, key)
         hits += int(np.count_nonzero(rejected[np.arange(len(block)),
                                               perm[:, 0]]))

@@ -419,6 +419,20 @@ def test_degenerate_update_in_a_stack_names_its_row():
     assert info.value.row == 17
 
 
+@pytest.mark.xfail(strict=True, raises=GraphInvariantError, reason=(
+    "rejecting a heavy node leaves g[1,0] * g[0,1] = 1 in floats, so both "
+    "orderings raise a degenerate update where both step-downs reject all "
+    "three hypotheses"))
+def test_degenerate_input_rejects_what_the_stepdowns_reject():
+    found = validate_problem(["H1", "H2", "H3"], [0.0, 0.0, 0.0],
+                             [1.0, 1.0, 1e-17], 0.05)
+    for ordering, stepdown in ((OrderingKey.WEIGHTED, whp_stepdown),
+                               (OrderingKey.RAW, wap_stepdown)):
+        assert stepdown(found).rejected == {0, 1, 2}
+        rejections, _ = run_graphical(found, ordering)
+        assert rejections.rejected == {0, 1, 2}
+
+
 class TestExportDot:
     def test_initial_fraction_labels(self, divergent_problem):
         _, trace = run_graphical(divergent_problem, OrderingKey.RAW)

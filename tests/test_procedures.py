@@ -307,6 +307,35 @@ def test_float_decisions_agree_with_exact_arithmetic(key, stepdown):
                 assert (exact <= problem.alpha) == (i in rejected), (problem, i)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "in float, WAP rejects a hypothesis WHP keeps on BOUNDARY_CORPUS rows "
+    "1369-1371 and 1384-1386, where exact arithmetic obeys the containment "
+    "(ROADMAP items 1 and 13); item 1's exact re-decision of the hypotheses "
+    "within rounding of alpha flips this test"))
+def test_wap_rejections_contained_in_whp_on_the_boundary_corpus():
+    # under the step-downs, their kernel and closed testing, which agree bit
+    # for bit, so each lists the same rows
+    def rows(whp, wap):
+        return [k for k, problem in enumerate(BOUNDARY_CORPUS)
+                if not wap(problem) <= whp(problem)]
+
+    def kernel(procedure):
+        def rejected(problem):
+            [row] = adjust_rows([problem.p], [problem.w], problem.alpha,
+                                ranking(procedure))[3]
+            return set(np.flatnonzero(row).tolist())
+        return rejected
+
+    def closed(local_test):
+        return lambda problem: ctp(
+            problem, local_test).elementary_rejections.rejected
+
+    assert (rows(lambda problem: whp_stepdown(problem).rejected,
+                 lambda problem: wap_stepdown(problem).rejected),
+            rows(kernel(Procedure.WHP), kernel(Procedure.WAP)),
+            rows(closed(whp_local_test), closed(wap_local_test))) == ([],) * 3
+
+
 def _python_rank_adjusted(problem, key):
     """The adjusted-value pass in plain Python over tuples, as the step-downs
     ran it before the numpy kernel: the reference the kernel is held to.
