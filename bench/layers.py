@@ -38,7 +38,9 @@ A/A run of this checkout against itself.  The calls timed, with
   20, per call;
 - `closure.ClosedStack` for WHP and for WAP on a stack of 64 problems at
   m = 8, the battery's stack at that size, per call, with the
-  `ProblemStack` built untimed;
+  `ProblemStack` built untimed, and the stacked monotonicity read, the
+  first read of `monotonicity_counterexamples` of a WHP `ClosedStack` of
+  such a stack, built untimed for each call;
 - `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
   on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
@@ -333,16 +335,29 @@ def cases(wholm, tmp, values):
                     lambda seed, m=m, run=getattr(wholm, layer),
                     test=getattr(wholm, test): (
                         lambda P=problem(seed, m): run(P, test)))
+    def problem_stack(seed):
+        rows = CLOSED_STACK_ROWS
+        return wholm.procedures.ProblemStack.of([
+            problem(seed * rows + r, CLOSED_STACK_M) for r in range(rows)])
+
     for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
         def closed_stack(seed, procedure=procedure):
-            rows = CLOSED_STACK_ROWS
-            stack = wholm.procedures.ProblemStack.of([
-                problem(seed * rows + r, CLOSED_STACK_M) for r in range(rows)])
+            stack = problem_stack(seed)
             return lambda: wholm.closure.ClosedStack(stack, procedure)
 
         add("closure.ClosedStack", "call",
             {"procedure": procedure.value, "m": CLOSED_STACK_M,
              "rows": CLOSED_STACK_ROWS}, closed_stack)
+
+    def counterexamples(seed):
+        # a fresh stack per call: the property is cached on first read
+        closed = wholm.closure.ClosedStack(problem_stack(seed),
+                                           wholm.Procedure.WHP)
+        return lambda: closed.monotonicity_counterexamples
+
+    add("closure.ClosedStack.monotonicity_counterexamples", "call",
+        {"procedure": "whp", "m": CLOSED_STACK_M, "rows": CLOSED_STACK_ROWS},
+        counterexamples)
     for m in MONOTONICITY_SIZES:
         add("closure.check_monotonicity_condition", "call",
             {"procedure": "whp", "m": m}, lambda seed, m=m: (

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .closure import (ClosedStack, _cut, _draw_corpus,
+from .closure import (ClosedStack, _Corpus, _cut, _draw_corpus,
                       find_pvalue_monotonicity_violation)
 from .core import TestingProblem
 from .graphical import GraphInvariantError, graph_rejections
@@ -56,10 +56,6 @@ from .procedures import Procedure, ProblemStack, adjust_rows, ranking
 # at m <= 6.  The stacks do not change any result, only how many problems
 # share a numpy call.
 PROPERTY_STACK_CELLS = 64 << 8
-
-# A corpus as flat arrays: the (N,) sizes and start offsets, the p-values
-# and weights of all problems one after another, and the (N,) alphas.
-_Corpus = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -205,10 +201,8 @@ def run_check_battery(trials: int, seed: int) -> List[CheckResult]:
     cut from them by `closure._cut`, as `random_corpus` cuts it."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
-    alpha = 0.05
-    draw = _draw_corpus(trials, seed, 8, alpha)
-    results = _check((*draw, np.full(trials, alpha)),
-                     lambda k: _cut(draw, alpha, [k])[0])
+    draw = _draw_corpus(trials, seed, 8, 0.05)
+    results = _check(draw, lambda k: _cut(draw, [k])[0])
     for name, procedure, expected, found, none in (
             ("pvalue-monotonicity-violation-wap", Procedure.WAP, True,
              "counterexample found", f"no counterexample in {trials} trials"),

@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -235,6 +237,11 @@ def _cmd_graph(args) -> int:
                         labels=problem.labels)
     for k, text in enumerate(stages):
         (outdir / f"stage_{k}.dot").write_text(text + "\n", encoding="utf-8")
+    # stage files of an earlier run with more stages
+    for name in os.listdir(outdir):
+        stage = re.fullmatch(r"stage_([0-9]+)\.dot", name)
+        if stage and int(stage[1]) >= len(stages):
+            (outdir / name).unlink()
     trace = rejections.trace
     with _table(outdir / "rejections.csv",
                 ["step", "hypothesis", "threshold"]) as write:

@@ -14,14 +14,16 @@ are one-row calls of the same code, and the answers are the same either way.
 All but the local tests are capped at `MAX_CTP_HYPOTHESES`, where the table
 is built.  The monotonicity condition reads only the table's totals, which
 by step 1 below never grow on the removal of a hypothesis (see
-`_counterexamples`), gathered into index-mask order (`_mask_totals`).
+`_counterexamples`), in code order as they are built; only a violation
+found is mapped back to index masks.
 A local test asked about too few masks to pay for the table (or for m above
 `MAX_CTP_HYPOTHESES`) decides each one as the first step of the step-down
 run on that intersection alone, `procedures.adjust_rows`, with the same sums.
 
 `_decide` makes the local decisions of a stack in code space, where the
 first-ranked member of code c is its highest bit, so that no value is
-gathered.  Closing under supersets commutes with permuting the bits of the
+gathered; `_counterexamples` reads the monotonicity condition there by the
+same rule.  Closing under supersets commutes with permuting the bits of the
 subsets, so `ClosedStack` closes that (P, 2^m) table as it is, and reads
 each hypothesis's singleton and the witnesses back through the codes; the
 one-row calls close their local test's table in index-mask order.  `_close`
@@ -92,6 +94,12 @@ SEARCH_FIRST_CHUNK = 16
 
 LocalTest = Callable[[TestingProblem, Union[int, np.ndarray]],
                      Union[bool, np.ndarray]]
+
+# A corpus as flat arrays: the (N,) sizes and start offsets, the p-values
+# and weights of all problems one after another, and the (N,) alphas.
+# `_draw_corpus` draws one, `_cut` cuts problems from one, and the property
+# runner flattens its problems into one and stacks it (`battery._stacks`).
+_Corpus = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class CapacityError(ValueError):
@@ -182,13 +190,6 @@ def _check_ctp_size(m: int) -> None:
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
 
 
-def _mask_totals(total: np.ndarray, code: np.ndarray) -> np.ndarray:
-    """`_all_subsets`' totals of every nonempty index mask, gathered from
-    code order into a (P, 2^m - 1) array whose column I - 1 holds mask I."""
-    rows = np.arange(len(total))[:, None]
-    return total[rows, code[:, 1:].astype(np.intp)]
-
-
 def _decide(stack: ProblemStack, key: OrderingKey):
     """Both local tests' rule on every subset of every row, in code space:
     the first-ranked member's (p/w) * total is at most alpha.  Returns the
@@ -211,10 +212,15 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
     full ranking does, its tail adds the same weights in the same order,
     and its adjusted value, capped at 1, is at most alpha < 1 iff the
     product is.  Rejections are a prefix of the ranking, so a mask is
-    rejected iff its first-ranked member is."""
+    rejected iff its first-ranked member is.  Masks of any integer or bool
+    dtype are taken, and object arrays of Python ints for masks wider than
+    64 bits; any other dtype raises ValueError."""
     masks = np.asarray(masks)
     if masks.size == 0:
         return np.zeros(masks.shape, dtype=bool)
+    if masks.dtype.kind not in "biuO" or masks.dtype.kind == "O" and not all(
+            isinstance(mask, (int, np.integer)) for mask in masks.flat):
+        raise ValueError(f"intersection masks must be integers: {masks.dtype}")
     m = problem.m
     if masks.min() <= 0 or int(masks.max()) >> m:
         raise ValueError("intersection must be a nonempty subset of the "
@@ -222,7 +228,9 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
     flat, stack = masks.reshape(-1), ProblemStack.of([problem])
     if flat.size * m >= 1 << m and m <= MAX_CTP_HYPOTHESES:
         (*_, code), rejected = _decide(stack, key)
-        rejected = rejected[0, code[0, flat].astype(np.intp)]
+        # (the masks are below 2^m here, whatever their dtype)
+        rejected = rejected[0, code[0, flat.astype(np.intp, copy=False)]
+                            .astype(np.intp)]
     else:
         # (Python ints for masks wider than 64 bits)
         member = ((flat[:, None] >> np.arange(m)) & 1).astype(bool)
@@ -358,10 +366,10 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
                      total: np.ndarray,
                      perm: np.ndarray) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
-    J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)), or None
-    where the condition holds.  `total` holds the weight totals of the
-    nonempty masks (`_mask_totals`, column I - 1 for mask I) and `perm` the
-    procedure's ranking.
+    J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)) with I and
+    J index masks and i a hypothesis, or None where the condition holds.
+    `total` holds `_all_subsets`' totals by rank-space code (column 0 the
+    empty set's 0.0) and `perm` the procedure's ranking.
 
     WHP gives every member of I its weight share w_i * alpha / total(I).
     WAP gives that share to the first-ranked member, the one with the
@@ -369,8 +377,10 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
     Only single-element removals are compared: any nested pair J subset of I
     is connected by a chain of such removals, so the reduced check is
     equivalent and a single-removal violation is already a valid witness.
-    Removals of hypothesis 0 are searched first, then of hypothesis 1, and
-    so on; within one, the smallest I and then the smallest i.
+    The search runs in code space: removals of code bit 0 (the last-ranked
+    member) are searched first, then of bit 1, and so on; within one, the
+    smallest code I and then the lowest code bit i.  Only a violation found
+    is mapped back to index masks and a hypothesis, through `perm`.
 
     A share of i can rise from J = I - {j} to I only where total(I) <
     total(J), since rounded division by a positive total is monotone; under
@@ -378,38 +388,40 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
     out only at such pairs, of which the library's own tables have none
     (step 1 of the module docstring).
     """
-    count, m = total.shape[0], stack.m
-    # column I holds mask I, with the empty set's total 0.0 in column 0
-    total = np.concatenate([np.zeros((count, 1)), total], axis=1)
-    hypotheses = np.arange(m)
-    rank = np.argsort(perm, axis=1)
+    count, m = perm.shape
+    bits = np.arange(m)
+    # bit k of a code stands for the member at rank m-1-k
+    weight = stack.w.take(rank_index(perm))[:, ::-1]
 
-    def shares(rows, masks):
-        # alpha_i(mask) of each row, with +inf outside the mask
-        member = (masks[:, None] >> hypotheses) & 1 == 1
-        share = stack.w[rows] * stack.alpha[rows, None] / total[rows, masks, None]
+    def shares(rows, codes):
+        # alpha_i(code) of each row by code bit, with +inf outside the code
+        high = codes[:, None] >> bits
+        share = weight[rows] * stack.alpha[rows, None] / total[rows, codes, None]
         if procedure is Procedure.WAP:
-            # the first-ranked member holds the smallest rank
-            first = np.where(member, rank[rows], m).argmin(axis=1)
-            share[hypotheses != first[:, None]] = 0.0
-        return np.where(member, share, np.inf)
+            # the first-ranked member is the highest bit, as in `_decide`
+            share[high != 1] = 0.0
+        return np.where(high & 1 == 1, share, np.inf)
 
     found: List[Optional[Tuple]] = [None] * count
-    for j in range(m):
-        # [:, a, 1, b] is I = a * 2^(j+1) + 2^j + b and [:, a, 0, b] is I - 2^j
-        halves = total.reshape(count, -1, 2, 1 << j)
+    for k in range(m):
+        # [:, a, 1, b] is code I = a * 2^(k+1) + 2^k + b and [:, a, 0, b] is
+        # I - 2^k
+        halves = total.reshape(count, -1, 2, 1 << k)
         below = halves[:, :, 1] < halves[:, :, 0]
         if not below.any():
             continue
         rows, a, b = np.nonzero(below)
-        small = a << (j + 1) | b
-        big_share, small_share = shares(rows, small | 1 << j), shares(rows, small)
+        small = a << (k + 1) | b
+        big_share, small_share = shares(rows, small | 1 << k), shares(rows, small)
         viol = big_share > small_share
-        for k in np.flatnonzero(viol.any(axis=1)).tolist():
-            r, i = int(rows[k]), int(viol[k].argmax())
+        for n in np.flatnonzero(viol.any(axis=1)).tolist():
+            r, i = int(rows[n]), int(viol[n].argmax())
             if found[r] is None:
-                found[r] = (int(small[k]) | 1 << j, int(small[k]), i,
-                            float(big_share[k, i]), float(small_share[k, i]))
+                # the hypothesis of each code bit, and J's index mask
+                member = perm[r, ::-1]
+                mask = int((1 << member) @ (small[n] >> bits & 1))
+                found[r] = (mask | 1 << int(member[k]), mask, int(member[i]),
+                            float(big_share[n, i]), float(small_share[n, i]))
     return found
 
 
@@ -418,9 +430,8 @@ def check_monotonicity_condition(problem: TestingProblem,
     """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
     (see `_counterexamples`)."""
     stack = ProblemStack.of([problem])
-    perm, _, total, code = _all_subsets(stack, ranking(procedure))
-    [found] = _counterexamples(stack, procedure, _mask_totals(total, code),
-                               perm)
+    perm, _, total, _ = _all_subsets(stack, ranking(procedure))
+    [found] = _counterexamples(stack, procedure, total, perm)
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
@@ -461,14 +472,14 @@ class ClosedStack:
 
     @cached_property
     def monotonicity_counterexamples(self) -> List[Optional[Tuple]]:
-        perm, _, total, code = self._subsets
-        return _counterexamples(self._stack, self.procedure,
-                                _mask_totals(total, code), perm)
+        perm, _, total, _ = self._subsets
+        return _counterexamples(self._stack, self.procedure, total, perm)
 
 
-def _draw_corpus(count: int, seed: int, m_max: int, alpha: float):
-    """`random_corpus`'s draw as arrays: the (count,) sizes, the start of
-    each problem's values in the flat p-values and weights, and those two.
+def _draw_corpus(count: int, seed: int, m_max: int, alpha: float) -> _Corpus:
+    """`random_corpus`'s draw as a `_Corpus`: the (count,) sizes, the start
+    of each problem's values in the flat p-values and weights, those two,
+    and the (count,) alphas, all `alpha`.
 
     All sizes are drawn first, then all p-values, then all weights, each in
     one generator call.  The arrays are checked once as `validate_problem`
@@ -488,7 +499,7 @@ def _draw_corpus(count: int, seed: int, m_max: int, alpha: float):
         k = int(np.searchsorted(ends, ok.argmin(), side="right"))
         rows = slice(starts[k], ends[k])
         validate_problem(_labels(sizes[k]), p[rows], w[rows], alpha)
-    return sizes, starts, p, w
+    return sizes, starts, p, w, np.full(count, alpha)
 
 
 def random_corpus(count: int, seed: int, m_max: int = 8,
@@ -503,22 +514,20 @@ def random_corpus(count: int, seed: int, m_max: int = 8,
     `battery.run_check_battery` reads the same draw as arrays and cuts a
     problem only for a witness.
     """
-    alpha = float(alpha)
-    return _cut(_draw_corpus(count, seed, m_max, alpha), alpha, slice(None))
+    return _cut(_draw_corpus(count, seed, m_max, float(alpha)), slice(None))
 
 
-def _cut(draw, alpha: float, index) -> List[TestingProblem]:
-    """The problems `index` (a slice or a sequence of ints) of a
-    `_draw_corpus` draw, in that order: problem k holds the sizes[k] values
-    of p and w from starts[k], labelled by `_labels`, at `alpha`.  The
-    arrays are converted to Python floats once, whatever their number of
-    problems."""
-    sizes, starts, p, w = draw
+def _cut(corpus: _Corpus, index) -> List[TestingProblem]:
+    """The problems `index` (a slice or a sequence of ints) of `corpus`, in
+    that order: problem k holds the sizes[k] values of p and w from
+    starts[k], labelled by `_labels`, at alphas[k].  The arrays are
+    converted to Python floats once, whatever their number of problems."""
+    sizes, starts, p, w, alphas = corpus
     labels = {m: _labels(m) for m in set(sizes.tolist())}
     p, w = p.tolist(), w.tolist()
+    rows = zip(*(column[index].tolist() for column in (sizes, starts, alphas)))
     return [TestingProblem(labels[m], tuple(p[a:a + m]), tuple(w[a:a + m]),
-                           alpha)
-            for m, a in zip(sizes[index].tolist(), starts[index].tolist())]
+                           alpha) for m, a, alpha in rows]
 
 
 def _search_trials(gen: np.random.Generator, trials: int):

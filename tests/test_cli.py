@@ -350,6 +350,23 @@ class TestGraph:
         assert [r["hypothesis"] for r in rows] == ["H2", "H1"]
         assert "rejected: ['H1', 'H2']" in capsys.readouterr().out
 
+    def test_fewer_stages_remove_the_stale_stage_files(self, problem_file,
+                                                      tmp_path, capsys):
+        # files not named stage_<k>.dot are left alone
+        outdir = tmp_path / "stages"
+        outdir.mkdir()
+        for name in ("stage_notes.dot", "stage_.dot", "other.dot"):
+            (outdir / name).write_text("kept")
+        for alpha, stages in (("0.05", 3), ("0.0001", 1)):
+            assert main(["graph", "--input", problem_file, "--alpha", alpha,
+                         "--ordering", "weighted",
+                         "--output-dir", str(outdir)]) == 0
+            assert f"{stages} stages written" in capsys.readouterr().out
+            assert sorted(f.name for f in outdir.iterdir()) == sorted([
+                *(f"stage_{k}.dot" for k in range(stages)), "rejections.csv",
+                "stage_notes.dot", "stage_.dot", "other.dot"])
+        assert read_csv(outdir / "rejections.csv") == []
+
     @pytest.mark.parametrize("ordering", ["weighted", "raw"])
     def test_degenerate_update_is_data_error(self, ordering, tmp_path, capsys):
         # g01 = g10 = 1.0 in float, so rejecting H1 leaves H2 nothing to

@@ -171,6 +171,25 @@ class TestLocalTests:
         with pytest.raises(ValueError):
             whp_local_test(divergent_problem, 0)
 
+    @pytest.mark.parametrize("local_test", [whp_local_test, wap_local_test])
+    def test_non_integer_masks_are_refused(self, divergent_problem,
+                                           local_test):
+        for masks in (np.array([1.0, 2.0, 3.0]), np.array([1.5]), 2.7,
+                      np.array([1.5, 3], dtype=object)):
+            with pytest.raises(ValueError, match="must be integers"):
+                local_test(divergent_problem, masks)
+        # bool and object arrays of Python ints are masks, on both paths:
+        # per size (few masks) and off the subset table (K * m >= 2^m)
+        every = np.arange(1, 8)
+        expected = local_test(divergent_problem, every)
+        for masks in (every.astype(object), every.astype(np.uint8)):
+            assert (local_test(divergent_problem, masks) == expected).all()
+        assert local_test(divergent_problem, np.array([7], dtype=object)) \
+            == expected[6]
+        for count in (1, 3):
+            assert (local_test(divergent_problem, np.ones(count, dtype=bool))
+                    == expected[0]).all()
+
     def test_empty_mask_array_gives_empty_decisions(self, divergent_problem):
         for local_test in (whp_local_test, wap_local_test):
             for masks in (np.array([], dtype=np.int64),
@@ -383,10 +402,12 @@ class TestStacks:
     @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
     def test_counterexample_is_the_first_in_search_order(self, procedure):
         # perturbed totals break monotonicity often; the stacked search must
-        # name each row's first single-removal violation, in the order
-        # removed hypothesis, then I, then i.  WHP reads random totals; WAP
-        # keeps the real ranking, whose first member in a mask is the one
-        # it shares alpha with, and scales a fifth of the real totals down
+        # name each row's first single-removal violation, in code order:
+        # removed member from the last rank up, then code I, then member i
+        # from the last rank up.  Totals are fed by code, the empty set's
+        # 0.0 in column 0.  WHP reads random totals; WAP keeps the real
+        # ranking, whose first member in a mask is the one it shares alpha
+        # with, and scales a fifth of the real totals down
         gen = np.random.default_rng(64)
         m, rows = 4, 40
         stack = ProblemStack(gen.uniform(size=(rows, m)),
@@ -394,14 +415,17 @@ class TestStacks:
                              np.full(rows, 0.05))
         perm, _, total, code = closure._all_subsets(stack, ranking(procedure))
         if procedure is Procedure.WHP:
-            total = gen.uniform(0.5, 8.0, size=(rows, (1 << m) - 1))
+            total = gen.uniform(0.5, 8.0, size=(rows, 1 << m))
+            total[:, 0] = 0.0
         else:
-            total = closure._mask_totals(total, code)
             scaled = gen.uniform(size=total.shape) < 0.2
             total[scaled] *= gen.uniform(0.3, 1.0, size=int(scaled.sum()))
         found = closure._counterexamples(stack, procedure, total, perm)
         for r in range(rows):
             rank = perm[r].tolist()
+            # the hypothesis of each code bit, and the index masks in code order
+            member = rank[::-1]
+            masks = sorted(range(1 << m), key=lambda mask: code[r, mask])
 
             def share(mask, i):
                 if not mask >> i & 1:
@@ -409,12 +433,12 @@ class TestStacks:
                 if procedure is Procedure.WAP and i != next(
                         j for j in rank if mask >> j & 1):
                     return 0.0
-                return stack.w[r, i] * 0.05 / total[r, mask - 1]
+                return stack.w[r, i] * 0.05 / total[r, int(code[r, mask])]
             expected = next(((big, big ^ 1 << j, i, share(big, i),
                               share(big ^ 1 << j, i))
-                             for j in range(m) for big in range(1 << m)
+                             for j in member for big in masks
                              if big >> j & 1 and big != 1 << j
-                             for i in range(m)
+                             for i in member
                              if share(big, i) > share(big ^ 1 << j, i)),
                             None)
             assert found[r] == expected
