@@ -36,6 +36,8 @@ A/A run of this checkout against itself.  The calls timed, with
   and 16, both with each local test at m = 10 and 12 (`oracle-check`'s
   median ops), and `check_monotonicity_condition` (WHP) at m = 12, 16 and
   20, per call;
+- `ctp` (WHP local test) and then a read of every local decision,
+  `list(report.local_decisions.items())`, at m = 14 and 16, per call;
 - `closure.ClosedStack` for WHP and for WAP on a stack of 64 problems at
   m = 8, the battery's stack at that size, per call, with the
   `ProblemStack` built untimed, and the stacked monotonicity read, the
@@ -71,6 +73,13 @@ the `--src` side's `random_corpus`, and each side times its own
 `TestingProblem`s of the same values, so the pair compares code, not
 seeded streams.  The record is stored under `--label` in the JSON file
 `--out`; records under other labels are kept.
+
+Buffers past glibc's mmap threshold are mapped afresh on every call, and
+the threshold moves up as such buffers are freed, so a row with large
+tables would read what ran before it in the process.  Run as a script with
+`MALLOC_MMAP_THRESHOLD_` unset, the bench re-executes itself with it fixed
+at `MMAP_THRESHOLD` bytes, which turns that adjustment off; the value in
+force is recorded in each side's `machine` block.
 """
 
 from __future__ import annotations
@@ -93,6 +102,9 @@ from pathlib import Path
 from time import perf_counter
 
 REPEATS = 21
+# glibc's malloc reads this variable once, at start-up
+MMAP_THRESHOLD_VARIABLE = "MALLOC_MMAP_THRESHOLD_"
+MMAP_THRESHOLD = 64 << 20
 SIMULATION_SIZES = [(m, reps) for m in (10, 20) for reps in (100, 2000)]
 SHARPNESS_M, SHARPNESS_REPS = 10, 20_000
 # m of the `estimate_sharpness` rows; at 3 its per-row read-out weighs most
@@ -111,6 +123,8 @@ STEP_GRAPH_SIZES = (30, 60)
 SIGNAL_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DOT_STAGES_M = 30
 CLOSURE_SIZES = (8, 14, 16)
+# m of the `ctp` calls followed by a read of every local decision
+FULL_READ_SIZES = (14, 16)
 # m of the one-row `ctp` and `check_consonance` calls under both local tests
 BOTH_TESTS_SIZES = (10, 12)
 CLOSED_STACK_M, CLOSED_STACK_ROWS = 8, 64
@@ -328,6 +342,10 @@ def cases(wholm, tmp, values):
                  lambda P: wholm.check_consonance(P, wholm.wap_local_test))):
             add(layer, "call", {"m": m}, lambda seed, m=m, run=run: (
                 lambda P=problem(seed, m): run(P)))
+    for m in FULL_READ_SIZES:
+        add("closure.ctp+local_decisions", "call", {"m": m, "read": "items"},
+            lambda seed, m=m: (lambda P=problem(seed, m): list(
+                wholm.ctp(P, wholm.whp_local_test).local_decisions.items())))
     for m in BOTH_TESTS_SIZES:
         for test in ("whp_local_test", "wap_local_test"):
             for layer in ("ctp", "check_consonance"):
@@ -458,7 +476,9 @@ def provenance(src):
                     "nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__,
-                    "scipy": scipy.__version__},
+                    "scipy": scipy.__version__,
+                    "malloc_mmap_threshold": os.environ.get(
+                        MMAP_THRESHOLD_VARIABLE)},
     }
 
 
@@ -513,4 +533,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    if MMAP_THRESHOLD_VARIABLE not in os.environ:
+        os.execve(sys.executable, [sys.executable, *sys.argv], {
+            **os.environ, MMAP_THRESHOLD_VARIABLE: str(MMAP_THRESHOLD)})
     sys.exit(main())

@@ -49,8 +49,11 @@ A local test is any callable `local_test(problem, masks)` that takes one int
 mask or an int array of masks and returns bools of the same shape.  `ctp` and
 `check_consonance` call it once, on every nonempty mask at the same time, and
 close the one-row table: a subset is rejected by the closed procedure iff no
-locally accepted subset contains it.  The exhaustive engine here is the oracle
-the fast procedures are checked against.
+locally accepted subset contains it.  `ctp` hands that row back as its
+`local_decisions`, a read-only `LocalDecisions` mapping of mask to decision
+over the row itself, so no Python object is made per subset unless a reader
+asks for it.  The exhaustive engine here is the oracle the fast procedures
+are checked against.
 
 Closing either built-in test reproduces its step-down bit for bit, also for a
 p-value exactly on a boundary, because every subset total is summed from the
@@ -76,9 +79,10 @@ last rank upward in the procedure's own ranking, `procedures.rank_rows`:
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -106,12 +110,59 @@ class CapacityError(ValueError):
     pass
 
 
+class LocalDecisions(Mapping):
+    """A read-only `Mapping[int, bool]` over one bool row: entry mask - 1
+    holds the decision on mask, for the keys 1..len(row) in increasing
+    order.  `items()` and `values()` read the row in one `tolist()`, and
+    the repr is that of the equal dict."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: np.ndarray):
+        self._row = row.view()
+        self._row.flags.writeable = False
+
+    def __getitem__(self, mask) -> bool:
+        if isinstance(mask, (int, np.integer)) and 0 < mask <= self._row.size:
+            return self._row.item(mask - 1)
+        raise KeyError(mask)
+
+    def __iter__(self):
+        return iter(range(1, self._row.size + 1))
+
+    def __len__(self) -> int:
+        return self._row.size
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return LocalDecisions, (self._row,)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._row.tolist())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._row.tolist())
+
+
 @dataclass(frozen=True)
 class CtpReport:
     """`local_decisions` maps every nonempty mask to its local test's
-    decision, in increasing mask order."""
+    decision, in increasing mask order, as a read-only `LocalDecisions`;
+    `dict(report.local_decisions)` is a mutable copy."""
 
-    local_decisions: Dict[int, bool]
+    local_decisions: Mapping[int, bool]
     elementary_rejections: RejectionSet
 
 
@@ -339,12 +390,11 @@ def ctp(problem: TestingProblem, local_test: LocalTest) -> CtpReport:
     locally rejected, that is iff no locally accepted subset holds it.
     """
     local = _local_rejections(problem, local_test)
-    decisions = dict(enumerate(local[0, 1:].tolist(), start=1))
     [kept] = _singletons(_close(local)).tolist()
     rejected = [i for i, k in enumerate(kept) if not k]
     trace = tuple((step, i, problem.alpha)
                   for step, i in enumerate(rejected, start=1))
-    return CtpReport(local_decisions=decisions,
+    return CtpReport(local_decisions=LocalDecisions(local[0, 1:]),
                      elementary_rejections=RejectionSet(
                          rejected=frozenset(rejected), trace=trace))
 

@@ -1,16 +1,19 @@
+import pickle
 from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from test_procedures import BOUNDARY_CORPUS, BOUNDARY_FORMS
+from test_procedures import (BOUNDARY_CORPUS, BOUNDARY_FORMS,
+                             BOUNDARY_PROBLEMS)
 from wholm import (ConsonanceReport, Procedure, check_consonance,
                    check_monotonicity_condition, ctp,
                    find_pvalue_monotonicity_violation, validate_problem,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
 from wholm import closure
-from wholm.closure import CapacityError, ClosedStack, random_corpus
+from wholm.closure import (CapacityError, ClosedStack, CtpReport,
+                           random_corpus)
 from wholm.core import OrderingKey
 from wholm.procedures import ProblemStack, ranking
 
@@ -235,6 +238,40 @@ class TestCtp:
                     == whp_stepdown(prob).rejected)
             assert (ctp(prob, wap_local_test).elementary_rejections.rejected
                     == wap_stepdown(prob).rejected)
+
+
+class TestLocalDecisions:
+    """`ctp`'s `local_decisions` is a read-only view that reads as the dict
+    of the local test's decisions on every nonempty mask."""
+
+    @pytest.mark.parametrize("local_test", [whp_local_test, wap_local_test])
+    @pytest.mark.parametrize("prob", BOUNDARY_PROBLEMS + [
+        next(prob for prob in random_corpus(60, seed=30, m_max=10)
+             if prob.m == m) for m in (5, 8, 10)])
+    def test_view_reads_as_the_dict_of_decisions(self, prob, local_test):
+        size = (1 << prob.m) - 1
+        row = local_test(prob, np.arange(1, size + 1))
+        expected = dict(enumerate(row.tolist(), start=1))
+        report = ctp(prob, local_test)
+        view = report.local_decisions
+        assert view == expected and expected == view
+        assert list(view) == list(range(1, size + 1))
+        assert list(view.items()) == list(expected.items())
+        assert list(view.values()) == list(expected.values())
+        assert len(view) == size
+        assert all(type(view[mask]) is bool for mask in (1, size))
+        for mask in (0, size + 1, -1):
+            with pytest.raises(KeyError):
+                view[mask]
+        assert view.get(0) is None
+        with pytest.raises(TypeError):
+            view[1] = not view[1]
+        assert not view._row.flags.writeable
+        assert repr(report) == repr(CtpReport(expected,
+                                              report.elementary_rejections))
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report
+        assert not copy.local_decisions._row.flags.writeable
 
 
 class TestConsonance:
