@@ -32,8 +32,8 @@ A/A run of this checkout against itself.  The calls timed, with
   a signal, per call: the graphs `dot_stages` and `cli.graph` read;
 - `graphical.dot_stages` of a weighted-ordering run at m = 30, per call,
   which is `cli.graph`'s DOT text without its file writes;
-- `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 8, 14
-  and 16, both with each local test at m = 10 and 12 (`oracle-check`'s
+- `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 5,
+  8, 14 and 16, both with each local test at m = 10 and 12 (`oracle-check`'s
   median ops), and `check_monotonicity_condition` (WHP) at m = 12, 16 and
   20, per call;
 - `ctp` (WHP local test) and then a read of every local decision,
@@ -66,8 +66,10 @@ are loaded into this one process (as `wholm_src` and `wholm_against`), and
 on every seed the two sides' calls on the same input are timed back to
 back, the `--src` side first on odd seeds and second on even ones.  Each
 row gives both sides' medians and quartiles of the time per unit in
-microseconds, the median of the per-seed ratios src / against and on how
-many of the `REPEATS` seeds the `--src` side was faster.  The corpora of
+microseconds, the median of the minor page faults (`ru_minflt`) per call,
+read just outside each timed call, the median of the per-seed ratios
+src / against and on how many of the `REPEATS` seeds the `--src` side was
+faster.  The corpora of
 `check_properties` and its graph properties are drawn once per seed, by
 the `--src` side's `random_corpus`, and each side times its own
 `TestingProblem`s of the same values, so the pair compares code, not
@@ -79,7 +81,17 @@ the threshold moves up as such buffers are freed, so a row with large
 tables would read what ran before it in the process.  Run as a script with
 `MALLOC_MMAP_THRESHOLD_` unset, the bench re-executes itself with it fixed
 at `MMAP_THRESHOLD` bytes, which turns that adjustment off; the value in
-force is recorded in each side's `machine` block.
+force is recorded in each side's `machine` block.  Fixing it turns off
+glibc's dynamic trim threshold too, which then stays at its 128 KiB
+default: a freed buffer that leaves more than that free at the top of the
+heap is handed back to the system, so a call whose buffers pass it can
+fault its pages in afresh every time, as far as what else the heap holds
+allows, and the fault counts show it.  (Alone in a process, one-row `ctp`
+faults about 96 times per call at m = 14 and 700 at m = 16 under this
+setting, 96 and 480 under glibc's defaults, and none at either size with
+`MALLOC_TRIM_THRESHOLD_` raised as well; in a full record, whose earlier
+rows have grown the heap, most rows fault none.)  The setting is
+kept so that records stay comparable.
 """
 
 from __future__ import annotations
@@ -99,6 +111,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 from time import perf_counter
 
 REPEATS = 21
@@ -122,7 +135,7 @@ Z_GRAPHICAL_SIZES = (20, 30, 40, 50, 60)
 STEP_GRAPH_SIZES = (30, 60)
 SIGNAL_SHARES = (0.0, 0.25, 0.5, 0.75, 1.0)
 DOT_STAGES_M = 30
-CLOSURE_SIZES = (8, 14, 16)
+CLOSURE_SIZES = (5, 8, 14, 16)
 # m of the `ctp` calls followed by a read of every local decision
 FULL_READ_SIZES = (14, 16)
 # m of the one-row `ctp` and `check_consonance` calls under both local tests
@@ -140,11 +153,12 @@ CLI_CALLS = (("adjust", 5, ()), ("adjust", 1000, ()), ("adjust", 10_000, ()),
              ("graph", 30, ("--ordering", "weighted")))
 
 
-def summary(times):
-    """Median and (q1, q3) of per-unit times in microseconds."""
+def summary(times, faults):
+    """Median and (q1, q3) of per-unit times in microseconds, and the median
+    of the minor page faults per call."""
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1,
-            "samples": len(times)}
+            "minor_faults": statistics.median(faults), "samples": len(times)}
 
 
 def time_pair(makes, units):
@@ -152,18 +166,23 @@ def time_pair(makes, units):
     for `makes` = (src, against), over REPEATS seeds: `make(seed)` builds
     the input untimed and returns the call to time.  On every seed both
     sides' calls are timed, the src side first on odd seeds and second on
-    even ones.  Also gives the median of the per-seed ratios src / against
-    and on how many seeds src was faster."""
+    even ones, and the minor page faults of each call are counted just
+    outside its clock.  Also gives the median of the per-seed ratios
+    src / against and on how many seeds src was faster."""
     for make in makes:
         make(0)()
-    times = ([], [])
+    times, faults = ([], []), ([], [])
     for seed in range(1, REPEATS + 1):
         for side in ((0, 1) if seed % 2 else (1, 0)):
             call = makes[side](seed)
+            before = getrusage(RUSAGE_SELF).ru_minflt
             start = perf_counter()
             call()
-            times[side].append((perf_counter() - start) / units * 1e6)
-    return {"src": summary(times[0]), "against": summary(times[1]),
+            elapsed = perf_counter() - start
+            faults[side].append(getrusage(RUSAGE_SELF).ru_minflt - before)
+            times[side].append(elapsed / units * 1e6)
+    return {"src": summary(times[0], faults[0]),
+            "against": summary(times[1], faults[1]),
             "ratio_median": statistics.median(
                 a / b for a, b in zip(*times)),
             "src_wins": sum(a < b for a, b in zip(*times)),

@@ -50,11 +50,11 @@ from .procedures import Procedure, ProblemStack, adjust_rows, ranking
 
 # Problems evaluated together, counted in cells: a stack of problems with m
 # hypotheses holds at most PROPERTY_STACK_CELLS >> m of them, and at least
-# one.  A stack's largest array is the (2 * rows, 2^m) table of
-# `closure._all_subsets`, so up to m = 14 it stays within 2 * 2^14 floats,
-# 256 KB: 64 rows at m = 8, and at 2,000 problems about one stack per size
-# at m <= 6.  The stacks do not change any result, only how many problems
-# share a numpy call.
+# one.  A stack's largest array is the one (rows, 2^m) table of subset
+# totals of `closure._all_subsets`, so up to m = 14 it stays within 2^14
+# floats, 128 KB: 64 rows at m = 8, and at 2,000 problems about one stack
+# per size at m <= 6.  The stacks do not change any result, only how many
+# problems share a numpy call.
 PROPERTY_STACK_CELLS = 64 << 8
 
 

@@ -3,11 +3,14 @@
 Subsets of {0..m-1} are encoded as bitmasks, the index masks.  One table,
 `_all_subsets`, holds the weight total of every subset of each problem in a
 stack of one size m, each row in its own ranking and indexed by rank-space
-code (bit m-1-r for the member at rank r), with the code of each index
-mask.  Every closed-testing entry point reads that table; none walks the
-subsets in Python.  `ClosedStack` closes a stack of problems under the local
-test of WHP or WAP and gives, per problem, the closed rejections, the
-consonance witness and the monotonicity counterexample;
+code (bit m-1-r for the member at rank r).  A stack's table holds totals
+only: the code of each index mask is summed, in the same loop, only where
+a reader gathers through it, the one-row local test and the row of a
+consonance witness, rebuilt for that row alone.  Every closed-testing
+entry point reads that table; none walks the subsets in Python.
+`ClosedStack` closes a stack of problems under the local test of WHP or
+WAP and gives, per problem, the closed rejections, the consonance witness
+and the monotonicity counterexample;
 `battery.check_properties` uses it on stacks of many problems.  `ctp`,
 `check_consonance`, `check_monotonicity_condition` and the two local tests
 are one-row calls of the same code, and the answers are the same either way.
@@ -24,18 +27,19 @@ run on that intersection alone, `procedures.adjust_rows`, with the same sums.
 first-ranked member of code c is its highest bit, so that no value is
 gathered; `_counterexamples` reads the monotonicity condition there by the
 same rule.  Closing under supersets commutes with permuting the bits of the
-subsets, so `ClosedStack` closes that (P, 2^m) table as it is, and reads
-each hypothesis's singleton and the witnesses back through the codes; the
-one-row calls close their local test's table in index-mask order.  `_close`
-packs the accepted subsets of a whole table into one int, row r from bit
-r * stride with stride = max(2^m, 8) (whole bytes, so that the table packs
-row by row), and pass k ORs every subset holding element k into the same
-subset without it, within its row, so bit c of a row ends up set iff some
-locally accepted subset contains c.  Hypothesis i is rejected by the closed
-procedure iff its singleton's bit is clear.  The closed-rejected subsets
-are closed under supersets, so a row is consonant iff the set of all its
-hypotheses that are not rejected is covered: one bit per row, and only a
-row where it is clear is searched for its witness (`_witnesses`).
+subsets, so `ClosedStack` closes that (P, 2^m) table as it is, reads each
+hypothesis's singleton back through the ranking and a witness through its
+row's codes; the one-row calls close their local test's table in
+index-mask order.  `_close` packs the accepted subsets of a whole table
+into one int, row r from bit r * stride with stride = max(2^m, 8) (whole
+bytes, so that the table packs row by row), and pass k ORs every subset
+holding element k into the same subset without it, within its row, so bit
+c of a row ends up set iff some locally accepted subset contains c.
+Hypothesis i is rejected by the closed procedure iff its singleton's bit is
+clear.  The closed-rejected subsets are closed under supersets, so a row is
+consonant iff the set of all its hypotheses that are not rejected is
+covered: one bit per row, and only a row where it is clear is searched for
+its witness (`_witnesses`).
 
 The two local tests are the weighted Bonferroni tests behind the step-downs,
 written in the step-downs' one rule: the first-ranked member's value is
@@ -184,9 +188,9 @@ def _layout(m: int):
     """Read-only constants of the subset tables at m hypotheses: the
     singletons 1 << k, k < m; the number of codes whose first-ranked member
     is at each rank from the last, 2 (codes 0 and 1) and then 2^k
-    (`_decide`); and, for each k, the subsets with bit k clear as the
-    bytes of one row of `_close`'s packed table, runs of 2^k set and 2^k
-    clear bits, little-endian, over the row's max(2^m, 8) bits.  Closed
+    (`_decide`); and, for each k, the subsets with bit k clear as the int
+    of one row of `_close`'s packed table, runs of 2^k set and 2^k clear
+    bits from bit 0, over the row's max(2^m, 8) bits.  Closed
     testing caps m at `MAX_CTP_HYPOTHESES`, so the cache holds at most one
     entry per m up to the cap, about 5 MB if every size is used."""
     bit = 1 << np.arange(m)
@@ -194,19 +198,20 @@ def _layout(m: int):
     counts[0] = 2
     bit.flags.writeable = counts.flags.writeable = False
     row = np.arange(max(1 << m, 8))
-    return bit, counts, tuple(
-        np.packbits(row >> k & 1 == 0, bitorder="little").tobytes()
+    return bit, counts, tuple(int.from_bytes(
+        np.packbits(row >> k & 1 == 0, bitorder="little").tobytes(), "little")
         for k in range(m))
 
 
-def _all_subsets(stack: ProblemStack, key: OrderingKey):
+def _all_subsets(stack: ProblemStack, key: OrderingKey, codes: bool = False):
     """Each row of the stack ranked under `key` by the step-downs'
     `procedures.rank_rows`, and the totals of all 2^m subsets of each row by
-    rank-space code, with the code of each index mask: the ranking, the
-    weighted p-values p/w by rank, the totals and the codes, the last three
-    as (P, m), (P, 2^m) and (P, 2^m) arrays.  The codes are exact floats,
-    the rows of the one table they are summed in with the totals, and are
-    cast to indices only where they are read.
+    rank-space code: the ranking, the weighted p-values p/w by rank, the
+    totals, and with `codes` the code of each index mask (None without),
+    the last three as (P, m), (P, 2^m) and (P, 2^m) arrays.  The table holds
+    the totals only, unless a reader gathers through the codes: they are
+    then exact floats, summed as further rows of the same table in the same
+    loop, and cast to indices only where they are read.
 
     In a code, bit m-1-r stands for the member at rank r, so the highest bit
     is the first-ranked member and the lower bits hold later ranks.  Codes
@@ -221,18 +226,22 @@ def _all_subsets(stack: ProblemStack, key: OrderingKey):
     perm = rank_rows(p, tilde, key)
     count, m = perm.shape
     flat = rank_index(perm)
-    code_bit = np.empty_like(perm)
-    code_bit.put(flat, _layout(m)[0][::-1])
+    steps = w.take(flat)[:, ::-1]
+    if codes:
+        code_bit = np.empty_like(perm)
+        code_bit.put(flat, _layout(m)[0][::-1])
+        steps = np.concatenate([steps, code_bit])
     # Step q adds the weight at rank m-1-q to the totals of codes below 2^q,
     # and hypothesis q's code bit to the codes of index masks below 2^q (the
     # masks in [2^q, 2^(q+1)) hold q).  Codes are below 2^m and so exact in
-    # float64; the totals (rows below `count`) and the codes (rows from
+    # float64; the totals (rows below `count`) and any codes (rows from
     # `count`) take one add per step together.
-    steps = np.concatenate([w.take(flat)[:, ::-1], code_bit]).T[:, :, None]
-    table = np.zeros((2 * count, 1 << m))
+    steps = steps.T[:, :, None]
+    table = np.zeros((steps.shape[1], 1 << m))
     for q, step in enumerate(steps):
         np.add(table[:, :1 << q], step, out=table[:, 1 << q:2 << q])
-    return perm, tilde.take(flat), table[:count], table[count:]
+    return perm, tilde.take(flat), table[:count], (
+        table[count:] if codes else None)
 
 
 def _check_ctp_size(m: int) -> None:
@@ -241,16 +250,18 @@ def _check_ctp_size(m: int) -> None:
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
 
 
-def _decide(stack: ProblemStack, key: OrderingKey):
+def _decide(stack: ProblemStack, key: OrderingKey, codes: bool = False):
     """Both local tests' rule on every subset of every row, in code space:
     the first-ranked member's (p/w) * total is at most alpha.  Returns the
-    stack's `_all_subsets` and the (P, 2^m) decisions by code."""
-    subsets = _, tilde, total, _ = _all_subsets(stack, key)
+    stack's `_all_subsets` (with the codes only if `codes`) and the (P, 2^m)
+    decisions by code."""
+    subsets = _, tilde, total, _ = _all_subsets(stack, key, codes)
     # each code's first-ranked member is its highest bit: codes 0 and 1
     # take the last rank's p/w (code 0, the empty set, is never read), and
     # the 2^k codes in [2^k, 2^(k+1)) that of rank m-1-k
     first = np.repeat(tilde[:, ::-1], _layout(stack.m)[1], axis=1)
-    return subsets, first * total <= stack.alpha[:, None]
+    first *= total
+    return subsets, first <= stack.alpha[:, None]
 
 
 def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
@@ -278,10 +289,11 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
                          f"{m} hypotheses")
     flat, stack = masks.reshape(-1), ProblemStack.of([problem])
     if flat.size * m >= 1 << m and m <= MAX_CTP_HYPOTHESES:
-        (*_, code), rejected = _decide(stack, key)
-        # (the masks are below 2^m here, whatever their dtype)
-        rejected = rejected[0, code[0, flat.astype(np.intp, copy=False)]
-                            .astype(np.intp)]
+        (*_, code), rejected = _decide(stack, key, codes=True)
+        # (the masks are below 2^m here, whatever their dtype; `take`
+        # refuses an object array, so they are cast first)
+        rejected = rejected[0].take(
+            code[0].take(flat.astype(np.intp, copy=False)).astype(np.intp))
     else:
         # (Python ints for masks wider than 64 bits)
         member = ((flat[:, None] >> np.arange(m)) & 1).astype(bool)
@@ -340,11 +352,16 @@ def _close(rejected: np.ndarray) -> np.ndarray:
     """
     packed = np.packbits(rejected, axis=1, bitorder="little")
     count, width = packed.shape
-    empty = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+
+    def rows(row: int) -> int:
+        # `row`, one row's int, repeated for every row
+        return row if count == 1 else int.from_bytes(
+            row.to_bytes(width, "little") * count, "little")
+
     bits = (int.from_bytes(packed.tobytes(), "little")
-            ^ (1 << 8 * packed.size) - 1 | empty)
+            ^ (1 << 8 * packed.size) - 1 | rows(1))
     for k, kept in enumerate(_layout(rejected.shape[1].bit_length() - 1)[2]):
-        bits |= (bits >> (1 << k)) & int.from_bytes(kept * count, "little")
+        bits |= (bits >> (1 << k)) & rows(kept)
     covered = np.frombuffer(bits.to_bytes(packed.size, "little"),
                             dtype=np.uint8).reshape(packed.shape)
     return np.unpackbits(covered, axis=1, count=rejected.shape[1],
@@ -352,16 +369,18 @@ def _close(rejected: np.ndarray) -> np.ndarray:
 
 
 def _witnesses(covered: np.ndarray, kept: np.ndarray,
-               code: Optional[np.ndarray]) -> List[Optional[int]]:
+               codes: Optional[Callable[[int], np.ndarray]]
+               ) -> List[Optional[int]]:
     """Each row's consonance witness, from `_close`'s table `covered` and
     its singletons `kept`, `covered[:, 1 << k]` for k < m (True where the
     hypothesis of bit k is not rejected): the smallest CTP-rejected index
     mask holding none of the row's elementary rejections, or None.
-    `code[r, I]` is the column of row r's index mask I; with `code` None,
-    column I holds mask I.  The CTP-rejected subsets are closed under
-    supersets (an accepted superset of a superset of I is one of I), so
-    only a row whose hypotheses that are not rejected form a CTP-rejected
-    set has a witness, and only such a row is searched.
+    `codes(r)[I]` is the column of row r's index mask I, asked for only of
+    a row that is searched; with `codes` None, column I holds mask I.  The
+    CTP-rejected subsets are closed under supersets (an accepted superset
+    of a superset of I is one of I), so only a row whose hypotheses that are
+    not rejected form a CTP-rejected set has a witness, and only such a row
+    is searched.
     """
     count, size = covered.shape
     held = kept @ _layout(kept.shape[1])[0]
@@ -371,8 +390,8 @@ def _witnesses(covered: np.ndarray, kept: np.ndarray,
         return witnesses
     for r in np.flatnonzero(~lone).tolist():
         found = ~covered[r] & (np.arange(size) & ~held[r] == 0)
-        if code is not None:
-            found = found[code[r].astype(np.intp)]
+        if codes is not None:
+            found = found.take(codes(r).astype(np.intp))
         witnesses[r] = int(found.argmax())
     return witnesses
 
@@ -457,7 +476,14 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
         # [:, a, 1, b] is code I = a * 2^(k+1) + 2^k + b and [:, a, 0, b] is
         # I - 2^k
         halves = total.reshape(count, -1, 2, 1 << k)
-        below = halves[:, :, 1] < halves[:, :, 0]
+        if k < 3:
+            # numpy would loop innermost over runs of 2^k < 8 codes b, which
+            # cost more to step through than to compare: loop over a
+            halves = halves.swapaxes(1, 3)
+            below = np.less(halves[:, :, 1], halves[:, :, 0],
+                            order="C").swapaxes(1, 2)
+        else:
+            below = halves[:, :, 1] < halves[:, :, 0]
         if not below.any():
             continue
         rows, a, b = np.nonzero(below)
@@ -503,19 +529,27 @@ class ClosedStack:
       `check_monotonicity_condition(problem, procedure).counterexample`,
       worked out from the same subset totals when first read.
 
-    The decisions are made and closed in code space (`_decide`, `_close`),
-    and only the singletons, put in hypothesis order by `rank_index`, and
-    the witnesses, through each row's codes, are read back.
+    The decisions are made and closed in code space (`_decide`, `_close`)
+    from a table of totals alone, and only the singletons, put in
+    hypothesis order by `rank_index`, and the witnesses are read back, each
+    witness through its row's codes, rebuilt from that row alone.
     """
 
     def __init__(self, stack: ProblemStack, procedure: Procedure):
         self.procedure = procedure
         self._stack, self.m = stack, stack.m
-        self._subsets, rejected = _decide(stack, ranking(procedure))
-        perm, *_, code = self._subsets
+        key = ranking(procedure)
+        self._subsets, rejected = _decide(stack, key)
+        perm = self._subsets[0]
         covered = _close(rejected)
         kept = _singletons(covered)
-        self.consonance_witnesses = _witnesses(covered, kept, code)
+
+        def codes(r):
+            # a witness row's codes, summed in that row's own table
+            row = ProblemStack(*(a[r:r + 1] for a in stack))
+            return _all_subsets(row, key, codes=True)[3][0]
+
+        self.consonance_witnesses = _witnesses(covered, kept, codes)
         # bit k of a code stands for rank m-1-k: reversed, kept is by rank
         self.rejections = np.empty_like(kept)
         self.rejections.put(rank_index(perm), ~kept[:, ::-1])

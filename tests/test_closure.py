@@ -450,7 +450,8 @@ class TestStacks:
         stack = ProblemStack(gen.uniform(size=(rows, m)),
                              gen.uniform(0.5, 2.0, size=(rows, m)),
                              np.full(rows, 0.05))
-        perm, _, total, code = closure._all_subsets(stack, ranking(procedure))
+        perm, _, total, code = closure._all_subsets(stack, ranking(procedure),
+                                                    codes=True)
         if procedure is Procedure.WHP:
             total = gen.uniform(0.5, 8.0, size=(rows, 1 << m))
             total[:, 0] = 0.0
@@ -487,7 +488,7 @@ def _mask_order_rejects(stack, key):
     total of every nonempty mask gathered from `_all_subsets`' codes, its
     first-ranked member (the member of smallest rank) and that member's p/w
     gathered by index, times the total, at most alpha."""
-    perm, _, total, code = closure._all_subsets(stack, key)
+    perm, _, total, code = closure._all_subsets(stack, key, codes=True)
     m = stack.m
     rows = np.arange(len(perm))[:, None]
     total = total[rows, code[:, 1:].astype(np.intp)]
@@ -544,7 +545,14 @@ class TestCodeSpace:
             assert (kept == covered[:, 1 << np.arange(m)]).all()
             assert (np.take_along_axis(covered, code[:, 1 << np.arange(m)],
                                        axis=1) == ~rejections).all()
-            assert closure._witnesses(covered, kept, code) == found
+            # codes are asked for row by row, and only of a witness's row
+            asked = []
+
+            def codes(r):
+                asked.append(r)
+                return code[r].astype(float)
+            assert closure._witnesses(covered, kept, codes) == found
+            assert asked == [r for r, w in enumerate(found) if w is not None]
             # in index-mask order, the table read as it is
             direct = closure._close(np.take_along_axis(rejected, code, axis=1))
             assert (direct == expected).all()
@@ -553,6 +561,28 @@ class TestCodeSpace:
             witnesses += sum(w is not None for w in found)
         if m > 1:
             assert witnesses > 0
+
+    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+    def test_stack_witnesses_read_the_codes_of_their_own_rows(
+            self, monkeypatch, procedure):
+        # neither built-in test has a witness; forced local decisions that
+        # reject most subsets give many, each read back through the codes
+        # of its own row, rebuilt from that row alone
+        gen = np.random.default_rng(66)
+        m, rows = 5, 30
+        stack = ProblemStack(gen.uniform(size=(rows, m)),
+                             gen.uniform(0.5, 2.0, size=(rows, m)),
+                             np.full(rows, 0.05))
+        forced = gen.uniform(size=(rows, 1 << m)) < 0.8
+        real = closure._decide
+        monkeypatch.setattr(closure, "_decide", lambda *args: (
+            real(*args)[0], forced))
+        closed = ClosedStack(stack, procedure)
+        *_, code = closure._all_subsets(stack, ranking(procedure), codes=True)
+        _, rejections, found = _brute_closure(~forced, code.astype(np.intp))
+        assert closed.consonance_witnesses == found
+        assert (closed.rejections == rejections).all()
+        assert sum(w is not None for w in found) > rows // 2
 
     @pytest.mark.parametrize("corpus", [BOUNDARY_CORPUS, _tied_corpus(800, seed=61)],
                              ids=["exact-boundary", "ties-and-zeros"])
@@ -563,9 +593,15 @@ class TestCodeSpace:
             groups[problem.m].append(problem)
         for problems in groups.values():
             stack = ProblemStack.of(problems)
-            (perm, _, total, code), rejected = closure._decide(stack, key)
+            (perm, tilde, total, code), rejected = closure._decide(stack, key)
+            assert code is None
             assert rejected.shape == total.shape == (len(problems),
                                                      1 << stack.m)
+            # the same table with the codes summed alongside
+            (*same, code), coded = closure._decide(stack, key, codes=True)
+            for a, b in zip(same, (perm, tilde, total)):
+                assert (a == b).all()
+            assert (coded == rejected).all()
             assert (np.take_along_axis(rejected, code[:, 1:].astype(np.intp),
                                        axis=1)
                     == _mask_order_rejects(stack, key)).all()
