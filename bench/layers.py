@@ -40,11 +40,13 @@ A/A run of this checkout against itself.  The calls timed, with
   `list(report.local_decisions.items())`, at m = 14 and 16, per call;
 - `closure.ClosedStack` for WHP and for WAP on a stack of 64 problems at
   m = 8, the battery's stack at that size, per call, with the
-  `ProblemStack` built untimed, and the stacked monotonicity read, the
-  first read of `monotonicity_counterexamples` of a WHP `ClosedStack` of
-  such a stack, built untimed for each call;
-- `whp_local_test` called directly on 1 and 1,000 random masks at m = 16 and
-  on 100,000 at m = 21, per call;
+  `ProblemStack` built untimed and the stack ranked in the call (a checkout
+  whose `ClosedStack` takes the `procedures.rank` view is handed one, an
+  older one ranks the stack itself), and the stacked monotonicity read,
+  the first read of `monotonicity_counterexamples` of a WHP `ClosedStack`
+  of such a stack, built untimed for each call;
+- `whp_local_test` and `wap_local_test` called directly on 1 and 1,000
+  random masks at m = 16 and on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
   `cli.main` runs of `adjust` at m = 5, 1000 and 10,000 (at both
   precisions at 10,000) and `ctp --procedure whp` at
@@ -377,10 +379,17 @@ def cases(wholm, tmp, values):
         return wholm.procedures.ProblemStack.of([
             problem(seed * rows + r, CLOSED_STACK_M) for r in range(rows)])
 
+    def closed(stack, procedure):
+        procedures = wholm.procedures
+        if not hasattr(procedures, "rank"):
+            return wholm.closure.ClosedStack(stack, procedure)
+        return wholm.closure.ClosedStack(stack, procedure, procedures.rank(
+            stack.p, stack.w, procedures.ranking(procedure)))
+
     for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
         def closed_stack(seed, procedure=procedure):
             stack = problem_stack(seed)
-            return lambda: wholm.closure.ClosedStack(stack, procedure)
+            return lambda: closed(stack, procedure)
 
         add("closure.ClosedStack", "call",
             {"procedure": procedure.value, "m": CLOSED_STACK_M,
@@ -388,9 +397,8 @@ def cases(wholm, tmp, values):
 
     def counterexamples(seed):
         # a fresh stack per call: the property is cached on first read
-        closed = wholm.closure.ClosedStack(problem_stack(seed),
-                                           wholm.Procedure.WHP)
-        return lambda: closed.monotonicity_counterexamples
+        stack = closed(problem_stack(seed), wholm.Procedure.WHP)
+        return lambda: stack.monotonicity_counterexamples
 
     add("closure.ClosedStack.monotonicity_counterexamples", "call",
         {"procedure": "whp", "m": CLOSED_STACK_M, "rows": CLOSED_STACK_ROWS},
@@ -401,14 +409,16 @@ def cases(wholm, tmp, values):
                 lambda P=problem(seed, m):
                 wholm.check_monotonicity_condition(P, wholm.Procedure.WHP)))
 
-    def local_test(seed, m, count):
+    def local_test(seed, m, count, test):
         P = problem(seed, m)
         masks = np.random.default_rng(seed).integers(1, 1 << m, size=count)
-        return lambda: wholm.whp_local_test(P, masks)
+        return lambda: test(P, masks)
 
-    for m, count in LOCAL_TEST_CALLS:
-        add("closure.whp_local_test", "call", {"m": m, "masks": count},
-            lambda seed, m=m, count=count: local_test(seed, m, count))
+    for name in ("whp_local_test", "wap_local_test"):
+        for m, count in LOCAL_TEST_CALLS:
+            add(f"closure.{name}", "call", {"m": m, "masks": count},
+                lambda seed, m=m, count=count, test=getattr(wholm, name): (
+                    local_test(seed, m, count, test)))
 
     add("cli.build_parser", "call", {}, lambda seed: cli.build_parser)
 

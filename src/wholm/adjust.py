@@ -22,7 +22,7 @@ class AdjustedReport:
     """Adjusted values indexed by original hypothesis position.
 
     The values are nondecreasing along the procedure's ranking,
-    `procedures.rank_rows`.  Every value is capped at 1 at each recursion
+    `procedures.rank`.  Every value is capped at 1 at each recursion
     step, not only at the first one, so the report always stays inside
     [0, 1].  This never changes a rejection decision since alpha < 1.
     `rejected` holds the indices whose value is at most alpha.

@@ -28,10 +28,13 @@ The graph claims (`graphical-equivalence-*`) read one walk of the stack per
 ordering, `graphical.graph_rejections`, whose one-row call is
 `run_graphical`.  Their references, the step-down rejections, and the
 adjusted values come from one call of the step-downs' kernel
-`procedures.adjust_rows` per ranking per stack.  Every engine returns its
-rejections as (P, m) bool arrays in hypothesis order, the kernel its
-adjusted values too, so nothing is reordered here and each rejection claim
-is one numpy comparison per stack.  Witnesses are in corpus order.
+`procedures.adjust_rows` per ranking per stack, which ranks the stack once:
+the `procedures.rank` view it returns is handed to the procedure's
+`ClosedStack` and graph walk, so nothing else ranks it.  Every engine
+returns its rejections as (P, m) bool arrays in hypothesis order, the
+kernel its adjusted values too, so nothing is reordered here and each
+rejection claim is one numpy comparison per stack.  Witnesses are in corpus
+order.
 """
 
 from __future__ import annotations
@@ -84,17 +87,18 @@ def _adjusted_dominance(stack):
 
 class _Stack:
     """A `ProblemStack` `arrays` of problems of one size and, under each
-    procedure, their step-down rejections and adjusted values, both (P, m)
-    in hypothesis order as `adjust_rows` returns them, and their
-    `ClosedStack`."""
+    procedure, as `adjust_rows` returns them, their ranked view, and their
+    step-down rejections and adjusted values, both (P, m) in hypothesis
+    order, and their `ClosedStack`, built on that view."""
 
     def __init__(self, arrays: ProblemStack):
         self.arrays = p, w, alpha = arrays
-        self.rejected, self.adjusted, self.closed = {}, {}, {}
+        self.ranked, self.rejected, self.adjusted, self.closed = {}, {}, {}, {}
         for procedure in (Procedure.WHP, Procedure.WAP):
-            *_, self.adjusted[procedure], self.rejected[procedure] = (
+            ranked, _, self.adjusted[procedure], self.rejected[procedure] = (
                 adjust_rows(p, w, alpha[:, None], ranking(procedure)))
-            self.closed[procedure] = ClosedStack(arrays, procedure)
+            self.ranked[procedure] = ranked
+            self.closed[procedure] = ClosedStack(arrays, procedure, ranked)
 
 
 def _ctp_equivalence(procedure):
@@ -103,7 +107,8 @@ def _ctp_equivalence(procedure):
 
 
 def _graphical_equivalence(procedure):
-    return lambda stack: (graph_rejections(stack.arrays, ranking(procedure))
+    return lambda stack: (graph_rejections(stack.arrays,
+                                           stack.ranked[procedure])
                           == stack.rejected[procedure]).all(axis=1)
 
 

@@ -2,8 +2,9 @@
 
 Subsets of {0..m-1} are encoded as bitmasks, the index masks.  One table,
 `_all_subsets`, holds the weight total of every subset of each problem in a
-stack of one size m, each row in its own ranking and indexed by rank-space
-code (bit m-1-r for the member at rank r).  A stack's table holds totals
+stack of one size m, each row in its own ranking, read through the stack's
+`procedures.rank` view, and indexed by rank-space code (bit m-1-r for the
+member at rank r).  A stack's table holds totals
 only: the code of each index mask is summed, in the same loop, only where
 a reader gathers through it, the one-row local test and the row of a
 consonance witness, rebuilt for that row alone.  Every closed-testing
@@ -20,8 +21,9 @@ by step 1 below never grow on the removal of a hypothesis (see
 `_counterexamples`), in code order as they are built; only a violation
 found is mapped back to index masks.
 A local test asked about too few masks to pay for the table (or for m above
-`MAX_CTP_HYPOTHESES`) decides each one as the first step of the step-down
-run on that intersection alone, `procedures.adjust_rows`, with the same sums.
+`MAX_CTP_HYPOTHESES`) reads each mask's members through the row's view and
+sums their weights as the table does, from the last rank upward, so it
+makes the same decisions without the table.
 
 `_decide` makes the local decisions of a stack in code space, where the
 first-ranked member of code c is its highest bit, so that no value is
@@ -61,16 +63,16 @@ are checked against.
 
 Closing either built-in test reproduces its step-down bit for bit, also for a
 p-value exactly on a boundary, because every subset total is summed from the
-last rank upward in the procedure's own ranking, `procedures.rank_rows`:
+last rank upward in the procedure's own ranking, `procedures.rank`:
 
 1. Sums taken in one fixed order are monotone under inclusion.  If A is a
    subset of B, each partial sum of A is at most that of B: both start at
    0.0, each step adds w_i >= 0 to B and w_i or 0.0 to A, and rounded
    addition is monotone in each argument.  So total(A) <= total(B).
 2. The tail set T_j of the hypotheses at ranks j and later is summed exactly
-   as `procedures.adjust_rows` sums tail_j: both rank with `rank_rows`, so
-   the same weights are added in the same order, and adding 0.0 for an
-   absent member is exact.
+   as `procedures.adjust_rows` sums tail_j: both read the weights by rank
+   of one `procedures.rank` view, so the same weights are added in the same
+   order, and adding 0.0 for an absent member is exact.
    So total(T_j) == tail_j.
 3. Let the step-down reject ranks 0..k-1.  A subset I holding one of them has
    its first rank r < k, so I is a subset of T_r, and its value
@@ -92,8 +94,8 @@ import numpy as np
 
 from .core import (OrderingKey, RejectionSet, TestingProblem, _check_block,
                    _labels, check_alpha, validate_problem)
-from .procedures import (Procedure, ProblemStack, adjust_rows, rank_index,
-                         rank_rows, ranking)
+from .procedures import (Procedure, ProblemStack, Ranked, adjust_rows, rank,
+                         ranking)
 
 MAX_CTP_HYPOTHESES = 20
 # Trials in the first chunk of the p-value monotonicity search.
@@ -203,15 +205,13 @@ def _layout(m: int):
         for k in range(m))
 
 
-def _all_subsets(stack: ProblemStack, key: OrderingKey, codes: bool = False):
-    """Each row of the stack ranked under `key` by the step-downs'
-    `procedures.rank_rows`, and the totals of all 2^m subsets of each row by
-    rank-space code: the ranking, the weighted p-values p/w by rank, the
-    totals, and with `codes` the code of each index mask (None without),
-    the last three as (P, m), (P, 2^m) and (P, 2^m) arrays.  The table holds
-    the totals only, unless a reader gathers through the codes: they are
-    then exact floats, summed as further rows of the same table in the same
-    loop, and cast to indices only where they are read.
+def _all_subsets(ranked: Ranked, codes: bool = False):
+    """The totals of all 2^m subsets of each row of `ranked`, a stack's
+    `procedures.rank` view, by rank-space code, and with `codes` the code of
+    each index mask (None without), both as (P, 2^m) arrays.  The table
+    holds the totals only, unless a reader gathers through the codes: they
+    are then exact floats, summed as further rows of the same table in the
+    same loop, and cast to indices only where they are read.
 
     In a code, bit m-1-r stands for the member at rank r, so the highest bit
     is the first-ranked member and the lower bits hold later ranks.  Codes
@@ -220,16 +220,12 @@ def _all_subsets(stack: ProblemStack, key: OrderingKey, codes: bool = False):
     members from the last rank upward, starting at 0.0 for the empty set,
     the order in which the row's step-down sums its tails.
     """
-    _check_ctp_size(stack.m)
-    p, w, _ = stack
-    tilde = p / w
-    perm = rank_rows(p, tilde, key)
-    count, m = perm.shape
-    flat = rank_index(perm)
-    steps = w.take(flat)[:, ::-1]
+    count, m = ranked.perm.shape
+    _check_ctp_size(m)
+    steps = ranked.w[:, ::-1]
     if codes:
-        code_bit = np.empty_like(perm)
-        code_bit.put(flat, _layout(m)[0][::-1])
+        code_bit = np.empty_like(ranked.perm)
+        code_bit.put(ranked.flat, _layout(m)[0][::-1])
         steps = np.concatenate([steps, code_bit])
     # Step q adds the weight at rank m-1-q to the totals of codes below 2^q,
     # and hypothesis q's code bit to the codes of index masks below 2^q (the
@@ -240,8 +236,7 @@ def _all_subsets(stack: ProblemStack, key: OrderingKey, codes: bool = False):
     table = np.zeros((steps.shape[1], 1 << m))
     for q, step in enumerate(steps):
         np.add(table[:, :1 << q], step, out=table[:, 1 << q:2 << q])
-    return perm, tilde.take(flat), table[:count], (
-        table[count:] if codes else None)
+    return table[:count], table[count:] if codes else None
 
 
 def _check_ctp_size(m: int) -> None:
@@ -250,33 +245,32 @@ def _check_ctp_size(m: int) -> None:
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
 
 
-def _decide(stack: ProblemStack, key: OrderingKey, codes: bool = False):
-    """Both local tests' rule on every subset of every row, in code space:
-    the first-ranked member's (p/w) * total is at most alpha.  Returns the
-    stack's `_all_subsets` (with the codes only if `codes`) and the (P, 2^m)
-    decisions by code."""
-    subsets = _, tilde, total, _ = _all_subsets(stack, key, codes)
+def _decide(ranked: Ranked, alpha, codes: bool = False):
+    """Both local tests' rule on every subset of every row of `ranked`, in
+    code space: the first-ranked member's (p/w) * total is at most `alpha`,
+    a scalar or a (P, 1) column.  Returns `_all_subsets`' totals and
+    codes (only if `codes`) and the (P, 2^m) decisions by code."""
+    total, code = _all_subsets(ranked, codes)
     # each code's first-ranked member is its highest bit: codes 0 and 1
     # take the last rank's p/w (code 0, the empty set, is never read), and
     # the 2^k codes in [2^k, 2^(k+1)) that of rank m-1-k
-    first = np.repeat(tilde[:, ::-1], _layout(stack.m)[1], axis=1)
+    first = np.repeat(ranked.tilde[:, ::-1], _layout(ranked.perm.shape[1])[1],
+                      axis=1)
     first *= total
-    return subsets, first <= stack.alpha[:, None]
+    return total, code, first <= alpha
 
 
 def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
                 key: OrderingKey) -> Union[bool, np.ndarray]:
     """K masks with K * m >= 2^m (m within `MAX_CTP_HYPOTHESES`) are read
     from `_decide`'s decisions on all subsets, gathered from code space.
-    Otherwise the masks of each size k are stacked as (K_k, k) rows of
-    their members in index order and decided by the first step of
-    `procedures.adjust_rows`: its stable ranking orders the members as the
-    full ranking does, its tail adds the same weights in the same order,
-    and its adjusted value, capped at 1, is at most alpha < 1 iff the
-    product is.  Rejections are a prefix of the ranking, so a mask is
-    rejected iff its first-ranked member is.  Masks of any integer or bool
-    dtype are taken, and object arrays of Python ints for masks wider than
-    64 bits; any other dtype raises ValueError."""
+    Otherwise each mask's members are read at each rank of the row's
+    `procedures.rank` view, and its total adds their weights from the last
+    rank upward, skipping each absent rank, which is adding 0.0 exactly:
+    the subset table's own sum, so the same bits.  A mask is rejected iff
+    its first-ranked member's (p/w) * total is at most alpha.  Masks of any
+    integer or bool dtype are taken, and object arrays of Python ints for
+    masks wider than 64 bits; any other dtype raises ValueError."""
     masks = np.asarray(masks)
     if masks.size == 0:
         return np.zeros(masks.shape, dtype=bool)
@@ -287,24 +281,25 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
     if masks.min() <= 0 or int(masks.max()) >> m:
         raise ValueError("intersection must be a nonempty subset of the "
                          f"{m} hypotheses")
-    flat, stack = masks.reshape(-1), ProblemStack.of([problem])
+    if masks.dtype.kind == "u":
+        # numpy shifts no uint64 by an int64; the masks are below 2^m
+        masks = masks.astype(np.int64 if m < 64 else object)
+    flat, ranked = masks.reshape(-1), rank([problem.p], [problem.w], key)
     if flat.size * m >= 1 << m and m <= MAX_CTP_HYPOTHESES:
-        (*_, code), rejected = _decide(stack, key, codes=True)
+        _, code, rejected = _decide(ranked, problem.alpha, codes=True)
         # (the masks are below 2^m here, whatever their dtype; `take`
         # refuses an object array, so they are cast first)
         rejected = rejected[0].take(
             code[0].take(flat.astype(np.intp, copy=False)).astype(np.intp))
     else:
-        # (Python ints for masks wider than 64 bits)
-        member = ((flat[:, None] >> np.arange(m)) & 1).astype(bool)
-        size = member.sum(axis=1)
-        rejected = np.empty(flat.size, dtype=bool)
-        for k in np.unique(size).tolist():
-            group = np.flatnonzero(size == k)
-            index = np.nonzero(member[group])[1].reshape(-1, k)
-            perm, *_, hits = adjust_rows(stack.p[0, index], stack.w[0, index],
-                                         problem.alpha, key)
-            rejected[group] = hits[np.arange(group.size), perm[:, 0]]
+        # (m, K) member bits by rank (Python ints for masks wider than 64
+        # bits)
+        member = (flat >> ranked.perm[0, :, None] & 1).astype(bool)
+        total = np.zeros(flat.size)
+        for held, weight in zip(member[::-1], ranked.w[0, ::-1].tolist()):
+            np.add(total, weight, out=total, where=held)
+        rejected = (ranked.tilde[0].take(member.argmax(axis=0)) * total
+                    <= problem.alpha)
     return rejected.reshape(masks.shape)[()]
 
 
@@ -431,14 +426,14 @@ def check_consonance(problem: TestingProblem,
     return ConsonanceReport(holds=witness is None, violating_subset=witness)
 
 
-def _counterexamples(stack: ProblemStack, procedure: Procedure,
-                     total: np.ndarray,
-                     perm: np.ndarray) -> List[Optional[Tuple]]:
+def _counterexamples(ranked: Ranked, alpha: np.ndarray, procedure: Procedure,
+                     total: np.ndarray) -> List[Optional[Tuple]]:
     """Per row, the first violation of alpha_i(I) <= alpha_i(J) for i in J,
     J a proper subset of I, as (I, J, i, alpha_i(I), alpha_i(J)) with I and
     J index masks and i a hypothesis, or None where the condition holds.
-    `total` holds `_all_subsets`' totals by rank-space code (column 0 the
-    empty set's 0.0) and `perm` the procedure's ranking.
+    `ranked` is the stack's view under the procedure's ranking, `alpha` its
+    (P,) levels and `total` `_all_subsets`' totals by rank-space code
+    (column 0 the empty set's 0.0).
 
     WHP gives every member of I its weight share w_i * alpha / total(I).
     WAP gives that share to the first-ranked member, the one with the
@@ -449,7 +444,7 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
     The search runs in code space: removals of code bit 0 (the last-ranked
     member) are searched first, then of bit 1, and so on; within one, the
     smallest code I and then the lowest code bit i.  Only a violation found
-    is mapped back to index masks and a hypothesis, through `perm`.
+    is mapped back to index masks and a hypothesis, through the ranking.
 
     A share of i can rise from J = I - {j} to I only where total(I) <
     total(J), since rounded division by a positive total is monotone; under
@@ -457,15 +452,15 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
     out only at such pairs, of which the library's own tables have none
     (step 1 of the module docstring).
     """
-    count, m = perm.shape
+    count, m = ranked.perm.shape
     bits = np.arange(m)
     # bit k of a code stands for the member at rank m-1-k
-    weight = stack.w.take(rank_index(perm))[:, ::-1]
+    weight = ranked.w[:, ::-1]
 
     def shares(rows, codes):
         # alpha_i(code) of each row by code bit, with +inf outside the code
         high = codes[:, None] >> bits
-        share = weight[rows] * stack.alpha[rows, None] / total[rows, codes, None]
+        share = weight[rows] * alpha[rows, None] / total[rows, codes, None]
         if procedure is Procedure.WAP:
             # the first-ranked member is the highest bit, as in `_decide`
             share[high != 1] = 0.0
@@ -494,7 +489,7 @@ def _counterexamples(stack: ProblemStack, procedure: Procedure,
             r, i = int(rows[n]), int(viol[n].argmax())
             if found[r] is None:
                 # the hypothesis of each code bit, and J's index mask
-                member = perm[r, ::-1]
+                member = ranked.perm[r, ::-1]
                 mask = int((1 << member) @ (small[n] >> bits & 1))
                 found[r] = (mask | 1 << int(member[k]), mask, int(member[i]),
                             float(big_share[n, i]), float(small_share[n, i]))
@@ -505,9 +500,9 @@ def check_monotonicity_condition(problem: TestingProblem,
                                  procedure: Procedure) -> MonotonicityReport:
     """Verify alpha_i(I) <= alpha_i(J) for all i in J, J a proper subset of I
     (see `_counterexamples`)."""
-    stack = ProblemStack.of([problem])
-    perm, _, total, _ = _all_subsets(stack, ranking(procedure))
-    [found] = _counterexamples(stack, procedure, total, perm)
+    ranked = rank([problem.p], [problem.w], ranking(procedure))
+    [found] = _counterexamples(ranked, np.array([problem.alpha]), procedure,
+                               _all_subsets(ranked)[0])
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
@@ -515,9 +510,10 @@ class ClosedStack:
     """Closed testing of problems of one size under the local test of WHP
     (`whp_local_test`) or of WAP (`wap_local_test`), for all of them at once
     from one subset table.  `stack` is their `procedures.ProblemStack`, as
-    `ProblemStack.of(problems)` builds it.  Each attribute holds one entry
-    per problem, in stack order, equal to what the one-problem function
-    returns for it:
+    `ProblemStack.of(problems)` builds it, and `ranked` its
+    `procedures.rank` view under the procedure's ranking, as
+    `adjust_rows` returns it.  Each attribute holds one entry per problem,
+    in stack order, equal to what the one-problem function returns for it:
 
     - `rejections`: a (P, m) bool array whose row holds the closed
       elementary rejections in hypothesis order, the indices of
@@ -531,33 +527,29 @@ class ClosedStack:
 
     The decisions are made and closed in code space (`_decide`, `_close`)
     from a table of totals alone, and only the singletons, put in
-    hypothesis order by `rank_index`, and the witnesses are read back, each
-    witness through its row's codes, rebuilt from that row alone.
+    hypothesis order through the view's flat index, and the witnesses are
+    read back, each witness through its row's codes, rebuilt from that row
+    alone.
     """
 
-    def __init__(self, stack: ProblemStack, procedure: Procedure):
+    def __init__(self, stack: ProblemStack, procedure: Procedure,
+                 ranked: Ranked):
         self.procedure = procedure
-        self._stack, self.m = stack, stack.m
-        key = ranking(procedure)
-        self._subsets, rejected = _decide(stack, key)
-        perm = self._subsets[0]
+        self._alpha, self._ranked, self.m = stack.alpha, ranked, stack.m
+        self._total, _, rejected = _decide(ranked, stack.alpha[:, None])
         covered = _close(rejected)
         kept = _singletons(covered)
-
-        def codes(r):
-            # a witness row's codes, summed in that row's own table
-            row = ProblemStack(*(a[r:r + 1] for a in stack))
-            return _all_subsets(row, key, codes=True)[3][0]
-
-        self.consonance_witnesses = _witnesses(covered, kept, codes)
+        # a witness row's codes are summed in that row's own table
+        self.consonance_witnesses = _witnesses(covered, kept, lambda r: (
+            _all_subsets(ranked.row(r), codes=True)[1][0]))
         # bit k of a code stands for rank m-1-k: reversed, kept is by rank
         self.rejections = np.empty_like(kept)
-        self.rejections.put(rank_index(perm), ~kept[:, ::-1])
+        self.rejections.put(ranked.flat, ~kept[:, ::-1])
 
     @cached_property
     def monotonicity_counterexamples(self) -> List[Optional[Tuple]]:
-        perm, _, total, _ = self._subsets
-        return _counterexamples(self._stack, self.procedure, total, perm)
+        return _counterexamples(self._ranked, self._alpha, self.procedure,
+                                self._total)
 
 
 def _draw_corpus(count: int, seed: int, m_max: int, alpha: float) -> _Corpus:

@@ -4,9 +4,10 @@ matrix of transition coefficients `g`, both exactly 0 at rejected nodes, `g`
 alpha_l += alpha_j * g_jl and g_lk <- (g_lk + g_lj * g_jk) / (1 - g_lj * g_jl).
 WHP and WAP share the weight-derived initial graph, from which the update
 stays in closed form (the tests' independent oracle), and each tests the
-next hypothesis in `procedures.rank_rows`'s ranking, by p/w or by p.  The
-initial graphs of a stack are built in one place, `_initial_graphs`, with a
-0 diagonal; `initial_graph` is its one-row call in hypothesis order.
+next hypothesis in the step-downs' ranking, by p/w or by p, read through
+the stack's `procedures.rank` view.  The initial graphs of a stack are built
+in one place, `_initial_graphs`, with a 0 diagonal; `initial_graph` is its
+one-row call in hypothesis order.
 
 The rejections are a prefix of that ranking, so `_walk` runs the graphs of a
 stack of same-size problems along it at once, each permuted into rank
@@ -15,7 +16,9 @@ the trailing block of ranks k+1.. left active, with `reject_and_update`'s
 elementwise expressions.  `run_graphical` is a one-row walk; each of its
 steps keeps its own rank-order block, put back in hypothesis order only
 when its `GraphStep.after` is read.  `graph_rejections` gives the battery
-the rejections of a whole stack from one walk.
+the rejections of a whole stack from one walk along the view the
+step-down kernel returned for it.  `dot_stages` writes each node name and
+label as a DOT quoted string, its backslashes and double quotes escaped.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem, _labels
-from .procedures import ProblemStack, rank_index, rank_rows
+from .procedures import ProblemStack, Ranked, rank
 
 
 class GraphInvariantError(RuntimeError):
@@ -136,29 +139,22 @@ def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
     return TransitionGraph(active=remaining, local_alpha=local, g=g)
 
 
-def _walk(p, w, alpha, key: OrderingKey):
-    """The graphs of a stack of (P, m) p-values and weights, walked along
-    `rank_rows`'s ranking under `key`; `alpha` (a scalar or a (P, 1) column)
-    broadcasts against them.
+def _walk(stack: ProblemStack, ranked: Ranked):
+    """The graphs of a stack of problems, walked along its `procedures.rank`
+    view `ranked`.
 
-    Returns the (P, m) ranking and an iterator with one item per step k
-    that some row rejects at: the stack rows rejecting rank k, the levels
-    rank k was tested at, and the rows' graphs after the rejection over the
-    n = m - k - 1 ranks still active, as an (L, n + 1, n) array: the
-    coefficients, then the levels as a last row.  The levels update as a
-    coefficient row does, without the division.  The initial graphs are
-    `_initial_graphs`', as `initial_graph`'s are; rows that stop are
-    dropped.  A degenerate update raises `GraphInvariantError` naming the
-    stack row and, in hypothesis indices, the node `reject_and_update`
-    names.
+    Yields one item per step k that some row rejects at: the stack rows
+    rejecting rank k, the levels rank k was tested at, and the rows' graphs
+    after the rejection over the n = m - k - 1 ranks still active, as an
+    (L, n + 1, n) array: the coefficients, then the levels as a last row.
+    The levels update as a coefficient row does, without the division.  The
+    initial graphs are `_initial_graphs`', as `initial_graph`'s are; rows
+    that stop are dropped.  A degenerate update raises `GraphInvariantError`
+    naming the stack row and, in hypothesis indices, the node
+    `reject_and_update` names.
     """
-    p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
-    perm = rank_rows(p, p / w, key)
-    flat = rank_index(perm)
-    return perm, _steps(p.take(flat), _initial_graphs(w, alpha, flat), perm)
-
-
-def _steps(p, graph, perm):
+    p, perm = stack.p.take(ranked.flat), ranked.perm
+    graph = _initial_graphs(stack.w, stack.alpha[:, None], ranked.flat)
     live = np.arange(len(p))
     m = p.shape[1]
     for k in range(m):
@@ -204,15 +200,18 @@ def _degenerate(denom, ranks, live):
 
 def run_graphical(problem: TestingProblem,
                   ordering: OrderingKey) -> Tuple[RejectionSet, GraphTrace]:
-    """Test the hypotheses in `rank_rows`'s order until the first failure.
+    """Test the hypotheses in the step-downs' order until the first failure.
 
     WEIGHTED ordering reproduces WHP, RAW ordering reproduces WAP.  A
     hypothesis is rejected iff its raw p-value is at or below its current
     local level.
     """
-    [ranking], walk = _walk([problem.p], [problem.w], problem.alpha, ordering)
+    stack = ProblemStack.of([problem])
+    ranked = rank(stack.p, stack.w, ordering)
+    [ranking] = ranked.perm
     trace, steps = [], []
-    for (_, threshold, graph), j in zip(walk, ranking.tolist()):
+    for (_, threshold, graph), j in zip(_walk(stack, ranked),
+                                        ranking.tolist()):
         trace.append((len(trace) + 1, j, threshold.item()))
         steps.append(GraphStep(j, ranking, graph))
     return (RejectionSet(rejected=frozenset(step.rejected_index
@@ -221,16 +220,15 @@ def run_graphical(problem: TestingProblem,
             GraphTrace(steps=tuple(steps)))
 
 
-def graph_rejections(stack: ProblemStack, ordering: OrderingKey) -> np.ndarray:
+def graph_rejections(stack: ProblemStack, ranked: Ranked) -> np.ndarray:
     """`run_graphical(problem, ordering)`'s rejections for every problem of
-    a stack, from one walk, as a (P, m) bool array in hypothesis order."""
-    p, w, alpha = stack
-    perm, steps = _walk(p, w, alpha[:, None], ordering)
-    count = np.zeros(len(perm), dtype=np.intp)
-    for live, *_ in steps:
+    a stack, from one walk along its `procedures.rank` view `ranked` under
+    that ordering, as a (P, m) bool array in hypothesis order."""
+    count = np.zeros(len(stack.p), dtype=np.intp)
+    for live, *_ in _walk(stack, ranked):
         count[live] += 1
-    rejected = np.empty(perm.shape, dtype=bool)
-    rejected.put(rank_index(perm), np.arange(stack.m) < count[:, None])
+    rejected = np.empty(ranked.perm.shape, dtype=bool)
+    rejected.put(ranked.flat, np.arange(stack.m) < count[:, None])
     return rejected
 
 
@@ -336,12 +334,16 @@ def dot_stages(trace: GraphTrace, initial: TransitionGraph,
                labels: Optional[Sequence[str]] = None):
     """One DOT digraph per stage: the initial graph, then each post-rejection
     snapshot.  Node i is named `labels[i]`, by default `core._labels`'
-    "H1" to "Hm".  The edge labels of all stages come from one
+    "H1" to "Hm", with each backslash and double quote escaped by a
+    backslash, so that every quoted string closes where it should.  The
+    edge labels of all stages come from one
     `_coefficient_labels` call."""
     all_nodes = sorted(initial.active)
     if labels is None:
         labels = _labels(len(initial.local_alpha))
-    labels = {i: labels[i] for i in all_nodes}
+    # each name and label is written between double quotes
+    labels = {i: labels[i].replace("\\", "\\\\").replace('"', '\\"')
+              for i in all_nodes}
     graphs = [initial] + [step.after for step in trace.steps]
     edge_labels = iter(_coefficient_labels(
         np.concatenate([_off_diagonal(graph) for graph in graphs])))

@@ -430,9 +430,8 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         block, _ = _lfc_batch(w, tau, gen, min(SHARPNESS_BLOCK_ROWS, reps - start))
         _check_block(block, (block >= 0.0) & (block <= 1.0),
                      "p-value out of [0, 1]", "replicate", start)
-        perm, _, _, rejected = adjust_rows(block, w, alpha, key)
-        hits += int(np.count_nonzero(rejected[np.arange(len(block)),
-                                              perm[:, 0]]))
+        ranked, _, _, rejected = adjust_rows(block, w, alpha, key)
+        hits += int(np.count_nonzero(rejected.take(ranked.flat[:, 0])))
     fwer = hits / reps
     return SharpnessEstimate(fwer=fwer, se=math.sqrt(fwer * (1.0 - fwer) / reps),
                              reps=reps)

@@ -9,14 +9,18 @@ holds iff the product is at most alpha; in floating point the two forms round
 differently at a boundary, and only the product is used, so the adjusted
 reports print the very numbers the decisions were made on.
 
-`adjust_rows` is the one kernel that ranks, sums the tails and compares with
-alpha, over (R, m) rows; its ranking, `rank_rows`, is also the one closed
-testing and the graph use.  The adjusted reports and `whp_stepdown`,
-`wap_stepdown` and `holm_stepdown` are one-row calls of it, the step-downs
-with a trace of raw-scale thresholds w*alpha/tail.  The Monte Carlo engine
-and the witness searches check their own input once and call `adjust_rows`
-directly.  Decisions pass between modules in hypothesis order, moved there
-from rank order by one flat index, `rank_index`.
+`rank` ranks (R, m) rows, with the one argsort, `rank_rows`, and returns a
+`Ranked` view: the ranking, its flat index, and the weights and p/w by rank.
+`adjust_rows` is the one kernel that sums the tails of that view and
+compares with alpha, and returns the view with its decisions, so that one
+ranking of a stack serves the step-down, closed testing and the graph: they
+take the view, and none ranks or builds a flat index again.  The adjusted
+reports and `whp_stepdown`, `wap_stepdown` and `holm_stepdown` are one-row
+calls of `adjust_rows`, the step-downs with a trace of raw-scale thresholds
+w*alpha/tail.  The Monte Carlo engine and the witness searches check their
+own input once and call `adjust_rows` directly.  Decisions pass between
+modules in hypothesis order, moved there from rank order by the view's flat
+index.
 `ProblemStack` holds same-size problems as the arrays that every stacked
 kernel reads.
 """
@@ -50,7 +54,7 @@ def rank_rows(p: np.ndarray, tilde: np.ndarray, key: OrderingKey) -> np.ndarray:
     """The index at each rank of each row of `p` (R, m): a stable argsort of
     the weighted p-values `tilde` = p/w (WEIGHTED) or of p (RAW), so ties go
     to the smaller index.  This is the one ranking of the step-downs, closed
-    testing and the graphical run."""
+    testing and the graphical run, read through `rank`'s view."""
     return np.argsort(tilde if key is OrderingKey.WEIGHTED else p, axis=1,
                       kind="stable")
 
@@ -77,37 +81,54 @@ class ProblemStack(NamedTuple):
         return self.p.shape[1]
 
 
-def rank_index(perm: np.ndarray) -> np.ndarray:
-    """The flat index into (R, m) arrays in hypothesis order of each rank of
-    the ranking `perm`: `take` reads by rank, `put` writes back."""
-    return perm + np.arange(0, perm.size, perm.shape[1])[:, None]
+class Ranked(NamedTuple):
+    """(R, m) rows ranked by `rank`: the index at each rank `perm`, the flat
+    index `flat` into (R, m) arrays in hypothesis order of each rank (`take`
+    reads by rank, `put` writes back), and the weights `w` and weighted
+    p-values `tilde` = p/w by rank."""
+
+    perm: np.ndarray
+    flat: np.ndarray
+    w: np.ndarray
+    tilde: np.ndarray
+
+    def row(self, r: int) -> "Ranked":
+        """Row r alone, as a one-row view."""
+        perm = self.perm[r:r + 1]
+        return Ranked(perm, perm, self.w[r:r + 1], self.tilde[r:r + 1])
 
 
-def adjust_rows(p, w, alpha, key: OrderingKey):
-    """Rank each row of `p` (R, m) by p/w (WEIGHTED) or p (RAW) with
-    `rank_rows`, and return four (R, m) arrays: by rank, the index at each
-    rank and the tail weights (summed from the last rank upward); in
-    hypothesis order, the adjusted values and the rejections, adjusted value
-    <= alpha, which are a prefix of each row's ranking.  `w` and `alpha` (a
-    scalar or an (R, 1) column) broadcast against `p`, which is taken as
-    valid."""
+def rank(p, w, key: OrderingKey) -> Ranked:
+    """Each row of `p` (R, m) ranked by p/w (WEIGHTED) or p (RAW) with
+    `rank_rows`, as a `Ranked` view; `w` broadcasts against `p`."""
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
     w = w if w.shape == p.shape else np.broadcast_to(w, p.shape)
     tilde = p / w
     perm = rank_rows(p, tilde, key)
-    flat = rank_index(perm)
-    tails = np.cumsum(w.take(flat)[:, ::-1], axis=1)[:, ::-1]
+    flat = perm + np.arange(0, perm.size, perm.shape[1])[:, None]
+    return Ranked(perm, flat, w.take(flat), tilde.take(flat))
+
+
+def adjust_rows(p, w, alpha, key: OrderingKey):
+    """Rank each row of `p` (R, m) by p/w (WEIGHTED) or p (RAW) with `rank`,
+    and return its `Ranked` view and three (R, m) arrays: by rank, the tail
+    weights (summed from the last rank upward); in hypothesis order, the
+    adjusted values and the rejections, adjusted value <= alpha, which are
+    a prefix of each row's ranking.  `w` and `alpha` (a scalar or an (R, 1)
+    column) broadcast against `p`, which is taken as valid."""
+    ranked = rank(p, w, key)
+    tails = np.cumsum(ranked.w[:, ::-1], axis=1)[:, ::-1]
     # capping the running max equals capping at every step: min/max commute
-    adjusted = np.empty_like(tilde)
-    adjusted.put(flat, np.minimum(np.maximum.accumulate(
-        tilde.take(flat) * tails, axis=1), 1.0))
-    return perm, tails, adjusted, adjusted <= alpha
+    adjusted = np.empty_like(ranked.tilde)
+    adjusted.put(ranked.flat, np.minimum(np.maximum.accumulate(
+        ranked.tilde * tails, axis=1), 1.0))
+    return ranked, tails, adjusted, adjusted <= alpha
 
 
 def _stepdown(p: Sequence[float], w: Sequence[float], alpha: float,
               key: OrderingKey) -> RejectionSet:
-    perm, tails, _, rejected = adjust_rows([p], [w], alpha, key)
-    ranks = perm[0][:np.count_nonzero(rejected)].tolist()
+    ranked, tails, _, rejected = adjust_rows([p], [w], alpha, key)
+    ranks = ranked.perm[0][:np.count_nonzero(rejected)].tolist()
     # raw-scale thresholds, guaranteed in (0, 1)
     trace = tuple([(j + 1, i, w[i] * alpha / tail) for j, (i, tail)
                    in enumerate(zip(ranks, tails[0].tolist()))])

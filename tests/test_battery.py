@@ -1,8 +1,12 @@
+import cProfile
+import inspect
+import pstats
 from collections import Counter
 
 import pytest
 
-from wholm import Procedure, battery
+from wholm import (Procedure, adjust, battery, cli, closure, core, graphical,
+                   montecarlo, procedures)
 from wholm.battery import PROPERTIES, check_properties, run_check_battery
 from wholm.closure import (ClosedStack, find_pvalue_monotonicity_violation,
                            random_corpus)
@@ -31,8 +35,8 @@ class _LowFirstPValue(ClosedStack):
     """Consonance fails, by its witnesses, on every problem whose first
     p-value is below 0.2: problems of every size, in every stack."""
 
-    def __init__(self, stack, procedure):
-        super().__init__(stack, procedure)
+    def __init__(self, stack, procedure, ranked):
+        super().__init__(stack, procedure, ranked)
         self.consonance_witnesses = [1 if p < 0.2 else None
                                      for p in stack.p[:, 0].tolist()]
 
@@ -54,8 +58,8 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     corpus, violating = _ordered_corpus()
 
     class Failing(ClosedStack):
-        def __init__(self, stack, procedure):
-            super().__init__(stack, procedure)
+        def __init__(self, stack, procedure, ranked):
+            super().__init__(stack, procedure, ranked)
             if self.m in (7, 8):
                 self.consonance_witnesses = [1] * len(self.rejections)
 
@@ -75,8 +79,8 @@ def test_graph_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     corpus, violating = _ordered_corpus()
     walk = battery.graph_rejections
 
-    def failing(stack, ordering):
-        rejected = walk(stack, ordering)
+    def failing(stack, ranked):
+        rejected = walk(stack, ranked)
         if stack.m in (7, 8):
             return ~rejected
         return rejected
@@ -134,3 +138,44 @@ def test_nothing_passes_vacuously():
             run_check_battery(trials, 1)
     with pytest.raises(ValueError, match="no problems"):
         check_properties([])
+
+
+@pytest.mark.parametrize("seed, argsorts", [(0, 62), (1, 65), (2, 55)])
+def test_the_battery_ranks_each_stack_once_per_procedure(monkeypatch, seed,
+                                                         argsorts):
+    # the step-down kernel ranks each stack, and closed testing and the
+    # graph walk read the view it returns: one `rank_rows` call per stack
+    # per procedure inside `_check`, and no module but `procedures` ranks
+    # or builds a flat index
+    for module in (closure, graphical):
+        assert not {"rank_rows", "rank_index"} & set(vars(module))
+    assert not hasattr(procedures, "rank_index")
+    for module in (adjust, battery, cli, closure, core, graphical, montecarlo):
+        assert "argsort" not in inspect.getsource(module)
+    assert inspect.getsource(procedures).count("np.argsort") == 1
+    calls, counts = [], []
+    rank_rows, check = procedures.rank_rows, battery._check
+
+    def counted(*args):
+        calls.append(args)
+        return rank_rows(*args)
+
+    def counted_check(*args):
+        before = len(calls)
+        results = check(*args)
+        counts.append(len(calls) - before)
+        return results
+
+    monkeypatch.setattr(procedures, "rank_rows", counted)
+    monkeypatch.setattr(battery, "_check", counted_check)
+    profile = cProfile.Profile()
+    profile.runcall(run_check_battery, 2000, seed)
+    stacks = len(list(battery._stacks(closure._draw_corpus(2000, seed, 8,
+                                                           0.05))))
+    assert counts == [2 * stacks]
+    # every argsort of the run, counted by cProfile: the two searches' and
+    # the stacks' rankings, and `np.unique`'s in `_stacks`
+    assert sum(stats[1] for (_, _, name), stats
+               in pstats.Stats(profile).stats.items()
+               if name == "<method 'argsort' of 'numpy.ndarray' objects>"
+               ) == argsorts

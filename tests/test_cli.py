@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,10 @@ def problem_file(tmp_path):
 # empty one
 AWKWARD_LABELS = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", 'x,"\r\n"y',
                   "Ünïcødé µ-test", '""', "", "H ' ; \t"]
+
+# a DOT quoted string: any characters but a double quote, or an escape
+# (backslash and one character)
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
 
 
 @pytest.fixture
@@ -381,6 +386,54 @@ class TestGraph:
         assert captured.err == "error: degenerate update: g[1,0] * g[0,1] = 1\n"
         assert captured.out == ""
         assert not outdir.exists()
+
+    def test_awkward_labels_are_escaped_in_every_stage(self, tmp_path):
+        # with labels holding double quotes and backslashes, one ending in a
+        # backslash, each stage splits into quoted strings with no double
+        # quote outside them, and its names and labels unescape back to the
+        # labels
+        labels = [*AWKWARD_LABELS, "ends in \\", '\\"both\\\\']
+        path = tmp_path / "awkward.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["hypothesis", "p_value", "weight"])
+            for k, label in enumerate(labels):
+                writer.writerow([label, repr(0.0004 * (k + 1)), repr(1.0 + k)])
+        outdir = tmp_path / "stages"
+        assert main(["graph", "--input", str(path), "--alpha", "0.05",
+                     "--ordering", "weighted", "--output-dir",
+                     str(outdir)]) == 0
+        names = {label.strip() for label in labels}
+
+        def unescape(text):
+            return re.sub(r"\\(.)", r"\1", text, flags=re.DOTALL)
+
+        for k in range(len(labels) + 1):
+            parts = DOT_STRING.split(
+                (outdir / f"stage_{k}.dot").read_bytes().decode())
+            assert not any('"' in text for text in parts[::2]), k
+            strings, after = parts[1::2], parts[2::2]
+            nodes, i = set(), 0
+            while i < len(strings):
+                if after[i] == " -> ":
+                    # an edge: its two nodes, then its label
+                    assert {unescape(strings[i]),
+                            unescape(strings[i + 1])} <= nodes
+                    i += 3
+                    continue
+                # a node: its name, then its label, with its level while
+                # it is active
+                assert after[i] == " [label="
+                label = strings[i + 1]
+                if after[i + 1].startswith("];"):
+                    label, level = label.rsplit("\\nalpha=", 1)
+                    float(level)
+                else:
+                    assert after[i + 1].startswith(", rejected=true];")
+                nodes.add(unescape(strings[i]))
+                assert unescape(label) == unescape(strings[i])
+                i += 2
+            assert nodes == names
 
     def test_raw_ordering_no_rejections(self, problem_file, tmp_path):
         outdir = tmp_path / "stages"

@@ -15,7 +15,7 @@ from wholm import closure
 from wholm.closure import (CapacityError, ClosedStack, CtpReport,
                            random_corpus)
 from wholm.core import OrderingKey
-from wholm.procedures import ProblemStack, ranking
+from wholm.procedures import ProblemStack, rank, ranking
 
 
 def random_problem(gen, m, alpha=0.05):
@@ -116,7 +116,7 @@ class TestLocalTests:
     def test_arrays_match_the_per_mask_definition(self):
         # all masks at once are read from the subset table; one mask at a
         # time and a few masks of mixed sizes (K * m < 2^m from m = 5 on)
-        # are decided by the step-down kernel
+        # are decided by their members' weights, read through the ranking
         gen = np.random.default_rng(42)
         for prob in _boundary_corpus(600, seed=41):
             masks = np.arange(1, 1 << prob.m)
@@ -142,13 +142,18 @@ class TestLocalTests:
         assert decisions == [_per_mask(prob, k) for k in masks]
         assert len(set(decisions)) > 1
 
-    def test_many_masks_above_the_ctp_cap_take_the_stepdown_kernel(
+    def test_many_masks_above_the_ctp_cap_are_decided_without_the_table(
             self, monkeypatch):
         # K * m >= 2^m, which would tabulate all 2^m subsets at m <= 20; at
-        # m = 21 the decisions come from the step-down kernel instead
+        # m = 21 the decisions come from each mask's members instead, and
+        # neither path runs the step-down kernel
         def no_table(*args):
             raise AssertionError("all 2^m subsets tabulated")
+
+        def no_kernel(*args):
+            raise AssertionError("the step-down kernel ran")
         monkeypatch.setattr(closure, "_all_subsets", no_table)
+        monkeypatch.setattr(closure, "adjust_rows", no_kernel)
         gen = np.random.default_rng(21)
         prob = random_problem(gen, 21)
         prob = validate_problem(prob.labels, np.array(prob.p) * 0.05, prob.w,
@@ -173,6 +178,39 @@ class TestLocalTests:
             wap_local_test(divergent_problem, 0)
         with pytest.raises(ValueError):
             whp_local_test(divergent_problem, 0)
+
+    @pytest.mark.parametrize("local_test", [whp_local_test, wap_local_test])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32,
+                                       np.uint64, np.int8, bool])
+    def test_every_integer_dtype_is_a_mask_on_both_paths(
+            self, divergent_problem, local_test, dtype):
+        # m = 3: one or two masks are decided per mask (K * m < 2^m) and all
+        # seven off the subset table, as arrays and as numpy scalars; the
+        # bool masks are all 1
+        every = np.arange(1, 8)
+        expected = local_test(divergent_problem, every)
+        masks = np.ones(7, dtype=bool) if dtype is bool else every.astype(dtype)
+        want = expected[masks.astype(np.intp) - 1]
+        for k in range(7):
+            assert local_test(divergent_problem, masks[k]) == want[k]
+            assert (local_test(divergent_problem, masks[k:k + 2])
+                    == want[k:k + 2]).all()
+        assert (local_test(divergent_problem, masks) == want).all()
+
+    @pytest.mark.parametrize("local_test", [whp_local_test, wap_local_test])
+    def test_unsigned_masks_above_64_hypotheses(self, local_test):
+        # masks below 2^64 of a problem of 70 hypotheses, cast to Python
+        # ints before they are shifted
+        gen = np.random.default_rng(64)
+        w = gen.uniform(0.5, 5.0, size=70)
+        p = w / w.sum() * 0.05 * gen.uniform(0.0, 40.0, size=70)
+        prob = validate_problem([f"H{i}" for i in range(70)], p, w, 0.05)
+        masks = gen.integers(1, 1 << 62, size=40).astype(np.uint64)
+        masks[0] = np.uint64(1 << 63 | 5)
+        expected = [local_test(prob, int(mask)) for mask in masks.tolist()]
+        assert local_test(prob, masks).tolist() == expected
+        assert local_test(prob, masks[0]) == expected[0]
+        assert len(set(expected)) > 1
 
     @pytest.mark.parametrize("local_test", [whp_local_test, wap_local_test])
     def test_non_integer_masks_are_refused(self, divergent_problem,
@@ -390,8 +428,9 @@ def _stacked(problems):
     out = [[] for _ in problems]
     for indices in groups.values():
         for procedure in (Procedure.WHP, Procedure.WAP):
-            closed = ClosedStack(
-                ProblemStack.of([problems[i] for i in indices]), procedure)
+            stack = ProblemStack.of([problems[i] for i in indices])
+            closed = ClosedStack(stack, procedure, rank(
+                stack.p, stack.w, ranking(procedure)))
             assert closed.rejections.dtype == bool
             assert closed.rejections.shape == (len(indices), closed.m)
             for index, rejected, *row in zip(
@@ -450,26 +489,26 @@ class TestStacks:
         stack = ProblemStack(gen.uniform(size=(rows, m)),
                              gen.uniform(0.5, 2.0, size=(rows, m)),
                              np.full(rows, 0.05))
-        perm, _, total, code = closure._all_subsets(stack, ranking(procedure),
-                                                    codes=True)
+        ranked = rank(stack.p, stack.w, ranking(procedure))
+        total, code = closure._all_subsets(ranked, codes=True)
         if procedure is Procedure.WHP:
             total = gen.uniform(0.5, 8.0, size=(rows, 1 << m))
             total[:, 0] = 0.0
         else:
             scaled = gen.uniform(size=total.shape) < 0.2
             total[scaled] *= gen.uniform(0.3, 1.0, size=int(scaled.sum()))
-        found = closure._counterexamples(stack, procedure, total, perm)
+        found = closure._counterexamples(ranked, stack.alpha, procedure, total)
         for r in range(rows):
-            rank = perm[r].tolist()
+            order = ranked.perm[r].tolist()
             # the hypothesis of each code bit, and the index masks in code order
-            member = rank[::-1]
+            member = order[::-1]
             masks = sorted(range(1 << m), key=lambda mask: code[r, mask])
 
             def share(mask, i):
                 if not mask >> i & 1:
                     return np.inf
                 if procedure is Procedure.WAP and i != next(
-                        j for j in rank if mask >> j & 1):
+                        j for j in order if mask >> j & 1):
                     return 0.0
                 return stack.w[r, i] * 0.05 / total[r, int(code[r, mask])]
             expected = next(((big, big ^ 1 << j, i, share(big, i),
@@ -488,13 +527,14 @@ def _mask_order_rejects(stack, key):
     total of every nonempty mask gathered from `_all_subsets`' codes, its
     first-ranked member (the member of smallest rank) and that member's p/w
     gathered by index, times the total, at most alpha."""
-    perm, _, total, code = closure._all_subsets(stack, key, codes=True)
+    ranked = rank(stack.p, stack.w, key)
+    total, code = closure._all_subsets(ranked, codes=True)
     m = stack.m
-    rows = np.arange(len(perm))[:, None]
+    rows = np.arange(len(ranked.perm))[:, None]
     total = total[rows, code[:, 1:].astype(np.intp)]
     member = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1) == 1
-    rank = np.argsort(perm, axis=1)
-    first = np.where(member, rank[:, None, :], m).argmin(axis=2)
+    at = np.argsort(ranked.perm, axis=1)
+    first = np.where(member, at[:, None, :], m).argmin(axis=2)
     return (stack.p / stack.w)[rows, first] * total <= stack.alpha[:, None]
 
 
@@ -576,9 +616,10 @@ class TestCodeSpace:
         forced = gen.uniform(size=(rows, 1 << m)) < 0.8
         real = closure._decide
         monkeypatch.setattr(closure, "_decide", lambda *args: (
-            real(*args)[0], forced))
-        closed = ClosedStack(stack, procedure)
-        *_, code = closure._all_subsets(stack, ranking(procedure), codes=True)
+            *real(*args)[:2], forced))
+        ranked = rank(stack.p, stack.w, ranking(procedure))
+        closed = ClosedStack(stack, procedure, ranked)
+        _, code = closure._all_subsets(ranked, codes=True)
         _, rejections, found = _brute_closure(~forced, code.astype(np.intp))
         assert closed.consonance_witnesses == found
         assert (closed.rejections == rejections).all()
@@ -593,14 +634,16 @@ class TestCodeSpace:
             groups[problem.m].append(problem)
         for problems in groups.values():
             stack = ProblemStack.of(problems)
-            (perm, tilde, total, code), rejected = closure._decide(stack, key)
+            ranked = rank(stack.p, stack.w, key)
+            total, code, rejected = closure._decide(ranked,
+                                                    stack.alpha[:, None])
             assert code is None
             assert rejected.shape == total.shape == (len(problems),
                                                      1 << stack.m)
             # the same table with the codes summed alongside
-            (*same, code), coded = closure._decide(stack, key, codes=True)
-            for a, b in zip(same, (perm, tilde, total)):
-                assert (a == b).all()
+            same, code, coded = closure._decide(ranked, stack.alpha[:, None],
+                                                codes=True)
+            assert (same == total).all()
             assert (coded == rejected).all()
             assert (np.take_along_axis(rejected, code[:, 1:].astype(np.intp),
                                        axis=1)

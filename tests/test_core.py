@@ -260,8 +260,8 @@ def test_csv_loader_matches_the_row_by_row_reference(tmp_path, m,
 def ranking(problem, key):
     """The index at each rank of `problem` under `key`, as the step-down
     kernel ranks it (by p/w for WEIGHTED)."""
-    perm = adjust_rows([problem.p], [problem.w], problem.alpha, key)[0]
-    return tuple(perm[0].tolist())
+    ranked = adjust_rows([problem.p], [problem.w], problem.alpha, key)[0]
+    return tuple(ranked.perm[0].tolist())
 
 
 def test_weighted_pvalues_examples():
@@ -278,7 +278,8 @@ def test_weighted_pvalues_unit_weights_identity():
     prob = validate_problem(["a", "b"], [0.7, 0.2], [1.0, 1.0], 0.05)
     weighted = adjust_rows([prob.p], [prob.w], 0.05, OrderingKey.WEIGHTED)
     raw = adjust_rows([prob.p], [prob.w], 0.05, OrderingKey.RAW)
-    for a, b in zip(weighted, raw):
+    # the ranked views field by field, then the other outputs
+    for a, b in zip([*weighted[0], *weighted[1:]], [*raw[0], *raw[1:]]):
         assert np.array_equal(a, b)
     assert ranking(prob, OrderingKey.WEIGHTED) == (1, 0)
 

@@ -18,7 +18,7 @@ from wholm.closure import random_corpus
 from wholm.graphical import (GraphInvariantError, _coefficient_labels,
                              _degenerate, _initial_graphs, _walk, dot_stages,
                              graph_rejections)
-from wholm.procedures import ProblemStack, rank_rows
+from wholm.procedures import ProblemStack, rank, rank_rows
 
 # `dot_stages` of `_dot_problem(name)`, labelled H1..Hm, under each ordering,
 # joined by blank lines with a final line end; computed with one
@@ -336,14 +336,15 @@ def _stacked_runs(problems, ordering):
     row holds)."""
     runs = [None] * len(problems)
     for rows, stack in _stacks(_flatten(problems)):
-        perm, steps = _walk(stack.p, stack.w, stack.alpha[:, None], ordering)
+        ranked = rank(stack.p, stack.w, ordering)
+        perm = ranked.perm
         out = [([], [], perm[r]) for r in range(len(rows))]
-        for k, (live, thresholds, graphs) in enumerate(steps):
+        for k, (live, thresholds, graphs) in enumerate(_walk(stack, ranked)):
             for r, threshold, graph in zip(live.tolist(), thresholds.tolist(),
                                            graphs):
                 out[r][0].append((int(perm[r, k]), threshold.hex()))
                 out[r][1].append(graph)
-        rejected = graph_rejections(stack, ordering)
+        rejected = graph_rejections(stack, ranked)
         assert rejected.dtype == bool and rejected.shape == perm.shape
         for index, run, row in zip(rows.tolist(), out, rejected):
             runs[index] = run + (frozenset(np.flatnonzero(row).tolist()),)
@@ -408,7 +409,7 @@ def test_degenerate_update_in_a_stack_names_its_row():
     stack = ProblemStack.of(ordinary[:3] + [found] + ordinary[3:])
     for ordering in OrderingKey:
         with pytest.raises(GraphInvariantError) as info:
-            graph_rejections(stack, ordering)
+            graph_rejections(stack, rank(stack.p, stack.w, ordering))
         assert str(info.value) == "degenerate update: g[1,0] * g[0,1] = 1"
         assert info.value.row == 3
     corpus.insert(17, found)

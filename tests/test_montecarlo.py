@@ -331,10 +331,10 @@ class TestRunSimulation:
         real = montecarlo.adjust_rows
 
         def broken(p, w, alpha, key):
-            perm, tails, adjusted, rejected = real(p, w, alpha, key)
+            ranked, tails, adjusted, rejected = real(p, w, alpha, key)
             if key is OrderingKey.RAW:
                 rejected[3:] = True
-            return perm, tails, adjusted, rejected
+            return ranked, tails, adjusted, rejected
 
         monkeypatch.setattr(montecarlo, "adjust_rows", broken)
         config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.0,
@@ -413,10 +413,10 @@ class TestRunSimulation:
             run_simulation(self.BLOCKED)
 
         def wap_beyond_whp_in_block_2(p, w, alpha, key):
-            perm, tails, adjusted, rejected = real_decide(p, w, alpha, key)
+            ranked, tails, adjusted, rejected = real_decide(p, w, alpha, key)
             if key is OrderingKey.RAW and len(p) == 37:
                 rejected[5:] = True
-            return perm, tails, adjusted, rejected
+            return ranked, tails, adjusted, rejected
 
         monkeypatch.setattr(montecarlo, "t_sf", real_sf)
         monkeypatch.setattr(montecarlo, "adjust_rows",
