@@ -39,12 +39,12 @@ A/A run of this checkout against itself.  The calls timed, with
 - `ctp` (WHP local test) and then a read of every local decision,
   `list(report.local_decisions.items())`, at m = 14 and 16, per call;
 - `closure.ClosedStack` for WHP and for WAP on a stack of 64 problems at
-  m = 8, the battery's stack at that size, per call, with the
-  `ProblemStack` built untimed and the stack ranked in the call (a checkout
-  whose `ClosedStack` takes the `procedures.rank` view is handed one, an
-  older one ranks the stack itself), and the stacked monotonicity read,
-  the first read of `monotonicity_counterexamples` of a WHP `ClosedStack`
-  of such a stack, built untimed for each call;
+  m = 8, the battery's stack at that size, per call, with the stack's
+  arrays built untimed and the stack ranked by `procedures.rank` in the
+  call (a checkout that still has `procedures.ProblemStack` is handed one,
+  built untimed, beside the view), and the stacked monotonicity read, the
+  first read of `monotonicity_counterexamples` of a WHP `ClosedStack` of
+  such a stack, built untimed for each call;
 - `whp_local_test` and `wap_local_test` called directly on 1 and 1,000
   random masks at m = 16 and on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
@@ -374,30 +374,31 @@ def cases(wholm, tmp, values):
                     lambda seed, m=m, run=getattr(wholm, layer),
                     test=getattr(wholm, test): (
                         lambda P=problem(seed, m): run(P, test)))
-    def problem_stack(seed):
-        rows = CLOSED_STACK_ROWS
-        return wholm.procedures.ProblemStack.of([
-            problem(seed * rows + r, CLOSED_STACK_M) for r in range(rows)])
-
-    def closed(stack, procedure):
-        procedures = wholm.procedures
-        if not hasattr(procedures, "rank"):
-            return wholm.closure.ClosedStack(stack, procedure)
-        return wholm.closure.ClosedStack(stack, procedure, procedures.rank(
-            stack.p, stack.w, procedures.ranking(procedure)))
+    def closed_stack(seed, procedure):
+        """The call that ranks a stack of problems of size CLOSED_STACK_M
+        and closes it under `procedure`, with its arrays built untimed."""
+        rows, procedures = CLOSED_STACK_ROWS, wholm.procedures
+        stacked = [problem(seed * rows + r, CLOSED_STACK_M)
+                   for r in range(rows)]
+        p, w, alpha = (np.array([getattr(P, name) for P in stacked])
+                       for name in ("p", "w", "alpha"))
+        key = procedures.ranking(procedure)
+        if hasattr(procedures, "ProblemStack"):
+            stack = procedures.ProblemStack(p, w, alpha)
+            return lambda: wholm.closure.ClosedStack(
+                stack, procedure, procedures.rank(p, w, key))
+        return lambda: wholm.closure.ClosedStack(procedures.rank(p, w, key),
+                                                 alpha, procedure)
 
     for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
-        def closed_stack(seed, procedure=procedure):
-            stack = problem_stack(seed)
-            return lambda: closed(stack, procedure)
-
         add("closure.ClosedStack", "call",
             {"procedure": procedure.value, "m": CLOSED_STACK_M,
-             "rows": CLOSED_STACK_ROWS}, closed_stack)
+             "rows": CLOSED_STACK_ROWS}, lambda seed, procedure=procedure: (
+                closed_stack(seed, procedure)))
 
     def counterexamples(seed):
         # a fresh stack per call: the property is cached on first read
-        stack = closed(problem_stack(seed), wholm.Procedure.WHP)
+        stack = closed_stack(seed, wholm.Procedure.WHP)()
         return lambda: stack.monotonicity_counterexamples
 
     add("closure.ClosedStack.monotonicity_counterexamples", "call",

@@ -17,24 +17,23 @@ checks `closure._draw_corpus`'s arrays as they are drawn, cutting a
 `TestingProblem` only for a witness, with the `closure._cut` that cuts
 every problem of `random_corpus`.  One helper, `_stacks`, groups the
 problems by m and cuts each group into stacks of at most
-`PROPERTY_STACK_CELLS >> m` problems, gathered into one
-`procedures.ProblemStack` of arrays that every oracle reads.  The
-closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
+`PROPERTY_STACK_CELLS >> m` problems, gathered into (P, m) p-values and
+weights and (P,) alphas.  Their references, the step-down rejections, and
+the adjusted values come from one call of the step-downs' kernel
+`procedures.adjust_rows` per ranking per stack, which ranks the stack once,
+and the `procedures.rank` view it returns is then the only way the oracles
+read the stack: each takes the view and the alphas, and nothing else ranks
+it.  The closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
 `monotonicity-whp`) read one `closure.ClosedStack` per procedure per stack,
 built from one subset table and closed for all of the stack's problems at
 once, and give the same answers as `ctp`, `check_consonance` and
 `check_monotonicity_condition`, which are one-row calls of the same code.
-The graph claims (`graphical-equivalence-*`) read one walk of the stack per
+The graph claims (`graphical-equivalence-*`) read one walk of the view per
 ordering, `graphical.graph_rejections`, whose one-row call is
-`run_graphical`.  Their references, the step-down rejections, and the
-adjusted values come from one call of the step-downs' kernel
-`procedures.adjust_rows` per ranking per stack, which ranks the stack once:
-the `procedures.rank` view it returns is handed to the procedure's
-`ClosedStack` and graph walk, so nothing else ranks it.  Every engine
-returns its rejections as (P, m) bool arrays in hypothesis order, the
-kernel its adjusted values too, so nothing is reordered here and each
-rejection claim is one numpy comparison per stack.  Witnesses are in corpus
-order.
+`run_graphical`.  Every engine returns its rejections as (P, m) bool arrays
+in hypothesis order, the kernel its adjusted values too, so nothing is
+reordered here and each rejection claim is one numpy comparison per stack.
+Witnesses are in corpus order.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .closure import (ClosedStack, _Corpus, _cut, _draw_corpus,
                       find_pvalue_monotonicity_violation)
 from .core import TestingProblem
 from .graphical import GraphInvariantError, graph_rejections
-from .procedures import Procedure, ProblemStack, adjust_rows, ranking
+from .procedures import Procedure, adjust_rows, ranking
 
 # Problems evaluated together, counted in cells: a stack of problems with m
 # hypotheses holds at most PROPERTY_STACK_CELLS >> m of them, and at least
@@ -80,25 +79,26 @@ def _adjusted_dominance(stack):
     # (m + 1) * 2^-53 relative of its exact value, and their ratio within
     # (m + 1) * 2^-52 to first order.  2 (m + 2) * 2^-52 covers the
     # second-order terms with room to spare; at m = 10 it is 5.3e-15.
-    slack = 2 * (stack.arrays.m + 2) * 2.0 ** -52
     whp, wap = stack.adjusted[Procedure.WHP], stack.adjusted[Procedure.WAP]
+    slack = 2 * (whp.shape[1] + 2) * 2.0 ** -52
     return (whp <= wap * (1.0 + slack)).all(axis=1)
 
 
 class _Stack:
-    """A `ProblemStack` `arrays` of problems of one size and, under each
-    procedure, as `adjust_rows` returns them, their ranked view, and their
-    step-down rejections and adjusted values, both (P, m) in hypothesis
-    order, and their `ClosedStack`, built on that view."""
+    """Problems of one size m, given as `arrays`, their (P, m) p-values and
+    weights and (P,) alphas, and, under each procedure, as `adjust_rows`
+    returns them, their ranked view, their step-down rejections and
+    adjusted values, both (P, m) in hypothesis order, and their
+    `ClosedStack`, built on that view."""
 
-    def __init__(self, arrays: ProblemStack):
-        self.arrays = p, w, alpha = arrays
+    def __init__(self, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray]):
+        p, w, self.alpha = arrays
         self.ranked, self.rejected, self.adjusted, self.closed = {}, {}, {}, {}
         for procedure in (Procedure.WHP, Procedure.WAP):
             ranked, _, self.adjusted[procedure], self.rejected[procedure] = (
-                adjust_rows(p, w, alpha[:, None], ranking(procedure)))
+                adjust_rows(p, w, self.alpha[:, None], ranking(procedure)))
             self.ranked[procedure] = ranked
-            self.closed[procedure] = ClosedStack(arrays, procedure, ranked)
+            self.closed[procedure] = ClosedStack(ranked, self.alpha, procedure)
 
 
 def _ctp_equivalence(procedure):
@@ -107,8 +107,8 @@ def _ctp_equivalence(procedure):
 
 
 def _graphical_equivalence(procedure):
-    return lambda stack: (graph_rejections(stack.arrays,
-                                           stack.ranked[procedure])
+    return lambda stack: (graph_rejections(stack.ranked[procedure],
+                                           stack.alpha)
                           == stack.rejected[procedure]).all(axis=1)
 
 
@@ -149,12 +149,12 @@ def _flatten(problems: Sequence[TestingProblem]) -> _Corpus:
             np.array([problem.alpha for problem in problems]))
 
 
-def _stacks(corpus: _Corpus) -> Iterator[Tuple[np.ndarray, ProblemStack]]:
+def _stacks(corpus: _Corpus) -> Iterator[Tuple[np.ndarray, Tuple]]:
     """The stacks of `corpus`, each as the corpus indices of its problems
-    and their `ProblemStack`.  The problems are grouped by m, the groups in
-    the order of their first problems, and each group is cut in corpus
-    order into stacks of `PROPERTY_STACK_CELLS >> m` problems, at least
-    one."""
+    and their arrays: the (P, m) p-values and weights and the (P,) alphas.
+    The problems are grouped by m, the groups in the order of their first
+    problems, and each group is cut in corpus order into stacks of
+    `PROPERTY_STACK_CELLS >> m` problems, at least one."""
     sizes, starts, p, w, alpha = corpus
     _, first = np.unique(sizes, return_index=True)
     for m in sizes[np.sort(first)].tolist():
@@ -163,7 +163,7 @@ def _stacks(corpus: _Corpus) -> Iterator[Tuple[np.ndarray, ProblemStack]]:
         for start in range(0, group.size, rows):
             index = group[start:start + rows]
             cells = starts[index, None] + np.arange(m)
-            yield index, ProblemStack(p[cells], w[cells], alpha[index])
+            yield index, (p[cells], w[cells], alpha[index])
 
 
 def _check(corpus: _Corpus,

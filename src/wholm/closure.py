@@ -4,11 +4,12 @@ Subsets of {0..m-1} are encoded as bitmasks, the index masks.  One table,
 `_all_subsets`, holds the weight total of every subset of each problem in a
 stack of one size m, each row in its own ranking, read through the stack's
 `procedures.rank` view, and indexed by rank-space code (bit m-1-r for the
-member at rank r).  A stack's table holds totals
-only: the code of each index mask is summed, in the same loop, only where
-a reader gathers through it, the one-row local test and the row of a
-consonance witness, rebuilt for that row alone.  Every closed-testing
-entry point reads that table; none walks the subsets in Python.
+member at rank r).  A stack's table holds totals only: the code of each
+index mask is summed, in the same loop, only where the one-row local test
+gathers through it, and the few codes read back from a stack, its
+consonance witnesses and monotonicity violations, are mapped to index masks
+one row at a time by `_index_masks`.  Every closed-testing entry point
+reads that table; none walks the subsets in Python.
 `ClosedStack` closes a stack of problems under the local test of WHP or
 WAP and gives, per problem, the closed rejections, the consonance witness
 and the monotonicity counterexample;
@@ -30,9 +31,9 @@ first-ranked member of code c is its highest bit, so that no value is
 gathered; `_counterexamples` reads the monotonicity condition there by the
 same rule.  Closing under supersets commutes with permuting the bits of the
 subsets, so `ClosedStack` closes that (P, 2^m) table as it is, reads each
-hypothesis's singleton back through the ranking and a witness through its
-row's codes; the one-row calls close their local test's table in
-index-mask order.  `_close` packs the accepted subsets of a whole table
+hypothesis's singleton back through the ranking and maps a witness's codes
+through its row's ranking; the one-row calls close their local test's
+table in index-mask order.  `_close` packs the accepted subsets of a whole table
 into one int, row r from bit r * stride with stride = max(2^m, 8) (whole
 bytes, so that the table packs row by row), and pass k ORs every subset
 holding element k into the same subset without it, within its row, so bit
@@ -73,7 +74,8 @@ last rank upward in the procedure's own ranking, `procedures.rank`:
    as `procedures.adjust_rows` sums tail_j: both read the weights by rank
    of one `procedures.rank` view, so the same weights are added in the same
    order, and adding 0.0 for an absent member is exact.
-   So total(T_j) == tail_j.
+   So total(T_j) == tail_j.  Both also take p/w as the view's `tilde`, one
+   rounded division of its p and w by rank, so tilde_r below is one float.
 3. Let the step-down reject ranks 0..k-1.  A subset I holding one of them has
    its first rank r < k, so I is a subset of T_r, and its value
    tilde_r * total(I) <= tilde_r * tail_r <= alpha by 1, 2 and the monotone
@@ -94,8 +96,7 @@ import numpy as np
 
 from .core import (OrderingKey, RejectionSet, TestingProblem, _check_block,
                    _labels, check_alpha, validate_problem)
-from .procedures import (Procedure, ProblemStack, Ranked, adjust_rows, rank,
-                         ranking)
+from .procedures import Procedure, Ranked, adjust_rows, rank, ranking
 
 MAX_CTP_HYPOTHESES = 20
 # Trials in the first chunk of the p-value monotonicity search.
@@ -363,15 +364,23 @@ def _close(rejected: np.ndarray) -> np.ndarray:
                          bitorder="little").view(bool)
 
 
+def _index_masks(perm: np.ndarray, codes) -> np.ndarray:
+    """The index masks of rank-space `codes` (an int or an int array) of a
+    row ranked by `perm` (m,), the index at each rank: bit k of a code
+    stands for the member at rank m-1-k."""
+    bits = np.arange(len(perm))
+    return (np.asarray(codes)[..., None] >> bits & 1) @ (1 << perm[::-1])
+
+
 def _witnesses(covered: np.ndarray, kept: np.ndarray,
-               codes: Optional[Callable[[int], np.ndarray]]
-               ) -> List[Optional[int]]:
+               perm: Optional[np.ndarray]) -> List[Optional[int]]:
     """Each row's consonance witness, from `_close`'s table `covered` and
     its singletons `kept`, `covered[:, 1 << k]` for k < m (True where the
     hypothesis of bit k is not rejected): the smallest CTP-rejected index
-    mask holding none of the row's elementary rejections, or None.
-    `codes(r)[I]` is the column of row r's index mask I, asked for only of
-    a row that is searched; with `codes` None, column I holds mask I.  The
+    mask holding none of the row's elementary rejections, or None.  With the
+    (P, m) ranking `perm`, column c of a row holds rank-space code c, and
+    the codes found in a row that is searched are mapped to index masks by
+    `_index_masks`; with `perm` None, column I holds mask I.  The
     CTP-rejected subsets are closed under supersets (an accepted superset
     of a superset of I is one of I), so only a row whose hypotheses that are
     not rejected form a CTP-rejected set has a witness, and only such a row
@@ -384,10 +393,10 @@ def _witnesses(covered: np.ndarray, kept: np.ndarray,
     if lone.all():
         return witnesses
     for r in np.flatnonzero(~lone).tolist():
-        found = ~covered[r] & (np.arange(size) & ~held[r] == 0)
-        if codes is not None:
-            found = found.take(codes(r).astype(np.intp))
-        witnesses[r] = int(found.argmax())
+        found = np.flatnonzero(~covered[r] & (np.arange(size) & ~held[r] == 0))
+        if perm is not None:
+            found = _index_masks(perm[r], found)
+        witnesses[r] = int(found.min())
     return witnesses
 
 
@@ -488,10 +497,9 @@ def _counterexamples(ranked: Ranked, alpha: np.ndarray, procedure: Procedure,
         for n in np.flatnonzero(viol.any(axis=1)).tolist():
             r, i = int(rows[n]), int(viol[n].argmax())
             if found[r] is None:
-                # the hypothesis of each code bit, and J's index mask
-                member = ranked.perm[r, ::-1]
-                mask = int((1 << member) @ (small[n] >> bits & 1))
-                found[r] = (mask | 1 << int(member[k]), mask, int(member[i]),
+                big, mask = _index_masks(ranked.perm[r],
+                                         [small[n] | 1 << k, small[n]])
+                found[r] = (int(big), int(mask), int(ranked.perm[r, m - 1 - i]),
                             float(big_share[n, i]), float(small_share[n, i]))
     return found
 
@@ -509,11 +517,10 @@ def check_monotonicity_condition(problem: TestingProblem,
 class ClosedStack:
     """Closed testing of problems of one size under the local test of WHP
     (`whp_local_test`) or of WAP (`wap_local_test`), for all of them at once
-    from one subset table.  `stack` is their `procedures.ProblemStack`, as
-    `ProblemStack.of(problems)` builds it, and `ranked` its
-    `procedures.rank` view under the procedure's ranking, as
-    `adjust_rows` returns it.  Each attribute holds one entry per problem,
-    in stack order, equal to what the one-problem function returns for it:
+    from one subset table.  `ranked` is their `procedures.rank` view under
+    the procedure's ranking, as `adjust_rows` returns it, and `alpha` their
+    (P,) levels.  Each attribute holds one entry per problem, in stack
+    order, equal to what the one-problem function returns for it:
 
     - `rejections`: a (P, m) bool array whose row holds the closed
       elementary rejections in hypothesis order, the indices of
@@ -528,20 +535,18 @@ class ClosedStack:
     The decisions are made and closed in code space (`_decide`, `_close`)
     from a table of totals alone, and only the singletons, put in
     hypothesis order through the view's flat index, and the witnesses are
-    read back, each witness through its row's codes, rebuilt from that row
-    alone.
+    read back, each witness's codes mapped to index masks through its row's
+    ranking (`_index_masks`).
     """
 
-    def __init__(self, stack: ProblemStack, procedure: Procedure,
-                 ranked: Ranked):
+    def __init__(self, ranked: Ranked, alpha: np.ndarray,
+                 procedure: Procedure):
         self.procedure = procedure
-        self._alpha, self._ranked, self.m = stack.alpha, ranked, stack.m
-        self._total, _, rejected = _decide(ranked, stack.alpha[:, None])
+        self._alpha, self._ranked, self.m = alpha, ranked, ranked.perm.shape[1]
+        self._total, _, rejected = _decide(ranked, alpha[:, None])
         covered = _close(rejected)
         kept = _singletons(covered)
-        # a witness row's codes are summed in that row's own table
-        self.consonance_witnesses = _witnesses(covered, kept, lambda r: (
-            _all_subsets(ranked.row(r), codes=True)[1][0]))
+        self.consonance_witnesses = _witnesses(covered, kept, ranked.perm)
         # bit k of a code stands for rank m-1-k: reversed, kept is by rank
         self.rejections = np.empty_like(kept)
         self.rejections.put(ranked.flat, ~kept[:, ::-1])

@@ -4,9 +4,10 @@ matrix of transition coefficients `g`, both exactly 0 at rejected nodes, `g`
 alpha_l += alpha_j * g_jl and g_lk <- (g_lk + g_lj * g_jk) / (1 - g_lj * g_jl).
 WHP and WAP share the weight-derived initial graph, from which the update
 stays in closed form (the tests' independent oracle), and each tests the
-next hypothesis in the step-downs' ranking, by p/w or by p, read through
-the stack's `procedures.rank` view.  The initial graphs of a stack are built
-in one place, `_initial_graphs`, with a 0 diagonal; `initial_graph` is its
+next hypothesis in the step-downs' ranking, by p/w or by p.  The walk reads
+a problem only through its `procedures.rank` view: the ranking, and the
+p-values and weights by rank.  The initial graphs of a stack are built in
+one place, `_initial_graphs`, with a 0 diagonal; `initial_graph` is its
 one-row call in hypothesis order.
 
 The rejections are a prefix of that ranking, so `_walk` runs the graphs of a
@@ -16,8 +17,8 @@ the trailing block of ranks k+1.. left active, with `reject_and_update`'s
 elementwise expressions.  `run_graphical` is a one-row walk; each of its
 steps keeps its own rank-order block, put back in hypothesis order only
 when its `GraphStep.after` is read.  `graph_rejections` gives the battery
-the rejections of a whole stack from one walk along the view the
-step-down kernel returned for it.  `dot_stages` writes each node name and
+the rejections of a whole stack from one walk of the view the step-down
+kernel returned for it.  `dot_stages` writes each node name and
 label as a DOT quoted string, its backslashes and double quotes escaped.
 """
 
@@ -30,7 +31,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import OrderingKey, RejectionSet, TestingProblem, _labels
-from .procedures import ProblemStack, Ranked, rank
+from .procedures import Ranked, rank
 
 
 class GraphInvariantError(RuntimeError):
@@ -88,21 +89,24 @@ def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
 
 
 def _initial_graphs(w, alpha, flat):
-    """The initial graphs of (P, m) weights, in the rank order `flat` (the
-    flat index into `w` at each rank), as (P, m + 1, m): g_ij = w_j over
-    the other weights, then the levels w_i * alpha / total as a last row;
-    `alpha` is a scalar or a (P, 1) column.  The other weights are summed
-    from both ends towards i, since total - w_i cancels when w_i holds
-    nearly all the weight; the total is the left sum run on to the last
-    weight, the sequential sum in index order.  The diagonal is 0: it is
-    cleared before the division, so w_i over the other weights is never
-    formed (it overflows when they are subnormal)."""
+    """The initial graphs of (P, m) weights `w` by rank, as (P, m + 1, m) in
+    that rank order: g_ij = w_j over the other weights, then the levels
+    w_i * alpha / total as a last row; `flat` is the flat index in
+    hypothesis order of each rank, and `alpha` a scalar or a (P, 1) column.
+    The weights are put back in hypothesis order once, for the sums: the
+    other weights are summed from both ends towards i, since total - w_i
+    cancels when w_i holds nearly all the weight; the total is the left sum
+    run on to the last weight, the sequential sum in index order.  The
+    diagonal is 0: it is cleared before the division, so w_i over the other
+    weights is never formed (it overflows when they are subnormal)."""
     count, m = w.shape
+    by_index = np.empty_like(w)
+    by_index.put(flat, w)
     left, right = np.zeros((2, count, m))
-    np.add.accumulate(w[:, :-1], axis=1, out=left[:, 1:])
-    np.add.accumulate(w[:, :0:-1], axis=1, out=right[:, -2::-1])
-    total = left[:, -1:] + w[:, -1:]
-    w, others = w.take(flat), np.add(left, right).take(flat)
+    np.add.accumulate(by_index[:, :-1], axis=1, out=left[:, 1:])
+    np.add.accumulate(by_index[:, :0:-1], axis=1, out=right[:, -2::-1])
+    total = left[:, -1:] + by_index[:, -1:]
+    others = np.add(left, right).take(flat)
     graph = np.empty((count, m + 1, m))
     graph[:, :m] = w[:, None, :]
     graph.reshape(count, -1)[:, :m * m:m + 1] = 0.0
@@ -139,9 +143,10 @@ def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
     return TransitionGraph(active=remaining, local_alpha=local, g=g)
 
 
-def _walk(stack: ProblemStack, ranked: Ranked):
+def _walk(ranked: Ranked, alpha: np.ndarray):
     """The graphs of a stack of problems, walked along its `procedures.rank`
-    view `ranked`.
+    view `ranked`, from the p-values and weights by rank that the view holds,
+    at the (P,) levels `alpha`.
 
     Yields one item per step k that some row rejects at: the stack rows
     rejecting rank k, the levels rank k was tested at, and the rows' graphs
@@ -153,8 +158,8 @@ def _walk(stack: ProblemStack, ranked: Ranked):
     naming the stack row and, in hypothesis indices, the node
     `reject_and_update` names.
     """
-    p, perm = stack.p.take(ranked.flat), ranked.perm
-    graph = _initial_graphs(stack.w, stack.alpha[:, None], ranked.flat)
+    p, perm = ranked.p, ranked.perm
+    graph = _initial_graphs(ranked.w, alpha[:, None], ranked.flat)
     live = np.arange(len(p))
     m = p.shape[1]
     for k in range(m):
@@ -206,12 +211,11 @@ def run_graphical(problem: TestingProblem,
     hypothesis is rejected iff its raw p-value is at or below its current
     local level.
     """
-    stack = ProblemStack.of([problem])
-    ranked = rank(stack.p, stack.w, ordering)
+    ranked = rank([problem.p], [problem.w], ordering)
     [ranking] = ranked.perm
     trace, steps = [], []
-    for (_, threshold, graph), j in zip(_walk(stack, ranked),
-                                        ranking.tolist()):
+    for (_, threshold, graph), j in zip(
+            _walk(ranked, np.array([problem.alpha])), ranking.tolist()):
         trace.append((len(trace) + 1, j, threshold.item()))
         steps.append(GraphStep(j, ranking, graph))
     return (RejectionSet(rejected=frozenset(step.rejected_index
@@ -220,15 +224,17 @@ def run_graphical(problem: TestingProblem,
             GraphTrace(steps=tuple(steps)))
 
 
-def graph_rejections(stack: ProblemStack, ranked: Ranked) -> np.ndarray:
+def graph_rejections(ranked: Ranked, alpha: np.ndarray) -> np.ndarray:
     """`run_graphical(problem, ordering)`'s rejections for every problem of
     a stack, from one walk along its `procedures.rank` view `ranked` under
-    that ordering, as a (P, m) bool array in hypothesis order."""
-    count = np.zeros(len(stack.p), dtype=np.intp)
-    for live, *_ in _walk(stack, ranked):
+    that ordering at the (P,) levels `alpha`, as a (P, m) bool array in
+    hypothesis order."""
+    count = np.zeros(len(alpha), dtype=np.intp)
+    for live, *_ in _walk(ranked, alpha):
         count[live] += 1
     rejected = np.empty(ranked.perm.shape, dtype=bool)
-    rejected.put(ranked.flat, np.arange(stack.m) < count[:, None])
+    rejected.put(ranked.flat,
+                 np.arange(ranked.perm.shape[1]) < count[:, None])
     return rejected
 
 

@@ -169,6 +169,8 @@ class SimulationConfig:
             raise ValueError(f"rho must lie in [0, 1): {self.rho}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if not math.isfinite(self.mu_alt):
+            raise ValueError(f"mu_alt must be finite: {self.mu_alt}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         check_alpha(self.alpha)

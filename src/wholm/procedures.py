@@ -10,19 +10,19 @@ differently at a boundary, and only the product is used, so the adjusted
 reports print the very numbers the decisions were made on.
 
 `rank` ranks (R, m) rows, with the one argsort, `rank_rows`, and returns a
-`Ranked` view: the ranking, its flat index, and the weights and p/w by rank.
-`adjust_rows` is the one kernel that sums the tails of that view and
-compares with alpha, and returns the view with its decisions, so that one
-ranking of a stack serves the step-down, closed testing and the graph: they
-take the view, and none ranks or builds a flat index again.  The adjusted
-reports and `whp_stepdown`, `wap_stepdown` and `holm_stepdown` are one-row
-calls of `adjust_rows`, the step-downs with a trace of raw-scale thresholds
-w*alpha/tail.  The Monte Carlo engine and the witness searches check their
-own input once and call `adjust_rows` directly.  Decisions pass between
-modules in hypothesis order, moved there from rank order by the view's flat
-index.
-`ProblemStack` holds same-size problems as the arrays that every stacked
-kernel reads.
+`Ranked` view: the ranking, its flat index, and the p-values and weights by
+rank, from which p/w is derived.  The view is the one input through which
+every engine reads a problem: `adjust_rows` is the one kernel that sums the
+tails of that view and compares with alpha, and returns the view with its
+decisions, so that one ranking of a stack serves the step-down, closed
+testing and the graph: they take the view and the alphas, and none ranks,
+builds a flat index or reads a p-value or weight in hypothesis order again.
+The adjusted reports and `whp_stepdown`, `wap_stepdown` and `holm_stepdown`
+are one-row calls of `adjust_rows`, the step-downs with a trace of
+raw-scale thresholds w*alpha/tail.  The Monte Carlo engine and the witness
+searches check their own input once and call `adjust_rows` directly.
+Decisions pass between modules in hypothesis order, moved there from rank
+order by the view's flat index.
 """
 
 from __future__ import annotations
@@ -59,43 +59,22 @@ def rank_rows(p: np.ndarray, tilde: np.ndarray, key: OrderingKey) -> np.ndarray:
                       kind="stable")
 
 
-class ProblemStack(NamedTuple):
-    """Problems of one size m as arrays, one problem per row: (P, m)
-    p-values and weights, and (P,) alphas.  `adjust_rows`,
-    `closure.ClosedStack` and the graph's walk all read it."""
-
-    p: np.ndarray
-    w: np.ndarray
-    alpha: np.ndarray
-
-    @classmethod
-    def of(cls, problems: Sequence[TestingProblem]) -> "ProblemStack":
-        if len({problem.m for problem in problems}) != 1:
-            raise ValueError("a stack holds one or more problems of one size")
-        return cls(np.array([problem.p for problem in problems]),
-                   np.array([problem.w for problem in problems]),
-                   np.array([problem.alpha for problem in problems]))
-
-    @property
-    def m(self) -> int:
-        return self.p.shape[1]
-
-
 class Ranked(NamedTuple):
     """(R, m) rows ranked by `rank`: the index at each rank `perm`, the flat
     index `flat` into (R, m) arrays in hypothesis order of each rank (`take`
-    reads by rank, `put` writes back), and the weights `w` and weighted
-    p-values `tilde` = p/w by rank."""
+    reads by rank, `put` writes back), and the p-values `p` and weights `w`
+    by rank.  The weighted p-values by rank, `tilde`, are derived: division
+    is elementwise, so they are the bits of p/w gathered by rank, also for a
+    view rebuilt with `_replace`."""
 
     perm: np.ndarray
     flat: np.ndarray
+    p: np.ndarray
     w: np.ndarray
-    tilde: np.ndarray
 
-    def row(self, r: int) -> "Ranked":
-        """Row r alone, as a one-row view."""
-        perm = self.perm[r:r + 1]
-        return Ranked(perm, perm, self.w[r:r + 1], self.tilde[r:r + 1])
+    @property
+    def tilde(self) -> np.ndarray:
+        return self.p / self.w
 
 
 def rank(p, w, key: OrderingKey) -> Ranked:
@@ -103,10 +82,9 @@ def rank(p, w, key: OrderingKey) -> Ranked:
     `rank_rows`, as a `Ranked` view; `w` broadcasts against `p`."""
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
     w = w if w.shape == p.shape else np.broadcast_to(w, p.shape)
-    tilde = p / w
-    perm = rank_rows(p, tilde, key)
+    perm = rank_rows(p, p / w, key)
     flat = perm + np.arange(0, perm.size, perm.shape[1])[:, None]
-    return Ranked(perm, flat, w.take(flat), tilde.take(flat))
+    return Ranked(perm, flat, p.take(flat), w.take(flat))
 
 
 def adjust_rows(p, w, alpha, key: OrderingKey):
@@ -119,7 +97,7 @@ def adjust_rows(p, w, alpha, key: OrderingKey):
     ranked = rank(p, w, key)
     tails = np.cumsum(ranked.w[:, ::-1], axis=1)[:, ::-1]
     # capping the running max equals capping at every step: min/max commute
-    adjusted = np.empty_like(ranked.tilde)
+    adjusted = np.empty_like(ranked.p)
     adjusted.put(ranked.flat, np.minimum(np.maximum.accumulate(
         ranked.tilde * tails, axis=1), 1.0))
     return ranked, tails, adjusted, adjusted <= alpha

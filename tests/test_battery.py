@@ -3,18 +3,23 @@ import inspect
 import pstats
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from test_closure import _boundary_corpus, _tied_corpus
+from test_procedures import BOUNDARY_CORPUS
 from wholm import (Procedure, adjust, battery, cli, closure, core, graphical,
                    montecarlo, procedures)
 from wholm.battery import PROPERTIES, check_properties, run_check_battery
 from wholm.closure import (ClosedStack, find_pvalue_monotonicity_violation,
                            random_corpus)
+from wholm.graphical import _walk, graph_rejections
+from wholm.procedures import adjust_rows, ranking
 
 
 def _stack_counts(corpus):
     """The number of the battery's stacks of each size m."""
-    return Counter(stack.m for _, stack in
+    return Counter(p.shape[1] for _, (p, _, _) in
                    battery._stacks(battery._flatten(corpus)))
 
 
@@ -35,10 +40,13 @@ class _LowFirstPValue(ClosedStack):
     """Consonance fails, by its witnesses, on every problem whose first
     p-value is below 0.2: problems of every size, in every stack."""
 
-    def __init__(self, stack, procedure, ranked):
-        super().__init__(stack, procedure, ranked)
-        self.consonance_witnesses = [1 if p < 0.2 else None
-                                     for p in stack.p[:, 0].tolist()]
+    def __init__(self, ranked, alpha, procedure):
+        super().__init__(ranked, alpha, procedure)
+        # the p-values back in hypothesis order
+        p = np.empty_like(ranked.p)
+        p.put(ranked.flat, ranked.p)
+        self.consonance_witnesses = [1 if value < 0.2 else None
+                                     for value in p[:, 0].tolist()]
 
 
 def _fields(results):
@@ -58,8 +66,8 @@ def test_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     corpus, violating = _ordered_corpus()
 
     class Failing(ClosedStack):
-        def __init__(self, stack, procedure, ranked):
-            super().__init__(stack, procedure, ranked)
+        def __init__(self, ranked, alpha, procedure):
+            super().__init__(ranked, alpha, procedure)
             if self.m in (7, 8):
                 self.consonance_witnesses = [1] * len(self.rejections)
 
@@ -79,9 +87,9 @@ def test_graph_witness_is_the_first_violation_in_corpus_order(monkeypatch):
     corpus, violating = _ordered_corpus()
     walk = battery.graph_rejections
 
-    def failing(stack, ranked):
-        rejected = walk(stack, ranked)
-        if stack.m in (7, 8):
+    def failing(ranked, alpha):
+        rejected = walk(ranked, alpha)
+        if rejected.shape[1] in (7, 8):
             return ~rejected
         return rejected
 
@@ -179,3 +187,43 @@ def test_the_battery_ranks_each_stack_once_per_procedure(monkeypatch, seed,
                in pstats.Stats(profile).stats.items()
                if name == "<method 'argsort' of 'numpy.ndarray' objects>"
                ) == argsorts
+
+
+def _engine_outputs(ranked, alpha, procedure):
+    """Everything the closed-testing and graph engines give for a stack's
+    view `ranked` at the (P,) levels `alpha`, with its float arrays as
+    bytes: the `ClosedStack`'s rejections, witnesses and counterexamples,
+    `graph_rejections`, and the live rows, levels and graphs of every
+    `_walk` step."""
+    closed = ClosedStack(ranked, alpha, procedure)
+    walk = [(live.tobytes(), levels.tobytes(), graphs.tobytes())
+            for live, levels, graphs in _walk(ranked, alpha)]
+    return (closed.rejections.tobytes(), closed.consonance_witnesses,
+            closed.monotonicity_counterexamples,
+            graph_rejections(ranked, alpha).tobytes(), walk)
+
+
+@pytest.mark.parametrize("corpus", [
+    random_corpus(3000, seed=7, m_max=12), BOUNDARY_CORPUS,
+    _boundary_corpus(1200, seed=41), _tied_corpus(800, seed=61)],
+    ids=["random", "exact-boundary", "boundary", "ties-and-zeros"])
+@pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+def test_weights_scaled_by_a_power_of_two_decide_the_same_bits(corpus,
+                                                               procedure):
+    # scaling every weight by 2^k is exact, and so is every ratio of
+    # weights, quotient p/w and product (p/w) * total formed from them: the
+    # kernel, closed testing and the graph walk, reading the weights only
+    # through the ranked view, must give the same bits
+    key = ranking(procedure)
+    for _, (p, w, alpha) in battery._stacks(battery._flatten(corpus)):
+        ranked, _, adjusted, rejected = adjust_rows(p, w, alpha[:, None], key)
+        expected = _engine_outputs(ranked, alpha, procedure)
+        for k in (-64, -16, 16, 64):
+            scale = 2.0 ** k
+            view, _, scaled, decided = adjust_rows(p, w * scale,
+                                                   alpha[:, None], key)
+            assert (view.perm == ranked.perm).all()
+            assert scaled.tobytes() == adjusted.tobytes()
+            assert (decided == rejected).all()
+            assert _engine_outputs(ranked._replace(w=ranked.w * scale), alpha,
+                                   procedure) == expected

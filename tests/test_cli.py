@@ -518,6 +518,17 @@ class TestSimulate:
         assert (f"at least one true and one false null: m0 = {m0} of m = {m}"
                 in captured.err)
 
+    @pytest.mark.parametrize("mu_alt", ["nan", "inf", "-inf"])
+    def test_non_finite_mu_alt_is_data_error(self, tmp_path, capsys, mu_alt):
+        # refused while the config is read, before the table is opened
+        config = tmp_path / "grid.cfg"
+        config.write_text(SIM_CONFIG.replace("mu_alt = 0.7",
+                                             f"mu_alt = {mu_alt}"))
+        assert main(["simulate", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"mu_alt must be finite: {float(mu_alt)}" in captured.err
+
     def test_seed_override_changes_results(self, tmp_path):
         config = tmp_path / "grid.cfg"
         config.write_text(SIM_CONFIG)

@@ -15,7 +15,7 @@ from wholm import closure
 from wholm.closure import (CapacityError, ClosedStack, CtpReport,
                            random_corpus)
 from wholm.core import OrderingKey
-from wholm.procedures import ProblemStack, rank, ranking
+from wholm.procedures import rank, ranking
 
 
 def random_problem(gen, m, alpha=0.05):
@@ -417,6 +417,13 @@ def _tied_corpus(count, seed):
     return problems
 
 
+def _arrays(problems):
+    """Same-size problems as a stack's arrays: the (P, m) p-values and
+    weights and the (P,) alphas."""
+    return tuple(np.array([getattr(problem, name) for problem in problems])
+                 for name in ("p", "w", "alpha"))
+
+
 def _stacked(problems):
     """Per problem: the WHP and WAP closed rejections (as the set of the
     indices a row of `rejections` holds), consonance witnesses and
@@ -428,9 +435,9 @@ def _stacked(problems):
     out = [[] for _ in problems]
     for indices in groups.values():
         for procedure in (Procedure.WHP, Procedure.WAP):
-            stack = ProblemStack.of([problems[i] for i in indices])
-            closed = ClosedStack(stack, procedure, rank(
-                stack.p, stack.w, ranking(procedure)))
+            p, w, alpha = _arrays([problems[i] for i in indices])
+            closed = ClosedStack(rank(p, w, ranking(procedure)), alpha,
+                                 procedure)
             assert closed.rejections.dtype == bool
             assert closed.rejections.shape == (len(indices), closed.m)
             for index, rejected, *row in zip(
@@ -462,11 +469,6 @@ class TestStacks:
             assert row[0] == whp_stepdown(problem).rejected, problem
             assert row[3] == wap_stepdown(problem).rejected, problem
 
-    def test_a_stack_holds_one_size(self):
-        corpus = random_corpus(50, seed=65)
-        with pytest.raises(ValueError, match="one size"):
-            ClosedStack(ProblemStack.of(corpus), Procedure.WHP)
-
     def test_mixed_alphas_in_one_stack(self):
         corpus = _tied_corpus(400, seed=63)
         sizes = defaultdict(set)
@@ -486,10 +488,8 @@ class TestStacks:
         # with, and scales a fifth of the real totals down
         gen = np.random.default_rng(64)
         m, rows = 4, 40
-        stack = ProblemStack(gen.uniform(size=(rows, m)),
-                             gen.uniform(0.5, 2.0, size=(rows, m)),
-                             np.full(rows, 0.05))
-        ranked = rank(stack.p, stack.w, ranking(procedure))
+        p, w = gen.uniform(size=(rows, m)), gen.uniform(0.5, 2.0, size=(rows, m))
+        ranked = rank(p, w, ranking(procedure))
         total, code = closure._all_subsets(ranked, codes=True)
         if procedure is Procedure.WHP:
             total = gen.uniform(0.5, 8.0, size=(rows, 1 << m))
@@ -497,7 +497,8 @@ class TestStacks:
         else:
             scaled = gen.uniform(size=total.shape) < 0.2
             total[scaled] *= gen.uniform(0.3, 1.0, size=int(scaled.sum()))
-        found = closure._counterexamples(ranked, stack.alpha, procedure, total)
+        found = closure._counterexamples(ranked, np.full(rows, 0.05),
+                                         procedure, total)
         for r in range(rows):
             order = ranked.perm[r].tolist()
             # the hypothesis of each code bit, and the index masks in code order
@@ -510,7 +511,7 @@ class TestStacks:
                 if procedure is Procedure.WAP and i != next(
                         j for j in order if mask >> j & 1):
                     return 0.0
-                return stack.w[r, i] * 0.05 / total[r, int(code[r, mask])]
+                return w[r, i] * 0.05 / total[r, int(code[r, mask])]
             expected = next(((big, big ^ 1 << j, i, share(big, i),
                               share(big ^ 1 << j, i))
                              for j in member for big in masks
@@ -522,20 +523,20 @@ class TestStacks:
         assert sum(f is not None for f in found) > rows // 2
 
 
-def _mask_order_rejects(stack, key):
+def _mask_order_rejects(p, w, alpha, key):
     """The local rule in index-mask order, the reference for `_decide`: the
     total of every nonempty mask gathered from `_all_subsets`' codes, its
     first-ranked member (the member of smallest rank) and that member's p/w
     gathered by index, times the total, at most alpha."""
-    ranked = rank(stack.p, stack.w, key)
+    ranked = rank(p, w, key)
     total, code = closure._all_subsets(ranked, codes=True)
-    m = stack.m
+    m = p.shape[1]
     rows = np.arange(len(ranked.perm))[:, None]
     total = total[rows, code[:, 1:].astype(np.intp)]
     member = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1) == 1
     at = np.argsort(ranked.perm, axis=1)
     first = np.where(member, at[:, None, :], m).argmin(axis=2)
-    return (stack.p / stack.w)[rows, first] * total <= stack.alpha[:, None]
+    return (p / w)[rows, first] * total <= alpha[:, None]
 
 
 def _brute_closure(accepted, code):
@@ -562,20 +563,29 @@ def _brute_closure(accepted, code):
 
 class TestCodeSpace:
     @pytest.mark.parametrize("m", range(1, 11))
-    def test_packed_closure_equals_the_superset_scan(self, m):
+    def test_packed_closure_equals_the_superset_scan(self, monkeypatch, m):
         # random tables, rows mostly rejecting so that many violate
         # consonance, each in its own random bit order (a rank-space code)
         gen = np.random.default_rng(100 + m)
         witnesses = 0
+        # codes are mapped to index masks row by row, and only in a
+        # witness's row
+        asked, index_masks = [], closure._index_masks
+        monkeypatch.setattr(closure, "_index_masks", lambda row, codes: (
+            asked.append(row.tolist()) or index_masks(row, codes)))
         for count in (1, 2, 7, 64, 70):
             size = 1 << m
             rejected = gen.uniform(size=(count, size)) < gen.uniform(
                 0.5, 1.0, size=(count, 1))
             code = np.zeros((count, size), dtype=np.intp)
+            # the ranking whose rank-space codes `code` holds: hypothesis k
+            # is at code bit bit[k], which stands for rank m-1-bit[k]
+            perm = np.empty((count, m), dtype=np.intp)
             for r in range(count):
-                bits = 1 << gen.permutation(m)
+                bit = gen.permutation(m)
+                perm[r, m - 1 - bit] = np.arange(m)
                 code[r] = ((np.arange(size)[:, None] >> np.arange(m) & 1)
-                           * bits).sum(axis=1)
+                           * (1 << bit)).sum(axis=1)
             covered = closure._close(rejected)
             assert covered.dtype == bool and covered.shape == (count, size)
             expected, rejections, found = _brute_closure(~rejected, code)
@@ -585,14 +595,10 @@ class TestCodeSpace:
             assert (kept == covered[:, 1 << np.arange(m)]).all()
             assert (np.take_along_axis(covered, code[:, 1 << np.arange(m)],
                                        axis=1) == ~rejections).all()
-            # codes are asked for row by row, and only of a witness's row
-            asked = []
-
-            def codes(r):
-                asked.append(r)
-                return code[r].astype(float)
-            assert closure._witnesses(covered, kept, codes) == found
-            assert asked == [r for r, w in enumerate(found) if w is not None]
+            asked.clear()
+            assert closure._witnesses(covered, kept, perm) == found
+            assert asked == [perm[r].tolist() for r, w in enumerate(found)
+                             if w is not None]
             # in index-mask order, the table read as it is
             direct = closure._close(np.take_along_axis(rejected, code, axis=1))
             assert (direct == expected).all()
@@ -606,19 +612,17 @@ class TestCodeSpace:
     def test_stack_witnesses_read_the_codes_of_their_own_rows(
             self, monkeypatch, procedure):
         # neither built-in test has a witness; forced local decisions that
-        # reject most subsets give many, each read back through the codes
-        # of its own row, rebuilt from that row alone
+        # reject most subsets give many, each read back through the ranking
+        # of its own row
         gen = np.random.default_rng(66)
         m, rows = 5, 30
-        stack = ProblemStack(gen.uniform(size=(rows, m)),
-                             gen.uniform(0.5, 2.0, size=(rows, m)),
-                             np.full(rows, 0.05))
+        p, w = gen.uniform(size=(rows, m)), gen.uniform(0.5, 2.0, size=(rows, m))
         forced = gen.uniform(size=(rows, 1 << m)) < 0.8
         real = closure._decide
         monkeypatch.setattr(closure, "_decide", lambda *args: (
             *real(*args)[:2], forced))
-        ranked = rank(stack.p, stack.w, ranking(procedure))
-        closed = ClosedStack(stack, procedure, ranked)
+        ranked = rank(p, w, ranking(procedure))
+        closed = ClosedStack(ranked, np.full(rows, 0.05), procedure)
         _, code = closure._all_subsets(ranked, codes=True)
         _, rejections, found = _brute_closure(~forced, code.astype(np.intp))
         assert closed.consonance_witnesses == found
@@ -632,22 +636,20 @@ class TestCodeSpace:
         groups = defaultdict(list)
         for problem in corpus:
             groups[problem.m].append(problem)
-        for problems in groups.values():
-            stack = ProblemStack.of(problems)
-            ranked = rank(stack.p, stack.w, key)
-            total, code, rejected = closure._decide(ranked,
-                                                    stack.alpha[:, None])
+        for m, problems in groups.items():
+            p, w, alpha = _arrays(problems)
+            ranked = rank(p, w, key)
+            total, code, rejected = closure._decide(ranked, alpha[:, None])
             assert code is None
-            assert rejected.shape == total.shape == (len(problems),
-                                                     1 << stack.m)
+            assert rejected.shape == total.shape == (len(problems), 1 << m)
             # the same table with the codes summed alongside
-            same, code, coded = closure._decide(ranked, stack.alpha[:, None],
+            same, code, coded = closure._decide(ranked, alpha[:, None],
                                                 codes=True)
             assert (same == total).all()
             assert (coded == rejected).all()
             assert (np.take_along_axis(rejected, code[:, 1:].astype(np.intp),
                                        axis=1)
-                    == _mask_order_rejects(stack, key)).all()
+                    == _mask_order_rejects(p, w, alpha, key)).all()
 
 
 class _PoisonedGenerator:

@@ -7,7 +7,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from test_closure import _boundary_corpus
+from test_closure import _arrays, _boundary_corpus
 from test_procedures import BOUNDARY_CORPUS
 from wholm import (OrderingKey, TransitionGraph, initial_graph,
                    reject_and_update, run_graphical, validate_problem,
@@ -18,7 +18,7 @@ from wholm.closure import random_corpus
 from wholm.graphical import (GraphInvariantError, _coefficient_labels,
                              _degenerate, _initial_graphs, _walk, dot_stages,
                              graph_rejections)
-from wholm.procedures import ProblemStack, rank, rank_rows
+from wholm.procedures import rank, rank_rows
 
 # `dot_stages` of `_dot_problem(name)`, labelled H1..Hm, under each ordering,
 # joined by blank lines with a final line end; computed with one
@@ -75,7 +75,8 @@ class TestInitialGraph:
             # the walk's first graph, in a ranking of its own, gathered back
             # to index order
             order = gen.permutation(len(w))
-            ranked = _initial_graphs(np.array([w]), alpha, order[None])[0]
+            ranked = _initial_graphs(np.array([w])[:, order], alpha,
+                                     order[None])[0]
             back = np.argsort(order)
             assert ranked[-1, back].tolist() == local, w
             assert ranked[:-1][np.ix_(back, back)].tolist() == g, w
@@ -140,7 +141,8 @@ def test_initial_graphs_equal_the_summed_and_divided_form():
         alpha = gen.uniform(0.001, 0.5, size=(count, 1))
         perm = np.argsort(gen.uniform(size=(count, m)), axis=1)
         flat = perm + np.arange(0, count * m, m)[:, None]
-        graph = _initial_graphs(w, alpha, flat)
+        # the weights by rank, as a ranked view holds them
+        graph = _initial_graphs(w.take(flat), alpha, flat)
         reference = _summed_and_divided(w, alpha, flat)
         diagonal = np.eye(m, dtype=bool)
         assert graph[:, m].tobytes() == reference[:, m].tobytes()
@@ -335,16 +337,16 @@ def _stacked_runs(problems, ordering):
     it, and the stack's `graph_rejections` (as the set of the indices its
     row holds)."""
     runs = [None] * len(problems)
-    for rows, stack in _stacks(_flatten(problems)):
-        ranked = rank(stack.p, stack.w, ordering)
+    for rows, (p, w, alpha) in _stacks(_flatten(problems)):
+        ranked = rank(p, w, ordering)
         perm = ranked.perm
         out = [([], [], perm[r]) for r in range(len(rows))]
-        for k, (live, thresholds, graphs) in enumerate(_walk(stack, ranked)):
+        for k, (live, thresholds, graphs) in enumerate(_walk(ranked, alpha)):
             for r, threshold, graph in zip(live.tolist(), thresholds.tolist(),
                                            graphs):
                 out[r][0].append((int(perm[r, k]), threshold.hex()))
                 out[r][1].append(graph)
-        rejected = graph_rejections(stack, ranked)
+        rejected = graph_rejections(ranked, alpha)
         assert rejected.dtype == bool and rejected.shape == perm.shape
         for index, run, row in zip(rows.tolist(), out, rejected):
             runs[index] = run + (frozenset(np.flatnonzero(row).tolist()),)
@@ -406,10 +408,10 @@ def test_degenerate_update_in_a_stack_names_its_row():
     corpus = random_corpus(60, seed=3)
     ordinary = [problem for problem in corpus if problem.m == 3]
     assert len(ordinary) > 4
-    stack = ProblemStack.of(ordinary[:3] + [found] + ordinary[3:])
+    p, w, alpha = _arrays(ordinary[:3] + [found] + ordinary[3:])
     for ordering in OrderingKey:
         with pytest.raises(GraphInvariantError) as info:
-            graph_rejections(stack, rank(stack.p, stack.w, ordering))
+            graph_rejections(rank(p, w, ordering), alpha)
         assert str(info.value) == "degenerate update: g[1,0] * g[0,1] = 1"
         assert info.value.row == 3
     corpus.insert(17, found)

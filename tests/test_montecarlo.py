@@ -239,6 +239,14 @@ class TestSimulationConfig:
                              alpha=0.05, reps=10,
                              weight_scenario=WeightScenario.S2, seed=-1)
 
+    @pytest.mark.parametrize("mu_alt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_alt_rejected(self, mu_alt):
+        # a non-finite shift makes every false null's p-value NaN
+        with pytest.raises(ValueError, match="mu_alt must be finite"):
+            SimulationConfig(m=5, pi0=0.4, rho=0.0, n=15, mu_alt=mu_alt,
+                             alpha=0.05, reps=10,
+                             weight_scenario=WeightScenario.S2, seed=1)
+
 
 class TestRunSimulation:
     def test_small_cell_properties(self):

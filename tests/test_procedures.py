@@ -370,12 +370,16 @@ def test_kernel_equals_the_python_adjustment_bit_for_bit(key, adjusted_report):
             # the adjusted values gathered from rank to index order
             by_index = [adjusted[perm.index(i)] for i in range(problem.m)]
             one = adjust_rows([problem.p], [problem.w], problem.alpha, key)
-            for got in (one, [rows[0].row(r),
-                              *[part[r:r + 1] for part in rows[1:]]]):
+            # row r of the stack, its view sliced field by field
+            stacked = [rows[0]._make(field[r:r + 1] for field in rows[0]),
+                       *[part[r:r + 1] for part in rows[1:]]]
+            for got in (one, stacked):
                 ranked = got[0]
                 assert tuple(ranked.perm[0].tolist()) == perm
-                assert (ranked.flat[0] == ranked.perm[0]).all()
-                # the weights and p/w by rank
+                assert (ranked.flat[0] - ranked.perm[0] == (
+                    0 if got is one else r * problem.m)).all()
+                # the p-values, weights and p/w by rank
+                assert _bits(ranked.p[0]) == _bits([problem.p[i] for i in perm])
                 assert _bits(ranked.w[0]) == _bits([problem.w[i] for i in perm])
                 assert _bits(ranked.tilde[0]) == _bits(
                     [problem.p[i] / problem.w[i] for i in perm])
