@@ -41,10 +41,9 @@ A/A run of this checkout against itself.  The calls timed, with
 - `closure.ClosedStack` for WHP and for WAP on a stack of 64 problems at
   m = 8, the battery's stack at that size, per call, with the stack's
   arrays built untimed and the stack ranked by `procedures.rank` in the
-  call (a checkout that still has `procedures.ProblemStack` is handed one,
-  built untimed, beside the view), and the stacked monotonicity read, the
-  first read of `monotonicity_counterexamples` of a WHP `ClosedStack` of
-  such a stack, built untimed for each call;
+  call, and the stacked monotonicity read, the first read of
+  `monotonicity_counterexamples` of a WHP `ClosedStack` of such a stack,
+  built untimed for each call;
 - `whp_local_test` and `wap_local_test` called directly on 1 and 1,000
   random masks at m = 16 and on 100,000 at m = 21, per call;
 - the CLI, per call: `cli.build_parser` on its own, and in-process
@@ -383,10 +382,6 @@ def cases(wholm, tmp, values):
         p, w, alpha = (np.array([getattr(P, name) for P in stacked])
                        for name in ("p", "w", "alpha"))
         key = procedures.ranking(procedure)
-        if hasattr(procedures, "ProblemStack"):
-            stack = procedures.ProblemStack(p, w, alpha)
-            return lambda: wholm.closure.ClosedStack(
-                stack, procedure, procedures.rank(p, w, key))
         return lambda: wholm.closure.ClosedStack(procedures.rank(p, w, key),
                                                  alpha, procedure)
 

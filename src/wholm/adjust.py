@@ -3,9 +3,10 @@
 The adjusted value of a hypothesis is the smallest global level at which the
 procedure would reject it: the running max of (p/w)_(j) * tail_j along the
 procedure's ranking, capped at 1.  The values are a one-row call of the
-adjusted-value kernel `procedures.adjust_rows`, whose decisions the
-step-downs return, so a hypothesis is rejected at level alpha iff its
-adjusted value printed here is at most alpha, bit for bit.
+adjusted-value kernel `procedures.adjust_rows` on the problem's
+`procedures.rank` view, whose decisions the step-downs return, so a
+hypothesis is rejected at level alpha iff its adjusted value printed here
+is at most alpha, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .core import TestingProblem
-from .procedures import Procedure, adjust_rows, ranking
+from .procedures import Procedure, adjust_rows, rank, ranking
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class AdjustedReport:
 
 
 def _report(problem: TestingProblem, procedure: Procedure) -> AdjustedReport:
-    *_, adjusted, rejected = adjust_rows([problem.p], [problem.w],
-                                         problem.alpha, ranking(procedure))
+    _, adjusted, rejected = adjust_rows(
+        rank([problem.p], [problem.w], ranking(procedure)), problem.alpha)
     return AdjustedReport(
         values=tuple(adjusted[0].tolist()),
         rejected=frozenset(rejected[0].nonzero()[0].tolist()))

@@ -18,16 +18,17 @@ checks `closure._draw_corpus`'s arrays as they are drawn, cutting a
 every problem of `random_corpus`.  One helper, `_stacks`, groups the
 problems by m and cuts each group into stacks of at most
 `PROPERTY_STACK_CELLS >> m` problems, gathered into (P, m) p-values and
-weights and (P,) alphas.  Their references, the step-down rejections, and
-the adjusted values come from one call of the step-downs' kernel
-`procedures.adjust_rows` per ranking per stack, which ranks the stack once,
-and the `procedures.rank` view it returns is then the only way the oracles
-read the stack: each takes the view and the alphas, and nothing else ranks
-it.  The closed-testing claims (`ctp-equivalence-*`, `consonance-*` and
-`monotonicity-whp`) read one `closure.ClosedStack` per procedure per stack,
-built from one subset table and closed for all of the stack's problems at
-once, and give the same answers as `ctp`, `check_consonance` and
-`check_monotonicity_condition`, which are one-row calls of the same code.
+weights and (P,) alphas.  Each stack is ranked once per ranking, by
+`procedures.rank`, and its view is then the only way the kernel and the
+oracles read the stack: each takes the view and the alphas, and nothing
+else ranks it.  The references, the step-down rejections, and the
+adjusted values come from one call of the step-downs' kernel
+`procedures.adjust_rows` per view.  The closed-testing claims
+(`ctp-equivalence-*`, `consonance-*` and `monotonicity-whp`) read one
+`closure.ClosedStack` per procedure per stack, built from one subset table
+and closed for all of the stack's problems at once, and give the same
+answers as `ctp`, `check_consonance` and `check_monotonicity_condition`,
+which are one-row calls of the same code.
 The graph claims (`graphical-equivalence-*`) read one walk of the view per
 ordering, `graphical.graph_rejections`, whose one-row call is
 `run_graphical`.  Every engine returns its rejections as (P, m) bool arrays
@@ -48,7 +49,7 @@ from .closure import (ClosedStack, _Corpus, _cut, _draw_corpus,
                       find_pvalue_monotonicity_violation)
 from .core import TestingProblem
 from .graphical import GraphInvariantError, graph_rejections
-from .procedures import Procedure, adjust_rows, ranking
+from .procedures import Procedure, adjust_rows, rank, ranking
 
 # Problems evaluated together, counted in cells: a stack of problems with m
 # hypotheses holds at most PROPERTY_STACK_CELLS >> m of them, and at least
@@ -86,18 +87,18 @@ def _adjusted_dominance(stack):
 
 class _Stack:
     """Problems of one size m, given as `arrays`, their (P, m) p-values and
-    weights and (P,) alphas, and, under each procedure, as `adjust_rows`
-    returns them, their ranked view, their step-down rejections and
-    adjusted values, both (P, m) in hypothesis order, and their
-    `ClosedStack`, built on that view."""
+    weights and (P,) alphas, and, under each procedure, their
+    `procedures.rank` view, their step-down rejections and adjusted values
+    from `adjust_rows` on that view, both (P, m) in hypothesis order, and
+    their `ClosedStack`, built on the same view."""
 
     def __init__(self, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray]):
         p, w, self.alpha = arrays
         self.ranked, self.rejected, self.adjusted, self.closed = {}, {}, {}, {}
         for procedure in (Procedure.WHP, Procedure.WAP):
-            ranked, _, self.adjusted[procedure], self.rejected[procedure] = (
-                adjust_rows(p, w, self.alpha[:, None], ranking(procedure)))
-            self.ranked[procedure] = ranked
+            ranked = self.ranked[procedure] = rank(p, w, ranking(procedure))
+            _, self.adjusted[procedure], self.rejected[procedure] = (
+                adjust_rows(ranked, self.alpha[:, None]))
             self.closed[procedure] = ClosedStack(ranked, self.alpha, procedure)
 
 

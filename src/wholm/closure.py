@@ -518,8 +518,8 @@ class ClosedStack:
     """Closed testing of problems of one size under the local test of WHP
     (`whp_local_test`) or of WAP (`wap_local_test`), for all of them at once
     from one subset table.  `ranked` is their `procedures.rank` view under
-    the procedure's ranking, as `adjust_rows` returns it, and `alpha` their
-    (P,) levels.  Each attribute holds one entry per problem, in stack
+    the procedure's ranking, the view `adjust_rows` decides, and `alpha`
+    their (P,) levels.  Each attribute holds one entry per problem, in stack
     order, equal to what the one-problem function returns for it:
 
     - `rejections`: a (P, m) bool array whose row holds the closed
@@ -658,12 +658,13 @@ def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
     start, chunk = 0, SEARCH_FIRST_CHUNK
     while start < trials:
         stop = min(start + chunk, trials)
-        # one `adjust_rows` call over the p and q rows of each size, whose
-        # rejections in hypothesis order are compared as sets
+        # one `rank` and `adjust_rows` call over the p and q rows of each
+        # size, whose rejections in hypothesis order are compared as sets
         for m in np.unique(sizes[start:stop]).tolist():
             rows = start + np.flatnonzero(sizes[start:stop] == m)
-            sets = adjust_rows(np.concatenate([p[rows, :m], q[rows, :m]]),
-                               np.concatenate([w[rows, :m]] * 2), 0.05, key)[3]
+            sets = adjust_rows(rank(np.concatenate([p[rows, :m], q[rows, :m]]),
+                                    np.concatenate([w[rows, :m]] * 2), key),
+                               0.05)[2]
             lost[rows] = (sets[:rows.size] & ~sets[rows.size:]).any(axis=1)
         if lost.any():
             t = int(lost.argmax())

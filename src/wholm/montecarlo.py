@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import OrderingKey, _check_block, check_alpha, check_weights
-from .procedures import Procedure, adjust_rows, ranking
+from .procedures import Procedure, adjust_rows, rank, ranking
 
 # Rows of least-favorable samples drawn and decided together.  This constant
 # defines the random stream of `estimate_sharpness` (its blocks are drawn one
@@ -259,10 +259,12 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     A zero-variance sample (probability zero in theory) is redrawn once from
     its block's generator and counted.
 
-    Each block is decided as it is drawn, by one `t_sf` call and one
-    `procedures.adjust_rows` call per procedure, and only the FWER counts
-    and the power sums are carried to the next, so memory does not grow
-    with `reps`.  The rejections come in hypothesis order, where the true
+    Each block is decided as it is drawn, by one `t_sf` call, one
+    `procedures.rank` call per ranking and one `procedures.adjust_rows`
+    call per procedure: WAP's view by raw p serves Holm too, with unit
+    weights, since Holm's p/1.0 ranks as p.  Only the FWER counts and the
+    power sums are carried to the next, so memory does not grow with
+    `reps`.  The rejections come in hypothesis order, where the true
     nulls are the first m0 columns and the false nulls the rest.  The power
     terms are summed in replicate order as Python floats.  Each block is
     checked once before it is decided, by `core._check_block`: a p-value
@@ -287,14 +289,12 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
                      "p-value out of [0, 1]", "replicate", offset)
         _check_block(weights, (weights > 0.0) & (weights < np.inf),
                      "weight must be positive and finite", "replicate", offset)
-        rejected = {
-            Procedure.HOLM: adjust_rows(pvals, 1.0, config.alpha,
-                                        OrderingKey.WEIGHTED)[3],
-            Procedure.WHP: adjust_rows(pvals, weights, config.alpha,
-                                       OrderingKey.WEIGHTED)[3],
-            Procedure.WAP: adjust_rows(pvals, weights, config.alpha,
-                                       OrderingKey.RAW)[3],
-        }
+        # Holm ranks by p/1.0, which sorts as p does: WAP's view, unit weights
+        raw = rank(pvals, weights, OrderingKey.RAW)
+        rejected = {proc: adjust_rows(view, config.alpha)[2] for proc, view in (
+            (Procedure.HOLM, raw._replace(w=np.ones_like(raw.w))),
+            (Procedure.WHP, rank(pvals, weights, OrderingKey.WEIGHTED)),
+            (Procedure.WAP, raw))}
         _check_wap_within_whp(rejected[Procedure.WHP], rejected[Procedure.WAP],
                               offset)
         for proc, mask in rejected.items():
@@ -406,13 +406,14 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     index.
 
     The samples are drawn from `gen` in blocks of `SHARPNESS_BLOCK_ROWS` rows
-    (the last holds what is left), and each block is decided by one
-    `procedures.adjust_rows` call before the next is drawn, so memory does
-    not grow with `reps`.  A block's p-values are checked once, by
-    `core._check_block`, before it is decided: one outside [0, 1] (NaN
-    included) raises ValueError naming its replicate and hypothesis.  A
-    replicate counts when its first-ranked hypothesis is rejected, one read
-    per row, since the rejections are a prefix of the ranking.
+    (the last holds what is left), and each block is ranked by one
+    `procedures.rank` call and decided by one `procedures.adjust_rows` call
+    on its view before the next is drawn, so memory does not grow with
+    `reps`.  A block's p-values are checked once, by `core._check_block`,
+    before it is decided: one outside [0, 1] (NaN included) raises
+    ValueError naming its replicate and hypothesis.  A replicate counts
+    when its first-ranked hypothesis is rejected, one read per row, since
+    the rejections are a prefix of the ranking.
     """
     w = np.asarray(weights, dtype=float)
     check_weights(w.tolist())
@@ -432,7 +433,8 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
         block, _ = _lfc_batch(w, tau, gen, min(SHARPNESS_BLOCK_ROWS, reps - start))
         _check_block(block, (block >= 0.0) & (block <= 1.0),
                      "p-value out of [0, 1]", "replicate", start)
-        ranked, _, _, rejected = adjust_rows(block, w, alpha, key)
+        ranked = rank(block, w, key)
+        rejected = adjust_rows(ranked, alpha)[2]
         hits += int(np.count_nonzero(rejected.take(ranked.flat[:, 0])))
     fwer = hits / reps
     return SharpnessEstimate(fwer=fwer, se=math.sqrt(fwer * (1.0 - fwer) / reps),

@@ -11,18 +11,18 @@ reports print the very numbers the decisions were made on.
 
 `rank` ranks (R, m) rows, with the one argsort, `rank_rows`, and returns a
 `Ranked` view: the ranking, its flat index, and the p-values and weights by
-rank, from which p/w is derived.  The view is the one input through which
-every engine reads a problem: `adjust_rows` is the one kernel that sums the
-tails of that view and compares with alpha, and returns the view with its
-decisions, so that one ranking of a stack serves the step-down, closed
-testing and the graph: they take the view and the alphas, and none ranks,
-builds a flat index or reads a p-value or weight in hypothesis order again.
-The adjusted reports and `whp_stepdown`, `wap_stepdown` and `holm_stepdown`
-are one-row calls of `adjust_rows`, the step-downs with a trace of
-raw-scale thresholds w*alpha/tail.  The Monte Carlo engine and the witness
-searches check their own input once and call `adjust_rows` directly.
-Decisions pass between modules in hypothesis order, moved there from rank
-order by the view's flat index.
+rank, from which p/w is derived.  `rank` is the one place a ranking key is
+read, and the view is the one input through which every engine reads a
+problem: the kernel `adjust_rows`, closed testing and the graph each take a
+view and the alphas, and none ranks, builds a flat index or reads a p-value
+or weight in hypothesis order again.  `adjust_rows` is the one kernel that
+sums the tails of a view and compares with alpha.  Each front door ranks
+once and hands its view to every engine it calls: the adjusted reports and
+`whp_stepdown`, `wap_stepdown` and `holm_stepdown` are one-row calls, the
+step-downs with a trace of raw-scale thresholds w*alpha/tail, and the
+Monte Carlo engine and the witness searches check their own input once,
+rank it and call `adjust_rows` directly.  Decisions pass between modules in
+hypothesis order, moved there from rank order by the view's flat index.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def rank_rows(p: np.ndarray, tilde: np.ndarray, key: OrderingKey) -> np.ndarray:
     """The index at each rank of each row of `p` (R, m): a stable argsort of
     the weighted p-values `tilde` = p/w (WEIGHTED) or of p (RAW), so ties go
     to the smaller index.  This is the one ranking of the step-downs, closed
-    testing and the graphical run, read through `rank`'s view."""
+    testing and the graphical run, called only by `rank`."""
     return np.argsort(tilde if key is OrderingKey.WEIGHTED else p, axis=1,
                       kind="stable")
 
@@ -79,33 +79,37 @@ class Ranked(NamedTuple):
 
 def rank(p, w, key: OrderingKey) -> Ranked:
     """Each row of `p` (R, m) ranked by p/w (WEIGHTED) or p (RAW) with
-    `rank_rows`, as a `Ranked` view; `w` broadcasts against `p`."""
+    `rank_rows`, as a `Ranked` view; `w` broadcasts against `p`, and p/w is
+    formed only under WEIGHTED.  A `key` that is not an `OrderingKey`
+    raises ValueError."""
+    if not isinstance(key, OrderingKey):
+        raise ValueError(f"a ranking key must be an OrderingKey, got {key!r}")
     p, w = np.asarray(p, dtype=float), np.asarray(w, dtype=float)
     w = w if w.shape == p.shape else np.broadcast_to(w, p.shape)
-    perm = rank_rows(p, p / w, key)
+    perm = rank_rows(p, p / w if key is OrderingKey.WEIGHTED else None, key)
     flat = perm + np.arange(0, perm.size, perm.shape[1])[:, None]
     return Ranked(perm, flat, p.take(flat), w.take(flat))
 
 
-def adjust_rows(p, w, alpha, key: OrderingKey):
-    """Rank each row of `p` (R, m) by p/w (WEIGHTED) or p (RAW) with `rank`,
-    and return its `Ranked` view and three (R, m) arrays: by rank, the tail
-    weights (summed from the last rank upward); in hypothesis order, the
-    adjusted values and the rejections, adjusted value <= alpha, which are
-    a prefix of each row's ranking.  `w` and `alpha` (a scalar or an (R, 1)
-    column) broadcast against `p`, which is taken as valid."""
-    ranked = rank(p, w, key)
+def adjust_rows(ranked: Ranked, alpha):
+    """The decisions of the (R, m) rows of a `rank` view, as three (R, m)
+    arrays: by rank, the tail weights (summed from the last rank upward); in
+    hypothesis order, the adjusted values and the rejections, adjusted value
+    <= alpha, which are a prefix of each row's ranking.  `alpha` (a scalar
+    or an (R, 1) column) broadcasts against the rows, which are taken as
+    valid."""
     tails = np.cumsum(ranked.w[:, ::-1], axis=1)[:, ::-1]
     # capping the running max equals capping at every step: min/max commute
     adjusted = np.empty_like(ranked.p)
     adjusted.put(ranked.flat, np.minimum(np.maximum.accumulate(
         ranked.tilde * tails, axis=1), 1.0))
-    return ranked, tails, adjusted, adjusted <= alpha
+    return tails, adjusted, adjusted <= alpha
 
 
 def _stepdown(p: Sequence[float], w: Sequence[float], alpha: float,
               key: OrderingKey) -> RejectionSet:
-    ranked, tails, _, rejected = adjust_rows([p], [w], alpha, key)
+    ranked = rank([p], [w], key)
+    tails, _, rejected = adjust_rows(ranked, alpha)
     ranks = ranked.perm[0][:np.count_nonzero(rejected)].tolist()
     # raw-scale thresholds, guaranteed in (0, 1)
     trace = tuple([(j + 1, i, w[i] * alpha / tail) for j, (i, tail)

@@ -14,7 +14,7 @@ from wholm.battery import PROPERTIES, check_properties, run_check_battery
 from wholm.closure import (ClosedStack, find_pvalue_monotonicity_violation,
                            random_corpus)
 from wholm.graphical import _walk, graph_rejections
-from wholm.procedures import adjust_rows, ranking
+from wholm.procedures import adjust_rows, rank, ranking
 
 
 def _stack_counts(corpus):
@@ -151,10 +151,10 @@ def test_nothing_passes_vacuously():
 @pytest.mark.parametrize("seed, argsorts", [(0, 62), (1, 65), (2, 55)])
 def test_the_battery_ranks_each_stack_once_per_procedure(monkeypatch, seed,
                                                          argsorts):
-    # the step-down kernel ranks each stack, and closed testing and the
-    # graph walk read the view it returns: one `rank_rows` call per stack
-    # per procedure inside `_check`, and no module but `procedures` ranks
-    # or builds a flat index
+    # `procedures.rank` ranks each stack, and the step-down kernel, closed
+    # testing and the graph walk read its view: one `rank_rows` call per
+    # stack per procedure inside `_check`, and no module but `procedures`
+    # ranks or builds a flat index
     for module in (closure, graphical):
         assert not {"rank_rows", "rank_index"} & set(vars(module))
     assert not hasattr(procedures, "rank_index")
@@ -216,12 +216,13 @@ def test_weights_scaled_by_a_power_of_two_decide_the_same_bits(corpus,
     # through the ranked view, must give the same bits
     key = ranking(procedure)
     for _, (p, w, alpha) in battery._stacks(battery._flatten(corpus)):
-        ranked, _, adjusted, rejected = adjust_rows(p, w, alpha[:, None], key)
+        ranked = rank(p, w, key)
+        _, adjusted, rejected = adjust_rows(ranked, alpha[:, None])
         expected = _engine_outputs(ranked, alpha, procedure)
         for k in (-64, -16, 16, 64):
             scale = 2.0 ** k
-            view, _, scaled, decided = adjust_rows(p, w * scale,
-                                                   alpha[:, None], key)
+            view = rank(p, w * scale, key)
+            _, scaled, decided = adjust_rows(view, alpha[:, None])
             assert (view.perm == ranked.perm).all()
             assert scaled.tobytes() == adjusted.tobytes()
             assert (decided == rejected).all()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wholm import OrderingKey, validate_problem
 from wholm.core import load_problem_csv
-from wholm.procedures import adjust_rows, rank_rows
+from wholm.procedures import adjust_rows, rank, rank_rows
 
 problem_lists = st.integers(min_value=1, max_value=12).flatmap(
     lambda m: st.tuples(
@@ -258,9 +258,9 @@ def test_csv_loader_matches_the_row_by_row_reference(tmp_path, m,
 
 
 def ranking(problem, key):
-    """The index at each rank of `problem` under `key`, as the step-down
-    kernel ranks it (by p/w for WEIGHTED)."""
-    ranked = adjust_rows([problem.p], [problem.w], problem.alpha, key)[0]
+    """The index at each rank of `problem` under `key`, as the view the
+    step-down kernel reads ranks it (by p/w for WEIGHTED)."""
+    ranked = rank([problem.p], [problem.w], key)
     return tuple(ranked.perm[0].tolist())
 
 
@@ -276,10 +276,11 @@ def test_weighted_pvalues_examples():
 
 def test_weighted_pvalues_unit_weights_identity():
     prob = validate_problem(["a", "b"], [0.7, 0.2], [1.0, 1.0], 0.05)
-    weighted = adjust_rows([prob.p], [prob.w], 0.05, OrderingKey.WEIGHTED)
-    raw = adjust_rows([prob.p], [prob.w], 0.05, OrderingKey.RAW)
-    # the ranked views field by field, then the other outputs
-    for a, b in zip([*weighted[0], *weighted[1:]], [*raw[0], *raw[1:]]):
+    weighted = rank([prob.p], [prob.w], OrderingKey.WEIGHTED)
+    raw = rank([prob.p], [prob.w], OrderingKey.RAW)
+    # the ranked views field by field, then the kernel's outputs on each
+    for a, b in zip([*weighted, *adjust_rows(weighted, 0.05)],
+                    [*raw, *adjust_rows(raw, 0.05)]):
         assert np.array_equal(a, b)
     assert ranking(prob, OrderingKey.WEIGHTED) == (1, 0)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from wholm import (DegenerateSampleError, OrderingKey, Procedure,
                    run_simulation, sample_equicorrelated, t_sf,
                    validate_problem, wap_stepdown, weight_scenario,
                    whp_stepdown)
-from wholm import montecarlo
+from wholm import montecarlo, procedures
 from wholm.montecarlo import _lfc_batch
 from wholm.procedures import ranking
 
@@ -335,16 +336,34 @@ class TestRunSimulation:
         assert np.array_equal(short_t, long_t[:256])
         assert not np.array_equal(short_t, long_t[256:])
 
-    def test_wap_outside_whp_raises(self, monkeypatch):
-        real = montecarlo.adjust_rows
+    @staticmethod
+    def _break_wap(monkeypatch, first, block=None):
+        """Make `run_simulation`'s WAP decisions reject every hypothesis of
+        the replicates from row `first` on, in every block or in the block
+        of `block` rows.  WAP decides on the view `rank` returns under RAW
+        (Holm on a copy of it with unit weights), so the views ranked by
+        raw p are recorded and WAP's is told apart by identity."""
+        real_rank, real_decide = montecarlo.rank, montecarlo.adjust_rows
+        raw = []
 
-        def broken(p, w, alpha, key):
-            ranked, tails, adjusted, rejected = real(p, w, alpha, key)
+        def recorded(p, w, key):
+            view = real_rank(p, w, key)
             if key is OrderingKey.RAW:
-                rejected[3:] = True
-            return ranked, tails, adjusted, rejected
+                raw.append(view)
+            return view
 
+        def broken(ranked, alpha):
+            tails, adjusted, rejected = real_decide(ranked, alpha)
+            if (any(ranked is view for view in raw)
+                    and block in (None, len(ranked.p))):
+                rejected[first:] = True
+            return tails, adjusted, rejected
+
+        monkeypatch.setattr(montecarlo, "rank", recorded)
         monkeypatch.setattr(montecarlo, "adjust_rows", broken)
+
+    def test_wap_outside_whp_raises(self, monkeypatch):
+        self._break_wap(monkeypatch, 3)
         config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.0,
                                   alpha=0.05, reps=10,
                                   weight_scenario=WeightScenario.S2, seed=5)
@@ -389,11 +408,12 @@ class TestRunSimulation:
                                weight_scenario=WeightScenario.S3, seed=81)
 
     def test_no_call_sees_more_than_a_block(self, monkeypatch):
-        rows = {"t_sf": [], "adjust_rows": []}
+        rows = {"t_sf": [], "rank": [], "adjust_rows": []}
 
         def spy(name, real):
             def call(*args):
-                rows[name].append(len(args[0]))
+                # `adjust_rows` is handed a ranked view, the others arrays
+                rows[name].append(len(getattr(args[0], "p", args[0])))
                 return real(*args)
             return call
 
@@ -402,11 +422,12 @@ class TestRunSimulation:
                                 spy(name, getattr(montecarlo, name)))
         run_simulation(self.BLOCKED)
         assert rows == {"t_sf": [256, 256, 37],
+                        "rank": [256] * 2 + [256] * 2 + [37] * 2,
                         "adjust_rows": [256] * 3 + [256] * 3 + [37] * 3}
 
     def test_errors_name_the_replicate_in_the_cell(self, monkeypatch):
         # a bad replicate in row 5 of block 2 is replicate 2 * 256 + 5
-        real_sf, real_decide = montecarlo.t_sf, montecarlo.adjust_rows
+        real_sf = montecarlo.t_sf
         blocks = []
 
         def bad_pvalue_in_block_2(t, df):
@@ -420,15 +441,8 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="replicate 517, hypothesis 1: 1.5"):
             run_simulation(self.BLOCKED)
 
-        def wap_beyond_whp_in_block_2(p, w, alpha, key):
-            ranked, tails, adjusted, rejected = real_decide(p, w, alpha, key)
-            if key is OrderingKey.RAW and len(p) == 37:
-                rejected[5:] = True
-            return ranked, tails, adjusted, rejected
-
         monkeypatch.setattr(montecarlo, "t_sf", real_sf)
-        monkeypatch.setattr(montecarlo, "adjust_rows",
-                            wap_beyond_whp_in_block_2)
+        self._break_wap(monkeypatch, 5, block=37)
         with pytest.raises(RuntimeError, match="replicate 517: "):
             run_simulation(self.BLOCKED)
 
@@ -736,7 +750,8 @@ class TestSharpness:
         def spy(name, real):
             def call(*args):
                 out = real(*args)
-                calls.append((name, len(out[0] if name == "draw" else args[0])))
+                calls.append((name, len(out[0] if name == "draw"
+                                        else args[0].p)))
                 return out
             return call
 
@@ -749,3 +764,24 @@ class TestSharpness:
         assert calls == [("draw", 1024), ("decide", 1024),
                          ("draw", 1024), ("decide", 1024),
                          ("draw", 37), ("decide", 37)]
+
+
+def test_one_ranking_per_key_per_block(monkeypatch):
+    # every ranking is made by `procedures.rank`: two per `run_simulation`
+    # block, by raw p (WAP's view, which Holm reads with unit weights) and
+    # by p/w (WHP's), and one per `estimate_sharpness` block
+    real, callers = procedures.rank_rows, []
+
+    def counted(*args):
+        caller = sys._getframe(1)
+        callers.append((caller.f_globals["__name__"], caller.f_code.co_name))
+        return real(*args)
+
+    monkeypatch.setattr(procedures, "rank_rows", counted)
+    run_simulation(TestRunSimulation.BLOCKED)
+    assert callers == [("wholm.procedures", "rank")] * 2 * 3
+    callers.clear()
+    for procedure in (Procedure.WHP, Procedure.WAP):
+        estimate_sharpness(procedure, [1.0, 2.5, 3.0], 3, 2 * 1024 + 37,
+                           rng_new(71))
+    assert callers == [("wholm.procedures", "rank")] * 2 * 3

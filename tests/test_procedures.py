@@ -1,3 +1,4 @@
+import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wholm import (Procedure, adjusted_wap, adjusted_whp, ctp, holm_stepdown, validate_problem, wap_local_test,
-                   wap_stepdown, whp_local_test, whp_stepdown, OrderingKey)
+                   wap_stepdown, whp_local_test, whp_stepdown, OrderingKey,
+                   run_graphical)
 from wholm.closure import random_corpus
-from wholm.procedures import adjust_rows, rank_rows, ranking
+from wholm.procedures import adjust_rows, rank, rank_rows, ranking
 
 random_problems = st.integers(min_value=1, max_value=10).flatmap(
     lambda m: st.tuples(
@@ -180,8 +182,9 @@ def _scalar_masks(p, w, alpha):
 
 
 def index_masks(p, w, alpha, key):
-    """`adjust_rows`'s rejections, in index order."""
-    return adjust_rows(p, w, alpha, key)[3]
+    """`adjust_rows`'s rejections on the `rank` view under `key`, in index
+    order."""
+    return adjust_rows(rank(p, w, key), alpha)[2]
 
 
 def _kernel_masks(p, w, alpha):
@@ -228,6 +231,22 @@ def test_holm_stepdown_keeps_the_problem_checks():
         holm_stepdown([0.01], 1.0)
     with pytest.raises(ValueError, match="could not convert"):
         holm_stepdown(["x"], 0.05)
+
+
+@pytest.mark.parametrize("key", [Procedure.WHP, Procedure.WAP, "weighted",
+                                 "raw", None, 0])
+def test_a_ranking_key_that_is_not_an_ordering_key_is_refused(key):
+    # WHP rejects all three hypotheses and WAP none, so a key read as RAW
+    # would be seen; a procedure or an `OrderingKey` value is not a key
+    problem = validate_problem(["a", "b", "c"], [0.02, 0.001, 0.03],
+                               [5.0, 0.1, 1.0], 0.05)
+    assert whp_stepdown(problem).rejected == {0, 1, 2}
+    assert wap_stepdown(problem).rejected == set()
+    message = f"a ranking key must be an OrderingKey, got {re.escape(repr(key))}"
+    with pytest.raises(ValueError, match=message):
+        rank([problem.p], [problem.w], key)
+    with pytest.raises(ValueError, match=message):
+        run_graphical(problem, key)
 
 
 # A boundary p-value w*alpha/t, for t a step-down's tail or a subset's
@@ -321,8 +340,8 @@ def test_wap_rejections_contained_in_whp_on_the_boundary_corpus():
 
     def kernel(procedure):
         def rejected(problem):
-            [row] = adjust_rows([problem.p], [problem.w], problem.alpha,
-                                ranking(procedure))[3]
+            [row] = index_masks([problem.p], [problem.w], problem.alpha,
+                                ranking(procedure))
             return set(np.flatnonzero(row).tolist())
         return rejected
 
@@ -361,15 +380,16 @@ def test_kernel_equals_the_python_adjustment_bit_for_bit(key, adjusted_report):
     for problem in BOUNDARY_CORPUS + random_corpus(3000, seed=11, m_max=40):
         groups[problem.m].append(problem)
     for problems in groups.values():
-        rows = adjust_rows(np.array([problem.p for problem in problems]),
-                           np.array([problem.w for problem in problems]),
-                           np.array([[problem.alpha] for problem in problems]),
-                           key)
+        view = rank(np.array([problem.p for problem in problems]),
+                    np.array([problem.w for problem in problems]), key)
+        rows = (view, *adjust_rows(
+            view, np.array([[problem.alpha] for problem in problems])))
         for r, problem in enumerate(problems):
             perm, tails, adjusted = _python_rank_adjusted(problem, key)
             # the adjusted values gathered from rank to index order
             by_index = [adjusted[perm.index(i)] for i in range(problem.m)]
-            one = adjust_rows([problem.p], [problem.w], problem.alpha, key)
+            single = rank([problem.p], [problem.w], key)
+            one = (single, *adjust_rows(single, problem.alpha))
             # row r of the stack, its view sliced field by field
             stacked = [rows[0]._make(field[r:r + 1] for field in rows[0]),
                        *[part[r:r + 1] for part in rows[1:]]]
