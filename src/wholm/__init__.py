@@ -13,7 +13,7 @@ from .core import (OrderingKey, RejectionSet, TestingProblem,
                    load_problem_csv, validate_problem)
 from .graphical import (GraphTrace, TransitionGraph, initial_graph,
                         reject_and_update, run_graphical)
-from .montecarlo import (DegenerateSampleError, LfcSample, SimulationConfig,
+from .montecarlo import (DegenerateSampleError, SimulationConfig,
                          SimulationResult, WeightScenario, estimate_sharpness,
                          lfc_stepdown_falsifier, rng_new, run_simulation,
                          sample_equicorrelated, t_sf, weight_scenario)

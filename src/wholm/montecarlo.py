@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -136,9 +136,8 @@ def weight_scenario(kind: WeightScenario, null_mask: Sequence[bool],
     null_mask = np.asarray(null_mask, dtype=bool)
     (null_lo, null_hi), (alt_lo, alt_hi) = _SCENARIO_RANGES[WeightScenario(kind)]
     w = gen.uniform(alt_lo, alt_hi, size=null_mask.shape)
-    n_null = int(null_mask.sum())
-    if n_null:
-        w[null_mask] = gen.uniform(null_lo, null_hi, size=n_null)
+    # with no true null this draws nothing, so the state is left as it is
+    w[null_mask] = gen.uniform(null_lo, null_hi, size=int(null_mask.sum()))
     return w
 
 
@@ -171,6 +170,10 @@ class SimulationConfig:
             raise ValueError("n must be at least 2")
         if not math.isfinite(self.mu_alt):
             raise ValueError(f"mu_alt must be finite: {self.mu_alt}")
+        # the t statistic sums n observations of mean mu_alt
+        if self.n * abs(self.mu_alt) == math.inf:
+            raise ValueError(f"n * |mu_alt| overflows: mu_alt = {self.mu_alt}, "
+                             f"n = {self.n}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         check_alpha(self.alpha)
@@ -318,15 +321,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     return SimulationResult(config=config, records=records, resampled=resampled)
 
 
-@dataclass(frozen=True)
-class LfcSample:
-    """Raw p-values for the true nulls (false nulls, when present, sit at the
-    front as exact zeros) plus the index selected to carry the small value."""
-
-    p: Tuple[float, ...]
-    selected: Optional[int]
-
-
 def _lfc_batch(w: np.ndarray, tau: float, gen: np.random.Generator,
                size: int) -> Tuple[np.ndarray, np.ndarray]:
     """`size` draws of the least-favorable law with cut `tau` (at most
@@ -349,41 +343,57 @@ def _lfc_batch(w: np.ndarray, tau: float, gen: np.random.Generator,
     return p, selected
 
 
+def _lfc_weights(weights: Sequence[float]) -> np.ndarray:
+    """The weights of a least-favorable draw as an array.  A weight that
+    `core.check_weights` refuses, or one whose reciprocal overflows (at most
+    2^-1024, about 5.6e-309), raises ValueError naming its index: the law
+    draws p/w up to 1/w."""
+    w = np.asarray(weights, dtype=float)
+    check_weights(w.tolist())
+    # 1/w overflows exactly where w <= 2^-1024, so no division is needed;
+    # as in `check_weights`, the minimum decides and the first is named
+    if w.min() <= 2.0 ** -1024:
+        i = int(np.argmax(w <= 2.0 ** -1024))
+        raise ValueError(f"weight reciprocal overflows at index {i}: {w[i]}")
+    return w
+
+
 def lfc_stepdown_falsifier(critical_values: Sequence[float],
                            weights: Sequence[float], r: int,
-                           gen: np.random.Generator) -> LfcSample:
-    """Adversarial draw against any weighted step-down with the given
-    nondecreasing critical values.
+                           gen: np.random.Generator,
+                           size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`size` adversarial draws against any weighted step-down with the given
+    nondecreasing critical values: the (size, m) raw p-values and the (size,)
+    index selected in each row, m where none is.
 
     The first r - 1 p-values are fixed at zero (false nulls already
     rejected); among the remaining indices at most one, chosen with
     probability w_j * tau, receives a weighted p-value below
     tau = min(critical_values[r - 1], 1 / remaining weight mass).  The raw
-    p-values of indices r..m are marginally Unif(0, 1).  The draw is one
-    `_lfc_batch` row; at r = 1 with critical values of at least 1 / sum(w)
-    it is the one-row form of `estimate_sharpness`'s law.  A weight that is
-    not positive and finite, or a critical value that is NaN or negative,
-    raises ValueError naming its index.
+    p-values of indices r..m are marginally Unif(0, 1).  The rows are one
+    `_lfc_batch` call on w[r - 1:], behind r - 1 columns of zeros; at r = 1
+    with critical values of at least 1 / sum(w) they are rows of the law
+    `estimate_sharpness` draws.  A weight refused as
+    `estimate_sharpness` refuses it, a critical value that is NaN or
+    negative (both named by index), or a size below 1 raises ValueError.
     """
     crit = [float(c) for c in critical_values]
-    w = np.asarray(weights, dtype=float)
-    m = w.size
-    if len(crit) != m:
+    if len(crit) != len(weights):
         raise ValueError("critical values and weights must have equal length")
-    check_weights(w.tolist())
+    w = _lfc_weights(weights)
     for i, c in enumerate(crit):
         if not c >= 0.0:
             raise ValueError(f"critical value must be non-negative at index {i}: {c}")
     if any(b < a for a, b in zip(crit, crit[1:])):
         raise ValueError("critical values must be nondecreasing")
-    if not 1 <= r <= m:
-        raise ValueError(f"r must lie in 1..{m}, got {r}")
+    if not 1 <= r <= w.size:
+        raise ValueError(f"r must lie in 1..{w.size}, got {r}")
+    if size < 1:
+        raise ValueError("size must be at least 1")
     lead = r - 1
     p, selected = _lfc_batch(w[lead:], min(crit[lead], 1.0 / w[lead:].sum()),
-                             gen, 1)
-    i = int(selected[0])
-    return LfcSample(p=(0.0,) * lead + tuple(p[0].tolist()),
-                     selected=None if i == m - lead else lead + i)
+                             gen, size)
+    return np.hstack((np.zeros((size, lead)), p)), selected + lead
 
 
 @dataclass(frozen=True)
@@ -402,8 +412,8 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     For the raw-ordered procedure the construction only attains the bound when
     min(w) / max(w) >= alpha, so that condition is enforced.  Empty weights,
     a weight that is not positive and finite, weights whose total overflows,
-    or alpha outside (0, 1) raise ValueError; a bad weight is named by its
-    index.
+    or alpha outside (0, 1) raise ValueError, and so does a weight whose
+    reciprocal overflows; a bad weight is named by its index.
 
     The samples are drawn from `gen` in blocks of `SHARPNESS_BLOCK_ROWS` rows
     (the last holds what is left), and each block is ranked by one
@@ -415,8 +425,7 @@ def estimate_sharpness(procedure: Procedure, weights: Sequence[float], m0: int,
     when its first-ranked hypothesis is rejected, one read per row, since
     the rejections are a prefix of the ranking.
     """
-    w = np.asarray(weights, dtype=float)
-    check_weights(w.tolist())
+    w = _lfc_weights(weights)
     if w.size != m0:
         raise ValueError(f"expected {m0} weights, got {w.size}")
     if reps < 1:

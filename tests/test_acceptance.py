@@ -128,7 +128,7 @@ def test_criterion_5_structure_checks(properties):
     _report("criterion 5: structure checks", not failures, "; ".join(failures))
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "by step 1 of the closure module docstring, subset totals are monotone "
     "under inclusion, and the first-ranked member, which takes the whole "
     "budget, stays first in every subset holding it, so its share can only "

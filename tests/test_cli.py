@@ -529,6 +529,16 @@ class TestSimulate:
         assert captured.out == ""
         assert f"mu_alt must be finite: {float(mu_alt)}" in captured.err
 
+    def test_mu_alt_whose_sum_overflows_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text(SIM_CONFIG.replace("mu_alt = 0.7", "mu_alt = 1e308")
+                          .replace("n = 15", "n = 5").replace("reps = 50",
+                                                              "reps = 10"))
+        assert main(["simulate", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mu_alt = 1e+308, n = 5" in captured.err
+
     def test_seed_override_changes_results(self, tmp_path):
         config = tmp_path / "grid.cfg"
         config.write_text(SIM_CONFIG)
@@ -578,6 +588,15 @@ class TestSharpness:
                      "--weights", "1,nan", "--reps", "100", "--seed", "5"])
         assert code == 2
         assert "at index 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", ["1e-320,1", "1e-310,1e-310"])
+    def test_weight_with_overflowing_reciprocal_is_data_error(self, weights,
+                                                              capsys):
+        assert main(["sharpness", "--procedure", "whp", "--weights", weights,
+                     "--reps", "10", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reciprocal overflows at index 0" in captured.err
 
     def test_missing_seed_is_usage_error(self):
         assert main(["sharpness", "--procedure", "whp",

@@ -14,7 +14,7 @@ from wholm import (DegenerateSampleError, OrderingKey, Procedure,
                    whp_stepdown)
 from wholm import montecarlo, procedures
 from wholm.montecarlo import _lfc_batch
-from wholm.procedures import ranking
+from wholm.procedures import adjust_rows, rank, ranking
 
 
 def _draw_cell(config):
@@ -247,6 +247,19 @@ class TestSimulationConfig:
             SimulationConfig(m=5, pi0=0.4, rho=0.0, n=15, mu_alt=mu_alt,
                              alpha=0.05, reps=10,
                              weight_scenario=WeightScenario.S2, seed=1)
+
+    @pytest.mark.parametrize("mu_alt", [1e308, -1e308])
+    def test_mu_alt_whose_sum_overflows_rejected(self, mu_alt):
+        # the t statistic sums n observations near mu_alt, which overflowed
+        # into NaN p-values; the largest shift whose n-fold is finite passes
+        def config(mu_alt):
+            return SimulationConfig(m=4, pi0=0.5, rho=0.0, n=5, mu_alt=mu_alt,
+                                    alpha=0.05, reps=10,
+                                    weight_scenario=WeightScenario.S4, seed=1)
+
+        with pytest.raises(ValueError, match="mu_alt = .*, n = 5"):
+            run_simulation(config(mu_alt))
+        assert config(math.copysign(sys.float_info.max / 5, mu_alt)).n == 5
 
 
 class TestRunSimulation:
@@ -518,28 +531,26 @@ def _records_by_stepdowns(config):
 
 
 class TestLfcSampler:
-    """The least-favorable law of `estimate_sharpness`, one draw at a time:
+    """The least-favorable law of `estimate_sharpness`, drawn by
     `lfc_stepdown_falsifier` at r = 1 with critical values of at least
     1 / sum(w)."""
 
-    def test_is_one_row_of_the_block_sampler(self):
+    def test_is_the_block_sampler(self):
         for seed, w in enumerate(([3.0], [1.0, 2.0, 3.0], [0.1] * 5,
                                   np.linspace(1.0, 9.0, 10).tolist())):
             w = np.array(w)
             gen, block_gen = rng_new(seed), rng_new(seed)
-            for _ in range(200):
-                sample = lfc_stepdown_falsifier([1.0 / w.sum()] * w.size, w,
-                                                1, gen)
-                p, selected = _lfc_batch(w, 1.0 / w.sum(), block_gen, 1)
-                assert sample.p == tuple(p[0].tolist())
-                assert sample.selected == (None if selected[0] == w.size
-                                           else selected[0])
+            p, selected = lfc_stepdown_falsifier([1.0 / w.sum()] * w.size, w,
+                                                 1, gen, 200)
+            block_p, block_selected = _lfc_batch(w, 1.0 / w.sum(), block_gen,
+                                                 200)
+            assert p.tobytes() == block_p.tobytes()
+            assert np.array_equal(selected, block_selected)
             assert gen.bit_generator.state == block_gen.bit_generator.state
 
     def test_single_null_uniform(self):
-        gen = rng_new(29)
-        draws = np.array([lfc_stepdown_falsifier([1.0], [3.0], 1, gen).p[0]
-                          for _ in range(5000)])
+        p, _ = lfc_stepdown_falsifier([1.0], [3.0], 1, rng_new(29), 5000)
+        draws = p[:, 0]
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         assert abs(draws.mean() - 0.5) < 0.03
 
@@ -553,30 +564,43 @@ class TestLfcSampler:
 
     def test_exactly_one_small_weighted_pvalue(self):
         w = np.array([1.0, 2.0, 3.0])
-        gen = rng_new(37)
         cut = 1.0 / w.sum()
-        for _ in range(500):
-            sample = lfc_stepdown_falsifier([1.0] * 3, w, 1, gen)
-            tilde = np.asarray(sample.p) / w
-            assert int((tilde <= cut).sum()) == 1
-            assert tilde[sample.selected] <= cut
+        p, selected = lfc_stepdown_falsifier([1.0] * 3, w, 1, rng_new(37), 500)
+        tilde = p / w
+        assert np.all((tilde <= cut).sum(axis=1) == 1)
+        assert np.all(tilde[np.arange(500), selected] <= cut)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 1"):
-            lfc_stepdown_falsifier([1.0, 1.0], [1.0, bad], 1, rng_new(29))
+            lfc_stepdown_falsifier([1.0, 1.0], [1.0, bad], 1, rng_new(29), 1)
         with pytest.raises(ValueError, match="nonempty"):
-            lfc_stepdown_falsifier([], [], 1, rng_new(29))
+            lfc_stepdown_falsifier([], [], 1, rng_new(29), 1)
+
+
+def _enlarged(crit, r, eps):
+    """The critical values with c_r raised by eps and the later ones raised
+    only as far as keeps them nondecreasing."""
+    crit = np.array(crit)
+    crit[r - 1] += eps
+    return np.maximum.accumulate(crit)
+
+
+def _stepdown_counts(p, w, crit):
+    """How many hypotheses a step-down on p/w against the critical values
+    `crit`, by rank, rejects in each row."""
+    below = np.sort(p / w, axis=1) <= crit
+    return np.logical_and.accumulate(below, axis=1).sum(axis=1)
 
 
 class TestFalsifier:
+    W = np.array([1.0, 2.0, 3.0, 1.5])
+
     def test_marginals_uniform(self):
         w = np.array([1.5, 1.0, 2.0])
         alpha = 0.05
         crit = [alpha / w[r:].sum() for r in range(3)]
-        gen = rng_new(41)
-        samples = np.array([lfc_stepdown_falsifier(crit, w, 1, gen).p
-                            for _ in range(50_000)])
+        samples, _ = lfc_stepdown_falsifier(crit, w, 1, rng_new(41), 50_000)
         grid = np.linspace(0.01, 0.99, 100)
         for col in range(3):
             ecdf = (samples[:, col][:, None] <= grid[None, :]).mean(axis=0)
@@ -585,48 +609,80 @@ class TestFalsifier:
     def test_selected_index_beats_tau(self):
         w = np.array([1.0, 2.0, 3.0])
         crit = [0.008, 0.0125, 0.0167]
-        gen = rng_new(43)
         tau = min(crit[0], 1.0 / w.sum())
-        for _ in range(300):
-            sample = lfc_stepdown_falsifier(crit, w, 1, gen)
-            tilde = np.asarray(sample.p) / w
-            if sample.selected is not None:
-                assert tilde.min() <= tau + 1e-15
+        p, selected = lfc_stepdown_falsifier(crit, w, 1, rng_new(43), 300)
+        tilde = (p / w)[selected < w.size]
+        assert np.all(tilde.min(axis=1) <= tau + 1e-15)
 
-    def test_whp_critical_values_attain_alpha(self):
-        w = np.array([1.0, 2.0, 3.0])
-        alpha = 0.05
-        crit = [alpha / w[r:].sum() for r in range(3)]
-        gen = rng_new(47)
-        reps = 50_000
-        labels = ("H1", "H2", "H3")
-        hits = 0
-        for _ in range(reps):
-            sample = lfc_stepdown_falsifier(crit, w, 1, gen)
-            prob = validate_problem(labels, sample.p, w, alpha)
-            if whp_stepdown(prob).rejected:
-                hits += 1
-        rate = hits / reps
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_whp_critical_values_attain_alpha(self, r):
+        # the r - 1 zeros are rejected first, so a familywise error is a
+        # rejection among the columns from r - 1 on
+        w, alpha, reps = self.W, 0.05, 50_000
+        crit = [alpha / w[j:].sum() for j in range(w.size)]
+        p, _ = lfc_stepdown_falsifier(crit, w, r, rng_new(47 + r), reps)
+        rejected = adjust_rows(rank(p, w, OrderingKey.WEIGHTED), alpha)[2]
+        rate = rejected[:, r - 1:].any(axis=1).mean()
         se = math.sqrt(alpha * (1 - alpha) / reps)
         assert abs(rate - alpha) <= 4 * se
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_an_enlarged_critical_value_exceeds_alpha(self, r):
+        # the paper's optimality result: raising c_r by eps raises the FWER
+        # under the falsifier to alpha + eps * T_r, T_r = sum of w_j, j >= r
+        w, alpha, reps = self.W, 0.05, 50_000
+        crit = [alpha / w[j:].sum() for j in range(w.size)]
+        eps = 0.2 * crit[r - 1]
+        enlarged = _enlarged(crit, r, eps)
+        p, _ = lfc_stepdown_falsifier(enlarged, w, r, rng_new(89 + r), reps)
+        rate = (_stepdown_counts(p, w, enlarged) >= r).mean()
+        target = alpha + eps * w[r - 1:].sum()
+        se = math.sqrt(target * (1 - target) / reps)
+        assert abs(rate - target) <= 4 * se
 
     def test_bad_inputs(self):
         gen = rng_new(53)
         with pytest.raises(ValueError, match="nondecreasing"):
-            lfc_stepdown_falsifier([0.05, 0.01], [1.0, 1.0], 1, gen)
+            lfc_stepdown_falsifier([0.05, 0.01], [1.0, 1.0], 1, gen, 1)
         with pytest.raises(ValueError, match="r must lie"):
-            lfc_stepdown_falsifier([0.01, 0.05], [1.0, 1.0], 3, gen)
+            lfc_stepdown_falsifier([0.01, 0.05], [1.0, 1.0], 3, gen, 1)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected_before_drawing(self, size):
+        gen = rng_new(53)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="size must be at least 1"):
+            lfc_stepdown_falsifier([0.01, 0.05], [1.0, 1.0], 1, gen, size)
+        assert gen.bit_generator.state == state
+
+    # a weight whose reciprocal overflows is refused too: the law draws p/w
+    # up to 1/w
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0,
+                                     1e-320, 1e-310, 2.0 ** -1024])
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 1"):
-            lfc_stepdown_falsifier([0.01, 0.05], [1.0, bad], 1, rng_new(53))
+            lfc_stepdown_falsifier([0.01, 0.05], [1.0, bad], 1, rng_new(53), 1)
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.01])
     def test_bad_critical_value_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="critical value .* at index 1"):
             lfc_stepdown_falsifier([0.0, bad, 0.05], [1.0, 1.0, 1.0], 1,
-                                   rng_new(53))
+                                   rng_new(53), 1)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_one_row_is_a_block_of_one_behind_zeros(self, r):
+        w = self.W
+        crit = [0.05 / w[j:].sum() for j in range(w.size)]
+        tau = min(crit[r - 1], 1.0 / w[r - 1:].sum())
+        gen, block_gen = rng_new(61 + r), rng_new(61 + r)
+        for _ in range(50):
+            p, selected = lfc_stepdown_falsifier(crit, w, r, gen, 1)
+            block_p, block_selected = _lfc_batch(w[r - 1:], tau, block_gen, 1)
+            assert p.shape == (1, w.size) and p.dtype == np.float64
+            assert p.tobytes() == np.hstack(
+                (np.zeros((1, r - 1)), block_p)).tobytes()
+            assert np.array_equal(selected, block_selected + r - 1)
+        assert gen.bit_generator.state == block_gen.bit_generator.state
 
     def test_later_step_puts_exact_zeros_in_front(self):
         # r = 3: the first two hypotheses are false nulls already rejected
@@ -634,19 +690,15 @@ class TestFalsifier:
         alpha = 0.05
         crit = [alpha / w[r:].sum() for r in range(4)]
         tau = min(crit[2], 1.0 / w[2:].sum())
-        gen = rng_new(73)
-        draws = [lfc_stepdown_falsifier(crit, w, 3, gen) for _ in range(50_000)]
-        assert all(type(x) is float for d in draws for x in d.p)
-        samples = np.array([d.p for d in draws])
+        samples, selected = lfc_stepdown_falsifier(crit, w, 3, rng_new(73),
+                                                   50_000)
+        assert samples.shape == (50_000, 4) and samples.dtype == np.float64
         assert np.all(samples[:, :2] == 0.0)
-        selected = [d.selected for d in draws]
-        assert set(selected) == {None, 2, 3}
-        for d in draws:
-            tilde = np.asarray(d.p[2:]) / w[2:]
-            if d.selected is None:
-                assert tilde.min() >= tau
-            else:
-                assert tilde[d.selected - 2] <= tau
+        assert set(selected.tolist()) == {2, 3, 4}
+        tilde = samples[:, 2:] / w[2:]
+        none = selected == 4
+        assert np.all(tilde[none].min(axis=1) >= tau)
+        assert np.all(tilde[~none, selected[~none] - 2] <= tau)
         grid = np.linspace(0.01, 0.99, 100)
         for col in (2, 3):
             ecdf = (samples[:, col][:, None] <= grid[None, :]).mean(axis=0)
@@ -667,10 +719,20 @@ class TestSharpness:
         with pytest.raises(ValueError, match="reps"):
             estimate_sharpness(Procedure.WHP, [1.0], 1, 0, rng_new(67))
 
-    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0, float("inf")])
+    # a weight whose reciprocal overflows is refused too: the law draws p/w
+    # up to 1/w
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0, float("inf"),
+                                     1e-320, 1e-310])
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 2"):
             estimate_sharpness(Procedure.WHP, [1.0, 2.0, bad], 3, 10, rng_new(67))
+
+    def test_smallest_weight_with_a_finite_reciprocal_is_decided(self):
+        # the next weight down, 2^-1024, is refused: 1/w overflows
+        tiny = np.nextafter(2.0 ** -1024, 1.0)
+        estimate = estimate_sharpness(Procedure.WHP, [tiny, 1.0], 2, 2000,
+                                      rng_new(67))
+        assert 0.0 <= estimate.fwer <= 1.0
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_weight_total_is_named_by_index(self):

@@ -3,20 +3,26 @@ that kill it: a line that fails under the mutant and passes on the library.
 
 Each mutant is applied with `monkeypatch` on every module that imported the
 mutated name; only `procedures` reads `rank_rows`, through `rank`, so one
-patch reaches the step-down kernel, closed testing and the graph walk.
+patch reaches the step-down kernel, closed testing and the graph walk, and
+`adjust_rows` is patched in `procedures` and the four modules that import
+it.
 The killers are measured on `run_check_battery(2000, seed)`.  A mutant that
 changes a library decision and that no line kills is a strict xfail naming
 the ROADMAP items that would close the gap; no check, bound or corpus is
 changed to kill a mutant.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from wholm import (OrderingKey, ctp, procedures, run_graphical,
-                   validate_problem, wap_local_test, wap_stepdown,
-                   whp_local_test, whp_stepdown)
+from wholm import (OrderingKey, adjust, battery, closure, ctp, montecarlo,
+                   procedures, run_graphical, validate_problem,
+                   wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
 from wholm.battery import run_check_battery
+
+_ADJUST_ROWS = procedures.adjust_rows
 
 
 def _weighted_as_raw(p, tilde, key):
@@ -30,6 +36,21 @@ def _ties_to_the_larger_index(p, tilde, key):
     keys = tilde if key is OrderingKey.WEIGHTED else p
     return keys.shape[1] - 1 - np.argsort(keys[:, ::-1], axis=1,
                                           kind="stable")
+
+
+def _strict_adjust_rows(ranked, alpha):
+    """C: `<` for `<=`, so an adjusted value equal to alpha is kept."""
+    tails, adjusted, _ = _ADJUST_ROWS(ranked, alpha)
+    return tails, adjusted, adjusted < alpha
+
+
+def _patch_adjust_rows(monkeypatch, mutant):
+    for module in (procedures, adjust, battery, closure, montecarlo):
+        monkeypatch.setattr(module, "adjust_rows", mutant)
+    # no loaded wholm module still reads the library's kernel
+    assert not [name for name, module in sys.modules.items()
+                if name.startswith("wholm")
+                and getattr(module, "adjust_rows", None) is _ADJUST_ROWS]
 
 
 def _killers(seed):
@@ -80,4 +101,21 @@ def test_ties_to_the_larger_index_change_a_decision(monkeypatch):
     "tie and no line sees where ties are ranked (ROADMAP items 4 and 17)"))
 def test_ties_to_the_larger_index_are_killed(monkeypatch):
     monkeypatch.setattr(procedures, "rank_rows", _ties_to_the_larger_index)
+    assert _killers(0) or _killers(1)
+
+
+def test_strict_comparison_changes_a_decision(monkeypatch):
+    # C is not an equivalent mutant: a lone p-value at alpha is rejected by
+    # the library and kept under C
+    problem = validate_problem(["a"], [0.05], [1.0], 0.05)
+    assert whp_stepdown(problem).rejected == {0}
+    _patch_adjust_rows(monkeypatch, _strict_adjust_rows)
+    assert whp_stepdown(problem).rejected == set()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the battery's corpus draws continuous p-values, so no adjusted value "
+    "equals alpha and no line sees the comparison (ROADMAP items 4 and 17)"))
+def test_strict_comparison_is_killed(monkeypatch):
+    _patch_adjust_rows(monkeypatch, _strict_adjust_rows)
     assert _killers(0) or _killers(1)

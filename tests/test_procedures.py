@@ -326,7 +326,7 @@ def test_float_decisions_agree_with_exact_arithmetic(key, stepdown):
                 assert (exact <= problem.alpha) == (i in rejected), (problem, i)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "in float, WAP rejects a hypothesis WHP keeps on BOUNDARY_CORPUS rows "
     "1369-1371 and 1384-1386, where exact arithmetic obeys the containment "
     "(ROADMAP items 1 and 13); item 1's exact re-decision of the hypotheses "
