@@ -61,7 +61,14 @@ A/A run of this checkout against itself.  The calls timed, with
   `--against` share one `sys.modules`.
 
 Each size gets one untimed warm-up call per side and then `REPEATS` seeds;
-inputs are built before the clock starts.  Records taken one after another
+inputs are built before the clock starts, and a full garbage collection
+(`gc.collect()`) runs before every timed call.  Without it, a collection of
+the many objects that earlier rows leave alive could land inside either
+side's clock: `cli.adjust` at m = 10,000 read 0.83–1.31 on two A/A records
+without it and 0.97–1.02 on three with it (2 shared cores).  The
+collection leaves the caches cold, so a call of a few microseconds reads
+several times what it does in a warm loop; compare ratios, not records
+taken with and without it.  Records taken one after another
 drift by more than most changes they are meant to show, so both packages
 are loaded into this one process (as `wholm_src` and `wholm_against`), and
 on every seed the two sides' calls on the same input are timed back to
@@ -100,6 +107,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import hashlib
 import importlib.util
 import io
@@ -167,15 +175,19 @@ def time_pair(makes, units):
     for `makes` = (src, against), over REPEATS seeds: `make(seed)` builds
     the input untimed and returns the call to time.  On every seed both
     sides' calls are timed, the src side first on odd seeds and second on
-    even ones, and the minor page faults of each call are counted just
-    outside its clock.  Also gives the median of the per-seed ratios
-    src / against and on how many seeds src was faster."""
+    even ones, each right after a full garbage collection, and the minor
+    page faults of each call are counted just outside its clock.  Also
+    gives the median of the per-seed ratios src / against and on how many
+    seeds src was faster."""
     for make in makes:
         make(0)()
     times, faults = ([], []), ([], [])
     for seed in range(1, REPEATS + 1):
         for side in ((0, 1) if seed % 2 else (1, 0)):
             call = makes[side](seed)
+            # else a collection of the objects that earlier rows and inputs
+            # left lands inside whichever side's clock it falls in
+            gc.collect()
             before = getrusage(RUSAGE_SELF).ru_minflt
             start = perf_counter()
             call()

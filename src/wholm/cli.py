@@ -9,10 +9,11 @@ Every numeric flag and `--weights` is converted by its argparse type, so a
 malformed or out-of-range value is a usage error that the parser reports.
 
 Every table (`adjust`, `ctp`, `simulate` and `graph`'s `rejections.csv`) is
-written through `_table`, which takes whole columns of text and writes them
-as the bytes `csv.writer` would, a block of rows in one string.  Every
-number in a table is formatted by `_fmt_column`, which maps a whole column
-of floats to text in one pass.
+written by one call of `_table`, which takes the header and whole columns of
+text and writes them as the bytes `csv.writer` would, a block of rows in one
+string.  A command computes its whole table before that call, so a run that
+fails writes no table.  Every number in a table is formatted by
+`_fmt_column`, which maps a whole column of floats to text in one pass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -120,28 +121,22 @@ def _csv_lines(rows):
     return text
 
 
-@contextmanager
-def _table(path, header):
+def _table(path, header, columns):
     """Write one CSV table, bytes as `csv.writer` writes them, into the file
-    at `path`, or onto stdout when `path` is None: `header` now, then the
-    rows of the text columns given to the `write` it yields, in one string
-    per `TABLE_BLOCK_ROWS` rows."""
+    at `path`, or onto stdout when `path` is None: the `header`, then the
+    rows of the text `columns`, in one string per `TABLE_BLOCK_ROWS` rows."""
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", newline="", encoding="utf-8")) as out:
-        def write(columns):
-            rows = zip(*columns)
-            while block := list(itertools.islice(rows, TABLE_BLOCK_ROWS)):
-                try:
-                    out.write(_csv_lines(block))
-                except UnicodeEncodeError:
-                    # on a stdout that cannot encode a label, the lines before
-                    # it go out and the error places it in its own line, as
-                    # `csv.writer`'s writes of one line each did
-                    for row in block:
-                        out.write(_csv_lines([row]))
-
-        out.write(_csv_lines([tuple(header)]))
-        yield write
+        rows = itertools.chain([tuple(header)], zip(*columns))
+        while block := list(itertools.islice(rows, TABLE_BLOCK_ROWS)):
+            try:
+                out.write(_csv_lines(block))
+            except UnicodeEncodeError:
+                # on a stdout that cannot encode a label, the lines before
+                # it go out and the error places it in its own line, as
+                # `csv.writer`'s writes of one line each did
+                for row in block:
+                    out.write(_csv_lines([row]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,14 +200,13 @@ def _cmd_adjust(args) -> int:
     problem = load_problem_csv(args.input, args.alpha)
     # a hypothesis is rejected iff its adjusted value is at most alpha
     whp, wap = adjusted_whp(problem), adjusted_wap(problem)
-    with _table(args.output, ["hypothesis", "p_value", "weight", "adj_whp",
-                              "adj_wap", "reject_whp", "reject_wap"]) as write:
-        write([problem.labels, _fmt_column(problem.p, args.precision),
-               _fmt_column(problem.w, args.precision),
-               _fmt_column(whp.values, args.precision, ".4f"),
-               _fmt_column(wap.values, args.precision, ".4f"),
-               _flags(whp.rejected, problem.m),
-               _flags(wap.rejected, problem.m)])
+    _table(args.output, ["hypothesis", "p_value", "weight", "adj_whp",
+                         "adj_wap", "reject_whp", "reject_wap"],
+           [problem.labels, _fmt_column(problem.p, args.precision),
+            _fmt_column(problem.w, args.precision),
+            _fmt_column(whp.values, args.precision, ".4f"),
+            _fmt_column(wap.values, args.precision, ".4f"),
+            _flags(whp.rejected, problem.m), _flags(wap.rejected, problem.m)])
     return EXIT_OK
 
 
@@ -221,10 +215,10 @@ def _cmd_ctp(args) -> int:
     local = whp_local_test if args.procedure == "whp" else wap_local_test
     report = ctp(problem, local)
     decisions = report.local_decisions
-    with _table(args.output, ["subset_bitmask", "rejected"]) as write:
-        # in increasing mask order, the order `ctp` gives them in
-        write([map(str, decisions), ("true" if rejected else "false"
-                                      for rejected in decisions.values())])
+    # in increasing mask order, the order `ctp` gives them in
+    _table(args.output, ["subset_bitmask", "rejected"],
+           [map(str, decisions), ("true" if rejected else "false"
+                                  for rejected in decisions.values())])
     return EXIT_OK
 
 
@@ -243,12 +237,11 @@ def _cmd_graph(args) -> int:
         if stage and int(stage[1]) >= len(stages):
             (outdir / name).unlink()
     trace = rejections.trace
-    with _table(outdir / "rejections.csv",
-                ["step", "hypothesis", "threshold"]) as write:
-        write([[str(step) for step, _, _ in trace],
-               [problem.labels[idx] for _, idx, _ in trace],
-               _fmt_column([threshold for _, _, threshold in trace],
-                           args.precision)])
+    _table(outdir / "rejections.csv", ["step", "hypothesis", "threshold"],
+           [[str(step) for step, _, _ in trace],
+            [problem.labels[idx] for _, idx, _ in trace],
+            _fmt_column([threshold for _, _, threshold in trace],
+                        args.precision)])
     print(f"{len(stages)} stages written to {outdir}; "
           f"rejected: {sorted(problem.labels[i] for i in rejections.rejected)}")
     return EXIT_OK
@@ -296,22 +289,22 @@ def _parse_sim_config(path, seed_override):
 
 
 def _cmd_simulate(args) -> int:
-    configs = _parse_sim_config(args.config, args.seed)
-    with _table(args.output, ["procedure", "m", "pi0", "rho", "scenario",
-                              "fwer", "fwer_se", "power", "power_se", "reps",
-                              "seed"]) as write:
-        for config in configs:
-            result = run_simulation(config)
-            rows = []
-            for proc in (Procedure.HOLM, Procedure.WHP, Procedure.WAP):
-                rec = result.records[proc]
-                rows.append([
-                    proc.value, str(config.m), str(config.pi0),
-                    str(config.rho), config.weight_scenario.value,
-                    *_fmt_column([rec.fwer, rec.fwer_se, rec.power,
-                                  rec.power_se]),
-                    str(config.reps), str(config.seed)])
-            write(zip(*rows))
+    # every cell runs before the table is opened, so a cell that fails
+    # leaves no table behind
+    rows = []
+    for config in _parse_sim_config(args.config, args.seed):
+        result = run_simulation(config)
+        for proc in (Procedure.HOLM, Procedure.WHP, Procedure.WAP):
+            rec = result.records[proc]
+            rows.append([
+                proc.value, str(config.m), str(config.pi0), str(config.rho),
+                config.weight_scenario.value,
+                *_fmt_column([rec.fwer, rec.fwer_se, rec.power,
+                              rec.power_se]),
+                str(config.reps), str(config.seed)])
+    _table(args.output, ["procedure", "m", "pi0", "rho", "scenario", "fwer",
+                         "fwer_se", "power", "power_se", "reps", "seed"],
+           zip(*rows))
     return EXIT_OK
 
 

@@ -67,25 +67,30 @@ def t_sf(t, df):
 
 def _column_t(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """One-sample t statistics of `data` over its axis -2 (one observation
-    per step along it), and which leading rows hold a zero-variance column.
+    per step along it), and which leading rows hold a degenerate column: one
+    whose standard deviation is zero or not finite.
 
     Data of shape (..., n, m) give (..., m) statistics and a (...) mask; the
-    statistics of a masked row are not finite.  The sum over axis -2 is
+    statistics of a masked row are meaningless.  The sum over axis -2 is
     taken once, and the mean and the ddof=1 standard deviation follow from
     it by the operations numpy's own `mean` and `std` apply, so the bits
-    are theirs.
+    are theirs.  A squared deviation that overflows gives an infinite
+    standard deviation, which is masked, not warned of: at mu_alt =
+    8.05e282 and n = 3, say, the mean of three equal values does not round
+    back to them.
     """
     n = data.shape[-2]
     mean = data.sum(axis=-2, keepdims=True)
     mean /= n
     squares = data - mean
-    squares *= squares
-    sds = squares.sum(axis=-2)
+    with np.errstate(over="ignore"):
+        squares *= squares
+        sds = squares.sum(axis=-2)
     sds /= n - 1
     np.sqrt(sds, out=sds)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = mean[..., 0, :] / (sds / math.sqrt(n))
-    return t, (sds == 0.0).any(axis=-1)
+    return t, ((sds == 0.0) | ~np.isfinite(sds)).any(axis=-1)
 
 
 def sample_equicorrelated(m: int, rho: float, mu: Sequence[float], n: int,
@@ -206,7 +211,7 @@ def _draw_block(config: SimulationConfig, rows: int,
     their (rows, m) t statistics and how many of them were redrawn.
 
     All weights are drawn first, then all normals; a replicate with a
-    zero-variance column is then redrawn once, in row order.
+    degenerate column (`_column_t`) is then redrawn once, in row order.
     """
     m, m0, n = config.m, config.m0, config.n
     mu = np.zeros(m)
@@ -219,7 +224,9 @@ def _draw_block(config: SimulationConfig, rows: int,
     for r in np.flatnonzero(zero):
         t, again = _column_t(sample_equicorrelated(m, config.rho, mu, n, gen))
         if again:
-            raise DegenerateSampleError("zero-variance sample after resampling")
+            raise DegenerateSampleError(
+                "degenerate sample after resampling: a column's standard "
+                "deviation is zero or not finite")
         tstats[r] = t
     return weights, tstats, int(zero.sum())
 
@@ -259,8 +266,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     child, so results do not depend on how the blocks are split across
     workers.  With a block size of 1 this is the per-replicate stream of
     earlier versions, and their seeded output is reproduced byte for byte.
-    A zero-variance sample (probability zero in theory) is redrawn once from
-    its block's generator and counted.
+    A degenerate sample, whose standard deviation is zero (probability zero
+    in theory) or overflows, is redrawn once from its block's generator and
+    counted.
 
     Each block is decided as it is drawn, by one `t_sf` call, one
     `procedures.rank` call per ranking and one `procedures.adjust_rows`

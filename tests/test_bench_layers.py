@@ -3,6 +3,7 @@ change that removes or renames a name a row reads (a private helper
 included) fails here rather than in a paired timing run."""
 
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,16 @@ def test_time_pair_counts_the_page_faults_of_each_call(layers, monkeypatch):
         faults = row[side]["minor_faults"]
         assert isinstance(faults, (int, float)) and faults >= 0
     assert row["pairs"] == 4
+
+
+def test_time_pair_collects_garbage_before_each_timed_call(layers,
+                                                           monkeypatch):
+    # a collection that lands inside one side's clock skews the pair
+    monkeypatch.setattr(layers, "REPEATS", 2)
+    calls = []
+    monkeypatch.setattr(layers, "gc", types.SimpleNamespace(
+        collect=lambda: calls.append("collect")))
+    layers.time_pair([lambda seed, side=side: (
+        lambda: calls.append((side, seed))) for side in "sa"], 1)
+    assert calls == [("s", 0), ("a", 0), "collect", ("s", 1), "collect",
+                     ("a", 1), "collect", ("a", 2), "collect", ("s", 2)]

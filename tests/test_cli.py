@@ -13,7 +13,8 @@ import pytest
 from test_core import OVERFLOWING_WEIGHTS
 from test_procedures import BOUNDARY_CORPUS
 import wholm
-from wholm import __version__, adjusted_wap, adjusted_whp, battery, cli
+from wholm import (DegenerateSampleError, __version__, adjusted_wap,
+                   adjusted_whp, battery, cli, run_simulation)
 from wholm.closure import (ClosedStack, ctp, random_corpus, wap_local_test,
                            whp_local_test)
 from wholm.cli import main
@@ -70,6 +71,22 @@ reps = 50
 scenario = S4
 seed = 11
 """
+
+# a cell whose n = 3 observations near mu_alt have a mean that does not
+# round back to them
+OVERFLOWING_SQUARES_CONFIG = """m = 4
+pi0 = 0.5
+rho_list = 0
+n = 3
+mu_alt = 8.051552285495614e+282
+alpha = 0.05
+reps = 200
+scenario = S2
+seed = 1
+"""
+
+DEGENERATE_MESSAGE = ("degenerate sample after resampling: a column's "
+                      "standard deviation is zero or not finite")
 
 # `simulate --config` stdout on SIM_CONFIG
 SIMULATE_SHA256 = (
@@ -560,6 +577,67 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == SIMULATE_SHA256
+
+    @pytest.mark.parametrize("earlier", [None, b"an earlier table\r\n"],
+                             ids=["no-file", "earlier-file"])
+    def test_cell_that_fails_writes_no_table(self, earlier, tmp_path, capsys,
+                                             monkeypatch):
+        # every cell runs before the table is opened: a failed second cell
+        # leaves stdout empty, and neither creates nor truncates --output
+        cells = []
+
+        def second_cell_fails(config):
+            cells.append(config)
+            if len(cells) % 2 == 0:
+                raise DegenerateSampleError("the second cell failed")
+            return run_simulation(config)
+
+        monkeypatch.setattr(cli, "run_simulation", second_cell_fails)
+        config = tmp_path / "grid.cfg"
+        config.write_text(SIM_CONFIG)
+        out = tmp_path / "results.csv"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        for output in ([], ["--output", str(out)]):
+            assert main(["simulate", "--config", str(config), *output]) == 2
+            assert capsys.readouterr() == (
+                "", "error: the second cell failed\n")
+        assert len(cells) == 4
+        assert (out.read_bytes() if out.exists() else None) == earlier
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu_alt", ["1e17", "1e300", "3e307"])
+    def test_data_that_swamp_the_noise_are_a_data_error(self, mu_alt,
+                                                        tmp_path, capsys):
+        # n·|mu_alt| is finite, so the config is accepted; each column then
+        # holds one value, whose sample has zero variance even when redrawn
+        config = tmp_path / "grid.cfg"
+        config.write_text(SIM_CONFIG.replace("mu_alt = 0.7",
+                                             f"mu_alt = {mu_alt}")
+                          .replace("n = 15", "n = 5")
+                          .replace("reps = 50", "reps = 10"))
+        out = tmp_path / "results.csv"
+        assert main(["simulate", "--config", str(config),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {DEGENERATE_MESSAGE}\n")
+        assert not out.exists()
+
+    def test_squares_that_overflow_are_a_data_error(self, tmp_path):
+        # the mean of n = 3 observations near 8.05e282 is 1e267 off them, so
+        # each squared deviation overflows into an infinite sd, and a warning
+        # of it is an error under -W error
+        config = tmp_path / "overflow.cfg"
+        config.write_text(OVERFLOWING_SQUARES_CONFIG)
+        out = tmp_path / "results.csv"
+        src = Path(wholm.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "wholm.cli", "simulate",
+             "--config", str(config), "--output", str(out)],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: {DEGENERATE_MESSAGE}\n")
+        assert not out.exists()
 
 
 class TestSharpness:

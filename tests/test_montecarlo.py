@@ -146,6 +146,18 @@ class TestTPvalue:
                     assert np.array_equal(zero, (sds == 0.0).any(axis=-1))
                     assert zero[2] and not zero[3]
 
+    @pytest.mark.filterwarnings("error")
+    def test_column_t_masks_an_infinite_sd_without_a_warning(self):
+        # a squared deviation that overflows makes the sd infinite, which
+        # counts as degenerate the way a zero sd does
+        data = rng_new(21).standard_normal((3, 3, 2))
+        # the mean of three equal values 1e267 off them
+        data[0, :, 1] = 8.051552285495614e+282
+        data[1, :, 0] = [1e200, -1e200, 0.0]
+        t, degenerate = montecarlo._column_t(data)
+        assert degenerate.tolist() == [True, True, False]
+        assert np.isfinite(t[2]).all()
+
     def test_null_pvalues_superuniform(self):
         # the library's own statistic, as run_simulation computes it
         reps = 20_000
@@ -497,6 +509,40 @@ class TestRunSimulation:
         monkeypatch.setattr(montecarlo, "sample_equicorrelated",
                             lambda m, rho, mu, n, gen: np.zeros((n, m)))
         with pytest.raises(DegenerateSampleError):
+            run_simulation(config)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sample_redrawn_once(self, monkeypatch):
+        real = montecarlo.sample_equicorrelated
+        calls = []
+
+        def overflowing_row_in_block_draw(m, rho, mu, n, gen):
+            # one value of replicate 1 in the block draw puts its squared
+            # deviation past the float range; the redraw that follows is real
+            calls.append(n)
+            data = real(m, rho, mu, n, gen)
+            if len(calls) == 1:
+                data.reshape(3, 15, m)[1, 0, -1] = 1e300
+            return data
+
+        monkeypatch.setattr(montecarlo, "sample_equicorrelated",
+                            overflowing_row_in_block_draw)
+        config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=15, mu_alt=0.7,
+                                  alpha=0.05, reps=3,
+                                  weight_scenario=WeightScenario.S2, seed=5)
+        assert run_simulation(config).resampled == 1
+        assert calls == [45, 15]
+
+    @pytest.mark.filterwarnings("error")
+    def test_cell_whose_squares_overflow_raises(self):
+        # n = 3 observations near 8.05e282 have a mean 1e267 off them, so
+        # every replicate and its redraw has an infinite sd, whose t
+        # statistic of 0 would give every procedure a power of 0
+        config = SimulationConfig(m=4, pi0=0.5, rho=0.0, n=3,
+                                  mu_alt=8.051552285495614e+282, alpha=0.05,
+                                  reps=200, weight_scenario=WeightScenario.S2,
+                                  seed=1)
+        with pytest.raises(DegenerateSampleError, match="zero or not finite"):
             run_simulation(config)
 
 

@@ -355,6 +355,55 @@ def test_wap_rejections_contained_in_whp_on_the_boundary_corpus():
             rows(closed(whp_local_test), closed(wap_local_test))) == ([],) * 3
 
 
+# the smallest float witness of ROADMAP item 19, at m = 3: float WHP rejects
+# nothing and float WAP rejects {0, 1}, while exact arithmetic rejects {0, 1}
+# under WHP and nothing under WAP.  H0 is first by raw p and H1 by p/w; p0 is
+# alpha·w0 over WAP's tail summed in its own order, and p1 = p0/w0·w1 ties
+# p/w up to rounding
+NEAR_TIE_WITNESS = validate_problem(
+    ["H0", "H1", "H2"],
+    [0.011035595182448059, 0.02910605802795192, 0.6580233977629776],
+    [7.244626389068055, 19.107489227805324, 6.4717886188968885], 0.05)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "in float, WAP rejects {H0, H1} on NEAR_TIE_WITNESS, which WHP keeps: "
+    "each ranking sums the weight totals in its own order, so WHP's total "
+    "is an ulp larger (ROADMAP item 16, one set function for every weight "
+    "total, flips this test)"))
+@pytest.mark.parametrize("whp, wap", [
+    (whp_stepdown, wap_stepdown), (adjusted_whp, adjusted_wap),
+    (lambda problem: ctp(problem, whp_local_test).elementary_rejections,
+     lambda problem: ctp(problem, wap_local_test).elementary_rejections)],
+    ids=["stepdowns", "adjusted", "ctp"])
+def test_wap_rejections_contained_in_whp_on_the_m3_witness(whp, wap):
+    """The paper's containment WAP ⊆ WHP, on the smallest size at which float
+    can break it.
+
+    At m = 2 it cannot break.  Both rankings sum the same two weights, and
+    float addition commutes, so both procedures use the same total T.  Say
+    WAP ranks i first and WHP ranks j first.  If WAP rejects i, then
+    fl(t_i·T) ≤ alpha, with t = p/w.  So WHP's fl(t_j·T) ≤ fl(t_i·T) ≤ alpha
+    and then fl(t_i·w_i) ≤ fl(t_i·T) ≤ alpha, by monotone rounding, and WHP
+    rejects both.  At m = 3 the two rankings may sum a tail of three weights
+    in different orders, and NEAR_TIE_WITNESS is such a row.
+    """
+    assert wap(NEAR_TIE_WITNESS).rejected <= whp(NEAR_TIE_WITNESS).rejected
+
+
+@pytest.mark.parametrize("key, exact_rejected", [
+    (OrderingKey.WEIGHTED, {0, 1}), (OrderingKey.RAW, set())])
+def test_graph_decides_the_m3_witness_as_exact_arithmetic(key,
+                                                          exact_rejected):
+    # the graph walk's thresholds w_i·alpha/(weight left) put the near tie
+    # on the side exact arithmetic does, under both orderings
+    exact = _exact_adjusted(NEAR_TIE_WITNESS, key)
+    assert {i for i, value in enumerate(exact)
+            if value <= NEAR_TIE_WITNESS.alpha} == exact_rejected
+    rejections, _ = run_graphical(NEAR_TIE_WITNESS, key)
+    assert rejections.rejected == exact_rejected
+
+
 def _python_rank_adjusted(problem, key):
     """The adjusted-value pass in plain Python over tuples, as the step-downs
     ran it before the numpy kernel: the reference the kernel is held to.
