@@ -33,9 +33,9 @@ A/A run of this checkout against itself.  The calls timed, with
 - `graphical.dot_stages` of a weighted-ordering run at m = 30, per call,
   which is `cli.graph`'s DOT text without its file writes;
 - `ctp` (WHP local test) and `check_consonance` (WAP local test) at m = 5,
-  8, 14 and 16, both with each local test at m = 10 and 12 (`oracle-check`'s
-  median ops), and `check_monotonicity_condition` (WHP) at m = 12, 16 and
-  20, per call;
+  8, 14 and 16, both with each local test at m = 10, 12, 13 and 14
+  (`oracle-check`'s median and top sizes), and
+  `check_monotonicity_condition` (WHP) at m = 12, 16 and 20, per call;
 - `ctp` (WHP local test) and then a read of every local decision,
   `list(report.local_decisions.items())`, at m = 14 and 16, per call;
 - `closure.ClosedStack` for WHP and for WAP on a stack of 64 problems at
@@ -148,7 +148,7 @@ CLOSURE_SIZES = (5, 8, 14, 16)
 # m of the `ctp` calls followed by a read of every local decision
 FULL_READ_SIZES = (14, 16)
 # m of the one-row `ctp` and `check_consonance` calls under both local tests
-BOTH_TESTS_SIZES = (10, 12)
+BOTH_TESTS_SIZES = (10, 12, 13, 14)
 CLOSED_STACK_M, CLOSED_STACK_ROWS = 8, 64
 MONOTONICITY_SIZES = (12, 16, 20)
 # (m, number of masks) of the direct local-test calls

@@ -4,9 +4,10 @@ Subsets of {0..m-1} are encoded as bitmasks, the index masks.  One table,
 `_all_subsets`, holds the weight total of every subset of each problem in a
 stack of one size m, each row in its own ranking, read through the stack's
 `procedures.rank` view, and indexed by rank-space code (bit m-1-r for the
-member at rank r).  A stack's table holds totals only: the code of each
-index mask is summed, in the same loop, only where the one-row local test
-gathers through it, and the few codes read back from a stack, its
+member at rank r).  The table holds totals only.  A code is its index mask
+with the bits permuted by the ranking, so the one-row local test reads its
+row of decisions in index-mask order by permuting the row's m bit axes
+(`_by_index_mask`), and the few codes read back from a stack, its
 consonance witnesses and monotonicity violations, are mapped to index masks
 one row at a time by `_index_masks`.  Every closed-testing entry point
 reads that table; none walks the subsets in Python.
@@ -206,13 +207,9 @@ def _layout(m: int):
         for k in range(m))
 
 
-def _all_subsets(ranked: Ranked, codes: bool = False):
-    """The totals of all 2^m subsets of each row of `ranked`, a stack's
-    `procedures.rank` view, by rank-space code, and with `codes` the code of
-    each index mask (None without), both as (P, 2^m) arrays.  The table
-    holds the totals only, unless a reader gathers through the codes: they
-    are then exact floats, summed as further rows of the same table in the
-    same loop, and cast to indices only where they are read.
+def _all_subsets(ranked: Ranked) -> np.ndarray:
+    """The (P, 2^m) totals of all 2^m subsets of each row of `ranked`, a
+    stack's `procedures.rank` view, by rank-space code.
 
     In a code, bit m-1-r stands for the member at rank r, so the highest bit
     is the first-ranked member and the lower bits hold later ranks.  Codes
@@ -223,21 +220,11 @@ def _all_subsets(ranked: Ranked, codes: bool = False):
     """
     count, m = ranked.perm.shape
     _check_ctp_size(m)
-    steps = ranked.w[:, ::-1]
-    if codes:
-        code_bit = np.empty_like(ranked.perm)
-        code_bit.put(ranked.flat, _layout(m)[0][::-1])
-        steps = np.concatenate([steps, code_bit])
-    # Step q adds the weight at rank m-1-q to the totals of codes below 2^q,
-    # and hypothesis q's code bit to the codes of index masks below 2^q (the
-    # masks in [2^q, 2^(q+1)) hold q).  Codes are below 2^m and so exact in
-    # float64; the totals (rows below `count`) and any codes (rows from
-    # `count`) take one add per step together.
-    steps = steps.T[:, :, None]
-    table = np.zeros((steps.shape[1], 1 << m))
-    for q, step in enumerate(steps):
+    table = np.zeros((count, 1 << m))
+    # step q adds the weight at rank m-1-q to the totals of codes below 2^q
+    for q, step in enumerate(ranked.w[:, ::-1].T[:, :, None]):
         np.add(table[:, :1 << q], step, out=table[:, 1 << q:2 << q])
-    return table[:count], table[count:] if codes else None
+    return table
 
 
 def _check_ctp_size(m: int) -> None:
@@ -246,32 +233,45 @@ def _check_ctp_size(m: int) -> None:
             f"closed testing is capped at {MAX_CTP_HYPOTHESES} hypotheses, got {m}")
 
 
-def _decide(ranked: Ranked, alpha, codes: bool = False):
+def _decide(ranked: Ranked, alpha):
     """Both local tests' rule on every subset of every row of `ranked`, in
     code space: the first-ranked member's (p/w) * total is at most `alpha`,
-    a scalar or a (P, 1) column.  Returns `_all_subsets`' totals and
-    codes (only if `codes`) and the (P, 2^m) decisions by code."""
-    total, code = _all_subsets(ranked, codes)
+    a scalar or a (P, 1) column.  Returns `_all_subsets`' totals and the
+    (P, 2^m) decisions by code."""
+    total = _all_subsets(ranked)
     # each code's first-ranked member is its highest bit: codes 0 and 1
     # take the last rank's p/w (code 0, the empty set, is never read), and
     # the 2^k codes in [2^k, 2^(k+1)) that of rank m-1-k
     first = np.repeat(ranked.tilde[:, ::-1], _layout(ranked.perm.shape[1])[1],
                       axis=1)
     first *= total
-    return total, code, first <= alpha
+    return total, first <= alpha
+
+
+def _by_index_mask(row: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The 2^m entries of `row`, one row of a table by rank-space code, in
+    index-mask order, for the row ranked by `perm` (m,), the index at each
+    rank.  As m axes of length 2, axis r of the code row is bit m-1-r, the
+    member at rank r, and axis a of the mask row is hypothesis m-1-a, so
+    the code row is written through the mask row's axes m-1-perm."""
+    m = len(perm)
+    out = np.empty_like(row)
+    out.reshape((2,) * m).transpose(m - 1 - perm)[...] = row.reshape((2,) * m)
+    return out
 
 
 def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
                 key: OrderingKey) -> Union[bool, np.ndarray]:
     """K masks with K * m >= 2^m (m within `MAX_CTP_HYPOTHESES`) are read
-    from `_decide`'s decisions on all subsets, gathered from code space.
-    Otherwise each mask's members are read at each rank of the row's
-    `procedures.rank` view, and its total adds their weights from the last
-    rank upward, skipping each absent rank, which is adding 0.0 exactly:
-    the subset table's own sum, so the same bits.  A mask is rejected iff
-    its first-ranked member's (p/w) * total is at most alpha.  Masks of any
-    integer or bool dtype are taken, and object arrays of Python ints for
-    masks wider than 64 bits; any other dtype raises ValueError."""
+    from `_decide`'s decisions on all subsets, put in index-mask order by
+    `_by_index_mask`.  Otherwise each mask's members are read at each rank
+    of the row's `procedures.rank` view, and its total adds their weights
+    from the last rank upward, skipping each absent rank, which is adding
+    0.0 exactly: the subset table's own sum, so the same bits.  A mask is
+    rejected iff its first-ranked member's (p/w) * total is at most alpha.
+    Masks of any integer or bool dtype are taken, and object arrays of
+    Python ints for masks wider than 64 bits; any other dtype raises
+    ValueError."""
     masks = np.asarray(masks)
     if masks.size == 0:
         return np.zeros(masks.shape, dtype=bool)
@@ -287,11 +287,11 @@ def _local_test(problem: TestingProblem, masks: Union[int, np.ndarray],
         masks = masks.astype(np.int64 if m < 64 else object)
     flat, ranked = masks.reshape(-1), rank([problem.p], [problem.w], key)
     if flat.size * m >= 1 << m and m <= MAX_CTP_HYPOTHESES:
-        _, code, rejected = _decide(ranked, problem.alpha, codes=True)
+        _, rejected = _decide(ranked, problem.alpha)
         # (the masks are below 2^m here, whatever their dtype; `take`
         # refuses an object array, so they are cast first)
-        rejected = rejected[0].take(
-            code[0].take(flat.astype(np.intp, copy=False)).astype(np.intp))
+        rejected = _by_index_mask(rejected[0], ranked.perm[0]).take(
+            flat.astype(np.intp, copy=False))
     else:
         # (m, K) member bits by rank (Python ints for masks wider than 64
         # bits)
@@ -510,7 +510,7 @@ def check_monotonicity_condition(problem: TestingProblem,
     (see `_counterexamples`)."""
     ranked = rank([problem.p], [problem.w], ranking(procedure))
     [found] = _counterexamples(ranked, np.array([problem.alpha]), procedure,
-                               _all_subsets(ranked)[0])
+                               _all_subsets(ranked))
     return MonotonicityReport(holds=found is None, counterexample=found)
 
 
@@ -543,7 +543,7 @@ class ClosedStack:
                  procedure: Procedure):
         self.procedure = procedure
         self._alpha, self._ranked, self.m = alpha, ranked, ranked.perm.shape[1]
-        self._total, _, rejected = _decide(ranked, alpha[:, None])
+        self._total, rejected = _decide(ranked, alpha[:, None])
         covered = _close(rejected)
         kept = _singletons(covered)
         self.consonance_witnesses = _witnesses(covered, kept, ranked.perm)

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from collections import defaultdict
 from functools import lru_cache
 
@@ -15,7 +16,7 @@ from wholm import closure
 from wholm.closure import (CapacityError, ClosedStack, CtpReport,
                            random_corpus)
 from wholm.core import OrderingKey
-from wholm.procedures import rank, ranking
+from wholm.procedures import adjust_rows, rank, ranking
 
 
 def random_problem(gen, m, alpha=0.05):
@@ -277,6 +278,64 @@ class TestCtp:
             assert (ctp(prob, wap_local_test).elementary_rejections.rejected
                     == wap_stepdown(prob).rejected)
 
+    def test_one_row_holds_less_than_four_float_tables(self):
+        # one row builds two tables of 2^m floats, the totals and their
+        # products with the first-ranked p/w, and bool decisions by code and
+        # by mask; a table that also carried each index mask's code as a
+        # float would pass four
+        prob = random_problem(np.random.default_rng(16), 16)
+        ctp(prob, whp_local_test)
+        tracemalloc.start()
+        try:
+            ctp(prob, whp_local_test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * (1 << 16)
+
+
+def near_tie_corpus(count, seed, alpha=0.05):
+    """Seeded m = 3 problems on a threshold where float can split WHP from
+    WAP (ROADMAP item 19): H0 is first by raw p, w1 = w0 * U(1.01, 5) and
+    p1 = p0 / w0 * w1 tie H0 and H1 on p/w up to rounding, p0 = alpha * w0 /
+    ((w2 + w1) + w0) sits on WAP's boundary with its tail summed in WAP's
+    order, and p2 ~ U(0.5, 1) is never rejected; w0, w2 ~ U(0.1, 10)."""
+    gen = np.random.default_rng(seed)
+    w0, w2 = gen.uniform(0.1, 10.0, size=(2, count))
+    w1 = w0 * gen.uniform(1.01, 5.0, size=count)
+    p2 = gen.uniform(0.5, 1.0, size=count)
+    p0 = alpha * w0 / ((w2 + w1) + w0)
+    p1 = p0 / w0 * w1
+    p, w = np.stack([p0, p1, p2], axis=1), np.stack([w0, w1, w2], axis=1)
+    return [validate_problem(["H0", "H1", "H2"], p[k], w[k], alpha)
+            for k in range(count)]
+
+
+class TestNearTies:
+    # rows nearest a threshold, read through the one-row table and the stack
+    CORPUS = near_tie_corpus(2000, seed=1)
+
+    def test_ctp_rejects_the_float_stepdowns_sets(self):
+        split = 0
+        for prob in self.CORPUS:
+            whp, wap = whp_stepdown(prob).rejected, wap_stepdown(prob).rejected
+            assert (ctp(prob, whp_local_test).elementary_rejections.rejected
+                    == whp)
+            assert (ctp(prob, wap_local_test).elementary_rejections.rejected
+                    == wap)
+            split += not wap <= whp
+        # the corpus reaches rows where float breaks WAP within WHP
+        assert split > 0
+
+    @pytest.mark.parametrize("procedure", [Procedure.WHP, Procedure.WAP])
+    def test_stacks_equal_the_kernel(self, procedure):
+        p, w, alpha = _arrays(self.CORPUS)
+        ranked = rank(p, w, ranking(procedure))
+        closed = ClosedStack(ranked, alpha, procedure)
+        rejected = adjust_rows(ranked, alpha[:, None])[2]
+        assert (closed.rejections == rejected).all()
+        assert rejected.any() and not rejected.all()
+
 
 class TestLocalDecisions:
     """`ctp`'s `local_decisions` is a read-only view that reads as the dict
@@ -490,7 +549,7 @@ class TestStacks:
         m, rows = 4, 40
         p, w = gen.uniform(size=(rows, m)), gen.uniform(0.5, 2.0, size=(rows, m))
         ranked = rank(p, w, ranking(procedure))
-        total, code = closure._all_subsets(ranked, codes=True)
+        total, code = closure._all_subsets(ranked), _codes(ranked.perm)
         if procedure is Procedure.WHP:
             total = gen.uniform(0.5, 8.0, size=(rows, 1 << m))
             total[:, 0] = 0.0
@@ -511,7 +570,7 @@ class TestStacks:
                 if procedure is Procedure.WAP and i != next(
                         j for j in order if mask >> j & 1):
                     return 0.0
-                return w[r, i] * 0.05 / total[r, int(code[r, mask])]
+                return w[r, i] * 0.05 / total[r, code[r, mask]]
             expected = next(((big, big ^ 1 << j, i, share(big, i),
                               share(big ^ 1 << j, i))
                              for j in member for big in masks
@@ -523,16 +582,25 @@ class TestStacks:
         assert sum(f is not None for f in found) > rows // 2
 
 
+def _codes(perm):
+    """The (P, 2^m) rank-space code of each index mask of rows ranked by
+    `perm` (P, m), by integer shifts: hypothesis i at rank r is code bit
+    m-1-r.  The reference map of the tests, apart from the library's."""
+    m = perm.shape[1]
+    at = np.argsort(perm, axis=1)
+    member = np.arange(1 << m)[:, None] >> np.arange(m) & 1
+    return (member << (m - 1 - at)[:, None, :]).sum(axis=2)
+
+
 def _mask_order_rejects(p, w, alpha, key):
     """The local rule in index-mask order, the reference for `_decide`: the
-    total of every nonempty mask gathered from `_all_subsets`' codes, its
-    first-ranked member (the member of smallest rank) and that member's p/w
-    gathered by index, times the total, at most alpha."""
+    total of every nonempty mask gathered from `_all_subsets` through
+    `_codes`, its first-ranked member (the member of smallest rank) and that
+    member's p/w gathered by index, times the total, at most alpha."""
     ranked = rank(p, w, key)
-    total, code = closure._all_subsets(ranked, codes=True)
     m = p.shape[1]
     rows = np.arange(len(ranked.perm))[:, None]
-    total = total[rows, code[:, 1:].astype(np.intp)]
+    total = closure._all_subsets(ranked)[rows, _codes(ranked.perm)[:, 1:]]
     member = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1) == 1
     at = np.argsort(ranked.perm, axis=1)
     first = np.where(member, at[:, None, :], m).argmin(axis=2)
@@ -562,6 +630,14 @@ def _brute_closure(accepted, code):
 
 
 class TestCodeSpace:
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 10])
+    def test_by_index_mask_reads_each_mask_at_its_code(self, m):
+        gen = np.random.default_rng(90 + m)
+        perm = np.array([gen.permutation(m) for _ in range(6)])
+        for row, order, code in zip(gen.uniform(size=(6, 1 << m)), perm,
+                                    _codes(perm)):
+            assert (closure._by_index_mask(row, order) == row[code]).all()
+
     @pytest.mark.parametrize("m", range(1, 11))
     def test_packed_closure_equals_the_superset_scan(self, monkeypatch, m):
         # random tables, rows mostly rejecting so that many violate
@@ -620,11 +696,10 @@ class TestCodeSpace:
         forced = gen.uniform(size=(rows, 1 << m)) < 0.8
         real = closure._decide
         monkeypatch.setattr(closure, "_decide", lambda *args: (
-            *real(*args)[:2], forced))
+            real(*args)[0], forced))
         ranked = rank(p, w, ranking(procedure))
         closed = ClosedStack(ranked, np.full(rows, 0.05), procedure)
-        _, code = closure._all_subsets(ranked, codes=True)
-        _, rejections, found = _brute_closure(~forced, code.astype(np.intp))
+        _, rejections, found = _brute_closure(~forced, _codes(ranked.perm))
         assert closed.consonance_witnesses == found
         assert (closed.rejections == rejections).all()
         assert sum(w is not None for w in found) > rows // 2
@@ -639,15 +714,9 @@ class TestCodeSpace:
         for m, problems in groups.items():
             p, w, alpha = _arrays(problems)
             ranked = rank(p, w, key)
-            total, code, rejected = closure._decide(ranked, alpha[:, None])
-            assert code is None
+            total, rejected = closure._decide(ranked, alpha[:, None])
             assert rejected.shape == total.shape == (len(problems), 1 << m)
-            # the same table with the codes summed alongside
-            same, code, coded = closure._decide(ranked, alpha[:, None],
-                                                codes=True)
-            assert (same == total).all()
-            assert (coded == rejected).all()
-            assert (np.take_along_axis(rejected, code[:, 1:].astype(np.intp),
+            assert (np.take_along_axis(rejected, _codes(ranked.perm)[:, 1:],
                                        axis=1)
                     == _mask_order_rejects(p, w, alpha, key)).all()
 

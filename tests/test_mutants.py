@@ -5,7 +5,7 @@ Each mutant is applied with `monkeypatch` on every module that imported the
 mutated name; only `procedures` reads `rank_rows`, through `rank`, so one
 patch reaches the step-down kernel, closed testing and the graph walk, and
 `adjust_rows` is patched in `procedures` and the four modules that import
-it.
+it; `closure._by_index_mask` is read only inside `closure`.
 The killers are measured on `run_check_battery(2000, seed)`.  A mutant that
 changes a library decision and that no line kills is a strict xfail naming
 the ROADMAP items that would close the gap; no check, bound or corpus is
@@ -42,6 +42,14 @@ def _strict_adjust_rows(ranked, alpha):
     """C: `<` for `<=`, so an adjusted value equal to alpha is kept."""
     tails, adjusted, _ = _ADJUST_ROWS(ranked, alpha)
     return tails, adjusted, adjusted < alpha
+
+
+def _unreversed_axes(row, perm):
+    """D: the one-row local test's code row transposed by each hypothesis's
+    rank without the reversal, so a mask reads the code of its bits in the
+    reverse order."""
+    m = len(perm)
+    return row.reshape((2,) * m).transpose(np.argsort(perm)).reshape(-1)
 
 
 def _patch_adjust_rows(monkeypatch, mutant):
@@ -118,4 +126,22 @@ def test_strict_comparison_changes_a_decision(monkeypatch):
     "equals alpha and no line sees the comparison (ROADMAP items 4 and 17)"))
 def test_strict_comparison_is_killed(monkeypatch):
     _patch_adjust_rows(monkeypatch, _strict_adjust_rows)
+    assert _killers(0) or _killers(1)
+
+
+def test_unreversed_axes_change_a_decision(monkeypatch):
+    # D is not an equivalent mutant: {H0} reads the decision on {H1}, so
+    # closed testing under the WHP test rejects H1 where the step-down
+    # rejects H0
+    problem = validate_problem(["a", "b"], [0.01, 0.5], [1.0, 1.0], 0.05)
+    assert ctp(problem, whp_local_test).elementary_rejections.rejected == {0}
+    monkeypatch.setattr(closure, "_by_index_mask", _unreversed_axes)
+    assert ctp(problem, whp_local_test).elementary_rejections.rejected == {1}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the battery closes its stacks in code space and never runs a one-row "
+    "local test, so no line reads the permuted row (ROADMAP item 18)"))
+def test_unreversed_axes_are_killed(monkeypatch):
+    monkeypatch.setattr(closure, "_by_index_mask", _unreversed_axes)
     assert _killers(0) or _killers(1)
