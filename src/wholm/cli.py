@@ -32,8 +32,7 @@ from .adjust import adjusted_wap, adjusted_whp
 from .battery import run_check_battery
 from .closure import ctp, wap_local_test, whp_local_test
 from .core import OrderingKey, load_problem_csv
-from .graphical import (GraphInvariantError, dot_stages, initial_graph,
-                        run_graphical)
+from .graphical import GraphInvariantError, dot_stages, run_graphical
 from .montecarlo import (SimulationConfig, WeightScenario, estimate_sharpness,
                          rng_new, run_simulation)
 from .procedures import Procedure
@@ -227,8 +226,7 @@ def _cmd_graph(args) -> int:
     rejections, trace = run_graphical(problem, OrderingKey(args.ordering))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    stages = dot_stages(trace, initial_graph(problem.w, problem.alpha),
-                        labels=problem.labels)
+    stages = dot_stages(trace, labels=problem.labels)
     for k, text in enumerate(stages):
         (outdir / f"stage_{k}.dot").write_text(text + "\n", encoding="utf-8")
     # stage files of an earlier run with more stages

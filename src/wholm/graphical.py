@@ -14,12 +14,15 @@ The rejections are a prefix of that ranking, so `_walk` runs the graphs of a
 stack of same-size problems along it at once, each permuted into rank
 order: step k tests rank k of every row still rejecting and updates only
 the trailing block of ranks k+1.. left active, with `reject_and_update`'s
-elementwise expressions.  `run_graphical` is a one-row walk; each of its
-steps keeps its own rank-order block, put back in hypothesis order only
-when its `GraphStep.after` is read.  `graph_rejections` gives the battery
-the rejections of a whole stack from one walk of the view the step-down
-kernel returned for it.  `dot_stages` writes each node name and
-label as a DOT quoted string, its backslashes and double quotes escaped.
+elementwise expressions.  The walk is given its initial graphs, and its
+callers build them.  `run_graphical` is a one-row walk; its trace keeps the
+run's initial block and each step its own rank-order block, and
+`_hypothesis_order` puts a block back in hypothesis order only when
+`GraphTrace.initial` or `GraphStep.after` is read.  `graph_rejections`
+gives the battery the rejections of a whole stack from one walk of the view
+the step-down kernel returned for it.  `dot_stages` writes a trace's
+initial graph and its steps' graphs, each node name and label as a DOT
+quoted string, its backslashes and double quotes escaped.
 """
 
 from __future__ import annotations
@@ -50,6 +53,19 @@ class TransitionGraph:
     g: np.ndarray
 
 
+def _hypothesis_order(ranking: np.ndarray, block: np.ndarray) -> TransitionGraph:
+    """The (n + 1, n) rank-order `block` over the last n ranks of `ranking`,
+    its coefficients and then its levels, scattered into fresh
+    hypothesis-order arrays."""
+    m, n = len(ranking), block.shape[1]
+    active = ranking[m - n:]
+    g, local = np.zeros((m, m)), np.zeros(m)
+    g[active[:, None], active] = block[:n]
+    local[active] = block[n]
+    return TransitionGraph(active=frozenset(active.tolist()),
+                           local_alpha=local, g=g)
+
+
 @dataclass(frozen=True)
 class GraphStep:
     """One rejection of `run_graphical`.  It keeps the run's ranking and the
@@ -63,29 +79,31 @@ class GraphStep:
 
     @property
     def after(self) -> TransitionGraph:
-        [block] = self._block
-        m, n = len(self._ranking), block.shape[1]
-        active = self._ranking[m - n:]
-        g, local = np.zeros((m, m)), np.zeros(m)
-        g[active[:, None], active] = block[:n]
-        local[active] = block[n]
-        return TransitionGraph(active=frozenset(active.tolist()),
-                               local_alpha=local, g=g)
+        return _hypothesis_order(self._ranking, self._block[0])
 
 
 @dataclass(frozen=True)
 class GraphTrace:
+    """The steps of `run_graphical`.  It keeps the run's ranking and the
+    initial graph its walk started from, a (1, m + 1, m) block in rank
+    order; `initial` scatters that block into fresh hypothesis-order arrays
+    each time it is read."""
+
     steps: Tuple[GraphStep, ...]
+    _ranking: np.ndarray = field(repr=False, compare=False)
+    _block: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def initial(self) -> TransitionGraph:
+        return _hypothesis_order(self._ranking, self._block[0])
 
 
 def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
     """Weight-proportional initial allocation with row-stochastic
     coefficients: `_initial_graphs` of one row in index order."""
-    m = len(w)
-    graph = _initial_graphs(np.array([w], dtype=float), alpha,
-                            np.arange(m)[None])[0]
-    return TransitionGraph(active=frozenset(range(m)), local_alpha=graph[m],
-                           g=graph[:m])
+    ranking = np.arange(len(w))
+    return _hypothesis_order(ranking, _initial_graphs(
+        np.array([w], dtype=float), alpha, ranking[None])[0])
 
 
 def _initial_graphs(w, alpha, flat):
@@ -143,23 +161,22 @@ def reject_and_update(graph: TransitionGraph, j: int) -> TransitionGraph:
     return TransitionGraph(active=remaining, local_alpha=local, g=g)
 
 
-def _walk(ranked: Ranked, alpha: np.ndarray):
+def _walk(ranked: Ranked, graph: np.ndarray):
     """The graphs of a stack of problems, walked along its `procedures.rank`
-    view `ranked`, from the p-values and weights by rank that the view holds,
-    at the (P,) levels `alpha`.
+    view `ranked` from the p-values by rank that the view holds, starting
+    from the stack's (P, m + 1, m) initial graphs `graph` in that rank order,
+    as `_initial_graphs` builds them; `graph` is not written to.
 
     Yields one item per step k that some row rejects at: the stack rows
     rejecting rank k, the levels rank k was tested at, and the rows' graphs
     after the rejection over the n = m - k - 1 ranks still active, as an
     (L, n + 1, n) array: the coefficients, then the levels as a last row.
-    The levels update as a coefficient row does, without the division.  The
-    initial graphs are `_initial_graphs`', as `initial_graph`'s are; rows
+    The levels update as a coefficient row does, without the division.  Rows
     that stop are dropped.  A degenerate update raises `GraphInvariantError`
     naming the stack row and, in hypothesis indices, the node
     `reject_and_update` names.
     """
     p, perm = ranked.p, ranked.perm
-    graph = _initial_graphs(ranked.w, alpha[:, None], ranked.flat)
     live = np.arange(len(p))
     m = p.shape[1]
     for k in range(m):
@@ -213,15 +230,16 @@ def run_graphical(problem: TestingProblem,
     """
     ranked = rank([problem.p], [problem.w], ordering)
     [ranking] = ranked.perm
+    initial = _initial_graphs(ranked.w, problem.alpha, ranked.flat)
     trace, steps = [], []
-    for (_, threshold, graph), j in zip(
-            _walk(ranked, np.array([problem.alpha])), ranking.tolist()):
+    for (_, threshold, graph), j in zip(_walk(ranked, initial),
+                                        ranking.tolist()):
         trace.append((len(trace) + 1, j, threshold.item()))
         steps.append(GraphStep(j, ranking, graph))
     return (RejectionSet(rejected=frozenset(step.rejected_index
                                             for step in steps),
                          trace=tuple(trace)),
-            GraphTrace(steps=tuple(steps)))
+            GraphTrace(tuple(steps), ranking, initial))
 
 
 def graph_rejections(ranked: Ranked, alpha: np.ndarray) -> np.ndarray:
@@ -230,7 +248,8 @@ def graph_rejections(ranked: Ranked, alpha: np.ndarray) -> np.ndarray:
     that ordering at the (P,) levels `alpha`, as a (P, m) bool array in
     hypothesis order."""
     count = np.zeros(len(alpha), dtype=np.intp)
-    for live, *_ in _walk(ranked, alpha):
+    initial = _initial_graphs(ranked.w, alpha[:, None], ranked.flat)
+    for live, *_ in _walk(ranked, initial):
         count[live] += 1
     rejected = np.empty(ranked.perm.shape, dtype=bool)
     rejected.put(ranked.flat,
@@ -336,21 +355,20 @@ def _stage_dot(name: str, graph: TransitionGraph, all_nodes, labels,
     return "\n".join(lines)
 
 
-def dot_stages(trace: GraphTrace, initial: TransitionGraph,
-               labels: Optional[Sequence[str]] = None):
-    """One DOT digraph per stage: the initial graph, then each post-rejection
-    snapshot.  Node i is named `labels[i]`, by default `core._labels`'
-    "H1" to "Hm", with each backslash and double quote escaped by a
-    backslash, so that every quoted string closes where it should.  The
-    edge labels of all stages come from one
+def dot_stages(trace: GraphTrace, labels: Optional[Sequence[str]] = None):
+    """One DOT digraph per stage: the trace's initial graph, then each
+    post-rejection snapshot.  Node i is named `labels[i]`, by default
+    `core._labels`' "H1" to "Hm", with each backslash and double quote
+    escaped by a backslash, so that every quoted string closes where it
+    should.  The edge labels of all stages come from one
     `_coefficient_labels` call."""
-    all_nodes = sorted(initial.active)
+    graphs = [trace.initial] + [step.after for step in trace.steps]
+    all_nodes = range(len(graphs[0].local_alpha))
     if labels is None:
-        labels = _labels(len(initial.local_alpha))
+        labels = _labels(len(all_nodes))
     # each name and label is written between double quotes
     labels = {i: labels[i].replace("\\", "\\\\").replace('"', '\\"')
               for i in all_nodes}
-    graphs = [initial] + [step.after for step in trace.steps]
     edge_labels = iter(_coefficient_labels(
         np.concatenate([_off_diagonal(graph) for graph in graphs])))
     return [_stage_dot(f"stage_{k}", graph, all_nodes, labels, edge_labels)

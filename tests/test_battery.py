@@ -13,7 +13,7 @@ from wholm import (Procedure, adjust, battery, cli, closure, core, graphical,
 from wholm.battery import PROPERTIES, check_properties, run_check_battery
 from wholm.closure import (ClosedStack, find_pvalue_monotonicity_violation,
                            random_corpus)
-from wholm.graphical import _walk, graph_rejections
+from wholm.graphical import _initial_graphs, _walk, graph_rejections
 from wholm.procedures import adjust_rows, rank, ranking
 
 
@@ -196,8 +196,9 @@ def _engine_outputs(ranked, alpha, procedure):
     `graph_rejections`, and the live rows, levels and graphs of every
     `_walk` step."""
     closed = ClosedStack(ranked, alpha, procedure)
+    initial = _initial_graphs(ranked.w, alpha[:, None], ranked.flat)
     walk = [(live.tobytes(), levels.tobytes(), graphs.tobytes())
-            for live, levels, graphs in _walk(ranked, alpha)]
+            for live, levels, graphs in _walk(ranked, initial)]
     return (closed.rejections.tobytes(), closed.consonance_witnesses,
             closed.monotonicity_counterexamples,
             graph_rejections(ranked, alpha).tobytes(), walk)

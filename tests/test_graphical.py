@@ -341,7 +341,9 @@ def _stacked_runs(problems, ordering):
         ranked = rank(p, w, ordering)
         perm = ranked.perm
         out = [([], [], perm[r]) for r in range(len(rows))]
-        for k, (live, thresholds, graphs) in enumerate(_walk(ranked, alpha)):
+        initial = _initial_graphs(ranked.w, alpha[:, None], ranked.flat)
+        for k, (live, thresholds, graphs) in enumerate(
+                _walk(ranked, initial)):
             for r, threshold, graph in zip(live.tolist(), thresholds.tolist(),
                                            graphs):
                 out[r][0].append((int(perm[r, k]), threshold.hex()))
@@ -389,6 +391,31 @@ def test_walk_equals_the_node_by_node_reference(corpus, ordering):
                     == np.frombuffer(local_alpha)[active].tobytes()), problem
     assert sum(isinstance(_reference_run(problem, ordering), str)
                for problem in _DEGENERATE) >= 2
+
+
+@pytest.mark.parametrize("corpus", [
+    random_corpus(3000, seed=7, m_max=12), BOUNDARY_CORPUS],
+    ids=["random", "exact-boundary"])
+@pytest.mark.parametrize("ordering", list(OrderingKey))
+def test_trace_initial_equals_initial_graph(corpus, ordering):
+    # the graph a run started from, built in its rank order and read back
+    # in hypothesis order, is the index-order initial graph bit for bit
+    for problem in corpus:
+        _, trace = run_graphical(problem, ordering)
+        assert (_snapshot(trace.initial)
+                == _snapshot(initial_graph(problem.w, problem.alpha))), problem
+
+
+def test_writing_into_the_initial_graph_changes_no_later_read(
+        divergent_problem):
+    _, trace = run_graphical(divergent_problem, OrderingKey.WEIGHTED)
+    stages = dot_stages(trace)
+    before = _snapshot(trace.initial)
+    written = trace.initial
+    written.g[:] = 0.25
+    written.local_alpha[:] = 0.5
+    assert _snapshot(trace.initial) == before
+    assert dot_stages(trace) == stages
 
 
 def test_degenerate_update_names_the_first_node_in_hypothesis_order():
@@ -439,22 +466,20 @@ def test_degenerate_input_rejects_what_the_stepdowns_reject():
 class TestExportDot:
     def test_initial_fraction_labels(self, divergent_problem):
         _, trace = run_graphical(divergent_problem, OrderingKey.RAW)
-        text = "\n\n".join(dot_stages(
-            trace, initial_graph(divergent_problem.w, 0.05),
-            labels=divergent_problem.labels))
+        text = "\n\n".join(dot_stages(trace,
+                                        labels=divergent_problem.labels))
         assert '"H1" -> "H2" [label="2/5"]' in text
         assert 'alpha=0.0083' in text
 
     def test_empty_trace_single_stage(self, divergent_problem):
         _, trace = run_graphical(divergent_problem, OrderingKey.RAW)
-        stages = dot_stages(trace, initial_graph(divergent_problem.w, 0.05))
+        stages = dot_stages(trace)
         assert len(stages) == 1
         assert stages[0].startswith("digraph stage_0")
 
     def test_weighted_run_has_three_stages(self, divergent_problem):
         _, trace = run_graphical(divergent_problem, OrderingKey.WEIGHTED)
-        stages = dot_stages(trace, initial_graph(divergent_problem.w, 0.05),
-                            labels=divergent_problem.labels)
+        stages = dot_stages(trace, labels=divergent_problem.labels)
         assert len(stages) == 3
         assert 'rejected=true' in stages[1]
         assert '"H2" [label="H2", rejected=true]' in stages[1]
@@ -464,8 +489,7 @@ class TestExportDot:
     def test_writing_into_a_step_graph_changes_no_later_read(
             self, divergent_problem):
         _, trace = run_graphical(divergent_problem, OrderingKey.WEIGHTED)
-        initial = initial_graph(divergent_problem.w, 0.05)
-        stages = dot_stages(trace, initial)
+        stages = dot_stages(trace)
         before = [(step.after.g.copy(), step.after.local_alpha.copy())
                   for step in trace.steps]
         written = trace.steps[0].after
@@ -474,7 +498,7 @@ class TestExportDot:
         for step, (g, local) in zip(trace.steps, before):
             assert step.after.g.tobytes() == g.tobytes()
             assert step.after.local_alpha.tobytes() == local.tobytes()
-        assert dot_stages(trace, initial) == stages
+        assert dot_stages(trace) == stages
 
 
 def _dot_problem(name):
@@ -497,8 +521,7 @@ def test_larger_dot_outputs_are_byte_identical_to_golden(name, ordering):
     prob = _dot_problem(name)
     rejections, trace = run_graphical(prob, OrderingKey(ordering))
     assert len(rejections.rejected) == len(prob.w)
-    text = "\n\n".join(dot_stages(trace, initial_graph(prob.w, prob.alpha),
-                                  labels=prob.labels)) + "\n"
+    text = "\n\n".join(dot_stages(trace, labels=prob.labels)) + "\n"
     if name == "equal8":
         # every coefficient is 1/k, so no label falls back to six decimals
         assert "." not in "".join(line.split("label=")[1] for line in

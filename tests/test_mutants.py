@@ -5,22 +5,29 @@ Each mutant is applied with `monkeypatch` on every module that imported the
 mutated name; only `procedures` reads `rank_rows`, through `rank`, so one
 patch reaches the step-down kernel, closed testing and the graph walk, and
 `adjust_rows` is patched in `procedures` and the four modules that import
-it; `closure._by_index_mask` is read only inside `closure`.
+it; `closure._by_index_mask` and `closure._counterexamples` are read only
+inside `closure`, and `graphical._walk` only inside `graphical`.  Mutants
+E, F and G are built by `_mutated` from the library function's own source,
+with one line replaced.
 The killers are measured on `run_check_battery(2000, seed)`.  A mutant that
 changes a library decision and that no line kills is a strict xfail naming
-the ROADMAP items that would close the gap; no check, bound or corpus is
-changed to kill a mutant.
+the ROADMAP items that would close the gap; a mutant that changes no output
+on any input the library builds is listed with the tier-1 test that kills
+it.  No check, bound or corpus is changed to kill a mutant.
 """
 
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
-from wholm import (OrderingKey, adjust, battery, closure, ctp, montecarlo,
-                   procedures, run_graphical, validate_problem,
+from test_closure import TestStacks
+from wholm import (OrderingKey, adjust, battery, closure, ctp, graphical,
+                   montecarlo, procedures, run_graphical, validate_problem,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
 from wholm.battery import run_check_battery
+from wholm.procedures import Procedure
 
 _ADJUST_ROWS = procedures.adjust_rows
 
@@ -50,6 +57,42 @@ def _unreversed_axes(row, perm):
     reverse order."""
     m = len(perm)
     return row.reshape((2,) * m).transpose(np.argsort(perm)).reshape(-1)
+
+
+def _mutated(function, line, replacement="pass"):
+    """`function` rebuilt from its own source in a copy of its module's
+    namespace, with its one line that reads `line` (stripped) replaced by
+    `replacement` at the same indent."""
+    lines = inspect.getsource(function).splitlines(keepends=True)
+    # a ValueError unless exactly one line reads `line`, which no xfail
+    # here expects
+    [i] = [i for i, text in enumerate(lines) if text.strip() == line]
+    indent = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = f"{indent}{replacement}\n"
+    module = sys.modules[function.__module__]
+    namespace = dict(vars(module))
+    exec(compile("".join(lines), module.__file__, "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def _walk_without_denominator():
+    """E: the graph update adds g_lj * g_jk to each coefficient but does not
+    divide by 1 - g_lj * g_jl."""
+    return _mutated(graphical._walk, "graph[:, :n] /= denom")
+
+
+def _forward_tails():
+    """F: `adjust_rows` sums its tail weights forward, from the first rank
+    down, instead of from the last rank up."""
+    return _mutated(procedures.adjust_rows,
+                    "tails = np.cumsum(ranked.w[:, ::-1], axis=1)[:, ::-1]",
+                    "tails = np.cumsum(ranked.w, axis=1)")
+
+
+def _every_member_shares():
+    """G: WAP's share in the monotonicity search goes to every member of a
+    set, not to its first-ranked member alone."""
+    return _mutated(closure._counterexamples, "share[high != 1] = 0.0")
 
 
 def _patch_adjust_rows(monkeypatch, mutant):
@@ -145,3 +188,60 @@ def test_unreversed_axes_change_a_decision(monkeypatch):
 def test_unreversed_axes_are_killed(monkeypatch):
     monkeypatch.setattr(closure, "_by_index_mask", _unreversed_axes)
     assert _killers(0) or _killers(1)
+
+
+def test_graph_update_without_its_denominator_changes_a_decision(
+        monkeypatch):
+    # E is not an equivalent mutant: the 36th problem of a threshold-scale
+    # draw (w ~ U(0.5, 5), p = w / total * alpha * U(0, 3), m = 3-8, numpy
+    # seed 0), where the walk under raw ordering rejects all five and E
+    # keeps H2
+    problem = validate_problem(
+        ["H0", "H1", "H2", "H3", "H4"],
+        [0.01972192393215713, 0.0031224265458911454, 0.042898589802561754,
+         0.0009977749077284058, 0.00014002756148203676],
+        [4.202632098925649, 1.3057820941234697, 3.8670092378656022,
+         0.8900659540154425, 2.416353081323097], 0.05)
+    assert run_graphical(problem, OrderingKey.RAW)[0].rejected == {
+        0, 1, 2, 3, 4}
+    monkeypatch.setattr(graphical, "_walk", _walk_without_denominator())
+    assert run_graphical(problem, OrderingKey.RAW)[0].rejected == {
+        0, 1, 3, 4}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the battery draws p-values U(0, 1), so its graph walks seldom pass a "
+    "first rejection and no line sees the missing division; a draw at the "
+    "thresholds' scale meets a changed decision within 36 problems "
+    "(ROADMAP item 17)"))
+def test_graph_update_without_its_denominator_is_killed(monkeypatch):
+    monkeypatch.setattr(graphical, "_walk", _walk_without_denominator())
+    assert _killers(0) or _killers(1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tails_summed_forward_are_killed_by_seven_lines(monkeypatch, seed):
+    _patch_adjust_rows(monkeypatch, _forward_tails())
+    assert _killers(seed) == {
+        "adjusted-dominance", "ctp-equivalence-whp", "ctp-equivalence-wap",
+        "graphical-equivalence-whp", "graphical-equivalence-wap",
+        "pvalue-monotonicity-whp", "rejection-dominance"}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_member_shares_passes_every_line(monkeypatch, seed):
+    # shares are formed only where a total drops on a removal, and step 1
+    # of the `closure` docstring rules that out on every table the library
+    # builds, so G changes no output on a reachable input
+    monkeypatch.setattr(closure, "_counterexamples", _every_member_shares())
+    assert _killers(seed) == set()
+
+
+def test_every_member_shares_is_killed_by_a_doctored_table(monkeypatch):
+    # the one tier-1 killer of G: the search-order test of WAP, which
+    # scales a fifth of the real totals down
+    killer = TestStacks().test_counterexample_is_the_first_in_search_order
+    killer(Procedure.WAP)
+    monkeypatch.setattr(closure, "_counterexamples", _every_member_shares())
+    with pytest.raises(AssertionError):
+        killer(Procedure.WAP)
