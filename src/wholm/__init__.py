@@ -11,10 +11,10 @@ from .closure import (CapacityError, ConsonanceReport, CtpReport,
                       whp_local_test)
 from .core import (OrderingKey, RejectionSet, TestingProblem,
                    load_problem_csv, validate_problem)
-from .graphical import (GraphTrace, TransitionGraph, initial_graph,
-                        reject_and_update, run_graphical)
+from .graphical import (GraphTrace, TransitionGraph, reject_and_update,
+                        run_graphical)
 from .montecarlo import (DegenerateSampleError, SimulationConfig,
                          SimulationResult, WeightScenario, estimate_sharpness,
-                         lfc_stepdown_falsifier, rng_new, run_simulation,
+                         lfc_stepdown_falsifier, run_simulation,
                          sample_equicorrelated, t_sf, weight_scenario)
 from .procedures import Procedure, holm_stepdown, wap_stepdown, whp_stepdown

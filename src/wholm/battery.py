@@ -7,7 +7,8 @@ procedures are consonant, and WHP meets the monotonicity condition.
 `check_properties` checks every claim on every problem of a corpus and names
 the first violating problem of each.  `run_check_battery` runs the same
 checks on a seeded `closure.random_corpus`, read as the arrays it is drawn
-as, and adds the two randomized p-value monotonicity searches, each of
+as, and adds the two p-value monotonicity lines: WAP's decides a pair that
+`_wap_counterexample` constructs, and WHP's runs the randomized search,
 which draws all its trials before it decides any.
 
 The corpus is evaluated in stacks, as arrays: `check_properties` flattens
@@ -47,9 +48,9 @@ import numpy as np
 
 from .closure import (ClosedStack, _Corpus, _cut, _draw_corpus,
                       find_pvalue_monotonicity_violation)
-from .core import TestingProblem
+from .core import TestingProblem, _labels, validate_problem
 from .graphical import GraphInvariantError, graph_rejections
-from .procedures import Procedure, adjust_rows, rank, ranking
+from .procedures import Procedure, adjust_rows, rank, ranking, wap_stepdown
 
 # Problems evaluated together, counted in cells: a stack of problems with m
 # hypotheses holds at most PROPERTY_STACK_CELLS >> m of them, and at least
@@ -64,7 +65,8 @@ PROPERTY_STACK_CELLS = 64 << 8
 @dataclass(frozen=True)
 class CheckResult:
     """One property over a corpus.  `witness` is the first violating problem
-    (or, for a search, the pair it found); None when there is none."""
+    (or, for a p-value monotonicity line, the pair of a problem and its
+    lowered copy); None when there is none."""
 
     name: str
     passed: bool
@@ -199,24 +201,57 @@ def check_properties(problems: Sequence[TestingProblem]) -> List[CheckResult]:
     return _check(_flatten(problems), problems.__getitem__)
 
 
+def _wap_counterexample(w: Sequence[float], alpha: float):
+    """A pair of problems at `alpha` with weights `w`, the second with its
+    p-values lowered, where WAP loses a rejection unless all weights are
+    equal.  Let w_j be the first smallest weight, w_i the first largest, T
+    their total and a = alpha w_j / T < b = alpha w_i / T.  The first
+    problem's p-values are 1 but p_i, the midpoint of (a, b); the second's
+    are those but q_j, the midpoint of (a, p_i).
+
+    WAP is p-value monotone, lowering p-values never loses a rejection,
+    iff all weights are equal.  In exact arithmetic:
+
+    - Weights not all equal: at p, p_i < b < 1 is the one smallest p-value,
+      so H_i is tested first, at level b, and rejected.  At q <= p, q_j <
+      p_i < 1 ranks H_j first; its level is a < q_j, so it is kept, the
+      step-down stops and H_i is lost.
+    - Equal weights: WAP is Holm.  With N(v) the number of p-values at or
+      above v, H_k is rejected iff v N(v) <= alpha at every p-value v <=
+      p_k, as the first of tied p-values meets the lowest level,
+      alpha / N(v).  Lower p to q and take a q-value v <= q_k <= p_k: the
+      smallest p-value u >= v is at most p_k, and no p-value lies in
+      [v, u), so N_q(v) <= N_p(v) = N_p(u) and v N_q(v) <= u N_p(u) <=
+      alpha.  So H_k is rejected at q too.
+
+    In floats both midpoints lie strictly inside their intervals unless the
+    weights are within about 1e-15 of equal."""
+    j, i = np.argmin(w), np.argmax(w)
+    a, b = alpha * np.take(w, [j, i]) / np.sum(w)
+    p = np.ones((2, len(w)))
+    p[:, i] = (a + b) / 2
+    p[1, j] = (a + p[0, i]) / 2
+    return [validate_problem(_labels(len(w)), row, w, alpha) for row in p]
+
+
 def run_check_battery(trials: int, seed: int) -> List[CheckResult]:
     """`check_properties` on `random_corpus(trials, seed, m_max=8)`, then
-    both searches, each over `trials` trials drawn from `seed`: WAP's passes
-    when it finds a witness, WHP's when it finds none.  The corpus is
-    checked as the arrays `closure._draw_corpus` draws, and a witness is
-    cut from them by `closure._cut`, as `random_corpus` cuts it."""
+    the two p-value monotonicity lines.  WAP's passes when WAP's step-down
+    loses a rejection on `_wap_counterexample` at weights (1, 2), WHP's when
+    the search over `trials` trials drawn from `seed` finds no witness.
+    The corpus is checked as the arrays `closure._draw_corpus` draws, and a
+    witness is cut from them by `closure._cut`, as `random_corpus` cuts
+    it."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
     draw = _draw_corpus(trials, seed, 8, 0.05)
-    results = _check(draw, lambda k: _cut(draw, [k])[0])
-    for name, procedure, expected, found, none in (
-            ("pvalue-monotonicity-violation-wap", Procedure.WAP, True,
-             "counterexample found", f"no counterexample in {trials} trials"),
-            ("pvalue-monotonicity-whp", Procedure.WHP, False,
-             "unexpected counterexample", "no violation found")):
-        witness = find_pvalue_monotonicity_violation(procedure, trials=trials,
-                                                     seed=seed)
-        results.append(CheckResult(name, (witness is not None) == expected,
-                                   none if witness is None else found,
-                                   witness))
-    return results
+    problem, lowered = _wap_counterexample([1.0, 2.0], 0.05)
+    lost = bool(wap_stepdown(problem).rejected - wap_stepdown(lowered).rejected)
+    witness = find_pvalue_monotonicity_violation(Procedure.WHP, trials, seed)
+    return _check(draw, lambda k: _cut(draw, [k])[0]) + [
+        CheckResult("pvalue-monotonicity-violation-wap", lost,
+                    "counterexample found" if lost else "no counterexample",
+                    (problem, lowered) if lost else None),
+        CheckResult("pvalue-monotonicity-whp", witness is None,
+                    "no violation found" if witness is None
+                    else "unexpected counterexample", witness)]

@@ -27,6 +27,8 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
+from numpy.random import default_rng
+
 from . import __version__
 from .adjust import adjusted_wap, adjusted_whp
 from .battery import run_check_battery
@@ -34,7 +36,7 @@ from .closure import ctp, wap_local_test, whp_local_test
 from .core import OrderingKey, load_problem_csv
 from .graphical import GraphInvariantError, dot_stages, run_graphical
 from .montecarlo import (SimulationConfig, WeightScenario, estimate_sharpness,
-                         rng_new, run_simulation)
+                         run_simulation)
 from .procedures import Procedure
 
 EXIT_OK = 0
@@ -307,9 +309,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    procedure, weights = Procedure(args.procedure), args.weights
-    estimate = estimate_sharpness(procedure, weights, len(weights), args.reps,
-                                  rng_new(args.seed), alpha=args.alpha)
+    procedure, gen = Procedure(args.procedure), default_rng(args.seed)
+    estimate = estimate_sharpness(procedure, args.weights, len(args.weights),
+                                  args.reps, gen, alpha=args.alpha)
     fwer, se = _fmt_column([estimate.fwer, estimate.se])
     print(f"procedure={procedure.value} fwer={fwer} se={se} "
           f"reps={estimate.reps} seed={args.seed}")

@@ -669,8 +669,7 @@ def find_pvalue_monotonicity_violation(procedure: Procedure, trials: int,
         if lost.any():
             t = int(lost.argmax())
             m = sizes[t]
-            labels = _labels(m)
-            return (validate_problem(labels, p[t, :m], w[t, :m], 0.05),
-                    validate_problem(labels, q[t, :m], w[t, :m], 0.05))
+            return tuple(validate_problem(_labels(m), x[t, :m], w[t, :m], 0.05)
+                         for x in (p, q))
         start, chunk = stop, 2 * chunk
     return None

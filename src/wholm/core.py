@@ -61,24 +61,26 @@ def check_weights(w: Sequence[float]) -> None:
     overflows."""
     if len(w) == 0:
         raise ValueError("weights must be a nonempty positive sequence")
-    # min and max decide every value but NaN, which makes the sum NaN, and
-    # the sum decides an overflowing total; the values are walked only to
-    # name the first bad one
-    if not (min(w) > 0.0 and max(w) < math.inf and sum(w) < math.inf):
+    # min and max decide every value but NaN, which makes the total NaN, and
+    # the last running total decides an overflow: Python 3.11's `sum` adds
+    # the same way, but from 3.12 on `sum` compensates its additions and can
+    # overflow where the running total does not.  The values are walked
+    # only to name the first bad one
+    totals = list(itertools.accumulate(w))
+    if not (min(w) > 0.0 and max(w) < math.inf and totals[-1] < math.inf):
         for i, wi in enumerate(w):
             if not (0.0 < wi < math.inf):
                 raise ValueError(
                     f"weight must be positive and finite at index {i}: {wi}")
-        i = next(i for i, total in enumerate(itertools.accumulate(w))
-                 if total == math.inf)
+        i = totals.index(math.inf)
         raise ValueError(f"weight total overflows at index {i}: {w[i]}")
 
 
 def check_pvalues(p: Sequence[float]) -> None:
     """Raise ValueError naming the first p-value outside [0, 1]."""
-    # as in `check_weights`
+    # min and max decide every value but NaN
     if len(p) and not (min(p) >= 0.0 and max(p) <= 1.0
-                       and not math.isnan(sum(p))):
+                       and not any(map(math.isnan, p))):
         for i, pi in enumerate(p):
             if not (0.0 <= pi <= 1.0):
                 raise ValueError(f"p-value out of [0, 1] at index {i}: {pi}")

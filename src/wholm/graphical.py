@@ -7,8 +7,7 @@ stays in closed form (the tests' independent oracle), and each tests the
 next hypothesis in the step-downs' ranking, by p/w or by p.  The walk reads
 a problem only through its `procedures.rank` view: the ranking, and the
 p-values and weights by rank.  The initial graphs of a stack are built in
-one place, `_initial_graphs`, with a 0 diagonal; `initial_graph` is its
-one-row call in hypothesis order.
+one place, `_initial_graphs`, with a 0 diagonal.
 
 The rejections are a prefix of that ranking, so `_walk` runs the graphs of a
 stack of same-size problems along it at once, each permuted into rank
@@ -96,14 +95,6 @@ class GraphTrace:
     @property
     def initial(self) -> TransitionGraph:
         return _hypothesis_order(self._ranking, self._block[0])
-
-
-def initial_graph(w: Sequence[float], alpha: float) -> TransitionGraph:
-    """Weight-proportional initial allocation with row-stochastic
-    coefficients: `_initial_graphs` of one row in index order."""
-    ranking = np.arange(len(w))
-    return _hypothesis_order(ranking, _initial_graphs(
-        np.array([w], dtype=float), alpha, ranking[None])[0])
 
 
 def _initial_graphs(w, alpha, flat):

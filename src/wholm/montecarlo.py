@@ -36,11 +36,6 @@ class DegenerateSampleError(ValueError):
     pass
 
 
-def rng_new(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 stream; identical seeds give identical draws."""
-    return np.random.default_rng(seed)
-
-
 def t_sf(t, df):
     """Upper-tail probability of the Student-t distribution.
 

@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 from scipy.integrate import quad
 
 from wholm import (OrderingKey, Procedure, SimulationConfig, WeightScenario,
                    adjusted_wap, adjusted_whp, check_monotonicity_condition,
                    estimate_sharpness, find_pvalue_monotonicity_violation,
-                   rng_new, run_graphical, run_simulation, t_sf,
+                   run_graphical, run_simulation, t_sf,
                    validate_problem, wap_stepdown, whp_stepdown)
 from wholm.battery import check_properties
 from wholm.closure import random_corpus
@@ -150,11 +151,11 @@ def test_criterion_5_wap_share_condition_counterexample(corpus):
 def test_criterion_6_sharpness():
     start = time.perf_counter()
     whp = estimate_sharpness(Procedure.WHP, [1.0, 2.0, 3.0], 3, 200_000,
-                             rng_new(CORPUS_SEED))
+                             default_rng(CORPUS_SEED))
     wap = estimate_sharpness(Procedure.WAP, [1.0, 2.0, 3.0], 3, 200_000,
-                             rng_new(CORPUS_SEED + 1))
+                             default_rng(CORPUS_SEED + 1))
     w = np.array([1.0, 2.0, 3.0])
-    samples = _lfc_batch(w, 1.0 / w.sum(), rng_new(CORPUS_SEED + 2),
+    samples = _lfc_batch(w, 1.0 / w.sum(), default_rng(CORPUS_SEED + 2),
                          200_000)[0]
     grid = np.linspace(0.01, 0.99, 100)
     deviation = max(
@@ -212,7 +213,7 @@ def _t_density(x, df):
 
 
 def test_criterion_8_t_numerics():
-    gen = rng_new(CORPUS_SEED)
+    gen = default_rng(CORPUS_SEED)
     worst = 0.0
     for _ in range(100):
         df = int(gen.integers(2, 60))

@@ -9,7 +9,7 @@ import pytest
 from test_closure import _boundary_corpus, _tied_corpus
 from test_procedures import BOUNDARY_CORPUS
 from wholm import (Procedure, adjust, battery, cli, closure, core, graphical,
-                   montecarlo, procedures)
+                   montecarlo, procedures, wap_stepdown, whp_stepdown)
 from wholm.battery import PROPERTIES, check_properties, run_check_battery
 from wholm.closure import (ClosedStack, find_pvalue_monotonicity_violation,
                            random_corpus)
@@ -109,18 +109,22 @@ def test_graph_witness_is_the_first_violation_in_corpus_order(monkeypatch):
 def test_battery_checks_the_corpus_then_runs_both_searches(monkeypatch,
                                                            trials, seed):
     # the battery's arrays give what the problems of `random_corpus` give,
-    # with witnesses (built from the arrays) that equal its problems
+    # with witnesses (built from the arrays) that equal its problems; WAP's
+    # monotonicity line decides the pair constructed at weights (1, 2),
+    # whatever the trials and the seed, and WHP's runs the search
     monkeypatch.setattr(battery, "ClosedStack", _LowFirstPValue)
     corpus = random_corpus(trials, seed=seed, m_max=8)
     expected = _fields(check_properties(corpus))
-    searches = [find_pvalue_monotonicity_violation(procedure, trials, seed)
-                for procedure in (Procedure.WAP, Procedure.WHP)]
+    pair = tuple(battery._wap_counterexample([1.0, 2.0], 0.05))
     results = _fields(run_check_battery(trials, seed))
     assert results[:len(PROPERTIES)] == expected
-    assert [(name, witness) for name, _, _, witness in
-            results[len(PROPERTIES):]] == [
-        ("pvalue-monotonicity-violation-wap", repr(searches[0])),
-        ("pvalue-monotonicity-whp", repr(searches[1]))]
+    assert results[len(PROPERTIES):] == [
+        ("pvalue-monotonicity-violation-wap", True, "counterexample found",
+         repr(pair)),
+        ("pvalue-monotonicity-whp", True, "no violation found", repr(
+            find_pvalue_monotonicity_violation(Procedure.WHP, trials, seed)))]
+    assert pair[0].p == (1.0, 0.025)
+    assert pair[1].p == (pytest.approx(0.0625 / 3), 0.025)
     if trials == 2000:
         assert sum(not passed for _, passed, _, _ in expected) == 2
 
@@ -140,6 +144,29 @@ def test_results_do_not_depend_on_the_stacks(monkeypatch, cells, stacks):
     assert _fields(check_properties(corpus)) == expected
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_constructed_pair_loses_a_rejection_unless_all_weights_are_equal(
+        seed):
+    # `_wap_counterexample`'s proof, checked by both step-downs: WAP loses
+    # a rejection on the pair unless all weights are equal, and WHP, which
+    # is p-value monotone, never does
+    gen = np.random.default_rng(seed)
+    weights = [[1.0, 2.0], [1.0, 0.99994], [1.0, 1.0 + 2.0 ** -40],
+               [3.0, 1.0, 3.0, 1.0]]
+    weights += [np.exp(gen.normal(0.0, 1.0, int(m))).tolist()
+                for m in gen.integers(2, 13, size=1000)]
+    equal = [[1.0], [2.0, 2.0, 2.0], [0.1] * 7]
+    for w in weights + equal:
+        problem, lowered = battery._wap_counterexample(
+            w, float(gen.uniform(0.001, 0.2)))
+        assert lowered.w == problem.w == tuple(w)
+        assert all(map(float.__le__, lowered.p, problem.p))
+        for stepdown, loses in ((wap_stepdown, w not in equal),
+                                (whp_stepdown, False)):
+            assert bool(stepdown(problem).rejected
+                        - stepdown(lowered).rejected) == loses, w
+
+
 def test_nothing_passes_vacuously():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -148,7 +175,7 @@ def test_nothing_passes_vacuously():
         check_properties([])
 
 
-@pytest.mark.parametrize("seed, argsorts", [(0, 62), (1, 65), (2, 55)])
+@pytest.mark.parametrize("seed, argsorts", [(0, 52), (1, 52), (2, 48)])
 def test_the_battery_ranks_each_stack_once_per_procedure(monkeypatch, seed,
                                                          argsorts):
     # `procedures.rank` ranks each stack, and the step-down kernel, closed
@@ -181,8 +208,9 @@ def test_the_battery_ranks_each_stack_once_per_procedure(monkeypatch, seed,
     stacks = len(list(battery._stacks(closure._draw_corpus(2000, seed, 8,
                                                            0.05))))
     assert counts == [2 * stacks]
-    # every argsort of the run, counted by cProfile: the two searches' and
-    # the stacks' rankings, and `np.unique`'s in `_stacks`
+    # every argsort of the run, counted by cProfile: the WHP search's, the
+    # two WAP step-downs' of the constructed pair and the stacks' rankings,
+    # and `np.unique`'s in `_stacks`
     assert sum(stats[1] for (_, _, name), stats
                in pstats.Stats(profile).stats.items()
                if name == "<method 'argsort' of 'numpy.ndarray' objects>"

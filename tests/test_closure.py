@@ -1,7 +1,8 @@
 import pickle
 import tracemalloc
 from collections import defaultdict
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -60,16 +61,18 @@ def _boundary_corpus(count, seed, alpha=0.05):
 
 def _per_mask(prob, mask):
     """(WHP, WAP) local decisions on one subset, by their definition: a total
-    summed from the last rank upward in the procedure's own ranking, any
-    member significant for WHP, and for WAP the first-ranked member, the one
-    with the smallest raw p-value, ties to the smallest index."""
+    summed from the last rank upward in the procedure's own ranking, one
+    weight at a time (a `reduce`: the builtin `sum` compensates its
+    additions from Python 3.12 on), any member significant for WHP, and for
+    WAP the first-ranked member, the one with the smallest raw p-value, ties
+    to the smallest index."""
     idxs = [i for i in range(prob.m) if mask >> i & 1]
     tilde = [p / w for p, w in zip(prob.p, prob.w)]
     whp_rank = sorted(idxs, key=lambda i: (tilde[i], i))
     wap_rank = sorted(idxs, key=lambda i: (prob.p[i], i))
-    whp_total = sum(prob.w[i] for i in reversed(whp_rank))
+    whp_total = reduce(add, (prob.w[i] for i in reversed(whp_rank)), 0.0)
     whp = any(tilde[i] * whp_total <= prob.alpha for i in idxs)
-    wap_total = sum(prob.w[i] for i in reversed(wap_rank))
+    wap_total = reduce(add, (prob.w[i] for i in reversed(wap_rank)), 0.0)
     return whp, tilde[wap_rank[0]] * wap_total <= prob.alpha
 
 

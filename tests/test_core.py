@@ -1,13 +1,16 @@
+import ast
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wholm import OrderingKey, validate_problem
+import wholm
+from wholm import OrderingKey, core, validate_problem
 from wholm.core import load_problem_csv
 from wholm.procedures import adjust_rows, rank, rank_rows
 
@@ -39,6 +42,8 @@ def test_validate_single_hypothesis():
     ([0.1], [float("inf")], 0.05, "index 0"),
     ([0.1], [1.0], 1.5, "alpha"),
     ([0.1], [1.0], 0.0, "alpha"),
+    # min and max pass over a NaN that is not the first value
+    ([0.1, math.nan, 0.2], [1.0] * 3, 0.05, "index 1: nan"),
 ])
 def test_validate_rejects_bad_inputs(p, w, alpha, fragment):
     labels = [f"H{i}" for i in range(len(p))]
@@ -68,6 +73,46 @@ def test_validate_accepts_a_subnormal_weight_whose_ratio_is_finite():
     # 1 / min(w) overflows, but no p_i / w_i does
     prob = validate_problem(["H1", "H2"], [1.0, 0.0], [1.0, 1e-320], 0.05)
     assert prob.w == (1.0, 1e-320)
+
+
+def _compensated_sum(values):
+    """The builtin `sum` of floats from Python 3.12 on: Neumaier's
+    compensated summation, its correction added at the end when it is
+    nonzero and finite."""
+    total, correction = 0.0, 0.0
+    for x in values:
+        t = total + x
+        correction += ((total - t) + x if abs(total) >= abs(x)
+                       else (x - t) + total)
+        total = t
+    if correction and math.isfinite(correction):
+        total += correction
+    return total
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_decides_an_overflow_on_the_running_total(monkeypatch):
+    # the compensated sum of these weights overflows, but their running total
+    # does not: they are accepted, as under Python 3.11, whatever `sum` the
+    # interpreter has, and a total that does overflow is still named
+    w = (1.7976931348623157e308, 6e291, 6e291)
+    assert _compensated_sum(w) == math.inf
+    assert _compensated_sum([0.1] * 10) == 1.0
+    monkeypatch.setattr(core, "sum", _compensated_sum, raising=False)
+    assert validate_problem(["H1", "H2", "H3"], [0.01, 0.02, 0.03], w,
+                            0.05).w == w
+    with pytest.raises(ValueError, match="total overflows at index 2"):
+        validate_problem(["H1", "H2", "H3"], [0.01, 0.02, 0.03],
+                         w[:2] + (1e292,), 0.05)
+
+
+def test_the_library_never_calls_the_builtin_sum():
+    # `sum` compensates its additions from Python 3.12 on, so its total is
+    # not the running total every formulation adds
+    for path in Path(wholm.__file__).parent.glob("*.py"):
+        names = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Name) and node.id == "sum"]
+        assert not names, (path.name, [node.lineno for node in names])
 
 
 def test_validate_reads_negative_zero_pvalue_as_zero():

@@ -9,9 +9,8 @@ import pytest
 
 from test_closure import _arrays, _boundary_corpus
 from test_procedures import BOUNDARY_CORPUS
-from wholm import (OrderingKey, TransitionGraph, initial_graph,
-                   reject_and_update, run_graphical, validate_problem,
-                   wap_stepdown, whp_stepdown)
+from wholm import (OrderingKey, TransitionGraph, reject_and_update,
+                   run_graphical, validate_problem, wap_stepdown, whp_stepdown)
 from wholm.battery import _flatten, _stacks, check_properties
 from wholm.cli import main
 from wholm.closure import random_corpus
@@ -48,14 +47,31 @@ def closed_form(w, alpha, active):
 
 def _initial_closed_form(w, alpha):
     """The initial levels and coefficients in Python floats: w_i * alpha /
-    total, and g_ij = w_j over the other weights, added one at a time from
-    each end towards i."""
-    m, total = len(w), sum(w)
+    total, with the total added one weight at a time in index order, and
+    g_ij = w_j over the other weights, added one at a time from each end
+    towards i.  Every sum is a `reduce`, not the builtin `sum`, which
+    compensates its additions from Python 3.12 on."""
+    m, total = len(w), reduce(add, w, 0.0)
     others = [reduce(add, w[:i], 0.0) + reduce(add, w[:i:-1], 0.0)
               for i in range(m)]
     return ([wi * alpha / total for wi in w],
             [[0.0 if i == j else w[j] / others[i] for j in range(m)]
              for i in range(m)])
+
+
+def _closed_form_graph(w, alpha):
+    """`_initial_closed_form` as a `TransitionGraph` with every node
+    active."""
+    local, g = _initial_closed_form(w, alpha)
+    return TransitionGraph(active=frozenset(range(len(w))),
+                           local_alpha=np.array(local), g=np.array(g))
+
+
+def _initial(w, alpha):
+    """The initial graph of weights `w` at `alpha`, as the trace of a run
+    on p-values of 1 keeps it."""
+    problem = validate_problem(range(len(w)), [1.0] * len(w), w, alpha)
+    return run_graphical(problem, OrderingKey.WEIGHTED)[1].initial
 
 
 class TestInitialGraph:
@@ -67,7 +83,7 @@ class TestInitialGraph:
                        for _ in range(10)]
         for w in corpus:
             alpha = float(gen.uniform(0.001, 0.5))
-            graph = initial_graph(w, alpha)
+            graph = _initial(w, alpha)
             local, g = _initial_closed_form(w, alpha)
             assert graph.active == set(range(len(w)))
             assert graph.local_alpha.tolist() == local, w
@@ -82,7 +98,7 @@ class TestInitialGraph:
             assert ranked[:-1][np.ix_(back, back)].tolist() == g, w
 
     def test_unequal_weight_values(self):
-        graph = initial_graph([1.0, 2.0, 3.0], 0.05)
+        graph = _initial([1.0, 2.0, 3.0], 0.05)
         assert graph.local_alpha[0] == pytest.approx(0.05 / 6)
         assert graph.local_alpha[1] == pytest.approx(0.05 / 3)
         assert graph.local_alpha[2] == pytest.approx(0.025)
@@ -94,7 +110,7 @@ class TestInitialGraph:
         assert graph.g[(2, 1)] == pytest.approx(2 / 3)
 
     def test_equal_weights_symmetric(self):
-        graph = initial_graph([2.0, 2.0, 2.0], 0.05)
+        graph = _initial([2.0, 2.0, 2.0], 0.05)
         for i in range(3):
             assert graph.local_alpha[i] == pytest.approx(0.05 / 3)
         off_diagonal = ~np.eye(3, dtype=bool)
@@ -102,14 +118,14 @@ class TestInitialGraph:
         assert not graph.g[~off_diagonal].any()
 
     def test_single_node(self):
-        graph = initial_graph([4.0], 0.05)
+        graph = _initial([4.0], 0.05)
         assert graph.local_alpha.tolist() == [0.05]
         assert graph.g.tolist() == [[0.0]]
 
     def test_row_sums_and_total_level(self):
         gen = np.random.default_rng(2)
         w = gen.uniform(0.5, 5.0, size=6)
-        graph = initial_graph(w, 0.05)
+        graph = _initial(w, 0.05)
         assert sum(graph.local_alpha) == pytest.approx(0.05)
         for l in range(6):
             assert sum(graph.g[(l, k)] for k in range(6) if k != l) == pytest.approx(1.0)
@@ -117,10 +133,10 @@ class TestInitialGraph:
 
 def _summed_and_divided(w, alpha, flat):
     """`_initial_graphs` as it was before its total came from its left
-    sums: each row's total by Python's `sum`, and every entry divided, the
-    diagonal too."""
+    sums: each row's total added one weight at a time in index order, and
+    every entry divided, the diagonal too."""
     count, m = w.shape
-    total = np.array([[sum(row)] for row in w.tolist()])
+    total = np.array([[reduce(add, row, 0.0)] for row in w.tolist()])
     left, right = np.zeros((2, count, m))
     np.add.accumulate(w[:, :-1], axis=1, out=left[:, 1:])
     np.add.accumulate(w[:, :0:-1], axis=1, out=right[:, -2::-1])
@@ -156,10 +172,10 @@ def test_subnormal_weight_builds_its_graphs_without_a_warning(tmp_path,
                                                               capsys):
     # w_0 over the other weight overflows, on the diagonal only
     prob = validate_problem(["H1", "H2"], [0.0, 0.02], [1e-320, 1.0], 0.05)
-    graph = initial_graph(prob.w, prob.alpha)
-    assert graph.g.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     for ordering in (OrderingKey.WEIGHTED, OrderingKey.RAW):
-        assert run_graphical(prob, ordering)[0].rejected == {0, 1}
+        rejections, trace = run_graphical(prob, ordering)
+        assert trace.initial.g.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert rejections.rejected == {0, 1}
     path = tmp_path / "subnormal.csv"
     path.write_text("hypothesis,p_value,weight\nH1,0,1e-320\nH2,0.02,1\n")
     assert main(["graph", "--input", str(path), "--alpha", "0.05",
@@ -172,7 +188,7 @@ def test_subnormal_weight_builds_its_graphs_without_a_warning(tmp_path,
 
 class TestRejectAndUpdate:
     def test_update_after_middle_node(self):
-        graph = reject_and_update(initial_graph([1.0, 2.0, 3.0], 0.05), 1)
+        graph = reject_and_update(_initial([1.0, 2.0, 3.0], 0.05), 1)
         assert graph.active == {0, 2}
         assert graph.local_alpha[0] == pytest.approx(0.0125)
         assert graph.local_alpha[2] == pytest.approx(0.0375)
@@ -180,18 +196,18 @@ class TestRejectAndUpdate:
         assert graph.g[(2, 0)] == pytest.approx(1.0)
 
     def test_equal_weight_symmetry(self):
-        graph = reject_and_update(initial_graph([1.0, 1.0, 1.0], 0.05), 0)
+        graph = reject_and_update(_initial([1.0, 1.0, 1.0], 0.05), 0)
         assert graph.local_alpha[1] == pytest.approx(0.025)
         assert graph.local_alpha[2] == pytest.approx(0.025)
         assert graph.g[(1, 2)] == pytest.approx(1.0)
 
     def test_two_node_survivor_gets_everything(self):
-        graph = reject_and_update(initial_graph([1.0, 3.0], 0.05), 1)
+        graph = reject_and_update(_initial([1.0, 3.0], 0.05), 1)
         assert graph.active == {0}
         assert graph.local_alpha[0] == pytest.approx(0.05)
 
     def test_inactive_node_rejected_is_usage_error(self):
-        graph = reject_and_update(initial_graph([1.0, 2.0, 3.0], 0.05), 0)
+        graph = reject_and_update(_initial([1.0, 2.0, 3.0], 0.05), 0)
         with pytest.raises(ValueError, match="not active"):
             reject_and_update(graph, 0)
 
@@ -200,7 +216,7 @@ class TestRejectAndUpdate:
         for _ in range(50):
             m = int(gen.integers(2, 8))
             w = gen.uniform(0.5, 5.0, size=m)
-            graph = initial_graph(w, 0.05)
+            graph = _initial(w, 0.05)
             active = set(range(m))
             order = gen.permutation(m)
             for j in order[:-1]:
@@ -221,7 +237,7 @@ class TestRejectAndUpdate:
         gen = np.random.default_rng(17)
         for _ in range(50):
             m = int(gen.integers(1, 8))
-            graph = initial_graph(gen.uniform(0.5, 5.0, size=m), 0.05)
+            graph = _initial(gen.uniform(0.5, 5.0, size=m), 0.05)
             for j in gen.permutation(m):
                 # no division by zero, not even at the last two-node update
                 with np.errstate(all="raise"):
@@ -276,11 +292,12 @@ class TestRunGraphical:
         # H1 holds nearly all the weight, so total - w_0 would cancel and
         # send H1's level along a coefficient of 0, 1.35 or 0.90, not 1
         prob = validate_problem(["H1", "H2"], [0.0, p1], [1.0, w1], 0.05)
-        assert initial_graph(prob.w, 0.05).g.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert whp_stepdown(prob).rejected == rejected
         assert wap_stepdown(prob).rejected == rejected
         for ordering in (OrderingKey.WEIGHTED, OrderingKey.RAW):
-            assert run_graphical(prob, ordering)[0].rejected == rejected
+            rejections, trace = run_graphical(prob, ordering)
+            assert trace.initial.g.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+            assert rejections.rejected == rejected
 
     def test_equivalent_to_stepdowns_on_corpus(self):
         for prob in random_corpus(500, seed=41, m_max=10):
@@ -295,13 +312,15 @@ def _snapshot(graph):
 
 
 def _reference_run(problem, ordering):
-    """The graph walked node by node with `initial_graph` and
-    `reject_and_update` along `rank_rows`'s ranking: the rejected index and
-    the threshold (as `float.hex`) of each step and the graph after it, or
-    the text of the `GraphInvariantError` the walk raises."""
+    """The graph walked node by node with `reject_and_update` along
+    `rank_rows`'s ranking, from the Python-float initial graph
+    `_initial_closed_form`, which shares no code with the walk's
+    `_initial_graphs`: the rejected index and the threshold (as
+    `float.hex`) of each step and the graph after it, or the text of the
+    `GraphInvariantError` the walk raises."""
     p = np.array([problem.p])
     order = rank_rows(p, p / np.array([problem.w]), ordering)[0].tolist()
-    graph = initial_graph(problem.w, problem.alpha)
+    graph = _closed_form_graph(problem.w, problem.alpha)
     trace, snapshots = [], []
     for j in order:
         threshold = float(graph.local_alpha[j])
@@ -399,11 +418,12 @@ def test_walk_equals_the_node_by_node_reference(corpus, ordering):
 @pytest.mark.parametrize("ordering", list(OrderingKey))
 def test_trace_initial_equals_initial_graph(corpus, ordering):
     # the graph a run started from, built in its rank order and read back
-    # in hypothesis order, is the index-order initial graph bit for bit
+    # in hypothesis order, is the closed-form initial graph bit for bit
     for problem in corpus:
         _, trace = run_graphical(problem, ordering)
         assert (_snapshot(trace.initial)
-                == _snapshot(initial_graph(problem.w, problem.alpha))), problem
+                == _snapshot(_closed_form_graph(problem.w, problem.alpha))
+                ), problem
 
 
 def test_writing_into_the_initial_graph_changes_no_later_read(

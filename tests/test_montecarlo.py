@@ -3,13 +3,14 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 from scipy.integrate import quad
 
 from test_procedures import index_masks
 from wholm import (DegenerateSampleError, OrderingKey, Procedure,
                    SimulationConfig, WeightScenario, estimate_sharpness,
-                   holm_stepdown, lfc_stepdown_falsifier, rng_new,
-                   run_simulation, sample_equicorrelated, t_sf,
+                   holm_stepdown, lfc_stepdown_falsifier, run_simulation,
+                   sample_equicorrelated, t_sf,
                    validate_problem, wap_stepdown, weight_scenario,
                    whp_stepdown)
 from wholm import montecarlo, procedures
@@ -36,42 +37,27 @@ def t_sf_by_quadrature(t, df):
     return tail
 
 
-class TestRng:
-    def test_same_seed_same_stream(self):
-        a = rng_new(123).uniform(size=1000)
-        b = rng_new(123).uniform(size=1000)
-        assert np.array_equal(a, b)
-
-    def test_adjacent_seeds_differ(self):
-        a = rng_new(5).uniform(size=10)
-        b = rng_new(6).uniform(size=10)
-        assert not np.allclose(a, b)
-
-    def test_uniform_mean(self):
-        draws = rng_new(7).uniform(size=10 ** 6)
-        assert abs(draws.mean() - 0.5) < 0.002
-
-
 class TestEquicorrelated:
     def test_independent_columns(self):
-        data = sample_equicorrelated(3, 0.0, [0.0, 0.0, 0.0], 10 ** 5, rng_new(1))
+        data = sample_equicorrelated(3, 0.0, [0.0, 0.0, 0.0], 10 ** 5, default_rng(1))
         corr = np.corrcoef(data.T)
         off = corr[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(off) < 0.01)
 
     def test_high_correlation(self):
-        data = sample_equicorrelated(2, 0.9, [0.0, 0.0], 10 ** 5, rng_new(2))
+        data = sample_equicorrelated(2, 0.9, [0.0, 0.0], 10 ** 5,
+                                     default_rng(2))
         corr = np.corrcoef(data.T)[0, 1]
         assert abs(corr - 0.9) < 0.01
 
     def test_column_means(self):
         mu = [0.7, 0.0, 0.0]
-        data = sample_equicorrelated(3, 0.3, mu, 10 ** 5, rng_new(3))
+        data = sample_equicorrelated(3, 0.3, mu, 10 ** 5, default_rng(3))
         assert np.all(np.abs(data.mean(axis=0) - mu) < 0.01)
 
     def test_invalid_rho(self):
         with pytest.raises(ValueError, match="rho"):
-            sample_equicorrelated(2, 1.0, [0.0, 0.0], 10, rng_new(4))
+            sample_equicorrelated(2, 1.0, [0.0, 0.0], 10, default_rng(4))
 
     def test_equals_the_one_factor_expression_bit_for_bit(self):
         # the in-place construction against the expression it replaced
@@ -80,12 +66,13 @@ class TestEquicorrelated:
                 for rho in (0.0, 0.5):
                     mu = [0.0] * (m // 2) + [0.7] * (m - m // 2)
                     seed = 1000 * m + 10 * n + int(2 * rho)
-                    gen = rng_new(seed)
+                    gen = default_rng(seed)
                     z0 = gen.standard_normal((n, 1))
                     z = gen.standard_normal((n, m))
                     expected = (math.sqrt(rho) * z0 + math.sqrt(1.0 - rho) * z
                                 + np.asarray(mu))
-                    data = sample_equicorrelated(m, rho, mu, n, rng_new(seed))
+                    data = sample_equicorrelated(m, rho, mu, n,
+                                                 default_rng(seed))
                     assert data.tobytes() == expected.tobytes(), (m, n, rho)
 
 
@@ -95,7 +82,7 @@ class TestTPvalue:
         assert t_sf(1.7613, 14) == pytest.approx(0.05, abs=1e-4)
 
     def test_matches_quadrature_oracle(self):
-        gen = rng_new(11)
+        gen = default_rng(11)
         for _ in range(30):
             df = int(gen.integers(2, 40))
             t = float(gen.normal(scale=2.5))
@@ -116,7 +103,7 @@ class TestTPvalue:
         from scipy.special import stdtr
         t = np.concatenate([
             [0.0, -0.0, 1e-8, -1e-8, 40.0, -40.0, np.inf, -np.inf],
-            rng_new(23).standard_normal(200) * 4.0])
+            default_rng(23).standard_normal(200) * 4.0])
         for df in (2, 14, 50):
             assert t_sf(t, df).tobytes() == stdtr(df, -t).tobytes(), df
             for x in t[:12]:
@@ -133,7 +120,7 @@ class TestTPvalue:
         for m in range(1, 21):
             for n in range(2, 31):
                 for rho in (0.0, 0.5):
-                    gen = rng_new(1000 * m + 10 * n + int(2 * rho))
+                    gen = default_rng(1000 * m + 10 * n + int(2 * rho))
                     data = sample_equicorrelated(m, rho, [0.0] * m, 4 * n,
                                                  gen).reshape(4, n, m)
                     data[1, :, 0] = 0.1         # a constant column
@@ -150,7 +137,7 @@ class TestTPvalue:
     def test_column_t_masks_an_infinite_sd_without_a_warning(self):
         # a squared deviation that overflows makes the sd infinite, which
         # counts as degenerate the way a zero sd does
-        data = rng_new(21).standard_normal((3, 3, 2))
+        data = default_rng(21).standard_normal((3, 3, 2))
         # the mean of three equal values 1e267 off them
         data[0, :, 1] = 8.051552285495614e+282
         data[1, :, 0] = [1e200, -1e200, 0.0]
@@ -161,7 +148,7 @@ class TestTPvalue:
     def test_null_pvalues_superuniform(self):
         # the library's own statistic, as run_simulation computes it
         reps = 20_000
-        draws = rng_new(13).standard_normal((reps, 15, 1))
+        draws = default_rng(13).standard_normal((reps, 15, 1))
         tstats, zero = montecarlo._column_t(draws)
         assert not zero.any()
         pvals = t_sf(tstats[:, 0], 14)
@@ -172,17 +159,17 @@ class TestTPvalue:
 
 class TestWeightScenarios:
     def test_s4_range(self):
-        w = weight_scenario(WeightScenario.S4, [True, False, True], rng_new(17))
+        w = weight_scenario(WeightScenario.S4, [True, False, True], default_rng(17))
         assert np.all((w >= 1.0) & (w <= 6.0))
 
     def test_s1_split(self):
         mask = [True, False, False, False]
-        w = weight_scenario(WeightScenario.S1, mask, rng_new(19))
+        w = weight_scenario(WeightScenario.S1, mask, default_rng(19))
         assert 1.0 <= w[0] <= 2.0
         assert np.all((w[1:] >= 6.0) & (w[1:] <= 10.0))
 
     def test_s2_alt_mean(self):
-        gen = rng_new(23)
+        gen = default_rng(23)
         mask = np.zeros(1, dtype=bool)
         draws = np.array([weight_scenario(WeightScenario.S2, mask, gen)[0]
                           for _ in range(10 ** 5)])
@@ -195,8 +182,8 @@ class TestWeightScenarios:
         (WeightScenario.S4, (1.0, 6.0), (1.0, 6.0)),
     ])
     def test_2d_mask_keeps_each_range(self, scenario, null_range, alt_range):
-        mask = rng_new(29).uniform(size=(300, 7)) < 0.4
-        w = weight_scenario(scenario, mask, rng_new(31))
+        mask = default_rng(29).uniform(size=(300, 7)) < 0.4
+        w = weight_scenario(scenario, mask, default_rng(31))
         assert w.shape == mask.shape
         for entries, (lo, hi) in ((w[mask], null_range), (w[~mask], alt_range)):
             assert np.all((entries >= lo) & (entries <= hi))
@@ -204,8 +191,9 @@ class TestWeightScenarios:
             assert entries.min() < lo + 0.05 * (hi - lo)
             assert entries.max() > hi - 0.05 * (hi - lo)
         # one row of a 2-D mask draws exactly what the 1-D mask draws
-        assert np.array_equal(weight_scenario(scenario, mask[:1], rng_new(37))[0],
-                              weight_scenario(scenario, mask[0], rng_new(37)))
+        assert np.array_equal(
+            weight_scenario(scenario, mask[:1], default_rng(37))[0],
+            weight_scenario(scenario, mask[0], default_rng(37)))
 
 
 class TestSimulationConfig:
@@ -340,7 +328,7 @@ class TestRunSimulation:
         mask = np.array([True] * 3 + [False] * 3)
         for b in (2, 0, 1):
             rows = min(256, config.reps - 256 * b)
-            gen = np.random.default_rng(children[b])
+            gen = default_rng(children[b])
             w = weight_scenario(WeightScenario.S3, np.tile(mask, (rows, 1)), gen)
             data = sample_equicorrelated(6, 0.3, mu, 9 * rows, gen)
             t, zero = montecarlo._column_t(data.reshape(rows, 9, 6))
@@ -585,7 +573,7 @@ class TestLfcSampler:
         for seed, w in enumerate(([3.0], [1.0, 2.0, 3.0], [0.1] * 5,
                                   np.linspace(1.0, 9.0, 10).tolist())):
             w = np.array(w)
-            gen, block_gen = rng_new(seed), rng_new(seed)
+            gen, block_gen = default_rng(seed), default_rng(seed)
             p, selected = lfc_stepdown_falsifier([1.0 / w.sum()] * w.size, w,
                                                  1, gen, 200)
             block_p, block_selected = _lfc_batch(w, 1.0 / w.sum(), block_gen,
@@ -595,14 +583,14 @@ class TestLfcSampler:
             assert gen.bit_generator.state == block_gen.bit_generator.state
 
     def test_single_null_uniform(self):
-        p, _ = lfc_stepdown_falsifier([1.0], [3.0], 1, rng_new(29), 5000)
+        p, _ = lfc_stepdown_falsifier([1.0], [3.0], 1, default_rng(29), 5000)
         draws = p[:, 0]
         assert np.all((draws >= 0.0) & (draws <= 1.0))
         assert abs(draws.mean() - 0.5) < 0.03
 
     def test_marginals_uniform_on_grid(self):
         w = np.array([1.0, 2.0, 3.0])
-        samples = _lfc_batch(w, 1.0 / w.sum(), rng_new(31), 200_000)[0]
+        samples = _lfc_batch(w, 1.0 / w.sum(), default_rng(31), 200_000)[0]
         grid = np.linspace(0.01, 0.99, 100)
         for col in range(3):
             ecdf = (samples[:, col][:, None] <= grid[None, :]).mean(axis=0)
@@ -611,7 +599,8 @@ class TestLfcSampler:
     def test_exactly_one_small_weighted_pvalue(self):
         w = np.array([1.0, 2.0, 3.0])
         cut = 1.0 / w.sum()
-        p, selected = lfc_stepdown_falsifier([1.0] * 3, w, 1, rng_new(37), 500)
+        p, selected = lfc_stepdown_falsifier([1.0] * 3, w, 1, default_rng(37),
+                                             500)
         tilde = p / w
         assert np.all((tilde <= cut).sum(axis=1) == 1)
         assert np.all(tilde[np.arange(500), selected] <= cut)
@@ -619,9 +608,10 @@ class TestLfcSampler:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 1"):
-            lfc_stepdown_falsifier([1.0, 1.0], [1.0, bad], 1, rng_new(29), 1)
+            lfc_stepdown_falsifier([1.0, 1.0], [1.0, bad], 1, default_rng(29),
+                                   1)
         with pytest.raises(ValueError, match="nonempty"):
-            lfc_stepdown_falsifier([], [], 1, rng_new(29), 1)
+            lfc_stepdown_falsifier([], [], 1, default_rng(29), 1)
 
 
 def _enlarged(crit, r, eps):
@@ -646,7 +636,8 @@ class TestFalsifier:
         w = np.array([1.5, 1.0, 2.0])
         alpha = 0.05
         crit = [alpha / w[r:].sum() for r in range(3)]
-        samples, _ = lfc_stepdown_falsifier(crit, w, 1, rng_new(41), 50_000)
+        samples, _ = lfc_stepdown_falsifier(crit, w, 1, default_rng(41),
+                                            50_000)
         grid = np.linspace(0.01, 0.99, 100)
         for col in range(3):
             ecdf = (samples[:, col][:, None] <= grid[None, :]).mean(axis=0)
@@ -656,7 +647,7 @@ class TestFalsifier:
         w = np.array([1.0, 2.0, 3.0])
         crit = [0.008, 0.0125, 0.0167]
         tau = min(crit[0], 1.0 / w.sum())
-        p, selected = lfc_stepdown_falsifier(crit, w, 1, rng_new(43), 300)
+        p, selected = lfc_stepdown_falsifier(crit, w, 1, default_rng(43), 300)
         tilde = (p / w)[selected < w.size]
         assert np.all(tilde.min(axis=1) <= tau + 1e-15)
 
@@ -666,7 +657,7 @@ class TestFalsifier:
         # rejection among the columns from r - 1 on
         w, alpha, reps = self.W, 0.05, 50_000
         crit = [alpha / w[j:].sum() for j in range(w.size)]
-        p, _ = lfc_stepdown_falsifier(crit, w, r, rng_new(47 + r), reps)
+        p, _ = lfc_stepdown_falsifier(crit, w, r, default_rng(47 + r), reps)
         rejected = adjust_rows(rank(p, w, OrderingKey.WEIGHTED), alpha)[2]
         rate = rejected[:, r - 1:].any(axis=1).mean()
         se = math.sqrt(alpha * (1 - alpha) / reps)
@@ -680,14 +671,15 @@ class TestFalsifier:
         crit = [alpha / w[j:].sum() for j in range(w.size)]
         eps = 0.2 * crit[r - 1]
         enlarged = _enlarged(crit, r, eps)
-        p, _ = lfc_stepdown_falsifier(enlarged, w, r, rng_new(89 + r), reps)
+        p, _ = lfc_stepdown_falsifier(enlarged, w, r, default_rng(89 + r),
+                                      reps)
         rate = (_stepdown_counts(p, w, enlarged) >= r).mean()
         target = alpha + eps * w[r - 1:].sum()
         se = math.sqrt(target * (1 - target) / reps)
         assert abs(rate - target) <= 4 * se
 
     def test_bad_inputs(self):
-        gen = rng_new(53)
+        gen = default_rng(53)
         with pytest.raises(ValueError, match="nondecreasing"):
             lfc_stepdown_falsifier([0.05, 0.01], [1.0, 1.0], 1, gen, 1)
         with pytest.raises(ValueError, match="r must lie"):
@@ -695,7 +687,7 @@ class TestFalsifier:
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_size_below_one_rejected_before_drawing(self, size):
-        gen = rng_new(53)
+        gen = default_rng(53)
         state = gen.bit_generator.state
         with pytest.raises(ValueError, match="size must be at least 1"):
             lfc_stepdown_falsifier([0.01, 0.05], [1.0, 1.0], 1, gen, size)
@@ -707,20 +699,21 @@ class TestFalsifier:
                                      1e-320, 1e-310, 2.0 ** -1024])
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 1"):
-            lfc_stepdown_falsifier([0.01, 0.05], [1.0, bad], 1, rng_new(53), 1)
+            lfc_stepdown_falsifier([0.01, 0.05], [1.0, bad], 1, default_rng(53),
+                                   1)
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.01])
     def test_bad_critical_value_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="critical value .* at index 1"):
             lfc_stepdown_falsifier([0.0, bad, 0.05], [1.0, 1.0, 1.0], 1,
-                                   rng_new(53), 1)
+                                   default_rng(53), 1)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_one_row_is_a_block_of_one_behind_zeros(self, r):
         w = self.W
         crit = [0.05 / w[j:].sum() for j in range(w.size)]
         tau = min(crit[r - 1], 1.0 / w[r - 1:].sum())
-        gen, block_gen = rng_new(61 + r), rng_new(61 + r)
+        gen, block_gen = default_rng(61 + r), default_rng(61 + r)
         for _ in range(50):
             p, selected = lfc_stepdown_falsifier(crit, w, r, gen, 1)
             block_p, block_selected = _lfc_batch(w[r - 1:], tau, block_gen, 1)
@@ -736,7 +729,7 @@ class TestFalsifier:
         alpha = 0.05
         crit = [alpha / w[r:].sum() for r in range(4)]
         tau = min(crit[2], 1.0 / w[2:].sum())
-        samples, selected = lfc_stepdown_falsifier(crit, w, 3, rng_new(73),
+        samples, selected = lfc_stepdown_falsifier(crit, w, 3, default_rng(73),
                                                    50_000)
         assert samples.shape == (50_000, 4) and samples.dtype == np.float64
         assert np.all(samples[:, :2] == 0.0)
@@ -754,16 +747,16 @@ class TestFalsifier:
 class TestSharpness:
     def test_whp_attains_alpha(self):
         estimate = estimate_sharpness(Procedure.WHP, [1.0, 2.0, 3.0], 3,
-                                      50_000, rng_new(59))
+                                      50_000, default_rng(59))
         assert abs(estimate.fwer - 0.05) < 0.006
 
     def test_wap_ratio_condition_enforced(self):
         with pytest.raises(ValueError, match="min\\(w\\)/max\\(w\\)"):
-            estimate_sharpness(Procedure.WAP, [1.0, 100.0], 2, 100, rng_new(61))
+            estimate_sharpness(Procedure.WAP, [1.0, 100.0], 2, 100, default_rng(61))
 
     def test_zero_reps_rejected(self):
         with pytest.raises(ValueError, match="reps"):
-            estimate_sharpness(Procedure.WHP, [1.0], 1, 0, rng_new(67))
+            estimate_sharpness(Procedure.WHP, [1.0], 1, 0, default_rng(67))
 
     # a weight whose reciprocal overflows is refused too: the law draws p/w
     # up to 1/w
@@ -771,24 +764,24 @@ class TestSharpness:
                                      1e-320, 1e-310])
     def test_bad_weight_is_named_by_index(self, bad):
         with pytest.raises(ValueError, match="at index 2"):
-            estimate_sharpness(Procedure.WHP, [1.0, 2.0, bad], 3, 10, rng_new(67))
+            estimate_sharpness(Procedure.WHP, [1.0, 2.0, bad], 3, 10, default_rng(67))
 
     def test_smallest_weight_with_a_finite_reciprocal_is_decided(self):
         # the next weight down, 2^-1024, is refused: 1/w overflows
         tiny = np.nextafter(2.0 ** -1024, 1.0)
         estimate = estimate_sharpness(Procedure.WHP, [tiny, 1.0], 2, 2000,
-                                      rng_new(67))
+                                      default_rng(67))
         assert 0.0 <= estimate.fwer <= 1.0
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_weight_total_is_named_by_index(self):
         with pytest.raises(ValueError, match="total overflows at index 2"):
             estimate_sharpness(Procedure.WHP, [1.0, 1e308, 1e308], 3, 10,
-                               rng_new(67))
+                               default_rng(67))
 
     @pytest.mark.parametrize("alpha", [1.5, float("nan"), 0.0, 1.0])
     def test_alpha_outside_unit_interval_rejected_before_drawing(self, alpha):
-        gen = rng_new(67)
+        gen = default_rng(67)
         state = gen.bit_generator.state
         with pytest.raises(ValueError, match="alpha must lie in \\(0, 1\\)"):
             estimate_sharpness(Procedure.WHP, [1.0, 2.0], 2, 10, gen, alpha=alpha)
@@ -804,7 +797,7 @@ class TestSharpness:
         for block_rows, fwer in by_block_rows.items():
             monkeypatch.setattr(montecarlo, "SHARPNESS_BLOCK_ROWS", block_rows)
             estimate = estimate_sharpness(procedure, [1, 2, 3, 4], 4, 20_000,
-                                          rng_new(7))
+                                          default_rng(7))
             assert type(estimate.fwer) is float
             assert estimate.fwer == fwer
 
@@ -824,10 +817,10 @@ class TestSharpness:
         with pytest.raises(ValueError, match="p-value out of \\[0, 1\\] in "
                            f"replicate 1029, hypothesis 1: {bad}"):
             estimate_sharpness(Procedure.WHP, [1.0, 2.0, 3.0], 3, 3000,
-                               rng_new(71))
+                               default_rng(71))
 
     def test_holm_has_no_sharpness_ranking(self):
-        gen = rng_new(67)
+        gen = default_rng(67)
         state = gen.bit_generator.state
         with pytest.raises(ValueError, match="WHP or WAP"):
             estimate_sharpness(Procedure.HOLM, [1.0, 2.0], 2, 10, gen)
@@ -841,8 +834,8 @@ class TestSharpness:
                                         np.linspace(1.0, 9.0, 10), [4.0])):
             m0 = len(weights)
             estimate = estimate_sharpness(procedure, weights, m0, 2500,
-                                          rng_new(seed))
-            gen, hits = rng_new(seed), 0
+                                          default_rng(seed))
+            gen, hits = default_rng(seed), 0
             w = np.asarray(weights, dtype=float)
             for start in range(0, 2500, montecarlo.SHARPNESS_BLOCK_ROWS):
                 rows = min(montecarlo.SHARPNESS_BLOCK_ROWS, 2500 - start)
@@ -868,7 +861,7 @@ class TestSharpness:
         monkeypatch.setattr(montecarlo, "adjust_rows",
                             spy("decide", montecarlo.adjust_rows))
         estimate_sharpness(Procedure.WAP, [1.0, 2.5, 3.0], 3, 2 * 1024 + 37,
-                           rng_new(71))
+                           default_rng(71))
         assert calls == [("draw", 1024), ("decide", 1024),
                          ("draw", 1024), ("decide", 1024),
                          ("draw", 37), ("decide", 37)]
@@ -891,5 +884,5 @@ def test_one_ranking_per_key_per_block(monkeypatch):
     callers.clear()
     for procedure in (Procedure.WHP, Procedure.WAP):
         estimate_sharpness(procedure, [1.0, 2.5, 3.0], 3, 2 * 1024 + 37,
-                           rng_new(71))
+                           default_rng(71))
     assert callers == [("wholm.procedures", "rank")] * 2 * 3

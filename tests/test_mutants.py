@@ -6,9 +6,9 @@ mutated name; only `procedures` reads `rank_rows`, through `rank`, so one
 patch reaches the step-down kernel, closed testing and the graph walk, and
 `adjust_rows` is patched in `procedures` and the four modules that import
 it; `closure._by_index_mask` and `closure._counterexamples` are read only
-inside `closure`, and `graphical._walk` only inside `graphical`.  Mutants
-E, F and G are built by `_mutated` from the library function's own source,
-with one line replaced.
+inside `closure`, and `graphical._walk` and `graphical._initial_graphs`
+only inside `graphical`.  Mutants E to H are built by `_mutated` from the
+library function's own source, with one line replaced.
 The killers are measured on `run_check_battery(2000, seed)`.  A mutant that
 changes a library decision and that no line kills is a strict xfail naming
 the ROADMAP items that would close the gap; a mutant that changes no output
@@ -22,6 +22,7 @@ import sys
 import numpy as np
 import pytest
 
+import test_graphical
 from test_closure import TestStacks
 from wholm import (OrderingKey, adjust, battery, closure, ctp, graphical,
                    montecarlo, procedures, run_graphical, validate_problem,
@@ -93,6 +94,23 @@ def _every_member_shares():
     """G: WAP's share in the monotonicity search goes to every member of a
     set, not to its first-ranked member alone."""
     return _mutated(closure._counterexamples, "share[high != 1] = 0.0")
+
+
+def _others_by_difference():
+    """H: `_initial_graphs` takes a hypothesis's other weights as the total
+    less its own weight, which cancels when it holds nearly all the
+    weight."""
+    return _mutated(graphical._initial_graphs,
+                    "others = np.add(left, right).take(flat)",
+                    "others = (total - by_index).take(flat)")
+
+
+def _patch_initial_graphs(monkeypatch):
+    # the node-by-node reference's module builds its stacks' initial graphs
+    # with the name it imported
+    mutant = _others_by_difference()
+    for module in (graphical, test_graphical):
+        monkeypatch.setattr(module, "_initial_graphs", mutant)
 
 
 def _patch_adjust_rows(monkeypatch, mutant):
@@ -220,12 +238,15 @@ def test_graph_update_without_its_denominator_is_killed(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_tails_summed_forward_are_killed_by_seven_lines(monkeypatch, seed):
+def test_tails_summed_forward_are_killed_by_eight_lines(monkeypatch, seed):
+    # WAP's constructed pair among them: the first-ranked tail is then its
+    # own weight, so WAP rejects H_j at q as well as H_i
     _patch_adjust_rows(monkeypatch, _forward_tails())
     assert _killers(seed) == {
         "adjusted-dominance", "ctp-equivalence-whp", "ctp-equivalence-wap",
         "graphical-equivalence-whp", "graphical-equivalence-wap",
-        "pvalue-monotonicity-whp", "rejection-dominance"}
+        "pvalue-monotonicity-violation-wap", "pvalue-monotonicity-whp",
+        "rejection-dominance"}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -245,3 +266,39 @@ def test_every_member_shares_is_killed_by_a_doctored_table(monkeypatch):
     monkeypatch.setattr(closure, "_counterexamples", _every_member_shares())
     with pytest.raises(AssertionError):
         killer(Procedure.WAP)
+
+
+def test_others_by_difference_change_a_decision(monkeypatch):
+    # H is not an equivalent mutant: H1 holds nearly all the weight, so the
+    # other weight of H1 cancels to 2.2e-16 and H1's level goes to H2 along
+    # a coefficient of 1.35, and H2 is rejected where both step-downs keep it
+    problem = validate_problem(["H1", "H2"], [0.0, 0.06], [1.0, 3e-16], 0.05)
+    assert run_graphical(problem, OrderingKey.RAW)[0].rejected == {0}
+    _patch_initial_graphs(monkeypatch)
+    for ordering in OrderingKey:
+        rejections, trace = run_graphical(problem, ordering)
+        assert rejections.rejected == {0, 1}
+        assert trace.initial.g[0, 1] > 1.35
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the battery draws weights U(0.5, 5), so no weight holds nearly all the "
+    "weight and no line sees the cancellation (ROADMAP item 4's "
+    "extreme-magnitude kind)"))
+def test_others_by_difference_is_killed(monkeypatch):
+    _patch_initial_graphs(monkeypatch)
+    assert _killers(0) or _killers(1)
+
+
+@pytest.mark.parametrize("ordering", list(OrderingKey))
+def test_others_by_difference_is_killed_by_the_node_by_node_reference(
+        monkeypatch, ordering):
+    # the reference starts from its own Python-float initial graph, so the
+    # walk's last bits are checked against a graph H does not build
+    corpus = closure.random_corpus(300, seed=7, m_max=12)
+    test_graphical.test_walk_equals_the_node_by_node_reference(corpus,
+                                                               ordering)
+    _patch_initial_graphs(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_graphical.test_walk_equals_the_node_by_node_reference(corpus,
+                                                                   ordering)
