@@ -8,6 +8,10 @@ against `--against`, in pairs in this one process; the second line is an
 A/A run of this checkout against itself.  The calls timed, with
 `perf_counter`, one at a time:
 
+- `t_sf` on a block of 100 rows of one-sample t statistics, half the
+  columns null and the rest at mean 0.7 as in a `simulate` cell, at m = 5,
+  10 and 20 with df = 14 and 15 and at m = 20 with df = 50, 51, 200 and
+  201, per call;
 - `run_simulation` at m = 10 and 20 (n = 15, reps = 100 and 2,000) and
   `estimate_sharpness` for WHP and WAP at m = 10 and 3 (reps = 20,000),
   per replicate, with weights evenly spaced over [1, 2];
@@ -58,7 +62,9 @@ A/A run of this checkout against itself.  The calls timed, with
   --procedure whp` at m = 10 (reps = 20,000), stdout captured;
 - start-up, per launch of a fresh interpreter with `PYTHONPATH` set to the
   side's `src` (the rest of the environment inherited): `python -c "import
-  wholm.cli"`, and `python -m wholm.cli adjust` at m = 5, stdout captured.
+  wholm.cli"`, `python -m wholm.cli adjust` at m = 5 and `python -m
+  wholm.cli simulate` on one cell (m = 10, n = 15, reps = 100), stdout
+  captured.
   The in-process rows cannot show import costs, since both sides of
   `--against` share one `sys.modules`.
 
@@ -136,6 +142,13 @@ SHARPNESS_M, SHARPNESS_REPS = 10, 20_000
 SHARPNESS_SIZES = (SHARPNESS_M, 3)
 # one `simulate` cell through the CLI
 CLI_SIMULATE_M, CLI_SIMULATE_REPS = 10, 2000
+# reps of the cell of the timed `python -m wholm.cli simulate` launch
+LAUNCH_SIMULATE_REPS = 100
+# rows of a `t_sf` block, and its (m, df) sizes: a `run_simulation` block
+# at n = 15 and 16, and at m = 20 at two larger n of each parity
+T_SF_ROWS = 100
+T_SF_SIZES = ([(m, df) for df in (14, 15) for m in (5, 10, 20)]
+              + [(20, df) for df in (50, 51, 200, 201)])
 CORPUS_SIZE, CORPUS_M_MAX = 2000, 8
 SEARCH_TRIALS = 2000
 VALIDATE_M = 1000
@@ -245,6 +258,20 @@ def cases(wholm, tmp, values):
 
         add("montecarlo.run_simulation", "replicate",
             {"m": m, "n": 15, "reps": reps}, simulate, reps)
+
+    def t_block(seed, m, df):
+        # one-sample t statistics of n = df + 1 observations, the first
+        # m // 2 columns null and the rest at mean 0.7, a cell's mix
+        gen = np.random.default_rng(seed)
+        shift = np.zeros(m)
+        shift[m // 2:] = 0.7 * math.sqrt(df + 1)
+        return ((gen.standard_normal((T_SF_ROWS, m)) + shift)
+                / np.sqrt(gen.chisquare(df, (T_SF_ROWS, m)) / df))
+
+    for m, df in T_SF_SIZES:
+        add("montecarlo.t_sf", "call", {"rows": T_SF_ROWS, "m": m, "df": df},
+            lambda seed, m=m, df=df: (
+                lambda t=t_block(seed, m, df): wholm.t_sf(t, df)))
     for m in SHARPNESS_SIZES:
         for procedure in (wholm.Procedure.WHP, wholm.Procedure.WAP):
             def sharpness(seed, procedure=procedure, m=m):
@@ -458,10 +485,14 @@ def cases(wholm, tmp, values):
             lambda seed, c=command, m=m, f=flags: cli_call(seed, c, m, f))
     add("cli.check", "call", {"trials": CORPUS_SIZE}, lambda seed: run_cli(
         ["check", "--trials", str(CORPUS_SIZE), "--seed", str(seed)]))
-    config = Path(tmp) / f"{wholm.__name__}_simulate.cfg"
-    config.write_text(f"m = {CLI_SIMULATE_M}\npi0 = 0.5\nrho_list = 0.5\n"
-                      f"n = 15\nmu_alt = 0.7\nalpha = 0.05\n"
-                      f"reps = {CLI_SIMULATE_REPS}\nscenario = S2\nseed = 0\n")
+    def simulate_config(name, reps):
+        path = Path(tmp) / f"{wholm.__name__}_{name}.cfg"
+        path.write_text(f"m = {CLI_SIMULATE_M}\npi0 = 0.5\nrho_list = 0.5\n"
+                        f"n = 15\nmu_alt = 0.7\nalpha = 0.05\n"
+                        f"reps = {reps}\nscenario = S2\nseed = 0\n")
+        return path
+
+    config = simulate_config("simulate", CLI_SIMULATE_REPS)
     add("cli.simulate", "call",
         {"m": CLI_SIMULATE_M, "n": 15, "reps": CLI_SIMULATE_REPS},
         lambda seed: run_cli(["simulate", "--config", str(config),
@@ -487,6 +518,11 @@ def cases(wholm, tmp, values):
         lambda seed: launch(
             "-m", "wholm.cli", "adjust", "--alpha", "0.05", "--input",
             str(problem_file(seed, LAUNCH_ADJUST_M, "launch"))))
+    launch_config = simulate_config("launch", LAUNCH_SIMULATE_REPS)
+    add("startup.cli.simulate", "launch",
+        {"m": CLI_SIMULATE_M, "n": 15, "reps": LAUNCH_SIMULATE_REPS},
+        lambda seed: launch("-m", "wholm.cli", "simulate", "--config",
+                            str(launch_config), "--seed", str(seed)))
     return rows
 
 

@@ -6,9 +6,13 @@ alpha is actually attained.
 
 from __future__ import annotations
 
+import decimal
 import math
+import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -36,28 +40,210 @@ class DegenerateSampleError(ValueError):
     pass
 
 
-def t_sf(t, df):
-    """Upper-tail probability of the Student-t distribution.
+# The tail of an odd df past the body's reach is a Gauss-Legendre quadrature
+# of this many nodes over a window of its integrand that ends at the peak
+# and spans a fall of at least exp(-T_WINDOW_DEPTH).  What the window leaves
+# out is then below 4e-18 of the tail, and the integrand's shape over the
+# window no longer depends on df, so one node count serves every df: 20
+# nodes reach about 1e-15, 16 only 1e-9.
+T_QUADRATURE_NODES = 20
+T_WINDOW_DEPTH = 40.0
 
-    Evaluated as the distribution function at -t (`scipy.special.stdtr`,
-    imported on the first call, so that importing wholm and every command
-    but `simulate` never load scipy), and at df = 1, the Cauchy law, as the
-    closed form atan2(1, t) / pi, since `stdtr` is up to 1e-9 off near
-    t = 0 there alone.  Both are accurate to well below 1e-12 in absolute
-    terms at every t, including near 0, where they give exactly 0.5.  (The
-    incomplete-beta form 0.5 * I_x(df/2, 1/2) at x = df / (df + t^2) is
-    not, because x rounds towards 1.)  Accepts arrays.
-    """
-    from scipy.special import stdtr
 
-    t, df = np.asarray(t, dtype=float), np.asarray(df, dtype=float)
-    out = stdtr(df, -t)
-    cauchy = df == 1.0
-    if cauchy.any():
-        out = np.where(cauchy, np.arctan2(1.0, t) / np.pi, out)
-    if out.ndim == 0:
-        return float(out)
+def _horner(coefficients, x):
+    """The polynomial of `coefficients`, floats from the lowest power up, at
+    every x, by Horner's rule."""
+    out = np.full_like(x, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        out *= x
+        out += c
     return out
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights summing to 1 of the n-point
+    Gauss-Legendre rule on [0, 1].
+
+    numpy's nodes are refined by Newton's method on the Legendre recurrence
+    in 40-digit decimal arithmetic, and nodes and weights are rounded once:
+    numpy's own weights are off by up to 1e-13 at the ends of the interval,
+    where the t tail's integrand peaks."""
+    nodes, weights = [], []
+    with decimal.localcontext() as context:
+        context.prec = 40
+        for x in map(Decimal, np.polynomial.legendre.leggauss(n)[0].tolist()):
+            for _ in range(3):
+                p0, p1 = Decimal(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                slope = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / slope
+            nodes.append(float((1 + x) / 2))
+            weights.append(float(1 / ((1 - x * x) * slope * slope)))
+    return np.array(nodes), np.array(weights)
+
+
+@lru_cache(maxsize=None)
+def _t_terms(df: int) -> tuple:
+    """The constants of `t_sf` at `df`, from c_j = C(2j, j) / 4^j, the
+    Taylor coefficients of (1 - x)^(-1/2), each rounded once.
+
+    Cached, one entry per df a process uses.
+
+    At an even df = 2a: the `_horner` coefficients of S(x) / 2 and Q(x) / 4,
+    S(x) = c_0 + ... + c_(a-1) x^(a-1) and
+    Q(x) = (1 - (1 - x) S(x)^2) / x^a.  Expanding the square and using
+    c_(m-1) - c_m = c_(m-1) / (2m) gives q_i = c_i c_(a-1) + the sum over
+    i < j < a of c_j c_(a+i-1-j) / (2 (a + i - j)): positive terms only, so
+    each q_i is rounded from a sum without cancellation.
+
+    At an odd df = 2b + 1: the `_horner` coefficients of D(x) / pi, where
+    D has the coefficients d_j = (2j)!! / (2j + 1)!! = 1 / ((2j + 1) c_j),
+    j < b (D = 0 at b = 0), and the `_gauss_legendre` nodes and weights of
+    `T_QUADRATURE_NODES`, the weights times kappa_b / pi = 1 / (pi c_b),
+    kappa_b = (2b)!! / (2b - 1)!!."""
+    half = df // 2
+    # C(2j, j) kept exact from one j to the next, and int / int rounds
+    # correctly however large it grows
+    central, c = 1, np.empty(half + 1)
+    for j in range(half + 1):
+        if j:
+            central = central * (2 * j) * (2 * j - 1) // (j * j)
+        c[j] = central / 4 ** j
+    if df % 2 == 0:
+        q = np.empty(half)
+        for i in range(half):
+            j = np.arange(i + 1, half)
+            q[i] = c[i] * c[half - 1] + (
+                c[j] * c[half + i - 1 - j] / (2 * (half + i - j))).sum()
+        return tuple((c[:half] / 2).tolist()), tuple((q / 4).tolist())
+    nodes, weights = _gauss_legendre(T_QUADRATURE_NODES)
+    weights = weights / (math.pi * c[half])
+    nodes.flags.writeable = weights.flags.writeable = False
+    # D is 0 at df = 1
+    d = 1.0 / ((2 * np.arange(half) + 1) * c[:half]) if half else [0.0]
+    return tuple((np.asarray(d) / math.pi).tolist()), nodes, weights
+
+
+def t_sf(t, df):
+    """Upper-tail probability of the Student-t distribution with `df`
+    degrees of freedom, an integer of at least 1 (anything else, an array
+    included, raises ValueError), at every t of an array, or at a scalar t
+    as a float.  NaN stays NaN.
+
+    A closed form in numpy alone (Abramowitz & Stegun 26.7.3-4), in
+    x = df / (df + t^2), sin(theta) = 1 / sqrt(1 + df / t^2) and
+    cos(theta) = sqrt(x), where theta = atan(|t| / sqrt(df)).  The body
+    P(|T| <= |t|) is sin(theta) S(x) at an even df = 2a, and
+    (2 / pi) (theta + sin(theta) cos(theta) D(x)) at an odd df = 2b + 1,
+    with S and D the finite sums of `_t_terms`; the tail is
+    (1 - body) / 2 for t > 0 and (1 + body) / 2 otherwise, exactly 0.5 at
+    t = +-0.  sin(theta) comes from df / t^2, not from 1 - x, which
+    rounds to 0 near t = 0, so the body keeps its precision there.  Where the body leaves a tail below 1/16, that subtraction
+    would cancel, and the tail 1 - body is taken without it:
+
+    - at an even df, as x^a Q(x) / (1 + body), since
+      1 - sin^2(theta) S^2 = 1 - (1 - x) S^2 = x^a Q(x), a polynomial of
+      positive coefficients;
+    - at an odd df, as kappa_b (2 / pi) times the integral of sin^2b over
+      [0, phi], phi = pi/2 - theta, a positive integrand, by
+      `T_QUADRATURE_NODES`-point Gauss-Legendre quadrature.  With
+      tan(v / 2) = rho tan(phi / 2), the integral is cos(theta)^df times
+      that of rho^2b g^(2b+1), g = (1 + h) / (1 + h rho^2),
+      h = tan^2(phi / 2), over rho from the window's start to 1.  The
+      window ends at the peak, v = phi, and starts where the bound
+      (sin v / sin phi)^2b <= exp(-2b cot(phi) (phi - v) - b (phi - v)^2)
+      reaches exp(-T_WINDOW_DEPTH), or at 0 (always at df = 1, whose tail
+      is then atan2(1, t) / pi).
+
+    Against `scipy.special.stdtr` at -t, the relative error is at most
+    1e-13 and the absolute error 1e-14 for every df from 1 to 200; an
+    error of order df units in the last place is inherent, since a
+    relative change u in t changes the far tail by about df u.  The cost
+    of a call grows with df, two numpy operations per term of S, Q or D,
+    and a df's constants are built once, in O(df^2) operations.
+    """
+    df = _degrees_of_freedom(df)
+    t = np.asarray(t, dtype=float)
+    shape = t.shape
+    t = t.ravel()
+    k = float(df)
+    # t = +-0 and t^2 overflowing to inf are the ends of these forms
+    with np.errstate(divide="ignore", over="ignore"):
+        t2 = t * t
+        x = k / (k + t2)
+        sin = 1.0 / np.sqrt(1.0 + k / t2)
+    if df % 2 == 0:
+        s_terms, q_terms = _t_terms(df)
+        # half the body and half the tail 1 - body
+        body = sin * _horner(s_terms, x)
+        half = np.copysign(body, t)
+        tail = x ** (df // 2) * _horner(q_terms, x) / (0.5 + body)
+        out = np.where(half > 15 / 32, tail, 0.5 - half)
+    else:
+        d_terms, nodes, weights = _t_terms(df)
+        half = np.arctan2(np.abs(t), math.sqrt(k))
+        half /= math.pi
+        half += sin * np.sqrt(x) * _horner(d_terms, x)
+        np.copysign(half, t, out=half)
+        out = 0.5 - half
+        # an infinite t has the body's exact 0
+        far = np.flatnonzero((half > 15 / 32) & (t < np.inf))
+        if far.size:
+            out[far] = _odd_far_tail(t[far], sin[far], x[far], df, nodes,
+                                     weights)
+    if not shape:
+        return float(out[0])
+    return out.reshape(shape)
+
+
+def _odd_far_tail(t, sin, x, df, nodes, weights):
+    """Half the tail 1 - body of `t_sf` at an odd df and positive finite
+    t, by the quadrature `t_sf`'s docstring describes."""
+    b = df // 2
+    root = math.sqrt(df)
+    phi = np.arctan2(root, t)
+    # the window's length, where 2b cot(phi) (phi - v) + b (phi - v)^2
+    # reaches the depth, solved without cancellation; infinite at b = 0,
+    # whose integrand is flat, and 0 where b cot(phi) overflows, whose tail
+    # is 0
+    cot = t / root
+    with np.errstate(divide="ignore", over="ignore"):
+        span = b * cot
+        span = T_WINDOW_DEPTH / (span + np.hypot(
+            span, math.sqrt(b * T_WINDOW_DEPTH)))
+    start = np.tan(0.5 * np.maximum(phi - span, 0.0))
+    # cos(theta) = sin(phi) = sin(theta) / cot(phi), exact also where x
+    # underflows, and tan(phi / 2) = cos(theta) / (1 + sin(theta))
+    cos = sin / cot
+    top = cos / (1.0 + sin)
+    width = 1.0 - start / top
+    h = top * top
+    rho = width[:, None] * nodes
+    np.subtract(1.0, rho, out=rho)
+    g = rho * rho
+    g *= h[:, None]
+    g += 1.0
+    np.divide((1.0 + h)[:, None], g, out=g)
+    rho *= g
+    rho **= 2 * b
+    rho *= g
+    # einsum's loop adds each row alone, where a matrix product's order
+    # would depend on the number of rows
+    return x ** b * cos * width * np.einsum("ij,j->i", rho, weights)
+
+
+def _degrees_of_freedom(df) -> int:
+    """`df` as an int, or ValueError unless it is an integer of at least 1;
+    a float, even an integral one, and an array are refused."""
+    try:
+        k = operator.index(df)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ValueError(f"df must be an integer of at least 1: {df!r}")
+    return k
 
 
 def _column_t(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -265,7 +451,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     in theory) or overflows, is redrawn once from its block's generator and
     counted.
 
-    Each block is decided as it is drawn, by one `t_sf` call, one
+    The p-values are `t_sf(t, n - 1)`, the t tail's closed form at the
+    statistics' n - 1 degrees of freedom, in numpy alone.  Each block is
+    decided as it is drawn, by one `t_sf` call, one
     `procedures.rank` call per ranking and one `procedures.adjust_rows`
     call per procedure: WAP's view by raw p serves Holm too, with unit
     weights, since Holm's p/1.0 ranks as p.  Only the FWER counts and the

@@ -849,9 +849,10 @@ print(json.dumps(steps))
 
 
 class TestStartup:
-    def test_only_simulate_loads_scipy(self, problem_file, tmp_path):
-        # scipy serves only the Monte Carlo t tail; a fresh interpreter
-        # running the wholm imported here loads it first in `simulate`
+    def test_no_command_loads_scipy(self, problem_file, tmp_path):
+        # the library runs on numpy alone, the Monte Carlo t tail included;
+        # a fresh interpreter running the wholm imported here loads scipy
+        # in no command
         config = tmp_path / "cell.cfg"
         config.write_text(SIM_CONFIG.replace("rho_list = 0.0,0.5",
                                              "rho_list = 0.5"))
@@ -865,4 +866,4 @@ class TestStartup:
         assert json.loads(done.stdout) == [
             ["import", 0, False], ["adjust", 0, False], ["ctp", 0, False],
             ["graph", 0, False], ["sharpness", 0, False], ["check", 0, False],
-            ["simulate", 0, True]]
+            ["simulate", 0, False]]

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wholm
-from wholm import OrderingKey, core, validate_problem
+from wholm import (OrderingKey, core, run_graphical, validate_problem,
+                   whp_stepdown)
 from wholm.core import load_problem_csv
 from wholm.procedures import adjust_rows, rank, rank_rows
 
@@ -106,6 +107,19 @@ def test_validate_decides_an_overflow_on_the_running_total(monkeypatch):
                          w[:2] + (1e292,), 0.05)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
+    "the weights' running total in index order is finite, so they are "
+    "accepted, but the step-down's tail from the last rank up overflows: "
+    "WHP warns, and without the warning rejects nothing where the graph "
+    "rejects all three (ROADMAP item 9)"))
+def test_weights_accepted_on_their_running_total_are_decided_alike():
+    problem = validate_problem(["H1", "H2", "H3"], [0.01, 0.02, 0.03],
+                               (1.7976931348623157e308, 6e291, 6e291), 0.05)
+    assert (whp_stepdown(problem).rejected
+            == run_graphical(problem, OrderingKey.WEIGHTED)[0].rejected)
+
+
 def test_the_library_never_calls_the_builtin_sum():
     # `sum` compensates its additions from Python 3.12 on, so its total is
     # not the running total every formulation adds
@@ -113,6 +127,19 @@ def test_the_library_never_calls_the_builtin_sum():
         names = [node for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Name) and node.id == "sum"]
         assert not names, (path.name, [node.lineno for node in names])
+
+
+def test_the_library_never_imports_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests alone, as
+    # an oracle
+    for path in Path(wholm.__file__).parent.glob("*.py"):
+        imports = [node for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Import)
+                   and any(alias.name.split(".")[0] == "scipy"
+                           for alias in node.names)
+                   or isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "scipy"]
+        assert not imports, (path.name, [node.lineno for node in imports])
 
 
 def test_validate_reads_negative_zero_pvalue_as_zero():

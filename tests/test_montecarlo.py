@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 from scipy.integrate import quad
+from scipy.special import stdtr
 
 from test_procedures import index_masks
 from wholm import (DegenerateSampleError, OrderingKey, Procedure,
@@ -98,22 +99,45 @@ class TestTPvalue:
             assert t_sf(t, df) == pytest.approx(0.5 - t * t_density(0.0, df),
                                                 abs=1e-15)
 
-    def test_is_stdtr_and_the_cauchy_closed_form_bit_for_bit(self):
-        # t_sf imports stdtr on its first call; the values stay scipy's
-        from scipy.special import stdtr
-        t = np.concatenate([
-            [0.0, -0.0, 1e-8, -1e-8, 40.0, -40.0, np.inf, -np.inf],
-            default_rng(23).standard_normal(200) * 4.0])
-        for df in (2, 14, 50):
-            assert t_sf(t, df).tobytes() == stdtr(df, -t).tobytes(), df
-            for x in t[:12]:
-                assert t_sf(x, df) == float(stdtr(df, -x)), (x, df)
-        cauchy = np.arctan2(1.0, t) / np.pi
-        assert t_sf(t, 1).tobytes() == cauchy.tobytes()
-        # per element, a df array picks the closed form at df = 1 only
-        df = np.array([1, 2, 14, 50])[:, None]
-        expected = np.where(df == 1, cauchy, stdtr(df, -t))
-        assert t_sf(t, df).tobytes() == expected.tobytes()
+    @pytest.mark.filterwarnings("error")
+    def test_matches_stdtr_at_every_df_to_200(self):
+        # an independent oracle, scipy's stdtr at -t: relative error wherever
+        # its tail is at least 1e-300 and absolute error everywhere, with no
+        # warning at the ends.  At df = 1 the oracle is the Cauchy law's
+        # closed form, since stdtr is 1.6e-9 off there
+        gen = default_rng(29)
+        ends = np.array([0.0, 1e-12, 8.1e-6, 40.0, 1e200, np.inf])
+        t = np.concatenate([ends, -ends, [np.nan],
+                            gen.normal(scale=4.0, size=2000),
+                            gen.uniform(-80.0, 80.0, size=2000)])
+        for df in range(1, 201):
+            tail = t_sf(t, df)
+            oracle = (np.arctan2(1.0, t) / np.pi if df == 1
+                      else stdtr(df, -t))
+            assert np.array_equal(np.isnan(tail), np.isnan(t)), df
+            error = np.abs(tail - oracle)
+            assert np.nanmax(error) <= 1e-14, df
+            far = oracle >= 1e-300
+            assert (error[far] / oracle[far]).max() <= 1e-13, df
+
+    @pytest.mark.filterwarnings("error")
+    def test_ends_and_shapes_are_exact(self):
+        for df in (1, 2, 3, 14, 15, np.int64(200), 201):
+            assert t_sf(0.0, df) == t_sf(-0.0, df) == 0.5
+            assert t_sf(np.inf, df) == 0.0 and t_sf(-np.inf, df) == 1.0
+            assert math.isnan(t_sf(np.nan, df))
+            assert type(t_sf(1.5, df)) is float
+            grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+            tail = t_sf(grid, df)
+            assert tail.shape == (3, 4)
+            assert tail.tolist() == [[t_sf(x, df) for x in row]
+                                     for row in grid.tolist()]
+
+    @pytest.mark.parametrize("df", [0, -3, 2.5, 14.0, np.array([2, 14]),
+                                    np.array([14]), "14", None])
+    def test_df_must_be_an_integer_of_at_least_one(self, df):
+        with pytest.raises(ValueError, match="df must be an integer"):
+            t_sf(1.0, df)
 
     def test_column_t_equals_numpy_mean_and_std_bit_for_bit(self):
         # the one-sum statistics against the numpy expressions they replaced

@@ -7,8 +7,10 @@ patch reaches the step-down kernel, closed testing and the graph walk, and
 `adjust_rows` is patched in `procedures` and the four modules that import
 it; `closure._by_index_mask` and `closure._counterexamples` are read only
 inside `closure`, and `graphical._walk` and `graphical._initial_graphs`
-only inside `graphical`.  Mutants E to H are built by `_mutated` from the
-library function's own source, with one line replaced.
+only inside `graphical`; `run_simulation` is patched in `montecarlo`,
+`cli` and the test module whose golden calls it.  Mutants E to I are built
+by `_mutated` from the library function's own source, with one line
+replaced.
 The killers are measured on `run_check_battery(2000, seed)`.  A mutant that
 changes a library decision and that no line kills is a strict xfail naming
 the ROADMAP items that would close the gap; a mutant that changes no output
@@ -22,9 +24,11 @@ import sys
 import numpy as np
 import pytest
 
+import test_cli
 import test_graphical
+import test_montecarlo
 from test_closure import TestStacks
-from wholm import (OrderingKey, adjust, battery, closure, ctp, graphical,
+from wholm import (OrderingKey, adjust, battery, cli, closure, ctp, graphical,
                    montecarlo, procedures, run_graphical, validate_problem,
                    wap_local_test, wap_stepdown, whp_local_test, whp_stepdown)
 from wholm.battery import run_check_battery
@@ -103,6 +107,20 @@ def _others_by_difference():
     return _mutated(graphical._initial_graphs,
                     "others = np.add(left, right).take(flat)",
                     "others = (total - by_index).take(flat)")
+
+
+def _wrong_df():
+    """I: `run_simulation` takes the t statistics of n observations at n
+    degrees of freedom, not n - 1."""
+    return _mutated(montecarlo.run_simulation,
+                    "pvals = t_sf(tstats, config.n - 1)",
+                    "pvals = t_sf(tstats, config.n)")
+
+
+def _patch_run_simulation(monkeypatch):
+    mutant = _wrong_df()
+    for module in (montecarlo, cli, test_montecarlo):
+        monkeypatch.setattr(module, "run_simulation", mutant)
 
 
 def _patch_initial_graphs(monkeypatch):
@@ -302,3 +320,27 @@ def test_others_by_difference_is_killed_by_the_node_by_node_reference(
     with pytest.raises(AssertionError):
         test_graphical.test_walk_equals_the_node_by_node_reference(corpus,
                                                                    ordering)
+
+
+def test_wrong_df_is_killed_by_the_simulation_goldens(tmp_path, capsys):
+    # the tier-1 killers of I: the seeded cell's Holm power reads 0.471
+    # where the golden holds 0.463, and the `simulate` table's digest moves
+    golden = test_montecarlo.TestRunSimulation().test_seeded_output_golden
+    table = test_cli.TestSimulate().test_stdout_is_byte_identical_to_golden
+    # one patch context per run: the golden leaves the block size patched
+    for killer in (golden, lambda monkeypatch: table(tmp_path, capsys)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            killer(monkeypatch)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _patch_run_simulation(monkeypatch)
+            with pytest.raises(AssertionError):
+                killer(monkeypatch)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "no `wholm check` line runs a simulation cell, and no oracle checks a "
+    "cell's p-values against the distribution of its t statistics "
+    "(ROADMAP items 18 and 20)"))
+def test_wrong_df_is_killed(monkeypatch):
+    _patch_run_simulation(monkeypatch)
+    assert _killers(0) or _killers(1)
